@@ -3,7 +3,6 @@
 from fourier_kv.spectral import (
     FoldOrderError,
     FourierBasis,
-    ReconMode,
     ReconstructionRangeError,
     SpectralState,
     build_basis,

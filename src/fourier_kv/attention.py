@@ -1,12 +1,19 @@
 """Attention over exact and spectrally compressed caches.
 
-Three paths share one contract: ``attend_full`` is the dense reference;
-``attend_compressed_materialized`` rebuilds the middle region in one piece
-and defers to the reference; ``attend_compressed_fused`` streams the middle
-region tile by tile with an online softmax, decompressing each tile on the
-fly so the full reconstruction never exists in memory at once. The fused
-path instruments its transient tile buffers so the read-once claim is
-checkable, not aspirational.
+Two decode paths serve a compressed head slice. ``attend_compressed_fused``
+is the production path: it never rebuilds a compressed row. The compressed
+part of a middle score is the trig polynomial ``col(t)^T (w * C_k q_c)`` and
+the compressed part of the output is its adjoint
+``(w * sum_t p_t col(t))^T C_v``, each one length-``period`` FFT; kept
+dimensions and the exact initial and local blocks are plain products, and one
+softmax runs over all ``init + M + local`` scores. Per query that costs
+O(period log period + (init + M + local) * head_dim) time, plus
+O(k * head_dim) to contract the 2k-row states with the query. The FFTs hold
+O(period) transient floats whatever the state count k and the middle length
+M; no ``(M, head_dim)`` block of rebuilt rows ever exists.
+``attend_compressed_materialized`` is its oracle: it rebuilds every middle
+row through ``reconstruct`` and defers to ``attend_full``, the dense
+reference.
 
 Also home to two diagnostics: splitting attention scores into low/high
 dimension components, and seeded Gaussian perturbation of selected
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fourier_kv.cache import HeadSlice
-from fourier_kv.spectral import FourierBasis, ReconMode, reconstruct
+from fourier_kv.spectral import FourierBasis, reconstruct
 from fourier_kv.traceio import KVTrace
 
 __all__ = [
@@ -36,15 +43,14 @@ __all__ = [
 
 @dataclass
 class AttentionOutput:
-    """Attention result; ``weights`` rows sum to 1 when requested.
+    """Attention output, plus the softmax weights when requested.
 
-    ``peak_transient_floats`` is set by the fused path: the largest number of
-    decompressed middle-region floats alive at any instant.
+    ``weights`` rows sum to 1; only ``attend_full`` and the materialized path
+    return them, in the order the keys were attended.
     """
 
     output: np.ndarray
     weights: np.ndarray | None = None
-    peak_transient_floats: int | None = None
 
 
 def _check_finite(name, arr):
@@ -93,79 +99,43 @@ def _middle_positions(slice_: HeadSlice) -> np.ndarray:
     return np.arange(slice_.middle_start, slice_.middle_start + slice_.middle_count)
 
 
-def _rebuild_middle_rows(
-    slice_: HeadSlice,
-    basis: FourierBasis,
-    mode: ReconMode,
-    positions: np.ndarray,
-    row_offset: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Decompress middle K/V rows: kept dims copied, compressed dims inverted."""
-    count = positions.size
-    dims = slice_.dims
-    k_rows = np.empty((count, slice_.ring_k.shape[1]))
-    v_rows = np.empty_like(k_rows)
-    rows = slice(row_offset, row_offset + count)
-    k_rows[:, dims.k_kept] = slice_.kept_k.view()[rows]
-    v_rows[:, dims.v_kept] = slice_.kept_v.view()[rows]
-    if dims.k_compressed.size:
-        k_rows[:, dims.k_compressed] = reconstruct(slice_.spec_k, basis, positions, mode)
-    if dims.v_compressed.size:
-        v_rows[:, dims.v_compressed] = reconstruct(slice_.spec_v, basis, positions, mode)
-    return k_rows, v_rows
-
-
 def attend_compressed_materialized(
     q,
     slice_: HeadSlice,
     basis: FourierBasis,
-    mode: ReconMode = ReconMode.NORMALIZED,
     return_weights: bool = False,
 ) -> AttentionOutput:
     """Decode attention over initial + rebuilt-middle + local, concatenated.
 
-    Decode queries attend to every represented position (no causal mask);
-    the assembled order is initial block, middle region, local window.
+    Middle rows get their kept dims copied and their compressed dims rebuilt
+    by ``reconstruct``. Decode queries attend to every represented position
+    (no causal mask); the assembled order is initial block, middle region,
+    local window.
     """
     positions = _middle_positions(slice_)
-    mid_k, mid_v = _rebuild_middle_rows(slice_, basis, mode, positions, 0)
+    dims = slice_.dims
+    mid_k = np.empty((positions.size, slice_.ring_k.shape[1]))
+    mid_v = np.empty_like(mid_k)
+    mid_k[:, dims.k_kept] = slice_.kept_k.view()
+    mid_v[:, dims.v_kept] = slice_.kept_v.view()
+    if dims.k_compressed.size:
+        mid_k[:, dims.k_compressed] = reconstruct(slice_.spec_k, basis, positions)
+    if dims.v_compressed.size:
+        mid_v[:, dims.v_compressed] = reconstruct(slice_.spec_v, basis, positions)
     local_k, local_v = slice_.local_block()
     keys = np.concatenate([slice_.init_k.astype(np.float64), mid_k, local_k.astype(np.float64)])
     values = np.concatenate([slice_.init_v.astype(np.float64), mid_v, local_v.astype(np.float64)])
     return attend_full(q, keys, values, causal=False, return_weights=return_weights)
 
 
-class _TransientCounter:
-    """Tracks live floats in decompressed middle tiles."""
+def attend_compressed_fused(q, slice_: HeadSlice, basis: FourierBasis) -> AttentionOutput:
+    """Decode attention scored and aggregated in the coefficient domain.
 
-    def __init__(self):
-        self.live = 0
-        self.peak = 0
-
-    def alloc(self, n_floats: int):
-        self.live += n_floats
-        self.peak = max(self.peak, self.live)
-
-    def free(self, n_floats: int):
-        self.live -= n_floats
-
-
-def attend_compressed_fused(
-    q,
-    slice_: HeadSlice,
-    basis: FourierBasis,
-    mode: ReconMode = ReconMode.NORMALIZED,
-    tile: int = 64,
-) -> AttentionOutput:
-    """One-pass decode attention: online softmax, middle tiles rebuilt on the fly.
-
-    The middle region is never materialized whole; each tile's keys are
-    decompressed, scored, and dropped before its values are decompressed.
-    ``peak_transient_floats`` therefore stays at one tile's worth
-    (``tile * head_dim`` floats) regardless of the middle length.
+    With ``w`` the synthesis weights and ``C_k``/``C_v`` the spectral states,
+    the compressed middle scores are ``basis.evaluate(w * (C_k @ q_c), t)``
+    and the compressed output is ``(w * basis.project(p_mid, t)) @ C_v``.
+    Agrees with :func:`attend_compressed_materialized` up to rounding.
     """
-    if tile < 1:
-        raise ValueError(f"tile must be >= 1, got {tile}")
     q = np.asarray(q, dtype=np.float64)
     if q.ndim != 1:
         raise ValueError("fused path serves single decode queries")
@@ -176,64 +146,32 @@ def attend_compressed_fused(
     if slice_.represented() == 0:
         raise ValueError("attention over an empty cache is undefined")
 
-    scale = 1.0 / np.sqrt(head_dim)
-    running_max = -np.inf
-    denom = 0.0
-    acc = np.zeros(head_dim)
-    counter = _TransientCounter()
-
-    def merge(scores, seg_values):
-        # online-softmax update: rescale the running accumulator when a new
-        # maximum appears, then absorb this segment's mass
-        nonlocal running_max, denom, acc
-        new_max = max(running_max, scores.max())
-        if new_max != running_max:
-            rescale = np.exp(running_max - new_max) if np.isfinite(running_max) else 0.0
-            denom *= rescale
-            acc *= rescale
-            running_max = new_max
-        probs = np.exp(scores - running_max)
-        denom += probs.sum()
-        acc += probs @ seg_values
-
-    def fold_exact(seg_keys, seg_values):
-        if seg_keys.shape[0] == 0:
-            return
-        _check_finite("keys", seg_keys)
-        _check_finite("values", seg_values)
-        merge((seg_keys @ q) * scale, seg_values)
-
-    fold_exact(slice_.init_k.astype(np.float64), slice_.init_v.astype(np.float64))
-
-    positions = _middle_positions(slice_)
-    dims = slice_.dims
-    for start in range(0, positions.size, tile):
-        chunk = positions[start : start + tile]
-        rows = slice(start, start + chunk.size)
-        tile_floats = chunk.size * head_dim
-
-        counter.alloc(tile_floats)
-        k_rows = np.empty((chunk.size, head_dim))
-        k_rows[:, dims.k_kept] = slice_.kept_k.view()[rows]
-        if dims.k_compressed.size:
-            k_rows[:, dims.k_compressed] = reconstruct(slice_.spec_k, basis, chunk, mode)
-        scores = (k_rows @ q) * scale
-        del k_rows
-        counter.free(tile_floats)
-
-        counter.alloc(tile_floats)
-        v_rows = np.empty((chunk.size, head_dim))
-        v_rows[:, dims.v_kept] = slice_.kept_v.view()[rows]
-        if dims.v_compressed.size:
-            v_rows[:, dims.v_compressed] = reconstruct(slice_.spec_v, basis, chunk, mode)
-        merge(scores, v_rows)
-        del v_rows
-        counter.free(tile_floats)
-
     local_k, local_v = slice_.local_block()
-    fold_exact(local_k.astype(np.float64), local_v.astype(np.float64))
+    for name, block in (("keys", slice_.init_k), ("keys", local_k),
+                        ("values", slice_.init_v), ("values", local_v)):
+        _check_finite(name, block)
 
-    return AttentionOutput(output=acc / denom, peak_transient_floats=counter.peak)
+    # stored blocks stay float32; each product casts its operand transiently
+    dims = slice_.dims
+    positions = _middle_positions(slice_)
+    synthesis = basis.synthesis_weights()
+    mid_scores = slice_.kept_k.view() @ q[dims.k_kept]
+    if positions.size and dims.k_compressed.size:
+        poly = synthesis * (slice_.spec_k.coeffs @ q[dims.k_compressed])
+        mid_scores += basis.evaluate(poly, positions)
+
+    scale = 1.0 / np.sqrt(head_dim)
+    scores = np.concatenate([slice_.init_k @ q, mid_scores, local_k @ q]) * scale
+    probs = np.exp(scores - scores.max())
+    probs /= probs.sum()
+    p_init, p_mid, p_local = np.split(probs, [slice_.init_len, slice_.init_len + mid_scores.size])
+
+    out = p_init @ slice_.init_v + p_local @ local_v
+    out[dims.v_kept] += p_mid @ slice_.kept_v.view()
+    if positions.size and dims.v_compressed.size:
+        folded = synthesis * basis.project(p_mid, positions)
+        out[dims.v_compressed] += folded @ slice_.spec_v.coeffs
+    return AttentionOutput(output=out)
 
 
 def decompose_scores(q, keys, split_dim: int) -> tuple[np.ndarray, np.ndarray]:

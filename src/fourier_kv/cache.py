@@ -123,32 +123,6 @@ class CacheLayout:
             ],
         )
 
-    @classmethod
-    def uniform_prefix(
-        cls,
-        layers: int,
-        kv_heads: int,
-        head_dim: int,
-        partition: PartitionParams,
-        k_count: int,
-        v_count: int | None = None,
-    ):
-        """Compress the first ``k_count``/``v_count`` dimensions everywhere."""
-        v_count = k_count if v_count is None else v_count
-        return cls(
-            layers=layers,
-            kv_heads=kv_heads,
-            head_dim=head_dim,
-            partition=partition,
-            dims=[
-                [
-                    HeadDims.from_compressed(head_dim, np.arange(k_count), np.arange(v_count))
-                    for _ in range(kv_heads)
-                ]
-                for _ in range(layers)
-            ],
-        )
-
 
 class _GrowBuffer:
     """Append-only float32 row buffer with doubling reallocation."""

@@ -5,6 +5,9 @@ recording the resolved arguments, a config hash, and wall time, so a run can
 be reproduced from its output directory alone. Reports are RFC-4180 CSV with
 a header row.
 
+``eval`` spreads its per-head comparisons over ``FOURIER_KV_THREADS``
+threads: a positive integer, 1 when unset; any other value is a usage error.
+
 Exit codes: 0 success, 2 usage, 3 I/O failure, 4 data mismatch.
 """
 
@@ -41,7 +44,7 @@ from fourier_kv.dimselect import (
     write_selection_manifest,
 )
 from fourier_kv.legt import compare_bases
-from fourier_kv.spectral import ReconMode, build_basis
+from fourier_kv.spectral import build_basis
 from fourier_kv.traceio import (
     TinyModelConfig,
     TraceFormatError,
@@ -58,7 +61,6 @@ EXIT_DATA = 4
 
 THREADS_ENV = "FOURIER_KV_THREADS"
 
-_RECON_MODES = {"paper": ReconMode.TRANSPOSE, "normalized": ReconMode.NORMALIZED}
 _SCHEMA_NAMES = ("inverted", "uniform", "kv-inv", "layer-inv")
 
 
@@ -85,13 +87,15 @@ def _write_csv(path, header, rows) -> None:
 def _thread_count() -> int:
     raw = os.environ.get(THREADS_ENV, "1")
     try:
-        return max(1, int(raw))
+        threads = int(raw)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise UsageError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
+    return threads
 
 
-def _map_slices(fn, items):
-    threads = _thread_count()
+def _map_slices(fn, items, threads: int):
     if threads == 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -217,6 +221,7 @@ def cmd_select(args) -> int:
 
 def cmd_eval(args) -> int:
     started = time.monotonic()
+    threads = _thread_count()
     trace = read_trace(args.trace)
     layout, schema = read_selection_manifest(args.manifest)
     if (trace.layers, trace.kv_heads, trace.head_dim) != (
@@ -226,7 +231,6 @@ def cmd_eval(args) -> int:
             f"trace geometry ({trace.layers}, {trace.kv_heads}, {trace.head_dim}) does not "
             f"match manifest ({layout.layers}, {layout.kv_heads}, {layout.head_dim})"
         )
-    mode = _RECON_MODES[args.mode]
     basis = build_basis(layout.partition.orders, layout.partition.period)
     cache = prefill_trace(trace, layout, basis)
 
@@ -253,8 +257,8 @@ def cmd_eval(args) -> int:
             q = queries[pair]
             ref = attend_full(q, keys[layer][head], values[layer][head])
             sl = cache.slice(layer, head)
-            mat = attend_compressed_materialized(q, sl, basis, mode)
-            fus = attend_compressed_fused(q, sl, basis, mode, tile=args.tile)
+            mat = attend_compressed_materialized(q, sl, basis)
+            fus = attend_compressed_fused(q, sl, basis)
             out = []
             for path, cand in (("materialized", mat), ("fused", fus)):
                 metrics = output_divergence(ref, cand)
@@ -262,7 +266,7 @@ def cmd_eval(args) -> int:
                             metrics["max_abs"], metrics["rmse"], metrics["cosine"]))
             return out
 
-        for chunk in _map_slices(compare, pairs):
+        for chunk in _map_slices(compare, pairs, threads):
             rows.extend(chunk)
 
     _write_csv(
@@ -406,9 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="prefill, decode, and compare attention paths")
     ev.add_argument("--trace", required=True)
     ev.add_argument("--manifest", required=True)
-    ev.add_argument("--mode", default="normalized", choices=sorted(_RECON_MODES))
     ev.add_argument("--decode-steps", type=int, default=8)
-    ev.add_argument("--tile", type=int, default=64)
     ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--report", required=True)
     ev.set_defaults(func=cmd_eval)

@@ -5,7 +5,9 @@ coefficients: the running cosine and sine moments of every tracked dimension
 for each of ``k`` frequency orders. Folding one token is a rank-1 update, so
 batch compression and one-token-at-a-time streaming commute, and the state
 size never grows with sequence length. Reconstruction evaluates a weighted
-inverse transform at any folded position.
+inverse transform at any folded position; the same inverse transform and its
+adjoint are also available as length-``period`` FFTs, which is how decode
+attention scores and aggregates the compressed region without rebuilding it.
 
 Phases are indexed by *absolute* token position so that a state built during
 prefill and a state extended by streaming evictions agree without rephasing.
@@ -13,7 +15,6 @@ prefill and a state extended by streaming evictions agree without rephasing.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,6 @@ import numpy as np
 __all__ = [
     "FoldOrderError",
     "FourierBasis",
-    "ReconMode",
     "ReconstructionRangeError",
     "SpectralState",
     "build_basis",
@@ -40,20 +40,6 @@ class ReconstructionRangeError(ValueError):
     """Reconstruction was requested outside the folded position range."""
 
 
-class ReconMode(enum.Enum):
-    """Weighting applied by the inverse transform during reconstruction.
-
-    TRANSPOSE applies the plain transpose of the compression operator scaled
-    by ``1/k``; it is cheap but not an exact inverse of the unnormalized
-    projection. NORMALIZED uses standard discrete-Fourier synthesis weights
-    (``1/T`` for the order-0 rows, ``2/T`` above) and recovers band-limited
-    signals exactly when the folded run covers a full period.
-    """
-
-    TRANSPOSE = "transpose"
-    NORMALIZED = "normalized"
-
-
 @dataclass(frozen=True)
 class FourierBasis:
     """Real translated-Fourier operator: ``orders`` frequencies, period ``period``.
@@ -62,6 +48,15 @@ class FourierBasis:
     row ``2n`` holds ``cos(2*pi*n*t/period)`` and row ``2n+1`` holds
     ``sin(2*pi*n*t/period)`` for ``n < orders``. Row 0 is all ones and row 1
     is all zeros (the order-0 sine). Columns repeat with period ``period``.
+    Any ``orders`` is accepted; at integer positions order ``n`` is the same
+    wave as order ``n mod period``, so orders at or past ``period/2`` alias.
+
+    :meth:`columns` builds columns explicitly, O(orders) trig calls each.
+    :meth:`evaluate` (``columns(t).T @ a``) and its adjoint :meth:`project`
+    (``columns(t) @ p``) never build them: each is one length-``period`` real
+    FFT, so their cost does not grow with ``orders`` or ``len(t)`` beyond
+    one binning pass. This class owns the cosine/sine row layout; callers
+    only pass coefficient vectors of length ``2*orders``.
 
     Immutable; safe to share across threads.
     """
@@ -95,17 +90,69 @@ class FourierBasis:
         col[1::2] = np.sin(phases)
         return col
 
-    def columns(self, positions) -> np.ndarray:
-        """Basis columns for many positions, shape ``(2*orders, len(positions))``."""
+    @staticmethod
+    def _positions(positions) -> np.ndarray:
         pos = np.asarray(positions, dtype=np.int64)
         if pos.ndim != 1:
             raise ValueError("positions must be one-dimensional")
         if pos.size and pos.min() < 0:
             raise ValueError("positions must be >= 0")
+        return pos
+
+    def columns(self, positions) -> np.ndarray:
+        """Basis columns for many positions, shape ``(2*orders, len(positions))``."""
+        pos = self._positions(positions)
         phases = self._phases(pos)
         out = np.empty((self.n_rows, pos.size), dtype=np.float64)
         out[0::2] = np.cos(phases)
         out[1::2] = np.sin(phases)
+        return out
+
+    def _bins(self) -> tuple[np.ndarray, np.ndarray]:
+        """rfft bin of every order and the sign its sine row carries there.
+
+        At integer positions order ``n`` equals order ``r = n mod period``,
+        and for ``r > period/2`` the cosine of ``r`` is the cosine of
+        ``period - r`` while the sine flips sign.
+        """
+        r = np.arange(self.orders, dtype=np.int64) % self.period
+        above = r > self.period // 2
+        return np.where(above, self.period - r, r), np.where(above, -1.0, 1.0)
+
+    def evaluate(self, coeffs, positions) -> np.ndarray:
+        """``columns(positions).T @ coeffs``: the trig polynomial at each position.
+
+        ``coeffs`` has shape ``(2*orders,)`` in the row layout of
+        :meth:`columns`; returns ``(len(positions),)``.
+        """
+        a = np.asarray(coeffs, dtype=np.float64)
+        if a.shape != (self.n_rows,):
+            raise ValueError(f"coeffs must have shape ({self.n_rows},), got {a.shape}")
+        pos = self._positions(positions)
+        bins, sine_sign = self._bins()
+        half = self.period // 2 + 1
+        spectrum = np.bincount(bins, a[0::2], minlength=half) - 1j * np.bincount(
+            bins, sine_sign * a[1::2], minlength=half
+        )
+        # irfft counts every bin but DC and Nyquist twice (once per sign of frequency)
+        spectrum[1 : (self.period + 1) // 2] *= 0.5
+        wave = np.fft.irfft(spectrum, n=self.period, norm="forward")
+        return wave[pos % self.period]
+
+    def project(self, weights, positions) -> np.ndarray:
+        """``columns(positions) @ weights``: the adjoint of :meth:`evaluate`.
+
+        ``weights`` has shape ``(len(positions),)``; returns ``(2*orders,)``.
+        """
+        pos = self._positions(positions)
+        w = np.asarray(weights, dtype=np.float64)
+        if w.shape != pos.shape:
+            raise ValueError(f"weights must have shape {pos.shape}, got {w.shape}")
+        spectrum = np.fft.rfft(np.bincount(pos % self.period, w, minlength=self.period))
+        bins, sine_sign = self._bins()
+        out = np.empty(self.n_rows, dtype=np.float64)
+        out[0::2] = spectrum.real[bins]
+        out[1::2] = -sine_sign * spectrum.imag[bins]
         return out
 
     @property
@@ -114,7 +161,11 @@ class FourierBasis:
         return self.columns(np.arange(self.period))
 
     def synthesis_weights(self) -> np.ndarray:
-        """Per-row inverse-transform weights for NORMALIZED reconstruction.
+        """Per-row inverse-transform weights used by :func:`reconstruct`.
+
+        Standard discrete-Fourier synthesis weights: ``1/period`` for the
+        order-0 rows and ``2/period`` above, which recover band-limited
+        signals exactly when the folded run covers a full period.
 
         The order-0 sine row gets the same ``1/period`` weight as the cosine
         row; its coefficients are identically zero so the value never matters.
@@ -220,12 +271,13 @@ def reconstruct(
     state: SpectralState,
     basis: FourierBasis,
     positions,
-    mode: ReconMode = ReconMode.NORMALIZED,
 ) -> np.ndarray:
     """Rebuild token vectors at the given absolute positions.
 
-    Every position must lie inside ``[first_pos, last_pos]`` of the folded
-    run; extrapolation is undefined. Returns ``(len(positions), D)``.
+    Applies the synthesis-weighted inverse transform
+    ``columns(t).T @ (w * coeffs)``. Every position must lie inside
+    ``[first_pos, last_pos]`` of the folded run; extrapolation is undefined.
+    Returns ``(len(positions), D)``.
     """
     pos = np.asarray(positions, dtype=np.int64)
     if pos.size == 0:
@@ -237,13 +289,8 @@ def reconstruct(
             f"positions must lie in [{state.first_pos}, {state.last_pos}], "
             f"got range [{pos.min()}, {pos.max()}]"
         )
-    cols = basis.columns(pos)
-    if mode is ReconMode.NORMALIZED:
-        weighted = cols * basis.synthesis_weights()[:, None]
-        return weighted.T @ state.coeffs
-    if mode is ReconMode.TRANSPOSE:
-        return (cols.T @ state.coeffs) / basis.orders
-    raise ValueError(f"unknown reconstruction mode: {mode!r}")
+    weighted = basis.columns(pos) * basis.synthesis_weights()[:, None]
+    return weighted.T @ state.coeffs
 
 
 def reconstruction_mse(original, reconstructed) -> np.ndarray:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fourier_kv.attention import (
     attend_compressed_fused,
@@ -13,8 +15,8 @@ from fourier_kv.attention import (
     output_divergence,
     perturb_dims,
 )
-from fourier_kv.cache import CacheLayout, HeadDims, PartitionParams, prefill
-from fourier_kv.spectral import ReconMode, build_basis
+from fourier_kv.cache import CacheLayout, HeadDims, PartitionParams, append_token, prefill
+from fourier_kv.spectral import build_basis
 from fourier_kv.traceio import KVTrace, gen_synthetic
 
 
@@ -130,57 +132,74 @@ class TestCompressedMaterialized:
         assert np.max(np.abs(out.output - ref.output)) < 1e-4
 
 
+@st.composite
+def decoded_slices(draw):
+    """A head slice after prefill and some decode appends, with its query.
+
+    Covers init 0, an empty middle, empty and full compressed sets, orders at
+    and past ``period/2``, and evictions folded by ``append_token``.
+    """
+    head_dim = draw(st.integers(1, 8))
+    init = draw(st.integers(0, 5))
+    local = draw(st.integers(1, 12))
+    seq_len = draw(st.integers(1, 90))
+    steps = draw(st.integers(0, 16))
+    middle = max(0, seq_len - init - local) + steps
+    period = max(1, middle + draw(st.integers(0, 24)))
+    orders = draw(st.integers(1, period + 2))
+    dim_sets = st.one_of(st.just(()), st.just(tuple(range(head_dim))),
+                         st.sets(st.integers(0, head_dim - 1)).map(sorted))
+    k_comp, v_comp = draw(dim_sets), draw(dim_sets)
+    q_scale = draw(st.sampled_from([0.1, 1.0, 4.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sl, basis, *_ = build_slice(rng, seq_len=seq_len, head_dim=head_dim, init=init, local=local,
+                                orders=orders, period=period, k_comp=k_comp, v_comp=v_comp)
+    for _ in range(steps):
+        append_token(sl, basis, rng.standard_normal(head_dim), rng.standard_normal(head_dim))
+    return sl, basis, q_scale * rng.standard_normal(head_dim)
+
+
 class TestCompressedFused:
-    def test_single_tile_matches_materialized_tightly(self):
-        rng = np.random.default_rng(6)
-        sl, basis, *_ = build_slice(rng, seq_len=64)
-        q = rng.standard_normal(8)
-        ref = attend_compressed_materialized(q, sl, basis)
-        out = attend_compressed_fused(q, sl, basis, tile=1024)
-        assert np.max(np.abs(out.output - ref.output)) < 1e-6
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(decoded_slices())
+    def test_fused_equals_materialized_randomized(self, case):
+        sl, basis, q = case
+        ref = attend_compressed_materialized(q, sl, basis).output
+        out = attend_compressed_fused(q, sl, basis).output
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
 
-    def test_tile_sizes_agree(self):
-        rng = np.random.default_rng(7)
-        sl, basis, *_ = build_slice(rng, seq_len=96, local=16)
-        q = rng.standard_normal(8)
-        outs = [
-            attend_compressed_fused(q, sl, basis, tile=tile).output
-            for tile in (1, 7, 64, 4096)
-        ]
-        for a in outs[1:]:
-            assert np.max(np.abs(a - outs[0])) < 1e-5
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(decoded_slices(), st.data())
+    def test_rejects_nan_query(self, case, data):
+        sl, basis, q = case
+        q[data.draw(st.integers(0, q.size - 1))] = np.nan
+        with pytest.raises(ValueError):
+            attend_compressed_fused(q, sl, basis)
 
-    def test_peak_transient_bounded_by_one_tile(self):
-        rng = np.random.default_rng(8)
-        sl, basis, *_ = build_slice(rng, seq_len=128, local=8)
-        q = rng.standard_normal(8)
-        for tile in (1, 4, 16):
-            out = attend_compressed_fused(q, sl, basis, tile=tile)
-            assert out.peak_transient_floats <= tile * 8
-        out = attend_compressed_fused(q, sl, basis, tile=10**6)
-        assert out.peak_transient_floats == sl.middle_count * 8
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(decoded_slices(), st.data())
+    def test_rejects_inf_local_key(self, case, data):
+        sl, basis, q = case
+        assume(sl.ring_count > 0)
+        slots = sl.local_positions() % sl.partition.local_len
+        slot = data.draw(st.sampled_from(slots.tolist()))
+        sl.ring_k[slot, data.draw(st.integers(0, sl.ring_k.shape[1] - 1))] = np.inf
+        with pytest.raises(ValueError):
+            attend_compressed_fused(q, sl, basis)
 
-    def test_rejects_tile_zero(self):
+    def test_rejects_wrong_query_shape_and_empty_cache(self):
         rng = np.random.default_rng(9)
         sl, basis, *_ = build_slice(rng)
         with pytest.raises(ValueError):
-            attend_compressed_fused(rng.standard_normal(8), sl, basis, tile=0)
-
-    def test_fused_equals_materialized_randomized(self):
-        rng = np.random.default_rng(10)
-        for _ in range(30):
-            seq_len = int(rng.integers(16, 120))
-            sl, basis, *_ = build_slice(
-                rng, seq_len=seq_len,
-                init=int(rng.integers(0, 5)), local=int(rng.integers(1, 12)),
-                k_comp=sorted(rng.choice(8, size=int(rng.integers(0, 9)), replace=False)),
-                v_comp=sorted(rng.choice(8, size=int(rng.integers(0, 9)), replace=False)),
-            )
-            q = rng.standard_normal(8)
-            tile = int(rng.integers(1, 70))
-            ref = attend_compressed_materialized(q, sl, basis)
-            out = attend_compressed_fused(q, sl, basis, tile=tile)
-            assert np.max(np.abs(out.output - ref.output)) < 1e-5
+            attend_compressed_fused(rng.standard_normal(7), sl, basis)
+        with pytest.raises(ValueError):
+            attend_compressed_fused(rng.standard_normal((2, 8)), sl, basis)
+        empty = np.zeros((1, 0, 8), dtype=np.float32)
+        sl, basis, *_ = build_slice(rng, keys=empty, values=empty)
+        assert sl.represented() == 0
+        with pytest.raises(ValueError):
+            attend_compressed_fused(rng.standard_normal(8), sl, basis)
 
 
 class TestDecomposeScores:

@@ -122,8 +122,7 @@ class TestEval:
         report = tmp_path / "out" / "divergence.csv"
         report.parent.mkdir()
         assert run("eval", "--trace", trace_file, "--manifest", manifest_file,
-                   "--mode", "normalized", "--decode-steps", 2, "--tile", 4,
-                   "--report", report) == 0
+                   "--decode-steps", 2, "--report", report) == 0
         rows = read_csv(report)
         assert len(rows) == 2 * 2 * 2 * 2  # layers x heads x steps x paths
         assert {r["path"] for r in rows} == {"materialized", "fused"}
@@ -160,6 +159,27 @@ class TestEval:
                    "--dim", 4, "--len", 32, "--out", other) == 0
         assert run("eval", "--trace", other, "--manifest", manifest_file,
                    "--report", tmp_path / "r.csv") == 4
+
+    @pytest.mark.parametrize("threads", ["0", "-2", "abc"])
+    def test_bad_thread_count_is_usage_error(self, tmp_path, trace_file, manifest_file,
+                                             monkeypatch, capsys, threads):
+        monkeypatch.setenv("FOURIER_KV_THREADS", threads)
+        report = tmp_path / "threads.csv"
+        assert run("eval", "--trace", trace_file, "--manifest", manifest_file,
+                   "--decode-steps", 1, "--report", report) == 2
+        assert "FOURIER_KV_THREADS" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_two_threads_match_one(self, tmp_path, trace_file, manifest_file, monkeypatch):
+        reports = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("FOURIER_KV_THREADS", threads)
+            report = tmp_path / f"t{threads}" / "divergence.csv"
+            report.parent.mkdir()
+            assert run("eval", "--trace", trace_file, "--manifest", manifest_file,
+                       "--decode-steps", 2, "--report", report) == 0
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestCompareBases:

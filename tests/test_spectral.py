@@ -8,11 +8,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourier_kv.spectral import (
     FoldOrderError,
     FourierBasis,
-    ReconMode,
     ReconstructionRangeError,
     SpectralState,
     build_basis,
@@ -192,15 +193,6 @@ class TestReconstruct:
             np.testing.assert_allclose(recon, oracle, atol=1e-9)
             assert np.max(np.abs(recon - signal)) < 1e-6
 
-    def test_transpose_mode_single_token(self):
-        basis = build_basis(orders=3, period=16)
-        v = np.array([2.0, -1.0])
-        state = fold_token(SpectralState.zeros(3, 2), basis, v, pos=5)
-        recon = reconstruct(state, basis, [5], mode=ReconMode.TRANSPOSE)
-        col = basis.column(5)
-        expected = (np.sum(col**2) / 3) * v
-        np.testing.assert_allclose(recon[0], expected, atol=1e-12)
-
     def test_out_of_range_rejected(self):
         basis = build_basis(orders=2, period=8)
         state = compress_batch(basis, np.ones((4, 1)), start_pos=2)
@@ -297,3 +289,51 @@ class TestProperties:
         np.testing.assert_array_equal(doubled, 2.0 * base)  # exact for power-of-two scale
         scaled = reconstruct(compress_batch(basis, 1.7 * values, 0), basis, t)
         np.testing.assert_allclose(scaled, 1.7 * base, rtol=1e-12, atol=1e-12)
+
+
+@st.composite
+def basis_and_positions(draw):
+    """A basis whose orders reach past ``period/2`` (and past ``period``),
+    with positions that repeat, come unsorted and run past the period."""
+    period = draw(st.integers(1, 80))
+    orders = draw(st.integers(1, 2 * period + 3))
+    positions = draw(st.lists(st.integers(0, 4 * period), max_size=40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return FourierBasis(orders=orders, period=period), np.asarray(positions), seed
+
+
+class TestFftBasisOperations:
+    """``evaluate`` and ``project`` against products with explicit columns."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(basis_and_positions())
+    def test_evaluate_equals_columns_transpose_product(self, case):
+        basis, positions, seed = case
+        coeffs = np.random.default_rng(seed).standard_normal(basis.n_rows)
+        expected = basis.columns(positions).T @ coeffs
+        got = basis.evaluate(coeffs, positions)
+        assert got.shape == positions.shape
+        np.testing.assert_allclose(got, expected, rtol=0,
+                                   atol=1e-12 * max(1.0, np.abs(coeffs).sum()))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(basis_and_positions())
+    def test_project_equals_columns_product(self, case):
+        basis, positions, seed = case
+        weights = np.random.default_rng(seed).standard_normal(positions.size)
+        expected = basis.columns(positions) @ weights
+        got = basis.project(weights, positions)
+        assert got.shape == (basis.n_rows,)
+        np.testing.assert_allclose(got, expected, rtol=0,
+                                   atol=1e-12 * max(1.0, np.abs(weights).sum()))
+
+    def test_rejects_bad_shapes_and_negative_positions(self):
+        basis = FourierBasis(orders=3, period=16)
+        with pytest.raises(ValueError):
+            basis.evaluate(np.zeros(5), [0, 1])
+        with pytest.raises(ValueError):
+            basis.project(np.zeros(3), [0, 1])
+        with pytest.raises(ValueError):
+            basis.evaluate(np.zeros(6), [-1])
+        with pytest.raises(ValueError):
+            basis.project(np.zeros(1), [-1])
