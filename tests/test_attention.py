@@ -160,6 +160,15 @@ def decoded_slices(draw):
 
 
 class TestCompressedFused:
+    def test_single_tile_matches_materialized_tightly(self):
+        """The fused path scores the whole middle in one pass: one tile."""
+        rng = np.random.default_rng(6)
+        sl, basis, *_ = build_slice(rng, seq_len=64)
+        q = rng.standard_normal(8)
+        ref = attend_compressed_materialized(q, sl, basis)
+        out = attend_compressed_fused(q, sl, basis)
+        assert np.max(np.abs(out.output - ref.output)) < 1e-6
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(decoded_slices())
     def test_fused_equals_materialized_randomized(self, case):
