@@ -3,9 +3,12 @@
 Per layer and KV head, the cache splits a sequence three ways: the first
 ``init_len`` tokens and the trailing ``local_len`` tokens are stored exactly;
 everything between keeps its selected dimensions verbatim and folds the rest
-into fixed-size spectral states. During decoding, new tokens enter a local
-ring buffer and the evicted oldest local token is split the same way, so the
-spectral storage stays O(1) in sequence length.
+into fixed-size spectral states. Prefill folds the middle region of every
+head of a layer in one batch fold that builds each basis column once. During
+decoding, new tokens enter a local ring buffer and the evicted oldest local
+token is split the same way, folded one position at a time, so the spectral
+storage stays O(1) in sequence length. Non-finite K/V rows are rejected at
+both entry points, before anything is stored.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fourier_kv.spectral import FourierBasis, SpectralState, compress_batch, fold_token
+from fourier_kv.spectral import FourierBasis, SpectralState, fold_blocks, fold_token
 
 __all__ = [
     "CacheLayout",
@@ -204,12 +207,15 @@ class HeadSlice:
 def prefill(keys, values, layout: CacheLayout, layer: int, basis: FourierBasis):
     """Build the compressed slices for one layer from its full K/V blocks.
 
-    ``keys`` and ``values`` are ``(kv_heads, seq_len, head_dim)``. The middle
-    region is folded in batch at absolute positions; sequences no longer than
-    the partition's init+local extent simply have an empty middle.
+    ``keys`` and ``values`` are ``(kv_heads, seq_len, head_dim)`` and must be
+    finite. The middle region of every head, K and V alike, is folded at
+    absolute positions by one :func:`fold_blocks` call, so each basis column
+    is built once per layer. Sequences no longer than the partition's
+    init+local extent simply have an empty middle. The slices copy what they
+    keep: later changes to ``keys``/``values`` do not reach them.
     """
-    keys = np.asarray(keys)
-    values = np.asarray(values)
+    keys = np.asarray(keys, dtype=np.float32)
+    values = np.asarray(values, dtype=np.float32)
     part = layout.partition
     if not 0 <= layer < layout.layers:
         raise ValueError(f"layer {layer} out of range [0, {layout.layers})")
@@ -220,6 +226,8 @@ def prefill(keys, values, layout: CacheLayout, layer: int, basis: FourierBasis):
         )
     if basis.orders != part.orders or basis.period != part.period:
         raise ValueError("basis geometry does not match the layout partition")
+    if not (np.isfinite(keys).all() and np.isfinite(values).all()):
+        raise ValueError(f"layer {layer} keys/values contain NaN or Inf")
     seq_len = keys.shape[1]
     n_init = min(part.init_len, seq_len)
     local_start = max(n_init, seq_len - part.local_len)
@@ -230,31 +238,31 @@ def prefill(keys, values, layout: CacheLayout, layer: int, basis: FourierBasis):
             f"middle region of {local_start - n_init} positions exceeds the "
             f"spectral period {part.period}"
         )
+    heads = layout.dims[layer]
+    middle = slice(n_init, local_start)
+    states = fold_blocks(
+        basis,
+        [*keys[:, middle], *values[:, middle]],
+        n_init,
+        dims=[hd.k_compressed for hd in heads] + [hd.v_compressed for hd in heads],
+    )
+    slots = np.arange(local_start, seq_len) % part.local_len
     slices = []
-    for head in range(layout.kv_heads):
-        hd = layout.dims[layer][head]
-        k_block = keys[head].astype(np.float32)
-        v_block = values[head].astype(np.float32)
-        kept_k = _GrowBuffer.from_block(k_block[n_init:local_start][:, hd.k_kept])
-        kept_v = _GrowBuffer.from_block(v_block[n_init:local_start][:, hd.v_kept])
-        spec_k = compress_batch(basis, k_block[n_init:local_start, hd.k_compressed], n_init)
-        spec_v = compress_batch(basis, v_block[n_init:local_start, hd.v_compressed], n_init)
-
+    for head, hd in enumerate(heads):
         ring_k = np.zeros((part.local_len, layout.head_dim), dtype=np.float32)
         ring_v = np.zeros_like(ring_k)
-        for pos in range(local_start, seq_len):
-            ring_k[pos % part.local_len] = k_block[pos]
-            ring_v[pos % part.local_len] = v_block[pos]
+        ring_k[slots] = keys[head, local_start:]
+        ring_v[slots] = values[head, local_start:]
         slices.append(
             HeadSlice(
                 dims=hd,
                 partition=part,
-                init_k=k_block[:n_init].copy(),
-                init_v=v_block[:n_init].copy(),
-                kept_k=kept_k,
-                kept_v=kept_v,
-                spec_k=spec_k,
-                spec_v=spec_v,
+                init_k=keys[head, :n_init].copy(),
+                init_v=values[head, :n_init].copy(),
+                kept_k=_GrowBuffer.from_block(keys[head, middle][:, hd.k_kept]),
+                kept_v=_GrowBuffer.from_block(values[head, middle][:, hd.v_kept]),
+                spec_k=states[head],
+                spec_v=states[layout.kv_heads + head],
                 ring_k=ring_k,
                 ring_v=ring_v,
                 ring_start=local_start,
@@ -270,13 +278,17 @@ def append_token(slice_: HeadSlice, basis: FourierBasis, k_vec, v_vec) -> HeadSl
 
     The token enters the local ring; when the ring is full, the evicted
     oldest local token splits into kept rows and spectral folds at its
-    absolute position. Mutates and returns the slice.
+    absolute position. Mutates and returns the slice; a rejected token
+    (wrong shape, NaN or Inf, or a middle region already one period long)
+    leaves it unchanged.
     """
     part = slice_.partition
     k_vec = np.asarray(k_vec, dtype=np.float32)
     v_vec = np.asarray(v_vec, dtype=np.float32)
     if k_vec.shape != (slice_.ring_k.shape[1],) or v_vec.shape != k_vec.shape:
         raise ValueError("token vectors must have shape (head_dim,)")
+    if not (np.isfinite(k_vec).all() and np.isfinite(v_vec).all()):
+        raise ValueError("token vectors contain NaN or Inf")
 
     if slice_.ring_count == part.local_len:
         evict_pos = slice_.ring_start

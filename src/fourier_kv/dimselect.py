@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fourier_kv.cache import CacheLayout, HeadDims, PartitionParams
-from fourier_kv.spectral import FourierBasis, SpectralState, reconstruct, reconstruction_mse
+from fourier_kv.spectral import FourierBasis, fold_blocks, reconstruct, reconstruction_mse
 from fourier_kv.traceio import KVTrace
 
 __all__ = [
@@ -145,23 +145,18 @@ def rank_dimensions(trace: KVTrace, partition: PartitionParams, basis: FourierBa
             f"{partition.init_len + partition.local_len} positions, got {trace.seq_len}"
         )
     positions = np.arange(first, last)
-    cols = basis.columns(positions)
     shape = (trace.layers, trace.kv_heads, trace.head_dim)
     k_mse = np.empty(shape)
     v_mse = np.empty(shape)
     for layer in range(trace.layers):
-        for head in range(trace.kv_heads):
-            for out, data in ((k_mse, trace.keys), (v_mse, trace.values)):
-                block = data[layer, head, first:last].astype(np.float64)
-                state = SpectralState(
-                    coeffs=cols @ block,
-                    token_count=positions.size,
-                    first_pos=first,
-                    last_pos=last - 1,
-                )
-                out[layer, head] = reconstruction_mse(
-                    block, reconstruct(state, basis, positions)
-                )
+        # one (positions, K/V x heads x dims) block: one fold and one readout per layer
+        middle = np.concatenate(
+            [trace.keys[layer, :, first:last], trace.values[layer, :, first:last]]
+        )
+        block = middle.transpose(1, 0, 2).reshape(positions.size, -1)
+        (state,) = fold_blocks(basis, [block], first)
+        mse = reconstruction_mse(block, reconstruct(state, basis, positions))
+        k_mse[layer], v_mse[layer] = mse.reshape(2, trace.kv_heads, trace.head_dim)
     return MseRanking(k_mse=k_mse, v_mse=v_mse)
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourier_kv.cache import (
     CacheLayout,
@@ -12,7 +14,7 @@ from fourier_kv.cache import (
     prefill,
     prefill_trace,
 )
-from fourier_kv.spectral import build_basis, reconstruct
+from fourier_kv.spectral import build_basis, compress_batch, reconstruct
 from fourier_kv.traceio import KVTrace, gen_synthetic
 
 
@@ -104,6 +106,121 @@ class TestPrefill:
             prefill(keys, values, layout, 0, basis)
         keys, values = random_layer(rng, seq_len=52)  # middle 32 == period: fine
         prefill(keys, values, layout, 0, basis)
+
+
+def slice_arrays(sl):
+    """Every array and counter a head slice holds, copied."""
+    return {
+        "init_k": sl.init_k.copy(), "init_v": sl.init_v.copy(),
+        "kept_k": sl.kept_k.view().copy(), "kept_v": sl.kept_v.view().copy(),
+        "spec_k": sl.spec_k.copy(), "spec_v": sl.spec_v.copy(),
+        "ring_k": sl.ring_k.copy(), "ring_v": sl.ring_v.copy(),
+        "counters": (sl.ring_start, sl.ring_count, sl.total_len),
+    }
+
+
+def assert_slice_unchanged(sl, before):
+    after = slice_arrays(sl)
+    for name in ("init_k", "init_v", "kept_k", "kept_v", "ring_k", "ring_v"):
+        np.testing.assert_array_equal(after[name], before[name], err_msg=name)
+    for name in ("spec_k", "spec_v"):
+        a, b = after[name], before[name]
+        np.testing.assert_array_equal(a.coeffs, b.coeffs, err_msg=name)
+        assert (a.token_count, a.first_pos, a.last_pos) == (b.token_count, b.first_pos, b.last_pos)
+    assert after["counters"] == before["counters"]
+
+
+@st.composite
+def prefill_geometries(draw):
+    """A one-layer layout and its K/V blocks.
+
+    Covers init 0, empty middles, middles exactly one period long or longer
+    than one fold chunk (orders 4096 make chunks of 16 positions), orders past
+    ``period/2``, and 1-3 heads with different compressed sets, empty and
+    full included.
+    """
+    head_dim = draw(st.integers(1, 6))
+    kv_heads = draw(st.integers(1, 3))
+    init = draw(st.integers(0, 4))
+    local = draw(st.integers(1, 8))
+    middle = draw(st.one_of(st.just(0), st.integers(1, 40)))
+    period = max(1, middle + draw(st.sampled_from([0, 0, 1, 17])))
+    orders = draw(st.one_of(st.integers(1, period + 2), st.just(4096)))
+    dim_sets = st.one_of(st.just(()), st.just(tuple(range(head_dim))),
+                         st.sets(st.integers(0, head_dim - 1)).map(sorted))
+    part = PartitionParams(init_len=init, local_len=local, period=period, orders=orders)
+    dims = [[HeadDims.from_compressed(head_dim, draw(dim_sets), draw(dim_sets))
+             for _ in range(kv_heads)]]
+    layout = CacheLayout(layers=1, kv_heads=kv_heads, head_dim=head_dim, partition=part,
+                         dims=dims)
+    # a middle shorter than init+local leaves the ring partly empty
+    seq_len = init + middle + local if middle else draw(st.integers(0, init + local))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keys, values = random_layer(rng, kv_heads=kv_heads, seq_len=seq_len, head_dim=head_dim)
+    return layout, keys, values
+
+
+class TestPrefillFold:
+    """``prefill``'s shared-column fold against ``compress_batch`` per head."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(prefill_geometries())
+    def test_states_match_compress_batch(self, case):
+        layout, keys, values = case
+        part = layout.partition
+        basis = build_basis(part.orders, part.period)
+        seq_len = keys.shape[1]
+        n_init = min(part.init_len, seq_len)
+        local_start = max(n_init, seq_len - part.local_len)
+        for head, sl in enumerate(prefill(keys, values, layout, 0, basis)):
+            hd = layout.dims[0][head]
+            for state, block, comp in ((sl.spec_k, keys, hd.k_compressed),
+                                       (sl.spec_v, values, hd.v_compressed)):
+                rows = block[head, n_init:local_start][:, comp]
+                oracle = compress_batch(basis, rows, n_init)
+                scale = np.maximum(1.0, np.abs(rows.astype(np.float64)).sum(axis=0))
+                assert np.all(np.abs(state.coeffs - oracle.coeffs) <= 1e-12 * scale)
+                assert (state.token_count, state.first_pos, state.last_pos) == (
+                    oracle.token_count, oracle.first_pos, oracle.last_pos)
+            assert sl.represented() == seq_len
+
+    def test_slices_do_not_alias_the_callers_blocks(self):
+        rng = np.random.default_rng(10)
+        layout = make_layout(kv_heads=2, init=4, local=16, k_comp=(0, 1), v_comp=(5,))
+        keys, values = random_layer(rng, kv_heads=2, seq_len=50)
+        slices = prefill(keys, values, layout, 0, build_basis(4, 256))
+        before = [slice_arrays(sl) for sl in slices]
+        keys[...] = 7.0
+        values[...] = -7.0
+        for sl, snapshot in zip(slices, before):
+            assert_slice_unchanged(sl, snapshot)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("block, dim, bad", [("keys", 3, np.nan),  # kept K dim
+                                                 ("values", 0, np.inf)])  # compressed V dim
+    def test_prefill_rejects_non_finite_middle(self, block, dim, bad):
+        rng = np.random.default_rng(11)
+        layout = make_layout(init=4, local=16, k_comp=(0, 1, 2), v_comp=(0, 1))
+        keys, values = random_layer(rng, seq_len=40)
+        {"keys": keys, "values": values}[block][0, 10, dim] = bad
+        with pytest.raises(ValueError):
+            prefill(keys, values, layout, 0, build_basis(4, 256))
+
+    @pytest.mark.parametrize("which", ["k", "v"])
+    def test_append_rejects_nan_and_leaves_slice_unchanged(self, which):
+        rng = np.random.default_rng(12)
+        layout = make_layout(init=2, local=4)
+        basis = build_basis(4, 256)
+        keys, values = random_layer(rng, seq_len=12)  # ring full: the next append evicts
+        sl = prefill(keys, values, layout, 0, basis)[0]
+        before = slice_arrays(sl)
+        k_vec = rng.standard_normal(6).astype(np.float32)
+        v_vec = rng.standard_normal(6).astype(np.float32)
+        (k_vec if which == "k" else v_vec)[2] = np.nan
+        with pytest.raises(ValueError):
+            append_token(sl, basis, k_vec, v_vec)
+        assert_slice_unchanged(sl, before)
 
 
 class TestAppend:

@@ -15,7 +15,7 @@ from fourier_kv.dimselect import (
     temporal_std,
     write_selection_manifest,
 )
-from fourier_kv.spectral import build_basis
+from fourier_kv.spectral import build_basis, compress_batch, reconstruct, reconstruction_mse
 from fourier_kv.traceio import KVTrace, gen_synthetic
 
 
@@ -62,6 +62,23 @@ class TestRankDimensions:
         mse = ranking.k_mse[0, 0]
         assert mse[1] < 1e-8
         assert mse[1] < mse[0] and mse[1] < mse[2] and mse[1] < mse[3]
+
+    def test_matches_per_head_compress_batch_oracle(self):
+        # K and V differ per layer and head, so a mixed-up block shows
+        rng = np.random.default_rng(2)
+        part = PartitionParams(init_len=3, local_len=5, period=64, orders=7)
+        basis = build_basis(7, 64)
+        keys = rng.standard_normal((2, 3, 48, 5)).astype(np.float32)
+        values = (rng.standard_normal((2, 3, 48, 5)) * np.arange(1, 6)).astype(np.float32)
+        ranking = rank_dimensions(KVTrace(keys=keys, values=values), part, basis)
+        positions = np.arange(3, 43)
+        for layer in range(2):
+            for head in range(3):
+                for got, data in ((ranking.k_mse, keys), (ranking.v_mse, values)):
+                    block = data[layer, head, 3:43]
+                    state = compress_batch(basis, block, 3)
+                    expected = reconstruction_mse(block, reconstruct(state, basis, positions))
+                    np.testing.assert_allclose(got[layer, head], expected, rtol=1e-9)
 
     def test_too_short_trace_rejected(self):
         part = PartitionParams(init_len=4, local_len=8, period=32, orders=4)

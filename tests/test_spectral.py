@@ -5,6 +5,7 @@ and a least-squares projection onto explicitly built cosine/sine columns.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from fourier_kv.spectral import (
     SpectralState,
     build_basis,
     compress_batch,
+    fold_blocks,
     fold_token,
     reconstruct,
     reconstruction_mse,
@@ -337,3 +339,97 @@ class TestFftBasisOperations:
             basis.evaluate(np.zeros(6), [-1])
         with pytest.raises(ValueError):
             basis.project(np.zeros(1), [-1])
+
+
+def assert_fold_matches_oracle(state, basis, block, start_pos):
+    """``state`` equals ``compress_batch`` of ``block`` within 1e-12 of each column's scale."""
+    oracle = compress_batch(basis, block, start_pos)
+    scale = np.maximum(1.0, np.abs(np.asarray(block, dtype=np.float64)).sum(axis=0))
+    assert state.coeffs.shape == oracle.coeffs.shape
+    assert np.all(np.abs(state.coeffs - oracle.coeffs) <= 1e-12 * scale)
+    assert (state.token_count, state.first_pos, state.last_pos) == (
+        oracle.token_count, oracle.first_pos, oracle.last_pos)
+
+
+@st.composite
+def blocks_on_one_run(draw):
+    """Blocks sharing one run of positions, with optional per-block column picks.
+
+    Lengths reach exactly one period and past one fold chunk (orders 4096 make
+    a chunk of 16 positions); orders reach past ``period/2``; blocks may have
+    no columns and picks may be empty or full.
+    """
+    period = draw(st.integers(1, 64))
+    orders = draw(st.one_of(st.integers(1, period + 2), st.just(4096)))
+    length = draw(st.one_of(st.integers(0, period), st.just(period)))
+    start_pos = draw(st.integers(0, 3 * period))
+    widths = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = [rng.standard_normal((length, w)).astype(np.float32) for w in widths]
+    picks = None
+    if draw(st.booleans()):
+        picks = [np.asarray(draw(st.sets(st.integers(0, w - 1)).map(sorted)) if w else [],
+                            dtype=np.int64) for w in widths]
+    return FourierBasis(orders=orders, period=period), blocks, start_pos, picks
+
+
+class TestFoldBlocks:
+    """The shared-column batch fold against its oracle ``compress_batch``."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(blocks_on_one_run())
+    def test_equals_compress_batch_of_each_block(self, case):
+        basis, blocks, start_pos, picks = case
+        states = fold_blocks(basis, blocks, start_pos, dims=picks)
+        assert len(states) == len(blocks)
+        for i, (state, block) in enumerate(zip(states, blocks)):
+            selected = block if picks is None else block[:, picks[i]]
+            assert_fold_matches_oracle(state, basis, selected, start_pos)
+
+    def test_chunks_cover_a_run_longer_than_one_chunk(self):
+        basis = FourierBasis(orders=4096, period=64)  # 8192 rows: chunks of 16 positions
+        block = np.random.default_rng(0).standard_normal((50, 3))
+        (state,) = fold_blocks(basis, [block], 7)
+        assert_fold_matches_oracle(state, basis, block, 7)
+
+    def test_empty_run_gives_zero_states(self):
+        basis = FourierBasis(orders=3, period=16)
+        states = fold_blocks(basis, [np.zeros((0, 2)), np.zeros((0, 5))], 4)
+        for state, dim in zip(states, (2, 5)):
+            assert state.coeffs.shape == (6, dim) and not state.coeffs.any()
+            assert (state.token_count, state.first_pos, state.last_pos) == (0, None, None)
+        assert fold_blocks(basis, [], 0) == []
+
+    def test_does_not_modify_its_blocks(self):
+        basis = FourierBasis(orders=3, period=16)
+        block = np.arange(12.0).reshape(4, 3)
+        fold_blocks(basis, [block], 0)
+        np.testing.assert_array_equal(block, np.arange(12.0).reshape(4, 3))
+
+    def test_rejects_bad_input(self):
+        basis = FourierBasis(orders=3, period=16)
+        with pytest.raises(ValueError):
+            fold_blocks(basis, [np.zeros((2, 1))], -1)
+        with pytest.raises(ValueError):
+            fold_blocks(basis, [np.zeros((2, 1)), np.zeros((3, 1))], 0)
+        with pytest.raises(ValueError):
+            fold_blocks(basis, [np.zeros(4)], 0)
+        with pytest.raises(ValueError):
+            fold_blocks(basis, [np.zeros((2, 1))], 0, dims=[[0], [0]])
+
+    def test_transient_memory_does_not_grow_with_run_length(self):
+        basis = FourierBasis(orders=512, period=32768)  # chunks of 128 positions
+
+        def transient(length):
+            blocks = [np.ones((length, 8), dtype=np.float32) for _ in range(4)]
+            tracemalloc.start()
+            try:
+                fold_blocks(basis, blocks, 0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = transient(256), transient(4096)
+        # the states are 4 x 64 KiB; the rest is one chunk of columns and its temporaries
+        assert long <= short + 16 * 1024
+        assert short < 4 * 2**20
