@@ -4,13 +4,13 @@ Two decode paths serve a compressed head slice. ``attend_compressed_fused``
 is the production path: it never rebuilds a compressed row. The compressed
 part of a middle score is the trig polynomial ``col(t)^T (w * C_k q_c)`` and
 the compressed part of the output is its adjoint
-``(w * sum_t p_t col(t))^T C_v``, each one length-``period`` FFT; kept
-dimensions and the exact initial and local blocks are plain products, and one
-softmax runs over all ``init + M + local`` scores. Per query that costs
-O(period log period + (init + M + local) * head_dim) time, plus
-O(k * head_dim) to contract the 2k-row states with the query. The FFTs hold
-O(period) transient floats whatever the state count k and the middle length
-M; no ``(M, head_dim)`` block of rebuilt rows ever exists.
+``(w * sum_t p_t col(t))^T C_v``, each one chirp-z transform over the M
+middle positions; kept dimensions and the exact initial and local blocks are
+plain products, and one softmax runs over all ``init + M + local`` scores.
+Per query that costs O((M + k) log(M + k) + (init + M + local) * head_dim)
+time, plus O(k * head_dim) to contract the 2k-row states with the query,
+whatever the period. The transforms hold O(M + k) transient values; no
+``(M, head_dim)`` block of rebuilt rows ever exists.
 ``attend_compressed_materialized`` is its oracle: it rebuilds every middle
 row through ``reconstruct`` and defers to ``attend_full``, the dense
 reference.
@@ -146,7 +146,8 @@ def attend_compressed_fused(q, slice_: HeadSlice, basis: FourierBasis) -> Attent
     if slice_.represented() == 0:
         raise ValueError("attention over an empty cache is undefined")
 
-    local_k, local_v = slice_.local_block()
+    # softmax and the weighted sum do not depend on the order of the keys
+    local_k, local_v = slice_.local_rows()
     for name, block in (("keys", slice_.init_k), ("keys", local_k),
                         ("values", slice_.init_v), ("values", local_v)):
         _check_finite(name, block)
@@ -164,7 +165,9 @@ def attend_compressed_fused(q, slice_: HeadSlice, basis: FourierBasis) -> Attent
     scores = np.concatenate([slice_.init_k @ q, mid_scores, local_k @ q]) * scale
     probs = np.exp(scores - scores.max())
     probs /= probs.sum()
-    p_init, p_mid, p_local = np.split(probs, [slice_.init_len, slice_.init_len + mid_scores.size])
+    n_init = slice_.init_len
+    mid_end = n_init + mid_scores.size
+    p_init, p_mid, p_local = probs[:n_init], probs[n_init:mid_end], probs[mid_end:]
 
     out = p_init @ slice_.init_v + p_local @ local_v
     out[dims.v_kept] += p_mid @ slice_.kept_v.view()

@@ -10,9 +10,10 @@ bitwise equal; :func:`fold_blocks`, the fast batch fold, sums chunks of
 positions with one matrix product per block and shares each chunk's basis
 columns across every block that covers the same positions. Reconstruction
 evaluates a weighted inverse transform at any folded position; the same
-inverse transform and its adjoint are also available as length-``period``
-FFTs, which is how decode attention scores and aggregates the compressed
-region without rebuilding it.
+inverse transform and its adjoint are also available as chirp-z transforms
+over the extent of the positions read, which is how decode attention scores
+and aggregates the compressed region without rebuilding it, at a cost set
+by the length of that region rather than by the period.
 
 Phases are indexed by *absolute* token position so that a state built during
 prefill and a state extended by streaming evictions agree without rephasing.
@@ -20,7 +21,9 @@ prefill and a state extended by streaming evictions agree without rephasing.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,9 +62,15 @@ class FourierBasis:
 
     :meth:`columns` builds columns explicitly, O(orders) trig calls each.
     :meth:`evaluate` (``columns(t).T @ a``) and its adjoint :meth:`project`
-    (``columns(t) @ p``) never build them: each is one length-``period`` real
-    FFT, so their cost does not grow with ``orders`` or ``len(t)`` beyond
-    one binning pass. This class owns the cosine/sine row layout; callers
+    (``columns(t) @ p``) never build them: each is a chirp-z (Bluestein)
+    transform, one FFT pair of a power-of-two length ``n >= span + R - 1``,
+    where ``span`` is the extent of the positions, or of their residues mod
+    ``period`` when that is shorter, and ``R = min(orders, period)``; a run
+    of at most ``period`` positions has ``span = len(t)``. That is
+    O((span + R) log(span + R)) time and O(span + R) memory plus passes over
+    the orders and positions, whatever the period. The chirp tables of the
+    last few ``(orders, period, residue of the lowest position, n)`` are
+    cached, read-only. This class owns the cosine/sine row layout; callers
     only pass coefficient vectors of length ``2*orders``.
 
     Immutable; safe to share across threads.
@@ -108,22 +117,35 @@ class FourierBasis:
     def columns(self, positions) -> np.ndarray:
         """Basis columns for many positions, shape ``(2*orders, len(positions))``."""
         pos = self._positions(positions)
-        phases = self._phases(pos)
         out = np.empty((self.n_rows, pos.size), dtype=np.float64)
-        out[0::2] = np.cos(phases)
-        out[1::2] = np.sin(phases)
+        cos, sin = out[0::2], out[1::2]
+        # the integer phase (n*t) mod period is staged in the sine rows and the
+        # float phase in the cosine rows, so no temporary of the output's size exists
+        frac = sin.view(np.int64)
+        np.multiply(np.arange(self.orders, dtype=np.int64)[:, None], pos, out=frac)
+        np.remainder(frac, self.period, out=frac)
+        np.multiply(frac, 2.0 * np.pi / self.period, out=cos)
+        np.sin(cos, out=sin)
+        np.cos(cos, out=cos)
         return out
 
-    def _bins(self) -> tuple[np.ndarray, np.ndarray]:
-        """rfft bin of every order and the sign its sine row carries there.
+    def _chirp(self, pos: np.ndarray) -> tuple[np.ndarray, int, _ChirpPlan]:
+        """Offsets of non-empty ``pos`` from their lowest, their span, and its plan.
 
-        At integer positions order ``n`` equals order ``r = n mod period``,
-        and for ``r > period/2`` the cosine of ``r`` is the cosine of
-        ``period - r`` while the sine flips sign.
+        Positions that cross a multiple of the period are read as residues
+        mod ``period`` when those lie closer together; a run that wraps
+        keeps its own length.
         """
-        r = np.arange(self.orders, dtype=np.int64) % self.period
-        above = r > self.period // 2
-        return np.where(above, self.period - r, r), np.where(above, -1.0, 1.0)
+        lo, hi = int(pos.min()), int(pos.max())
+        if lo // self.period != hi // self.period:
+            residues = pos % self.period
+            r_lo, r_hi = int(residues.min()), int(residues.max())
+            if r_hi - r_lo < hi - lo:
+                pos, lo, hi = residues, r_lo, r_hi
+        span = hi - lo + 1
+        # linear convolution of ``span`` outputs with R bins: n >= span + R - 1
+        n = 1 << (span + min(self.orders, self.period) - 2).bit_length()
+        return pos - lo, span, _chirp_plan(self.orders, self.period, lo % self.period, n)
 
     def evaluate(self, coeffs, positions) -> np.ndarray:
         """``columns(positions).T @ coeffs``: the trig polynomial at each position.
@@ -135,15 +157,17 @@ class FourierBasis:
         if a.shape != (self.n_rows,):
             raise ValueError(f"coeffs must have shape ({self.n_rows},), got {a.shape}")
         pos = self._positions(positions)
-        bins, sine_sign = self._bins()
-        half = self.period // 2 + 1
-        spectrum = np.bincount(bins, a[0::2], minlength=half) - 1j * np.bincount(
-            bins, sine_sign * a[1::2], minlength=half
+        if pos.size == 0:
+            return np.zeros(0, dtype=np.float64)
+        offsets, span, plan = self._chirp(pos)
+        n_bins = plan.pre.size
+        x = np.bincount(plan.bins, a[0::2], minlength=n_bins) - 1j * np.bincount(
+            plan.bins, a[1::2], minlength=n_bins
         )
-        # irfft counts every bin but DC and Nyquist twice (once per sign of frequency)
-        spectrum[1 : (self.period + 1) // 2] *= 0.5
-        wave = np.fft.irfft(spectrum, n=self.period, norm="forward")
-        return wave[pos % self.period]
+        x *= plan.pre
+        y = np.fft.ifft(np.fft.fft(x, plan.spectrum.size) * plan.spectrum)[:span]
+        y *= plan.chirp[:span]
+        return y.real[offsets]
 
     def project(self, weights, positions) -> np.ndarray:
         """``columns(positions) @ weights``: the adjoint of :meth:`evaluate`.
@@ -154,11 +178,17 @@ class FourierBasis:
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != pos.shape:
             raise ValueError(f"weights must have shape {pos.shape}, got {w.shape}")
-        spectrum = np.fft.rfft(np.bincount(pos % self.period, w, minlength=self.period))
-        bins, sine_sign = self._bins()
-        out = np.empty(self.n_rows, dtype=np.float64)
-        out[0::2] = spectrum.real[bins]
-        out[1::2] = -sine_sign * spectrum.imag[bins]
+        out = np.zeros(self.n_rows, dtype=np.float64)
+        if pos.size == 0:
+            return out
+        offsets, span, plan = self._chirp(pos)
+        x = np.bincount(offsets, w, minlength=span) * plan.chirp[:span]
+        # fft(ifft(x) * H)[r] = sum_m x[m] * h[m - r]: the transpose of evaluate's
+        # convolution with the filter h, from the same spectrum H
+        g = np.fft.fft(np.fft.ifft(x, plan.spectrum.size) * plan.spectrum)[: plan.pre.size]
+        g *= plan.pre
+        out[0::2] = g.real[plan.bins]
+        out[1::2] = g.imag[plan.bins]
         return out
 
     @property
@@ -175,10 +205,55 @@ class FourierBasis:
 
         The order-0 sine row gets the same ``1/period`` weight as the cosine
         row; its coefficients are identically zero so the value never matters.
+        Built once per basis and read-only.
         """
+        return self._synthesis_weights
+
+    @functools.cached_property
+    def _synthesis_weights(self) -> np.ndarray:
         w = np.full(self.n_rows, 2.0 / self.period, dtype=np.float64)
         w[0] = w[1] = 1.0 / self.period
+        w.flags.writeable = False
         return w
+
+
+class _ChirpPlan(NamedTuple):
+    """Read-only chirp-z tables for one ``(orders, period, lo, n)``.
+
+    With ``R = min(orders, period)`` bins and ``w(m) = exp(i*pi*m^2/period)``,
+    ``exp(2*pi*i*r*(lo + m)/period) = pre[r] * w(m) * conj(w(m - r))``, so a
+    sum over bins ``r`` at offsets ``m`` is a chirp, a convolution with
+    ``conj(w)`` and a chirp. ``n`` is a power of two with ``span + R - 1 <= n``.
+    """
+
+    bins: np.ndarray      # (orders,) bin of every order: n mod period
+    pre: np.ndarray       # (R,) exp(2*pi*i*r*lo/period) * w(r)
+    chirp: np.ndarray     # (n - R + 1,) w(m): spans up to n - R + 1 offsets
+    spectrum: np.ndarray  # (n,) fft of conj(w) at lags 0..n-R, then -(R-1)..-1
+
+
+def _unit_phase(numer: np.ndarray, period: int) -> np.ndarray:
+    """``exp(i*pi*numer/period)`` with ``numer`` reduced mod ``2*period`` in integers."""
+    return np.exp((1j * np.pi / period) * (numer % (2 * period)))
+
+
+@functools.lru_cache(maxsize=8)
+def _chirp_plan(orders: int, period: int, lo: int, n: int) -> _ChirpPlan:
+    # keyed on n, not on the span: a growing middle region reuses one plan
+    # until its span crosses a power of two
+    n_bins = min(orders, period)
+    r = np.arange(n_bins, dtype=np.int64)
+    m = np.arange(n, dtype=np.int64)
+    lags = np.where(m <= n - n_bins, m, n - m)
+    plan = _ChirpPlan(
+        bins=np.arange(orders, dtype=np.int64) % period,
+        pre=_unit_phase(r * r + r * (2 * lo), period),
+        chirp=_unit_phase(m[: n - n_bins + 1] ** 2, period),
+        spectrum=np.fft.fft(np.conj(_unit_phase(lags * lags, period))),
+    )
+    for table in plan:
+        table.flags.writeable = False
+    return plan
 
 
 def build_basis(orders: int, period: int) -> FourierBasis:
@@ -309,8 +384,14 @@ def fold_token(state: SpectralState, basis: FourierBasis, value, pos: int) -> Sp
     order: the first fold may use any ``pos >= 0``; afterwards only
     ``last_pos + 1`` is accepted.
     """
-    if pos < 0:
-        raise ValueError(f"position must be >= 0, got {pos}")
+    return _fold_column(state, basis.column(pos), value, pos)
+
+
+def _fold_column(state: SpectralState, column: np.ndarray, value, pos: int) -> SpectralState:
+    """:func:`fold_token` with ``column = basis.column(pos)`` already built.
+
+    Lets one column serve several states folded at the same position.
+    """
     vec = np.asarray(value, dtype=np.float64)
     if vec.shape != (state.dim,):
         raise ValueError(f"value must have shape ({state.dim},), got {vec.shape}")
@@ -320,7 +401,7 @@ def fold_token(state: SpectralState, basis: FourierBasis, value, pos: int) -> Sp
         raise FoldOrderError(
             f"non-contiguous fold: expected position {state.last_pos + 1}, got {pos}"
         )
-    state.coeffs += basis.column(pos)[:, None] * vec
+    state.coeffs += column[:, None] * vec
     state.token_count += 1
     state.last_pos = pos
     return state

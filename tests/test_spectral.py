@@ -87,6 +87,26 @@ class TestFourierBasis:
         for t in [1, 36, 38, 37 * 991 + 5]:
             np.testing.assert_array_equal(basis.column(t), basis.column(t % 37))
 
+    def test_columns_transient_is_a_fraction_of_the_output(self):
+        basis = build_basis(orders=512, period=32768)
+        positions = np.arange(1000, 1128)
+        tracemalloc.start()
+        try:
+            out = basis.columns(positions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == 2**20
+        assert peak <= 1.5 * out.nbytes
+
+    def test_synthesis_weights_are_built_once_and_read_only(self):
+        basis = build_basis(orders=3, period=16)
+        weights = basis.synthesis_weights()
+        assert weights is basis.synthesis_weights()
+        np.testing.assert_array_equal(weights, [1 / 16, 1 / 16] + [2 / 16] * 4)
+        with pytest.raises(ValueError):
+            weights[0] = 1.0
+
     def test_rejects_bad_geometry(self):
         with pytest.raises(ValueError):
             build_basis(0, 8)
@@ -339,6 +359,83 @@ class TestFftBasisOperations:
             basis.evaluate(np.zeros(6), [-1])
         with pytest.raises(ValueError):
             basis.project(np.zeros(1), [-1])
+
+
+@st.composite
+def basis_and_run(draw):
+    """A basis and one contiguous run of positions, as decode attention reads.
+
+    Runs reach a full period and past it, start anywhere in the first three
+    periods (so they often wrap past a multiple of the period), and include
+    single positions and period 1; orders reach past ``period``, so the bin
+    count ``R = min(orders, period)`` may exceed the run's span.
+    """
+    period = draw(st.one_of(st.just(1), st.integers(2, 80)))
+    orders = draw(st.one_of(st.integers(1, period), st.integers(period, 2 * period + 3)))
+    length = draw(st.one_of(st.just(1), st.integers(1, period), st.integers(period, 2 * period)))
+    start = draw(st.integers(0, 3 * period))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return FourierBasis(orders=orders, period=period), np.arange(start, start + length), seed
+
+
+class TestContiguousRuns:
+    """``evaluate``/``project`` on runs against explicit columns, and what they allocate."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(basis_and_run())
+    def test_evaluate_and_project_equal_columns_products(self, case):
+        basis, positions, seed = case
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal(basis.n_rows)
+        weights = rng.standard_normal(positions.size)
+        cols = basis.columns(positions)
+        np.testing.assert_allclose(basis.evaluate(coeffs, positions), cols.T @ coeffs, rtol=0,
+                                   atol=1e-12 * max(1.0, np.abs(coeffs).sum()))
+        np.testing.assert_allclose(basis.project(weights, positions), cols @ weights, rtol=0,
+                                   atol=1e-12 * max(1.0, np.abs(weights).sum()))
+
+    def test_transient_memory_does_not_grow_with_the_period(self):
+        weights = np.ones(1000)
+
+        def transient(period, start=4):
+            positions = np.arange(start, start + 1000)
+            basis = FourierBasis(orders=16, period=period)
+            coeffs = np.ones(basis.n_rows)
+            peaks = []
+            for call in (lambda: basis.evaluate(coeffs, positions),
+                         lambda: basis.project(weights, positions)):
+                call()  # the first call for a run length builds its cached tables
+                tracemalloc.start()
+                try:
+                    call()
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            return peaks
+
+        short = transient(2**12)
+        # the last run wraps past the period and still costs its own length
+        for long in (transient(2**20), transient(2**20, start=2**20 - 500)):
+            for small, large in zip(short, long):
+                assert large <= small + 4096
+                assert small < 2**17  # a few length-1024 complex arrays
+
+    def test_positions_periods_apart_cost_their_residue_span(self):
+        basis = FourierBasis(orders=16, period=64)
+        positions = np.array([1, 2 + 64 * 1000])  # residues 1 and 2
+        coeffs, weights = np.ones(basis.n_rows), np.ones(2)
+        cols = basis.columns(positions)
+        for call, expected in ((lambda: basis.evaluate(coeffs, positions), cols.T @ coeffs),
+                               (lambda: basis.project(weights, positions), cols @ weights)):
+            call()  # builds the cached tables
+            tracemalloc.start()
+            try:
+                got = call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * basis.n_rows)
+            assert peak < 2**15  # a length-32 transform, not one over 64,002 offsets
 
 
 def assert_fold_matches_oracle(state, basis, block, start_pos):
