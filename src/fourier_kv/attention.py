@@ -4,12 +4,14 @@ Two decode paths serve a compressed head slice. ``attend_compressed_fused``
 is the production path: it never rebuilds a compressed row. The compressed
 part of a middle score is the trig polynomial ``col(t)^T (w * C_k q_c)`` and
 the compressed part of the output is its adjoint
-``(w * sum_t p_t col(t))^T C_v``, each one chirp-z transform over the M
-middle positions; kept dimensions and the exact initial and local blocks are
-plain products, and one softmax runs over all ``init + M + local`` scores.
-Per query that costs O((M + k) log(M + k) + (init + M + local) * head_dim)
-time, plus O(k * head_dim) to contract the 2k-row states with the query,
-whatever the period. The transforms hold O(M + k) transient values; no
+``(w * sum_t p_t col(t))^T C_v``, each one Fourier transform over the M
+middle positions (see ``FourierBasis.evaluate``); kept dimensions and the
+exact initial and local blocks are plain products, and one softmax runs over
+all ``init + M + local`` scores. With ``L = min(M + k, period)``, per query
+that costs O(L log L + (init + M + local) * head_dim) time, plus
+O(k * head_dim) to contract the 2k-row states with the query. The
+transforms hold O(L) transient values: a middle region short against the
+period costs its own length, a long one at most one length-period FFT. No
 ``(M, head_dim)`` block of rebuilt rows ever exists.
 ``attend_compressed_materialized`` is its oracle: it rebuilds every middle
 row through ``reconstruct`` and defers to ``attend_full``, the dense
@@ -146,8 +148,12 @@ def attend_compressed_fused(q, slice_: HeadSlice, basis: FourierBasis) -> Attent
     if slice_.represented() == 0:
         raise ValueError("attention over an empty cache is undefined")
 
-    # softmax and the weighted sum do not depend on the order of the keys
-    local_k, local_v = slice_.local_rows()
+    # softmax and the weighted sum do not depend on the order of the keys, so
+    # a full ring is read as stored; only a partial one needs its rows gathered
+    if slice_.ring_count == slice_.partition.local_len:
+        local_k, local_v = slice_.ring_k, slice_.ring_v
+    else:
+        local_k, local_v = slice_.local_block()
     for name, block in (("keys", slice_.init_k), ("keys", local_k),
                         ("values", slice_.init_v), ("values", local_v)):
         _check_finite(name, block)

@@ -6,9 +6,9 @@ everything between keeps its selected dimensions verbatim and folds the rest
 into fixed-size spectral states. Prefill folds the middle region of every
 head of a layer in one batch fold that builds each basis column once. During
 decoding, new tokens enter a local ring buffer and the evicted oldest local
-token is split the same way, its K and V folded with one shared basis column,
-so the spectral storage stays O(1) in sequence length. Non-finite K/V rows
-are rejected at both entry points, before anything is stored.
+token is split the same way, folded one position at a time, so the spectral
+storage stays O(1) in sequence length. Non-finite K/V rows are rejected at
+both entry points, before anything is stored.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fourier_kv.spectral import FourierBasis, SpectralState, _fold_column, fold_blocks
+from fourier_kv.spectral import FourierBasis, SpectralState, fold_blocks, fold_token
 
 __all__ = [
     "CacheLayout",
@@ -203,16 +203,6 @@ class HeadSlice:
         slots = self.local_positions() % self.partition.local_len
         return self.ring_k[slots], self.ring_v[slots]
 
-    def local_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Local K and V rows in no fixed order, for order-free readers.
-
-        A full ring is returned as stored, in slot order and without a copy;
-        a partial ring is gathered by :meth:`local_block`.
-        """
-        if self.ring_count == self.partition.local_len:
-            return self.ring_k, self.ring_v
-        return self.local_block()
-
 
 def prefill(keys, values, layout: CacheLayout, layer: int, basis: FourierBasis):
     """Build the compressed slices for one layer from its full K/V blocks.
@@ -312,9 +302,8 @@ def append_token(slice_: HeadSlice, basis: FourierBasis, k_vec, v_vec) -> HeadSl
         old_v = slice_.ring_v[slot]
         slice_.kept_k.append(old_k[slice_.dims.k_kept])
         slice_.kept_v.append(old_v[slice_.dims.v_kept])
-        column = basis.column(evict_pos)
-        _fold_column(slice_.spec_k, column, old_k[slice_.dims.k_compressed], evict_pos)
-        _fold_column(slice_.spec_v, column, old_v[slice_.dims.v_compressed], evict_pos)
+        fold_token(slice_.spec_k, basis, old_k[slice_.dims.k_compressed], evict_pos)
+        fold_token(slice_.spec_v, basis, old_v[slice_.dims.v_compressed], evict_pos)
         slice_.ring_start += 1
         slice_.ring_count -= 1
 

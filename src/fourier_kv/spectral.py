@@ -10,10 +10,11 @@ bitwise equal; :func:`fold_blocks`, the fast batch fold, sums chunks of
 positions with one matrix product per block and shares each chunk's basis
 columns across every block that covers the same positions. Reconstruction
 evaluates a weighted inverse transform at any folded position; the same
-inverse transform and its adjoint are also available as chirp-z transforms
-over the extent of the positions read, which is how decode attention scores
-and aggregates the compressed region without rebuilding it, at a cost set
-by the length of that region rather than by the period.
+inverse transform and its adjoint are also available as FFTs, which is how
+decode attention scores and aggregates the compressed region without
+rebuilding it: a chirp-z transform over the extent of the positions read
+while that is short against the period, so its cost follows the region's
+length, and one length-period FFT once that is cheaper.
 
 Phases are indexed by *absolute* token position so that a state built during
 prefill and a state extended by streaming evictions agree without rephasing.
@@ -62,16 +63,20 @@ class FourierBasis:
 
     :meth:`columns` builds columns explicitly, O(orders) trig calls each.
     :meth:`evaluate` (``columns(t).T @ a``) and its adjoint :meth:`project`
-    (``columns(t) @ p``) never build them: each is a chirp-z (Bluestein)
-    transform, one FFT pair of a power-of-two length ``n >= span + R - 1``,
-    where ``span`` is the extent of the positions, or of their residues mod
-    ``period`` when that is shorter, and ``R = min(orders, period)``; a run
-    of at most ``period`` positions has ``span = len(t)``. That is
-    O((span + R) log(span + R)) time and O(span + R) memory plus passes over
-    the orders and positions, whatever the period. The chirp tables of the
-    last few ``(orders, period, residue of the lowest position, n)`` are
-    cached, read-only. This class owns the cosine/sine row layout; callers
-    only pass coefficient vectors of length ``2*orders``.
+    (``columns(t) @ p``) never build them. Each picks one of two transforms
+    by the extent ``span`` of the positions, or of their residues mod
+    ``period`` when that is shorter (a run of at most ``period`` positions
+    has ``span = len(t)``). With ``R = min(orders, period)`` and ``n`` the
+    power of two ``>= span + R - 1``, a short span runs a chirp-z (Bluestein)
+    transform, one complex FFT pair of length ``n``: O(n log n) time and
+    O(n) memory, whatever the period. Once ``n`` exceeds ``period / 4`` that
+    pair costs as much as one length-``period`` real FFT or more, which is
+    what a long span runs instead: O(period log period) time and O(period)
+    memory. Both add passes over the orders and positions. The chirp tables
+    of the last few ``(orders, period, residue of the lowest position, n)``
+    are cached, read-only, at most ``32 * n <= 8 * period`` bytes each. This
+    class owns the cosine/sine row layout; callers only pass coefficient
+    vectors of length ``2*orders``.
 
     Immutable; safe to share across threads.
     """
@@ -129,12 +134,24 @@ class FourierBasis:
         np.cos(cos, out=cos)
         return out
 
-    def _chirp(self, pos: np.ndarray) -> tuple[np.ndarray, int, _ChirpPlan]:
+    def _bins(self) -> tuple[np.ndarray, np.ndarray]:
+        """rfft bin of every order and the sign its sine row carries there.
+
+        At integer positions order ``n`` equals order ``r = n mod period``,
+        and for ``r > period/2`` the cosine of ``r`` is the cosine of
+        ``period - r`` while the sine flips sign.
+        """
+        r = np.arange(self.orders, dtype=np.int64) % self.period
+        above = r > self.period // 2
+        return np.where(above, self.period - r, r), np.where(above, -1.0, 1.0)
+
+    def _chirp(self, pos: np.ndarray) -> tuple[np.ndarray, int, _ChirpPlan | None]:
         """Offsets of non-empty ``pos`` from their lowest, their span, and its plan.
 
         Positions that cross a multiple of the period are read as residues
         mod ``period`` when those lie closer together; a run that wraps
-        keeps its own length.
+        keeps its own length. The plan is ``None`` when the span is too long
+        for a chirp-z transform to pay.
         """
         lo, hi = int(pos.min()), int(pos.max())
         if lo // self.period != hi // self.period:
@@ -145,7 +162,10 @@ class FourierBasis:
         span = hi - lo + 1
         # linear convolution of ``span`` outputs with R bins: n >= span + R - 1
         n = 1 << (span + min(self.orders, self.period) - 2).bit_length()
-        return pos - lo, span, _chirp_plan(self.orders, self.period, lo % self.period, n)
+        plan = None
+        if _CHIRP_LENGTH_RATIO * n <= self.period:
+            plan = _chirp_plan(self.orders, self.period, lo % self.period, n)
+        return pos - lo, span, plan
 
     def evaluate(self, coeffs, positions) -> np.ndarray:
         """``columns(positions).T @ coeffs``: the trig polynomial at each position.
@@ -160,6 +180,16 @@ class FourierBasis:
         if pos.size == 0:
             return np.zeros(0, dtype=np.float64)
         offsets, span, plan = self._chirp(pos)
+        if plan is None:
+            bins, sine_sign = self._bins()
+            half = self.period // 2 + 1
+            spectrum = np.bincount(bins, a[0::2], minlength=half) - 1j * np.bincount(
+                bins, sine_sign * a[1::2], minlength=half
+            )
+            # irfft counts every bin but DC and Nyquist twice (once per sign of frequency)
+            spectrum[1 : (self.period + 1) // 2] *= 0.5
+            wave = np.fft.irfft(spectrum, n=self.period, norm="forward")
+            return wave[pos % self.period]
         n_bins = plan.pre.size
         x = np.bincount(plan.bins, a[0::2], minlength=n_bins) - 1j * np.bincount(
             plan.bins, a[1::2], minlength=n_bins
@@ -182,6 +212,12 @@ class FourierBasis:
         if pos.size == 0:
             return out
         offsets, span, plan = self._chirp(pos)
+        if plan is None:
+            spectrum = np.fft.rfft(np.bincount(pos % self.period, w, minlength=self.period))
+            bins, sine_sign = self._bins()
+            out[0::2] = spectrum.real[bins]
+            out[1::2] = -sine_sign * spectrum.imag[bins]
+            return out
         x = np.bincount(offsets, w, minlength=span) * plan.chirp[:span]
         # fft(ifft(x) * H)[r] = sum_m x[m] * h[m - r]: the transpose of evaluate's
         # convolution with the filter h, from the same spectrum H
@@ -217,13 +253,21 @@ class FourierBasis:
         return w
 
 
+# evaluate/project run a chirp-z transform of FFT length n only while
+# n <= period / 4. Against one length-period real FFT, its complex FFT pair
+# took 0.4-1.6x the time at n = period/4, 1.1-2.5x at period/2 and 1.6-5.3x
+# at n = period (periods 4096 and 32768, numpy 2.4 on a 2-core x86_64)
+_CHIRP_LENGTH_RATIO = 4
+
+
 class _ChirpPlan(NamedTuple):
     """Read-only chirp-z tables for one ``(orders, period, lo, n)``.
 
     With ``R = min(orders, period)`` bins and ``w(m) = exp(i*pi*m^2/period)``,
     ``exp(2*pi*i*r*(lo + m)/period) = pre[r] * w(m) * conj(w(m - r))``, so a
     sum over bins ``r`` at offsets ``m`` is a chirp, a convolution with
-    ``conj(w)`` and a chirp. ``n`` is a power of two with ``span + R - 1 <= n``.
+    ``conj(w)`` and a chirp. ``n`` is a power of two with ``span + R - 1 <= n``
+    and ``n <= period / 4``.
     """
 
     bins: np.ndarray      # (orders,) bin of every order: n mod period
@@ -237,7 +281,7 @@ def _unit_phase(numer: np.ndarray, period: int) -> np.ndarray:
     return np.exp((1j * np.pi / period) * (numer % (2 * period)))
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=4)
 def _chirp_plan(orders: int, period: int, lo: int, n: int) -> _ChirpPlan:
     # keyed on n, not on the span: a growing middle region reuses one plan
     # until its span crosses a power of two
@@ -384,14 +428,8 @@ def fold_token(state: SpectralState, basis: FourierBasis, value, pos: int) -> Sp
     order: the first fold may use any ``pos >= 0``; afterwards only
     ``last_pos + 1`` is accepted.
     """
-    return _fold_column(state, basis.column(pos), value, pos)
-
-
-def _fold_column(state: SpectralState, column: np.ndarray, value, pos: int) -> SpectralState:
-    """:func:`fold_token` with ``column = basis.column(pos)`` already built.
-
-    Lets one column serve several states folded at the same position.
-    """
+    if pos < 0:
+        raise ValueError(f"position must be >= 0, got {pos}")
     vec = np.asarray(value, dtype=np.float64)
     if vec.shape != (state.dim,):
         raise ValueError(f"value must have shape ({state.dim},), got {vec.shape}")
@@ -401,7 +439,7 @@ def _fold_column(state: SpectralState, column: np.ndarray, value, pos: int) -> S
         raise FoldOrderError(
             f"non-contiguous fold: expected position {state.last_pos + 1}, got {pos}"
         )
-    state.coeffs += column[:, None] * vec
+    state.coeffs += basis.column(pos)[:, None] * vec
     state.token_count += 1
     state.last_pos = pos
     return state

@@ -262,7 +262,7 @@ class TestAppend:
 
     def test_evictions_fold_k_and_v_bitwise_like_compress_batch(self):
         # an empty middle at prefill, so every folded row comes from an eviction;
-        # K and V compress different dims and share one basis column per eviction
+        # K and V compress different dims
         rng = np.random.default_rng(13)
         layout = make_layout(init=3, local=5, head_dim=6, period=64, orders=40,
                              k_comp=(0, 2, 3), v_comp=(1, 4, 5))
@@ -277,24 +277,6 @@ class TestAppend:
             np.testing.assert_array_equal(state.coeffs, oracle.coeffs)
             assert (state.token_count, state.first_pos, state.last_pos) == (
                 oracle.token_count, oracle.first_pos, oracle.last_pos)
-
-    def test_local_rows_hold_the_local_window(self):
-        rng = np.random.default_rng(14)
-        layout = make_layout(init=2, local=4)
-        basis = build_basis(4, 256)
-        keys, values = random_layer(rng, seq_len=5)  # 3 of 4 ring slots filled
-        sl = prefill(keys, values, layout, 0, basis)[0]
-        for got, want in zip(sl.local_rows(), sl.local_block()):
-            np.testing.assert_array_equal(got, want)
-        for _ in range(3):
-            vec = rng.standard_normal(6).astype(np.float32)
-            append_token(sl, basis, vec, -vec)
-        # a full ring comes back as stored, in slot order
-        local_k, local_v = sl.local_rows()
-        assert local_k is sl.ring_k and local_v is sl.ring_v
-        block_k, block_v = sl.local_block()
-        for got, want in ((local_k, block_k), (local_v, block_v)):
-            np.testing.assert_array_equal(np.sort(got, axis=0), np.sort(want, axis=0))
 
     def test_zero_vector_eviction_counts_only(self):
         layout = make_layout(init=0, local=4)

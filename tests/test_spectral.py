@@ -6,12 +6,14 @@ and a least-squares projection onto explicitly built cosine/sine columns.
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fourier_kv import spectral
 from fourier_kv.spectral import (
     FoldOrderError,
     FourierBasis,
@@ -381,17 +383,24 @@ def basis_and_run(draw):
 class TestContiguousRuns:
     """``evaluate``/``project`` on runs against explicit columns, and what they allocate."""
 
+    # the chirp-z transform serves spans with FFT length n <= period / ratio and
+    # the length-period FFT the rest; ratio 0 and a huge ratio force one of them
+    @pytest.mark.parametrize("ratio", [0, spectral._CHIRP_LENGTH_RATIO, 2**62],
+                             ids=["chirp-z", "dispatch", "length-period"])
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(basis_and_run())
-    def test_evaluate_and_project_equal_columns_products(self, case):
+    @given(case=basis_and_run())
+    def test_evaluate_and_project_equal_columns_products(self, ratio, case):
         basis, positions, seed = case
         rng = np.random.default_rng(seed)
         coeffs = rng.standard_normal(basis.n_rows)
         weights = rng.standard_normal(positions.size)
         cols = basis.columns(positions)
-        np.testing.assert_allclose(basis.evaluate(coeffs, positions), cols.T @ coeffs, rtol=0,
+        with mock.patch.object(spectral, "_CHIRP_LENGTH_RATIO", ratio):
+            evaluated = basis.evaluate(coeffs, positions)
+            projected = basis.project(weights, positions)
+        np.testing.assert_allclose(evaluated, cols.T @ coeffs, rtol=0,
                                    atol=1e-12 * max(1.0, np.abs(coeffs).sum()))
-        np.testing.assert_allclose(basis.project(weights, positions), cols @ weights, rtol=0,
+        np.testing.assert_allclose(projected, cols @ weights, rtol=0,
                                    atol=1e-12 * max(1.0, np.abs(weights).sum()))
 
     def test_transient_memory_does_not_grow_with_the_period(self):
@@ -420,9 +429,40 @@ class TestContiguousRuns:
                 assert large <= small + 4096
                 assert small < 2**17  # a few length-1024 complex arrays
 
+    def test_chirp_z_serves_fft_lengths_up_to_a_quarter_period(self):
+        period = 2**12
+        basis = FourierBasis(orders=16, period=period)
+        coeffs = np.ones(basis.n_rows)
+        # span + 16 - 1 positions of linear convolution: n = period/4, then period/2
+        for length, tables in ((period // 4 - 15, 1), (period // 4 - 14, 0)):
+            spectral._chirp_plan.cache_clear()
+            basis.evaluate(coeffs, np.arange(3, 3 + length))
+            assert spectral._chirp_plan.cache_info().currsize == tables
+
+    def test_a_run_past_a_quarter_period_costs_at_most_the_period(self):
+        # a full period of positions: a chirp-z transform would need n = 2 * period
+        period = 2**12
+        basis = FourierBasis(orders=16, period=period)
+        positions = np.arange(5, 5 + period)
+        coeffs, weights = np.ones(basis.n_rows), np.ones(period)
+        cols = basis.columns(positions)
+        for call, expected in ((lambda: basis.evaluate(coeffs, positions), cols.T @ coeffs),
+                               (lambda: basis.project(weights, positions), cols @ weights)):
+            call()  # numpy sets up its FFT of this length on first use
+            tracemalloc.start()
+            try:
+                got = call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * period)
+            # at most five length-period float64 arrays; the chirp-z pair of
+            # length 2 * period would take nine to eleven
+            assert peak <= 6 * 8 * period
+
     def test_positions_periods_apart_cost_their_residue_span(self):
-        basis = FourierBasis(orders=16, period=64)
-        positions = np.array([1, 2 + 64 * 1000])  # residues 1 and 2
+        basis = FourierBasis(orders=16, period=2**16)
+        positions = np.array([1, 2 + 2**16 * 1000])  # residues 1 and 2
         coeffs, weights = np.ones(basis.n_rows), np.ones(2)
         cols = basis.columns(positions)
         for call, expected in ((lambda: basis.evaluate(coeffs, positions), cols.T @ coeffs),
@@ -435,7 +475,7 @@ class TestContiguousRuns:
             finally:
                 tracemalloc.stop()
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * basis.n_rows)
-            assert peak < 2**15  # a length-32 transform, not one over 64,002 offsets
+            assert peak < 2**15  # a length-32 chirp-z transform, not a length-period FFT
 
 
 def assert_fold_matches_oracle(state, basis, block, start_pos):
