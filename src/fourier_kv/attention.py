@@ -7,12 +7,15 @@ the compressed part of the output is its adjoint
 ``(w * sum_t p_t col(t))^T C_v``, each one Fourier transform over the M
 middle positions (see ``FourierBasis.evaluate``); kept dimensions and the
 exact initial and local blocks are plain products, and one softmax runs over
-all ``init + M + local`` scores. With ``L = min(M + k, period)``, per query
-that costs O(L log L + (init + M + local) * head_dim) time, plus
-O(k * head_dim) to contract the 2k-row states with the query. The
-transforms hold O(L) transient values: a middle region short against the
-period costs its own length, a long one at most one length-period FFT. No
-``(M, head_dim)`` block of rebuilt rows ever exists.
+all ``init + M + local`` scores. With ``R = min(k, period)`` and
+``L = min(M + R, period)``, per query that costs O(min(R * M, L log L) +
+(init + M + local) * head_dim) time, plus O(k * head_dim) to contract the
+2k-row states with the query: the transforms take whichever of products
+against cached trig tables, a chirp-z FFT pair over the middle region or one
+length-period FFT is cheapest, and hold at most O(L) transient values. No
+``(M, head_dim)`` block of rebuilt rows ever exists. The stored blocks are
+not scanned for NaN or Inf on every call (``prefill`` and ``append_token``
+reject them); the scores and the output are checked instead.
 ``attend_compressed_materialized`` is its oracle: it rebuilds every middle
 row through ``reconstruct`` and defers to ``attend_full``, the dense
 reference.
@@ -154,9 +157,6 @@ def attend_compressed_fused(q, slice_: HeadSlice, basis: FourierBasis) -> Attent
         local_k, local_v = slice_.ring_k, slice_.ring_v
     else:
         local_k, local_v = slice_.local_block()
-    for name, block in (("keys", slice_.init_k), ("keys", local_k),
-                        ("values", slice_.init_v), ("values", local_v)):
-        _check_finite(name, block)
 
     # stored blocks stay float32; each product casts its operand transiently
     dims = slice_.dims
@@ -169,6 +169,10 @@ def attend_compressed_fused(q, slice_: HeadSlice, basis: FourierBasis) -> Attent
 
     scale = 1.0 / np.sqrt(head_dim)
     scores = np.concatenate([slice_.init_k @ q, mid_scores, local_k @ q]) * scale
+    # the stored blocks are not scanned: a NaN or Inf in any key row, kept
+    # row or spectral state reaches a score, and one in any value row the
+    # output, also under a zero weight (0 * Inf is NaN)
+    _check_finite("scores", scores)
     probs = np.exp(scores - scores.max())
     probs /= probs.sum()
     n_init = slice_.init_len
@@ -180,6 +184,7 @@ def attend_compressed_fused(q, slice_: HeadSlice, basis: FourierBasis) -> Attent
     if positions.size and dims.v_compressed.size:
         folded = synthesis * basis.project(p_mid, positions)
         out[dims.v_compressed] += folded @ slice_.spec_v.coeffs
+    _check_finite("output", out)
     return AttentionOutput(output=out)
 
 

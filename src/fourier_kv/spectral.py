@@ -5,16 +5,19 @@ coefficients: the running cosine and sine moments of every tracked dimension
 for each of ``k`` frequency orders. Folding one token is a rank-1 update, so
 batch compression and one-token-at-a-time streaming commute, and the state
 size never grows with sequence length. :func:`compress_batch` and
-:func:`fold_token` accumulate those updates one position at a time and are
-bitwise equal; :func:`fold_blocks`, the fast batch fold, sums chunks of
-positions with one matrix product per block and shares each chunk's basis
-columns across every block that covers the same positions. Reconstruction
-evaluates a weighted inverse transform at any folded position; the same
-inverse transform and its adjoint are also available as FFTs, which is how
-decode attention scores and aggregates the compressed region without
-rebuilding it: a chirp-z transform over the extent of the positions read
-while that is short against the period, so its cost follows the region's
-length, and one length-period FFT once that is cheaper.
+:func:`fold_token` accumulate those updates one position at a time, each a
+BLAS rank-1 update of the state in place, and are bitwise equal;
+:func:`fold_blocks`, the fast batch fold, sums chunks of positions with one
+matrix product per block and shares each chunk's basis columns across every
+block that covers the same positions. Reconstruction evaluates a weighted
+inverse transform at any folded position; the same inverse transform and its
+adjoint are also available without building columns, which is how decode
+attention scores and aggregates the compressed region without rebuilding
+it. Three transforms serve them, and a cost rule picks the cheapest for the
+orders and the extent of the positions read: two small matrix products
+against cached trig tables for few orders, a chirp-z transform over that
+extent while it is short against the period, and one length-period FFT
+once that is cheaper.
 
 Phases are indexed by *absolute* token position so that a state built during
 prefill and a state extended by streaming evictions agree without rephasing.
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.blas import dger
 
 __all__ = [
     "FoldOrderError",
@@ -63,20 +67,34 @@ class FourierBasis:
 
     :meth:`columns` builds columns explicitly, O(orders) trig calls each.
     :meth:`evaluate` (``columns(t).T @ a``) and its adjoint :meth:`project`
-    (``columns(t) @ p``) never build them. Each picks one of two transforms
-    by the extent ``span`` of the positions, or of their residues mod
+    (``columns(t) @ p``) never build them. Each runs one of three transforms,
+    priced by the extent ``span`` of the positions, or of their residues mod
     ``period`` when that is shorter (a run of at most ``period`` positions
-    has ``span = len(t)``). With ``R = min(orders, period)`` and ``n`` the
-    power of two ``>= span + R - 1``, a short span runs a chirp-z (Bluestein)
-    transform, one complex FFT pair of length ``n``: O(n log n) time and
-    O(n) memory, whatever the period. Once ``n`` exceeds ``period / 4`` that
-    pair costs as much as one length-``period`` real FFT or more, which is
-    what a long span runs instead: O(period log period) time and O(period)
-    memory. Both add passes over the orders and positions. The chirp tables
-    of the last few ``(orders, period, residue of the lowest position, n)``
-    are cached, read-only, at most ``32 * n <= 8 * period`` bytes each. This
-    class owns the cosine/sine row layout; callers only pass coefficient
-    vectors of length ``2*orders``.
+    has ``span = len(t)``), and by the bin count ``R = min(orders, period)``:
+
+    * trig tables: each offset from the lowest position ``lo`` splits as
+      ``a*B + b``, with ``B`` a power of two near ``sqrt(span)``, so every
+      phase factors into one of ``lo + a*B`` and one of ``b``, each from a
+      cached table of R rows, and each direction is two small products
+      against them: O(R * span) time, O(R * sqrt(span) + span) transient
+      memory and at most ``56 * R * sqrt(span) + 8 * orders`` bytes of
+      tables (16 KB for 16 orders over 960 positions), whatever the period.
+    * chirp-z (Bluestein): with ``n`` the power of two ``>= span + R - 1``,
+      one complex FFT pair of length ``n``: O(n log n) time, O(n) memory and
+      ``32 * n <= 8 * period`` bytes of tables, whatever the period.
+    * length-period FFT: one real FFT of length ``period``: O(period log
+      period) time and O(period) memory, no tables.
+
+    The chirp-z pair runs while ``n <= period / 4``; beyond that it costs as
+    much as the length-period FFT or more. The tables run while ``R * span``
+    is at most 16 times ``L log2 L``, with ``L`` the complex FFT length the
+    other would run (``n``, or ``period/2 + 1`` for the real FFT): the rule
+    picks them for 16 orders at any span, and not for 512 orders over a
+    thousand positions, where they measured slower. Tables hold phases
+    reduced exactly in integers mod ``period``, are read-only, and the last
+    few of each kind are cached per ``(orders, period, residue of the lowest
+    position)`` and their sizes. This class owns the cosine/sine row
+    layout; callers only pass coefficient vectors of length ``2*orders``.
 
     Immutable; safe to share across threads.
     """
@@ -145,13 +163,16 @@ class FourierBasis:
         above = r > self.period // 2
         return np.where(above, self.period - r, r), np.where(above, -1.0, 1.0)
 
-    def _chirp(self, pos: np.ndarray) -> tuple[np.ndarray, int, _ChirpPlan | None]:
-        """Offsets of non-empty ``pos`` from their lowest, their span, and its plan.
+    def _transform(
+        self, pos: np.ndarray
+    ) -> tuple[np.ndarray, int, _TrigTables | _ChirpPlan | None]:
+        """Offsets of non-empty ``pos`` from their lowest, their span, and the plan to run.
 
         Positions that cross a multiple of the period are read as residues
         mod ``period`` when those lie closer together; a run that wraps
-        keeps its own length. The plan is ``None`` when the span is too long
-        for a chirp-z transform to pay.
+        keeps its own length. The plan holds the trig tables or the chirp-z
+        tables of the cheaper transform; it is ``None`` for the
+        length-period FFT.
         """
         lo, hi = int(pos.min()), int(pos.max())
         if lo // self.period != hi // self.period:
@@ -160,11 +181,21 @@ class FourierBasis:
             if r_hi - r_lo < hi - lo:
                 pos, lo, hi = residues, r_lo, r_hi
         span = hi - lo + 1
+        n_bins = min(self.orders, self.period)
         # linear convolution of ``span`` outputs with R bins: n >= span + R - 1
-        n = 1 << (span + min(self.orders, self.period) - 2).bit_length()
-        plan = None
-        if _CHIRP_LENGTH_RATIO * n <= self.period:
+        n = 1 << (span + n_bins - 2).bit_length()
+        chirp = _CHIRP_LENGTH_RATIO * n <= self.period
+        # the complex FFT length of the cheaper FFT: the chirp-z pair's n, or
+        # period // 2 + 1 for a real FFT of length period
+        fft_len = n if chirp else self.period // 2 + 1
+        if n_bins * span <= _TABLE_COST_RATIO * fft_len * fft_len.bit_length():
+            width = 1 << (span.bit_length() // 2)
+            rows = 1 << (-(-span // width) - 1).bit_length()
+            plan = _trig_tables(self.orders, self.period, lo % self.period, width, rows)
+        elif chirp:
             plan = _chirp_plan(self.orders, self.period, lo % self.period, n)
+        else:
+            plan = None
         return pos - lo, span, plan
 
     def evaluate(self, coeffs, positions) -> np.ndarray:
@@ -173,13 +204,13 @@ class FourierBasis:
         ``coeffs`` has shape ``(2*orders,)`` in the row layout of
         :meth:`columns`; returns ``(len(positions),)``.
         """
-        a = np.asarray(coeffs, dtype=np.float64)
+        a = np.ascontiguousarray(coeffs, dtype=np.float64)
         if a.shape != (self.n_rows,):
             raise ValueError(f"coeffs must have shape ({self.n_rows},), got {a.shape}")
         pos = self._positions(positions)
         if pos.size == 0:
             return np.zeros(0, dtype=np.float64)
-        offsets, span, plan = self._chirp(pos)
+        offsets, span, plan = self._transform(pos)
         if plan is None:
             bins, sine_sign = self._bins()
             half = self.period // 2 + 1
@@ -190,10 +221,18 @@ class FourierBasis:
             spectrum[1 : (self.period + 1) // 2] *= 0.5
             wave = np.fft.irfft(spectrum, n=self.period, norm="forward")
             return wave[pos % self.period]
-        n_bins = plan.pre.size
-        x = np.bincount(plan.bins, a[0::2], minlength=n_bins) - 1j * np.bincount(
-            plan.bins, a[1::2], minlength=n_bins
-        )
+        # z[r] = c_r + i*s_r from the cosine and sine coefficients of bin r: the
+        # value at offset m is the sum over bins of Re(z[r] * exp(-i*theta_r*(lo + m)))
+        if self.orders <= self.period:
+            z = a.view(np.complex128)
+        else:
+            z = np.bincount(plan.bins, a[0::2], minlength=self.period) + 1j * np.bincount(
+                plan.bins, a[1::2], minlength=self.period
+            )
+        if isinstance(plan, _TrigTables):
+            mixed = plan.head[: -(-span // plan.tail.shape[1])] * z
+            return (mixed.view(np.float64) @ plan.tail).ravel()[offsets]
+        x = np.conjugate(z)
         x *= plan.pre
         y = np.fft.ifft(np.fft.fft(x, plan.spectrum.size) * plan.spectrum)[:span]
         y *= plan.chirp[:span]
@@ -208,24 +247,31 @@ class FourierBasis:
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != pos.shape:
             raise ValueError(f"weights must have shape {pos.shape}, got {w.shape}")
-        out = np.zeros(self.n_rows, dtype=np.float64)
         if pos.size == 0:
-            return out
-        offsets, span, plan = self._chirp(pos)
+            return np.zeros(self.n_rows, dtype=np.float64)
+        offsets, span, plan = self._transform(pos)
         if plan is None:
             spectrum = np.fft.rfft(np.bincount(pos % self.period, w, minlength=self.period))
             bins, sine_sign = self._bins()
+            out = np.empty(self.n_rows, dtype=np.float64)
             out[0::2] = spectrum.real[bins]
             out[1::2] = -sine_sign * spectrum.imag[bins]
             return out
-        x = np.bincount(offsets, w, minlength=span) * plan.chirp[:span]
-        # fft(ifft(x) * H)[r] = sum_m x[m] * h[m - r]: the transpose of evaluate's
-        # convolution with the filter h, from the same spectrum H
-        g = np.fft.fft(np.fft.ifft(x, plan.spectrum.size) * plan.spectrum)[: plan.pre.size]
-        g *= plan.pre
-        out[0::2] = g.real[plan.bins]
-        out[1::2] = g.imag[plan.bins]
-        return out
+        # g[r] = sum_m w[m] * exp(i*theta_r*(lo + m)), the cosine and sine sums of bin r
+        if isinstance(plan, _TrigTables):
+            width = plan.tail.shape[1]
+            rows = -(-span // width)
+            grid = np.bincount(offsets, w, minlength=rows * width).reshape(rows, width)
+            # evaluate transposed: the tail sums each row of the grid, the head what is left
+            sums = (grid @ plan.tail.T).view(np.complex128)
+            g = (np.conjugate(plan.head[:rows]) * sums).sum(axis=0)
+        else:
+            x = np.bincount(offsets, w, minlength=span) * plan.chirp[:span]
+            # fft(ifft(x) * H)[r] = sum_m x[m] * h[m - r]: the transpose of evaluate's
+            # convolution with the filter h, from the same spectrum H
+            g = np.fft.fft(np.fft.ifft(x, plan.spectrum.size) * plan.spectrum)[: plan.pre.size]
+            g *= plan.pre
+        return g[plan.bins].view(np.float64)
 
     @property
     def rows(self) -> np.ndarray:
@@ -258,6 +304,15 @@ class FourierBasis:
 # took 0.4-1.6x the time at n = period/4, 1.1-2.5x at period/2 and 1.6-5.3x
 # at n = period (periods 4096 and 32768, numpy 2.4 on a 2-core x86_64)
 _CHIRP_LENGTH_RATIO = 4
+
+# evaluate/project run the trig tables while R * span <= ratio * L * log2(L),
+# with R = min(orders, period) and L the complex FFT length they would run
+# otherwise. Timed per evaluate + project pair against that FFT, the tables
+# were faster in 57 of 59 cases with R * span / (L log2 L) <= 12.8 (1.04x and
+# 1.22x slower in the other two) and slower in all 11 at 18.3 and above
+# (orders 8-512, spans 256-4096, periods 4096 and 32768, numpy 2.4 on a
+# 2-core x86_64)
+_TABLE_COST_RATIO = 16
 
 
 class _ChirpPlan(NamedTuple):
@@ -298,6 +353,36 @@ def _chirp_plan(orders: int, period: int, lo: int, n: int) -> _ChirpPlan:
     for table in plan:
         table.flags.writeable = False
     return plan
+
+
+class _TrigTables(NamedTuple):
+    """Read-only trig tables for one ``(orders, period, lo, width, rows)``.
+
+    With ``R = min(orders, period)`` bins and ``theta_r = 2*pi*r/period``,
+    an offset ``m = a*width + b`` (``b < width``, ``a < rows``) has
+    ``exp(-i*theta_r*(lo + m)) = head[a, r] * exp(-i*theta_r*b)``; the tail
+    holds the cosine and sine of that last phase as real rows.
+    """
+
+    bins: np.ndarray  # (orders,) bin of every order: n mod period
+    head: np.ndarray  # (rows, R) complex exp(-i*theta_r*(lo + a*width))
+    tail: np.ndarray  # (2R, width) cos and sin of theta_r*b, rows interleaved like columns
+
+
+@functools.lru_cache(maxsize=4)
+def _trig_tables(orders: int, period: int, lo: int, width: int, rows: int) -> _TrigTables:
+    # keyed on rows, a power of two: a growing middle region reuses one set
+    # until its span needs twice the rows or a wider tail
+    per_bin = FourierBasis(min(orders, period), period)
+    head = per_bin.columns(lo + width * np.arange(rows, dtype=np.int64))
+    tables = _TrigTables(
+        bins=np.arange(orders, dtype=np.int64) % period,
+        head=np.conjugate(np.ascontiguousarray(head.T).view(np.complex128)),
+        tail=per_bin.columns(np.arange(width, dtype=np.int64)),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def build_basis(orders: int, period: int) -> FourierBasis:
@@ -343,12 +428,28 @@ class SpectralState:
         )
 
 
+def _add_outer(coeffs: np.ndarray, column: np.ndarray, vec: np.ndarray) -> None:
+    """``coeffs += column[:, None] * vec`` in place, as one BLAS rank-1 update (``dger``).
+
+    No ``(2k, dim)`` temporary exists. :func:`compress_batch` and
+    :func:`fold_token` both fold through here, which keeps them bitwise equal.
+    """
+    if vec.size == 0:
+        return  # dger rejects empty arrays; there is nothing to add
+    # BLAS sees coeffs.T, which is Fortran-ordered for a C-ordered state, and
+    # updates that buffer itself; any other layout it silently updates in a copy
+    updated = dger(1.0, vec, column, a=coeffs.T, overwrite_a=1)
+    if not np.may_share_memory(updated, coeffs):
+        coeffs[...] = updated.T
+
+
 def compress_batch(basis: FourierBasis, values, start_pos: int) -> SpectralState:
     """Fold a block of rows at absolute positions ``start_pos..start_pos+L-1``.
 
     Accumulates the per-position rank-1 updates in ascending position order,
     which makes the result bit-identical to streaming the same rows through
-    :func:`fold_token`. An empty block yields the zero state.
+    :func:`fold_token`: both fold through the same BLAS rank-1 update
+    (``dger``) of the state in place. An empty block yields the zero state.
 
     This is the bitwise oracle of :func:`fold_token` and the reference that
     :func:`fold_blocks` is tested against; it evaluates one basis column per
@@ -363,9 +464,8 @@ def compress_batch(basis: FourierBasis, values, start_pos: int) -> SpectralState
     state = SpectralState.zeros(basis.orders, dim)
     if length == 0:
         return state
-    coeffs = state.coeffs
     for i in range(length):
-        coeffs += basis.column(start_pos + i)[:, None] * vals[i]
+        _add_outer(state.coeffs, basis.column(start_pos + i), vals[i])
     state.token_count = length
     state.first_pos = start_pos
     state.last_pos = start_pos + length - 1
@@ -424,8 +524,10 @@ def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
 def fold_token(state: SpectralState, basis: FourierBasis, value, pos: int) -> SpectralState:
     """Fold one token vector at absolute position ``pos`` into the state.
 
-    Mutates ``state`` in place and returns it. Positions must arrive in
-    order: the first fold may use any ``pos >= 0``; afterwards only
+    Mutates ``state`` in place and returns it: one BLAS rank-1 update
+    (``dger``) of ``state.coeffs``, the one :func:`compress_batch` makes per
+    row, with no ``(2k, dim)`` temporary. Positions must arrive in order:
+    the first fold may use any ``pos >= 0``; afterwards only
     ``last_pos + 1`` is accepted.
     """
     if pos < 0:
@@ -439,7 +541,7 @@ def fold_token(state: SpectralState, basis: FourierBasis, value, pos: int) -> Sp
         raise FoldOrderError(
             f"non-contiguous fold: expected position {state.last_pos + 1}, got {pos}"
         )
-    state.coeffs += basis.column(pos)[:, None] * vec
+    _add_outer(state.coeffs, basis.column(pos), vec)
     state.token_count += 1
     state.last_pos = pos
     return state

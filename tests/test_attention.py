@@ -197,6 +197,34 @@ class TestCompressedFused:
         with pytest.raises(ValueError):
             attend_compressed_fused(q, sl, basis)
 
+    # the fused path checks its scores and output, not the stored blocks: a bad
+    # middle row or state must still fail loudly through them
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("where", ["kept_k", "kept_v", "spec_k", "spec_v"])
+    def test_rejects_non_finite_middle_storage(self, where):
+        rng = np.random.default_rng(4)
+        sl, basis, *_ = build_slice(rng, seq_len=64)
+        q = rng.standard_normal(8)
+        if where.startswith("kept"):
+            getattr(sl, where).view()[10, 1] = np.nan
+        else:
+            getattr(sl, where).coeffs[3, 1] = np.inf
+        with pytest.raises(ValueError):
+            attend_compressed_fused(q, sl, basis)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_rejects_inf_local_value_under_a_zero_weight(self):
+        rng = np.random.default_rng(5)
+        sl, basis, *_ = build_slice(rng, seq_len=64)
+        q = rng.standard_normal(8)
+        slot = sl.ring_start % sl.partition.local_len  # the oldest local row
+        sl.ring_k[slot] = -1000.0 * q
+        weights = attend_compressed_materialized(q, sl, basis, return_weights=True).weights
+        assert weights[sl.init_len + sl.middle_count] == 0.0  # exp underflows to exactly 0
+        sl.ring_v[slot, 2] = np.inf
+        with pytest.raises(ValueError):
+            attend_compressed_fused(q, sl, basis)
+
     def test_rejects_wrong_query_shape_and_empty_cache(self):
         rng = np.random.default_rng(9)
         sl, basis, *_ = build_slice(rng)

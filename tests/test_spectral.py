@@ -186,6 +186,32 @@ class TestFoldToken:
         assert state.token_count == 4
         assert state.last_pos == 3
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_updates_the_states_own_array(self, order):
+        # BLAS updates a C-ordered state's buffer itself and any other layout in
+        # a copy, which must land back in the same array
+        basis = build_basis(orders=8, period=64)
+        rng = np.random.default_rng(2)
+        state = compress_batch(basis, rng.standard_normal((5, 3)), start_pos=2)
+        state.coeffs = np.asarray(state.coeffs, order=order)
+        coeffs, expected = state.coeffs, state.coeffs + np.outer(basis.column(7), [1.0, -2.0, 0.5])
+        fold_token(state, basis, np.array([1.0, -2.0, 0.5]), pos=7)
+        assert state.coeffs is coeffs
+        np.testing.assert_allclose(coeffs, expected, rtol=0, atol=1e-12 * 3.5)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(period=st.integers(1, 64), orders_extra=st.integers(-63, 3), dim=st.integers(0, 5),
+           length=st.integers(1, 40), start=st.integers(0, 200), seed=st.integers(0, 2**32 - 1))
+    def test_stream_equals_columns_product(self, period, orders_extra, dim, length, start, seed):
+        basis = build_basis(orders=max(1, period + orders_extra), period=period)
+        values = np.random.default_rng(seed).standard_normal((length, dim))
+        state = SpectralState.zeros(basis.orders, dim)
+        for i in range(length):
+            fold_token(state, basis, values[i], pos=start + i)
+        expected = basis.columns(np.arange(start, start + length)) @ values
+        scale = np.maximum(1.0, np.abs(values).sum(axis=0))
+        assert np.all(np.abs(state.coeffs - expected) <= 1e-12 * scale)
+
     def test_non_contiguous_fold_rejected(self):
         basis = build_basis(orders=2, period=8)
         state = fold_token(SpectralState.zeros(2, 1), basis, np.ones(1), pos=0)
@@ -383,19 +409,25 @@ def basis_and_run(draw):
 class TestContiguousRuns:
     """``evaluate``/``project`` on runs against explicit columns, and what they allocate."""
 
-    # the chirp-z transform serves spans with FFT length n <= period / ratio and
-    # the length-period FFT the rest; ratio 0 and a huge ratio force one of them
-    @pytest.mark.parametrize("ratio", [0, spectral._CHIRP_LENGTH_RATIO, 2**62],
-                             ids=["chirp-z", "dispatch", "length-period"])
+    # the trig tables serve spans whose cost R * span is at most the table ratio
+    # times L log L of the FFT they would run otherwise; of those, the chirp-z
+    # transform serves FFT lengths n <= period / chirp ratio and the
+    # length-period FFT the rest. Ratios 0 and 2**62 force one transform.
+    @pytest.mark.parametrize("ratios", [
+        {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 0},
+        {"_TABLE_COST_RATIO": spectral._TABLE_COST_RATIO},
+        {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 2**62},
+        {"_TABLE_COST_RATIO": 2**62},
+    ], ids=["chirp-z", "dispatch", "length-period", "tables"])
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(case=basis_and_run())
-    def test_evaluate_and_project_equal_columns_products(self, ratio, case):
+    def test_evaluate_and_project_equal_columns_products(self, ratios, case):
         basis, positions, seed = case
         rng = np.random.default_rng(seed)
         coeffs = rng.standard_normal(basis.n_rows)
         weights = rng.standard_normal(positions.size)
         cols = basis.columns(positions)
-        with mock.patch.object(spectral, "_CHIRP_LENGTH_RATIO", ratio):
+        with mock.patch.multiple(spectral, **ratios):
             evaluated = basis.evaluate(coeffs, positions)
             projected = basis.project(weights, positions)
         np.testing.assert_allclose(evaluated, cols.T @ coeffs, rtol=0,
@@ -422,21 +454,56 @@ class TestContiguousRuns:
                     tracemalloc.stop()
             return peaks
 
-        short = transient(2**12)
-        # the last run wraps past the period and still costs its own length
-        for long in (transient(2**20), transient(2**20, start=2**20 - 500)):
+        # orders 16 would run the trig tables: force the chirp-z transform
+        with mock.patch.object(spectral, "_TABLE_COST_RATIO", 0):
+            short = transient(2**12)
+            # the last run wraps past the period and still costs its own length
+            longs = (transient(2**20), transient(2**20, start=2**20 - 500))
+        for long in longs:
             for small, large in zip(short, long):
                 assert large <= small + 4096
                 assert small < 2**17  # a few length-1024 complex arrays
+
+    def test_trig_tables_do_not_grow_with_the_period(self):
+        # desk geometry: 16 orders over a middle region of 960 positions
+        positions, weights = np.arange(4, 964), np.ones(960)
+
+        def footprint(period):
+            basis = FourierBasis(orders=16, period=period)
+            coeffs = np.ones(basis.n_rows)
+            tables = basis._transform(positions)[2]
+            assert isinstance(tables, spectral._TrigTables)
+            peaks = []
+            for call in (lambda: basis.evaluate(coeffs, positions),
+                         lambda: basis.project(weights, positions)):
+                call()
+                tracemalloc.start()
+                try:
+                    call()
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            return sum(t.nbytes for t in tables), peaks
+
+        table_bytes, peaks = footprint(2**12)
+        # 16 bins x (32 head rows + 32 tail positions), complex, and the bins
+        assert table_bytes == 16 * 16 * (32 + 32) + 8 * 16
+        for period in (2**16, 2**24):
+            long_bytes, long_peaks = footprint(period)
+            assert long_bytes == table_bytes
+            for small, large in zip(peaks, long_peaks):
+                assert large <= small + 4096
 
     def test_chirp_z_serves_fft_lengths_up_to_a_quarter_period(self):
         period = 2**12
         basis = FourierBasis(orders=16, period=period)
         coeffs = np.ones(basis.n_rows)
-        # span + 16 - 1 positions of linear convolution: n = period/4, then period/2
+        # span + 16 - 1 positions of linear convolution: n = period/4, then period/2;
+        # orders 16 would run the trig tables, so the chirp-z transform is forced
         for length, tables in ((period // 4 - 15, 1), (period // 4 - 14, 0)):
             spectral._chirp_plan.cache_clear()
-            basis.evaluate(coeffs, np.arange(3, 3 + length))
+            with mock.patch.object(spectral, "_TABLE_COST_RATIO", 0):
+                basis.evaluate(coeffs, np.arange(3, 3 + length))
             assert spectral._chirp_plan.cache_info().currsize == tables
 
     def test_a_run_past_a_quarter_period_costs_at_most_the_period(self):
@@ -448,13 +515,15 @@ class TestContiguousRuns:
         cols = basis.columns(positions)
         for call, expected in ((lambda: basis.evaluate(coeffs, positions), cols.T @ coeffs),
                                (lambda: basis.project(weights, positions), cols @ weights)):
-            call()  # numpy sets up its FFT of this length on first use
-            tracemalloc.start()
-            try:
-                got = call()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            # orders 16 would run the trig tables: the FFTs are what is tested here
+            with mock.patch.object(spectral, "_TABLE_COST_RATIO", 0):
+                call()  # numpy sets up its FFT of this length on first use
+                tracemalloc.start()
+                try:
+                    got = call()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * period)
             # at most five length-period float64 arrays; the chirp-z pair of
             # length 2 * period would take nine to eleven
