@@ -56,11 +56,28 @@ class PartitionParams:
             raise ValueError(f"period must be >= 1, got {self.period}")
 
 
-def _as_dim_set(indices, head_dim: int) -> np.ndarray:
-    arr = np.unique(np.asarray(indices, dtype=np.int64))
+def _dim_mask(indices, head_dim: int) -> np.ndarray:
+    """Boolean membership mask over ``0..head_dim-1`` of an index collection (repeats allowed)."""
+    arr = np.asarray(indices, dtype=np.int64)
     if arr.size and (arr.min() < 0 or arr.max() >= head_dim):
         raise ValueError(f"dimension indices must lie in [0, {head_dim})")
-    return arr
+    mask = np.zeros(head_dim, dtype=bool)
+    mask[arr] = True
+    return mask
+
+
+def _is_partition(compressed: np.ndarray, kept: np.ndarray, head_dim: int) -> bool:
+    """Whether the two index sets together hold each of ``0..head_dim-1`` exactly once."""
+    merged = np.concatenate([compressed, kept])
+    if merged.shape != (head_dim,):
+        return False
+    index = merged.astype(np.int64)
+    if not np.array_equal(index, merged):
+        return False  # a value that is not an integer index
+    if head_dim and (index.min() < 0 or index.max() >= head_dim):
+        return False
+    # head_dim indices in range with none repeated cover every index once
+    return bool(np.bincount(index, minlength=head_dim).max(initial=0) <= 1)
 
 
 @dataclass(frozen=True)
@@ -74,24 +91,21 @@ class HeadDims:
 
     @classmethod
     def from_compressed(cls, head_dim: int, k_compressed, v_compressed) -> "HeadDims":
-        k_c = _as_dim_set(k_compressed, head_dim)
-        v_c = _as_dim_set(v_compressed, head_dim)
-        every = np.arange(head_dim, dtype=np.int64)
+        k_mask = _dim_mask(k_compressed, head_dim)
+        v_mask = _dim_mask(v_compressed, head_dim)
         return cls(
-            k_compressed=k_c,
-            k_kept=np.setdiff1d(every, k_c),
-            v_compressed=v_c,
-            v_kept=np.setdiff1d(every, v_c),
+            k_compressed=np.flatnonzero(k_mask),
+            k_kept=np.flatnonzero(~k_mask),
+            v_compressed=np.flatnonzero(v_mask),
+            v_kept=np.flatnonzero(~v_mask),
         )
 
     def validate(self, head_dim: int) -> None:
-        every = np.arange(head_dim, dtype=np.int64)
         for comp, kept, which in (
             (self.k_compressed, self.k_kept, "K"),
             (self.v_compressed, self.v_kept, "V"),
         ):
-            merged = np.concatenate([comp, kept])
-            if len(np.unique(merged)) != head_dim or not np.array_equal(np.sort(merged), every):
+            if not _is_partition(comp, kept, head_dim):
                 raise ValueError(f"{which} dimension sets must partition 0..{head_dim - 1}")
 
 

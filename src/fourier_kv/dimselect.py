@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fourier_kv.cache import CacheLayout, HeadDims, PartitionParams
-from fourier_kv.spectral import FourierBasis, fold_blocks, reconstruct, reconstruction_mse
+from fourier_kv.spectral import FourierBasis, _run_columns, fold_blocks
 from fourier_kv.traceio import KVTrace
 
 __all__ = [
@@ -133,7 +133,12 @@ def rank_dimensions(trace: KVTrace, partition: PartitionParams, basis: FourierBa
 
     Uses the normalized inverse transform; with a middle region exactly one
     period long the reconstruction is the orthogonal projection and the MSE
-    cleanly measures out-of-band energy.
+    cleanly measures out-of-band energy. Per layer, every head's K and V
+    middle is folded by one :func:`fold_blocks` call, and the readback runs
+    chunk by chunk over the same run columns: each chunk's reconstruction is
+    compared with the trace and only its squared error per dimension is
+    kept, so no ``(2k, positions)`` column block and no full reconstruction
+    is ever built.
     """
     if basis.orders != partition.orders or basis.period != partition.period:
         raise ValueError("basis geometry does not match the partition")
@@ -144,19 +149,25 @@ def rank_dimensions(trace: KVTrace, partition: PartitionParams, basis: FourierBa
             f"trace too short for calibration: needs more than "
             f"{partition.init_len + partition.local_len} positions, got {trace.seq_len}"
         )
-    positions = np.arange(first, last)
+    length = last - first
+    weights = basis.synthesis_weights()[:, None]
     shape = (trace.layers, trace.kv_heads, trace.head_dim)
     k_mse = np.empty(shape)
     v_mse = np.empty(shape)
     for layer in range(trace.layers):
-        # one (positions, K/V x heads x dims) block: one fold and one readout per layer
-        middle = np.concatenate(
-            [trace.keys[layer, :, first:last], trace.values[layer, :, first:last]]
-        )
-        block = middle.transpose(1, 0, 2).reshape(positions.size, -1)
-        (state,) = fold_blocks(basis, [block], first)
-        mse = reconstruction_mse(block, reconstruct(state, basis, positions))
-        k_mse[layer], v_mse[layer] = mse.reshape(2, trace.kv_heads, trace.head_dim)
+        # every head's K, then every head's V: (positions, head_dim) views of the trace
+        blocks = [*trace.keys[layer, :, first:last], *trace.values[layer, :, first:last]]
+        states = fold_blocks(basis, blocks, first)
+        for state in states:
+            state.coeffs *= weights
+        sse = np.zeros((len(blocks), trace.head_dim))
+        for lo, cols_t in _run_columns(basis, first, length):
+            hi = lo + cols_t.shape[0]
+            for total, block, state in zip(sse, blocks, states):
+                err = cols_t @ state.coeffs
+                err -= block[lo:hi]
+                total += np.einsum("ij,ij->j", err, err)
+        k_mse[layer], v_mse[layer] = (sse / length).reshape(2, trace.kv_heads, trace.head_dim)
     return MseRanking(k_mse=k_mse, v_mse=v_mse)
 
 
@@ -213,13 +224,22 @@ def temporal_std(trace: KVTrace) -> np.ndarray:
 
     Returns ``(layers, 2, head_dim)``: index 1 selects K (0) or V (1); the
     last axis holds each head's descending-sorted population std averaged
-    across heads, matching the usual sorted-per-head presentation.
+    across heads, matching the usual sorted-per-head presentation. Each
+    layer's K, then V, is cast to float64 once and centred, squared and
+    averaged in that copy: the operations of ``astype(float64).std(axis=2)``
+    with one layer-sized array instead of two trace-sized ones, so the
+    result is bitwise the same.
     """
     if trace.seq_len < 2:
         raise ValueError("temporal std needs at least 2 positions")
     out = np.empty((trace.layers, 2, trace.head_dim))
+    stds = np.empty((trace.layers, trace.kv_heads, trace.head_dim))  # population std
     for idx, data in enumerate((trace.keys, trace.values)):
-        stds = data.astype(np.float64).std(axis=2)  # (layers, heads, dim), population
+        for layer, block in enumerate(data):
+            centred = block.astype(np.float64)
+            centred -= centred.mean(axis=1, keepdims=True)
+            np.square(centred, out=centred)
+            np.sqrt(centred.mean(axis=1), out=stds[layer])
         out[:, idx, :] = np.sort(stds, axis=2)[:, :, ::-1].mean(axis=1)
     return out
 

@@ -8,8 +8,13 @@ size never grows with sequence length. :func:`compress_batch` and
 :func:`fold_token` accumulate those updates one position at a time, each a
 BLAS rank-1 update of the state in place, and are bitwise equal;
 :func:`fold_blocks`, the fast batch fold, sums chunks of positions with one
-matrix product per block and shares each chunk's basis columns across every
-block that covers the same positions. Reconstruction evaluates a weighted
+in-place BLAS matrix product per block and shares each chunk's basis
+columns across every block that covers the same positions. It builds those
+columns by angle addition: every phase of a contiguous run is the product of
+one of about ``sqrt(chunk)`` head phases and one of as many tail phases, so
+a chunk costs about ``2 * orders * sqrt(chunk)`` sines and cosines instead
+of ``2 * orders * chunk``, and its columns and tables share a fixed 1 MB.
+Reconstruction evaluates a weighted
 inverse transform at any folded position; the same inverse transform and its
 adjoint are also available without building columns, which is how decode
 attention scores and aggregates the compressed region without rebuilding
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.blas import dger
+from scipy.linalg.blas import dgemm, dger
 
 __all__ = [
     "FoldOrderError",
@@ -472,8 +477,98 @@ def compress_batch(basis: FourierBasis, values, start_pos: int) -> SpectralState
     return state
 
 
-# basis columns built per chunk of a batch fold: 2**17 float64 values, 1 MB
+# a batch fold's columns, run tables and product buffer per chunk: at most
+# 2**17 float64 values, 1 MB
 _FOLD_CHUNK_FLOATS = 2**17
+
+
+def _tail_width(chunk: int) -> int:
+    """The power of two at or just above ``sqrt(chunk)``: offsets per row block of a run."""
+    return 1 << ((chunk - 1).bit_length() + 1) // 2
+
+
+def _run_chunk(n_rows: int) -> int:
+    """Positions per chunk whose columns and run tables fit ``_FOLD_CHUNK_FLOATS``.
+
+    In units of one column (``n_rows`` floats): the chunk's columns, padded
+    by at most ``width - 1`` to whole row blocks, the tail table (``width``)
+    and the head table (one per row block) share the budget. At ``n_rows =
+    1024`` a chunk is 88 positions: 96 + 16 + 6 of 128 columns.
+    """
+    budget = max(1, _FOLD_CHUNK_FLOATS // n_rows)
+    width = _tail_width(budget)
+    return max(1, budget - 2 * width - -(-budget // width))
+
+
+def _unit_phases(orders: int, period: int, positions: np.ndarray) -> np.ndarray:
+    """``exp(2*pi*i*n*t/period)`` for each ``t`` and ``n < orders``, ``(len(t), orders)``.
+
+    Element ``[j, n]`` holds rows ``2n`` and ``2n+1`` of
+    :meth:`FourierBasis.columns` at ``t = positions[j]`` as one complex
+    number, computed as there, with ``(n*t) mod period`` reduced exactly in
+    integers. The phases take one float64 temporary, half the output.
+    """
+    phase = np.empty((positions.size, orders), dtype=np.float64)
+    frac = phase.view(np.int64)
+    np.multiply(positions[:, None], np.arange(orders, dtype=np.int64), out=frac)
+    np.remainder(frac, period, out=frac)
+    np.multiply(frac, 2.0 * np.pi / period, out=phase)
+    out = np.empty((positions.size, orders), dtype=np.complex128)
+    parts = out.view(np.float64)
+    np.cos(phase, out=parts[:, 0::2])
+    np.sin(phase, out=parts[:, 1::2])
+    return out
+
+
+def _run_columns(basis: FourierBasis, start: int, length: int, chunk: int | None = None):
+    """Yield ``(lo, cols_t)``: a run's basis columns, transposed, ``chunk`` positions at a time.
+
+    ``chunk`` defaults to the batch fold's, :func:`_run_chunk` of the basis.
+
+    ``cols_t`` is C-ordered and equals ``basis.columns(np.arange(start + lo,
+    start + lo + len(cols_t))).T`` within ``4e-15`` absolute; the chunks
+    cover ``0..length`` in order, and each one overwrites the array of the
+    one before. Each offset in a chunk splits as ``a*width + b`` (``width =
+    _tail_width(chunk)``, ``b < width``), so ``exp(i*theta_n*t)`` is the
+    product of a head phase at ``chunk start + a*width`` and a tail phase
+    at ``b``, both exact: one broadcast complex product builds the chunk,
+    whose float64 view is the interleaved cosine and sine layout itself.
+    Per chunk that is ``orders * (rows + width)`` sines and cosines, about
+    ``2 * orders * sqrt(chunk)``, against ``2 * orders * chunk`` for
+    :meth:`FourierBasis.columns`. The tail table and the product buffer
+    are built once per call, the head table once per chunk; all are sized
+    by ``chunk``, never by the run, and nothing outlives the call.
+    """
+    if chunk is None:
+        chunk = _run_chunk(basis.n_rows)
+    width = _tail_width(chunk)
+    tail = _unit_phases(basis.orders, basis.period, np.arange(width, dtype=np.int64))
+    rows = -(-min(chunk, length) // width)
+    product = np.empty((rows, width, basis.orders), dtype=np.complex128)
+    for lo in range(0, length, chunk):
+        count = min(chunk, length - lo)
+        rows = -(-count // width)
+        head = _unit_phases(
+            basis.orders, basis.period, start + lo + width * np.arange(rows, dtype=np.int64)
+        )
+        np.multiply(head[:, None], tail, out=product[:rows])
+        yield lo, product.reshape(-1, basis.orders)[:count].view(np.float64)
+
+
+def _add_product(coeffs: np.ndarray, cols_t: np.ndarray, block: np.ndarray) -> None:
+    """``coeffs += cols_t.T @ block`` in place, as one BLAS matrix product (``dgemm``).
+
+    BLAS accumulates into the state itself, so no ``(2k, dim)`` temporary
+    exists; ``cols_t`` is ``(positions, 2k)`` and ``block`` ``(positions,
+    dim)``, both float64.
+    """
+    if coeffs.size == 0 or block.shape[0] == 0:
+        return  # BLAS rejects empty arrays; there is nothing to add
+    # coeffs.T += block.T @ cols_t: for C-ordered inputs every operand BLAS
+    # sees is Fortran-ordered, so it reads them and updates coeffs' buffer as they are
+    updated = dgemm(1.0, block.T, cols_t.T, beta=1.0, c=coeffs.T, trans_b=1, overwrite_c=1)
+    if not np.may_share_memory(updated, coeffs):
+        coeffs[...] = updated.T
 
 
 def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
@@ -483,12 +578,17 @@ def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
     all blocks have the same ``L``. With ``dims``, a sequence parallel to
     ``blocks``, block ``i`` contributes only its columns ``dims[i]``.
 
-    Positions go in chunks of ``max(1, 2**17 // basis.n_rows)`` (1 MB of
-    columns). Each chunk's columns are built once and serve every block;
-    each block's chunk is selected and cast to float64 only then, so no
-    block is copied whole. Returns one state per block, equal to
-    :func:`compress_batch` of that block within ``1e-12 * max(1, sum|x|)``
-    per column: BLAS sums a chunk in its own order, so not bitwise.
+    Positions go in chunks whose columns and angle-addition tables fit
+    ``2**17`` float64 values (1 MB): 88 positions at ``2*orders = 1024``,
+    3904 at 32. Each chunk's columns are built once, from about ``2 * orders
+    * sqrt(chunk)`` sines and cosines rather than ``2 * orders * chunk``,
+    and serve every block; each block's chunk is selected and cast to
+    float64 only then, so no block is copied whole, and BLAS adds its
+    product into the state in place, so no ``(2*orders, dim)`` temporary
+    exists. The transient memory is therefore one chunk's worth whatever the
+    run length. Returns one state per block, equal to :func:`compress_batch`
+    of that block within ``1e-12 * max(1, sum|x|)`` per column: BLAS sums a
+    chunk in its own order, so not bitwise.
     """
     if start_pos < 0:
         raise ValueError(f"start_pos must be >= 0, got {start_pos}")
@@ -508,12 +608,10 @@ def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
     ]
     if length == 0:
         return states
-    chunk = max(1, _FOLD_CHUNK_FLOATS // basis.n_rows)
-    for lo in range(0, length, chunk):
-        hi = min(lo + chunk, length)
-        cols = basis.columns(np.arange(start_pos + lo, start_pos + hi))
+    for lo, cols_t in _run_columns(basis, start_pos, length):
+        hi = lo + cols_t.shape[0]
         for a, d, state in zip(arrays, dims, states):
-            state.coeffs += cols @ np.asarray(a[lo:hi, d], dtype=np.float64)
+            _add_product(state.coeffs, cols_t, np.asarray(a[lo:hi, d], dtype=np.float64))
     for state in states:
         state.token_count = length
         state.first_pos = start_pos

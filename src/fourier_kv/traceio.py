@@ -10,6 +10,8 @@ at desk scale.
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from dataclasses import dataclass, field
 
@@ -107,7 +109,13 @@ def write_trace(path, trace: KVTrace) -> None:
 
 
 def read_trace(path) -> KVTrace:
-    """Read a trace file, validating magic, version, dtype, and payload size."""
+    """Read a trace file, validating magic, version, dtype, and payload size.
+
+    The payload is read layer by layer, K then V, straight into the
+    C-ordered, writeable ``keys`` and ``values`` arrays of the result: no
+    intermediate copy of the file exists. A payload shorter or longer than
+    the header implies raises :class:`TruncatedPayloadError`.
+    """
     with open(path, "rb") as fh:
         raw_header = fh.read(_HEADER.size)
         if len(raw_header) < _HEADER.size:
@@ -119,15 +127,27 @@ def read_trace(path) -> KVTrace:
             raise TraceFormatError(f"{path}: unsupported version {version}")
         if dtype != DTYPE_F32:
             raise UnknownDtypeError(f"{path}: unknown dtype code {dtype}")
-        payload = fh.read()
-    expected = layers * 2 * kv_heads * seq_len * head_dim * 4
-    if len(payload) != expected:
-        raise TruncatedPayloadError(
-            f"{path}: payload holds {len(payload)} bytes, header implies {expected}"
-        )
-    flat = np.frombuffer(payload, dtype="<f4")
-    tensor = flat.reshape(layers, 2, kv_heads, seq_len, head_dim)
-    return KVTrace(keys=tensor[:, 0], values=tensor[:, 1], provenance=str(path))
+        expected = layers * 2 * kv_heads * seq_len * head_dim * 4
+        status = os.fstat(fh.fileno())
+        if stat.S_ISREG(status.st_mode) and status.st_size - _HEADER.size != expected:
+            # checked before allocating, so a corrupt header cannot ask for huge arrays
+            raise TruncatedPayloadError(
+                f"{path}: payload holds {status.st_size - _HEADER.size} bytes, "
+                f"header implies {expected}"
+            )
+        keys = np.empty((layers, kv_heads, seq_len, head_dim), dtype="<f4")
+        values = np.empty_like(keys)
+        for layer in range(layers):
+            for block in (keys[layer], values[layer]):
+                if fh.readinto(block) != block.nbytes:
+                    raise TruncatedPayloadError(
+                        f"{path}: payload is shorter than the {expected} bytes the header implies"
+                    )
+        if fh.read(1):
+            raise TruncatedPayloadError(
+                f"{path}: payload is longer than the {expected} bytes the header implies"
+            )
+    return KVTrace(keys=keys, values=values, provenance=str(path))
 
 
 _SYNTHETIC_KINDS = ("constant", "tone", "bandlimited", "noise", "mix")

@@ -36,6 +36,82 @@ def random_layer(rng, kv_heads=1, seq_len=64, head_dim=6):
     )
 
 
+def sorted_dim_sets(indices, head_dim):
+    """The sort-based construction: unique compressed indices and their complement."""
+    arr = np.unique(np.asarray(indices, dtype=np.int64))
+    if arr.size and (arr.min() < 0 or arr.max() >= head_dim):
+        raise ValueError("out of range")
+    return arr, np.setdiff1d(np.arange(head_dim, dtype=np.int64), arr)
+
+
+index_lists = st.integers(0, 12).flatmap(
+    lambda head_dim: st.tuples(
+        st.just(head_dim),
+        st.lists(st.integers(-2, head_dim + 2), max_size=2 * head_dim + 2),
+        st.lists(st.integers(-2, head_dim + 2), max_size=2 * head_dim + 2),
+    )
+)
+
+
+@st.composite
+def split_index_sets(draw):
+    """Compressed and kept index lists for one head: a partition of 0..head_dim-1,
+    one with a repeat or an out-of-range index in place of a member, or free lists."""
+    head_dim = draw(st.integers(0, 12))
+    merged = draw(st.permutations(range(head_dim)))
+    mode = draw(st.sampled_from(["partition", "repeat", "out_of_range", "free"]))
+    if mode == "repeat" and head_dim >= 2:
+        i, j = draw(st.lists(st.integers(0, head_dim - 1), min_size=2, max_size=2, unique=True))
+        merged[i] = merged[j]
+    elif mode == "out_of_range" and head_dim:
+        merged[draw(st.integers(0, head_dim - 1))] = draw(st.sampled_from([-1, head_dim]))
+    elif mode == "free":
+        merged = draw(st.lists(st.integers(-2, head_dim + 2), max_size=2 * head_dim + 2))
+    cut = draw(st.integers(0, len(merged)))
+    return head_dim, merged[:cut], merged[cut:]
+
+
+class TestHeadDims:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(index_lists)
+    def test_from_compressed_equals_the_sorted_sets(self, case):
+        head_dim, k_indices, v_indices = case
+        try:
+            expected = (sorted_dim_sets(k_indices, head_dim), sorted_dim_sets(v_indices, head_dim))
+        except ValueError:
+            with pytest.raises(ValueError):
+                HeadDims.from_compressed(head_dim, k_indices, v_indices)
+            return
+        hd = HeadDims.from_compressed(head_dim, k_indices, v_indices)
+        for got, want in zip((hd.k_compressed, hd.k_kept, hd.v_compressed, hd.v_kept),
+                             (*expected[0], *expected[1])):
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+        hd.validate(head_dim)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(split_index_sets(), st.booleans())
+    def test_validate_raises_unless_the_sets_partition(self, case, on_v):
+        head_dim, compressed, kept = case
+        partitions = sorted(compressed + kept) == list(range(head_dim))
+        sets = (np.asarray(compressed, dtype=np.int64), np.asarray(kept, dtype=np.int64))
+        whole = (np.arange(head_dim, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        k_sets, v_sets = (whole, sets) if on_v else (sets, whole)
+        hd = HeadDims(k_compressed=k_sets[0], k_kept=k_sets[1],
+                      v_compressed=v_sets[0], v_kept=v_sets[1])
+        if partitions:
+            hd.validate(head_dim)
+        else:
+            with pytest.raises(ValueError, match="V" if on_v else "K"):
+                hd.validate(head_dim)
+
+    def test_validate_rejects_non_integer_indices(self):
+        hd = HeadDims(k_compressed=np.array([0.5]), k_kept=np.array([1.0]),
+                      v_compressed=np.array([0]), v_kept=np.array([1]))
+        with pytest.raises(ValueError):
+            hd.validate(2)
+
+
 class TestPrefill:
     def test_partition_arithmetic(self):
         # position enumeration: 64 tokens, 4 initial, 16 local -> middle 4..47

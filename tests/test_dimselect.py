@@ -1,8 +1,11 @@
 """Dimension ranking, schema application, and selection diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fourier_kv import spectral
 from fourier_kv.cache import PartitionParams
 from fourier_kv.dimselect import (
     CompressionSchema,
@@ -79,6 +82,41 @@ class TestRankDimensions:
                     state = compress_batch(basis, block, 3)
                     expected = reconstruction_mse(block, reconstruct(state, basis, positions))
                     np.testing.assert_allclose(got[layer, head], expected, rtol=1e-9)
+
+    def test_matches_oracle_across_fold_chunks(self):
+        # 1024 orders make a fold chunk of 40 positions: the 100-position
+        # middle is folded and read back in three chunks, the last one partial
+        rng = np.random.default_rng(5)
+        part = PartitionParams(init_len=2, local_len=3, period=4096, orders=1024)
+        basis = build_basis(1024, 4096)
+        assert spectral._run_chunk(basis.n_rows) == 40
+        keys = rng.standard_normal((1, 2, 105, 3)).astype(np.float32)
+        values = (rng.standard_normal((1, 2, 105, 3)) * np.arange(1, 4)).astype(np.float32)
+        ranking = rank_dimensions(KVTrace(keys=keys, values=values), part, basis)
+        positions = np.arange(2, 102)
+        for head in range(2):
+            for got, data in ((ranking.k_mse, keys), (ranking.v_mse, values)):
+                block = data[0, head, 2:102]
+                state = compress_batch(basis, block, 2)
+                expected = reconstruction_mse(block, reconstruct(state, basis, positions))
+                np.testing.assert_allclose(got[0, head], expected, rtol=1e-9)
+
+    def test_readback_peak_is_below_one_column_block(self):
+        # one (2k, M) column block is 1024 x 4096 float64 values, 32 MiB
+        part = PartitionParams(init_len=4, local_len=8, period=32768, orders=512)
+        basis = build_basis(512, 32768)
+        rng = np.random.default_rng(6)
+        shape = (1, 1, 4 + 4096 + 8, 4)
+        trace = KVTrace(keys=rng.standard_normal(shape).astype(np.float32),
+                        values=rng.standard_normal(shape).astype(np.float32))
+        tracemalloc.start()
+        try:
+            rank_dimensions(trace, part, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < basis.n_rows * 4096 * 8
+        assert peak < 2 * 2**20  # one chunk of columns and its tables, plus small states
 
     def test_too_short_trace_rejected(self):
         part = PartitionParams(init_len=4, local_len=8, period=32, orders=4)
@@ -200,6 +238,17 @@ class TestTemporalStd:
         data[0, 0, 1::2] = -1.0
         trace = KVTrace(keys=data, values=data.copy())
         np.testing.assert_allclose(temporal_std(trace), np.ones((1, 2, 2)))
+
+    def test_equals_the_two_copy_formula_bitwise(self):
+        rng = np.random.default_rng(7)
+        shape = (3, 2, 97, 5)
+        keys = (rng.standard_normal(shape) * 3 + 1).astype(np.float32)
+        values = rng.standard_normal(shape).astype(np.float32)
+        expected = np.empty((3, 2, 5))
+        for idx, data in enumerate((keys, values)):
+            stds = data.astype(np.float64).std(axis=2)
+            expected[:, idx, :] = np.sort(stds, axis=2)[:, :, ::-1].mean(axis=1)
+        np.testing.assert_array_equal(temporal_std(KVTrace(keys=keys, values=values)), expected)
 
     def test_scaling_k_doubles_k_std(self):
         rng = np.random.default_rng(4)

@@ -639,3 +639,56 @@ class TestFoldBlocks:
         # the states are 4 x 64 KiB; the rest is one chunk of columns and its temporaries
         assert long <= short + 16 * 1024
         assert short < 4 * 2**20
+
+
+@st.composite
+def runs_in_chunks(draw):
+    """A basis, a run of positions and a chunk size for ``_run_columns``.
+
+    Orders reach past ``period/2`` and past the period; runs reach two periods,
+    so many cross a multiple of it; chunks are drawn freely, so their
+    boundaries mostly fall between multiples of the tail width.
+    """
+    period = draw(st.integers(1, 80))
+    orders = draw(st.integers(1, 2 * period + 3))
+    start = draw(st.integers(0, 4 * period))
+    length = draw(st.integers(0, 2 * period + 3))
+    chunk = draw(st.integers(1, max(1, length + 2)))
+    return FourierBasis(orders=orders, period=period), start, length, chunk
+
+
+class TestRunColumns:
+    """Run columns by angle addition against the exact ``columns``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(runs_in_chunks())
+    def test_chunks_equal_columns_of_the_run(self, case):
+        basis, start, length, chunk = case
+        los, parts = [], []
+        for lo, cols_t in spectral._run_columns(basis, start, length, chunk):
+            assert cols_t.flags.c_contiguous and cols_t.dtype == np.float64
+            assert 1 <= cols_t.shape[0] <= chunk and cols_t.shape[1] == basis.n_rows
+            los.append(lo)
+            parts.append(cols_t.copy())  # the next chunk overwrites it
+        assert los == list(range(0, length, chunk))
+        got = np.concatenate(parts) if parts else np.zeros((0, basis.n_rows))
+        expected = basis.columns(np.arange(start, start + length)).T
+        assert got.shape == expected.shape
+        assert np.all(np.abs(got - expected) <= 4e-15)
+
+    def test_fold_chunk_transient_stays_within_the_budget(self):
+        basis = FourierBasis(orders=512, period=32768)
+        blocks = [np.ones((1020, 102), dtype=np.float32) for _ in range(2)]
+        tracemalloc.start()
+        try:
+            states = fold_blocks(basis, blocks, 4)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert current >= sum(s.coeffs.nbytes for s in states)
+        # columns and tables share 1 MB and the states are updated in place; on
+        # top come numpy's 8192-element buffer for the broadcast complex product
+        # and one chunk of one block, selected in float32 and cast to float64
+        chunk = spectral._run_chunk(basis.n_rows)
+        bound = 8 * spectral._FOLD_CHUNK_FLOATS + 16 * 8192 + chunk * 102 * 12
+        assert peak - current <= bound + 16 * 1024

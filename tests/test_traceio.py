@@ -1,5 +1,8 @@
 """Trace format round trips, corruption handling, and generators."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -36,6 +39,26 @@ class TestFormat:
         np.testing.assert_array_equal(back.keys, trace.keys)
         np.testing.assert_array_equal(back.values, trace.values)
 
+    def test_multi_layer_round_trip_gives_owned_c_ordered_arrays(self, tmp_path):
+        rng = np.random.default_rng(6)
+        trace = random_trace(rng, layers=3, kv_heads=2, seq_len=9, head_dim=5)
+        path = tmp_path / "t.kvt"
+        write_trace(path, trace)
+        back = read_trace(path)
+        for got, sent in ((back.keys, trace.keys), (back.values, trace.values)):
+            assert got.dtype == np.float32 and got.shape == sent.shape
+            assert got.flags.c_contiguous and got.flags.writeable
+            np.testing.assert_array_equal(got.view(np.uint32), sent.view(np.uint32))
+        assert not np.shares_memory(back.keys, back.values)
+
+    def test_trailing_bytes(self, tmp_path):
+        rng = np.random.default_rng(7)
+        path = tmp_path / "t.kvt"
+        write_trace(path, random_trace(rng))
+        path.write_bytes(path.read_bytes() + b"\0" * 4)
+        with pytest.raises(TruncatedPayloadError):
+            read_trace(path)
+
     def test_truncated_payload(self, tmp_path):
         rng = np.random.default_rng(1)
         path = tmp_path / "t.kvt"
@@ -57,6 +80,45 @@ class TestFormat:
         path.write_bytes(bytes(data))
         with pytest.raises(TruncatedPayloadError):
             read_trace(path)
+
+    def test_huge_header_geometry_is_rejected_before_allocating(self, tmp_path):
+        rng = np.random.default_rng(8)
+        path = tmp_path / "t.kvt"
+        write_trace(path, random_trace(rng))
+        data = bytearray(path.read_bytes())
+        data[8:12] = (2**31).to_bytes(4, "little")  # layers: a 2**40-byte payload
+        path.write_bytes(bytes(data))
+        with pytest.raises(TruncatedPayloadError):
+            read_trace(path)
+
+    @pytest.mark.parametrize("change", ["none", "short", "trailing"])
+    def test_payload_read_from_a_pipe(self, tmp_path, change):
+        # a pipe has no size to check up front: the reads themselves must see it
+        rng = np.random.default_rng(9)
+        trace = random_trace(rng)
+        path = tmp_path / "t.kvt"
+        write_trace(path, trace)
+        data = path.read_bytes()
+        data = {"none": data, "short": data[:-5], "trailing": data + b"\0" * 4}[change]
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(data)  # far below a pipe's buffer, so this never blocks
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            if change == "none":
+                back = read_trace(fifo)
+                np.testing.assert_array_equal(back.keys, trace.keys)
+                np.testing.assert_array_equal(back.values, trace.values)
+            else:
+                with pytest.raises(TruncatedPayloadError):
+                    read_trace(fifo)
+        finally:
+            writer.join()
 
     def test_bad_magic(self, tmp_path):
         rng = np.random.default_rng(3)
