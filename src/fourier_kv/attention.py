@@ -7,7 +7,11 @@ the compressed part of the output is its adjoint
 ``(w * sum_t p_t col(t))^T C_v``, each one Fourier transform over the M
 middle positions (see ``FourierBasis.evaluate``); kept dimensions and the
 exact initial and local blocks are plain products, and one softmax runs over
-all ``init + M + local`` scores. With ``R = min(k, period)`` and
+all ``init + M + local`` scores. The middle region goes to the transforms
+as a ``range``, which they read without scanning it; the query is scaled
+once, every score is written into one preallocated buffer, and the softmax
+runs in that buffer, so a call makes a fixed number of numpy calls,
+whatever M. With ``R = min(k, period)`` and
 ``L = min(M + R, period)``, per query that costs O(min(R * M, L log L) +
 (init + M + local) * head_dim) time, plus O(k * head_dim) to contract the
 2k-row states with the query: the transforms take whichever of products
@@ -27,6 +31,7 @@ dimensions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,8 +105,8 @@ def attend_full(q, keys, values, causal: bool = False, return_weights: bool = Fa
     return AttentionOutput(output=out, weights=weights if return_weights else None)
 
 
-def _middle_positions(slice_: HeadSlice) -> np.ndarray:
-    return np.arange(slice_.middle_start, slice_.middle_start + slice_.middle_count)
+def _middle_positions(slice_: HeadSlice) -> range:
+    return range(slice_.middle_start, slice_.middle_start + slice_.middle_count)
 
 
 def attend_compressed_materialized(
@@ -119,7 +124,7 @@ def attend_compressed_materialized(
     """
     positions = _middle_positions(slice_)
     dims = slice_.dims
-    mid_k = np.empty((positions.size, slice_.ring_k.shape[1]))
+    mid_k = np.empty((len(positions), slice_.ring_k.shape[1]))
     mid_v = np.empty_like(mid_k)
     mid_k[:, dims.k_kept] = slice_.kept_k.view()
     mid_v[:, dims.v_kept] = slice_.kept_v.view()
@@ -158,32 +163,39 @@ def attend_compressed_fused(q, slice_: HeadSlice, basis: FourierBasis) -> Attent
     else:
         local_k, local_v = slice_.local_block()
 
-    # stored blocks stay float32; each product casts its operand transiently
+    # every score lands in one buffer, init | middle | local; the query carries
+    # the 1/sqrt(d) scale, and the stored float32 blocks are cast transiently
+    # by each product
+    q = q * (1.0 / math.sqrt(head_dim))
     dims = slice_.dims
     positions = _middle_positions(slice_)
+    n_init = slice_.init_len
+    mid_end = n_init + len(positions)
+    scores = np.empty(mid_end + local_k.shape[0], dtype=np.float64)
+    p_init, p_mid, p_local = scores[:n_init], scores[n_init:mid_end], scores[mid_end:]
+    np.matmul(slice_.init_k, q, out=p_init)
+    np.matmul(slice_.kept_k.view(), q[dims.k_kept], out=p_mid)
+    np.matmul(local_k, q, out=p_local)
     synthesis = basis.synthesis_weights()
-    mid_scores = slice_.kept_k.view() @ q[dims.k_kept]
-    if positions.size and dims.k_compressed.size:
+    if len(positions) and dims.k_compressed.size:
         poly = synthesis * (slice_.spec_k.coeffs @ q[dims.k_compressed])
-        mid_scores += basis.evaluate(poly, positions)
-
-    scale = 1.0 / np.sqrt(head_dim)
-    scores = np.concatenate([slice_.init_k @ q, mid_scores, local_k @ q]) * scale
+        p_mid += basis.evaluate(poly, positions)
     # the stored blocks are not scanned: a NaN or Inf in any key row, kept
     # row or spectral state reaches a score, and one in any value row the
     # output, also under a zero weight (0 * Inf is NaN)
     _check_finite("scores", scores)
-    probs = np.exp(scores - scores.max())
-    probs /= probs.sum()
-    n_init = slice_.init_len
-    mid_end = n_init + mid_scores.size
-    p_init, p_mid, p_local = probs[:n_init], probs[n_init:mid_end], probs[mid_end:]
+    # the score views now hold unnormalized softmax weights; every term of the
+    # output is linear in them, so the output is divided by their sum once
+    scores -= scores.max()
+    np.exp(scores, out=scores)
 
-    out = p_init @ slice_.init_v + p_local @ local_v
+    out = p_init @ slice_.init_v
+    out += p_local @ local_v
     out[dims.v_kept] += p_mid @ slice_.kept_v.view()
-    if positions.size and dims.v_compressed.size:
+    if len(positions) and dims.v_compressed.size:
         folded = synthesis * basis.project(p_mid, positions)
         out[dims.v_compressed] += folded @ slice_.spec_v.coeffs
+    out /= scores.sum()
     _check_finite("output", out)
     return AttentionOutput(output=out)
 

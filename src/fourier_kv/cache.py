@@ -142,7 +142,13 @@ class CacheLayout:
 
 
 class _GrowBuffer:
-    """Append-only float32 row buffer with doubling reallocation."""
+    """Append-only float32 row buffer that grows by an eighth of its capacity.
+
+    A full buffer of capacity ``c`` reallocates to ``c + max(8, c // 8)``
+    rows, so capacity stays within ``1.125 * len + 8`` rows while appends
+    still cost amortized O(1) copies each. A buffer built from a prefill
+    block holds exactly its rows until the first append.
+    """
 
     def __init__(self, width: int):
         self._data = np.empty((0, width), dtype=np.float32)
@@ -156,9 +162,9 @@ class _GrowBuffer:
         return buf
 
     def append(self, row: np.ndarray) -> None:
-        if self._len == self._data.shape[0]:
-            new_cap = max(8, 2 * self._data.shape[0])
-            grown = np.empty((new_cap, self._data.shape[1]), dtype=np.float32)
+        cap = self.capacity
+        if self._len == cap:
+            grown = np.empty((cap + max(8, cap // 8), self._data.shape[1]), dtype=np.float32)
             grown[: self._len] = self._data[: self._len]
             self._data = grown
         self._data[self._len] = row
@@ -166,6 +172,10 @@ class _GrowBuffer:
 
     def view(self) -> np.ndarray:
         return self._data[: self._len]
+
+    @property
+    def capacity(self) -> int:
+        return self._data.shape[0]
 
     def __len__(self) -> int:
         return self._len

@@ -6,7 +6,9 @@ for each of ``k`` frequency orders. Folding one token is a rank-1 update, so
 batch compression and one-token-at-a-time streaming commute, and the state
 size never grows with sequence length. :func:`compress_batch` and
 :func:`fold_token` accumulate those updates one position at a time, each a
-BLAS rank-1 update of the state in place, and are bitwise equal;
+BLAS rank-1 update of the state in place, and are bitwise equal; both read
+:meth:`FourierBasis.column`, which keeps the last column it built, so the K
+and V folds of every head evicting one position share one column;
 :func:`fold_blocks`, the fast batch fold, sums chunks of positions with one
 in-place BLAS matrix product per block and shares each chunk's basis
 columns across every block that covers the same positions. It builds those
@@ -22,7 +24,10 @@ it. Three transforms serve them, and a cost rule picks the cheapest for the
 orders and the extent of the positions read: two small matrix products
 against cached trig tables for few orders, a chirp-z transform over that
 extent while it is short against the period, and one length-period FFT
-once that is cheaper.
+once that is cheaper. A run of positions passed as a ``range`` is read
+without scanning it, and its values are sliced out of, and its weights
+sliced into, the transform, so a call's fixed cost is a handful of numpy
+calls.
 
 Phases are indexed by *absolute* token position so that a state built during
 prefill and a state extended by streaming evictions agree without rephasing.
@@ -70,7 +75,8 @@ class FourierBasis:
     Any ``orders`` is accepted; at integer positions order ``n`` is the same
     wave as order ``n mod period``, so orders at or past ``period/2`` alias.
 
-    :meth:`columns` builds columns explicitly, O(orders) trig calls each.
+    :meth:`columns` builds columns explicitly, O(orders) trig calls each;
+    :meth:`column` builds one, read-only, and the last one built is cached.
     :meth:`evaluate` (``columns(t).T @ a``) and its adjoint :meth:`project`
     (``columns(t) @ p``) never build them. Each runs one of three transforms,
     priced by the extent ``span`` of the positions, or of their residues mod
@@ -117,21 +123,17 @@ class FourierBasis:
     def n_rows(self) -> int:
         return 2 * self.orders
 
-    def _phases(self, positions: np.ndarray) -> np.ndarray:
-        n = np.arange(self.orders, dtype=np.int64)
-        # (n*t) mod period keeps trig arguments in [0, 2*pi) even at large t
-        frac = (n[:, None] * positions[None, :]) % self.period
-        return (2.0 * np.pi / self.period) * frac.astype(np.float64)
-
     def column(self, pos: int) -> np.ndarray:
-        """Basis column for one absolute position, shape ``(2*orders,)``."""
+        """Basis column for one absolute position, shape ``(2*orders,)``.
+
+        The array is read-only (writing to it raises ``ValueError``) and is
+        shared: the last column built is cached for every basis of the same
+        geometry, so the K and V folds of every head that evicts the same
+        position compute it once.
+        """
         if pos < 0:
             raise ValueError(f"position must be >= 0, got {pos}")
-        phases = self._phases(np.asarray([pos], dtype=np.int64))[:, 0]
-        col = np.empty(self.n_rows, dtype=np.float64)
-        col[0::2] = np.cos(phases)
-        col[1::2] = np.sin(phases)
-        return col
+        return _column(self.orders, self.period, int(pos))
 
     @staticmethod
     def _positions(positions) -> np.ndarray:
@@ -141,6 +143,19 @@ class FourierBasis:
         if pos.size and pos.min() < 0:
             raise ValueError("positions must be >= 0")
         return pos
+
+    def _run_or_positions(self, positions) -> range | np.ndarray:
+        """``positions`` itself if it is a run, else as :meth:`_positions`.
+
+        A run is a ``range`` of step 1 and at most ``period`` positions: its
+        offsets from ``start`` are ``0..len - 1`` on distinct residues, so
+        :meth:`evaluate` and :meth:`project` address it with slices.
+        """
+        if isinstance(positions, range) and positions.step == 1 and len(positions) <= self.period:
+            if len(positions) and positions.start < 0:
+                raise ValueError("positions must be >= 0")
+            return positions
+        return self._positions(positions)
 
     def columns(self, positions) -> np.ndarray:
         """Basis columns for many positions, shape ``(2*orders, len(positions))``."""
@@ -169,23 +184,29 @@ class FourierBasis:
         return np.where(above, self.period - r, r), np.where(above, -1.0, 1.0)
 
     def _transform(
-        self, pos: np.ndarray
-    ) -> tuple[np.ndarray, int, _TrigTables | _ChirpPlan | None]:
+        self, pos: range | np.ndarray
+    ) -> tuple[np.ndarray | None, int, _TrigTables | _ChirpPlan | None]:
         """Offsets of non-empty ``pos`` from their lowest, their span, and the plan to run.
 
-        Positions that cross a multiple of the period are read as residues
-        mod ``period`` when those lie closer together; a run that wraps
+        A run (see :meth:`_run_or_positions`) is read as it stands: its
+        offsets from its start are ``0..len - 1``, returned as ``None``, and
+        nothing is scanned. Other positions are offset from their lowest;
+        those that cross a multiple of the period are read as residues mod
+        ``period`` when those lie closer together, and a run that wraps
         keeps its own length. The plan holds the trig tables or the chirp-z
         tables of the cheaper transform; it is ``None`` for the
         length-period FFT.
         """
-        lo, hi = int(pos.min()), int(pos.max())
-        if lo // self.period != hi // self.period:
-            residues = pos % self.period
-            r_lo, r_hi = int(residues.min()), int(residues.max())
-            if r_hi - r_lo < hi - lo:
-                pos, lo, hi = residues, r_lo, r_hi
-        span = hi - lo + 1
+        if isinstance(pos, range):
+            offsets, lo, span = None, pos.start, len(pos)
+        else:
+            lo, hi = int(pos.min()), int(pos.max())
+            if lo // self.period != hi // self.period:
+                residues = pos % self.period
+                r_lo, r_hi = int(residues.min()), int(residues.max())
+                if r_hi - r_lo < hi - lo:
+                    pos, lo, hi = residues, r_lo, r_hi
+            offsets, span = pos - lo, hi - lo + 1
         n_bins = min(self.orders, self.period)
         # linear convolution of ``span`` outputs with R bins: n >= span + R - 1
         n = 1 << (span + n_bins - 2).bit_length()
@@ -201,19 +222,25 @@ class FourierBasis:
             plan = _chirp_plan(self.orders, self.period, lo % self.period, n)
         else:
             plan = None
-        return pos - lo, span, plan
+        return offsets, span, plan
 
     def evaluate(self, coeffs, positions) -> np.ndarray:
         """``columns(positions).T @ coeffs``: the trig polynomial at each position.
 
         ``coeffs`` has shape ``(2*orders,)`` in the row layout of
-        :meth:`columns`; returns ``(len(positions),)``.
+        :meth:`columns`; returns ``(len(positions),)``, for a run possibly a
+        view of a transform buffer. ``positions`` may be any 1-D sequence of
+        integers. A ``range`` of step 1 and at most ``period`` positions,
+        such as a middle region, is a run: it is read without scanning it,
+        and its values are sliced out of the transform rather than gathered,
+        so a call costs the transform and a fixed number of small numpy
+        calls.
         """
         a = np.ascontiguousarray(coeffs, dtype=np.float64)
         if a.shape != (self.n_rows,):
             raise ValueError(f"coeffs must have shape ({self.n_rows},), got {a.shape}")
-        pos = self._positions(positions)
-        if pos.size == 0:
+        pos = self._run_or_positions(positions)
+        if len(pos) == 0:
             return np.zeros(0, dtype=np.float64)
         offsets, span, plan = self._transform(pos)
         if plan is None:
@@ -225,7 +252,10 @@ class FourierBasis:
             # irfft counts every bin but DC and Nyquist twice (once per sign of frequency)
             spectrum[1 : (self.period + 1) // 2] *= 0.5
             wave = np.fft.irfft(spectrum, n=self.period, norm="forward")
-            return wave[pos % self.period]
+            if offsets is not None:
+                return wave[pos % self.period]
+            first, wrapped = _run_slices(pos.start, span, self.period)
+            return np.concatenate((wave[first], wave[wrapped]))
         # z[r] = c_r + i*s_r from the cosine and sine coefficients of bin r: the
         # value at offset m is the sum over bins of Re(z[r] * exp(-i*theta_r*(lo + m)))
         if self.orders <= self.period:
@@ -236,27 +266,39 @@ class FourierBasis:
             )
         if isinstance(plan, _TrigTables):
             mixed = plan.head[: -(-span // plan.tail.shape[1])] * z
-            return (mixed.view(np.float64) @ plan.tail).ravel()[offsets]
-        x = np.conjugate(z)
-        x *= plan.pre
-        y = np.fft.ifft(np.fft.fft(x, plan.spectrum.size) * plan.spectrum)[:span]
-        y *= plan.chirp[:span]
-        return y.real[offsets]
+            values = (mixed.view(np.float64) @ plan.tail).ravel()
+        else:
+            x = np.conjugate(z)
+            x *= plan.pre
+            y = np.fft.ifft(np.fft.fft(x, plan.spectrum.size) * plan.spectrum)[:span]
+            y *= plan.chirp[:span]
+            values = y.real
+        return values[:span] if offsets is None else values[offsets]
 
     def project(self, weights, positions) -> np.ndarray:
         """``columns(positions) @ weights``: the adjoint of :meth:`evaluate`.
 
         ``weights`` has shape ``(len(positions),)``; returns ``(2*orders,)``.
+        Positions are read as by :meth:`evaluate`: a run's weights are
+        copied into the transform's input with slices, other positions'
+        are summed into it by position.
         """
-        pos = self._positions(positions)
+        pos = self._run_or_positions(positions)
         w = np.asarray(weights, dtype=np.float64)
-        if w.shape != pos.shape:
-            raise ValueError(f"weights must have shape {pos.shape}, got {w.shape}")
-        if pos.size == 0:
+        if w.shape != (len(pos),):
+            raise ValueError(f"weights must have shape ({len(pos)},), got {w.shape}")
+        if len(pos) == 0:
             return np.zeros(self.n_rows, dtype=np.float64)
         offsets, span, plan = self._transform(pos)
         if plan is None:
-            spectrum = np.fft.rfft(np.bincount(pos % self.period, w, minlength=self.period))
+            if offsets is None:
+                folded = np.zeros(self.period, dtype=np.float64)
+                first, wrapped = _run_slices(pos.start, span, self.period)
+                cut = first.stop - first.start
+                folded[first], folded[wrapped] = w[:cut], w[cut:]
+            else:
+                folded = np.bincount(pos % self.period, w, minlength=self.period)
+            spectrum = np.fft.rfft(folded)
             bins, sine_sign = self._bins()
             out = np.empty(self.n_rows, dtype=np.float64)
             out[0::2] = spectrum.real[bins]
@@ -266,12 +308,17 @@ class FourierBasis:
         if isinstance(plan, _TrigTables):
             width = plan.tail.shape[1]
             rows = -(-span // width)
-            grid = np.bincount(offsets, w, minlength=rows * width).reshape(rows, width)
+            if offsets is None:
+                grid = np.zeros(rows * width, dtype=np.float64)
+                grid[:span] = w
+            else:
+                grid = np.bincount(offsets, w, minlength=rows * width)
             # evaluate transposed: the tail sums each row of the grid, the head what is left
-            sums = (grid @ plan.tail.T).view(np.complex128)
+            sums = (grid.reshape(rows, width) @ plan.tail.T).view(np.complex128)
             g = (np.conjugate(plan.head[:rows]) * sums).sum(axis=0)
         else:
-            x = np.bincount(offsets, w, minlength=span) * plan.chirp[:span]
+            x = w if offsets is None else np.bincount(offsets, w, minlength=span)
+            x = x * plan.chirp[:span]
             # fft(ifft(x) * H)[r] = sum_m x[m] * h[m - r]: the transpose of evaluate's
             # convolution with the filter h, from the same spectrum H
             g = np.fft.fft(np.fft.ifft(x, plan.spectrum.size) * plan.spectrum)[: plan.pre.size]
@@ -318,6 +365,34 @@ _CHIRP_LENGTH_RATIO = 4
 # (orders 8-512, spans 256-4096, periods 4096 and 32768, numpy 2.4 on a
 # 2-core x86_64)
 _TABLE_COST_RATIO = 16
+
+
+def _run_slices(start: int, count: int, period: int) -> tuple[slice, slice]:
+    """Where residues ``start..start+count-1`` mod ``period`` lie in ``0..period-1``.
+
+    ``count <= period``. The first slice holds the residues up to the end of
+    the period, the second the ones that wrap past it (empty if none).
+    """
+    lo = start % period
+    stop = min(lo + count, period)
+    return slice(lo, stop), slice(0, count - (stop - lo))
+
+
+@functools.lru_cache(maxsize=1)
+def _column(orders: int, period: int, pos: int) -> np.ndarray:
+    # one column, 16 * orders bytes: every fold of one eviction step reads the same
+    n = np.arange(orders, dtype=np.int64)
+    # (n*t) mod period keeps trig arguments in [0, 2*pi) even at large t
+    phases = (2.0 * np.pi / period) * ((n * pos) % period).astype(np.float64)
+    col = np.empty(2 * orders, dtype=np.float64)
+    col[0::2] = np.cos(phases)
+    col[1::2] = np.sin(phases)
+    # setflags rather than flags.writeable: each write through a flags object
+    # leaves a few small blocks allocated (up to about 1 KB in all, a count
+    # that differs from process to process), and this runs once per eviction
+    # step, inside the benchmark's held-bytes measurement
+    col.setflags(write=False)
+    return col
 
 
 class _ChirpPlan(NamedTuple):

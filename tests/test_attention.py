@@ -1,12 +1,14 @@
 """Attention paths: reference, compressed-materialized, fused, diagnostics."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fourier_kv import spectral
 from fourier_kv.attention import (
     attend_compressed_fused,
     attend_compressed_materialized,
@@ -177,6 +179,34 @@ class TestCompressedFused:
         out = attend_compressed_fused(q, sl, basis).output
         assert out.shape == ref.shape
         assert np.max(np.abs(out - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
+
+    # a middle region that starts after the initial block and grows by
+    # evictions until it is one period long, so its positions cross a
+    # multiple of the period; each ratio setting forces one transform
+    @pytest.mark.parametrize("orders", [5, 40, 70])
+    @pytest.mark.parametrize("ratios", [
+        {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 0},
+        {"_TABLE_COST_RATIO": spectral._TABLE_COST_RATIO},
+        {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 2**62},
+        {"_TABLE_COST_RATIO": 2**62},
+    ], ids=["chirp-z", "dispatch", "length-period", "tables"])
+    def test_fused_equals_materialized_on_a_middle_across_the_period(self, ratios, orders):
+        rng = np.random.default_rng(orders)
+        init, local, period, head_dim = 5, 8, 64, 8
+        sl, basis, *_ = build_slice(rng, seq_len=init + period - 12 + local, head_dim=head_dim,
+                                    init=init, local=local, orders=orders, period=period,
+                                    k_comp=(0, 2, 3, 5, 6), v_comp=(1, 2, 4, 7))
+        for step in range(12):
+            append_token(sl, basis, rng.standard_normal(head_dim), rng.standard_normal(head_dim))
+            last = sl.middle_start + sl.middle_count - 1
+            if last < period:
+                continue
+            q = 2.0 * rng.standard_normal(head_dim)
+            with mock.patch.multiple(spectral, **ratios):
+                out = attend_compressed_fused(q, sl, basis).output
+            ref = attend_compressed_materialized(q, sl, basis).output
+            assert np.max(np.abs(out - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
+        assert sl.middle_count == period and sl.middle_start == init
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(decoded_slices(), st.data())

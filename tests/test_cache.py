@@ -376,6 +376,22 @@ class TestAppend:
             assert sl.represented() == 11 + step
             assert sl.spec_k.token_count == sl.spec_v.token_count
 
+    def test_kept_rows_survive_growth_with_bounded_slack(self):
+        rng = np.random.default_rng(14)
+        layout = make_layout(init=4, local=16, head_dim=6, period=2048, orders=4)
+        basis = build_basis(4, 2048)
+        keys, values = random_layer(rng, seq_len=1000)
+        sl = prefill(keys[:, :300], values[:, :300], layout, 0, basis)[0]
+        for buf in (sl.kept_k, sl.kept_v):
+            assert buf.capacity == len(buf) == 300 - 4 - 16
+        for pos in range(300, 1000):
+            append_token(sl, basis, keys[0, pos], values[0, pos])
+            for buf in (sl.kept_k, sl.kept_v):
+                assert len(buf) <= buf.capacity <= 1.125 * len(buf) + 8
+        middle = slice(4, 1000 - 16)
+        np.testing.assert_array_equal(sl.kept_k.view(), keys[0, middle][:, layout.dims[0][0].k_kept])
+        np.testing.assert_array_equal(sl.kept_v.view(), values[0, middle][:, layout.dims[0][0].v_kept])
+
     def test_eviction_past_period_rejected(self):
         layout = make_layout(init=0, local=2, period=4)
         basis = build_basis(4, 4)

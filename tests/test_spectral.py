@@ -109,6 +109,20 @@ class TestFourierBasis:
         with pytest.raises(ValueError):
             weights[0] = 1.0
 
+    def test_column_is_read_only_and_one_is_cached(self):
+        basis = build_basis(orders=5, period=32)
+        col = basis.column(7)
+        with pytest.raises(ValueError):
+            col[0] = 2.0
+        np.testing.assert_allclose(col, basis.columns([7])[:, 0], rtol=0, atol=1e-15)
+        # the same geometry shares the column; another position replaces it
+        assert build_basis(orders=5, period=32).column(7) is col
+        for pos in (8, 40, 7):
+            basis.column(pos)
+            assert spectral._column.cache_info().currsize == 1
+        assert spectral._column.cache_info().maxsize == 1
+        np.testing.assert_array_equal(basis.column(7), col)
+
     def test_rejects_bad_geometry(self):
         with pytest.raises(ValueError):
             build_basis(0, 8)
@@ -545,6 +559,78 @@ class TestContiguousRuns:
                 tracemalloc.stop()
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * basis.n_rows)
             assert peak < 2**15  # a length-32 chirp-z transform, not a length-period FFT
+
+
+@st.composite
+def basis_and_range(draw):
+    """A basis and positions given as a ``range``, as decode attention passes them.
+
+    Unit-step runs reach exactly one period (a run) and past it (read as an
+    array), start anywhere in the first three periods so they often wrap
+    past a multiple of the period, and may be empty; orders reach past
+    ``period``. Other steps, negative ones included, are read as arrays.
+    """
+    period = draw(st.one_of(st.just(1), st.integers(2, 80)))
+    orders = draw(st.one_of(st.integers(1, period), st.integers(period, 2 * period + 3)))
+    count = draw(st.one_of(st.just(0), st.just(period), st.integers(1, period),
+                           st.integers(period, 2 * period)))
+    start = draw(st.integers(0, 3 * period))
+    step = draw(st.one_of(st.just(1), st.sampled_from([-3, -1, 2, 5])))
+    if step < 0:
+        start += -step * count  # the lowest position stays >= 0
+    seed = draw(st.integers(0, 2**32 - 1))
+    return FourierBasis(orders=orders, period=period), range(start, start + step * count, step), seed
+
+
+class TestRangePositions:
+    """``evaluate``/``project`` on ``range`` positions equal the array path and the columns."""
+
+    @pytest.mark.parametrize("ratios", [
+        {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 0},
+        {"_TABLE_COST_RATIO": spectral._TABLE_COST_RATIO},
+        {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 2**62},
+        {"_TABLE_COST_RATIO": 2**62},
+    ], ids=["chirp-z", "dispatch", "length-period", "tables"])
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=basis_and_range())
+    def test_range_equals_array_and_columns_products(self, ratios, case):
+        basis, run, seed = case
+        positions = np.asarray(run, dtype=np.int64)
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal(basis.n_rows)
+        weights = rng.standard_normal(len(run))
+        cols = basis.columns(positions)
+        with mock.patch.multiple(spectral, **ratios):
+            evaluated = basis.evaluate(coeffs, run)
+            projected = basis.project(weights, run)
+            evaluated_array = basis.evaluate(coeffs, positions)
+            projected_array = basis.project(weights, positions)
+        assert evaluated.shape == (len(run),) and projected.shape == (basis.n_rows,)
+        eval_tol = 1e-12 * max(1.0, np.abs(coeffs).sum())
+        proj_tol = 1e-12 * max(1.0, np.abs(weights).sum())
+        for got, expected, tol in ((evaluated, evaluated_array, eval_tol),
+                                   (evaluated, cols.T @ coeffs, eval_tol),
+                                   (projected, projected_array, proj_tol),
+                                   (projected, cols @ weights, proj_tol)):
+            np.testing.assert_allclose(got, expected, rtol=0, atol=tol)
+
+    def test_a_run_is_read_without_scanning_it(self):
+        basis = FourierBasis(orders=16, period=4096)
+        run = range(4090, 4100)  # wraps past the period
+        offsets, span, _ = basis._transform(basis._run_or_positions(run))
+        assert offsets is None and span == len(run)
+        array = basis._run_or_positions(np.asarray(run))
+        np.testing.assert_array_equal(basis._transform(array)[0], np.arange(len(run)))
+
+    def test_rejects_negative_and_mismatched_ranges(self):
+        basis = FourierBasis(orders=3, period=16)
+        with pytest.raises(ValueError):
+            basis.evaluate(np.zeros(6), range(-1, 3))
+        with pytest.raises(ValueError):
+            basis.project(np.zeros(4), range(-1, 3))
+        with pytest.raises(ValueError):
+            basis.project(np.zeros(3), range(0, 4))
+        assert basis.evaluate(np.zeros(6), range(-4, -4)).shape == (0,)
 
 
 def assert_fold_matches_oracle(state, basis, block, start_pos):
