@@ -26,8 +26,8 @@ against cached trig tables for few orders, a chirp-z transform over that
 extent while it is short against the period, and one length-period FFT
 once that is cheaper. A run of positions passed as a ``range`` is read
 without scanning it, and its values are sliced out of, and its weights
-sliced into, the transform, so a call's fixed cost is a handful of numpy
-calls.
+sliced into, the trig-table and chirp-z transforms, so a call's fixed cost
+is a handful of numpy calls.
 
 Phases are indexed by *absolute* token position so that a state built during
 prefill and a state extended by streaming evictions agree without rephasing.
@@ -137,6 +137,9 @@ class FourierBasis:
 
     @staticmethod
     def _positions(positions) -> np.ndarray:
+        if isinstance(positions, range):
+            # np.asarray walks a range one Python int at a time
+            positions = np.arange(positions.start, positions.stop, positions.step)
         pos = np.asarray(positions, dtype=np.int64)
         if pos.ndim != 1:
             raise ValueError("positions must be one-dimensional")
@@ -185,11 +188,11 @@ class FourierBasis:
 
     def _transform(
         self, pos: range | np.ndarray
-    ) -> tuple[np.ndarray | None, int, _TrigTables | _ChirpPlan | None]:
+    ) -> tuple[np.ndarray | slice, int, _TrigTables | _ChirpPlan | None]:
         """Offsets of non-empty ``pos`` from their lowest, their span, and the plan to run.
 
         A run (see :meth:`_run_or_positions`) is read as it stands: its
-        offsets from its start are ``0..len - 1``, returned as ``None``, and
+        offsets from its start are ``0..len - 1``, returned as a slice, and
         nothing is scanned. Other positions are offset from their lowest;
         those that cross a multiple of the period are read as residues mod
         ``period`` when those lie closer together, and a run that wraps
@@ -198,7 +201,7 @@ class FourierBasis:
         length-period FFT.
         """
         if isinstance(pos, range):
-            offsets, lo, span = None, pos.start, len(pos)
+            offsets, lo, span = slice(0, len(pos)), pos.start, len(pos)
         else:
             lo, hi = int(pos.min()), int(pos.max())
             if lo // self.period != hi // self.period:
@@ -232,9 +235,10 @@ class FourierBasis:
         view of a transform buffer. ``positions`` may be any 1-D sequence of
         integers. A ``range`` of step 1 and at most ``period`` positions,
         such as a middle region, is a run: it is read without scanning it,
-        and its values are sliced out of the transform rather than gathered,
-        so a call costs the transform and a fixed number of small numpy
-        calls.
+        and its values are sliced out of the trig-table or chirp-z transform
+        rather than gathered, so a call costs the transform and a fixed
+        number of small numpy calls. The length-period FFT gathers every
+        input by residue.
         """
         a = np.ascontiguousarray(coeffs, dtype=np.float64)
         if a.shape != (self.n_rows,):
@@ -252,10 +256,7 @@ class FourierBasis:
             # irfft counts every bin but DC and Nyquist twice (once per sign of frequency)
             spectrum[1 : (self.period + 1) // 2] *= 0.5
             wave = np.fft.irfft(spectrum, n=self.period, norm="forward")
-            if offsets is not None:
-                return wave[pos % self.period]
-            first, wrapped = _run_slices(pos.start, span, self.period)
-            return np.concatenate((wave[first], wave[wrapped]))
+            return wave[self._positions(pos) % self.period]
         # z[r] = c_r + i*s_r from the cosine and sine coefficients of bin r: the
         # value at offset m is the sum over bins of Re(z[r] * exp(-i*theta_r*(lo + m)))
         if self.orders <= self.period:
@@ -273,15 +274,16 @@ class FourierBasis:
             y = np.fft.ifft(np.fft.fft(x, plan.spectrum.size) * plan.spectrum)[:span]
             y *= plan.chirp[:span]
             values = y.real
-        return values[:span] if offsets is None else values[offsets]
+        return values[offsets]
 
     def project(self, weights, positions) -> np.ndarray:
         """``columns(positions) @ weights``: the adjoint of :meth:`evaluate`.
 
         ``weights`` has shape ``(len(positions),)``; returns ``(2*orders,)``.
         Positions are read as by :meth:`evaluate`: a run's weights are
-        copied into the transform's input with slices, other positions'
-        are summed into it by position.
+        copied into the trig-table or chirp-z transform's input with a
+        slice, other positions' are summed into it by position, and the
+        length-period FFT sums every input by residue.
         """
         pos = self._run_or_positions(positions)
         w = np.asarray(weights, dtype=np.float64)
@@ -291,14 +293,9 @@ class FourierBasis:
             return np.zeros(self.n_rows, dtype=np.float64)
         offsets, span, plan = self._transform(pos)
         if plan is None:
-            if offsets is None:
-                folded = np.zeros(self.period, dtype=np.float64)
-                first, wrapped = _run_slices(pos.start, span, self.period)
-                cut = first.stop - first.start
-                folded[first], folded[wrapped] = w[:cut], w[cut:]
-            else:
-                folded = np.bincount(pos % self.period, w, minlength=self.period)
-            spectrum = np.fft.rfft(folded)
+            spectrum = np.fft.rfft(
+                np.bincount(self._positions(pos) % self.period, w, minlength=self.period)
+            )
             bins, sine_sign = self._bins()
             out = np.empty(self.n_rows, dtype=np.float64)
             out[0::2] = spectrum.real[bins]
@@ -308,17 +305,12 @@ class FourierBasis:
         if isinstance(plan, _TrigTables):
             width = plan.tail.shape[1]
             rows = -(-span // width)
-            if offsets is None:
-                grid = np.zeros(rows * width, dtype=np.float64)
-                grid[:span] = w
-            else:
-                grid = np.bincount(offsets, w, minlength=rows * width)
+            grid = _scatter(offsets, w, rows * width)
             # evaluate transposed: the tail sums each row of the grid, the head what is left
             sums = (grid.reshape(rows, width) @ plan.tail.T).view(np.complex128)
             g = (np.conjugate(plan.head[:rows]) * sums).sum(axis=0)
         else:
-            x = w if offsets is None else np.bincount(offsets, w, minlength=span)
-            x = x * plan.chirp[:span]
+            x = _scatter(offsets, w, span) * plan.chirp[:span]
             # fft(ifft(x) * H)[r] = sum_m x[m] * h[m - r]: the transpose of evaluate's
             # convolution with the filter h, from the same spectrum H
             g = np.fft.fft(np.fft.ifft(x, plan.spectrum.size) * plan.spectrum)[: plan.pre.size]
@@ -367,15 +359,17 @@ _CHIRP_LENGTH_RATIO = 4
 _TABLE_COST_RATIO = 16
 
 
-def _run_slices(start: int, count: int, period: int) -> tuple[slice, slice]:
-    """Where residues ``start..start+count-1`` mod ``period`` lie in ``0..period-1``.
+def _scatter(offsets: np.ndarray | slice, w: np.ndarray, size: int) -> np.ndarray:
+    """Length-``size`` vector with ``w`` summed in at ``offsets``, zero elsewhere.
 
-    ``count <= period``. The first slice holds the residues up to the end of
-    the period, the second the ones that wrap past it (empty if none).
+    A run's offsets are a slice, and its weights are copied in; index offsets
+    may repeat, so theirs are summed.
     """
-    lo = start % period
-    stop = min(lo + count, period)
-    return slice(lo, stop), slice(0, count - (stop - lo))
+    if isinstance(offsets, slice):
+        out = np.zeros(size, dtype=np.float64)
+        out[offsets] = w
+        return out
+    return np.bincount(offsets, w, minlength=size)
 
 
 @functools.lru_cache(maxsize=1)

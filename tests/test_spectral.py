@@ -618,7 +618,7 @@ class TestRangePositions:
         basis = FourierBasis(orders=16, period=4096)
         run = range(4090, 4100)  # wraps past the period
         offsets, span, _ = basis._transform(basis._run_or_positions(run))
-        assert offsets is None and span == len(run)
+        assert offsets == slice(0, len(run)) and span == len(run)
         array = basis._run_or_positions(np.asarray(run))
         np.testing.assert_array_equal(basis._transform(array)[0], np.arange(len(run)))
 
