@@ -3,7 +3,14 @@
 Dimensions are ranked per (layer, head) by how well the spectral compressor
 reconstructs them on a calibration trace (mean squared error, ties broken by
 ascending index), then a per-layer ratio schema decides how many of the
-best-reconstructed dimensions each head folds. The stock schema compresses
+best-reconstructed dimensions each head folds. The ranking never reads a
+middle region back through basis columns. With many orders (stock) the
+fold-and-reconstruct operator is a convolution with one kernel over the lag,
+so each dimension costs one real FFT pair of about twice the middle's
+length; with few orders (desk) each dimension's error is a quadratic form
+of its folded state with one data-independent Gram matrix. The decode
+transforms' cost rule picks between them, and either keeps its transient
+within the batch fold's 1 MB chunk. The stock schema compresses
 more of the V cache than the K cache and more of the lower layers than the
 upper ones (an inverted pyramid); ablation variants flatten, swap, or flip
 it. Diagnostics cover temporal standard deviations and the distribution of
@@ -16,9 +23,11 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
+from fourier_kv import spectral
 from fourier_kv.cache import CacheLayout, HeadDims, PartitionParams
-from fourier_kv.spectral import FourierBasis, _run_columns, fold_blocks
+from fourier_kv.spectral import FourierBasis, _add_product, _run_columns, fold_blocks
 from fourier_kv.traceio import KVTrace
 
 __all__ = [
@@ -129,16 +138,33 @@ class MseRanking:
 
 
 def rank_dimensions(trace: KVTrace, partition: PartitionParams, basis: FourierBasis) -> MseRanking:
-    """Compress-and-reconstruct every dimension of the calibration middle region.
+    """Reconstruction MSE of every dimension of the calibration middle region.
 
     Uses the normalized inverse transform; with a middle region exactly one
     period long the reconstruction is the orthogonal projection and the MSE
-    cleanly measures out-of-band energy. Per layer, every head's K and V
-    middle is folded by one :func:`fold_blocks` call, and the readback runs
-    chunk by chunk over the same run columns: each chunk's reconstruction is
-    compared with the trace and only its squared error per dimension is
-    kept, so no ``(2k, positions)`` column block and no full reconstruction
-    is ever built.
+    cleanly measures out-of-band energy. A middle column ``x`` of ``M``
+    positions reconstructs as ``P x = C.T W C x``, with ``C`` the basis
+    columns of the run and ``W`` the synthesis weights; no middle is ever
+    read back through ``C``. One of two forms computes ``|x - P x|**2``:
+
+    * convolution: ``C.T W C`` depends only on the lag between two positions,
+      ``k(lag) = sum_n w_n cos(2*pi*n*lag/period)``, so ``P x`` is ``x``
+      convolved with ``k``. The kernel is one :meth:`FourierBasis.evaluate`
+      per call, and every column one real FFT pair of the power-of-two
+      length ``n >= 2M - 1``, in float64: O(M log M) per column whatever the
+      orders.
+    * Gram: with ``s = C x`` from :func:`fold_blocks` and the
+      data-independent ``G = C C.T``, ``|x - P x|**2 = |x|**2 + s.T (W G W -
+      2W) s``: O(orders * (M + orders)) per column for the fold and the
+      form, and ``G`` is summed once per call over the fold's run columns.
+
+    The decode transforms' cost rule picks the form: the Gram form while
+    ``min(orders, period) * M`` is at most ``_TABLE_COST_RATIO * L log2 L``
+    with ``L = n/2 + 1``, so 16 orders over a thousand positions take it and
+    512 orders take the convolution. Either way the transient memory is one
+    fold chunk or one group of FFT columns, each within
+    ``_FOLD_CHUNK_FLOATS`` (1 MB), plus the ``(2*orders, head_dim)`` states
+    of one layer; nothing grows with ``M`` times the orders.
     """
     if basis.orders != partition.orders or basis.period != partition.period:
         raise ValueError("basis geometry does not match the partition")
@@ -150,25 +176,76 @@ def rank_dimensions(trace: KVTrace, partition: PartitionParams, basis: FourierBa
             f"{partition.init_len + partition.local_len} positions, got {trace.seq_len}"
         )
     length = last - first
-    weights = basis.synthesis_weights()[:, None]
-    shape = (trace.layers, trace.kv_heads, trace.head_dim)
-    k_mse = np.empty(shape)
-    v_mse = np.empty(shape)
-    for layer in range(trace.layers):
-        # every head's K, then every head's V: (positions, head_dim) views of the trace
-        blocks = [*trace.keys[layer, :, first:last], *trace.values[layer, :, first:last]]
+    n_fft = 1 << (2 * length - 2).bit_length()  # linear convolution of M with M: n >= 2M - 1
+    # per layer, every head's K, then every head's V: (positions, head_dim) views of the trace
+    layers = [
+        [*trace.keys[layer, :, first:last], *trace.values[layer, :, first:last]]
+        for layer in range(trace.layers)
+    ]
+    sse = np.empty((trace.layers, 2 * trace.kv_heads, trace.head_dim))
+    if spectral._products_cheaper(min(basis.orders, basis.period) * length, n_fft // 2 + 1):
+        _gram_sse(basis, layers, first, length, out=sse)
+    else:
+        _convolution_sse(basis, layers, length, n_fft, out=sse)
+    mse = (sse / length).reshape(trace.layers, 2, trace.kv_heads, trace.head_dim)
+    return MseRanking(k_mse=mse[:, 0], v_mse=mse[:, 1])
+
+
+def _gram_sse(basis: FourierBasis, layers, first: int, length: int, out: np.ndarray) -> None:
+    """Squared reconstruction error of every column of every block, by the Gram form.
+
+    ``layers`` holds lists of ``(length, dim)`` blocks at positions ``first..``;
+    ``out[layer, block]`` receives one error per column.
+    """
+    weights = basis.synthesis_weights()
+    # |x - C.T W s|^2 = |x|^2 - 2 s.T W s + s.T W G W s, with s = C x
+    form = _gram(basis, first, length) * weights[:, None] * weights
+    form[np.diag_indices_from(form)] -= 2.0 * weights
+    for layer_sse, blocks in zip(out, layers):
         states = fold_blocks(basis, blocks, first)
-        for state in states:
-            state.coeffs *= weights
-        sse = np.zeros((len(blocks), trace.head_dim))
-        for lo, cols_t in _run_columns(basis, first, length):
-            hi = lo + cols_t.shape[0]
-            for total, block, state in zip(sse, blocks, states):
-                err = cols_t @ state.coeffs
-                err -= block[lo:hi]
-                total += np.einsum("ij,ij->j", err, err)
-        k_mse[layer], v_mse[layer] = (sse / length).reshape(2, trace.kv_heads, trace.head_dim)
-    return MseRanking(k_mse=k_mse, v_mse=v_mse)
+        for total, block, state in zip(layer_sse, blocks, states):
+            np.einsum("ij,ij->j", block, block, dtype=np.float64, out=total)
+            total += np.einsum("ij,ij->j", state.coeffs, form @ state.coeffs)
+    # the form cancels on a column it reconstructs almost exactly, and may dip below 0
+    np.maximum(out, 0.0, out=out)
+
+
+def _gram(basis: FourierBasis, first: int, length: int) -> np.ndarray:
+    """``C C.T`` over a run, summed chunk by chunk over its run columns."""
+    gram = np.zeros((basis.n_rows, basis.n_rows))
+    for _, cols_t in _run_columns(basis, first, length):
+        _add_product(gram, cols_t, cols_t)
+    return gram
+
+
+def _convolution_sse(basis: FourierBasis, layers, length: int, n_fft: int,
+                     out: np.ndarray) -> None:
+    """Squared reconstruction error of every column of every block, by FFT convolution.
+
+    Blocks and ``out`` as for :func:`_gram_sse`; ``n_fft >= 2 * length - 1``.
+    """
+    weights = np.zeros(basis.n_rows)
+    weights[0::2] = basis.synthesis_weights()[0::2]
+    kernel = basis.evaluate(weights, range(length))
+    # the kernel is even in the lag, so it wraps into a circulant of length n_fft
+    # whose spectrum is real
+    wrapped = np.zeros(n_fft)
+    wrapped[:length] = kernel
+    wrapped[n_fft - length + 1 :] = kernel[:0:-1]
+    spectrum = scipy.fft.rfft(wrapped).real
+    # the padded columns, their spectrum and their convolution: 3n + 2 floats a column
+    group = max(1, spectral._FOLD_CHUNK_FLOATS // (3 * n_fft + 2))
+    for layer_sse, blocks in zip(out, layers):
+        for total, block in zip(layer_sse, blocks):
+            for lo in range(0, block.shape[1], group):
+                # float64 before the FFT: scipy.fft keeps float32 input in single precision
+                padded = np.zeros((min(group, block.shape[1] - lo), n_fft))
+                padded[:, :length] = block[:, lo : lo + group].T
+                freq = scipy.fft.rfft(padded)
+                freq *= spectrum
+                err = scipy.fft.irfft(freq, n_fft)[:, :length]
+                err -= padded[:, :length]
+                np.einsum("ij,ij->i", err, err, out=total[lo : lo + group])
 
 
 def _select_lowest(mse_row: np.ndarray, count: int) -> np.ndarray:

@@ -217,7 +217,7 @@ class FourierBasis:
         # the complex FFT length of the cheaper FFT: the chirp-z pair's n, or
         # period // 2 + 1 for a real FFT of length period
         fft_len = n if chirp else self.period // 2 + 1
-        if n_bins * span <= _TABLE_COST_RATIO * fft_len * fft_len.bit_length():
+        if _products_cheaper(n_bins * span, fft_len):
             width = 1 << (span.bit_length() // 2)
             rows = 1 << (-(-span // width) - 1).bit_length()
             plan = _trig_tables(self.orders, self.period, lo % self.period, width, rows)
@@ -339,7 +339,7 @@ class FourierBasis:
     def _synthesis_weights(self) -> np.ndarray:
         w = np.full(self.n_rows, 2.0 / self.period, dtype=np.float64)
         w[0] = w[1] = 1.0 / self.period
-        w.flags.writeable = False
+        w.setflags(write=False)
         return w
 
 
@@ -357,6 +357,21 @@ _CHIRP_LENGTH_RATIO = 4
 # (orders 8-512, spans 256-4096, periods 4096 and 32768, numpy 2.4 on a
 # 2-core x86_64)
 _TABLE_COST_RATIO = 16
+
+
+def _products_cheaper(work: int, fft_len: int) -> bool:
+    """Whether products of ``work = R * span`` beat a complex FFT of length ``fft_len``.
+
+    ``work <= _TABLE_COST_RATIO * L * log2(L)`` with ``L = fft_len``, read at
+    call time so a test can force either side. The trig tables use it, and
+    so does ``dimselect.rank_dimensions`` to choose its Gram form over its
+    convolution, with ``span`` the calibration middle and ``L`` the real
+    FFT of twice its length: there it picked the faster form in 32 of 36
+    timed cases (orders 8-512, middles 256-4000, periods 4096 and 32768;
+    the four misses were 128 orders over 256 and 1000 positions, 2.2x and
+    1.1x slower, numpy 2.4 and scipy 1.17 on a 2-core x86_64).
+    """
+    return work <= _TABLE_COST_RATIO * fft_len * fft_len.bit_length()
 
 
 def _scatter(offsets: np.ndarray | slice, w: np.ndarray, size: int) -> np.ndarray:
@@ -381,10 +396,10 @@ def _column(orders: int, period: int, pos: int) -> np.ndarray:
     col = np.empty(2 * orders, dtype=np.float64)
     col[0::2] = np.cos(phases)
     col[1::2] = np.sin(phases)
-    # setflags rather than flags.writeable: each write through a flags object
-    # leaves a few small blocks allocated (up to about 1 KB in all, a count
-    # that differs from process to process), and this runs once per eviction
-    # step, inside the benchmark's held-bytes measurement
+    # setflags rather than flags.writeable, here and for every cached table:
+    # each write through a flags object leaves a few small blocks allocated (up
+    # to about 1 KB in all, a count that differs from process to process), and
+    # this runs once per eviction step, inside the benchmark's held-bytes measurement
     col.setflags(write=False)
     return col
 
@@ -425,7 +440,7 @@ def _chirp_plan(orders: int, period: int, lo: int, n: int) -> _ChirpPlan:
         spectrum=np.fft.fft(np.conj(_unit_phase(lags * lags, period))),
     )
     for table in plan:
-        table.flags.writeable = False
+        table.setflags(write=False)
     return plan
 
 
@@ -455,7 +470,7 @@ def _trig_tables(orders: int, period: int, lo: int, width: int, rows: int) -> _T
         tail=per_bin.columns(np.arange(width, dtype=np.int64)),
     )
     for table in tables:
-        table.flags.writeable = False
+        table.setflags(write=False)
     return tables
 
 

@@ -1,11 +1,14 @@
 """Dimension ranking, schema application, and selection diagnostics."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fourier_kv import spectral
+from fourier_kv import dimselect, spectral
 from fourier_kv.cache import PartitionParams
 from fourier_kv.dimselect import (
     CompressionSchema,
@@ -33,7 +36,88 @@ def calibration_trace(rng, *, layers=1, kv_heads=1, head_dim=4, init=4, local=8,
     return KVTrace(keys=data, values=data.copy())
 
 
+@st.composite
+def calibration_cases(draw):
+    """A partition, basis and trace whose middle is one position, or shorter than,
+    as long as or longer than the period; orders may pass period/2 and the period."""
+    period = draw(st.integers(2, 40))
+    orders = draw(st.integers(1, period + 3))
+    middle = draw(st.sampled_from(["one", "shorter", "period", "longer"]))
+    length = {
+        "one": 1,
+        "shorter": draw(st.integers(1, period - 1)),
+        "period": period,
+        "longer": draw(st.integers(period + 1, 2 * period + 5)),
+    }[middle]
+    part = PartitionParams(init_len=draw(st.integers(0, 3)), local_len=draw(st.integers(1, 3)),
+                           period=period, orders=orders)
+    layers, kv_heads = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    head_dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (layers, kv_heads, part.init_len + length + part.local_len, head_dim)
+    keys = rng.standard_normal(shape)
+    # K and V differ per layer and head, so a mixed-up block shows
+    values = rng.standard_normal(shape) * np.arange(1, head_dim + 1) + 0.5
+    if draw(st.booleans()):
+        # a constant column: reconstructed exactly over whole periods, where the
+        # Gram form cancels down to rounding
+        keys[..., 0] = 1.5 + np.arange(layers)[:, None, None]
+    trace = KVTrace(keys=keys.astype(np.float32), values=values.astype(np.float32))
+    return part, build_basis(orders, period), trace
+
+
+def rank_oracle(trace, part, basis):
+    """Per-head ``compress_batch`` + ``reconstruct`` MSEs, and each block's mean square."""
+    first, last = part.init_len, trace.seq_len - part.local_len
+    positions = np.arange(first, last)
+    mse, scale = [], []
+    for data in (trace.keys, trace.values):
+        for layer in range(trace.layers):
+            for head in range(trace.kv_heads):
+                block = data[layer, head, first:last]
+                state = compress_batch(basis, block, first)
+                mse.append(reconstruction_mse(block, reconstruct(state, basis, positions)))
+                scale.append(np.mean(block.astype(np.float64) ** 2, axis=0))
+    shape = (2, trace.layers, trace.kv_heads, trace.head_dim)
+    return np.reshape(mse, shape), np.reshape(scale, shape)
+
+
+def rank_branch(trace, part, basis) -> str:
+    """Which form ``rank_dimensions`` computes the MSEs with: "gram" or "convolution"."""
+    with mock.patch.object(dimselect, "_gram_sse", wraps=dimselect._gram_sse) as gram, \
+            mock.patch.object(dimselect, "_convolution_sse",
+                              wraps=dimselect._convolution_sse) as convolution:
+        rank_dimensions(trace, part, basis)
+    assert gram.call_count + convolution.call_count == 1
+    return "gram" if gram.called else "convolution"
+
+
 class TestRankDimensions:
+    # a cost ratio of 0 forces the convolution, 2**62 the Gram form
+    @pytest.mark.parametrize("ratio", [0, spectral._TABLE_COST_RATIO, 2**62],
+                             ids=["convolution", "dispatch", "gram"])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=calibration_cases())
+    def test_both_forms_match_the_compress_batch_oracle(self, ratio, case):
+        part, basis, trace = case
+        with mock.patch.object(spectral, "_TABLE_COST_RATIO", ratio):
+            ranking = rank_dimensions(trace, part, basis)
+        expected, scale = rank_oracle(trace, part, basis)
+        got = np.stack([ranking.k_mse, ranking.v_mse])
+        assert np.all(np.abs(got - expected) <= 1e-9 * expected + 1e-12 * scale)
+
+    @pytest.mark.parametrize("part, branch", [
+        (PartitionParams(init_len=4, local_len=1024, period=32768, orders=512), "convolution"),
+        (PartitionParams(init_len=4, local_len=64, period=4096, orders=16), "gram"),
+    ], ids=["stock", "desk"])
+    def test_benchmark_geometries_take_their_form(self, part, branch):
+        # the benchmark's calibration middles: 1020 positions at stock, 956 at desk
+        rng = np.random.default_rng(8)
+        shape = (1, 1, 2048 if part.orders == 512 else 1024, 2)
+        trace = KVTrace(keys=rng.standard_normal(shape).astype(np.float32),
+                        values=rng.standard_normal(shape).astype(np.float32))
+        assert rank_branch(trace, part, build_basis(part.orders, part.period)) == branch
+
     def test_constant_dimension_ranks_first(self):
         rng = np.random.default_rng(0)
         part = PartitionParams(init_len=4, local_len=8, period=32, orders=4)
@@ -117,6 +201,24 @@ class TestRankDimensions:
             tracemalloc.stop()
         assert peak < basis.n_rows * 4096 * 8
         assert peak < 2 * 2**20  # one chunk of columns and its tables, plus small states
+
+    def test_gram_peak_is_below_one_column_block(self):
+        # the twin of the test above for the Gram form: one (2k, M) block is 4 MiB
+        part = PartitionParams(init_len=4, local_len=8, period=32768, orders=64)
+        basis = build_basis(64, 32768)
+        rng = np.random.default_rng(9)
+        shape = (1, 1, 4 + 4096 + 8, 4)
+        trace = KVTrace(keys=rng.standard_normal(shape).astype(np.float32),
+                        values=rng.standard_normal(shape).astype(np.float32))
+        assert rank_branch(trace, part, basis) == "gram"
+        tracemalloc.start()
+        try:
+            rank_dimensions(trace, part, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < basis.n_rows * 4096 * 8
+        assert peak < 2 * 2**20  # one fold chunk of columns and its tables, the Gram matrix
 
     def test_too_short_trace_rejected(self):
         part = PartitionParams(init_len=4, local_len=8, period=32, orders=4)

@@ -123,6 +123,27 @@ class TestFourierBasis:
         assert spectral._column.cache_info().maxsize == 1
         np.testing.assert_array_equal(basis.column(7), col)
 
+    def test_read_only_tables_leave_no_traced_memory(self):
+        # a plan built inside a held-bytes measurement must leave nothing behind
+        # once it is dropped; each write through flags.writeable keeps a few 57-byte blocks
+        def build_plans(count, first=0):
+            for i in range(first, first + count):
+                spectral._chirp_plan(4, 64, i, 8)
+                spectral._trig_tables(4, 64, i, 4, 2)
+                FourierBasis(orders=4, period=64 + i).synthesis_weights()
+            spectral._chirp_plan.cache_clear()
+            spectral._trig_tables.cache_clear()
+
+        build_plans(1, first=1000)  # first calls set up what numpy keeps for good
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            build_plans(100)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 1024
+
     def test_rejects_bad_geometry(self):
         with pytest.raises(ValueError):
             build_basis(0, 8)
