@@ -7,8 +7,9 @@ the compressed part of the output is its adjoint
 ``(w * sum_t p_t col(t))^T C_v``, each one Fourier transform over the M
 middle positions (see ``FourierBasis.evaluate``); kept dimensions and the
 exact initial and local blocks are plain products, and one softmax runs over
-all ``init + M + local`` scores. The middle region goes to the transforms
-as a ``range``, which they read without scanning it; the query is scaled
+all ``init + M + local`` scores. The middle region is one run of
+positions, and it goes to the transforms as the only input they take, a
+``range`` of step 1, which they read without scanning it; the query is scaled
 once, every score is written into one preallocated buffer, and the softmax
 runs in that buffer, so a call makes a fixed number of numpy calls,
 whatever M. With ``R = min(k, period)`` and

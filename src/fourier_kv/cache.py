@@ -199,8 +199,6 @@ class HeadSlice:
     spec_v: SpectralState
     ring_k: np.ndarray
     ring_v: np.ndarray
-    ring_start: int
-    ring_count: int
     total_len: int
 
     @property
@@ -215,12 +213,21 @@ class HeadSlice:
     def middle_start(self) -> int:
         return self.init_len
 
+    @property
+    def ring_start(self) -> int:
+        """Position of the oldest local row: every earlier one is initial or middle."""
+        return self.init_len + self.middle_count
+
+    @property
+    def ring_count(self) -> int:
+        return self.total_len - self.ring_start
+
     def represented(self) -> int:
         """Positions held across the three tiers; equals tokens ingested."""
         return self.init_len + self.middle_count + self.ring_count
 
     def local_positions(self) -> np.ndarray:
-        return np.arange(self.ring_start, self.ring_start + self.ring_count)
+        return np.arange(self.ring_start, self.total_len)
 
     def local_block(self) -> tuple[np.ndarray, np.ndarray]:
         """Local K and V rows in ascending position order."""
@@ -289,8 +296,6 @@ def prefill(keys, values, layout: CacheLayout, layer: int, basis: FourierBasis):
                 spec_v=states[layout.kv_heads + head],
                 ring_k=ring_k,
                 ring_v=ring_v,
-                ring_start=local_start,
-                ring_count=seq_len - local_start,
                 total_len=seq_len,
             )
         )
@@ -328,14 +333,10 @@ def append_token(slice_: HeadSlice, basis: FourierBasis, k_vec, v_vec) -> HeadSl
         slice_.kept_v.append(old_v[slice_.dims.v_kept])
         fold_token(slice_.spec_k, basis, old_k[slice_.dims.k_compressed], evict_pos)
         fold_token(slice_.spec_v, basis, old_v[slice_.dims.v_compressed], evict_pos)
-        slice_.ring_start += 1
-        slice_.ring_count -= 1
 
-    new_pos = slice_.total_len
-    slot = new_pos % part.local_len
+    slot = slice_.total_len % part.local_len
     slice_.ring_k[slot] = k_vec
     slice_.ring_v[slot] = v_vec
-    slice_.ring_count += 1
     slice_.total_len += 1
     return slice_
 

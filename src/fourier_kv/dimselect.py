@@ -328,7 +328,6 @@ class SelectionReport:
     layout: CacheLayout
     schema: CompressionSchema
     ranking: MseRanking | None = None
-    std_curves: np.ndarray | None = None
 
 
 def build_selection_report(
@@ -339,9 +338,7 @@ def build_selection_report(
 ) -> SelectionReport:
     ranking = rank_dimensions(trace, partition, basis)
     layout = apply_schema(ranking, schema, partition=partition)
-    return SelectionReport(
-        layout=layout, schema=schema, ranking=ranking, std_curves=temporal_std(trace)
-    )
+    return SelectionReport(layout=layout, schema=schema, ranking=ranking)
 
 
 def selection_histogram(report: SelectionReport, group: int = 16) -> np.ndarray:
@@ -403,33 +400,42 @@ def write_selection_manifest(report: SelectionReport, path) -> None:
 
 
 def read_selection_manifest(path):
-    """Load a manifest back into (CacheLayout, CompressionSchema)."""
+    """Load a manifest back into (CacheLayout, CompressionSchema).
+
+    A file that is not a manifest, or one with a missing or mistyped field,
+    raises ``ValueError`` naming ``path``.
+    """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != MANIFEST_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MANIFEST_FORMAT:
         raise ValueError(f"{path}: not a selection manifest")
     if doc.get("version") != MANIFEST_VERSION:
         raise ValueError(f"{path}: unsupported manifest version {doc.get('version')}")
-    geom = doc["geometry"]
-    part = PartitionParams(**doc["partition"])
-    dims = [
-        [
-            HeadDims.from_compressed(
-                geom["head_dim"], entry["k_compressed"], entry["v_compressed"]
-            )
-            for entry in row
+    try:
+        geom = doc["geometry"]
+        part = PartitionParams(**doc["partition"])
+        dims = [
+            [
+                HeadDims.from_compressed(
+                    geom["head_dim"], entry["k_compressed"], entry["v_compressed"]
+                )
+                for entry in row
+            ]
+            for row in doc["dims"]
         ]
-        for row in doc["dims"]
-    ]
-    layout = CacheLayout(
-        layers=geom["layers"],
-        kv_heads=geom["kv_heads"],
-        head_dim=geom["head_dim"],
-        partition=part,
-        dims=dims,
-    )
-    schema = CompressionSchema(
-        ratios=tuple((k, v) for k, v in doc["schema"]["ratios"]),
-        preset=doc["schema"]["preset"],
-    )
+        layout = CacheLayout(
+            layers=geom["layers"],
+            kv_heads=geom["kv_heads"],
+            head_dim=geom["head_dim"],
+            partition=part,
+            dims=dims,
+        )
+        schema = CompressionSchema(
+            ratios=tuple((k, v) for k, v in doc["schema"]["ratios"]),
+            preset=doc["schema"]["preset"],
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(
+            f"{path}: malformed selection manifest: {type(exc).__name__} {exc}"
+        ) from exc
     return layout, schema

@@ -18,16 +18,17 @@ a chunk costs about ``2 * orders * sqrt(chunk)`` sines and cosines instead
 of ``2 * orders * chunk``, and its columns and tables share a fixed 1 MB.
 Reconstruction evaluates a weighted
 inverse transform at any folded position; the same inverse transform and its
-adjoint are also available without building columns, which is how decode
-attention scores and aggregates the compressed region without rebuilding
-it. Three transforms serve them, and a cost rule picks the cheapest for the
-orders and the extent of the positions read: two small matrix products
-against cached trig tables for few orders, a chirp-z transform over that
-extent while it is short against the period, and one length-period FFT
-once that is cheaper. A run of positions passed as a ``range`` is read
-without scanning it, and its values are sliced out of, and its weights
-sliced into, the trig-table and chirp-z transforms, so a call's fixed cost
-is a handful of numpy calls.
+adjoint are also available without building columns, over a run of
+positions given as a ``range`` of step 1, which is how decode attention
+scores and aggregates the compressed region without rebuilding it. Three
+transforms serve them, and a cost rule picks the cheapest for the orders and
+the run's length: two small matrix products against cached trig tables for
+few orders, a chirp-z transform over the run while it is short against the
+period, and one length-period FFT once that is cheaper. A run is read
+without scanning it: its values are sliced out of, and its weights copied
+into, the transform's buffers, so a call's fixed cost is a handful of numpy
+calls. Every cosine and sine comes from one phase builder, which reduces
+``n*t`` mod the period in integers.
 
 Phases are indexed by *absolute* token position so that a state built during
 prefill and a state extended by streaming evictions agree without rephasing.
@@ -78,12 +79,12 @@ class FourierBasis:
     :meth:`columns` builds columns explicitly, O(orders) trig calls each;
     :meth:`column` builds one, read-only, and the last one built is cached.
     :meth:`evaluate` (``columns(t).T @ a``) and its adjoint :meth:`project`
-    (``columns(t) @ p``) never build them. Each runs one of three transforms,
-    priced by the extent ``span`` of the positions, or of their residues mod
-    ``period`` when that is shorter (a run of at most ``period`` positions
-    has ``span = len(t)``), and by the bin count ``R = min(orders, period)``:
+    (``columns(t) @ p``) never build them; both read a run ``t``, a ``range``
+    of step 1 from ``lo >= 0``, of any length ``span``. Each runs one of
+    three transforms, priced by ``span`` and by the bin count ``R =
+    min(orders, period)``:
 
-    * trig tables: each offset from the lowest position ``lo`` splits as
+    * trig tables: each offset from ``lo`` splits as
       ``a*B + b``, with ``B`` a power of two near ``sqrt(span)``, so every
       phase factors into one of ``lo + a*B`` and one of ``b``, each from a
       cached table of R rows, and each direction is two small products
@@ -103,8 +104,8 @@ class FourierBasis:
     picks them for 16 orders at any span, and not for 512 orders over a
     thousand positions, where they measured slower. Tables hold phases
     reduced exactly in integers mod ``period``, are read-only, and the last
-    few of each kind are cached per ``(orders, period, residue of the lowest
-    position)`` and their sizes. This class owns the cosine/sine row
+    few of each kind are cached per ``(orders, period, lo mod period)`` and
+    their sizes. This class owns the cosine/sine row
     layout; callers only pass coefficient vectors of length ``2*orders``.
 
     Immutable; safe to share across threads.
@@ -136,7 +137,17 @@ class FourierBasis:
         return _column(self.orders, self.period, int(pos))
 
     @staticmethod
-    def _positions(positions) -> np.ndarray:
+    def _check_run(run) -> None:
+        if not isinstance(run, range):
+            raise ValueError(f"positions must be a range, got {type(run).__name__}")
+        if run.step != 1 or (len(run) and run.start < 0):
+            raise ValueError(f"positions must be a range of step 1 from a start >= 0, got {run}")
+
+    def columns(self, positions) -> np.ndarray:
+        """Basis columns for many positions, shape ``(2*orders, len(positions))``.
+
+        ``positions`` may be any 1-D sequence of integers ``>= 0``.
+        """
         if isinstance(positions, range):
             # np.asarray walks a range one Python int at a time
             positions = np.arange(positions.start, positions.stop, positions.step)
@@ -145,35 +156,7 @@ class FourierBasis:
             raise ValueError("positions must be one-dimensional")
         if pos.size and pos.min() < 0:
             raise ValueError("positions must be >= 0")
-        return pos
-
-    def _run_or_positions(self, positions) -> range | np.ndarray:
-        """``positions`` itself if it is a run, else as :meth:`_positions`.
-
-        A run is a ``range`` of step 1 and at most ``period`` positions: its
-        offsets from ``start`` are ``0..len - 1`` on distinct residues, so
-        :meth:`evaluate` and :meth:`project` address it with slices.
-        """
-        if isinstance(positions, range) and positions.step == 1 and len(positions) <= self.period:
-            if len(positions) and positions.start < 0:
-                raise ValueError("positions must be >= 0")
-            return positions
-        return self._positions(positions)
-
-    def columns(self, positions) -> np.ndarray:
-        """Basis columns for many positions, shape ``(2*orders, len(positions))``."""
-        pos = self._positions(positions)
-        out = np.empty((self.n_rows, pos.size), dtype=np.float64)
-        cos, sin = out[0::2], out[1::2]
-        # the integer phase (n*t) mod period is staged in the sine rows and the
-        # float phase in the cosine rows, so no temporary of the output's size exists
-        frac = sin.view(np.int64)
-        np.multiply(np.arange(self.orders, dtype=np.int64)[:, None], pos, out=frac)
-        np.remainder(frac, self.period, out=frac)
-        np.multiply(frac, 2.0 * np.pi / self.period, out=cos)
-        np.sin(cos, out=sin)
-        np.cos(cos, out=cos)
-        return out
+        return _unit_phases(self.orders, self.period, pos).view(np.float64).T
 
     def _bins(self) -> tuple[np.ndarray, np.ndarray]:
         """rfft bin of every order and the sign its sine row carries there.
@@ -186,30 +169,13 @@ class FourierBasis:
         above = r > self.period // 2
         return np.where(above, self.period - r, r), np.where(above, -1.0, 1.0)
 
-    def _transform(
-        self, pos: range | np.ndarray
-    ) -> tuple[np.ndarray | slice, int, _TrigTables | _ChirpPlan | None]:
-        """Offsets of non-empty ``pos`` from their lowest, their span, and the plan to run.
+    def _transform(self, run: range) -> tuple[int, _TrigTables | _ChirpPlan | None]:
+        """The length of a non-empty run and the plan to run over it.
 
-        A run (see :meth:`_run_or_positions`) is read as it stands: its
-        offsets from its start are ``0..len - 1``, returned as a slice, and
-        nothing is scanned. Other positions are offset from their lowest;
-        those that cross a multiple of the period are read as residues mod
-        ``period`` when those lie closer together, and a run that wraps
-        keeps its own length. The plan holds the trig tables or the chirp-z
-        tables of the cheaper transform; it is ``None`` for the
-        length-period FFT.
+        The plan holds the trig tables or the chirp-z tables of the cheaper
+        transform; it is ``None`` for the length-period FFT.
         """
-        if isinstance(pos, range):
-            offsets, lo, span = slice(0, len(pos)), pos.start, len(pos)
-        else:
-            lo, hi = int(pos.min()), int(pos.max())
-            if lo // self.period != hi // self.period:
-                residues = pos % self.period
-                r_lo, r_hi = int(residues.min()), int(residues.max())
-                if r_hi - r_lo < hi - lo:
-                    pos, lo, hi = residues, r_lo, r_hi
-            offsets, span = pos - lo, hi - lo + 1
+        span = len(run)
         n_bins = min(self.orders, self.period)
         # linear convolution of ``span`` outputs with R bins: n >= span + R - 1
         n = 1 << (span + n_bins - 2).bit_length()
@@ -220,33 +186,32 @@ class FourierBasis:
         if _products_cheaper(n_bins * span, fft_len):
             width = 1 << (span.bit_length() // 2)
             rows = 1 << (-(-span // width) - 1).bit_length()
-            plan = _trig_tables(self.orders, self.period, lo % self.period, width, rows)
+            plan = _trig_tables(self.orders, self.period, run.start % self.period, width, rows)
         elif chirp:
-            plan = _chirp_plan(self.orders, self.period, lo % self.period, n)
+            plan = _chirp_plan(self.orders, self.period, run.start % self.period, n)
         else:
             plan = None
-        return offsets, span, plan
+        return span, plan
 
-    def evaluate(self, coeffs, positions) -> np.ndarray:
-        """``columns(positions).T @ coeffs``: the trig polynomial at each position.
+    def evaluate(self, coeffs, run: range) -> np.ndarray:
+        """``columns(run).T @ coeffs``: the trig polynomial at each position of a run.
 
         ``coeffs`` has shape ``(2*orders,)`` in the row layout of
-        :meth:`columns`; returns ``(len(positions),)``, for a run possibly a
-        view of a transform buffer. ``positions`` may be any 1-D sequence of
-        integers. A ``range`` of step 1 and at most ``period`` positions,
-        such as a middle region, is a run: it is read without scanning it,
-        and its values are sliced out of the trig-table or chirp-z transform
-        rather than gathered, so a call costs the transform and a fixed
-        number of small numpy calls. The length-period FFT gathers every
-        input by residue.
+        :meth:`columns`; returns ``(len(run),)``, possibly a view of a
+        transform buffer. ``run`` is a ``range`` of step 1 from a start
+        ``>= 0``, of any length, such as a middle region; anything else
+        raises ``ValueError``. The run is read without scanning it, and its
+        values are sliced out of the trig-table or chirp-z transform, so a
+        call costs the transform and a fixed number of small numpy calls.
+        The length-period FFT gathers them by residue.
         """
         a = np.ascontiguousarray(coeffs, dtype=np.float64)
         if a.shape != (self.n_rows,):
             raise ValueError(f"coeffs must have shape ({self.n_rows},), got {a.shape}")
-        pos = self._run_or_positions(positions)
-        if len(pos) == 0:
+        self._check_run(run)
+        if len(run) == 0:
             return np.zeros(0, dtype=np.float64)
-        offsets, span, plan = self._transform(pos)
+        span, plan = self._transform(run)
         if plan is None:
             bins, sine_sign = self._bins()
             half = self.period // 2 + 1
@@ -256,7 +221,7 @@ class FourierBasis:
             # irfft counts every bin but DC and Nyquist twice (once per sign of frequency)
             spectrum[1 : (self.period + 1) // 2] *= 0.5
             wave = np.fft.irfft(spectrum, n=self.period, norm="forward")
-            return wave[self._positions(pos) % self.period]
+            return wave[np.arange(run.start, run.stop) % self.period]
         # z[r] = c_r + i*s_r from the cosine and sine coefficients of bin r: the
         # value at offset m is the sum over bins of Re(z[r] * exp(-i*theta_r*(lo + m)))
         if self.orders <= self.period:
@@ -267,34 +232,31 @@ class FourierBasis:
             )
         if isinstance(plan, _TrigTables):
             mixed = plan.head[: -(-span // plan.tail.shape[1])] * z
-            values = (mixed.view(np.float64) @ plan.tail).ravel()
-        else:
-            x = np.conjugate(z)
-            x *= plan.pre
-            y = np.fft.ifft(np.fft.fft(x, plan.spectrum.size) * plan.spectrum)[:span]
-            y *= plan.chirp[:span]
-            values = y.real
-        return values[offsets]
+            return (mixed.view(np.float64) @ plan.tail).ravel()[:span]
+        x = np.conjugate(z)
+        x *= plan.pre
+        y = np.fft.ifft(np.fft.fft(x, plan.spectrum.size) * plan.spectrum)[:span]
+        y *= plan.chirp[:span]
+        return y.real
 
-    def project(self, weights, positions) -> np.ndarray:
-        """``columns(positions) @ weights``: the adjoint of :meth:`evaluate`.
+    def project(self, weights, run: range) -> np.ndarray:
+        """``columns(run) @ weights``: the adjoint of :meth:`evaluate`.
 
-        ``weights`` has shape ``(len(positions),)``; returns ``(2*orders,)``.
-        Positions are read as by :meth:`evaluate`: a run's weights are
-        copied into the trig-table or chirp-z transform's input with a
-        slice, other positions' are summed into it by position, and the
-        length-period FFT sums every input by residue.
+        ``weights`` has shape ``(len(run),)``; returns ``(2*orders,)``.
+        ``run`` is read as by :meth:`evaluate`: its weights are copied into
+        the trig-table or chirp-z transform's input, and the length-period
+        FFT sums them by residue.
         """
-        pos = self._run_or_positions(positions)
+        self._check_run(run)
         w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (len(pos),):
-            raise ValueError(f"weights must have shape ({len(pos)},), got {w.shape}")
-        if len(pos) == 0:
+        if w.shape != (len(run),):
+            raise ValueError(f"weights must have shape ({len(run)},), got {w.shape}")
+        if len(run) == 0:
             return np.zeros(self.n_rows, dtype=np.float64)
-        offsets, span, plan = self._transform(pos)
+        span, plan = self._transform(run)
         if plan is None:
             spectrum = np.fft.rfft(
-                np.bincount(self._positions(pos) % self.period, w, minlength=self.period)
+                np.bincount(np.arange(run.start, run.stop) % self.period, w, minlength=self.period)
             )
             bins, sine_sign = self._bins()
             out = np.empty(self.n_rows, dtype=np.float64)
@@ -304,13 +266,13 @@ class FourierBasis:
         # g[r] = sum_m w[m] * exp(i*theta_r*(lo + m)), the cosine and sine sums of bin r
         if isinstance(plan, _TrigTables):
             width = plan.tail.shape[1]
-            rows = -(-span // width)
-            grid = _scatter(offsets, w, rows * width)
+            grid = np.zeros((-(-span // width), width))
+            grid.reshape(-1)[:span] = w
             # evaluate transposed: the tail sums each row of the grid, the head what is left
-            sums = (grid.reshape(rows, width) @ plan.tail.T).view(np.complex128)
-            g = (np.conjugate(plan.head[:rows]) * sums).sum(axis=0)
+            sums = (grid @ plan.tail.T).view(np.complex128)
+            g = (np.conjugate(plan.head[: grid.shape[0]]) * sums).sum(axis=0)
         else:
-            x = _scatter(offsets, w, span) * plan.chirp[:span]
+            x = w * plan.chirp[:span]
             # fft(ifft(x) * H)[r] = sum_m x[m] * h[m - r]: the transpose of evaluate's
             # convolution with the filter h, from the same spectrum H
             g = np.fft.fft(np.fft.ifft(x, plan.spectrum.size) * plan.spectrum)[: plan.pre.size]
@@ -374,28 +336,11 @@ def _products_cheaper(work: int, fft_len: int) -> bool:
     return work <= _TABLE_COST_RATIO * fft_len * fft_len.bit_length()
 
 
-def _scatter(offsets: np.ndarray | slice, w: np.ndarray, size: int) -> np.ndarray:
-    """Length-``size`` vector with ``w`` summed in at ``offsets``, zero elsewhere.
-
-    A run's offsets are a slice, and its weights are copied in; index offsets
-    may repeat, so theirs are summed.
-    """
-    if isinstance(offsets, slice):
-        out = np.zeros(size, dtype=np.float64)
-        out[offsets] = w
-        return out
-    return np.bincount(offsets, w, minlength=size)
-
-
 @functools.lru_cache(maxsize=1)
 def _column(orders: int, period: int, pos: int) -> np.ndarray:
-    # one column, 16 * orders bytes: every fold of one eviction step reads the same
-    n = np.arange(orders, dtype=np.int64)
-    # (n*t) mod period keeps trig arguments in [0, 2*pi) even at large t
-    phases = (2.0 * np.pi / period) * ((n * pos) % period).astype(np.float64)
-    col = np.empty(2 * orders, dtype=np.float64)
-    col[0::2] = np.cos(phases)
-    col[1::2] = np.sin(phases)
+    # one column, 16 * orders bytes: every fold of one eviction step reads the same.
+    # A copy rather than a view, so the cache holds one array and not two
+    col = _unit_phases(orders, period, np.array([pos], dtype=np.int64)).view(np.float64)[0].copy()
     # setflags rather than flags.writeable, here and for every cached table:
     # each write through a flags object leaves a few small blocks allocated (up
     # to about 1 KB in all, a count that differs from process to process), and
@@ -462,12 +407,12 @@ class _TrigTables(NamedTuple):
 def _trig_tables(orders: int, period: int, lo: int, width: int, rows: int) -> _TrigTables:
     # keyed on rows, a power of two: a growing middle region reuses one set
     # until its span needs twice the rows or a wider tail
-    per_bin = FourierBasis(min(orders, period), period)
-    head = per_bin.columns(lo + width * np.arange(rows, dtype=np.int64))
+    n_bins = min(orders, period)
+    head = _unit_phases(n_bins, period, lo + width * np.arange(rows, dtype=np.int64))
     tables = _TrigTables(
         bins=np.arange(orders, dtype=np.int64) % period,
-        head=np.conjugate(np.ascontiguousarray(head.T).view(np.complex128)),
-        tail=per_bin.columns(np.arange(width, dtype=np.int64)),
+        head=np.conjugate(head, out=head),
+        tail=_unit_phases(n_bins, period, np.arange(width, dtype=np.int64)).view(np.float64).T,
     )
     for table in tables:
         table.setflags(write=False)
@@ -587,20 +532,23 @@ def _run_chunk(n_rows: int) -> int:
 def _unit_phases(orders: int, period: int, positions: np.ndarray) -> np.ndarray:
     """``exp(2*pi*i*n*t/period)`` for each ``t`` and ``n < orders``, ``(len(t), orders)``.
 
-    Element ``[j, n]`` holds rows ``2n`` and ``2n+1`` of
-    :meth:`FourierBasis.columns` at ``t = positions[j]`` as one complex
-    number, computed as there, with ``(n*t) mod period`` reduced exactly in
-    integers. The phases take one float64 temporary, half the output.
+    The one place positions become phases: element ``[j, n]`` is the cosine
+    and sine of order ``n`` at ``t = positions[j]``, so the float64 view of
+    row ``j`` is the basis column of :meth:`FourierBasis.columns`. ``(n*t)
+    mod period`` is reduced exactly in integers, which keeps trig arguments
+    in ``[0, 2*pi)`` at any position. The integer phase is staged in the sine
+    slots and the float phase in the cosine slots, so no temporary of the
+    output's size exists.
     """
-    phase = np.empty((positions.size, orders), dtype=np.float64)
-    frac = phase.view(np.int64)
-    np.multiply(positions[:, None], np.arange(orders, dtype=np.int64), out=frac)
-    np.remainder(frac, period, out=frac)
-    np.multiply(frac, 2.0 * np.pi / period, out=phase)
     out = np.empty((positions.size, orders), dtype=np.complex128)
     parts = out.view(np.float64)
-    np.cos(phase, out=parts[:, 0::2])
-    np.sin(phase, out=parts[:, 1::2])
+    cos, sin = parts[:, 0::2], parts[:, 1::2]
+    frac = sin.view(np.int64)
+    np.multiply(positions[:, None], np.arange(orders, dtype=np.int64), out=frac)
+    np.remainder(frac, period, out=frac)
+    np.multiply(frac, 2.0 * np.pi / period, out=cos)
+    np.sin(cos, out=sin)
+    np.cos(cos, out=cos)
     return out
 
 

@@ -160,6 +160,22 @@ class TestEval:
         assert run("eval", "--trace", other, "--manifest", manifest_file,
                    "--report", tmp_path / "r.csv") == 4
 
+    @pytest.mark.parametrize("damage", [
+        lambda doc: doc.pop("geometry"),
+        lambda doc: doc.update(dims=5),
+        lambda doc: doc["partition"].update(orders="4"),
+        lambda doc: doc["schema"].pop("ratios"),
+    ], ids=["no-geometry", "dims-not-a-list", "string-orders", "no-ratios"])
+    def test_malformed_manifest_is_data_error(self, tmp_path, trace_file, manifest_file,
+                                              capsys, damage):
+        doc = json.loads(manifest_file.read_text())
+        damage(doc)
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        assert run("eval", "--trace", trace_file, "--manifest", broken,
+                   "--report", tmp_path / "r.csv") == 4
+        assert str(broken) in capsys.readouterr().err
+
     @pytest.mark.parametrize("threads", ["0", "-2", "abc"])
     def test_bad_thread_count_is_usage_error(self, tmp_path, trace_file, manifest_file,
                                              monkeypatch, capsys, threads):

@@ -352,6 +352,16 @@ class TestTemporalStd:
             expected[:, idx, :] = np.sort(stds, axis=2)[:, :, ::-1].mean(axis=1)
         np.testing.assert_array_equal(temporal_std(KVTrace(keys=keys, values=values)), expected)
 
+    def test_calibration_does_not_run_it(self):
+        # only `cli analyze` reads the curves, and it computes them itself
+        trace = calibration_trace(np.random.default_rng(8), head_dim=8)
+        part = PartitionParams(init_len=4, local_len=8, period=32, orders=4)
+        with mock.patch.object(dimselect, "temporal_std", side_effect=AssertionError):
+            report = build_selection_report(
+                trace, CompressionSchema(ratios=((0.5, 0.5),)), part, build_basis(4, 32)
+            )
+        assert report.layout.dims[0][0].k_compressed.size == 4
+
     def test_scaling_k_doubles_k_std(self):
         rng = np.random.default_rng(4)
         base = rng.standard_normal((1, 2, 64, 4)).astype(np.float32)
@@ -430,6 +440,7 @@ class TestManifest:
 
     def test_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "x.json"
-        path.write_text('{"hello": 1}')
-        with pytest.raises(ValueError):
-            read_selection_manifest(path)
+        for text in ('{"hello": 1}', "[1, 2]"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="not a selection manifest"):
+                read_selection_manifest(path)

@@ -376,52 +376,31 @@ class TestProperties:
         np.testing.assert_allclose(scaled, 1.7 * base, rtol=1e-12, atol=1e-12)
 
 
-@st.composite
-def basis_and_positions(draw):
-    """A basis whose orders reach past ``period/2`` (and past ``period``),
-    with positions that repeat, come unsorted and run past the period."""
-    period = draw(st.integers(1, 80))
-    orders = draw(st.integers(1, 2 * period + 3))
-    positions = draw(st.lists(st.integers(0, 4 * period), max_size=40))
-    seed = draw(st.integers(0, 2**32 - 1))
-    return FourierBasis(orders=orders, period=period), np.asarray(positions), seed
-
-
 class TestFftBasisOperations:
-    """``evaluate`` and ``project`` against products with explicit columns."""
-
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(basis_and_positions())
-    def test_evaluate_equals_columns_transpose_product(self, case):
-        basis, positions, seed = case
-        coeffs = np.random.default_rng(seed).standard_normal(basis.n_rows)
-        expected = basis.columns(positions).T @ coeffs
-        got = basis.evaluate(coeffs, positions)
-        assert got.shape == positions.shape
-        np.testing.assert_allclose(got, expected, rtol=0,
-                                   atol=1e-12 * max(1.0, np.abs(coeffs).sum()))
-
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(basis_and_positions())
-    def test_project_equals_columns_product(self, case):
-        basis, positions, seed = case
-        weights = np.random.default_rng(seed).standard_normal(positions.size)
-        expected = basis.columns(positions) @ weights
-        got = basis.project(weights, positions)
-        assert got.shape == (basis.n_rows,)
-        np.testing.assert_allclose(got, expected, rtol=0,
-                                   atol=1e-12 * max(1.0, np.abs(weights).sum()))
+    """What ``evaluate`` and ``project`` accept."""
 
     def test_rejects_bad_shapes_and_negative_positions(self):
         basis = FourierBasis(orders=3, period=16)
-        with pytest.raises(ValueError):
-            basis.evaluate(np.zeros(5), [0, 1])
-        with pytest.raises(ValueError):
-            basis.project(np.zeros(3), [0, 1])
-        with pytest.raises(ValueError):
-            basis.evaluate(np.zeros(6), [-1])
-        with pytest.raises(ValueError):
-            basis.project(np.zeros(1), [-1])
+        run, coeffs, weights = range(0, 2), np.zeros(6), np.zeros(2)
+        assert basis.evaluate(coeffs, run).shape == (2,)
+        assert basis.project(weights, run).shape == (6,)
+        # each case changes one input of the valid calls above
+        with pytest.raises(ValueError, match="coeffs must have shape"):
+            basis.evaluate(np.zeros(5), run)
+        with pytest.raises(ValueError, match="weights must have shape"):
+            basis.project(np.zeros(3), run)
+        for positions, reason in ((range(-1, 1), r"start >= 0, got range\(-1, 1\)"),
+                                  (np.arange(2), "must be a range, got ndarray"),
+                                  ([0, 1], "must be a range, got list"),
+                                  (range(0, 4, 2), r"step 1 .*, got range\(0, 4, 2\)"),
+                                  (range(1, -1, -1), r"step 1 .*, got range\(1, -1, -1\)")):
+            with pytest.raises(ValueError, match=reason):
+                basis.evaluate(coeffs, positions)
+            with pytest.raises(ValueError, match=reason):
+                basis.project(weights, positions)
+        # an empty run has no position to be negative
+        assert basis.evaluate(coeffs, range(-4, -4)).shape == (0,)
+        np.testing.assert_array_equal(basis.project(np.zeros(0), range(-4, -4)), np.zeros(6))
 
 
 @st.composite
@@ -430,15 +409,16 @@ def basis_and_run(draw):
 
     Runs reach a full period and past it, start anywhere in the first three
     periods (so they often wrap past a multiple of the period), and include
-    single positions and period 1; orders reach past ``period``, so the bin
-    count ``R = min(orders, period)`` may exceed the run's span.
+    empty runs, single positions and period 1; orders reach past ``period``,
+    so the bin count ``R = min(orders, period)`` may exceed the run's span.
     """
     period = draw(st.one_of(st.just(1), st.integers(2, 80)))
     orders = draw(st.one_of(st.integers(1, period), st.integers(period, 2 * period + 3)))
-    length = draw(st.one_of(st.just(1), st.integers(1, period), st.integers(period, 2 * period)))
+    length = draw(st.one_of(st.just(0), st.just(1), st.integers(1, period),
+                            st.integers(period, 2 * period)))
     start = draw(st.integers(0, 3 * period))
     seed = draw(st.integers(0, 2**32 - 1))
-    return FourierBasis(orders=orders, period=period), np.arange(start, start + length), seed
+    return FourierBasis(orders=orders, period=period), range(start, start + length), seed
 
 
 class TestContiguousRuns:
@@ -460,7 +440,7 @@ class TestContiguousRuns:
         basis, positions, seed = case
         rng = np.random.default_rng(seed)
         coeffs = rng.standard_normal(basis.n_rows)
-        weights = rng.standard_normal(positions.size)
+        weights = rng.standard_normal(len(positions))
         cols = basis.columns(positions)
         with mock.patch.multiple(spectral, **ratios):
             evaluated = basis.evaluate(coeffs, positions)
@@ -474,7 +454,7 @@ class TestContiguousRuns:
         weights = np.ones(1000)
 
         def transient(period, start=4):
-            positions = np.arange(start, start + 1000)
+            positions = range(start, start + 1000)
             basis = FourierBasis(orders=16, period=period)
             coeffs = np.ones(basis.n_rows)
             peaks = []
@@ -501,12 +481,12 @@ class TestContiguousRuns:
 
     def test_trig_tables_do_not_grow_with_the_period(self):
         # desk geometry: 16 orders over a middle region of 960 positions
-        positions, weights = np.arange(4, 964), np.ones(960)
+        positions, weights = range(4, 964), np.ones(960)
 
         def footprint(period):
             basis = FourierBasis(orders=16, period=period)
             coeffs = np.ones(basis.n_rows)
-            tables = basis._transform(positions)[2]
+            tables = basis._transform(positions)[1]
             assert isinstance(tables, spectral._TrigTables)
             peaks = []
             for call in (lambda: basis.evaluate(coeffs, positions),
@@ -538,14 +518,14 @@ class TestContiguousRuns:
         for length, tables in ((period // 4 - 15, 1), (period // 4 - 14, 0)):
             spectral._chirp_plan.cache_clear()
             with mock.patch.object(spectral, "_TABLE_COST_RATIO", 0):
-                basis.evaluate(coeffs, np.arange(3, 3 + length))
+                basis.evaluate(coeffs, range(3, 3 + length))
             assert spectral._chirp_plan.cache_info().currsize == tables
 
     def test_a_run_past_a_quarter_period_costs_at_most_the_period(self):
         # a full period of positions: a chirp-z transform would need n = 2 * period
         period = 2**12
         basis = FourierBasis(orders=16, period=period)
-        positions = np.arange(5, 5 + period)
+        positions = range(5, 5 + period)
         coeffs, weights = np.ones(basis.n_rows), np.ones(period)
         cols = basis.columns(positions)
         for call, expected in ((lambda: basis.evaluate(coeffs, positions), cols.T @ coeffs),
@@ -563,95 +543,6 @@ class TestContiguousRuns:
             # at most five length-period float64 arrays; the chirp-z pair of
             # length 2 * period would take nine to eleven
             assert peak <= 6 * 8 * period
-
-    def test_positions_periods_apart_cost_their_residue_span(self):
-        basis = FourierBasis(orders=16, period=2**16)
-        positions = np.array([1, 2 + 2**16 * 1000])  # residues 1 and 2
-        coeffs, weights = np.ones(basis.n_rows), np.ones(2)
-        cols = basis.columns(positions)
-        for call, expected in ((lambda: basis.evaluate(coeffs, positions), cols.T @ coeffs),
-                               (lambda: basis.project(weights, positions), cols @ weights)):
-            call()  # builds the cached tables
-            tracemalloc.start()
-            try:
-                got = call()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * basis.n_rows)
-            assert peak < 2**15  # a length-32 chirp-z transform, not a length-period FFT
-
-
-@st.composite
-def basis_and_range(draw):
-    """A basis and positions given as a ``range``, as decode attention passes them.
-
-    Unit-step runs reach exactly one period (a run) and past it (read as an
-    array), start anywhere in the first three periods so they often wrap
-    past a multiple of the period, and may be empty; orders reach past
-    ``period``. Other steps, negative ones included, are read as arrays.
-    """
-    period = draw(st.one_of(st.just(1), st.integers(2, 80)))
-    orders = draw(st.one_of(st.integers(1, period), st.integers(period, 2 * period + 3)))
-    count = draw(st.one_of(st.just(0), st.just(period), st.integers(1, period),
-                           st.integers(period, 2 * period)))
-    start = draw(st.integers(0, 3 * period))
-    step = draw(st.one_of(st.just(1), st.sampled_from([-3, -1, 2, 5])))
-    if step < 0:
-        start += -step * count  # the lowest position stays >= 0
-    seed = draw(st.integers(0, 2**32 - 1))
-    return FourierBasis(orders=orders, period=period), range(start, start + step * count, step), seed
-
-
-class TestRangePositions:
-    """``evaluate``/``project`` on ``range`` positions equal the array path and the columns."""
-
-    @pytest.mark.parametrize("ratios", [
-        {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 0},
-        {"_TABLE_COST_RATIO": spectral._TABLE_COST_RATIO},
-        {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 2**62},
-        {"_TABLE_COST_RATIO": 2**62},
-    ], ids=["chirp-z", "dispatch", "length-period", "tables"])
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(case=basis_and_range())
-    def test_range_equals_array_and_columns_products(self, ratios, case):
-        basis, run, seed = case
-        positions = np.asarray(run, dtype=np.int64)
-        rng = np.random.default_rng(seed)
-        coeffs = rng.standard_normal(basis.n_rows)
-        weights = rng.standard_normal(len(run))
-        cols = basis.columns(positions)
-        with mock.patch.multiple(spectral, **ratios):
-            evaluated = basis.evaluate(coeffs, run)
-            projected = basis.project(weights, run)
-            evaluated_array = basis.evaluate(coeffs, positions)
-            projected_array = basis.project(weights, positions)
-        assert evaluated.shape == (len(run),) and projected.shape == (basis.n_rows,)
-        eval_tol = 1e-12 * max(1.0, np.abs(coeffs).sum())
-        proj_tol = 1e-12 * max(1.0, np.abs(weights).sum())
-        for got, expected, tol in ((evaluated, evaluated_array, eval_tol),
-                                   (evaluated, cols.T @ coeffs, eval_tol),
-                                   (projected, projected_array, proj_tol),
-                                   (projected, cols @ weights, proj_tol)):
-            np.testing.assert_allclose(got, expected, rtol=0, atol=tol)
-
-    def test_a_run_is_read_without_scanning_it(self):
-        basis = FourierBasis(orders=16, period=4096)
-        run = range(4090, 4100)  # wraps past the period
-        offsets, span, _ = basis._transform(basis._run_or_positions(run))
-        assert offsets == slice(0, len(run)) and span == len(run)
-        array = basis._run_or_positions(np.asarray(run))
-        np.testing.assert_array_equal(basis._transform(array)[0], np.arange(len(run)))
-
-    def test_rejects_negative_and_mismatched_ranges(self):
-        basis = FourierBasis(orders=3, period=16)
-        with pytest.raises(ValueError):
-            basis.evaluate(np.zeros(6), range(-1, 3))
-        with pytest.raises(ValueError):
-            basis.project(np.zeros(4), range(-1, 3))
-        with pytest.raises(ValueError):
-            basis.project(np.zeros(3), range(0, 4))
-        assert basis.evaluate(np.zeros(6), range(-4, -4)).shape == (0,)
 
 
 def assert_fold_matches_oracle(state, basis, block, start_pos):
