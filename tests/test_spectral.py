@@ -376,8 +376,42 @@ class TestProperties:
         np.testing.assert_allclose(scaled, 1.7 * base, rtol=1e-12, atol=1e-12)
 
 
+@st.composite
+def basis_and_positions(draw):
+    """A basis whose orders reach past ``period/2`` (and past ``period``),
+    with short runs that start in the first four periods or far past them."""
+    period = draw(st.integers(1, 80))
+    orders = draw(st.integers(1, 2 * period + 3))
+    length = draw(st.integers(0, 40))
+    start = draw(st.one_of(st.integers(0, 4 * period), st.integers(0, 2**40)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return FourierBasis(orders=orders, period=period), range(start, start + length), seed
+
+
 class TestFftBasisOperations:
-    """What ``evaluate`` and ``project`` accept."""
+    """``evaluate`` and ``project`` against products with explicit columns, and what they accept."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(basis_and_positions())
+    def test_evaluate_equals_columns_transpose_product(self, case):
+        basis, positions, seed = case
+        coeffs = np.random.default_rng(seed).standard_normal(basis.n_rows)
+        expected = basis.columns(positions).T @ coeffs
+        got = basis.evaluate(coeffs, positions)
+        assert got.shape == (len(positions),)
+        np.testing.assert_allclose(got, expected, rtol=0,
+                                   atol=1e-12 * max(1.0, np.abs(coeffs).sum()))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(basis_and_positions())
+    def test_project_equals_columns_product(self, case):
+        basis, positions, seed = case
+        weights = np.random.default_rng(seed).standard_normal(len(positions))
+        expected = basis.columns(positions) @ weights
+        got = basis.project(weights, positions)
+        assert got.shape == (basis.n_rows,)
+        np.testing.assert_allclose(got, expected, rtol=0,
+                                   atol=1e-12 * max(1.0, np.abs(weights).sum()))
 
     def test_rejects_bad_shapes_and_negative_positions(self):
         basis = FourierBasis(orders=3, period=16)
@@ -543,6 +577,97 @@ class TestContiguousRuns:
             # at most five length-period float64 arrays; the chirp-z pair of
             # length 2 * period would take nine to eleven
             assert peak <= 6 * 8 * period
+
+
+@st.composite
+def basis_and_range(draw):
+    """A basis and positions given as a ``range``, as decode attention passes them.
+
+    Unit-step runs reach exactly one period and past it, start anywhere in
+    the first three periods (so they often wrap past a multiple of the
+    period) or far past them, and may be empty; orders reach past
+    ``period``. Other steps, negative ones included, must be rejected.
+    """
+    period = draw(st.one_of(st.just(1), st.integers(2, 80)))
+    orders = draw(st.one_of(st.integers(1, period), st.integers(period, 2 * period + 3)))
+    count = draw(st.one_of(st.just(0), st.just(period), st.integers(1, period),
+                           st.integers(period, 2 * period)))
+    start = draw(st.one_of(st.integers(0, 3 * period), st.integers(0, 2**40)))
+    step = draw(st.one_of(st.just(1), st.sampled_from([-3, -1, 2, 5])))
+    if step < 0:
+        start += -step * count  # the lowest position stays >= 0
+    seed = draw(st.integers(0, 2**32 - 1))
+    return FourierBasis(orders=orders, period=period), range(start, start + step * count, step), seed
+
+
+class TestRangePositions:
+    """A unit-step ``range`` reads as its positions given as an array; other steps are rejected."""
+
+    @pytest.mark.parametrize("ratios", [
+        {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 0},
+        {"_TABLE_COST_RATIO": spectral._TABLE_COST_RATIO},
+        {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 2**62},
+        {"_TABLE_COST_RATIO": 2**62},
+    ], ids=["chirp-z", "dispatch", "length-period", "tables"])
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=basis_and_range())
+    def test_range_equals_array_and_columns_products(self, ratios, case):
+        basis, run, seed = case
+        positions = np.asarray(run, dtype=np.int64)
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal(basis.n_rows)
+        weights = rng.standard_normal(len(run))
+        cols = basis.columns(positions)
+        np.testing.assert_array_equal(basis.columns(run), cols)
+        with mock.patch.multiple(spectral, **ratios):
+            if run.step != 1:
+                with pytest.raises(ValueError, match="step 1"):
+                    basis.evaluate(coeffs, run)
+                with pytest.raises(ValueError, match="step 1"):
+                    basis.project(weights, run)
+                return
+            evaluated = basis.evaluate(coeffs, run)
+            projected = basis.project(weights, run)
+        assert evaluated.shape == (len(run),) and projected.shape == (basis.n_rows,)
+        np.testing.assert_allclose(evaluated, cols.T @ coeffs, rtol=0,
+                                   atol=1e-12 * max(1.0, np.abs(coeffs).sum()))
+        np.testing.assert_allclose(projected, cols @ weights, rtol=0,
+                                   atol=1e-12 * max(1.0, np.abs(weights).sum()))
+
+    def test_a_run_is_read_without_scanning_it(self):
+        # far from the origin and wrapping past a multiple of the period: its
+        # residues span the whole period, but the run costs only its length
+        period = 2**16
+        basis = FourierBasis(orders=16, period=period)
+        run = range(1000 * period - 5, 1000 * period + 5)
+        assert basis._transform(run)[0] == len(run)
+        coeffs, weights = np.ones(basis.n_rows), np.ones(len(run))
+        cols = basis.columns(run)
+        for call, expected in ((lambda: basis.evaluate(coeffs, run), cols.T @ coeffs),
+                               (lambda: basis.project(weights, run), cols @ weights)):
+            call()  # builds the cached tables
+            tracemalloc.start()
+            try:
+                got = call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * basis.n_rows)
+            assert peak < 2**15  # a transform over 10 offsets, not a length-period FFT
+
+    def test_rejects_negative_and_mismatched_ranges(self):
+        basis = FourierBasis(orders=3, period=16)
+        for run in (range(-1, 3), range(-5, -1)):
+            with pytest.raises(ValueError, match="start >= 0"):
+                basis.evaluate(np.zeros(6), run)
+            with pytest.raises(ValueError, match="start >= 0"):
+                basis.project(np.zeros(len(run)), run)
+        with pytest.raises(ValueError, match="weights must have shape"):
+            basis.project(np.zeros(3), range(0, 4))
+        # empty runs, whatever their bounds, read as no positions
+        for run in (range(-4, -4), range(5, 2)):
+            assert basis.evaluate(np.zeros(6), run).shape == (0,)
+            np.testing.assert_array_equal(basis.project(np.zeros(0), run), np.zeros(6))
 
 
 def assert_fold_matches_oracle(state, basis, block, start_pos):
