@@ -240,10 +240,12 @@ def prefill(keys, values, layout: CacheLayout, layer: int, basis: FourierBasis):
 
     ``keys`` and ``values`` are ``(kv_heads, seq_len, head_dim)`` and must be
     finite. The middle region of every head, K and V alike, is folded at
-    absolute positions by one :func:`fold_blocks` call, so each basis column
-    is built once per layer. Sequences no longer than the partition's
-    init+local extent simply have an empty middle. The slices copy what they
-    keep: later changes to ``keys``/``values`` do not reach them.
+    absolute positions by one :func:`fold_blocks` call, which projects the
+    compressed dims of every head onto the basis in column groups through
+    the decode transforms and builds no basis column. Sequences no longer
+    than the partition's init+local extent simply have an empty middle. The
+    slices copy what they keep: later changes to ``keys``/``values`` do not
+    reach them.
     """
     keys = np.asarray(keys, dtype=np.float32)
     values = np.asarray(values, dtype=np.float32)
@@ -379,7 +381,11 @@ def memory_report(layout: CacheLayout, seq_len: int) -> dict:
 
     ``compressed_fraction`` is the share of (layer, head, dim, K/V) channels
     routed to spectral storage; as ``seq_len`` grows, ``ratio_vs_full``
-    approaches ``1 - compressed_fraction``.
+    approaches ``1 - compressed_fraction``. The counts do not weigh bytes: a
+    compressed dimension keeps ``2*orders`` float64 values in place of its
+    middle's float32 rows, so it saves bytes only when the middle holds
+    ``M > 4*orders`` positions (``M > 2*orders`` for float32 states);
+    ``fourier-kv select`` and ``eval`` warn on stderr below that.
     """
     if seq_len < 0:
         raise ValueError("seq_len must be >= 0")

@@ -7,6 +7,9 @@ a header row.
 
 ``eval`` spreads its per-head comparisons over ``FOURIER_KV_THREADS``
 threads: a positive integer, 1 when unset; any other value is a usage error.
+``select`` and ``eval`` warn on stderr when the trace's middle region holds
+at most ``4 * orders`` positions, where a compressed dimension's float64
+state outweighs the float32 rows it replaces.
 
 Exit codes: 0 success, 2 usage, 3 I/O failure, 4 data mismatch.
 """
@@ -146,6 +149,20 @@ def _resolve_partition(args) -> PartitionParams:
     return PartitionParams(init_len=init_len, local_len=local_len, period=period, orders=orders)
 
 
+def _warn_if_states_outweigh_rows(partition: PartitionParams, seq_len: int) -> None:
+    """Warn on stderr when a middle region of ``seq_len`` is too short to compress.
+
+    A compressed dimension keeps ``2*orders`` float64 values, ``16*orders``
+    bytes, in place of the middle's float32 rows, 4 bytes a position: with
+    ``M <= 4*orders`` middle positions the state is no smaller.
+    """
+    middle = max(0, seq_len - partition.init_len - partition.local_len)
+    if middle <= 4 * partition.orders:
+        print(f"warning: the middle region holds {middle} positions, at most "
+              f"4 * orders = {4 * partition.orders}: each compressed dimension's float64 "
+              f"state outweighs the float32 rows it replaces", file=sys.stderr)
+
+
 def _build_schema(name: str, layers: int) -> CompressionSchema:
     base = CompressionSchema.inverted_pyramid(layers)
     if name == "inverted":
@@ -200,6 +217,7 @@ def cmd_select(args) -> int:
     basis = build_basis(partition.orders, partition.period)
     schema = _build_schema(args.schema, trace.layers)
     report = build_selection_report(trace, schema, partition, basis)
+    _warn_if_states_outweigh_rows(partition, trace.seq_len)
     write_selection_manifest(report, args.out_manifest)
 
     hist_path = args.hist_csv or str(Path(args.out_manifest).with_name("histogram.csv"))
@@ -231,6 +249,7 @@ def cmd_eval(args) -> int:
             f"trace geometry ({trace.layers}, {trace.kv_heads}, {trace.head_dim}) does not "
             f"match manifest ({layout.layers}, {layout.kv_heads}, {layout.head_dim})"
         )
+    _warn_if_states_outweigh_rows(layout.partition, trace.seq_len)
     basis = build_basis(layout.partition.orders, layout.partition.period)
     cache = prefill_trace(trace, layout, basis)
 

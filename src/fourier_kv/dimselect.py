@@ -27,7 +27,7 @@ import scipy.fft
 
 from fourier_kv import spectral
 from fourier_kv.cache import CacheLayout, HeadDims, PartitionParams
-from fourier_kv.spectral import FourierBasis, _add_product, _run_columns, fold_blocks
+from fourier_kv.spectral import FourierBasis, fold_blocks
 from fourier_kv.traceio import KVTrace
 
 __all__ = [
@@ -156,13 +156,15 @@ def rank_dimensions(trace: KVTrace, partition: PartitionParams, basis: FourierBa
     * Gram: with ``s = C x`` from :func:`fold_blocks` and the
       data-independent ``G = C C.T``, ``|x - P x|**2 = |x|**2 + s.T (W G W -
       2W) s``: O(orders * (M + orders)) per column for the fold and the
-      form, and ``G`` is summed once per call over the fold's run columns.
+      form. ``G`` is built once per call from the run's cosine and sine sums
+      of orders below ``2*orders - 1``, one :meth:`FourierBasis.project`.
 
-    The decode transforms' cost rule picks the form: the Gram form while
-    ``min(orders, period) * M`` is at most ``_TABLE_COST_RATIO * L log2 L``
-    with ``L = n/2 + 1``, so 16 orders over a thousand positions take it and
-    512 orders take the convolution. Either way the transient memory is one
-    fold chunk or one group of FFT columns, each within
+    The decode transforms' cost rule picks the form, pricing the Gram form's
+    fold and its ``(2R)**2`` quadratic form per column, ``R * (M + 4R)``
+    with ``R = min(orders, period)``, against ``_TABLE_COST_RATIO * L log2
+    L`` with ``L = n/2 + 1``: 16 orders over a thousand positions take the
+    Gram form, 128 orders and more the convolution. Either way the transient
+    memory is one fold group or one group of FFT columns, each within
     ``_FOLD_CHUNK_FLOATS`` (1 MB), plus the ``(2*orders, head_dim)`` states
     of one layer; nothing grows with ``M`` times the orders.
     """
@@ -183,7 +185,8 @@ def rank_dimensions(trace: KVTrace, partition: PartitionParams, basis: FourierBa
         for layer in range(trace.layers)
     ]
     sse = np.empty((trace.layers, 2 * trace.kv_heads, trace.head_dim))
-    if spectral._products_cheaper(min(basis.orders, basis.period) * length, n_fft // 2 + 1):
+    n_bins = min(basis.orders, basis.period)
+    if spectral._products_cheaper(n_bins * (length + 4 * n_bins), n_fft // 2 + 1):
         _gram_sse(basis, layers, first, length, out=sse)
     else:
         _convolution_sse(basis, layers, length, n_fft, out=sse)
@@ -211,11 +214,28 @@ def _gram_sse(basis: FourierBasis, layers, first: int, length: int, out: np.ndar
 
 
 def _gram(basis: FourierBasis, first: int, length: int) -> np.ndarray:
-    """``C C.T`` over a run, summed chunk by chunk over its run columns."""
-    gram = np.zeros((basis.n_rows, basis.n_rows))
-    for _, cols_t in _run_columns(basis, first, length):
-        _add_product(gram, cols_t, cols_t)
-    return gram
+    """``C C.T`` over a run, from the run's cosine and sine sums of orders below ``2*orders - 1``.
+
+    With ``c(n)`` and ``s(n)`` the sums of ``cos(theta_n t)`` and ``sin(theta_n t)``
+    over the run, products of two basis rows are sums and differences of angles:
+    ``cos a cos b = (cos(a - b) + cos(a + b)) / 2`` and so on, so every entry
+    is half a sum of ``c`` or ``s`` at ``|n - m|`` and ``n + m``.
+    """
+    sums = FourierBasis(2 * basis.orders - 1, basis.period).project(
+        np.ones(length), range(first, first + length)
+    )
+    c, s = sums[0::2], sums[1::2]
+    n = np.arange(basis.orders)
+    diff, total = n[:, None] - n, n[:, None] + n
+    # sin(theta_d) is odd in d: s at n - m is sign(n - m) * s(|n - m|)
+    s_diff = np.sign(diff) * s[np.abs(diff)]
+    gram = np.empty((basis.orders, 2, basis.orders, 2))
+    gram[:, 0, :, 0] = c[np.abs(diff)] + c[total]
+    gram[:, 1, :, 1] = c[np.abs(diff)] - c[total]
+    gram[:, 0, :, 1] = s[total] - s_diff
+    gram[:, 1, :, 0] = s[total] + s_diff
+    gram *= 0.5
+    return gram.reshape(basis.n_rows, basis.n_rows)
 
 
 def _convolution_sse(basis: FourierBasis, layers, length: int, n_fft: int,

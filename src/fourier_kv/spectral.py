@@ -9,26 +9,22 @@ size never grows with sequence length. :func:`compress_batch` and
 BLAS rank-1 update of the state in place, and are bitwise equal; both read
 :meth:`FourierBasis.column`, which keeps the last column it built, so the K
 and V folds of every head evicting one position share one column;
-:func:`fold_blocks`, the fast batch fold, sums chunks of positions with one
-in-place BLAS matrix product per block and shares each chunk's basis
-columns across every block that covers the same positions. It builds those
-columns by angle addition: every phase of a contiguous run is the product of
-one of about ``sqrt(chunk)`` head phases and one of as many tail phases, so
-a chunk costs about ``2 * orders * sqrt(chunk)`` sines and cosines instead
-of ``2 * orders * chunk``, and its columns and tables share a fixed 1 MB.
-Reconstruction evaluates a weighted
-inverse transform at any folded position; the same inverse transform and its
-adjoint are also available without building columns, over a run of
-positions given as a ``range`` of step 1, which is how decode attention
-scores and aggregates the compressed region without rebuilding it. Three
-transforms serve them, and a cost rule picks the cheapest for the orders and
-the run's length: two small matrix products against cached trig tables for
-few orders, a chirp-z transform over the run while it is short against the
-period, and one length-period FFT once that is cheaper. A run is read
-without scanning it: its values are sliced out of, and its weights copied
-into, the transform's buffers, so a call's fixed cost is a handful of numpy
-calls. Every cosine and sine comes from one phase builder, which reduces
-``n*t`` mod the period in integers.
+:func:`fold_blocks`, the fast batch fold, is the adjoint transform below
+with a batch axis: groups of columns, from every block that covers the same
+positions, go through the transforms decode attention runs, so no basis
+column is built and the fold's transient keeps to a 1 MB budget. Reconstruction
+evaluates a weighted inverse transform at any folded position; the same
+inverse transform and its adjoint are also available without building
+columns, over a run of positions given as a ``range`` of step 1, which is
+how decode attention scores and aggregates the compressed region without
+rebuilding it. Three transforms serve them, and a cost rule picks the
+cheapest for the orders and the run's length: two small matrix products
+against cached trig tables for few orders, a chirp-z transform over the run
+while it is short against the period, and one length-period FFT once that
+is cheaper. A run is read without scanning it: its values are sliced out
+of, and its weights copied into, the transform's buffers, so a call's fixed
+cost is a handful of numpy calls. Every cosine and sine comes from one
+phase builder, which reduces ``n*t`` mod the period in integers.
 
 Phases are indexed by *absolute* token position so that a state built during
 prefill and a state extended by streaming evictions agree without rephasing.
@@ -37,11 +33,12 @@ prefill and a state extended by streaming evictions agree without rephasing.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.blas import dgemm, dger
+from scipy.linalg.blas import dger
 
 __all__ = [
     "FoldOrderError",
@@ -80,8 +77,9 @@ class FourierBasis:
     :meth:`column` builds one, read-only, and the last one built is cached.
     :meth:`evaluate` (``columns(t).T @ a``) and its adjoint :meth:`project`
     (``columns(t) @ p``) never build them; both read a run ``t``, a ``range``
-    of step 1 from ``lo >= 0``, of any length ``span``. Each runs one of
-    three transforms, priced by ``span`` and by the bin count ``R =
+    of step 1 from ``lo >= 0``, of any length ``span``, and ``project``
+    also takes ``p`` with a trailing batch axis of ``c`` columns. Each runs
+    one of three transforms, priced by ``span`` and by the bin count ``R =
     min(orders, period)``:
 
     * trig tables: each offset from ``lo`` splits as
@@ -96,6 +94,13 @@ class FourierBasis:
       ``32 * n <= 8 * period`` bytes of tables, whatever the period.
     * length-period FFT: one real FFT of length ``period``: O(period log
       period) time and O(period) memory, no tables.
+
+    With a batch axis the tables run the tail product for every column at
+    once and the head sum as one small product per bin, and the chirp-z
+    transform packs two real columns into one complex column: a pair of
+    columns costs one FFT pair, of the power of two ``n >= span + 2R - 2``
+    that bins ``-(R-1)..R-1`` need (2048 for 512 orders over 1020
+    positions, as for one column).
 
     The chirp-z pair runs while ``n <= period / 4``; beyond that it costs as
     much as the length-period FFT or more. The tables run while ``R * span``
@@ -169,26 +174,36 @@ class FourierBasis:
         above = r > self.period // 2
         return np.where(above, self.period - r, r), np.where(above, -1.0, 1.0)
 
-    def _transform(self, run: range) -> tuple[int, _TrigTables | _ChirpPlan | None]:
+    def _transform(
+        self, run: range, packed: bool = False, keep: bool = True
+    ) -> tuple[int, _TrigTables | _ChirpPlan | None]:
         """The length of a non-empty run and the plan to run over it.
 
         The plan holds the trig tables or the chirp-z tables of the cheaper
-        transform; it is ``None`` for the length-period FFT.
+        transform; it is ``None`` for the length-period FFT. ``packed`` sizes
+        the chirp-z transform for two real columns per complex column, which
+        reads bins ``-(R-1)..R-1`` and so ``R - 1`` more lags. ``keep=False``
+        builds the plan without caching it, for a batch fold that runs it
+        over many column groups and then drops it.
         """
         span = len(run)
         n_bins = min(self.orders, self.period)
-        # linear convolution of ``span`` outputs with R bins: n >= span + R - 1
-        n = 1 << (span + n_bins - 2).bit_length()
+        # linear convolution of ``span`` outputs with R bins: n >= span + R - 1,
+        # and n >= span + 2R - 2 with the negative bins as well
+        n = 1 << (span + (1 + packed) * (n_bins - 1) - 1).bit_length()
         chirp = _CHIRP_LENGTH_RATIO * n <= self.period
         # the complex FFT length of the cheaper FFT: the chirp-z pair's n, or
         # period // 2 + 1 for a real FFT of length period
         fft_len = n if chirp else self.period // 2 + 1
+        lo = run.start % self.period
         if _products_cheaper(n_bins * span, fft_len):
             width = 1 << (span.bit_length() // 2)
             rows = 1 << (-(-span // width) - 1).bit_length()
-            plan = _trig_tables(self.orders, self.period, run.start % self.period, width, rows)
+            build = _trig_tables if keep else _trig_tables.__wrapped__
+            plan = build(self.orders, self.period, lo, width, rows)
         elif chirp:
-            plan = _chirp_plan(self.orders, self.period, run.start % self.period, n)
+            build = _chirp_plan if keep else _chirp_plan.__wrapped__
+            plan = build(self.orders, self.period, lo, n)
         else:
             plan = None
         return span, plan
@@ -242,15 +257,24 @@ class FourierBasis:
     def project(self, weights, run: range) -> np.ndarray:
         """``columns(run) @ weights``: the adjoint of :meth:`evaluate`.
 
-        ``weights`` has shape ``(len(run),)``; returns ``(2*orders,)``.
-        ``run`` is read as by :meth:`evaluate`: its weights are copied into
-        the trig-table or chirp-z transform's input, and the length-period
-        FFT sums them by residue.
+        ``weights`` has shape ``(len(run),)``, giving ``(2*orders,)``, or
+        ``(len(run), c)``, giving ``(2*orders, c)``; 2-D weights are cast to
+        float64 in the transform's own buffers, so float32 ones are not
+        copied first. ``run`` is read as by :meth:`evaluate`: its weights are
+        copied into the trig-table or chirp-z transform's input, and the
+        length-period FFT sums them by residue.
         """
         self._check_run(run)
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (len(run),):
-            raise ValueError(f"weights must have shape ({len(run)},), got {w.shape}")
+        w = np.asarray(weights)
+        if w.ndim not in (1, 2) or w.shape[0] != len(run):
+            raise ValueError(
+                f"weights must have shape ({len(run)},) or ({len(run)}, c), got {w.shape}"
+            )
+        if w.ndim == 2:
+            if len(run) == 0 or w.shape[1] == 0:
+                return np.zeros((self.n_rows, w.shape[1]), dtype=np.float64)
+            return self._project_columns(w, run, self._transform(run, packed=True)[1])
+        w = w.astype(np.float64, copy=False)
         if len(run) == 0:
             return np.zeros(self.n_rows, dtype=np.float64)
         span, plan = self._transform(run)
@@ -278,6 +302,94 @@ class FourierBasis:
             g = np.fft.fft(np.fft.ifft(x, plan.spectrum.size) * plan.spectrum)[: plan.pre.size]
             g *= plan.pre
         return g[plan.bins].view(np.float64)
+
+    def _project_columns(self, w: np.ndarray, run: range, plan) -> np.ndarray:
+        """:meth:`project` of ``(span, c)`` weights, ``(2*orders, c)``, by the same transforms.
+
+        The trig tables run their tail product as one batched matrix product
+        and their head sum as one per bin. The chirp-z transform packs two
+        real columns into one complex column ``u + i*v`` and reads its bins
+        ``-(R-1)..R-1``: with ``G`` their sums, conjugate symmetry gives
+        ``g_u(r) = (G(r) + conj(G(-r))) / 2`` and ``g_v(r) = (G(r) -
+        conj(G(-r))) / 2i``, so a pair of columns costs one FFT pair, run in
+        place. The length-period FFT sums each column by residue. ``run`` is
+        not empty, ``c >= 1``, and ``plan`` is the packed plan of the run.
+        """
+        span, cols = w.shape
+        if plan is None:
+            lo = run.start % self.period
+            grid = np.zeros((-(-(lo + span) // self.period) * self.period, cols))
+            grid[lo : lo + span] = w
+            spectrum = np.fft.rfft(grid.reshape(-1, self.period, cols).sum(axis=0), axis=0)
+            bins, sine_sign = self._bins()
+            out = np.empty((self.n_rows, cols), dtype=np.float64)
+            out[0::2] = spectrum.real[bins]
+            out[1::2] = -sine_sign[:, None] * spectrum.imag[bins]
+            return out
+        n_bins = min(self.orders, self.period)
+        if isinstance(plan, _TrigTables):
+            width = plan.tail.shape[1]
+            rows = -(-span // width)
+            grid = np.empty((rows * width, cols))
+            grid[:span] = w
+            grid[span:] = 0.0
+            # the tail sums every row of the grid: (rows, 2R, cols), read per bin
+            # as (R, cosine and sine sums, rows, cols)
+            sums = np.matmul(plan.tail, grid.reshape(rows, width, cols))
+            sums = sums.reshape(rows, n_bins, 2, cols).transpose(1, 2, 0, 3)
+            # every head phase as its real and imaginary part, (R, 1, 2, rows): it
+            # is stored conjugated, so (cos + i*sin) * conj(re + i*im) sums each row
+            heads = plan.head[:rows].view(np.float64).reshape(rows, n_bins, 2).transpose(1, 2, 0)
+            parts = np.matmul(heads[:, None], sums)  # (R, cos/sin, re/im, cols)
+            g = np.empty((n_bins, 2, cols))
+            np.add(parts[:, 0, 0], parts[:, 1, 1], out=g[:, 0])
+            np.subtract(parts[:, 1, 0], parts[:, 0, 1], out=g[:, 1])
+            return g[plan.bins].reshape(self.n_rows, cols)
+        pairs, n = -(-cols // 2), plan.spectrum.size
+        # one column u + i*v of x per pair of weight columns, positions down its
+        # rows: its float64 view interleaves the weight columns as they come
+        x = np.empty((n, pairs), dtype=np.complex128)
+        packed = x.view(np.float64)
+        packed[:span, :cols] = w
+        packed[:span, cols:] = 0.0  # an odd last column pairs with zeros
+        x[span:] = 0.0
+        x[:span] *= plan.chirp[:span, None]
+        np.fft.ifft(x, axis=0, out=x)
+        x *= plan.spectrum[:, None]
+        np.fft.fft(x, axis=0, out=x)
+        # half the sums G at bin r, from row r, and at bin -r, from row n - r:
+        # exp(i*theta_r*(lo + m)) is pre[r] * w(m) * conj(w(m - r)) at -r too,
+        # with pre[-r] = conj(pre[r]) * w(r)**2
+        half = 0.5 * plan.pre[plan.bins]
+        pos = x[plan.bins]
+        pos *= half[:, None]
+        neg = x[-plan.bins % n]
+        neg *= (np.conjugate(half) * plan.chirp[plan.bins] ** 2)[:, None]
+        # g_u = pos + conj(neg) and g_v = (pos - conj(neg)) / i: per pair, the
+        # cosine sums of u and v are the real and imaginary part of pos + neg,
+        # and their sine sums those of -i * (pos - neg)
+        out = np.empty((self.orders, 2, pairs), dtype=np.complex128)
+        np.add(pos, neg, out=out[:, 0])
+        np.subtract(pos, neg, out=out[:, 1])
+        out[:, 1] *= -1j
+        return out.view(np.float64).reshape(self.n_rows, 2 * pairs)[:, :cols]
+
+    def _project_floats(self, span: int, plan) -> int:
+        """Float64 values per column that :meth:`_project_columns` holds over ``span`` positions.
+
+        The weights, the output and the plan's buffers: the grid and its
+        tail and head sums for the trig tables, half a complex FFT buffer of
+        length ``n`` and the packed bins for the chirp-z transform, the
+        residue sums and their spectrum for the length-period FFT.
+        """
+        n_bins = min(self.orders, self.period)
+        floats = span + self.n_rows  # the weights and the output
+        if isinstance(plan, _TrigTables):
+            rows = -(-span // plan.tail.shape[1])
+            return floats + rows * plan.tail.shape[1] + 2 * n_bins * rows + 6 * n_bins
+        if plan is not None:
+            return floats + plan.spectrum.size + 5 * n_bins
+        return floats + span + 4 * self.period
 
     @property
     def rows(self) -> np.ndarray:
@@ -327,11 +439,13 @@ def _products_cheaper(work: int, fft_len: int) -> bool:
     ``work <= _TABLE_COST_RATIO * L * log2(L)`` with ``L = fft_len``, read at
     call time so a test can force either side. The trig tables use it, and
     so does ``dimselect.rank_dimensions`` to choose its Gram form over its
-    convolution, with ``span`` the calibration middle and ``L`` the real
-    FFT of twice its length: there it picked the faster form in 32 of 36
-    timed cases (orders 8-512, middles 256-4000, periods 4096 and 32768;
-    the four misses were 128 orders over 256 and 1000 positions, 2.2x and
-    1.1x slower, numpy 2.4 and scipy 1.17 on a 2-core x86_64).
+    convolution, with ``work = R * (M + 4R)`` for the fold and the quadratic
+    form of a calibration middle of ``M`` positions and ``L`` the real FFT
+    of twice its length: there it picked the faster form in 32 of 36 timed
+    cases in each of two sweeps (orders 8-512, middles 256-4000, periods
+    4096 and 32768; the misses were 64 orders over 256 positions, 1.2-1.6x
+    slower, and 128 orders over 4000, 1.0-1.4x, numpy 2.4 and scipy 1.17 on
+    a 2-core x86_64).
     """
     return work <= _TABLE_COST_RATIO * fft_len * fft_len.bit_length()
 
@@ -506,27 +620,9 @@ def compress_batch(basis: FourierBasis, values, start_pos: int) -> SpectralState
     return state
 
 
-# a batch fold's columns, run tables and product buffer per chunk: at most
-# 2**17 float64 values, 1 MB
+# a batch fold's transient per column group: its weights, the transform's
+# buffers and its output, at most 2**17 float64 values, 1 MB
 _FOLD_CHUNK_FLOATS = 2**17
-
-
-def _tail_width(chunk: int) -> int:
-    """The power of two at or just above ``sqrt(chunk)``: offsets per row block of a run."""
-    return 1 << ((chunk - 1).bit_length() + 1) // 2
-
-
-def _run_chunk(n_rows: int) -> int:
-    """Positions per chunk whose columns and run tables fit ``_FOLD_CHUNK_FLOATS``.
-
-    In units of one column (``n_rows`` floats): the chunk's columns, padded
-    by at most ``width - 1`` to whole row blocks, the tail table (``width``)
-    and the head table (one per row block) share the budget. At ``n_rows =
-    1024`` a chunk is 88 positions: 96 + 16 + 6 of 128 columns.
-    """
-    budget = max(1, _FOLD_CHUNK_FLOATS // n_rows)
-    width = _tail_width(budget)
-    return max(1, budget - 2 * width - -(-budget // width))
 
 
 def _unit_phases(orders: int, period: int, positions: np.ndarray) -> np.ndarray:
@@ -552,57 +648,6 @@ def _unit_phases(orders: int, period: int, positions: np.ndarray) -> np.ndarray:
     return out
 
 
-def _run_columns(basis: FourierBasis, start: int, length: int, chunk: int | None = None):
-    """Yield ``(lo, cols_t)``: a run's basis columns, transposed, ``chunk`` positions at a time.
-
-    ``chunk`` defaults to the batch fold's, :func:`_run_chunk` of the basis.
-
-    ``cols_t`` is C-ordered and equals ``basis.columns(np.arange(start + lo,
-    start + lo + len(cols_t))).T`` within ``4e-15`` absolute; the chunks
-    cover ``0..length`` in order, and each one overwrites the array of the
-    one before. Each offset in a chunk splits as ``a*width + b`` (``width =
-    _tail_width(chunk)``, ``b < width``), so ``exp(i*theta_n*t)`` is the
-    product of a head phase at ``chunk start + a*width`` and a tail phase
-    at ``b``, both exact: one broadcast complex product builds the chunk,
-    whose float64 view is the interleaved cosine and sine layout itself.
-    Per chunk that is ``orders * (rows + width)`` sines and cosines, about
-    ``2 * orders * sqrt(chunk)``, against ``2 * orders * chunk`` for
-    :meth:`FourierBasis.columns`. The tail table and the product buffer
-    are built once per call, the head table once per chunk; all are sized
-    by ``chunk``, never by the run, and nothing outlives the call.
-    """
-    if chunk is None:
-        chunk = _run_chunk(basis.n_rows)
-    width = _tail_width(chunk)
-    tail = _unit_phases(basis.orders, basis.period, np.arange(width, dtype=np.int64))
-    rows = -(-min(chunk, length) // width)
-    product = np.empty((rows, width, basis.orders), dtype=np.complex128)
-    for lo in range(0, length, chunk):
-        count = min(chunk, length - lo)
-        rows = -(-count // width)
-        head = _unit_phases(
-            basis.orders, basis.period, start + lo + width * np.arange(rows, dtype=np.int64)
-        )
-        np.multiply(head[:, None], tail, out=product[:rows])
-        yield lo, product.reshape(-1, basis.orders)[:count].view(np.float64)
-
-
-def _add_product(coeffs: np.ndarray, cols_t: np.ndarray, block: np.ndarray) -> None:
-    """``coeffs += cols_t.T @ block`` in place, as one BLAS matrix product (``dgemm``).
-
-    BLAS accumulates into the state itself, so no ``(2k, dim)`` temporary
-    exists; ``cols_t`` is ``(positions, 2k)`` and ``block`` ``(positions,
-    dim)``, both float64.
-    """
-    if coeffs.size == 0 or block.shape[0] == 0:
-        return  # BLAS rejects empty arrays; there is nothing to add
-    # coeffs.T += block.T @ cols_t: for C-ordered inputs every operand BLAS
-    # sees is Fortran-ordered, so it reads them and updates coeffs' buffer as they are
-    updated = dgemm(1.0, block.T, cols_t.T, beta=1.0, c=coeffs.T, trans_b=1, overwrite_c=1)
-    if not np.may_share_memory(updated, coeffs):
-        coeffs[...] = updated.T
-
-
 def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
     """Fold several blocks that cover the same run of absolute positions.
 
@@ -610,17 +655,22 @@ def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
     all blocks have the same ``L``. With ``dims``, a sequence parallel to
     ``blocks``, block ``i`` contributes only its columns ``dims[i]``.
 
-    Positions go in chunks whose columns and angle-addition tables fit
-    ``2**17`` float64 values (1 MB): 88 positions at ``2*orders = 1024``,
-    3904 at 32. Each chunk's columns are built once, from about ``2 * orders
-    * sqrt(chunk)`` sines and cosines rather than ``2 * orders * chunk``,
-    and serve every block; each block's chunk is selected and cast to
-    float64 only then, so no block is copied whole, and BLAS adds its
-    product into the state in place, so no ``(2*orders, dim)`` temporary
-    exists. The transient memory is therefore one chunk's worth whatever the
-    run length. Returns one state per block, equal to :func:`compress_batch`
-    of that block within ``1e-12 * max(1, sum|x|)`` per column: BLAS sums a
-    chunk in its own order, so not bitwise.
+    The fold is :meth:`FourierBasis.project` of the selected columns, so it
+    runs the decode transforms and their cost rule: the packed chirp-z
+    transform at stock (a pair of columns per complex FFT pair of length
+    2048 over 1020 positions), the trig tables at desk. Their plan is built
+    once per sub-run and not cached, so a prefill leaves behind no plan that
+    decode would not build. Columns go to it in groups that may span
+    blocks, each group selected from its blocks only then, so no block is
+    copied whole, and float32 blocks are cast to float64 in the transform's
+    own buffers. A group's weights, the transform's buffers and its output
+    fit ``_FOLD_CHUNK_FLOATS`` float64 values (1 MB) where one column
+    allows, and a run longer than ``_FOLD_CHUNK_FLOATS // 128`` (1024)
+    positions goes as consecutive sub-runs, which the fold's linearity
+    allows, so the transient memory is one budget whatever the run length.
+    Returns one state per block, equal to :func:`compress_batch` of that
+    block within ``1e-12 * max(1, sum|x|)`` per column: the transforms sum
+    in their own order, so not bitwise.
     """
     if start_pos < 0:
         raise ValueError(f"start_pos must be >= 0, got {start_pos}")
@@ -635,15 +685,40 @@ def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
     if len(lengths) > 1:
         raise ValueError(f"blocks must share one length, got {sorted(lengths)}")
     length = lengths.pop() if lengths else 0
-    states = [
-        SpectralState.zeros(basis.orders, a[:0, d].shape[1]) for a, d in zip(arrays, dims)
-    ]
+    # float32 blocks stay float32 until the transform's buffers cast them
+    dtype = np.result_type(np.float32, *arrays)
+    picks = [np.arange(a.shape[1])[d] for a, d in zip(arrays, dims)]
+    states = [SpectralState.zeros(basis.orders, p.size) for p in picks]
     if length == 0:
         return states
-    for lo, cols_t in _run_columns(basis, start_pos, length):
-        hi = lo + cols_t.shape[0]
-        for a, d, state in zip(arrays, dims, states):
-            _add_product(state.coeffs, cols_t, np.asarray(a[lo:hi, d], dtype=np.float64))
+    # picked column c of the fold is column c - starts[i] of block i's picks
+    starts = list(itertools.accumulate((p.size for p in picks), initial=0))
+    # a block whose dims are a slice of step 1 is selected as a slice, not gathered
+    stretch = [isinstance(d, slice) and d.step in (None, 1) for d in dims]
+    # sub-runs short enough that a group of about 32 columns, each holding its
+    # weights and about three times as many transform values, fits the budget
+    sub_run = max(1, _FOLD_CHUNK_FLOATS // 128)
+    for lo in range(0, length, sub_run):
+        hi = min(length, lo + sub_run)
+        run = range(start_pos + lo, start_pos + hi)
+        # decode keeps its own plans; this one lives only as long as the sub-run
+        span, plan = basis._transform(run, packed=True, keep=False)
+        group = max(1, _FOLD_CHUNK_FLOATS // basis._project_floats(span, plan))
+        for first in range(0, starts[-1], group):
+            last = min(first + group, starts[-1])
+            # the group's columns a:b of block i's picks sit at starts[i] - first + a:b
+            touched = [i for i in range(len(picks))
+                       if max(first, starts[i]) < min(last, starts[i + 1])]
+            weights = np.empty((hi - lo, last - first), dtype=dtype)
+            for i in touched:
+                a, b = max(first, starts[i]) - starts[i], min(last, starts[i + 1]) - starts[i]
+                cols = slice(picks[i][a], picks[i][a] + b - a) if stretch[i] else picks[i][a:b]
+                weights[:, starts[i] + a - first : starts[i] + b - first] = arrays[i][lo:hi, cols]
+            folded = basis._project_columns(weights, run, plan)
+            for i in touched:
+                a, b = max(first, starts[i]) - starts[i], min(last, starts[i + 1]) - starts[i]
+                states[i].coeffs[:, a:b] += folded[:, starts[i] + a - first : starts[i] + b - first]
+            del weights, folded  # the next group's transform runs without them
     for state in states:
         state.token_count = length
         state.first_pos = start_pos

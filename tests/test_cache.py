@@ -210,10 +210,9 @@ def assert_slice_unchanged(sl, before):
 def prefill_geometries(draw):
     """A one-layer layout and its K/V blocks.
 
-    Covers init 0, empty middles, middles exactly one period long or longer
-    than one fold chunk (orders 4096 make chunks of 16 positions), orders past
-    ``period/2``, and 1-3 heads with different compressed sets, empty and
-    full included.
+    Covers init 0, empty middles, middles exactly one period long, orders
+    past ``period/2`` and 4096 of them (8192 rows, small column groups), and
+    1-3 heads with different compressed sets, empty and full included.
     """
     head_dim = draw(st.integers(1, 6))
     kv_heads = draw(st.integers(1, 3))

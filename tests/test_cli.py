@@ -198,6 +198,25 @@ class TestEval:
         assert reports[0] == reports[1]
 
 
+class TestStateSizeWarning:
+    """``select`` and ``eval`` warn when a float64 state outweighs the float32 rows it replaces."""
+
+    # the fixture trace's middle region holds 44 - 4 - 8 = 32 positions
+    @pytest.mark.parametrize("orders, warns", [(7, False), (8, True)])
+    def test_warns_when_the_middle_is_at_most_four_orders(self, tmp_path, trace_file, capsys,
+                                                          orders, warns):
+        manifest = tmp_path / "sel.json"
+        assert run("select", "--trace", trace_file, "--k", orders, "--T", 64,
+                   "--init", 4, "--local", 8, "--out-manifest", manifest) == 0
+        err = capsys.readouterr().err
+        assert ("warning:" in err) == warns
+        assert run("eval", "--trace", trace_file, "--manifest", manifest,
+                   "--decode-steps", 1, "--report", tmp_path / "r.csv") == 0
+        assert capsys.readouterr().err == err
+        if warns:
+            assert "holds 32 positions, at most 4 * orders = 32" in err
+
+
 class TestCompareBases:
     def test_tone_trace_wins_everywhere(self, tmp_path):
         trace = tmp_path / "tone.kvt"

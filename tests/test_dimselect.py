@@ -21,7 +21,13 @@ from fourier_kv.dimselect import (
     temporal_std,
     write_selection_manifest,
 )
-from fourier_kv.spectral import build_basis, compress_batch, reconstruct, reconstruction_mse
+from fourier_kv.spectral import (
+    FourierBasis,
+    build_basis,
+    compress_batch,
+    reconstruct,
+    reconstruction_mse,
+)
 from fourier_kv.traceio import KVTrace, gen_synthetic
 
 
@@ -168,15 +174,22 @@ class TestRankDimensions:
                     np.testing.assert_allclose(got[layer, head], expected, rtol=1e-9)
 
     def test_matches_oracle_across_fold_chunks(self):
-        # 1024 orders make a fold chunk of 40 positions: the 100-position
-        # middle is folded and read back in three chunks, the last one partial
+        # a budget of 2**8 floats folds the 100-position middle in sub-runs of two
+        # positions, and its 12 columns in groups of five that span blocks
         rng = np.random.default_rng(5)
-        part = PartitionParams(init_len=2, local_len=3, period=4096, orders=1024)
-        basis = build_basis(1024, 4096)
-        assert spectral._run_chunk(basis.n_rows) == 40
+        part = PartitionParams(init_len=2, local_len=3, period=64, orders=4)
+        basis = build_basis(4, 64)
         keys = rng.standard_normal((1, 2, 105, 3)).astype(np.float32)
         values = (rng.standard_normal((1, 2, 105, 3)) * np.arange(1, 4)).astype(np.float32)
-        ranking = rank_dimensions(KVTrace(keys=keys, values=values), part, basis)
+        trace = KVTrace(keys=keys, values=values)
+        assert rank_branch(trace, part, basis) == "gram"
+        with mock.patch.object(spectral, "_FOLD_CHUNK_FLOATS", 2**8), \
+                mock.patch.object(FourierBasis, "_project_columns", autospec=True,
+                                  side_effect=FourierBasis._project_columns) as fold:
+            ranking = rank_dimensions(trace, part, basis)
+        groups = [call.args for call in fold.call_args_list]
+        assert len({run for _, _, run, _ in groups}) == 50
+        assert sorted({w.shape[1] for _, w, _, _ in groups}) == [2, 5]
         positions = np.arange(2, 102)
         for head in range(2):
             for got, data in ((ranking.k_mse, keys), (ranking.v_mse, values)):
@@ -200,7 +213,7 @@ class TestRankDimensions:
         finally:
             tracemalloc.stop()
         assert peak < basis.n_rows * 4096 * 8
-        assert peak < 2 * 2**20  # one chunk of columns and its tables, plus small states
+        assert peak < 2 * 2**20  # one group of FFT columns, plus small states
 
     def test_gram_peak_is_below_one_column_block(self):
         # the twin of the test above for the Gram form: one (2k, M) block is 4 MiB
@@ -218,13 +231,39 @@ class TestRankDimensions:
         finally:
             tracemalloc.stop()
         assert peak < basis.n_rows * 4096 * 8
-        assert peak < 2 * 2**20  # one fold chunk of columns and its tables, the Gram matrix
+        assert peak < 2 * 2**20  # one fold group and its transform's buffers, the Gram matrix
 
     def test_too_short_trace_rejected(self):
         part = PartitionParams(init_len=4, local_len=8, period=32, orders=4)
         trace = gen_synthetic("constant", layers=1, kv_heads=1, head_dim=4, seq_len=12)
         with pytest.raises(ValueError):
             rank_dimensions(trace, part, build_basis(4, 32))
+
+
+class TestGram:
+    """The Gram matrix ``C C.T`` of a run, from its cosine and sine sums, against explicit columns."""
+
+    @pytest.mark.parametrize("ratios", [
+        {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 0},
+        {"_TABLE_COST_RATIO": spectral._TABLE_COST_RATIO},
+        {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 2**62},
+        {"_TABLE_COST_RATIO": 2**62},
+    ], ids=["chirp-z", "dispatch", "length-period", "tables"])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(period=st.integers(1, 40), data=st.data())
+    def test_equals_columns_gram(self, ratios, period, data):
+        # orders past period/2 and past the period; runs shorter or longer than
+        # the period, wrapping past a multiple of it
+        orders = data.draw(st.integers(1, 2 * period + 3))
+        first = data.draw(st.integers(0, 3 * period))
+        length = data.draw(st.integers(1, 2 * period + 5))
+        basis = build_basis(orders, period)
+        cols = basis.columns(range(first, first + length))
+        with mock.patch.multiple(spectral, **ratios):
+            got = dimselect._gram(basis, first, length)
+        assert got.shape == (basis.n_rows, basis.n_rows)
+        # every entry is a sum of ``length`` products of unit-bounded values
+        assert np.all(np.abs(got - cols @ cols.T) <= 1e-12 * length)
 
 
 class TestApplySchema:

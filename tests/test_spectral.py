@@ -670,6 +670,70 @@ class TestRangePositions:
             np.testing.assert_array_equal(basis.project(np.zeros(0), run), np.zeros(6))
 
 
+@st.composite
+def basis_run_and_columns(draw):
+    """A basis, a run and a column count for ``(len(run), c)`` weights.
+
+    Runs are empty, single positions, up to one period or up to two, and
+    start in the first three periods (so they often wrap past a multiple of
+    the period) or anywhere up to 2**40; orders reach past ``period/2`` and
+    past the period; column counts are 0, odd or even.
+    """
+    period = draw(st.one_of(st.just(1), st.integers(2, 80)))
+    orders = draw(st.one_of(st.integers(1, period), st.integers(period, 2 * period + 3)))
+    length = draw(st.one_of(st.just(0), st.just(1), st.integers(1, period),
+                            st.integers(period, 2 * period)))
+    start = draw(st.one_of(st.integers(0, 3 * period), st.integers(0, 2**40)))
+    cols = draw(st.integers(0, 7))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return FourierBasis(orders=orders, period=period), range(start, start + length), cols, seed
+
+
+class TestBatchedProject:
+    """``project`` of ``(len(run), c)`` weights against ``columns(run) @ weights``."""
+
+    # as in TestContiguousRuns: ratios 0 and 2**62 force one transform
+    @pytest.mark.parametrize("ratios", [
+        {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 0},
+        {"_TABLE_COST_RATIO": spectral._TABLE_COST_RATIO},
+        {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 2**62},
+        {"_TABLE_COST_RATIO": 2**62},
+    ], ids=["chirp-z", "dispatch", "length-period", "tables"])
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=basis_run_and_columns())
+    def test_equals_columns_product_per_column(self, ratios, case):
+        basis, run, cols, seed = case
+        weights = np.random.default_rng(seed).standard_normal((len(run), cols))
+        expected = basis.columns(run) @ weights
+        scale = np.maximum(1.0, np.abs(weights).sum(axis=0))
+        with mock.patch.multiple(spectral, **ratios):
+            got = basis.project(weights, run)
+            if cols:
+                single = basis.project(weights[:, 0], run)
+                twin = basis.project(weights[:, :1], run)
+        assert got.shape == (basis.n_rows, cols)
+        assert np.all(np.abs(got - expected) <= 1e-12 * scale)
+        if cols:
+            # a 1-D call and its (span, 1) twin run different code, to the same bound
+            assert twin.shape == (basis.n_rows, 1)
+            assert np.all(np.abs(single - twin[:, 0]) <= 1e-12 * scale[0])
+
+    def test_float32_weights_are_cast_in_the_transform(self):
+        weights = np.random.default_rng(4).standard_normal((40, 5)).astype(np.float32)
+        for basis in (FourierBasis(16, 4096), FourierBasis(512, 32768), FourierBasis(3, 8)):
+            np.testing.assert_array_equal(basis.project(weights, range(7, 47)),
+                                          basis.project(weights.astype(np.float64), range(7, 47)))
+
+    def test_rejects_bad_shapes(self):
+        basis = FourierBasis(orders=3, period=16)
+        assert basis.project(np.zeros((2, 4)), range(0, 2)).shape == (6, 4)
+        for weights in (np.zeros((3, 4)), np.zeros((2, 4, 1)), np.zeros(())):
+            with pytest.raises(ValueError, match="weights must have shape"):
+                basis.project(weights, range(0, 2))
+        with pytest.raises(ValueError, match="step 1"):
+            basis.project(np.zeros((2, 4)), range(0, 4, 2))
+
+
 def assert_fold_matches_oracle(state, basis, block, start_pos):
     """``state`` equals ``compress_batch`` of ``block`` within 1e-12 of each column's scale."""
     oracle = compress_batch(basis, block, start_pos)
@@ -684,9 +748,9 @@ def assert_fold_matches_oracle(state, basis, block, start_pos):
 def blocks_on_one_run(draw):
     """Blocks sharing one run of positions, with optional per-block column picks.
 
-    Lengths reach exactly one period and past one fold chunk (orders 4096 make
-    a chunk of 16 positions); orders reach past ``period/2``; blocks may have
-    no columns and picks may be empty or full.
+    Lengths reach exactly one period; orders reach past ``period/2``, and
+    orders 4096 make column groups of about 15 columns, fewer than some
+    draws have; blocks may have no columns and picks may be empty or full.
     """
     period = draw(st.integers(1, 64))
     orders = draw(st.one_of(st.integers(1, period + 2), st.just(4096)))
@@ -716,10 +780,27 @@ class TestFoldBlocks:
             assert_fold_matches_oracle(state, basis, selected, start_pos)
 
     def test_chunks_cover_a_run_longer_than_one_chunk(self):
-        basis = FourierBasis(orders=4096, period=64)  # 8192 rows: chunks of 16 positions
+        basis = FourierBasis(orders=4096, period=64)  # 8192 rows: the largest states
         block = np.random.default_rng(0).standard_normal((50, 3))
         (state,) = fold_blocks(basis, [block], 7)
         assert_fold_matches_oracle(state, basis, block, 7)
+
+    @pytest.mark.parametrize("budget, length", [(spectral._FOLD_CHUNK_FLOATS, 2500), (2**9, 90)],
+                             ids=["1024-position sub-runs", "small groups"])
+    def test_sub_runs_and_groups_cover_a_long_run(self, budget, length):
+        # 2**9 floats make sub-runs of 4 positions and groups of 4 columns that
+        # span blocks; the run wraps past a multiple of the period. Picks come
+        # unordered, ordered with gaps, as a stretch, empty and as slices
+        basis = FourierBasis(orders=8, period=4096)
+        rng = np.random.default_rng(6)
+        blocks = [rng.standard_normal((length, width)).astype(np.float32)
+                  for width in (3, 0, 5, 5, 6, 6)]
+        picks = [np.array([2, 0]), np.array([], dtype=np.int64), np.array([1, 3, 2, 4]),
+                 np.array([1, 2, 3]), slice(2, 5), slice(1, None, 2)]
+        with mock.patch.object(spectral, "_FOLD_CHUNK_FLOATS", budget):
+            states = fold_blocks(basis, blocks, 4090, dims=picks)
+        for state, block, pick in zip(states, blocks, picks):
+            assert_fold_matches_oracle(state, basis, block[:, pick], 4090)
 
     def test_empty_run_gives_zero_states(self):
         basis = FourierBasis(orders=3, period=16)
@@ -763,42 +844,6 @@ class TestFoldBlocks:
         assert long <= short + 16 * 1024
         assert short < 4 * 2**20
 
-
-@st.composite
-def runs_in_chunks(draw):
-    """A basis, a run of positions and a chunk size for ``_run_columns``.
-
-    Orders reach past ``period/2`` and past the period; runs reach two periods,
-    so many cross a multiple of it; chunks are drawn freely, so their
-    boundaries mostly fall between multiples of the tail width.
-    """
-    period = draw(st.integers(1, 80))
-    orders = draw(st.integers(1, 2 * period + 3))
-    start = draw(st.integers(0, 4 * period))
-    length = draw(st.integers(0, 2 * period + 3))
-    chunk = draw(st.integers(1, max(1, length + 2)))
-    return FourierBasis(orders=orders, period=period), start, length, chunk
-
-
-class TestRunColumns:
-    """Run columns by angle addition against the exact ``columns``."""
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(runs_in_chunks())
-    def test_chunks_equal_columns_of_the_run(self, case):
-        basis, start, length, chunk = case
-        los, parts = [], []
-        for lo, cols_t in spectral._run_columns(basis, start, length, chunk):
-            assert cols_t.flags.c_contiguous and cols_t.dtype == np.float64
-            assert 1 <= cols_t.shape[0] <= chunk and cols_t.shape[1] == basis.n_rows
-            los.append(lo)
-            parts.append(cols_t.copy())  # the next chunk overwrites it
-        assert los == list(range(0, length, chunk))
-        got = np.concatenate(parts) if parts else np.zeros((0, basis.n_rows))
-        expected = basis.columns(np.arange(start, start + length)).T
-        assert got.shape == expected.shape
-        assert np.all(np.abs(got - expected) <= 4e-15)
-
     def test_fold_chunk_transient_stays_within_the_budget(self):
         basis = FourierBasis(orders=512, period=32768)
         blocks = [np.ones((1020, 102), dtype=np.float32) for _ in range(2)]
@@ -809,9 +854,40 @@ class TestRunColumns:
         finally:
             tracemalloc.stop()
         assert current >= sum(s.coeffs.nbytes for s in states)
-        # columns and tables share 1 MB and the states are updated in place; on
-        # top come numpy's 8192-element buffer for the broadcast complex product
-        # and one chunk of one block, selected in float32 and cast to float64
-        chunk = spectral._run_chunk(basis.n_rows)
-        bound = 8 * spectral._FOLD_CHUNK_FLOATS + 16 * 8192 + chunk * 102 * 12
+        # the states are updated in place; a group's weights, the transform's
+        # buffers and its output share 1 MB. The bound is the one the fold had
+        # when it built run columns 88 positions at a time: 1 MB of columns and
+        # tables, numpy's 8192-element buffer for their complex product, and one
+        # chunk of one block, selected in float32 and cast to float64
+        bound = 8 * spectral._FOLD_CHUNK_FLOATS + 16 * 8192 + 88 * 102 * 12
         assert peak - current <= bound + 16 * 1024
+
+    @pytest.mark.parametrize("part, plan, n", [
+        ((512, 32768, 4, 1020, 2), spectral._ChirpPlan, 2048),
+        ((16, 4096, 4, 956, 4), spectral._TrigTables, None),
+    ], ids=["stock", "desk"])
+    def test_benchmark_geometries_take_their_transform(self, part, plan, n):
+        # the benchmark's prefill middles: K and V of every head, 80% of their dims
+        orders, period, start, length, heads = part
+        basis = FourierBasis(orders=orders, period=period)
+        rng = np.random.default_rng(3)
+        head_dim = 128 if orders == 512 else 64
+        blocks = [rng.standard_normal((length, head_dim)).astype(np.float32)
+                  for _ in range(2 * heads)]
+        picks = [np.sort(rng.choice(head_dim, round(0.8 * head_dim), replace=False))
+                 for _ in blocks]
+        seen, transform = [], FourierBasis._transform
+
+        def spy(self, run, packed=False, keep=True):
+            span, got = transform(self, run, packed, keep)
+            seen.append((run, packed, got))
+            return span, got
+
+        with mock.patch.object(FourierBasis, "_transform", spy):
+            fold_blocks(basis, blocks, start, dims=picks)
+        assert seen
+        for run, packed, got in seen:
+            assert run == range(start, start + length) and packed
+            assert isinstance(got, plan)
+            if n is not None:
+                assert got.spectrum.size == n  # two columns per FFT pair of one column's length
