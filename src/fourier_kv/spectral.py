@@ -12,19 +12,19 @@ and V folds of every head evicting one position share one column;
 :func:`fold_blocks`, the fast batch fold, is the adjoint transform below
 with a batch axis: groups of columns, from every block that covers the same
 positions, go through the transforms decode attention runs, so no basis
-column is built and the fold's transient keeps to a 1 MB budget. Reconstruction
-evaluates a weighted inverse transform at any folded position; the same
-inverse transform and its adjoint are also available without building
-columns, over a run of positions given as a ``range`` of step 1, which is
-how decode attention scores and aggregates the compressed region without
-rebuilding it. Three transforms serve them, and a cost rule picks the
-cheapest for the orders and the run's length: two small matrix products
-against cached trig tables for few orders, a chirp-z transform over the run
-while it is short against the period, and one length-period FFT once that
-is cheaper. A run is read without scanning it: its values are sliced out
-of, and its weights copied into, the transform's buffers, so a call's fixed
-cost is a handful of numpy calls. Every cosine and sine comes from one
-phase builder, which reduces ``n*t`` mod the period in integers.
+column is built and the fold's transient keeps to a 1 MB budget.
+Reconstruction evaluates a weighted inverse transform at any folded
+position; the same inverse transform and its adjoint are also available
+without building columns, over a run of positions given as a ``range`` of
+step 1, which is how decode attention scores and aggregates the compressed
+region without rebuilding it. Three transforms serve them, and a cost rule
+picks the cheapest for the orders and the run's length: two small matrix
+products against cached trig tables for few orders, a chirp-z transform
+over the run while it is short against the period, and one length-period
+FFT once that is cheaper. A run is read without scanning it: its values are
+sliced out of, and its weights copied into, the transform's buffers, so a
+call's fixed cost is a handful of numpy calls. Every cosine and sine comes
+from one phase builder, which reduces ``n*t`` mod the period in integers.
 
 Phases are indexed by *absolute* token position so that a state built during
 prefill and a state extended by streaming evictions agree without rephasing.
@@ -441,11 +441,11 @@ def _products_cheaper(work: int, fft_len: int) -> bool:
     so does ``dimselect.rank_dimensions`` to choose its Gram form over its
     convolution, with ``work = R * (M + 4R)`` for the fold and the quadratic
     form of a calibration middle of ``M`` positions and ``L`` the real FFT
-    of twice its length: there it picked the faster form in 32 of 36 timed
+    of twice its length: there it picked the faster form in 33 of 36 timed
     cases in each of two sweeps (orders 8-512, middles 256-4000, periods
-    4096 and 32768; the misses were 64 orders over 256 positions, 1.2-1.6x
-    slower, and 128 orders over 4000, 1.0-1.4x, numpy 2.4 and scipy 1.17 on
-    a 2-core x86_64).
+    4096 and 32768; the misses were 64 orders over 256 positions, 1.2-1.4x
+    slower, and 128 orders over 4000 at one period, 1.1x, numpy 2.4 and
+    scipy 1.17 on a 2-core x86_64).
     """
     return work <= _TABLE_COST_RATIO * fft_len * fft_len.bit_length()
 
