@@ -175,16 +175,14 @@ class FourierBasis:
         return np.where(above, self.period - r, r), np.where(above, -1.0, 1.0)
 
     def _transform(
-        self, run: range, packed: bool = False, keep: bool = True
+        self, run: range, packed: bool = False
     ) -> tuple[int, _TrigTables | _ChirpPlan | None]:
         """The length of a non-empty run and the plan to run over it.
 
         The plan holds the trig tables or the chirp-z tables of the cheaper
         transform; it is ``None`` for the length-period FFT. ``packed`` sizes
         the chirp-z transform for two real columns per complex column, which
-        reads bins ``-(R-1)..R-1`` and so ``R - 1`` more lags. ``keep=False``
-        builds the plan without caching it, for a batch fold that runs it
-        over many column groups and then drops it.
+        reads bins ``-(R-1)..R-1`` and so ``R - 1`` more lags.
         """
         span = len(run)
         n_bins = min(self.orders, self.period)
@@ -199,11 +197,9 @@ class FourierBasis:
         if _products_cheaper(n_bins * span, fft_len):
             width = 1 << (span.bit_length() // 2)
             rows = 1 << (-(-span // width) - 1).bit_length()
-            build = _trig_tables if keep else _trig_tables.__wrapped__
-            plan = build(self.orders, self.period, lo, width, rows)
+            plan = _trig_tables(self.orders, self.period, lo, width, rows)
         elif chirp:
-            build = _chirp_plan if keep else _chirp_plan.__wrapped__
-            plan = build(self.orders, self.period, lo, n)
+            plan = _chirp_plan(self.orders, self.period, lo, n)
         else:
             plan = None
         return span, plan
@@ -656,18 +652,18 @@ def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
     ``blocks``, block ``i`` contributes only its columns ``dims[i]``.
 
     The fold is :meth:`FourierBasis.project` of the selected columns, so it
-    runs the decode transforms and their cost rule: the packed chirp-z
-    transform at stock (a pair of columns per complex FFT pair of length
-    2048 over 1020 positions), the trig tables at desk. Their plan is built
-    once per sub-run and not cached, so a prefill leaves behind no plan that
-    decode would not build. Columns go to it in groups that may span
-    blocks, each group selected from its blocks only then, so no block is
-    copied whole, and float32 blocks are cast to float64 in the transform's
-    own buffers. A group's weights, the transform's buffers and its output
-    fit ``_FOLD_CHUNK_FLOATS`` float64 values (1 MB) where one column
-    allows, and a run longer than ``_FOLD_CHUNK_FLOATS // 128`` (1024)
-    positions goes as consecutive sub-runs, which the fold's linearity
-    allows, so the transient memory is one budget whatever the run length.
+    runs the decode transforms, their cost rule and their plan caches: the
+    packed chirp-z transform at stock (a pair of columns per complex FFT
+    pair of length 2048 over 1020 positions), the trig tables at desk, and
+    at both geometries decode's next call reads the plan the fold built.
+    Columns go to it in groups that may span blocks, each group selected
+    from its blocks only then, so no block is copied whole, and float32
+    blocks are cast to float64 in the transform's own buffers. A group's
+    weights, the transform's buffers and its output fit
+    ``_FOLD_CHUNK_FLOATS`` float64 values (1 MB) where one column allows,
+    and a run longer than ``_FOLD_CHUNK_FLOATS // 128`` (1024) positions
+    goes as consecutive sub-runs, which the fold's linearity allows, so the
+    transient memory is one budget whatever the run length.
     Returns one state per block, equal to :func:`compress_batch` of that
     block within ``1e-12 * max(1, sum|x|)`` per column: the transforms sum
     in their own order, so not bitwise.
@@ -701,8 +697,7 @@ def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
     for lo in range(0, length, sub_run):
         hi = min(length, lo + sub_run)
         run = range(start_pos + lo, start_pos + hi)
-        # decode keeps its own plans; this one lives only as long as the sub-run
-        span, plan = basis._transform(run, packed=True, keep=False)
+        span, plan = basis._transform(run, packed=True)
         group = max(1, _FOLD_CHUNK_FLOATS // basis._project_floats(span, plan))
         for first in range(0, starts[-1], group):
             last = min(first + group, starts[-1])

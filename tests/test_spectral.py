@@ -878,8 +878,8 @@ class TestFoldBlocks:
                  for _ in blocks]
         seen, transform = [], FourierBasis._transform
 
-        def spy(self, run, packed=False, keep=True):
-            span, got = transform(self, run, packed, keep)
+        def spy(self, run, packed=False):
+            span, got = transform(self, run, packed)
             seen.append((run, packed, got))
             return span, got
 
