@@ -437,11 +437,11 @@ def _products_cheaper(work: int, fft_len: int) -> bool:
     so does ``dimselect.rank_dimensions`` to choose its Gram form over its
     convolution, with ``work = R * (M + 4R)`` for the fold and the quadratic
     form of a calibration middle of ``M`` positions and ``L`` the real FFT
-    of twice its length: there it picked the faster form in 33 of 36 timed
-    cases in each of two sweeps (orders 8-512, middles 256-4000, periods
-    4096 and 32768; the misses were 64 orders over 256 positions, 1.2-1.4x
-    slower, and 128 orders over 4000 at one period, 1.1x, numpy 2.4 and
-    scipy 1.17 on a 2-core x86_64).
+    of twice its length: there it picked the faster form in 32 and 34 of
+    36 timed cases in two sweeps (orders 8-512, middles 256-4000, periods
+    4096 and 32768; the misses were 64 orders over 256 positions, 1.1-1.4x
+    slower, and in one sweep 128 orders over 4000 positions, 1.0-1.2x,
+    numpy 2.4 and scipy 1.17 on a 2-core x86_64).
     """
     return work <= _TABLE_COST_RATIO * fft_len * fft_len.bit_length()
 
