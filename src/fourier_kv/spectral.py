@@ -33,11 +33,11 @@ prefill and a state extended by streaming evictions agree without rephasing.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.fft
 from scipy.linalg.blas import dger
 
 __all__ = [
@@ -174,17 +174,16 @@ class FourierBasis:
         above = r > self.period // 2
         return np.where(above, self.period - r, r), np.where(above, -1.0, 1.0)
 
-    def _transform(
-        self, run: range, packed: bool = False
-    ) -> tuple[int, _TrigTables | _ChirpPlan | None]:
-        """The length of a non-empty run and the plan to run over it.
+    def _pick(self, span: int, packed: bool = False) -> tuple[str, int, int]:
+        """The transform the cost rule picks over ``span`` positions, and its size.
 
-        The plan holds the trig tables or the chirp-z tables of the cheaper
-        transform; it is ``None`` for the length-period FFT. ``packed`` sizes
-        the chirp-z transform for two real columns per complex column, which
-        reads bins ``-(R-1)..R-1`` and so ``R - 1`` more lags.
+        ``("tables", width, rows)`` for trig tables of ``rows`` head phases
+        ``width`` positions apart, ``("chirp", n, 0)`` for a chirp-z transform
+        of FFT length ``n`` and ``("fft", period, 0)`` for the length-period
+        FFT. ``packed`` sizes the chirp-z transform for two real columns per
+        complex column, which reads bins ``-(R-1)..R-1`` and so ``R - 1``
+        more lags.
         """
-        span = len(run)
         n_bins = min(self.orders, self.period)
         # linear convolution of ``span`` outputs with R bins: n >= span + R - 1,
         # and n >= span + 2R - 2 with the negative bins as well
@@ -193,16 +192,32 @@ class FourierBasis:
         # the complex FFT length of the cheaper FFT: the chirp-z pair's n, or
         # period // 2 + 1 for a real FFT of length period
         fft_len = n if chirp else self.period // 2 + 1
-        lo = run.start % self.period
         if _products_cheaper(n_bins * span, fft_len):
             width = 1 << (span.bit_length() // 2)
-            rows = 1 << (-(-span // width) - 1).bit_length()
-            plan = _trig_tables(self.orders, self.period, lo, width, rows)
-        elif chirp:
-            plan = _chirp_plan(self.orders, self.period, lo, n)
-        else:
-            plan = None
-        return span, plan
+            return "tables", width, 1 << (-(-span // width) - 1).bit_length()
+        if chirp:
+            return "chirp", n, 0
+        return "fft", self.period, 0
+
+    def _transform(
+        self, run: range, packed: bool = False, cached: bool = True
+    ) -> tuple[int, _TrigTables | _ChirpPlan | None]:
+        """The length of a non-empty run and the plan :meth:`_pick` picks over it.
+
+        The plan holds the trig tables or the chirp-z tables; it is ``None``
+        for the length-period FFT. Plans come from small caches unless
+        ``cached`` is false, as for the sub-runs of a fold, which no later
+        call reads.
+        """
+        kind, size, rows = self._pick(len(run), packed)
+        lo = run.start % self.period
+        if kind == "tables":
+            build = _trig_tables if cached else _trig_tables.__wrapped__
+            return len(run), build(self.orders, self.period, lo, size, rows)
+        if kind == "chirp":
+            build = _chirp_plan if cached else _chirp_plan.__wrapped__
+            return len(run), build(self.orders, self.period, lo, size)
+        return len(run), None
 
     def evaluate(self, coeffs, run: range) -> np.ndarray:
         """``columns(run).T @ coeffs``: the trig polynomial at each position of a run.
@@ -254,10 +269,10 @@ class FourierBasis:
         """``columns(run) @ weights``: the adjoint of :meth:`evaluate`.
 
         ``weights`` has shape ``(len(run),)``, giving ``(2*orders,)``, or
-        ``(len(run), c)``, giving ``(2*orders, c)``; 2-D weights are cast to
-        float64 in the transform's own buffers, so float32 ones are not
-        copied first. ``run`` is read as by :meth:`evaluate`: its weights are
-        copied into the trig-table or chirp-z transform's input, and the
+        ``(len(run), c)``, giving ``(2*orders, c)``; float32 weights are cast
+        to float64 in the transform's own buffers or products, so they are
+        not copied first. ``run`` is read as by :meth:`evaluate`: its weights
+        are copied into the trig-table or chirp-z transform's input, and the
         length-period FFT sums them by residue.
         """
         self._check_run(run)
@@ -266,50 +281,32 @@ class FourierBasis:
             raise ValueError(
                 f"weights must have shape ({len(run)},) or ({len(run)}, c), got {w.shape}"
             )
-        if w.ndim == 2:
-            if len(run) == 0 or w.shape[1] == 0:
-                return np.zeros((self.n_rows, w.shape[1]), dtype=np.float64)
-            return self._project_columns(w, run, self._transform(run, packed=True)[1])
-        w = w.astype(np.float64, copy=False)
-        if len(run) == 0:
-            return np.zeros(self.n_rows, dtype=np.float64)
-        span, plan = self._transform(run)
-        if plan is None:
-            spectrum = np.fft.rfft(
-                np.bincount(np.arange(run.start, run.stop) % self.period, w, minlength=self.period)
-            )
-            bins, sine_sign = self._bins()
-            out = np.empty(self.n_rows, dtype=np.float64)
-            out[0::2] = spectrum.real[bins]
-            out[1::2] = -sine_sign * spectrum.imag[bins]
-            return out
-        # g[r] = sum_m w[m] * exp(i*theta_r*(lo + m)), the cosine and sine sums of bin r
-        if isinstance(plan, _TrigTables):
-            width = plan.tail.shape[1]
-            grid = np.zeros((-(-span // width), width))
-            grid.reshape(-1)[:span] = w
-            # evaluate transposed: the tail sums each row of the grid, the head what is left
-            sums = (grid @ plan.tail.T).view(np.complex128)
-            g = (np.conjugate(plan.head[: grid.shape[0]]) * sums).sum(axis=0)
+        cols = w[:, None] if w.ndim == 1 else w
+        if len(run) == 0 or cols.shape[1] == 0:
+            out = np.zeros((self.n_rows, cols.shape[1]), dtype=np.float64)
         else:
-            x = w * plan.chirp[:span]
-            # fft(ifft(x) * H)[r] = sum_m x[m] * h[m - r]: the transpose of evaluate's
-            # convolution with the filter h, from the same spectrum H
-            g = np.fft.fft(np.fft.ifft(x, plan.spectrum.size) * plan.spectrum)[: plan.pre.size]
-            g *= plan.pre
-        return g[plan.bins].view(np.float64)
+            plan = self._transform(run, packed=cols.shape[1] > 1)[1]
+            out = self._project_columns(cols, run, plan)
+        return out[:, 0] if w.ndim == 1 else out
 
     def _project_columns(self, w: np.ndarray, run: range, plan) -> np.ndarray:
-        """:meth:`project` of ``(span, c)`` weights, ``(2*orders, c)``, by the same transforms.
+        """:meth:`project` of ``(span, c)`` weights, ``(2*orders, c)``.
 
-        The trig tables run their tail product as one batched matrix product
-        and their head sum as one per bin. The chirp-z transform packs two
-        real columns into one complex column ``u + i*v`` and reads its bins
+        ``g[r] = sum_m w[m] * exp(i*theta_r*(lo + m))`` holds the cosine and
+        sine sums of bin ``r``. The trig tables sum one column as
+        :meth:`evaluate` transposed, a tail product and a head sum, and
+        several in one matrix product against the run's columns, built from
+        the tables' head and tail (``plan`` may be those columns already, as
+        :func:`fold_blocks` builds them once per sub-run). The chirp-z
+        transform reads one column's bins ``0..R-1``, and packs two real
+        columns into one complex column ``u + i*v`` and reads its bins
         ``-(R-1)..R-1``: with ``G`` their sums, conjugate symmetry gives
         ``g_u(r) = (G(r) + conj(G(-r))) / 2`` and ``g_v(r) = (G(r) -
         conj(G(-r))) / 2i``, so a pair of columns costs one FFT pair, run in
         place. The length-period FFT sums each column by residue. ``run`` is
-        not empty, ``c >= 1``, and ``plan`` is the packed plan of the run.
+        not empty, ``c >= 1``, and ``plan`` is the run's plan, packed if
+        ``c > 1``; :meth:`_project_floats` counts the buffers each branch
+        holds.
         """
         span, cols = w.shape
         if plan is None:
@@ -322,25 +319,18 @@ class FourierBasis:
             out[0::2] = spectrum.real[bins]
             out[1::2] = -sine_sign[:, None] * spectrum.imag[bins]
             return out
-        n_bins = min(self.orders, self.period)
         if isinstance(plan, _TrigTables):
-            width = plan.tail.shape[1]
-            rows = -(-span // width)
-            grid = np.empty((rows * width, cols))
-            grid[:span] = w
-            grid[span:] = 0.0
-            # the tail sums every row of the grid: (rows, 2R, cols), read per bin
-            # as (R, cosine and sine sums, rows, cols)
-            sums = np.matmul(plan.tail, grid.reshape(rows, width, cols))
-            sums = sums.reshape(rows, n_bins, 2, cols).transpose(1, 2, 0, 3)
-            # every head phase as its real and imaginary part, (R, 1, 2, rows): it
-            # is stored conjugated, so (cos + i*sin) * conj(re + i*im) sums each row
-            heads = plan.head[:rows].view(np.float64).reshape(rows, n_bins, 2).transpose(1, 2, 0)
-            parts = np.matmul(heads[:, None], sums)  # (R, cos/sin, re/im, cols)
-            g = np.empty((n_bins, 2, cols))
-            np.add(parts[:, 0, 0], parts[:, 1, 1], out=g[:, 0])
-            np.subtract(parts[:, 1, 0], parts[:, 0, 1], out=g[:, 1])
-            return g[plan.bins].reshape(self.n_rows, cols)
+            if cols == 1:
+                width = plan.tail.shape[1]
+                grid = np.zeros((-(-span // width), width))
+                grid.reshape(-1)[:span] = w[:, 0]
+                # evaluate transposed: the tail sums each row of the grid, the head what is left
+                sums = (grid @ plan.tail.T).view(np.complex128)
+                g = (np.conjugate(plan.head[: grid.shape[0]]) * sums).sum(axis=0)
+                return g[plan.bins].view(np.float64)[:, None]
+            plan = plan.run_columns(span)
+        if isinstance(plan, np.ndarray):
+            return plan.T @ w
         pairs, n = -(-cols // 2), plan.spectrum.size
         # one column u + i*v of x per pair of weight columns, positions down its
         # rows: its float64 view interleaves the weight columns as they come
@@ -350,9 +340,14 @@ class FourierBasis:
         packed[:span, cols:] = 0.0  # an odd last column pairs with zeros
         x[span:] = 0.0
         x[:span] *= plan.chirp[:span, None]
-        np.fft.ifft(x, axis=0, out=x)
+        x = scipy.fft.ifft(x, axis=0, overwrite_x=True)
         x *= plan.spectrum[:, None]
-        np.fft.fft(x, axis=0, out=x)
+        x = scipy.fft.fft(x, axis=0, overwrite_x=True)
+        if cols == 1:
+            # a real column: G(-r) = conj(G(r)), so bins 0..R-1 hold its sums
+            g = x[plan.bins, 0]
+            g *= plan.pre[plan.bins]
+            return g.view(np.float64)[:, None]
         # half the sums G at bin r, from row r, and at bin -r, from row n - r:
         # exp(i*theta_r*(lo + m)) is pre[r] * w(m) * conj(w(m - r)) at -r too,
         # with pre[-r] = conj(pre[r]) * w(r)**2
@@ -370,22 +365,29 @@ class FourierBasis:
         out[:, 1] *= -1j
         return out.view(np.float64).reshape(self.n_rows, 2 * pairs)[:, :cols]
 
-    def _project_floats(self, span: int, plan) -> int:
-        """Float64 values per column that :meth:`_project_columns` holds over ``span`` positions.
+    def _project_floats(self, span: int) -> tuple[int, int]:
+        """Float64 values that :meth:`_project_columns` holds over ``span`` positions.
 
-        The weights, the output and the plan's buffers: the grid and its
-        tail and head sums for the trig tables, half a complex FFT buffer of
-        length ``n`` and the packed bins for the chirp-z transform, the
-        residue sums and their spectrum for the length-period FFT.
+        ``(fixed, per_column)`` for two or more float64 weight columns, whose
+        own values count per column. Fixed: the run's columns for the trig
+        tables, the bins' phase factors for the chirp-z transform, and for
+        every transform numpy's two buffers for a broadcast product, up to
+        ``getbufsize()`` complex values each. Per column: the output, half a
+        complex FFT buffer of length ``n`` and the packed bins at ``r`` and
+        ``-r`` for the chirp-z transform, and the residue grid, the residue
+        sums, their spectrum and the sine rows' temporaries for the
+        length-period FFT. One column holds less.
         """
-        n_bins = min(self.orders, self.period)
-        floats = span + self.n_rows  # the weights and the output
-        if isinstance(plan, _TrigTables):
-            rows = -(-span // plan.tail.shape[1])
-            return floats + rows * plan.tail.shape[1] + 2 * n_bins * rows + 6 * n_bins
-        if plan is not None:
-            return floats + plan.spectrum.size + 5 * n_bins
-        return floats + span + 4 * self.period
+        kind, size, _ = self._pick(span, packed=True)
+        buffers = 4 * np.getbufsize()
+        weights_and_output = span + self.n_rows
+        if kind == "tables":
+            # float32 weights are cast to float64 by the product: half as many again
+            return self.n_rows * -(-span // size) * size, weights_and_output + span // 2
+        if kind == "chirp":
+            return 8 * self.orders + buffers, weights_and_output + size + 2 * self.orders
+        # the residue grid reaches at most one period past the run
+        return buffers, weights_and_output + span + 3 * self.period + 2 + self.n_rows
 
     @property
     def rows(self) -> np.ndarray:
@@ -511,6 +513,21 @@ class _TrigTables(NamedTuple):
     bins: np.ndarray  # (orders,) bin of every order: n mod period
     head: np.ndarray  # (rows, R) complex exp(-i*theta_r*(lo + a*width))
     tail: np.ndarray  # (2R, width) cos and sin of theta_r*b, rows interleaved like columns
+
+    def run_columns(self, span: int) -> np.ndarray:
+        """``columns(run).T`` of the run's first ``span`` positions, ``(span, 2*orders)``.
+
+        The phase at offset ``a*width + b`` is ``conj(head[a]) * (cos +
+        i*sin)(theta*b)``: one broadcast product of ``orders`` phases by
+        ``span`` positions, whose float64 view is the interleaved cosine and
+        sine layout itself.
+        """
+        width = self.tail.shape[1]
+        rows = -(-span // width)
+        cols = np.empty((rows, width, self.bins.size), dtype=np.complex128)
+        cols[:] = self.tail.T.view(np.complex128)[:, self.bins]
+        cols *= np.conjugate(self.head[:rows, self.bins])[:, None]
+        return cols.reshape(rows * width, -1)[:span].view(np.float64)
 
 
 @functools.lru_cache(maxsize=4)
@@ -654,15 +671,16 @@ def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
     The fold is :meth:`FourierBasis.project` of the selected columns, so it
     runs the decode transforms, their cost rule and their plan caches: the
     packed chirp-z transform at stock (a pair of columns per complex FFT
-    pair of length 2048 over 1020 positions), the trig tables at desk, and
-    at both geometries decode's next call reads the plan the fold built.
-    Columns go to it in groups that may span blocks, each group selected
-    from its blocks only then, so no block is copied whole, and float32
-    blocks are cast to float64 in the transform's own buffers. A group's
-    weights, the transform's buffers and its output fit
-    ``_FOLD_CHUNK_FLOATS`` float64 values (1 MB) where one column allows,
-    and a run longer than ``_FOLD_CHUNK_FLOATS // 128`` (1024) positions
-    goes as consecutive sub-runs, which the fold's linearity allows, so the
+    pair of length 2048 over 1020 positions), the trig tables at desk (the
+    run's columns built from the tables and one matrix product per group),
+    and at both geometries decode's next call reads the plan the fold built.
+    Each block's picked columns go to it in groups, selected from the block
+    only then, so no block is copied whole; float32 blocks are cast to
+    float64 by the transform. A group's weights, the transform's buffers
+    and its output fit ``_FOLD_CHUNK_FLOATS`` float64 values (1 MB) where
+    one column allows, as ``FourierBasis._project_floats`` counts them; a
+    run at which one column does not fit is halved into consecutive
+    sub-runs until it does, which the fold's linearity allows, so the
     transient memory is one budget whatever the run length.
     Returns one state per block, equal to :func:`compress_batch` of that
     block within ``1e-12 * max(1, sum|x|)`` per column: the transforms sum
@@ -681,39 +699,30 @@ def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
     if len(lengths) > 1:
         raise ValueError(f"blocks must share one length, got {sorted(lengths)}")
     length = lengths.pop() if lengths else 0
-    # float32 blocks stay float32 until the transform's buffers cast them
-    dtype = np.result_type(np.float32, *arrays)
     picks = [np.arange(a.shape[1])[d] for a, d in zip(arrays, dims)]
     states = [SpectralState.zeros(basis.orders, p.size) for p in picks]
     if length == 0:
         return states
-    # picked column c of the fold is column c - starts[i] of block i's picks
-    starts = list(itertools.accumulate((p.size for p in picks), initial=0))
-    # a block whose dims are a slice of step 1 is selected as a slice, not gathered
+    # a block whose dims are a slice of step 1 is read as a slice, not gathered
     stretch = [isinstance(d, slice) and d.step in (None, 1) for d in dims]
-    # sub-runs short enough that a group of about 32 columns, each holding its
-    # weights and about three times as many transform values, fits the budget
-    sub_run = max(1, _FOLD_CHUNK_FLOATS // 128)
+    # the longest halving of the run at which one column fits the budget
+    sub_run = length
+    while sub_run > 1 and sum(basis._project_floats(sub_run)) > _FOLD_CHUNK_FLOATS:
+        sub_run = -(-sub_run // 2)
     for lo in range(0, length, sub_run):
         hi = min(length, lo + sub_run)
         run = range(start_pos + lo, start_pos + hi)
-        span, plan = basis._transform(run, packed=True)
-        group = max(1, _FOLD_CHUNK_FLOATS // basis._project_floats(span, plan))
-        for first in range(0, starts[-1], group):
-            last = min(first + group, starts[-1])
-            # the group's columns a:b of block i's picks sit at starts[i] - first + a:b
-            touched = [i for i in range(len(picks))
-                       if max(first, starts[i]) < min(last, starts[i + 1])]
-            weights = np.empty((hi - lo, last - first), dtype=dtype)
-            for i in touched:
-                a, b = max(first, starts[i]) - starts[i], min(last, starts[i + 1]) - starts[i]
-                cols = slice(picks[i][a], picks[i][a] + b - a) if stretch[i] else picks[i][a:b]
-                weights[:, starts[i] + a - first : starts[i] + b - first] = arrays[i][lo:hi, cols]
-            folded = basis._project_columns(weights, run, plan)
-            for i in touched:
-                a, b = max(first, starts[i]) - starts[i], min(last, starts[i + 1]) - starts[i]
-                states[i].coeffs[:, a:b] += folded[:, starts[i] + a - first : starts[i] + b - first]
-            del weights, folded  # the next group's transform runs without them
+        span, plan = basis._transform(run, packed=True, cached=sub_run == length)
+        if isinstance(plan, _TrigTables):
+            # every group reads the run's columns, built once per sub-run
+            plan = plan.run_columns(span)
+        fixed, per_column = basis._project_floats(span)
+        group = max(1, (_FOLD_CHUNK_FLOATS - fixed) // per_column)
+        for array, pick, whole, state in zip(arrays, picks, stretch, states):
+            for a in range(0, pick.size, group):
+                b = min(a + group, pick.size)
+                cols = slice(pick[a], pick[a] + b - a) if whole else pick[a:b]
+                state.coeffs[:, a:b] += basis._project_columns(array[lo:hi, cols], run, plan)
     for state in states:
         state.token_count = length
         state.first_pos = start_pos

@@ -714,15 +714,50 @@ class TestBatchedProject:
         assert got.shape == (basis.n_rows, cols)
         assert np.all(np.abs(got - expected) <= 1e-12 * scale)
         if cols:
-            # a 1-D call and its (span, 1) twin run different code, to the same bound
+            # a 1-D call is its (span, 1) twin
             assert twin.shape == (basis.n_rows, 1)
-            assert np.all(np.abs(single - twin[:, 0]) <= 1e-12 * scale[0])
+            np.testing.assert_array_equal(single, twin[:, 0])
 
     def test_float32_weights_are_cast_in_the_transform(self):
         weights = np.random.default_rng(4).standard_normal((40, 5)).astype(np.float32)
         for basis in (FourierBasis(16, 4096), FourierBasis(512, 32768), FourierBasis(3, 8)):
             np.testing.assert_array_equal(basis.project(weights, range(7, 47)),
                                           basis.project(weights.astype(np.float64), range(7, 47)))
+
+    @pytest.mark.parametrize("orders, period, span, cols, ratios, kind", [
+        (512, 32768, 1020, 24, {"_TABLE_COST_RATIO": spectral._TABLE_COST_RATIO}, "chirp"),
+        (16, 4096, 956, 70, {"_TABLE_COST_RATIO": spectral._TABLE_COST_RATIO}, "tables"),
+        (64, 4096, 3000, 9, {"_TABLE_COST_RATIO": 0}, "fft"),
+    ], ids=["chirp-z", "tables", "length-period"])
+    def test_project_floats_bound_each_transforms_buffers(
+            self, orders, period, span, cols, ratios, kind):
+        # what the batch fold sizes its groups by: float32 weights, the plan
+        # built beforehand (for the tables, the run's columns, which are fixed)
+        basis = FourierBasis(orders=orders, period=period)
+        run = range(7, 7 + span)
+        weights = np.ones((span, cols), dtype=np.float32)
+        with mock.patch.multiple(spectral, **ratios):
+            assert basis._pick(span, packed=True)[0] == kind
+            plan = basis._transform(run, packed=True)[1]
+            fixed, per_column = basis._project_floats(span)
+        if kind == "tables":
+            # the run's columns, built once per sub-run, are the fixed part
+            tracemalloc.start()
+            try:
+                plan = plan.run_columns(span)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert held <= 8 * fixed + 1024  # and the arrays' headers
+            fixed = 0
+        basis._project_columns(weights, run, plan)  # numpy's own first-call allocations
+        tracemalloc.start()
+        try:
+            basis._project_columns(weights, run, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak + weights.nbytes <= 8 * (fixed + cols * per_column) + 1024
 
     def test_rejects_bad_shapes(self):
         basis = FourierBasis(orders=3, period=16)
@@ -779,26 +814,46 @@ class TestFoldBlocks:
             selected = block if picks is None else block[:, picks[i]]
             assert_fold_matches_oracle(state, basis, selected, start_pos)
 
+    # a budget of 2**9 floats folds the strategy's runs in sub-runs and groups
+    # narrower than most blocks, single positions and columns at 4096 orders
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(blocks_on_one_run())
+    def test_equals_compress_batch_of_each_block_at_a_small_budget(self, case):
+        basis, blocks, start_pos, picks = case
+        with mock.patch.object(spectral, "_FOLD_CHUNK_FLOATS", 2**9):
+            states = fold_blocks(basis, blocks, start_pos, dims=picks)
+        for i, (state, block) in enumerate(zip(states, blocks)):
+            selected = block if picks is None else block[:, picks[i]]
+            assert_fold_matches_oracle(state, basis, selected, start_pos)
+
     def test_chunks_cover_a_run_longer_than_one_chunk(self):
         basis = FourierBasis(orders=4096, period=64)  # 8192 rows: the largest states
         block = np.random.default_rng(0).standard_normal((50, 3))
-        (state,) = fold_blocks(basis, [block], 7)
+        # 2**9 floats hold less than one column: sub-runs of one position, groups of one column
+        with mock.patch.object(spectral, "_FOLD_CHUNK_FLOATS", 2**9):
+            (state,) = fold_blocks(basis, [block], 7)
         assert_fold_matches_oracle(state, basis, block, 7)
 
-    @pytest.mark.parametrize("budget, length", [(spectral._FOLD_CHUNK_FLOATS, 2500), (2**9, 90)],
-                             ids=["1024-position sub-runs", "small groups"])
-    def test_sub_runs_and_groups_cover_a_long_run(self, budget, length):
-        # 2**9 floats make sub-runs of 4 positions and groups of 4 columns that
-        # span blocks; the run wraps past a multiple of the period. Picks come
+    @pytest.mark.parametrize("orders, budget, length, sub_runs, group", [
+        (64, spectral._FOLD_CHUNK_FLOATS, 2500, 4, 4), (8, 2**9, 90, 4, 2),
+    ], ids=["sub-runs at the budget", "small groups"])
+    def test_sub_runs_and_groups_cover_a_long_run(self, orders, budget, length, sub_runs, group):
+        # 64 orders over 2500 positions fold in four sub-runs of 625 positions,
+        # each pick whole; 2**9 floats make sub-runs of 23 positions and groups
+        # of 2 columns. The run wraps past a multiple of the period. Picks come
         # unordered, ordered with gaps, as a stretch, empty and as slices
-        basis = FourierBasis(orders=8, period=4096)
+        basis = FourierBasis(orders=orders, period=4096)
         rng = np.random.default_rng(6)
         blocks = [rng.standard_normal((length, width)).astype(np.float32)
                   for width in (3, 0, 5, 5, 6, 6)]
         picks = [np.array([2, 0]), np.array([], dtype=np.int64), np.array([1, 3, 2, 4]),
                  np.array([1, 2, 3]), slice(2, 5), slice(1, None, 2)]
-        with mock.patch.object(spectral, "_FOLD_CHUNK_FLOATS", budget):
+        with mock.patch.object(spectral, "_FOLD_CHUNK_FLOATS", budget), \
+                mock.patch.object(FourierBasis, "_project_columns", autospec=True,
+                                  side_effect=FourierBasis._project_columns) as fold:
             states = fold_blocks(basis, blocks, 4090, dims=picks)
+        assert len({call.args[2] for call in fold.call_args_list}) == sub_runs
+        assert max(call.args[1].shape[1] for call in fold.call_args_list) == group
         for state, block, pick in zip(states, blocks, picks):
             assert_fold_matches_oracle(state, basis, block[:, pick], 4090)
 
@@ -878,15 +933,16 @@ class TestFoldBlocks:
                  for _ in blocks]
         seen, transform = [], FourierBasis._transform
 
-        def spy(self, run, packed=False):
-            span, got = transform(self, run, packed)
-            seen.append((run, packed, got))
+        def spy(self, run, packed=False, cached=True):
+            span, got = transform(self, run, packed, cached)
+            seen.append((run, packed and cached, got))
             return span, got
 
         with mock.patch.object(FourierBasis, "_transform", spy):
             fold_blocks(basis, blocks, start, dims=picks)
         assert seen
         for run, packed, got in seen:
+            # one run, packed, whose plan decode's next call reads from the cache
             assert run == range(start, start + length) and packed
             assert isinstance(got, plan)
             if n is not None:
