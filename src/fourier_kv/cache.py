@@ -242,7 +242,9 @@ def prefill(keys, values, layout: CacheLayout, layer: int, basis: FourierBasis):
     finite. The middle region of every head, K and V alike, is folded at
     absolute positions by one :func:`fold_blocks` call, which projects the
     compressed dims of every head onto the basis in column groups through
-    the decode transforms and builds no basis column. Sequences no longer
+    the decode transforms: packed chirp-z FFTs at stock, and at desk one
+    matrix product per group against the run's columns, built once from
+    the trig tables. Sequences no longer
     than the partition's init+local extent simply have an empty middle. The
     slices copy what they keep: later changes to ``keys``/``values`` do not
     reach them.

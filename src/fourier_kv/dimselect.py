@@ -160,10 +160,12 @@ def rank_dimensions(trace: KVTrace, partition: PartitionParams, basis: FourierBa
       of orders below ``2*orders - 1``, one :meth:`FourierBasis.project`.
 
     The decode transforms' cost rule picks the form, pricing the Gram form's
-    fold and its ``(2R)**2`` quadratic form per column, ``R * (M + 4R)``
-    with ``R = min(orders, period)``, against ``_TABLE_COST_RATIO * L log2
-    L`` with ``L = n/2 + 1``: 16 orders over a thousand positions take the
-    Gram form, 128 orders and more the convolution. Either way the transient
+    ``2R * M`` multiply-adds of the fold and ``(2R)**2`` of the quadratic
+    form per column, halved as the rule counts the tables' own products:
+    ``R * (M + 2R)`` with ``R = min(orders, period)``, against
+    ``_TABLE_COST_RATIO * L log2 L`` with ``L = n/2 + 1``. 16 orders over a
+    thousand positions take the Gram form, 256 orders and more the
+    convolution. Either way the transient
     memory is one fold group or one group of FFT columns, each within
     ``_FOLD_CHUNK_FLOATS`` (1 MB), plus the ``(2*orders, head_dim)`` states
     of one layer; nothing grows with ``M`` times the orders.
@@ -186,7 +188,7 @@ def rank_dimensions(trace: KVTrace, partition: PartitionParams, basis: FourierBa
     ]
     sse = np.empty((trace.layers, 2 * trace.kv_heads, trace.head_dim))
     n_bins = min(basis.orders, basis.period)
-    if spectral._products_cheaper(n_bins * (length + 4 * n_bins), n_fft // 2 + 1):
+    if spectral._products_cheaper(n_bins * (length + 2 * n_bins), n_fft // 2 + 1):
         _gram_sse(basis, layers, first, length, out=sse)
     else:
         _convolution_sse(basis, layers, length, n_fft, out=sse)

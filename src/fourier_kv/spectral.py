@@ -10,9 +10,10 @@ BLAS rank-1 update of the state in place, and are bitwise equal; both read
 :meth:`FourierBasis.column`, which keeps the last column it built, so the K
 and V folds of every head evicting one position share one column;
 :func:`fold_blocks`, the fast batch fold, is the adjoint transform below
-with a batch axis: groups of columns, from every block that covers the same
-positions, go through the transforms decode attention runs, so no basis
-column is built and the fold's transient keeps to a 1 MB budget.
+with a batch axis: groups of every block's columns go through the
+transforms decode attention runs (for the trig tables, one matrix product
+against the run's columns, built from the tables once), and the fold's
+transient keeps to a 1 MB budget.
 Reconstruction evaluates a weighted inverse transform at any folded
 position; the same inverse transform and its adjoint are also available
 without building columns, over a run of positions given as a ``range`` of
@@ -95,12 +96,13 @@ class FourierBasis:
     * length-period FFT: one real FFT of length ``period``: O(period log
       period) time and O(period) memory, no tables.
 
-    With a batch axis the tables run the tail product for every column at
-    once and the head sum as one small product per bin, and the chirp-z
-    transform packs two real columns into one complex column: a pair of
-    columns costs one FFT pair, of the power of two ``n >= span + 2R - 2``
-    that bins ``-(R-1)..R-1`` need (2048 for 512 orders over 1020
-    positions, as for one column).
+    With a batch axis of more than one column the tables build the run's
+    columns from their head and tail and take one matrix product against
+    them, and the chirp-z transform packs two real columns into one complex
+    column: a pair of columns costs one FFT pair, of the power of two ``n
+    >= span + 2R - 2`` that bins ``-(R-1)..R-1`` need (2048 for 512 orders
+    over 1020 positions, as for one column). A 1-D call is the call with
+    one column.
 
     The chirp-z pair runs while ``n <= period / 4``; beyond that it costs as
     much as the length-period FFT or more. The tables run while ``R * span``
@@ -310,14 +312,15 @@ class FourierBasis:
         """
         span, cols = w.shape
         if plan is None:
+            # one row of residues per column
             lo = run.start % self.period
-            grid = np.zeros((-(-(lo + span) // self.period) * self.period, cols))
-            grid[lo : lo + span] = w
-            spectrum = np.fft.rfft(grid.reshape(-1, self.period, cols).sum(axis=0), axis=0)
+            grid = np.zeros((cols, -(-(lo + span) // self.period) * self.period))
+            grid[:, lo : lo + span] = w.T
+            spectrum = np.fft.rfft(grid.reshape(cols, -1, self.period).sum(axis=1))
             bins, sine_sign = self._bins()
             out = np.empty((self.n_rows, cols), dtype=np.float64)
-            out[0::2] = spectrum.real[bins]
-            out[1::2] = -sine_sign[:, None] * spectrum.imag[bins]
+            out[0::2] = spectrum.real[:, bins].T
+            out[1::2] = -sine_sign[:, None] * spectrum.imag[:, bins].T
             return out
         if isinstance(plan, _TrigTables):
             if cols == 1:
@@ -332,36 +335,37 @@ class FourierBasis:
         if isinstance(plan, np.ndarray):
             return plan.T @ w
         pairs, n = -(-cols // 2), plan.spectrum.size
-        # one column u + i*v of x per pair of weight columns, positions down its
-        # rows: its float64 view interleaves the weight columns as they come
-        x = np.empty((n, pairs), dtype=np.complex128)
-        packed = x.view(np.float64)
-        packed[:span, :cols] = w
-        packed[:span, cols:] = 0.0  # an odd last column pairs with zeros
-        x[span:] = 0.0
-        x[:span] *= plan.chirp[:span, None]
-        x = scipy.fft.ifft(x, axis=0, overwrite_x=True)
-        x *= plan.spectrum[:, None]
-        x = scipy.fft.fft(x, axis=0, overwrite_x=True)
+        # one row u + i*v of x per pair of weight columns, positions along it;
+        # an odd last column pairs with zeros
+        x = np.zeros((pairs, n), dtype=np.complex128)
+        packed = x.view(np.float64).reshape(pairs, n, 2)
+        whole = cols // 2
+        packed[:whole, :span] = w[:, : 2 * whole].reshape(span, whole, 2).transpose(1, 0, 2)
+        if cols % 2:
+            packed[whole, :span, 0] = w[:, -1]
+        x[:, :span] *= plan.chirp[:span]
+        x = scipy.fft.ifft(x, overwrite_x=True)
+        x *= plan.spectrum
+        x = scipy.fft.fft(x, overwrite_x=True)
         if cols == 1:
             # a real column: G(-r) = conj(G(r)), so bins 0..R-1 hold its sums
-            g = x[plan.bins, 0]
+            g = x[0, plan.bins]
             g *= plan.pre[plan.bins]
             return g.view(np.float64)[:, None]
-        # half the sums G at bin r, from row r, and at bin -r, from row n - r:
-        # exp(i*theta_r*(lo + m)) is pre[r] * w(m) * conj(w(m - r)) at -r too,
-        # with pre[-r] = conj(pre[r]) * w(r)**2
+        # half the sums G at bin r, from element r, and at bin -r, from element
+        # n - r: exp(i*theta_r*(lo + m)) is pre[r] * w(m) * conj(w(m - r)) at -r
+        # too, with pre[-r] = conj(pre[r]) * w(r)**2
         half = 0.5 * plan.pre[plan.bins]
-        pos = x[plan.bins]
-        pos *= half[:, None]
-        neg = x[-plan.bins % n]
-        neg *= (np.conjugate(half) * plan.chirp[plan.bins] ** 2)[:, None]
+        pos = x[:, plan.bins]
+        pos *= half
+        neg = x[:, -plan.bins % n]
+        neg *= np.conjugate(half) * plan.chirp[plan.bins] ** 2
         # g_u = pos + conj(neg) and g_v = (pos - conj(neg)) / i: per pair, the
         # cosine sums of u and v are the real and imaginary part of pos + neg,
         # and their sine sums those of -i * (pos - neg)
         out = np.empty((self.orders, 2, pairs), dtype=np.complex128)
-        np.add(pos, neg, out=out[:, 0])
-        np.subtract(pos, neg, out=out[:, 1])
+        np.add(pos.T, neg.T, out=out[:, 0])
+        np.subtract(pos.T, neg.T, out=out[:, 1])
         out[:, 1] *= -1j
         return out.view(np.float64).reshape(self.n_rows, 2 * pairs)[:, :cols]
 
@@ -719,8 +723,10 @@ def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
         fixed, per_column = basis._project_floats(span)
         group = max(1, (_FOLD_CHUNK_FLOATS - fixed) // per_column)
         for array, pick, whole, state in zip(arrays, picks, stretch, states):
-            for a in range(0, pick.size, group):
-                b = min(a + group, pick.size)
+            # a block's picks in groups of equal width, none a short remainder
+            width = -(-pick.size // -(-pick.size // group)) if pick.size else 1
+            for a in range(0, pick.size, width):
+                b = min(a + width, pick.size)
                 cols = slice(pick[a], pick[a] + b - a) if whole else pick[a:b]
                 state.coeffs[:, a:b] += basis._project_columns(array[lo:hi, cols], run, plan)
     for state in states:
