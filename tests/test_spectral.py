@@ -714,9 +714,9 @@ class TestBatchedProject:
         assert got.shape == (basis.n_rows, cols)
         assert np.all(np.abs(got - expected) <= 1e-12 * scale)
         if cols:
-            # a 1-D call is its (span, 1) twin
+            # a 1-D call and its (span, 1) twin run different code, to the same bound
             assert twin.shape == (basis.n_rows, 1)
-            np.testing.assert_array_equal(single, twin[:, 0])
+            assert np.all(np.abs(single - twin[:, 0]) <= 1e-12 * scale[0])
 
     def test_float32_weights_are_cast_in_the_transform(self):
         weights = np.random.default_rng(4).standard_normal((40, 5)).astype(np.float32)
