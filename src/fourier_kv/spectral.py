@@ -96,9 +96,8 @@ class FourierBasis:
     * length-period FFT: one real FFT of length ``period``: O(period log
       period) time and O(period) memory, no tables.
 
-    With a batch axis of more than one column the tables build the run's
-    columns from their head and tail and take one matrix product against
-    them, and the chirp-z transform packs two real columns into one complex
+    With a batch axis the tables build the run's columns from their head
+    and tail and take one matrix product against them, and the chirp-z transform packs two real columns into one complex
     column: a pair of columns costs one FFT pair, of the power of two ``n
     >= span + 2R - 2`` that bins ``-(R-1)..R-1`` need (2048 for 512 orders
     over 1020 positions, as for one column).
@@ -381,21 +380,21 @@ class FourierBasis:
     def _project_floats(self, span: int) -> tuple[int, int]:
         """Float64 values that :meth:`_project_columns` holds over ``span`` positions.
 
-        ``(fixed, per_column)`` for two or more float64 weight columns, whose
-        own values count per column. Fixed: the run's columns for the trig
-        tables, the bins' phase factors for the chirp-z transform, and for
-        every transform numpy's two buffers for a broadcast product, up to
-        ``getbufsize()`` complex values each. Per column: the output, half a
+        ``(fixed, per_column)``, the weights' own values counted per column.
+        Fixed: the run's columns for the trig tables, the bins' phase
+        factors for the chirp-z transform, and for both FFTs numpy's two
+        buffers for a broadcast product, up to ``getbufsize()`` complex
+        values each. Per column: the weights and the output, and the float64
+        copy the trig tables' product makes of float32 weights, half a
         complex FFT buffer of length ``n`` and the packed bins at ``r`` and
-        ``-r`` for the chirp-z transform, and the residue grid, the residue
+        ``-r`` for the chirp-z transform, or the residue grid, the residue
         sums, their spectrum and the sine rows' temporaries for the
-        length-period FFT. One column holds less.
+        length-period FFT.
         """
         kind, size, _ = self._pick(span, packed=True)
         buffers = 4 * np.getbufsize()
         weights_and_output = span + self.n_rows
         if kind == "tables":
-            # float32 weights are cast to float64 by the product: half as many again
             return self.n_rows * -(-span // size) * size, weights_and_output + span // 2
         if kind == "chirp":
             return 8 * self.orders + buffers, weights_and_output + size + 2 * self.orders
