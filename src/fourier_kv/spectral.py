@@ -97,10 +97,11 @@ class FourierBasis:
       period) time and O(period) memory, no tables.
 
     With a batch axis the tables build the run's columns from their head
-    and tail and take one matrix product against them, and the chirp-z transform packs two real columns into one complex
-    column: a pair of columns costs one FFT pair, of the power of two ``n
-    >= span + 2R - 2`` that bins ``-(R-1)..R-1`` need (2048 for 512 orders
-    over 1020 positions, as for one column).
+    and tail and take one matrix product against them, and the chirp-z
+    transform packs two real columns into one complex column: a pair of
+    columns costs one FFT pair, of the power of two ``n >= span + 2R - 2``
+    that bins ``-(R-1)..R-1`` need (2048 for 512 orders over 1020
+    positions, as for one column).
 
     The chirp-z pair runs while ``n <= period / 4``; beyond that it costs as
     much as the length-period FFT or more. The tables run while ``R * span``
