@@ -450,13 +450,15 @@ def _products_cheaper(work: int, fft_len: int) -> bool:
     ``work <= _TABLE_COST_RATIO * L * log2(L)`` with ``L = fft_len``, read at
     call time so a test can force either side. The trig tables use it, and
     so does ``dimselect.rank_dimensions`` to choose its Gram form over its
-    convolution, with ``work = R * (M + 4R)`` for the fold and the quadratic
+    convolution, with ``work = R * (M + 2R)`` for the fold and the quadratic
     form of a calibration middle of ``M`` positions and ``L`` the real FFT
-    of twice its length: there it picked the faster form in 32 and 34 of
+    of twice its length: there it picked the faster form in 35 and 34 of
     36 timed cases in two sweeps (orders 8-512, middles 256-4000, periods
-    4096 and 32768; the misses were 64 orders over 256 positions, 1.1-1.4x
-    slower, and in one sweep 128 orders over 4000 positions, 1.0-1.2x,
-    numpy 2.4 and scipy 1.17 on a 2-core x86_64).
+    4096 and 32768; the misses were 256 orders over 4000 positions at
+    period 4096, where the convolution ran 1.5-1.6x the Gram form's time,
+    and in one sweep 128 orders over 1000 positions at period 32768, where
+    the Gram form ran 1.09x the convolution's; numpy 2.4 and scipy 1.17 on
+    a 2-core x86_64).
     """
     return work <= _TABLE_COST_RATIO * fft_len * fft_len.bit_length()
 
