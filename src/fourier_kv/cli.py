@@ -11,7 +11,8 @@ threads: a positive integer, 1 when unset; any other value is a usage error.
 at most ``4 * orders`` positions, where a compressed dimension's float64
 state outweighs the float32 rows it replaces.
 
-Exit codes: 0 success, 2 usage, 3 I/O failure, 4 data mismatch.
+Exit codes: 0 success, 2 usage, 3 I/O failure, 4 data mismatch. A flag value
+that no input could make valid, such as ``--k 0``, is a usage error.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from fourier_kv.attention import (
     output_divergence,
     perturb_dims,
 )
-from fourier_kv.cache import PartitionParams, append_token, memory_report, prefill_trace
+from fourier_kv.cache import PartitionParams, memory_report, prefill_trace
 from fourier_kv.dimselect import (
     CompressionSchema,
     build_selection_report,
@@ -137,6 +138,21 @@ def _parse_dims(text: str):
     if not dims:
         raise argparse.ArgumentTypeError(f"no dimensions in {text!r}")
     return sorted(set(dims))
+
+
+def _at_least(low, cast=int):
+    """Flag type: ``cast(text)``, rejected by argparse (exit 2) unless it is ``>= low``."""
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value: {text!r}") from None
+        if not value >= low:  # NaN too
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return value
+
+    return parse
 
 
 def _resolve_partition(args) -> PartitionParams:
@@ -416,10 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
     sel = sub.add_parser("select", help="rank dimensions and write a selection manifest")
     sel.add_argument("--trace", required=True)
     sel.add_argument("--schema", default="inverted", choices=_SCHEMA_NAMES)
-    sel.add_argument("--k", type=int, default=None, help="spectral state count")
-    sel.add_argument("--T", type=int, default=None, help="spectral window length")
-    sel.add_argument("--init", type=int, default=None)
-    sel.add_argument("--local", type=int, default=None)
+    sel.add_argument("--k", type=_at_least(1), default=None, help="spectral state count")
+    sel.add_argument("--T", type=_at_least(1), default=None, help="spectral window length")
+    sel.add_argument("--init", type=_at_least(0), default=None)
+    sel.add_argument("--local", type=_at_least(1), default=None)
     sel.add_argument("--preset", choices=["desk"], default=None,
                      help="desk-scale defaults: local=64, k=16, T=4096")
     sel.add_argument("--hist-csv", default=None)
@@ -429,28 +445,29 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="prefill, decode, and compare attention paths")
     ev.add_argument("--trace", required=True)
     ev.add_argument("--manifest", required=True)
-    ev.add_argument("--decode-steps", type=int, default=8)
-    ev.add_argument("--seed", type=int, default=0)
+    ev.add_argument("--decode-steps", type=_at_least(0), default=8)
+    ev.add_argument("--seed", type=_at_least(0), default=0)
     ev.add_argument("--report", required=True)
     ev.set_defaults(func=cmd_eval)
 
     cmp_ = sub.add_parser("compare-bases", help="Fourier vs Legendre reconstruction MSE")
     cmp_.add_argument("--trace", required=True)
-    cmp_.add_argument("--k", type=int, required=True, help="Fourier state count (Legendre gets 2k)")
+    cmp_.add_argument("--k", type=_at_least(1), required=True,
+                      help="Fourier state count (Legendre gets 2k)")
     cmp_.add_argument("--tensor", default="keys", choices=["keys", "values"])
     cmp_.add_argument("--out", required=True)
     cmp_.set_defaults(func=cmd_compare_bases)
 
     an = sub.add_parser("analyze", help="std curves, score decomposition, perturbation report")
     an.add_argument("--trace", required=True)
-    an.add_argument("--split-dim", type=int, default=None,
+    an.add_argument("--split-dim", type=_at_least(1), default=None,
                     help="low/high boundary (default: 70/128 of head_dim)")
-    an.add_argument("--sigma", type=float, default=1.0)
+    an.add_argument("--sigma", type=_at_least(0.0, float), default=1.0)
     an.add_argument("--dims", type=_parse_dims, default=[0],
                     help="dimensions to perturb, e.g. '0-69' or '0,3,17'")
-    an.add_argument("--layer", type=int, default=0)
-    an.add_argument("--head", type=int, default=0)
-    an.add_argument("--seed", type=int, default=0)
+    an.add_argument("--layer", type=_at_least(0), default=0)
+    an.add_argument("--head", type=_at_least(0), default=0)
+    an.add_argument("--seed", type=_at_least(0), default=0)
     an.add_argument("--out", required=True, help="output directory")
     an.set_defaults(func=cmd_analyze)
 

@@ -8,24 +8,20 @@ size never grows with sequence length. :func:`compress_batch` and
 :func:`fold_token` accumulate those updates one position at a time, each a
 BLAS rank-1 update of the state in place, and are bitwise equal; both read
 :meth:`FourierBasis.column`, which keeps the last column it built, so the K
-and V folds of every head evicting one position share one column;
-:func:`fold_blocks`, the fast batch fold, is the adjoint transform below
-with a batch axis: groups of every block's columns go through the
-transforms decode attention runs (for the trig tables, one matrix product
-against the run's columns, built from the tables once), and the fold's
-transient keeps to a 1 MB budget.
-Reconstruction evaluates a weighted inverse transform at any folded
-position; the same inverse transform and its adjoint are also available
-without building columns, over a run of positions given as a ``range`` of
-step 1, which is how decode attention scores and aggregates the compressed
-region without rebuilding it. Three transforms serve them, and a cost rule
-picks the cheapest for the orders and the run's length: two small matrix
-products against cached trig tables for few orders, a chirp-z transform
-over the run while it is short against the period, and one length-period
-FFT once that is cheaper. A run is read without scanning it: its values are
-sliced out of, and its weights copied into, the transform's buffers, so a
-call's fixed cost is a handful of numpy calls. Every cosine and sine comes
-from one phase builder, which reduces ``n*t`` mod the period in integers.
+and V folds of every head evicting one position share one column.
+Reconstruction evaluates a weighted inverse transform at any folded position.
+
+The same inverse transform, :meth:`FourierBasis.evaluate`, and its adjoint,
+:meth:`FourierBasis.project`, also run over a run of positions, a ``range`` of
+step 1, without building its columns: decode attention scores and aggregates
+the compressed region with them, calibration's Gram form projects one column
+of ones, and :func:`fold_blocks`, the fast batch fold, is ``project`` of many
+columns within a 1 MB transient budget. ``project`` has one implementation,
+and 1-D weights are its one-column case. A cost rule picks one of three
+transforms per call (see :class:`FourierBasis`), and the run is read without
+scanning it, so a call's fixed cost is a handful of numpy calls. Every cosine
+and sine comes from one phase builder, which reduces ``n*t`` mod the period
+in integers.
 
 Phases are indexed by *absolute* token position so that a state built during
 prefill and a state extended by streaming evictions agree without rephasing.
@@ -77,42 +73,38 @@ class FourierBasis:
     :meth:`columns` builds columns explicitly, O(orders) trig calls each;
     :meth:`column` builds one, read-only, and the last one built is cached.
     :meth:`evaluate` (``columns(t).T @ a``) and its adjoint :meth:`project`
-    (``columns(t) @ p``) never build them; both read a run ``t``, a ``range``
-    of step 1 from ``lo >= 0``, of any length ``span``, and ``project``
-    also takes ``p`` with a trailing batch axis of ``c`` columns. Each runs
-    one of three transforms, priced by ``span`` and by the bin count ``R =
-    min(orders, period)``:
+    (``columns(t) @ p``, ``p`` one column or ``c`` of them) never build them;
+    both read a run ``t``, a ``range`` of step 1 from ``lo >= 0``, of any
+    length ``span``. Each call runs one of three transforms, priced by
+    ``span``, by the bin count ``R = min(orders, period)`` and by ``c > 1``:
 
-    * trig tables: each offset from ``lo`` splits as
-      ``a*B + b``, with ``B`` a power of two near ``sqrt(span)``, so every
-      phase factors into one of ``lo + a*B`` and one of ``b``, each from a
-      cached table of R rows, and each direction is two small products
-      against them: O(R * span) time, O(R * sqrt(span) + span) transient
-      memory and at most ``56 * R * sqrt(span) + 8 * orders`` bytes of
-      tables (16 KB for 16 orders over 960 positions), whatever the period.
+    * trig tables: each offset from ``lo`` splits as ``a*B + b``, with ``B``
+      a power of two near ``sqrt(span)``, so every phase is one of ``lo +
+      a*B`` times one of ``b``, each from a cached table of R rows, at most
+      ``56 * R * sqrt(span) + 8 * orders`` bytes (16 KB for 16 orders over
+      960 positions). One column takes two small products against them,
+      O(R * span) time and O(R * sqrt(span) + span) memory; more take one
+      product against the run's columns, ``16 * orders * span`` bytes.
     * chirp-z (Bluestein): with ``n`` the power of two ``>= span + R - 1``,
       one complex FFT pair of length ``n``: O(n log n) time, O(n) memory and
-      ``32 * n <= 8 * period`` bytes of tables, whatever the period.
-    * length-period FFT: one real FFT of length ``period``: O(period log
-      period) time and O(period) memory, no tables.
-
-    With a batch axis the tables build the run's columns from their head
-    and tail and take one matrix product against them, and the chirp-z
-    transform packs two real columns into one complex column: a pair of
-    columns costs one FFT pair, of the power of two ``n >= span + 2R - 2``
-    that bins ``-(R-1)..R-1`` need (2048 for 512 orders over 1020
-    positions, as for one column).
+      ``32 * n <= 8 * period`` bytes of tables. More columns go two to a
+      complex column, which reads bins ``-(R-1)..R-1`` and so needs ``n >=
+      span + 2R - 2``. For 512 orders that is 2048 over 1020 positions, as
+      for one column, and 4096 past 1026, where one column keeps 2048.
+    * length-period FFT: one real FFT of length ``period`` per column:
+      O(period log period) time and O(period) memory, no tables.
 
     The chirp-z pair runs while ``n <= period / 4``; beyond that it costs as
-    much as the length-period FFT or more. The tables run while ``R * span``
-    is at most 16 times ``L log2 L``, with ``L`` the complex FFT length the
-    other would run (``n``, or ``period/2 + 1`` for the real FFT): the rule
-    picks them for 16 orders at any span, and not for 512 orders over a
-    thousand positions, where they measured slower. Tables hold phases
-    reduced exactly in integers mod ``period``, are read-only, and the last
-    few of each kind are cached per ``(orders, period, lo mod period)`` and
-    their sizes. This class owns the cosine/sine row
-    layout; callers only pass coefficient vectors of length ``2*orders``.
+    much as the length-period FFT or more. The tables run while ``R * span``,
+    their work per column, is at most 16 times ``L log2 L``, with ``L`` the
+    complex FFT length the other would run (``n``, or ``period/2 + 1`` for
+    the real FFT) and a packed pair counted once per two columns: they run
+    for 16 orders at any span, and not for 512 orders over a thousand
+    positions, where they measured slower. Tables hold phases reduced
+    exactly in integers mod ``period``, are read-only, and the last few of
+    each kind are cached per ``(orders, period, lo mod period)`` and their
+    sizes. This class owns the cosine/sine row layout; callers only pass
+    coefficient vectors of length ``2*orders``.
 
     Immutable; safe to share across threads.
     """
@@ -181,9 +173,10 @@ class FourierBasis:
         ``("tables", width, rows)`` for trig tables of ``rows`` head phases
         ``width`` positions apart, ``("chirp", n, 0)`` for a chirp-z transform
         of FFT length ``n`` and ``("fft", period, 0)`` for the length-period
-        FFT. ``packed`` sizes the chirp-z transform for two real columns per
-        complex column, which reads bins ``-(R-1)..R-1`` and so ``R - 1``
-        more lags.
+        FFT. ``packed`` prices two or more weight columns: the chirp-z
+        transform packs two real columns into each complex column, which reads
+        bins ``-(R-1)..R-1`` and so ``R - 1`` more lags, and one FFT pair
+        serves both.
         """
         n_bins = min(self.orders, self.period)
         # linear convolution of ``span`` outputs with R bins: n >= span + R - 1,
@@ -191,9 +184,10 @@ class FourierBasis:
         n = 1 << (span + (1 + packed) * (n_bins - 1) - 1).bit_length()
         chirp = _CHIRP_LENGTH_RATIO * n <= self.period
         # the complex FFT length of the cheaper FFT: the chirp-z pair's n, or
-        # period // 2 + 1 for a real FFT of length period
+        # period // 2 + 1 for a real FFT of length period. Both cost the tables'
+        # products per column, but one packed chirp-z pair serves two columns
         fft_len = n if chirp else self.period // 2 + 1
-        if _products_cheaper(n_bins * span, fft_len):
+        if _products_cheaper((1 + (packed and chirp)) * n_bins * span, fft_len):
             width = 1 << (span.bit_length() // 2)
             return "tables", width, 1 << (-(-span // width) - 1).bit_length()
         if chirp:
@@ -227,10 +221,8 @@ class FourierBasis:
         :meth:`columns`; returns ``(len(run),)``, possibly a view of a
         transform buffer. ``run`` is a ``range`` of step 1 from a start
         ``>= 0``, of any length, such as a middle region; anything else
-        raises ``ValueError``. The run is read without scanning it, and its
-        values are sliced out of the trig-table or chirp-z transform, so a
-        call costs the transform and a fixed number of small numpy calls.
-        The length-period FFT gathers them by residue.
+        raises ``ValueError``. Its values are sliced out of the trig-table or
+        chirp-z transform, or gathered by residue from the length-period FFT.
         """
         a = np.ascontiguousarray(coeffs, dtype=np.float64)
         if a.shape != (self.n_rows,):
@@ -247,7 +239,7 @@ class FourierBasis:
             )
             # irfft counts every bin but DC and Nyquist twice (once per sign of frequency)
             spectrum[1 : (self.period + 1) // 2] *= 0.5
-            wave = np.fft.irfft(spectrum, n=self.period, norm="forward")
+            wave = scipy.fft.irfft(spectrum, n=self.period, norm="forward", overwrite_x=True)
             return wave[np.arange(run.start, run.stop) % self.period]
         # z[r] = c_r + i*s_r from the cosine and sine coefficients of bin r: the
         # value at offset m is the sum over bins of Re(z[r] * exp(-i*theta_r*(lo + m)))
@@ -260,24 +252,25 @@ class FourierBasis:
         if isinstance(plan, _TrigTables):
             mixed = plan.head[: -(-span // plan.tail.shape[1])] * z
             return (mixed.view(np.float64) @ plan.tail).ravel()[:span]
-        x = np.conjugate(z)
-        x *= plan.pre
-        y = np.fft.ifft(np.fft.fft(x, plan.spectrum.size) * plan.spectrum)[:span]
-        y *= plan.chirp[:span]
-        return y.real
+        x = np.zeros(plan.spectrum.size, dtype=np.complex128)
+        np.conjugate(z, out=x[: z.size])
+        x[: z.size] *= plan.pre
+        x = scipy.fft.fft(x, overwrite_x=True)
+        x *= plan.spectrum
+        x = scipy.fft.ifft(x, overwrite_x=True)[:span]
+        x *= plan.chirp[:span]
+        return x.real
 
     def project(self, weights, run: range) -> np.ndarray:
         """``columns(run) @ weights``: the adjoint of :meth:`evaluate`.
 
-        ``weights`` has shape ``(len(run),)``, giving ``(2*orders,)``, or
-        ``(len(run), c)``, giving ``(2*orders, c)``; 2-D float32 weights are
-        cast to float64 in the transform's own buffers or products, so they
-        are not copied first. ``run`` is read as by :meth:`evaluate`: its
-        weights are copied into the trig-table or chirp-z transform's input,
-        and the length-period FFT sums them by residue. 1-D weights, as
-        decode attention passes, run each transform on the one vector:
-        through the batched path as a ``(len(run), 1)`` column, decode steps
-        measured 7-8% slower at the stock geometry.
+        ``weights`` has shape ``(len(run), c)``, giving ``(2*orders, c)``, or
+        ``(len(run),)``, giving ``(2*orders,)``: 1-D weights, as decode
+        attention passes, are the one-column case, reshaped. Float32 weights
+        are cast to float64 in the transform's own buffers or products, not
+        copied first. ``run`` is read as by :meth:`evaluate`. The transform
+        is priced for the columns given: one column is never packed, so it
+        runs the chirp-z length :meth:`evaluate` runs over the same run.
         """
         self._check_run(run)
         w = np.asarray(weights)
@@ -285,67 +278,53 @@ class FourierBasis:
             raise ValueError(
                 f"weights must have shape ({len(run)},) or ({len(run)}, c), got {w.shape}"
             )
-        if w.ndim == 1:
-            w = w.astype(np.float64, copy=False)
-            if len(run) == 0:
-                return np.zeros(self.n_rows, dtype=np.float64)
-            span, plan = self._transform(run)
-            if plan is None:
-                spectrum = np.fft.rfft(
-                    np.bincount(np.arange(run.start, run.stop) % self.period, w, minlength=self.period)
-                )
-                bins, sine_sign = self._bins()
-                out = np.empty(self.n_rows, dtype=np.float64)
-                out[0::2] = spectrum.real[bins]
-                out[1::2] = -sine_sign * spectrum.imag[bins]
-                return out
-            # g[r] = sum_m w[m] * exp(i*theta_r*(lo + m)), the cosine and sine sums of bin r
-            if isinstance(plan, _TrigTables):
-                width = plan.tail.shape[1]
-                grid = np.zeros((-(-span // width), width))
-                grid.reshape(-1)[:span] = w
-                # evaluate transposed: the tail sums each row of the grid, the head what is left
-                sums = (grid @ plan.tail.T).view(np.complex128)
-                g = (np.conjugate(plan.head[: grid.shape[0]]) * sums).sum(axis=0)
-            else:
-                x = w * plan.chirp[:span]
-                # fft(ifft(x) * H)[r] = sum_m x[m] * h[m - r]: the transpose of evaluate's
-                # convolution with the filter h, from the same spectrum H
-                g = np.fft.fft(np.fft.ifft(x, plan.spectrum.size) * plan.spectrum)[: plan.pre.size]
-                g *= plan.pre
-            return g[plan.bins].view(np.float64)
-        if len(run) == 0 or w.shape[1] == 0:
-            return np.zeros((self.n_rows, w.shape[1]), dtype=np.float64)
-        return self._project_columns(w, run, self._transform(run, packed=True)[1])
+        cols = w[:, None] if w.ndim == 1 else w
+        if len(run) == 0 or cols.shape[1] == 0:
+            out = np.zeros((self.n_rows, cols.shape[1]), dtype=np.float64)
+        else:
+            out = self._project_columns(cols, run, self._transform(run, cols.shape[1] > 1)[1])
+        return out[:, 0] if w.ndim == 1 else out
 
     def _project_columns(self, w: np.ndarray, run: range, plan) -> np.ndarray:
         """:meth:`project` of ``(span, c)`` weights, ``(2*orders, c)``.
 
         ``g[r] = sum_m w[m] * exp(i*theta_r*(lo + m))`` holds the cosine and
-        sine sums of bin ``r``. The trig tables take one matrix product
-        against the run's columns, built from the tables' head and tail
-        (``plan`` may be those columns already, as :func:`fold_blocks` builds
-        them once per sub-run). The chirp-z transform packs two real columns
-        into one complex column ``u + i*v`` and reads its bins
-        ``-(R-1)..R-1``: with ``G`` their sums, conjugate symmetry gives
+        sine sums of bin ``r``. ``run`` is not empty, ``c >= 1``, and ``plan``
+        is the run's plan (packed if ``c > 1``; one column reads either), or
+        for the trig tables the run's columns, which :func:`fold_blocks`
+        builds once per sub-run. The chirp-z transform runs one FFT pair in
+        place per complex column. One weight column fills it alone and its
+        sums are bins ``0..R-1``; more are packed two to a column ``u +
+        i*v``, whose bins ``-(R-1)..R-1`` give, with ``G`` their sums,
         ``g_u(r) = (G(r) + conj(G(-r))) / 2`` and ``g_v(r) = (G(r) -
-        conj(G(-r))) / 2i``, so a pair of columns costs one FFT pair, run in
-        place. The length-period FFT sums each column by residue. ``run`` is
-        not empty, ``c >= 1``, and ``plan`` is the run's packed plan;
-        :meth:`_project_floats` counts the buffers each branch holds.
+        conj(G(-r))) / 2i`` by conjugate symmetry. :meth:`_project_floats`
+        counts the buffers the packed paths hold.
         """
         span, cols = w.shape
         if plan is None:
             lo = run.start % self.period
             grid = np.zeros((-(-(lo + span) // self.period) * self.period, cols))
             grid[lo : lo + span] = w
-            spectrum = np.fft.rfft(grid.reshape(-1, self.period, cols).sum(axis=0), axis=0)
+            spectrum = scipy.fft.rfft(
+                grid.reshape(-1, self.period, cols).sum(axis=0), axis=0, overwrite_x=True
+            )
             bins, sine_sign = self._bins()
             out = np.empty((self.n_rows, cols), dtype=np.float64)
             out[0::2] = spectrum.real[bins]
             out[1::2] = -sine_sign[:, None] * spectrum.imag[bins]
             return out
         if isinstance(plan, _TrigTables):
+            if cols == 1:
+                width = plan.tail.shape[1]
+                rows = -(-span // width)
+                grid = np.zeros((rows * width, 1))
+                grid[:span] = w
+                # evaluate transposed: the tail sums each row of the grid, the head what
+                # is left (np.dot and add.reduce, not @ and sum, cost less at this size)
+                sums = np.dot(grid.reshape(rows, width), plan.tail.T).view(np.complex128)
+                sums *= np.conjugate(plan.head[:rows])
+                g = np.add.reduce(sums)
+                return (g[plan.bins] if self.orders > self.period else g).view(np.float64)[:, None]
             plan = plan.run_columns(span)
         if isinstance(plan, np.ndarray):
             return plan.T @ w
@@ -355,12 +334,18 @@ class FourierBasis:
         x = np.empty((n, pairs), dtype=np.complex128)
         packed = x.view(np.float64)
         packed[:span, :cols] = w
-        packed[:span, cols:] = 0.0  # an odd last column pairs with zeros
+        packed[:span, cols:] = 0.0  # a lone or odd last column pairs with zeros
         x[span:] = 0.0
         x[:span] *= plan.chirp[:span, None]
+        # fft(ifft(x) * H)[r] = sum_m x[m] * h[m - r]: the transpose of evaluate's
+        # convolution with the filter h, from the same spectrum H
         x = scipy.fft.ifft(x, axis=0, overwrite_x=True)
         x *= plan.spectrum[:, None]
         x = scipy.fft.fft(x, axis=0, overwrite_x=True)
+        if cols == 1:
+            g = x[: plan.pre.size, 0]
+            g *= plan.pre
+            return g[plan.bins].view(np.float64)[:, None]
         # half the sums G at bin r, from row r, and at bin -r, from row n - r:
         # exp(i*theta_r*(lo + m)) is pre[r] * w(m) * conj(w(m - r)) at -r too,
         # with pre[-r] = conj(pre[r]) * w(r)**2
@@ -381,7 +366,8 @@ class FourierBasis:
     def _project_floats(self, span: int) -> tuple[int, int]:
         """Float64 values that :meth:`_project_columns` holds over ``span`` positions.
 
-        ``(fixed, per_column)``, the weights' own values counted per column.
+        ``(fixed, per_column)`` for the packed plan, which :func:`fold_blocks`
+        runs, the weights' own values counted per column.
         Fixed: the run's columns for the trig tables, the bins' phase
         factors for the chirp-z transform, and for both FFTs numpy's two
         buffers for a broadcast product, up to ``getbufsize()`` complex
@@ -440,7 +426,10 @@ _CHIRP_LENGTH_RATIO = 4
 # were faster in 57 of 59 cases with R * span / (L log2 L) <= 12.8 (1.04x and
 # 1.22x slower in the other two) and slower in all 11 at 18.3 and above
 # (orders 8-512, spans 256-4096, periods 4096 and 32768, numpy 2.4 on a
-# 2-core x86_64)
+# 2-core x86_64). With two or more columns a packed chirp-z pair serves two,
+# so R * span is counted twice against it: in all 14 cases where that moved
+# fold_blocks off the tables (orders 128-512, spans 384-4000), 4 blocks of 3
+# or 60 columns folded in 0.09-0.64x the time
 _TABLE_COST_RATIO = 16
 
 
@@ -505,11 +494,14 @@ def _chirp_plan(orders: int, period: int, lo: int, n: int) -> _ChirpPlan:
     r = np.arange(n_bins, dtype=np.int64)
     m = np.arange(n, dtype=np.int64)
     lags = np.where(m <= n - n_bins, m, n - m)
+    filt = _unit_phase(lags * lags, period)
+    # not overwrite_x: in place, a hundred plans built and dropped left 4.6 KB
+    # traced, and a plan may be built inside a held-bytes measurement
     plan = _ChirpPlan(
         bins=np.arange(orders, dtype=np.int64) % period,
         pre=_unit_phase(r * r + r * (2 * lo), period),
         chirp=_unit_phase(m[: n - n_bins + 1] ** 2, period),
-        spectrum=np.fft.fft(np.conj(_unit_phase(lags * lags, period))),
+        spectrum=scipy.fft.fft(np.conjugate(filt, out=filt)),
     )
     for table in plan:
         table.setflags(write=False)
@@ -688,15 +680,17 @@ def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
     packed chirp-z transform at stock (a pair of columns per complex FFT
     pair of length 2048 over 1020 positions), the trig tables at desk (the
     run's columns built from the tables and one matrix product per group),
-    and at both geometries decode's next call reads the plan the fold built.
-    Each block's picked columns go to it in groups, selected from the block
-    only then, so no block is copied whole; float32 blocks are cast to
-    float64 by the transform. A group's weights, the transform's buffers
-    and its output fit ``_FOLD_CHUNK_FLOATS`` float64 values (1 MB) where
-    one column allows, as ``FourierBasis._project_floats`` counts them; a
-    run at which one column does not fit is halved into consecutive
-    sub-runs until it does, which the fold's linearity allows, so the
-    transient memory is one budget whatever the run length.
+    and at both geometries decode's next call over the benchmark's middles
+    reads the plan the fold built. Each block's picked columns go to it in
+    groups, selected from the block only then, so no block is copied whole;
+    float32 blocks are cast to float64 by the transform. A group's weights,
+    the transform's buffers and its output fit ``_FOLD_CHUNK_FLOATS``
+    float64 values (1 MB) where one column allows, as
+    ``FourierBasis._project_floats`` counts them for the plan each sub-run
+    runs; a run at which one column does not fit is halved into consecutive
+    sub-runs until it fits every one, the shorter last one included, which
+    the fold's linearity allows, so the transient memory is one budget
+    whatever the run length.
     Returns one state per block, equal to :func:`compress_batch` of that
     block within ``1e-12 * max(1, sum|x|)`` per column: the transforms sum
     in their own order, so not bitwise.
@@ -720,9 +714,13 @@ def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
         return states
     # a block whose dims are a slice of step 1 is read as a slice, not gathered
     stretch = [isinstance(d, slice) and d.step in (None, 1) for d in dims]
-    # the longest halving of the run at which one column fits the budget
+    # the longest halving of the run at which one column fits the budget in
+    # every sub-run: the last, shorter one may run another transform
     sub_run = length
-    while sub_run > 1 and sum(basis._project_floats(sub_run)) > _FOLD_CHUNK_FLOATS:
+    while sub_run > 1 and any(
+        sum(basis._project_floats(span)) > _FOLD_CHUNK_FLOATS
+        for span in (sub_run, (length - 1) % sub_run + 1)
+    ):
         sub_run = -(-sub_run // 2)
     for lo in range(0, length, sub_run):
         hi = min(length, lo + sub_run)

@@ -286,6 +286,38 @@ class TestAnalyze:
         assert err.value.code == 2
 
 
+class TestFlagValues:
+    """A flag value that no input could make valid exits 2 (usage) before any input is read."""
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("select", "--k", 0), ("select", "--T", 0), ("select", "--local", 0),
+        ("select", "--init", -1), ("eval", "--decode-steps", -2), ("eval", "--seed", -1),
+        ("compare-bases", "--k", 0), ("analyze", "--sigma", -1), ("analyze", "--sigma", "nan"),
+        ("analyze", "--split-dim", 0), ("analyze", "--layer", -1), ("analyze", "--head", -1),
+        ("analyze", "--seed", -1),
+    ], ids=lambda x: str(x))
+    def test_is_usage_error(self, tmp_path, trace_file, manifest_file, capsys,
+                            command, flag, value):
+        out = tmp_path / "out"
+        rest = {
+            "select": ("--trace", trace_file, "--out-manifest", out),
+            "eval": ("--trace", trace_file, "--manifest", manifest_file, "--report", out),
+            "compare-bases": ("--trace", trace_file, "--out", out),
+            "analyze": ("--trace", trace_file, "--out", out),
+        }[command]
+        with pytest.raises(SystemExit) as err:
+            run(command, flag, value, *rest)
+        assert err.value.code == 2
+        assert f"argument {flag}: must be >= " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_flag_that_is_not_a_number_is_usage_error(self, tmp_path, trace_file, capsys):
+        with pytest.raises(SystemExit) as err:
+            run("select", "--trace", trace_file, "--k", "four", "--out-manifest", tmp_path / "m")
+        assert err.value.code == 2
+        assert "argument --k: invalid int value: 'four'" in capsys.readouterr().err
+
+
 class TestManifestReproducibility:
     def test_rerun_from_manifest_args_matches(self, tmp_path, trace_file):
         first = tmp_path / "m1" / "sel.json"

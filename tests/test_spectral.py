@@ -714,9 +714,9 @@ class TestBatchedProject:
         assert got.shape == (basis.n_rows, cols)
         assert np.all(np.abs(got - expected) <= 1e-12 * scale)
         if cols:
-            # a 1-D call and its (span, 1) twin run different code, to the same bound
+            # a 1-D call is its (span, 1) twin, reshaped
             assert twin.shape == (basis.n_rows, 1)
-            assert np.all(np.abs(single - twin[:, 0]) <= 1e-12 * scale[0])
+            np.testing.assert_array_equal(single, twin[:, 0])
 
     def test_float32_weights_are_cast_in_the_transform(self):
         weights = np.random.default_rng(4).standard_normal((40, 5)).astype(np.float32)
@@ -767,6 +767,47 @@ class TestBatchedProject:
                 basis.project(weights, range(0, 2))
         with pytest.raises(ValueError, match="step 1"):
             basis.project(np.zeros((2, 4)), range(0, 4, 2))
+
+
+class TestOneColumn:
+    """One weight column, as decode attention and the Gram form pass, runs its own transform."""
+
+    @pytest.mark.parametrize("span", [1026, 1027, 1034])
+    def test_stock_runs_the_chirp_z_at_one_columns_length(self, span):
+        # past 1026 positions two packed columns need n = 4096; one column needs 2048
+        basis = FourierBasis(orders=512, period=32768)
+        run = range(4, 4 + span)
+        weights = np.random.default_rng(span).standard_normal(span)
+        seen, transform = [], FourierBasis._transform
+
+        def spy(self, run, packed=False, cached=True):
+            span, plan = transform(self, run, packed, cached)
+            seen.append(plan)
+            return span, plan
+
+        with mock.patch.object(FourierBasis, "_transform", spy):
+            got = basis.project(weights, run)
+        assert len(seen) == 1 and isinstance(seen[0], spectral._ChirpPlan)
+        assert seen[0].spectrum.size == 2048
+        np.testing.assert_allclose(got, basis.columns(run) @ weights, rtol=0,
+                                   atol=1e-12 * max(1.0, np.abs(weights).sum()))
+
+    @pytest.mark.parametrize("span", [956, 963])
+    def test_desk_sums_one_column_without_the_runs_columns(self, span):
+        basis = FourierBasis(orders=16, period=4096)
+        run = range(4, 4 + span)
+        weights = np.random.default_rng(span).standard_normal((span, 2))
+        with mock.patch.object(spectral._TrigTables, "run_columns", autospec=True,
+                               side_effect=spectral._TrigTables.run_columns) as build:
+            one = basis.project(weights[:, 0], run)
+            assert build.call_count == 0
+            two = basis.project(weights, run)  # more columns take one product against them
+            assert build.call_count == 1
+        cols = basis.columns(run)
+        np.testing.assert_allclose(one, cols @ weights[:, 0], rtol=0,
+                                   atol=1e-12 * max(1.0, np.abs(weights[:, 0]).sum()))
+        np.testing.assert_allclose(two[:, 0], one, rtol=0,
+                                   atol=1e-12 * max(1.0, np.abs(weights[:, 0]).sum()))
 
 
 def assert_fold_matches_oracle(state, basis, block, start_pos):
@@ -898,6 +939,25 @@ class TestFoldBlocks:
         # the states are 4 x 64 KiB; the rest is one chunk of columns and its temporaries
         assert long <= short + 16 * 1024
         assert short < 4 * 2**20
+
+    @pytest.mark.parametrize("orders, lengths", [
+        (512, range(1020, 1601)),
+        # sub-runs of 1537 chirp-z positions leave a last one of 1536, which would
+        # run trig tables with 3 MB of run columns
+        (128, [3073]),
+    ], ids=["stock middles", "a shorter last sub-run"])
+    def test_peak_stays_within_the_budget_whatever_the_middle(self, orders, lengths):
+        basis = FourierBasis(orders=orders, period=32768)
+        for length in lengths:
+            blocks = [np.ones((length, 4), dtype=np.float32) for _ in range(2)]
+            tracemalloc.start()
+            try:
+                states = fold_blocks(basis, blocks, 4)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            held = sum(s.coeffs.nbytes for s in states)
+            assert peak <= held + 8 * spectral._FOLD_CHUNK_FLOATS + 16 * 1024, length
 
     def test_fold_chunk_transient_stays_within_the_budget(self):
         basis = FourierBasis(orders=512, period=32768)
