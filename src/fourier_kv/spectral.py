@@ -368,21 +368,30 @@ class FourierBasis:
 
         ``(fixed, per_column)`` for the packed plan, which :func:`fold_blocks`
         runs, the weights' own values counted per column.
-        Fixed: the run's columns for the trig tables, the bins' phase
-        factors for the chirp-z transform, and for both FFTs numpy's two
-        buffers for a broadcast product, up to ``getbufsize()`` complex
-        values each. Per column: the weights and the output, and the float64
+        Fixed: for the trig tables, the tables a sub-run builds, the run's
+        columns and what :meth:`_TrigTables.run_columns` holds while it
+        builds them (the tail and the head gathered by bin, the head
+        conjugated, and numpy's buffer for their broadcast product, up to
+        ``getbufsize()`` complex values); the bins' phase factors for the
+        chirp-z transform; and for both FFTs numpy's two buffers for a
+        broadcast product, up to ``getbufsize()`` complex values each. Per column: the weights and the output, and the float64
         copy the trig tables' product makes of float32 weights, half a
         complex FFT buffer of length ``n`` and the packed bins at ``r`` and
         ``-r`` for the chirp-z transform, or the residue grid, the residue
         sums, their spectrum and the sine rows' temporaries for the
         length-period FFT.
         """
-        kind, size, _ = self._pick(span, packed=True)
+        kind, size, rows = self._pick(span, packed=True)
         buffers = 4 * np.getbufsize()
         weights_and_output = span + self.n_rows
         if kind == "tables":
-            return self.n_rows * -(-span // size) * size, weights_and_output + span // 2
+            used = -(-span // size)  # head rows the run reads
+            run_columns = used * size * self.orders  # complex values
+            tables = 2 * min(self.orders, self.period) * (rows + size) + self.orders
+            temporaries = 2 * self.orders * (size + 2 * used) + 2 * min(
+                np.getbufsize(), run_columns
+            )
+            return tables + 2 * run_columns + temporaries, weights_and_output + span // 2
         if kind == "chirp":
             return 8 * self.orders + buffers, weights_and_output + size + 2 * self.orders
         # the residue grid reaches at most one period past the run
@@ -684,7 +693,8 @@ def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
     reads the plan the fold built. Each block's picked columns go to it in
     groups, selected from the block only then, so no block is copied whole;
     float32 blocks are cast to float64 by the transform. A group's weights,
-    the transform's buffers and its output fit ``_FOLD_CHUNK_FLOATS``
+    the transform's buffers and its output, with the trig tables and run
+    columns a sub-run builds, fit ``_FOLD_CHUNK_FLOATS``
     float64 values (1 MB) where one column allows, as
     ``FourierBasis._project_floats`` counts them for the plan each sub-run
     runs; a run at which one column does not fit is halved into consecutive

@@ -174,8 +174,10 @@ class TestRankDimensions:
                     np.testing.assert_allclose(got[layer, head], expected, rtol=1e-9)
 
     def test_matches_oracle_across_fold_chunks(self):
-        # a budget of 2**6 floats folds the 100-position middle in 25 sub-runs of
-        # four positions, and each 3-column block in groups of two and one
+        # a budget of 180 floats (a sub-run's trig tables and run columns, and
+        # two columns' weights and output) folds the 100-position middle in 25
+        # sub-runs of four positions, and each 3-column block in groups of two
+        # and one
         rng = np.random.default_rng(5)
         part = PartitionParams(init_len=2, local_len=3, period=64, orders=4)
         basis = build_basis(4, 64)
@@ -183,7 +185,7 @@ class TestRankDimensions:
         values = (rng.standard_normal((1, 2, 105, 3)) * np.arange(1, 4)).astype(np.float32)
         trace = KVTrace(keys=keys, values=values)
         assert rank_branch(trace, part, basis) == "gram"
-        with mock.patch.object(spectral, "_FOLD_CHUNK_FLOATS", 2**6), \
+        with mock.patch.object(spectral, "_FOLD_CHUNK_FLOATS", 180), \
                 mock.patch.object(FourierBasis, "_project_columns", autospec=True,
                                   side_effect=FourierBasis._project_columns) as fold:
             ranking = rank_dimensions(trace, part, basis)

@@ -876,12 +876,13 @@ class TestFoldBlocks:
         assert_fold_matches_oracle(state, basis, block, 7)
 
     @pytest.mark.parametrize("orders, budget, length, sub_runs, group", [
-        (64, spectral._FOLD_CHUNK_FLOATS, 2500, 4, 4), (8, 2**9, 90, 4, 2),
+        (64, spectral._FOLD_CHUNK_FLOATS, 2500, 4, 4), (8, 2**9, 90, 15, 3),
     ], ids=["sub-runs at the budget", "small groups"])
     def test_sub_runs_and_groups_cover_a_long_run(self, orders, budget, length, sub_runs, group):
         # 64 orders over 2500 positions fold in four sub-runs of 625 positions,
-        # each pick whole; 2**9 floats make sub-runs of 23 positions and groups
-        # of 2 columns. The run wraps past a multiple of the period. Picks come
+        # each pick whole; 2**9 floats, which must hold each sub-run's trig
+        # tables too, make sub-runs of 6 positions and groups of up to 3
+        # columns. The run wraps past a multiple of the period. Picks come
         # unordered, ordered with gaps, as a stretch, empty and as slices
         basis = FourierBasis(orders=orders, period=4096)
         rng = np.random.default_rng(6)
@@ -958,6 +959,24 @@ class TestFoldBlocks:
                 tracemalloc.stop()
             held = sum(s.coeffs.nbytes for s in states)
             assert peak <= held + 8 * spectral._FOLD_CHUNK_FLOATS + 16 * 1024, length
+
+    @pytest.mark.parametrize("period", [4096, 32768])
+    def test_peak_stays_within_the_budget_at_any_orders(self, period):
+        # trig tables built per sub-run and the temporaries that build their run
+        # columns count against the budget: 1024 orders over 100 positions and
+        # 512 over 705 peaked 1.37 and 1.16 MiB above the states without them
+        for orders in (8, 16, 32, 64, 128, 256, 512, 1024):
+            basis = FourierBasis(orders=orders, period=period)
+            for length in (100, 705, *range(250, 5001, 250)):
+                blocks = [np.ones((length, 4), dtype=np.float32) for _ in range(2)]
+                tracemalloc.start()
+                try:
+                    states = fold_blocks(basis, blocks, 4)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                held = sum(s.coeffs.nbytes for s in states)
+                assert peak <= held + 8 * spectral._FOLD_CHUNK_FLOATS + 16 * 1024, (orders, length)
 
     def test_fold_chunk_transient_stays_within_the_budget(self):
         basis = FourierBasis(orders=512, period=32768)
