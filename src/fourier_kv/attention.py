@@ -6,24 +6,24 @@ part of a middle score is the trig polynomial ``col(t)^T (w * C_k q_c)`` and
 the compressed part of the output is its adjoint
 ``(w * sum_t p_t col(t))^T C_v``, each one Fourier transform over the M
 middle positions (see ``FourierBasis.evaluate``); kept dimensions and the
-exact initial and local blocks are plain products, and one softmax runs over
-all ``init + M + local`` scores. The middle region is one run of
-positions, and it goes to the transforms as the only input they take, a
-``range`` of step 1, which they read without scanning it; the query is scaled
-once, every score is written into one preallocated buffer, and the softmax
-runs in that buffer, so a call makes a fixed number of numpy calls,
-whatever M. With ``R = min(k, period)`` and
+``E <= init_len + local_len`` exact rows, one prefix of the slice's exact
+block, are plain products, and one softmax runs over all ``E + M`` scores.
+The middle region, ``PartitionParams.middle``, goes to the transforms as
+the only input they take, a ``range`` of step 1, which they read without
+scanning it; the query is scaled once, every score is written into one
+preallocated buffer, and the softmax runs in that buffer, so a call makes a
+fixed number of numpy calls, whatever M. With ``R = min(k, period)`` and
 ``L = min(M + R, period)``, per query that costs O(min(R * M, L log L) +
-(init + M + local) * head_dim) time, plus O(k * head_dim) to contract the
-2k-row states with the query: the transforms take whichever of products
-against cached trig tables, a chirp-z FFT pair over the middle region or one
+(E + M) * head_dim) time, plus O(k * head_dim) to contract the 2k-row
+states with the query: the transforms take whichever of products against
+cached trig tables, a chirp-z FFT pair over the middle region or one
 length-period FFT is cheapest, and hold at most O(L) transient values. No
 ``(M, head_dim)`` block of rebuilt rows ever exists. The stored blocks are
 not scanned for NaN or Inf on every call (``prefill`` and ``append_token``
 reject them); the scores and the output are checked instead.
 ``attend_compressed_materialized`` is its oracle: it rebuilds every middle
-row through ``reconstruct`` and defers to ``attend_full``, the dense
-reference.
+row through ``reconstruct``, orders every row by position and defers to
+``attend_full``, the dense reference.
 
 Also home to two diagnostics: splitting attention scores into low/high
 dimension components, and seeded Gaussian perturbation of selected
@@ -106,37 +106,37 @@ def attend_full(q, keys, values, causal: bool = False, return_weights: bool = Fa
     return AttentionOutput(output=out, weights=weights if return_weights else None)
 
 
-def _middle_positions(slice_: HeadSlice) -> range:
-    return range(slice_.middle_start, slice_.middle_start + slice_.middle_count)
-
-
 def attend_compressed_materialized(
     q,
     slice_: HeadSlice,
     basis: FourierBasis,
     return_weights: bool = False,
 ) -> AttentionOutput:
-    """Decode attention over initial + rebuilt-middle + local, concatenated.
+    """Decode attention over the exact rows and the rebuilt middle, in position order.
 
     Middle rows get their kept dims copied and their compressed dims rebuilt
     by ``reconstruct``. Decode queries attend to every represented position
-    (no causal mask); the assembled order is initial block, middle region,
-    local window.
+    (no causal mask), assembled in ascending position order: initial rows,
+    middle region, then the local ring rolled so that its oldest position
+    comes first. The weights come back in that order.
     """
-    positions = _middle_positions(slice_)
+    middle = slice_.partition.middle(slice_.total_len)
     dims = slice_.dims
-    mid_k = np.empty((len(positions), slice_.ring_k.shape[1]))
+    mid_k = np.empty((len(middle), slice_.exact_k.shape[1]))
     mid_v = np.empty_like(mid_k)
     mid_k[:, dims.k_kept] = slice_.kept_k.view()
     mid_v[:, dims.v_kept] = slice_.kept_v.view()
     if dims.k_compressed.size:
-        mid_k[:, dims.k_compressed] = reconstruct(slice_.spec_k, basis, positions)
+        mid_k[:, dims.k_compressed] = reconstruct(slice_.spec_k, basis, middle)
     if dims.v_compressed.size:
-        mid_v[:, dims.v_compressed] = reconstruct(slice_.spec_v, basis, positions)
-    local_k, local_v = slice_.local_block()
-    keys = np.concatenate([slice_.init_k.astype(np.float64), mid_k, local_k.astype(np.float64)])
-    values = np.concatenate([slice_.init_v.astype(np.float64), mid_v, local_v.astype(np.float64)])
-    return attend_full(q, keys, values, causal=False, return_weights=return_weights)
+        mid_v[:, dims.v_compressed] = reconstruct(slice_.spec_v, basis, middle)
+    # the ring rows in use; its oldest position, the middle's end, comes first
+    ring = slice(middle.start, slice_.total_len - len(middle))
+    blocks = []
+    for exact, mid in ((slice_.exact_k, mid_k), (slice_.exact_v, mid_v)):
+        local = np.roll(exact[ring], middle.start - middle.stop, axis=0)
+        blocks.append(np.concatenate([exact[: middle.start], mid, local], dtype=np.float64))
+    return attend_full(q, *blocks, causal=False, return_weights=return_weights)
 
 
 def attend_compressed_fused(q, slice_: HeadSlice, basis: FourierBasis) -> AttentionOutput:
@@ -151,36 +151,29 @@ def attend_compressed_fused(q, slice_: HeadSlice, basis: FourierBasis) -> Attent
     if q.ndim != 1:
         raise ValueError("fused path serves single decode queries")
     _check_finite("q", q)
-    head_dim = slice_.ring_k.shape[1]
+    head_dim = slice_.exact_k.shape[1]
     if q.shape != (head_dim,):
         raise ValueError(f"query must have shape ({head_dim},)")
-    if slice_.represented() == 0:
+    if slice_.total_len == 0:
         raise ValueError("attention over an empty cache is undefined")
 
-    # softmax and the weighted sum do not depend on the order of the keys, so
-    # a full ring is read as stored; only a partial one needs its rows gathered
-    if slice_.ring_count == slice_.partition.local_len:
-        local_k, local_v = slice_.ring_k, slice_.ring_v
-    else:
-        local_k, local_v = slice_.local_block()
-
-    # every score lands in one buffer, init | middle | local; the query carries
-    # the 1/sqrt(d) scale, and the stored float32 blocks are cast transiently
-    # by each product
+    # every score lands in one buffer, exact | middle; the exact rows in use
+    # are a prefix of the block, read as stored since softmax and the weighted
+    # sum do not depend on the order of the keys. The query carries the
+    # 1/sqrt(d) scale, and the stored float32 blocks are cast transiently by
+    # each product
     q = q * (1.0 / math.sqrt(head_dim))
     dims = slice_.dims
-    positions = _middle_positions(slice_)
-    n_init = slice_.init_len
-    mid_end = n_init + len(positions)
-    scores = np.empty(mid_end + local_k.shape[0], dtype=np.float64)
-    p_init, p_mid, p_local = scores[:n_init], scores[n_init:mid_end], scores[mid_end:]
-    np.matmul(slice_.init_k, q, out=p_init)
+    middle = slice_.partition.middle(slice_.total_len)
+    n_exact = slice_.total_len - len(middle)
+    scores = np.empty(slice_.total_len, dtype=np.float64)
+    p_exact, p_mid = scores[:n_exact], scores[n_exact:]
+    np.matmul(slice_.exact_k[:n_exact], q, out=p_exact)
     np.matmul(slice_.kept_k.view(), q[dims.k_kept], out=p_mid)
-    np.matmul(local_k, q, out=p_local)
     synthesis = basis.synthesis_weights()
-    if len(positions) and dims.k_compressed.size:
+    if len(middle) and dims.k_compressed.size:
         poly = synthesis * (slice_.spec_k.coeffs @ q[dims.k_compressed])
-        p_mid += basis.evaluate(poly, positions)
+        p_mid += basis.evaluate(poly, middle)
     # the stored blocks are not scanned: a NaN or Inf in any key row, kept
     # row or spectral state reaches a score, and one in any value row the
     # output, also under a zero weight (0 * Inf is NaN)
@@ -190,11 +183,10 @@ def attend_compressed_fused(q, slice_: HeadSlice, basis: FourierBasis) -> Attent
     scores -= scores.max()
     np.exp(scores, out=scores)
 
-    out = p_init @ slice_.init_v
-    out += p_local @ local_v
+    out = p_exact @ slice_.exact_v[:n_exact]
     out[dims.v_kept] += p_mid @ slice_.kept_v.view()
-    if len(positions) and dims.v_compressed.size:
-        folded = synthesis * basis.project(p_mid, positions)
+    if len(middle) and dims.v_compressed.size:
+        folded = synthesis * basis.project(p_mid, middle)
         out[dims.v_compressed] += folded @ slice_.spec_v.coeffs
     out /= scores.sum()
     _check_finite("output", out)

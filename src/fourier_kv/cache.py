@@ -1,14 +1,15 @@
 """Partitioned KV cache with spectrally compressed middle region.
 
-Per layer and KV head, the cache splits a sequence three ways: the first
-``init_len`` tokens and the trailing ``local_len`` tokens are stored exactly;
-everything between keeps its selected dimensions verbatim and folds the rest
-into fixed-size spectral states. Prefill folds the middle region of every
-head of a layer in one batch fold that builds each basis column once. During
-decoding, new tokens enter a local ring buffer and the evicted oldest local
-token is split the same way, folded one position at a time, so the spectral
-storage stays O(1) in sequence length. Non-finite K/V rows are rejected at
-both entry points, before anything is stored.
+Per layer and KV head, the cache splits a sequence three ways by absolute
+position, in :meth:`PartitionParams.middle` alone: the first ``init_len``
+positions and the latest ``local_len`` past them are stored exactly, in one
+block per K and V; everything between keeps its selected dimensions
+verbatim and folds the rest into fixed-size spectral states. Prefill folds
+the middle region of every head of a layer in one batch fold. During
+decoding, a token takes its exact row, and once the local ring is full the
+token it evicts is split the same way, folded at its absolute position, so
+the spectral storage stays O(1) in sequence length. Non-finite K/V rows are
+rejected at both entry points, before anything is stored.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ class PartitionParams:
 
     ``period`` is the Fourier window; it must cover the longest sequence the
     cache will ever represent, since spectral phases wrap past it.
+    :meth:`middle` is the one place a sequence is split into tiers.
     """
 
     init_len: int
@@ -54,6 +56,16 @@ class PartitionParams:
             raise ValueError(f"orders must be >= 1, got {self.orders}")
         if self.period < 1:
             raise ValueError(f"period must be >= 1, got {self.period}")
+
+    def middle(self, seq_len: int) -> range:
+        """Positions of a ``seq_len``-token sequence held in the middle region.
+
+        Positions below ``init_len`` are initial and the last ``local_len``
+        past them local; the middle is the run between, from
+        ``min(init_len, seq_len)``, empty until ``seq_len > init_len + local_len``.
+        """
+        start = min(self.init_len, seq_len)
+        return range(start, max(start, seq_len - self.local_len))
 
 
 def _dim_mask(indices, head_dim: int) -> np.ndarray:
@@ -181,58 +193,45 @@ class _GrowBuffer:
         return self._len
 
 
+def _ring_row(part: PartitionParams, pos):
+    """Exact-block row of a position (int or array) at or past ``init_len``."""
+    return part.init_len + (pos - part.init_len) % part.local_len
+
+
 @dataclass
 class HeadSlice:
     """Compressed cache storage for one (layer, head).
 
-    Exact blocks are float32 like the traces they come from; spectral states
-    accumulate in float64. Single-writer; distinct slices are independent.
+    ``exact_k`` and ``exact_v`` hold the initial and local positions in
+    ``init_len + local_len`` float32 rows each: position ``t`` sits in row
+    ``t`` if ``t < init_len``, and otherwise in ring row ``init_len + (t -
+    init_len) % local_len``, which it takes over from the token it evicts.
+    The ring only fills or stays full, so the rows in use are always the
+    prefix ``exact[:total_len - middle_count]``. Middle positions keep their
+    kept dims in ``kept_k``/``kept_v`` and fold the rest into float64
+    spectral states. Single-writer; distinct slices are independent.
     """
 
     dims: HeadDims
     partition: PartitionParams
-    init_k: np.ndarray
-    init_v: np.ndarray
+    exact_k: np.ndarray
+    exact_v: np.ndarray
     kept_k: _GrowBuffer
     kept_v: _GrowBuffer
     spec_k: SpectralState
     spec_v: SpectralState
-    ring_k: np.ndarray
-    ring_v: np.ndarray
     total_len: int
-
-    @property
-    def init_len(self) -> int:
-        return self.init_k.shape[0]
 
     @property
     def middle_count(self) -> int:
         return len(self.kept_k)
 
-    @property
-    def middle_start(self) -> int:
-        return self.init_len
-
-    @property
-    def ring_start(self) -> int:
-        """Position of the oldest local row: every earlier one is initial or middle."""
-        return self.init_len + self.middle_count
-
-    @property
-    def ring_count(self) -> int:
-        return self.total_len - self.ring_start
-
     def represented(self) -> int:
-        """Positions held across the three tiers; equals tokens ingested."""
-        return self.init_len + self.middle_count + self.ring_count
+        """Exact positions the split gives ``total_len`` plus the kept middle rows held.
 
-    def local_positions(self) -> np.ndarray:
-        return np.arange(self.ring_start, self.total_len)
-
-    def local_block(self) -> tuple[np.ndarray, np.ndarray]:
-        """Local K and V rows in ascending position order."""
-        slots = self.local_positions() % self.partition.local_len
-        return self.ring_k[slots], self.ring_v[slots]
+        Equals the tokens ingested while the kept rows match the split.
+        """
+        return self.total_len - len(self.partition.middle(self.total_len)) + self.middle_count
 
 
 def prefill(keys, values, layout: CacheLayout, layer: int, basis: FourierBasis):
@@ -244,10 +243,10 @@ def prefill(keys, values, layout: CacheLayout, layer: int, basis: FourierBasis):
     compressed dims of every head onto the basis in column groups through
     the decode transforms: packed chirp-z FFTs at stock, and at desk one
     matrix product per group against the run's columns, built once from
-    the trig tables. Sequences no longer
-    than the partition's init+local extent simply have an empty middle. The
-    slices copy what they keep: later changes to ``keys``/``values`` do not
-    reach them.
+    the trig tables. A sequence no longer than ``init_len + local_len``
+    simply has an empty middle, and its exact rows a free tail for the
+    tokens to come. The slices copy what they keep: later changes to
+    ``keys``/``values`` do not reach them.
     """
     keys = np.asarray(keys, dtype=np.float32)
     values = np.asarray(values, dtype=np.float32)
@@ -264,83 +263,82 @@ def prefill(keys, values, layout: CacheLayout, layer: int, basis: FourierBasis):
     if not (np.isfinite(keys).all() and np.isfinite(values).all()):
         raise ValueError(f"layer {layer} keys/values contain NaN or Inf")
     seq_len = keys.shape[1]
-    n_init = min(part.init_len, seq_len)
-    local_start = max(n_init, seq_len - part.local_len)
-    if local_start - n_init > part.period:
+    middle = part.middle(seq_len)
+    if len(middle) > part.period:
         # folded positions must cover distinct residues of the period; a
         # contiguous middle region no longer than one period guarantees that
         raise ValueError(
-            f"middle region of {local_start - n_init} positions exceeds the "
-            f"spectral period {part.period}"
+            f"middle region of {len(middle)} positions exceeds the spectral period {part.period}"
         )
     heads = layout.dims[layer]
-    middle = slice(n_init, local_start)
+    mid = slice(middle.start, middle.stop)
     states = fold_blocks(
         basis,
-        [*keys[:, middle], *values[:, middle]],
-        n_init,
+        [*keys[:, mid], *values[:, mid]],
+        middle.start,
         dims=[hd.k_compressed for hd in heads] + [hd.v_compressed for hd in heads],
     )
-    slots = np.arange(local_start, seq_len) % part.local_len
-    slices = []
-    for head, hd in enumerate(heads):
-        ring_k = np.zeros((part.local_len, layout.head_dim), dtype=np.float32)
-        ring_v = np.zeros_like(ring_k)
-        ring_k[slots] = keys[head, local_start:]
-        ring_v[slots] = values[head, local_start:]
-        slices.append(
-            HeadSlice(
-                dims=hd,
-                partition=part,
-                init_k=keys[head, :n_init].copy(),
-                init_v=values[head, :n_init].copy(),
-                kept_k=_GrowBuffer.from_block(keys[head, middle][:, hd.k_kept]),
-                kept_v=_GrowBuffer.from_block(values[head, middle][:, hd.v_kept]),
-                spec_k=states[head],
-                spec_v=states[layout.kv_heads + head],
-                ring_k=ring_k,
-                ring_v=ring_v,
-                total_len=seq_len,
-            )
+    # K and V of every head at once: initial positions in their own rows,
+    # local ones in their ring rows
+    exact = np.zeros((2, *keys.shape[:1], part.init_len + part.local_len, keys.shape[2]),
+                     dtype=np.float32)
+    rows = _ring_row(part, np.arange(middle.stop, seq_len))
+    for block, kv in zip(exact, (keys, values)):
+        block[:, : middle.start] = kv[:, : middle.start]
+        block[:, rows] = kv[:, middle.stop :]
+    return [
+        HeadSlice(
+            dims=hd,
+            partition=part,
+            exact_k=exact[0, head],
+            exact_v=exact[1, head],
+            kept_k=_GrowBuffer.from_block(keys[head, mid][:, hd.k_kept]),
+            kept_v=_GrowBuffer.from_block(values[head, mid][:, hd.v_kept]),
+            spec_k=states[head],
+            spec_v=states[layout.kv_heads + head],
+            total_len=seq_len,
         )
-    return slices
+        for head, hd in enumerate(heads)
+    ]
 
 
 def append_token(slice_: HeadSlice, basis: FourierBasis, k_vec, v_vec) -> HeadSlice:
     """Ingest one decoded token into a head slice.
 
-    The token enters the local ring; when the ring is full, the evicted
-    oldest local token splits into kept rows and spectral folds at its
-    absolute position. Mutates and returns the slice; a rejected token
-    (wrong shape, NaN or Inf, or a middle region already one period long)
-    leaves it unchanged.
+    A token below ``init_len`` takes its own initial row; a later one takes
+    its ring row, and once the ring is full, the token there before it, the
+    position the middle region grows by, splits into kept rows and spectral
+    folds at its absolute position. Mutates and returns the slice; a
+    rejected token (wrong shape, NaN or Inf, or a middle region already one
+    period long) leaves it unchanged.
     """
     part = slice_.partition
     k_vec = np.asarray(k_vec, dtype=np.float32)
     v_vec = np.asarray(v_vec, dtype=np.float32)
-    if k_vec.shape != (slice_.ring_k.shape[1],) or v_vec.shape != k_vec.shape:
+    if k_vec.shape != (slice_.exact_k.shape[1],) or v_vec.shape != k_vec.shape:
         raise ValueError("token vectors must have shape (head_dim,)")
     if not (np.isfinite(k_vec).all() and np.isfinite(v_vec).all()):
         raise ValueError("token vectors contain NaN or Inf")
 
-    if slice_.ring_count == part.local_len:
-        evict_pos = slice_.ring_start
+    pos = slice_.total_len
+    row = pos if pos < part.init_len else _ring_row(part, pos)
+    grown = part.middle(pos + 1)
+    if len(grown) > slice_.middle_count:
         if slice_.spec_k.token_count >= part.period:
             raise ValueError(
                 f"middle region already spans the full spectral period {part.period}; "
                 "folding more tokens would alias earlier positions"
             )
-        slot = evict_pos % part.local_len
-        old_k = slice_.ring_k[slot]
-        old_v = slice_.ring_v[slot]
+        # the evicted position is one ring cycle before the token, in the same row
+        old_k = slice_.exact_k[row]
+        old_v = slice_.exact_v[row]
         slice_.kept_k.append(old_k[slice_.dims.k_kept])
         slice_.kept_v.append(old_v[slice_.dims.v_kept])
-        fold_token(slice_.spec_k, basis, old_k[slice_.dims.k_compressed], evict_pos)
-        fold_token(slice_.spec_v, basis, old_v[slice_.dims.v_compressed], evict_pos)
+        fold_token(slice_.spec_k, basis, old_k[slice_.dims.k_compressed], grown[-1])
+        fold_token(slice_.spec_v, basis, old_v[slice_.dims.v_compressed], grown[-1])
 
-    slot = slice_.total_len % part.local_len
-    slice_.ring_k[slot] = k_vec
-    slice_.ring_v[slot] = v_vec
+    slice_.exact_k[row] = k_vec
+    slice_.exact_v[row] = v_vec
     slice_.total_len += 1
     return slice_
 
@@ -381,6 +379,11 @@ def prefill_trace(trace, layout: CacheLayout, basis: FourierBasis) -> Compressed
 def memory_report(layout: CacheLayout, seq_len: int) -> dict:
     """Float counts of the compressed layout against a dense cache.
 
+    The tiers are :meth:`PartitionParams.middle`'s, as the cache holds them
+    at ``seq_len`` tokens. ``exact_floats`` counts the exact rows in use,
+    ``seq_len`` minus the middle, for K and V, and the middle's kept dims;
+    a head's exact block reserves ``init_len + local_len`` rows, so a
+    sequence shorter than that leaves rows free that are not counted.
     ``compressed_fraction`` is the share of (layer, head, dim, K/V) channels
     routed to spectral storage; as ``seq_len`` grows, ``ratio_vs_full``
     approaches ``1 - compressed_fraction``. The counts do not weigh bytes: a
@@ -392,9 +395,7 @@ def memory_report(layout: CacheLayout, seq_len: int) -> dict:
     if seq_len < 0:
         raise ValueError("seq_len must be >= 0")
     part = layout.partition
-    n_init = min(part.init_len, seq_len)
-    local_occ = min(part.local_len, seq_len - n_init)
-    middle = seq_len - n_init - local_occ
+    middle = len(part.middle(seq_len))
 
     exact = 0
     spectral = 0
@@ -404,7 +405,7 @@ def memory_report(layout: CacheLayout, seq_len: int) -> dict:
         for head in range(layout.kv_heads):
             hd = layout.dims[layer][head]
             n_kc, n_vc = hd.k_compressed.size, hd.v_compressed.size
-            exact += (n_init + local_occ) * 2 * layout.head_dim
+            exact += (seq_len - middle) * 2 * layout.head_dim
             exact += middle * (hd.k_kept.size + hd.v_kept.size)
             spectral += 2 * part.orders * (n_kc + n_vc)
             channels_spectral += n_kc + n_vc

@@ -172,7 +172,7 @@ def _warn_if_states_outweigh_rows(partition: PartitionParams, seq_len: int) -> N
     bytes, in place of the middle's float32 rows, 4 bytes a position: with
     ``M <= 4*orders`` middle positions the state is no smaller.
     """
-    middle = max(0, seq_len - partition.init_len - partition.local_len)
+    middle = len(partition.middle(seq_len))
     if middle <= 4 * partition.orders:
         print(f"warning: the middle region holds {middle} positions, at most "
               f"4 * orders = {4 * partition.orders}: each compressed dimension's float64 "

@@ -172,14 +172,13 @@ def rank_dimensions(trace: KVTrace, partition: PartitionParams, basis: FourierBa
     """
     if basis.orders != partition.orders or basis.period != partition.period:
         raise ValueError("basis geometry does not match the partition")
-    first = partition.init_len
-    last = trace.seq_len - partition.local_len  # exclusive
-    if last - first < 1:
+    middle = partition.middle(trace.seq_len)
+    if not middle:
         raise ValueError(
             f"trace too short for calibration: needs more than "
             f"{partition.init_len + partition.local_len} positions, got {trace.seq_len}"
         )
-    length = last - first
+    first, last, length = middle.start, middle.stop, len(middle)
     n_fft = 1 << (2 * length - 2).bit_length()  # linear convolution of M with M: n >= 2M - 1
     # per layer, every head's K, then every head's V: (positions, head_dim) views of the trace
     layers = [

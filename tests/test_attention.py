@@ -198,15 +198,15 @@ class TestCompressedFused:
                                     k_comp=(0, 2, 3, 5, 6), v_comp=(1, 2, 4, 7))
         for step in range(12):
             append_token(sl, basis, rng.standard_normal(head_dim), rng.standard_normal(head_dim))
-            last = sl.middle_start + sl.middle_count - 1
-            if last < period:
+            if sl.partition.middle(sl.total_len)[-1] < period:
                 continue
             q = 2.0 * rng.standard_normal(head_dim)
             with mock.patch.multiple(spectral, **ratios):
                 out = attend_compressed_fused(q, sl, basis).output
             ref = attend_compressed_materialized(q, sl, basis).output
             assert np.max(np.abs(out - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
-        assert sl.middle_count == period and sl.middle_start == init
+        assert sl.middle_count == period
+        assert sl.partition.middle(sl.total_len) == range(init, init + period)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(decoded_slices(), st.data())
@@ -220,10 +220,12 @@ class TestCompressedFused:
     @given(decoded_slices(), st.data())
     def test_rejects_inf_local_key(self, case, data):
         sl, basis, q = case
-        assume(sl.ring_count > 0)
-        slots = sl.local_positions() % sl.partition.local_len
-        slot = data.draw(st.sampled_from(slots.tolist()))
-        sl.ring_k[slot, data.draw(st.integers(0, sl.ring_k.shape[1] - 1))] = np.inf
+        part = sl.partition
+        local = np.arange(part.middle(sl.total_len).stop, sl.total_len)
+        assume(local.size > 0)
+        rows = part.init_len + (local - part.init_len) % part.local_len
+        row = data.draw(st.sampled_from(rows.tolist()))
+        sl.exact_k[row, data.draw(st.integers(0, sl.exact_k.shape[1] - 1))] = np.inf
         with pytest.raises(ValueError):
             attend_compressed_fused(q, sl, basis)
 
@@ -247,11 +249,12 @@ class TestCompressedFused:
         rng = np.random.default_rng(5)
         sl, basis, *_ = build_slice(rng, seq_len=64)
         q = rng.standard_normal(8)
-        slot = sl.ring_start % sl.partition.local_len  # the oldest local row
-        sl.ring_k[slot] = -1000.0 * q
+        oldest = sl.partition.middle(sl.total_len).stop  # the oldest local position
+        row = 4 + (oldest - 4) % 8  # its ring row at init 4, local 8
+        sl.exact_k[row] = -1000.0 * q
         weights = attend_compressed_materialized(q, sl, basis, return_weights=True).weights
-        assert weights[sl.init_len + sl.middle_count] == 0.0  # exp underflows to exactly 0
-        sl.ring_v[slot, 2] = np.inf
+        assert weights[oldest] == 0.0  # exp underflows to exactly 0
+        sl.exact_v[row, 2] = np.inf
         with pytest.raises(ValueError):
             attend_compressed_fused(q, sl, basis)
 

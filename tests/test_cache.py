@@ -36,6 +36,15 @@ def random_layer(rng, kv_heads=1, seq_len=64, head_dim=6):
     )
 
 
+def local_block(sl):
+    """Local K and V rows in ascending position order: position ``t`` sits in
+    ring row ``init_len + (t - init_len) % local_len``."""
+    part = sl.partition
+    local = np.arange(part.middle(sl.total_len).stop, sl.total_len)
+    rows = part.init_len + (local - part.init_len) % part.local_len
+    return sl.exact_k[rows], sl.exact_v[rows]
+
+
 def sorted_dim_sets(indices, head_dim):
     """The sort-based construction: unique compressed indices and their complement."""
     arr = np.unique(np.asarray(indices, dtype=np.int64))
@@ -124,7 +133,8 @@ class TestPrefill:
         assert sl.spec_k.first_pos == 4
         assert sl.spec_k.last_pos == 47
         assert sl.middle_count == 44
-        assert sl.ring_count == 16
+        assert sl.partition.middle(sl.total_len) == range(4, 48)
+        assert sl.total_len - sl.middle_count - 4 == 16  # ring rows in use
         assert sl.represented() == 64 == sl.total_len
 
     def test_degenerate_no_middle(self):
@@ -145,8 +155,8 @@ class TestPrefill:
         sl = prefill(keys, values, layout, 0, basis)[0]
         middle = np.arange(4, 40 - 16)
         np.testing.assert_array_equal(sl.kept_k.view(), keys[0][middle])
-        np.testing.assert_array_equal(sl.init_k, keys[0][:4])
-        local_k, local_v = sl.local_block()
+        np.testing.assert_array_equal(sl.exact_k[:4], keys[0][:4])
+        local_k, local_v = local_block(sl)
         np.testing.assert_array_equal(local_k, keys[0][-16:])
         np.testing.assert_array_equal(local_v, values[0][-16:])
 
@@ -187,17 +197,16 @@ class TestPrefill:
 def slice_arrays(sl):
     """Every array and counter a head slice holds, copied."""
     return {
-        "init_k": sl.init_k.copy(), "init_v": sl.init_v.copy(),
+        "exact_k": sl.exact_k.copy(), "exact_v": sl.exact_v.copy(),
         "kept_k": sl.kept_k.view().copy(), "kept_v": sl.kept_v.view().copy(),
         "spec_k": sl.spec_k.copy(), "spec_v": sl.spec_v.copy(),
-        "ring_k": sl.ring_k.copy(), "ring_v": sl.ring_v.copy(),
-        "counters": (sl.ring_start, sl.ring_count, sl.total_len),
+        "counters": (sl.middle_count, sl.total_len),
     }
 
 
 def assert_slice_unchanged(sl, before):
     after = slice_arrays(sl)
-    for name in ("init_k", "init_v", "kept_k", "kept_v", "ring_k", "ring_v"):
+    for name in ("exact_k", "exact_v", "kept_k", "kept_v"):
         np.testing.assert_array_equal(after[name], before[name], err_msg=name)
     for name in ("spec_k", "spec_v"):
         a, b = after[name], before[name]
@@ -330,8 +339,8 @@ class TestAppend:
             assert (a.first_pos, a.last_pos, a.token_count) == (b.first_pos, b.last_pos, b.token_count)
         np.testing.assert_array_equal(full.kept_k.view(), streamed.kept_k.view())
         np.testing.assert_array_equal(full.kept_v.view(), streamed.kept_v.view())
-        fk, fv = full.local_block()
-        sk, sv = streamed.local_block()
+        fk, fv = local_block(full)
+        sk, sv = local_block(streamed)
         np.testing.assert_array_equal(fk, sk)
         np.testing.assert_array_equal(fv, sv)
 
@@ -401,6 +410,33 @@ class TestAppend:
             append_token(sl, basis, token, token)
         with pytest.raises(ValueError):
             append_token(sl, basis, token, token)
+
+
+class TestShortPrompts:
+    """Tiers follow absolute position, whatever the prompt length."""
+
+    @pytest.mark.parametrize("prompt", [0, 1, 3, 4, 10])  # 0, 1, init-1, init, init+local+3
+    def test_initial_positions_stay_exact_and_the_report_matches(self, prompt):
+        rng = np.random.default_rng(prompt)
+        layout = make_layout(kv_heads=2, head_dim=6, init=4, local=3, period=64, orders=4,
+                             k_comp=(0, 1, 2), v_comp=(5,))
+        basis = build_basis(4, 64)
+        keys, values = random_layer(rng, kv_heads=2, seq_len=30)
+        slices = prefill(keys[:, :prompt], values[:, :prompt], layout, 0, basis)
+        for total in range(prompt, 31):
+            if total > prompt:
+                for head, sl in enumerate(slices):
+                    append_token(sl, basis, keys[head, total - 1], values[head, total - 1])
+            n_init = min(4, total)
+            held = 0
+            for head, sl in enumerate(slices):
+                # positions below init_len sit in their own rows, bitwise
+                np.testing.assert_array_equal(sl.exact_k[:n_init], keys[head, :n_init])
+                np.testing.assert_array_equal(sl.exact_v[:n_init], values[head, :n_init])
+                assert sl.middle_count == max(0, total - 4 - 3)
+                held += (sl.total_len - sl.middle_count) * 2 * 6
+                held += sl.kept_k.view().size + sl.kept_v.view().size
+            assert memory_report(layout, total)["exact_floats"] == held
 
 
 class TestMemoryReport:

@@ -27,21 +27,28 @@ KV_HEADS = 2
 
 def middle_of(sl) -> range:
     """Positions folded into the slice's middle region."""
-    return range(sl.middle_start, sl.middle_start + sl.middle_count)
+    return sl.partition.middle(sl.total_len)
 
 
 def exact_rows(sl):
-    """Positions held exactly, ascending, and their K and V rows."""
-    local_k, local_v = sl.local_block()
-    positions = np.concatenate([np.arange(sl.init_len), np.arange(sl.ring_start, sl.total_len)])
-    return positions, np.concatenate([sl.init_k, local_k]), np.concatenate([sl.init_v, local_v])
+    """Positions held exactly, ascending, and their K and V rows.
+
+    Position ``t`` sits in row ``t`` below ``init_len`` and in ring row
+    ``init_len + (t - init_len) % local_len`` after it, and the rows in use
+    are a prefix of the exact block.
+    """
+    part, middle = sl.partition, middle_of(sl)
+    positions = np.concatenate([np.arange(middle.start), np.arange(middle.stop, sl.total_len)])
+    rows = np.where(positions < part.init_len, positions,
+                    part.init_len + (positions - part.init_len) % part.local_len)
+    np.testing.assert_array_equal(np.sort(rows), np.arange(sl.total_len - sl.middle_count))
+    return positions, sl.exact_k[rows], sl.exact_v[rows]
 
 
 def storage(sl) -> dict:
     """Copies of every array and counter the slice holds."""
     return {
-        "init_k": sl.init_k.copy(), "init_v": sl.init_v.copy(),
-        "ring_k": sl.ring_k.copy(), "ring_v": sl.ring_v.copy(),
+        "exact_k": sl.exact_k.copy(), "exact_v": sl.exact_v.copy(),
         "kept_k": sl.kept_k.view().copy(), "kept_v": sl.kept_v.view().copy(),
         "spec_k": sl.spec_k.coeffs.copy(), "spec_v": sl.spec_v.coeffs.copy(),
         "counters": (sl.total_len, sl.spec_k.token_count, sl.spec_k.first_pos,
