@@ -9,14 +9,28 @@ record's middle. The adapter below is the only code that reads a slice's
 storage layout.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from fourier_kv.attention import attend_compressed_fused, attend_compressed_materialized
-from fourier_kv.cache import CacheLayout, HeadDims, PartitionParams, append_token, prefill
+from fourier_kv import spectral
+from fourier_kv.attention import (
+    attend_compressed_fused,
+    attend_compressed_materialized,
+    attend_full,
+)
+from fourier_kv.cache import (
+    CacheLayout,
+    HeadDims,
+    PartitionParams,
+    append_token,
+    memory_report,
+    prefill,
+)
 from fourier_kv.spectral import build_basis, compress_batch
 
 HEAD_DIM = 4
@@ -69,6 +83,14 @@ def assert_same_storage(before: dict, after: dict) -> None:
 
 dim_sets = st.sets(st.integers(0, HEAD_DIM - 1)).map(sorted)
 
+# as in test_spectral's TestContiguousRuns: ratios 0 and 2**62 force one transform
+transforms = st.sampled_from([
+    {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 0},
+    {"_TABLE_COST_RATIO": spectral._TABLE_COST_RATIO},
+    {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 2**62},
+    {"_TABLE_COST_RATIO": 2**62},
+])
+
 
 class CacheMachine(RuleBasedStateMachine):
     """One layer of ``KV_HEADS`` head slices against the rows they were given."""
@@ -92,10 +114,11 @@ class CacheMachine(RuleBasedStateMachine):
     def tokens(self, length: int) -> np.ndarray:
         return self.rng.standard_normal((KV_HEADS, length, HEAD_DIM)).astype(np.float32)
 
-    @rule(data=st.data())
-    def prefill(self, data):
+    @rule(data=st.data(), ratios=transforms)
+    def prefill(self, data, ratios):
         """A new prompt of 0 to past ``init + local + period`` tokens replaces the cache."""
-        self.new_prompt(data, self.part.period + 1)
+        with mock.patch.multiple(spectral, **ratios):
+            self.new_prompt(data, self.part.period + 1)
 
     def new_prompt(self, data, longest_middle: int) -> None:
         part = self.part
@@ -155,31 +178,39 @@ class CacheMachine(RuleBasedStateMachine):
             append_token(sl, self.basis, k_vec, v_vec)
         assert_same_storage(before, storage(sl))
 
-    @rule(scale=st.sampled_from([0.1, 1.0, 8.0]), head=st.integers(0, KV_HEADS - 1))
-    def attend(self, scale, head):
-        """The fused path equals the materialized one over the same slice."""
-        sl = self.slices[head]
+    @rule(scale=st.sampled_from([0.1, 1.0, 8.0]), head=st.integers(0, KV_HEADS - 1),
+          ratios=transforms)
+    def attend(self, scale, head, ratios):
+        """The fused path equals the materialized one over the same slice, and with
+        nothing compressed the dense reference over the record."""
+        sl, hd = self.slices[head], self.layout.dims[0][head]
         q = scale * self.rng.standard_normal(HEAD_DIM)
         if sl.total_len == 0:
             with pytest.raises(ValueError):
                 attend_compressed_fused(q, sl, self.basis)
             return
+        with mock.patch.multiple(spectral, **ratios):
+            out = attend_compressed_fused(q, sl, self.basis).output
         ref = attend_compressed_materialized(q, sl, self.basis, return_weights=True)
         assert ref.weights.shape == (sl.total_len,)
-        out = attend_compressed_fused(q, sl, self.basis).output
         assert np.max(np.abs(out - ref.output)) <= 1e-9 * max(1.0, np.max(np.abs(ref.output)))
+        if hd.k_compressed.size == 0 and hd.v_compressed.size == 0:
+            # the same float64 products summed in another order: rounding only
+            dense = attend_full(q, self.keys[head], self.values[head]).output
+            assert np.max(np.abs(out - dense)) <= 1e-12 * max(1.0, np.max(np.abs(dense)))
 
     @invariant()
     def tiers_equal_the_record(self):
         total = self.keys.shape[1]
+        held = 0  # exact and kept floats in use, without capacity slack
         for head, sl in enumerate(self.slices):
             hd = self.layout.dims[0][head]
             assert sl.total_len == total and sl.represented() == total
             middle = middle_of(sl)
             positions, k_rows, v_rows = exact_rows(sl)
             # the exact tiers and the middle cover every position once
-            held = np.sort(np.r_[positions, np.arange(middle.start, middle.stop)])
-            np.testing.assert_array_equal(held, np.arange(total))
+            covered = np.sort(np.r_[positions, np.arange(middle.start, middle.stop)])
+            np.testing.assert_array_equal(covered, np.arange(total))
             assert np.sum(positions < middle.start) <= self.part.init_len
             assert np.sum(positions >= middle.stop) <= self.part.local_len
             np.testing.assert_array_equal(k_rows, self.keys[head, positions])
@@ -188,6 +219,8 @@ class CacheMachine(RuleBasedStateMachine):
                                           self.keys[head, middle][:, hd.k_kept])
             np.testing.assert_array_equal(sl.kept_v.view(),
                                           self.values[head, middle][:, hd.v_kept])
+            held += (sl.total_len - sl.middle_count) * 2 * HEAD_DIM
+            held += sl.kept_k.view().size + sl.kept_v.view().size
             for state, block, comp in ((sl.spec_k, self.keys, hd.k_compressed),
                                        (sl.spec_v, self.values, hd.v_compressed)):
                 rows = block[head, middle][:, comp]
@@ -196,6 +229,8 @@ class CacheMachine(RuleBasedStateMachine):
                 assert np.all(np.abs(state.coeffs - oracle.coeffs) <= 1e-12 * scale)
                 assert (state.token_count, state.first_pos, state.last_pos) == (
                     oracle.token_count, oracle.first_pos, oracle.last_pos)
+
+        assert memory_report(self.layout, total)["exact_floats"] == held
 
 
 CacheMachine.TestCase.settings = settings(
