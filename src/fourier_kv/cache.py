@@ -280,8 +280,9 @@ def prefill(keys, values, layout: CacheLayout, layer: int, basis: FourierBasis):
     )
     # K and V of every head at once: initial positions in their own rows,
     # local ones in their ring rows
-    exact = np.zeros((2, *keys.shape[:1], part.init_len + part.local_len, keys.shape[2]),
-                     dtype=np.float32)
+    exact = np.zeros(
+        (2, layout.kv_heads, part.init_len + part.local_len, layout.head_dim), dtype=np.float32
+    )
     rows = _ring_row(part, np.arange(middle.stop, seq_len))
     for block, kv in zip(exact, (keys, values)):
         block[:, : middle.start] = kv[:, : middle.start]
