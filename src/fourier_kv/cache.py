@@ -38,7 +38,10 @@ class PartitionParams:
     """Sequence partition geometry shared by every head.
 
     ``period`` is the Fourier window; it must cover the longest sequence the
-    cache will ever represent, since spectral phases wrap past it.
+    cache will ever represent, since spectral phases wrap past it. ``orders``
+    and ``period`` must make a :class:`FourierBasis`: ``orders`` is at most
+    ``(period + 1) // 2``, so every order is a spectral bin of its own (``R =
+    orders``).
     :meth:`middle` is the one place a sequence is split into tiers.
     """
 
@@ -52,10 +55,7 @@ class PartitionParams:
             raise ValueError(f"init_len must be >= 0, got {self.init_len}")
         if self.local_len < 1:
             raise ValueError(f"local_len must be >= 1, got {self.local_len}")
-        if self.orders < 1:
-            raise ValueError(f"orders must be >= 1, got {self.orders}")
-        if self.period < 1:
-            raise ValueError(f"period must be >= 1, got {self.period}")
+        FourierBasis(self.orders, self.period)  # raises on orders or a period it rejects
 
     def middle(self, seq_len: int) -> range:
         """Positions of a ``seq_len``-token sequence held in the middle region.

@@ -12,7 +12,10 @@ at most ``4 * orders`` positions, where a compressed dimension's float64
 state outweighs the float32 rows it replaces.
 
 Exit codes: 0 success, 2 usage, 3 I/O failure, 4 data mismatch. A flag value
-that no input could make valid, such as ``--k 0``, is a usage error.
+that no input could make valid, such as ``--k 0``, is a usage error, and so is
+a ``select`` ``--k``/``--T`` past the spectral bound ``2k - 1 <= T``. An ``eval``
+manifest past it, or ``compare-bases --k`` with ``2k - 1`` past the trace
+length, is a data mismatch.
 """
 
 from __future__ import annotations
@@ -162,7 +165,10 @@ def _resolve_partition(args) -> PartitionParams:
     local_len = args.local if args.local is not None else (64 if desk else 1024)
     orders = args.k if args.k is not None else (16 if desk else 512)
     period = args.T if args.T is not None else (4096 if desk else 32768)
-    return PartitionParams(init_len=init_len, local_len=local_len, period=period, orders=orders)
+    try:
+        return PartitionParams(init_len, local_len, period, orders)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _warn_if_states_outweigh_rows(partition: PartitionParams, seq_len: int) -> None:
@@ -228,8 +234,8 @@ def cmd_gen_trace(args) -> int:
 
 def cmd_select(args) -> int:
     started = time.monotonic()
-    trace = read_trace(args.trace)
     partition = _resolve_partition(args)
+    trace = read_trace(args.trace)
     basis = build_basis(partition.orders, partition.period)
     schema = _build_schema(args.schema, trace.layers)
     report = build_selection_report(trace, schema, partition, basis)
@@ -269,28 +275,30 @@ def cmd_eval(args) -> int:
     basis = build_basis(layout.partition.orders, layout.partition.period)
     cache = prefill_trace(trace, layout, basis)
 
-    # originals grow alongside the compressed cache so the dense oracle stays honest
-    keys = [[trace.keys[l, h].astype(np.float64) for h in range(trace.kv_heads)]
-            for l in range(trace.layers)]
-    values = [[trace.values[l, h].astype(np.float64) for h in range(trace.kv_heads)]
-              for l in range(trace.layers)]
+    # the dense oracle's rows, one float64 block per head filled up to the current length
+    final_len = trace.seq_len + args.decode_steps
+    shape = (trace.layers, trace.kv_heads, final_len, trace.head_dim)
+    keys, values = np.empty(shape), np.empty(shape)
+    keys[:, :, : trace.seq_len] = trace.keys
+    values[:, :, : trace.seq_len] = trace.values
 
     rng = np.random.default_rng(args.seed)
     rows = []
     pairs = [(l, h) for l in range(trace.layers) for h in range(trace.kv_heads)]
     for step in range(args.decode_steps):
+        length = trace.seq_len + step + 1
         for layer, head in pairs:
             k_vec = rng.standard_normal(trace.head_dim).astype(np.float32)
             v_vec = rng.standard_normal(trace.head_dim).astype(np.float32)
             cache.append(layer, head, k_vec, v_vec)
-            keys[layer][head] = np.vstack([keys[layer][head], k_vec])
-            values[layer][head] = np.vstack([values[layer][head], v_vec])
+            keys[layer, head, length - 1] = k_vec
+            values[layer, head, length - 1] = v_vec
         queries = {pair: rng.standard_normal(trace.head_dim) for pair in pairs}
 
         def compare(pair):
             layer, head = pair
             q = queries[pair]
-            ref = attend_full(q, keys[layer][head], values[layer][head])
+            ref = attend_full(q, keys[layer, head, :length], values[layer, head, :length])
             sl = cache.slice(layer, head)
             mat = attend_compressed_materialized(q, sl, basis)
             fus = attend_compressed_fused(q, sl, basis)
@@ -309,7 +317,6 @@ def cmd_eval(args) -> int:
         ("layer", "head", "step", "path", "max_abs", "rmse", "cosine"),
         rows,
     )
-    final_len = trace.seq_len + args.decode_steps
     mem = memory_report(layout, final_len)
     mem_path = str(Path(args.report).with_name("memory.csv"))
     _write_csv(

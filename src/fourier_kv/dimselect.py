@@ -157,12 +157,12 @@ def rank_dimensions(trace: KVTrace, partition: PartitionParams, basis: FourierBa
       data-independent ``G = C C.T``, ``|x - P x|**2 = |x|**2 + s.T (W G W -
       2W) s``: O(orders * (M + orders)) per column for the fold and the
       form. ``G`` is built once per call from the run's cosine and sine sums
-      of orders below ``2*orders - 1``, one :meth:`FourierBasis.project`.
+      of orders below ``2*orders - 1``, in closed form.
 
     The decode transforms' cost rule picks the form, pricing the Gram form's
     ``2R * M`` multiply-adds of the fold and ``(2R)**2`` of the quadratic
     form per column, halved as the rule counts the tables' own products:
-    ``R * (M + 2R)`` with ``R = min(orders, period)``, against
+    ``R * (M + 2R)`` with ``R = orders``, against
     ``_TABLE_COST_RATIO * L log2 L`` with ``L = n/2 + 1``. 16 orders over a
     thousand positions take the Gram form, 256 orders and more the
     convolution. Either way the transient
@@ -186,8 +186,7 @@ def rank_dimensions(trace: KVTrace, partition: PartitionParams, basis: FourierBa
         for layer in range(trace.layers)
     ]
     sse = np.empty((trace.layers, 2 * trace.kv_heads, trace.head_dim))
-    n_bins = min(basis.orders, basis.period)
-    if spectral._products_cheaper(n_bins * (length + 2 * n_bins), n_fft // 2 + 1):
+    if spectral._products_cheaper(basis.orders * (length + 2 * basis.orders), n_fft // 2 + 1):
         _gram_sse(basis, layers, first, length, out=sse)
     else:
         _convolution_sse(basis, layers, length, n_fft, out=sse)
@@ -220,12 +219,17 @@ def _gram(basis: FourierBasis, first: int, length: int) -> np.ndarray:
     With ``c(n)`` and ``s(n)`` the sums of ``cos(theta_n t)`` and ``sin(theta_n t)``
     over the run, products of two basis rows are sums and differences of angles:
     ``cos a cos b = (cos(a - b) + cos(a + b)) / 2`` and so on, so every entry
-    is half a sum of ``c`` or ``s`` at ``|n - m|`` and ``n + m``.
+    is half a sum of ``c`` or ``s`` at ``|n - m|`` and ``n + m``. The sum of
+    ``exp(i*theta_n*t)`` over ``M`` positions is the phase of the run's centre
+    times ``sin(pi*n*M/period) / sin(pi*n/period)`` (``M`` at ``n = 0``, the
+    only ``n`` below ``period`` whose denominator is 0), angles reduced in integers.
     """
-    sums = FourierBasis(2 * basis.orders - 1, basis.period).project(
-        np.ones(length), range(first, first + length)
-    )
-    c, s = sums[0::2], sums[1::2]
+    n = np.arange(2 * basis.orders - 1, dtype=np.int64)
+    sums = spectral._unit_phase(n * (2 * first + length - 1), basis.period)
+    sums[0] = length
+    sums[1:] *= (spectral._unit_phase(n[1:] * length, basis.period).imag
+                 / spectral._unit_phase(n[1:], basis.period).imag)
+    c, s = sums.real, sums.imag
     n = np.arange(basis.orders)
     diff, total = n[:, None] - n, n[:, None] + n
     # sin(theta_d) is odd in d: s at n - m is sign(n - m) * s(|n - m|)
@@ -423,8 +427,9 @@ def write_selection_manifest(report: SelectionReport, path) -> None:
 def read_selection_manifest(path):
     """Load a manifest back into (CacheLayout, CompressionSchema).
 
-    A file that is not a manifest, or one with a missing or mistyped field,
-    raises ``ValueError`` naming ``path``.
+    A file that is not a manifest, or one with a missing, mistyped or
+    invalid field, such as a partition whose orders break ``2*orders - 1 <=
+    period``, raises ``ValueError`` naming ``path``.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -455,7 +460,7 @@ def read_selection_manifest(path):
             ratios=tuple((k, v) for k, v in doc["schema"]["ratios"]),
             preset=doc["schema"]["preset"],
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(
             f"{path}: malformed selection manifest: {type(exc).__name__} {exc}"
         ) from exc

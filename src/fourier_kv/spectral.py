@@ -4,12 +4,14 @@ A run of token vectors is folded into a bank of ``2k`` real spectral
 coefficients: the running cosine and sine moments of every tracked dimension
 for each of ``k`` frequency orders. Folding one token is a rank-1 update, so
 batch compression and one-token-at-a-time streaming commute, and the state
-size never grows with sequence length. :func:`compress_batch` and
-:func:`fold_token` accumulate those updates one position at a time, each a
-BLAS rank-1 update of the state in place, and are bitwise equal; both read
-:meth:`FourierBasis.column`, which keeps the last column it built, so the K
-and V folds of every head evicting one position share one column.
-Reconstruction evaluates a weighted inverse transform at any folded position.
+size never grows with sequence length. ``k`` is at most ``(T + 1) // 2`` for
+a period ``T``, so every order has a spectral bin of its own (``R = k``).
+:func:`compress_batch` and :func:`fold_token` accumulate those updates one
+position at a time, each a BLAS rank-1 update of the state in place, and are
+bitwise equal; both read :meth:`FourierBasis.column`, which keeps the last
+column it built, so the K and V folds of every head evicting one position
+share one column. Reconstruction evaluates a weighted inverse transform at
+any folded position, and returns a band-limited run one period long exactly.
 
 The same inverse transform, :meth:`FourierBasis.evaluate`, and its adjoint,
 :meth:`FourierBasis.project`, also run over a run of positions, a ``range`` of
@@ -67,8 +69,10 @@ class FourierBasis:
     row ``2n`` holds ``cos(2*pi*n*t/period)`` and row ``2n+1`` holds
     ``sin(2*pi*n*t/period)`` for ``n < orders``. Row 0 is all ones and row 1
     is all zeros (the order-0 sine). Columns repeat with period ``period``.
-    Any ``orders`` is accepted; at integer positions order ``n`` is the same
-    wave as order ``n mod period``, so orders at or past ``period/2`` alias.
+    ``orders`` must be at most ``(period + 1) // 2``: at integer positions
+    order ``n`` is the same wave as ``n mod period`` and ``period - n``, so
+    past that bound two orders would share a frequency. Within it every order
+    is its own spectral bin, and the transforms below read ``R = orders``.
 
     :meth:`columns` builds columns explicitly, O(orders) trig calls each;
     :meth:`column` builds one, read-only, and the last one built is cached.
@@ -76,13 +80,13 @@ class FourierBasis:
     (``columns(t) @ p``, ``p`` one column or ``c`` of them) never build them;
     both read a run ``t``, a ``range`` of step 1 from ``lo >= 0``, of any
     length ``span``. Each call runs one of three transforms, priced by
-    ``span``, by the bin count ``R = min(orders, period)`` and by ``c > 1``:
+    ``span``, by ``R = orders`` and by ``c > 1``:
 
     * trig tables: each offset from ``lo`` splits as ``a*B + b``, with ``B``
       a power of two near ``sqrt(span)``, so every phase is one of ``lo +
       a*B`` times one of ``b``, each from a cached table of R rows, at most
-      ``56 * R * sqrt(span) + 8 * orders`` bytes (16 KB for 16 orders over
-      960 positions). One column takes two small products against them,
+      ``56 * R * sqrt(span)`` bytes (16 KB for 16 orders over 960
+      positions). One column takes two small products against them,
       O(R * span) time and O(R * sqrt(span) + span) memory; more take one
       product against the run's columns, ``16 * orders * span`` bytes.
     * chirp-z (Bluestein): with ``n`` the power of two ``>= span + R - 1``,
@@ -91,8 +95,9 @@ class FourierBasis:
       complex column, which reads bins ``-(R-1)..R-1`` and so needs ``n >=
       span + 2R - 2``. For 512 orders that is 2048 over 1020 positions, as
       for one column, and 4096 past 1026, where one column keeps 2048.
-    * length-period FFT: one real FFT of length ``period`` per column:
-      O(period log period) time and O(period) memory, no tables.
+    * length-period FFT: one real FFT of length ``period`` per column, whose
+      bins ``0..R-1`` are the orders: O(period log period) time and
+      O(period) memory, no tables.
 
     The chirp-z pair runs while ``n <= period / 4``; beyond that it costs as
     much as the length-period FFT or more. The tables run while ``R * span``,
@@ -117,6 +122,11 @@ class FourierBasis:
             raise ValueError(f"orders must be >= 1, got {self.orders}")
         if self.period < 1:
             raise ValueError(f"period must be >= 1, got {self.period}")
+        if 2 * self.orders - 1 > self.period:
+            raise ValueError(
+                f"orders must be <= (period + 1) // 2 = {(self.period + 1) // 2}, "
+                f"got orders={self.orders} at period={self.period}"
+            )
 
     @property
     def n_rows(self) -> int:
@@ -156,38 +166,26 @@ class FourierBasis:
             raise ValueError("positions must be >= 0")
         return _unit_phases(self.orders, self.period, pos).view(np.float64).T
 
-    def _bins(self) -> tuple[np.ndarray, np.ndarray]:
-        """rfft bin of every order and the sign its sine row carries there.
-
-        At integer positions order ``n`` equals order ``r = n mod period``,
-        and for ``r > period/2`` the cosine of ``r`` is the cosine of
-        ``period - r`` while the sine flips sign.
-        """
-        r = np.arange(self.orders, dtype=np.int64) % self.period
-        above = r > self.period // 2
-        return np.where(above, self.period - r, r), np.where(above, -1.0, 1.0)
-
     def _pick(self, span: int, packed: bool = False) -> tuple[str, int, int]:
         """The transform the cost rule picks over ``span`` positions, and its size.
 
         ``("tables", width, rows)`` for trig tables of ``rows`` head phases
         ``width`` positions apart, ``("chirp", n, 0)`` for a chirp-z transform
         of FFT length ``n`` and ``("fft", period, 0)`` for the length-period
-        FFT. ``packed`` prices two or more weight columns: the chirp-z
-        transform packs two real columns into each complex column, which reads
-        bins ``-(R-1)..R-1`` and so ``R - 1`` more lags, and one FFT pair
-        serves both.
+        FFT, with ``R = orders`` bins. ``packed`` prices two or more weight
+        columns: the chirp-z transform packs two real columns into each
+        complex column, which reads bins ``-(R-1)..R-1`` and so ``R - 1`` more
+        lags, and one FFT pair serves both.
         """
-        n_bins = min(self.orders, self.period)
-        # linear convolution of ``span`` outputs with R bins: n >= span + R - 1,
+        # linear convolution of ``span`` outputs with R = orders bins: n >= span + R - 1,
         # and n >= span + 2R - 2 with the negative bins as well
-        n = 1 << (span + (1 + packed) * (n_bins - 1) - 1).bit_length()
+        n = 1 << (span + (1 + packed) * (self.orders - 1) - 1).bit_length()
         chirp = _CHIRP_LENGTH_RATIO * n <= self.period
         # the complex FFT length of the cheaper FFT: the chirp-z pair's n, or
         # period // 2 + 1 for a real FFT of length period. Both cost the tables'
         # products per column, but one packed chirp-z pair serves two columns
         fft_len = n if chirp else self.period // 2 + 1
-        if _products_cheaper((1 + (packed and chirp)) * n_bins * span, fft_len):
+        if _products_cheaper((1 + (packed and chirp)) * self.orders * span, fft_len):
             width = 1 << (span.bit_length() // 2)
             return "tables", width, 1 << (-(-span // width) - 1).bit_length()
         if chirp:
@@ -231,24 +229,17 @@ class FourierBasis:
         if len(run) == 0:
             return np.zeros(0, dtype=np.float64)
         span, plan = self._transform(run)
+        # z[r] = c_r + i*s_r from the cosine and sine coefficients of order r: the
+        # value at offset m is the sum over orders of Re(z[r] * exp(-i*theta_r*(lo + m)))
+        z = a.view(np.complex128)
         if plan is None:
-            bins, sine_sign = self._bins()
-            half = self.period // 2 + 1
-            spectrum = np.bincount(bins, a[0::2], minlength=half) - 1j * np.bincount(
-                bins, sine_sign * a[1::2], minlength=half
-            )
-            # irfft counts every bin but DC and Nyquist twice (once per sign of frequency)
-            spectrum[1 : (self.period + 1) // 2] *= 0.5
+            spectrum = np.zeros(self.period // 2 + 1, dtype=np.complex128)
+            np.conjugate(z, out=spectrum[: self.orders])
+            # irfft counts every bin but DC twice (once per sign of frequency);
+            # no order reaches the Nyquist bin
+            spectrum[1 : self.orders] *= 0.5
             wave = scipy.fft.irfft(spectrum, n=self.period, norm="forward", overwrite_x=True)
             return wave[np.arange(run.start, run.stop) % self.period]
-        # z[r] = c_r + i*s_r from the cosine and sine coefficients of bin r: the
-        # value at offset m is the sum over bins of Re(z[r] * exp(-i*theta_r*(lo + m)))
-        if self.orders <= self.period:
-            z = a.view(np.complex128)
-        else:
-            z = np.bincount(plan.bins, a[0::2], minlength=self.period) + 1j * np.bincount(
-                plan.bins, a[1::2], minlength=self.period
-            )
         if isinstance(plan, _TrigTables):
             mixed = plan.head[: -(-span // plan.tail.shape[1])] * z
             return (mixed.view(np.float64) @ plan.tail).ravel()[:span]
@@ -308,10 +299,9 @@ class FourierBasis:
             spectrum = scipy.fft.rfft(
                 grid.reshape(-1, self.period, cols).sum(axis=0), axis=0, overwrite_x=True
             )
-            bins, sine_sign = self._bins()
             out = np.empty((self.n_rows, cols), dtype=np.float64)
-            out[0::2] = spectrum.real[bins]
-            out[1::2] = -sine_sign[:, None] * spectrum.imag[bins]
+            out[0::2] = spectrum.real[: self.orders]
+            np.negative(spectrum.imag[: self.orders], out=out[1::2])
             return out
         if isinstance(plan, _TrigTables):
             if cols == 1:
@@ -324,7 +314,7 @@ class FourierBasis:
                 sums = np.dot(grid.reshape(rows, width), plan.tail.T).view(np.complex128)
                 sums *= np.conjugate(plan.head[:rows])
                 g = np.add.reduce(sums)
-                return (g[plan.bins] if self.orders > self.period else g).view(np.float64)[:, None]
+                return g.view(np.float64)[:, None]
             plan = plan.run_columns(span)
         if isinstance(plan, np.ndarray):
             return plan.T @ w
@@ -343,17 +333,18 @@ class FourierBasis:
         x *= plan.spectrum[:, None]
         x = scipy.fft.fft(x, axis=0, overwrite_x=True)
         if cols == 1:
-            g = x[: plan.pre.size, 0]
+            g = x[: self.orders, 0]
             g *= plan.pre
-            return g[plan.bins].view(np.float64)[:, None]
+            return g.view(np.float64)[:, None]
         # half the sums G at bin r, from row r, and at bin -r, from row n - r:
         # exp(i*theta_r*(lo + m)) is pre[r] * w(m) * conj(w(m - r)) at -r too,
-        # with pre[-r] = conj(pre[r]) * w(r)**2
-        half = 0.5 * plan.pre[plan.bins]
-        pos = x[plan.bins]
+        # with pre[-r] = conj(pre[r]) * w(r)**2. neg, a copy, is taken before pos,
+        # a view of x scaled in place, since both read row 0
+        half = 0.5 * plan.pre
+        neg = x[-np.arange(self.orders) % n]
+        neg *= (np.conjugate(half) * plan.chirp[: self.orders] ** 2)[:, None]
+        pos = x[: self.orders]
         pos *= half[:, None]
-        neg = x[-plan.bins % n]
-        neg *= (np.conjugate(half) * plan.chirp[plan.bins] ** 2)[:, None]
         # g_u = pos + conj(neg) and g_v = (pos - conj(neg)) / i: per pair, the
         # cosine sums of u and v are the real and imaginary part of pos + neg,
         # and their sine sums those of -i * (pos - neg)
@@ -370,16 +361,15 @@ class FourierBasis:
         runs, the weights' own values counted per column.
         Fixed: for the trig tables, the tables a sub-run builds, the run's
         columns and what :meth:`_TrigTables.run_columns` holds while it
-        builds them (the tail and the head gathered by bin, the head
-        conjugated, and numpy's buffer for their broadcast product, up to
-        ``getbufsize()`` complex values); the bins' phase factors for the
-        chirp-z transform; and for both FFTs numpy's two buffers for a
-        broadcast product, up to ``getbufsize()`` complex values each. Per column: the weights and the output, and the float64
-        copy the trig tables' product makes of float32 weights, half a
-        complex FFT buffer of length ``n`` and the packed bins at ``r`` and
+        builds them (the head conjugated, and numpy's buffer for the
+        broadcast product, up to ``getbufsize()`` complex values); the
+        orders' phase factors for the chirp-z transform; and for both FFTs
+        numpy's two buffers for a broadcast product, up to ``getbufsize()``
+        complex values each. Per column: the weights and the output, and the
+        float64 copy the trig tables' product makes of float32 weights, half
+        a complex FFT buffer of length ``n`` and the packed rows gathered at
         ``-r`` for the chirp-z transform, or the residue grid, the residue
-        sums, their spectrum and the sine rows' temporaries for the
-        length-period FFT.
+        sums and their spectrum for the length-period FFT.
         """
         kind, size, rows = self._pick(span, packed=True)
         buffers = 4 * np.getbufsize()
@@ -387,15 +377,13 @@ class FourierBasis:
         if kind == "tables":
             used = -(-span // size)  # head rows the run reads
             run_columns = used * size * self.orders  # complex values
-            tables = 2 * min(self.orders, self.period) * (rows + size) + self.orders
-            temporaries = 2 * self.orders * (size + 2 * used) + 2 * min(
-                np.getbufsize(), run_columns
-            )
+            tables = 2 * self.orders * (rows + size)
+            temporaries = 2 * self.orders * used + 2 * min(np.getbufsize(), run_columns)
             return tables + 2 * run_columns + temporaries, weights_and_output + span // 2
         if kind == "chirp":
-            return 8 * self.orders + buffers, weights_and_output + size + 2 * self.orders
+            return 8 * self.orders + buffers, weights_and_output + size + self.orders
         # the residue grid reaches at most one period past the run
-        return buffers, weights_and_output + span + 3 * self.period + 2 + self.n_rows
+        return buffers, weights_and_output + span + 3 * self.period + 2
 
     @property
     def rows(self) -> np.ndarray:
@@ -406,8 +394,10 @@ class FourierBasis:
         """Per-row inverse-transform weights used by :func:`reconstruct`.
 
         Standard discrete-Fourier synthesis weights: ``1/period`` for the
-        order-0 rows and ``2/period`` above, which recover band-limited
-        signals exactly when the folded run covers a full period.
+        order-0 rows and ``2/period`` above. Over a folded run one full period
+        long they recover every signal below ``orders`` exactly: ``2*orders -
+        1 <= period`` keeps the bins ``n`` and ``period - n`` of each order
+        apart from every other order's, so no bin is counted twice.
 
         The order-0 sine row gets the same ``1/period`` weight as the cosine
         row; its coefficients are identically zero so the value never matters.
@@ -430,7 +420,7 @@ class FourierBasis:
 _CHIRP_LENGTH_RATIO = 4
 
 # evaluate/project run the trig tables while R * span <= ratio * L * log2(L),
-# with R = min(orders, period) and L the complex FFT length they would run
+# with R = orders and L the complex FFT length they would run
 # otherwise. Timed per evaluate + project pair against that FFT, the tables
 # were faster in 57 of 59 cases with R * span / (L log2 L) <= 12.8 (1.04x and
 # 1.22x slower in the other two) and slower in all 11 at 18.3 and above
@@ -477,14 +467,13 @@ def _column(orders: int, period: int, pos: int) -> np.ndarray:
 class _ChirpPlan(NamedTuple):
     """Read-only chirp-z tables for one ``(orders, period, lo, n)``.
 
-    With ``R = min(orders, period)`` bins and ``w(m) = exp(i*pi*m^2/period)``,
-    ``exp(2*pi*i*r*(lo + m)/period) = pre[r] * w(m) * conj(w(m - r))``, so a
-    sum over bins ``r`` at offsets ``m`` is a chirp, a convolution with
-    ``conj(w)`` and a chirp. ``n`` is a power of two with ``span + R - 1 <= n``
-    and ``n <= period / 4``.
+    With ``R = orders`` bins, one per order since ``2*orders - 1 <= period``,
+    and ``w(m) = exp(i*pi*m^2/period)``, ``exp(2*pi*i*r*(lo + m)/period) =
+    pre[r] * w(m) * conj(w(m - r))``, so a sum over orders ``r`` at offsets
+    ``m`` is a chirp, a convolution with ``conj(w)`` and a chirp. ``n`` is a
+    power of two with ``span + R - 1 <= n`` and ``n <= period / 4``.
     """
 
-    bins: np.ndarray      # (orders,) bin of every order: n mod period
     pre: np.ndarray       # (R,) exp(2*pi*i*r*lo/period) * w(r)
     chirp: np.ndarray     # (n - R + 1,) w(m): spans up to n - R + 1 offsets
     spectrum: np.ndarray  # (n,) fft of conj(w) at lags 0..n-R, then -(R-1)..-1
@@ -499,17 +488,15 @@ def _unit_phase(numer: np.ndarray, period: int) -> np.ndarray:
 def _chirp_plan(orders: int, period: int, lo: int, n: int) -> _ChirpPlan:
     # keyed on n, not on the span: a growing middle region reuses one plan
     # until its span crosses a power of two
-    n_bins = min(orders, period)
-    r = np.arange(n_bins, dtype=np.int64)
+    r = np.arange(orders, dtype=np.int64)
     m = np.arange(n, dtype=np.int64)
-    lags = np.where(m <= n - n_bins, m, n - m)
+    lags = np.where(m <= n - orders, m, n - m)
     filt = _unit_phase(lags * lags, period)
     # not overwrite_x: in place, a hundred plans built and dropped left 4.6 KB
     # traced, and a plan may be built inside a held-bytes measurement
     plan = _ChirpPlan(
-        bins=np.arange(orders, dtype=np.int64) % period,
         pre=_unit_phase(r * r + r * (2 * lo), period),
-        chirp=_unit_phase(m[: n - n_bins + 1] ** 2, period),
+        chirp=_unit_phase(m[: n - orders + 1] ** 2, period),
         spectrum=scipy.fft.fft(np.conjugate(filt, out=filt)),
     )
     for table in plan:
@@ -520,13 +507,13 @@ def _chirp_plan(orders: int, period: int, lo: int, n: int) -> _ChirpPlan:
 class _TrigTables(NamedTuple):
     """Read-only trig tables for one ``(orders, period, lo, width, rows)``.
 
-    With ``R = min(orders, period)`` bins and ``theta_r = 2*pi*r/period``,
-    an offset ``m = a*width + b`` (``b < width``, ``a < rows``) has
+    With ``R = orders`` bins, one per order since ``2*orders - 1 <=
+    period``, and ``theta_r = 2*pi*r/period``, an offset ``m = a*width +
+    b`` (``b < width``, ``a < rows``) has
     ``exp(-i*theta_r*(lo + m)) = head[a, r] * exp(-i*theta_r*b)``; the tail
     holds the cosine and sine of that last phase as real rows.
     """
 
-    bins: np.ndarray  # (orders,) bin of every order: n mod period
     head: np.ndarray  # (rows, R) complex exp(-i*theta_r*(lo + a*width))
     tail: np.ndarray  # (2R, width) cos and sin of theta_r*b, rows interleaved like columns
 
@@ -540,9 +527,9 @@ class _TrigTables(NamedTuple):
         """
         width = self.tail.shape[1]
         rows = -(-span // width)
-        cols = np.empty((rows, width, self.bins.size), dtype=np.complex128)
-        cols[:] = self.tail.T.view(np.complex128)[:, self.bins]
-        cols *= np.conjugate(self.head[:rows, self.bins])[:, None]
+        cols = np.empty((rows, width, self.head.shape[1]), dtype=np.complex128)
+        cols[:] = self.tail.T.view(np.complex128)
+        cols *= np.conjugate(self.head[:rows])[:, None]
         return cols.reshape(rows * width, -1)[:span].view(np.float64)
 
 
@@ -550,12 +537,10 @@ class _TrigTables(NamedTuple):
 def _trig_tables(orders: int, period: int, lo: int, width: int, rows: int) -> _TrigTables:
     # keyed on rows, a power of two: a growing middle region reuses one set
     # until its span needs twice the rows or a wider tail
-    n_bins = min(orders, period)
-    head = _unit_phases(n_bins, period, lo + width * np.arange(rows, dtype=np.int64))
+    head = _unit_phases(orders, period, lo + width * np.arange(rows, dtype=np.int64))
     tables = _TrigTables(
-        bins=np.arange(orders, dtype=np.int64) % period,
         head=np.conjugate(head, out=head),
-        tail=_unit_phases(n_bins, period, np.arange(width, dtype=np.int64)).view(np.float64).T,
+        tail=_unit_phases(orders, period, np.arange(width, dtype=np.int64)).view(np.float64).T,
     )
     for table in tables:
         table.setflags(write=False)

@@ -219,9 +219,10 @@ def assert_slice_unchanged(sl, before):
 def prefill_geometries(draw):
     """A one-layer layout and its K/V blocks.
 
-    Covers init 0, empty middles, middles exactly one period long, orders
-    past ``period/2`` and 4096 of them (8192 rows, small column groups), and
-    1-3 heads with different compressed sets, empty and full included.
+    Covers init 0, empty middles, middles exactly one period long, the
+    largest orders a period accepts, ``(period + 1) // 2``, and 4096 of them
+    (8192 rows, small column groups, at period 8191), and 1-3 heads with
+    different compressed sets, empty and full included.
     """
     head_dim = draw(st.integers(1, 6))
     kv_heads = draw(st.integers(1, 3))
@@ -229,7 +230,9 @@ def prefill_geometries(draw):
     local = draw(st.integers(1, 8))
     middle = draw(st.one_of(st.just(0), st.integers(1, 40)))
     period = max(1, middle + draw(st.sampled_from([0, 0, 1, 17])))
-    orders = draw(st.one_of(st.integers(1, period + 2), st.just(4096)))
+    orders = draw(st.one_of(st.integers(1, (period + 1) // 2), st.just((period + 1) // 2),
+                            st.just(4096)))
+    period = max(period, 2 * orders - 1)
     dim_sets = st.one_of(st.just(()), st.just(tuple(range(head_dim))),
                          st.sets(st.integers(0, head_dim - 1)).map(sorted))
     part = PartitionParams(init_len=init, local_len=local, period=period, orders=orders)
@@ -346,11 +349,11 @@ class TestAppend:
 
     def test_evictions_fold_k_and_v_bitwise_like_compress_batch(self):
         # an empty middle at prefill, so every folded row comes from an eviction;
-        # K and V compress different dims
+        # K and V compress different dims; 40 orders are the most period 79 accepts
         rng = np.random.default_rng(13)
-        layout = make_layout(init=3, local=5, head_dim=6, period=64, orders=40,
+        layout = make_layout(init=3, local=5, head_dim=6, period=79, orders=40,
                              k_comp=(0, 2, 3), v_comp=(1, 4, 5))
-        basis = build_basis(40, 64)
+        basis = build_basis(40, 79)
         keys, values = random_layer(rng, seq_len=50)
         sl = prefill(keys[:, :8], values[:, :8], layout, 0, basis)[0]
         for pos in range(8, 50):
@@ -401,8 +404,8 @@ class TestAppend:
         np.testing.assert_array_equal(sl.kept_v.view(), values[0, middle][:, layout.dims[0][0].v_kept])
 
     def test_eviction_past_period_rejected(self):
-        layout = make_layout(init=0, local=2, period=4)
-        basis = build_basis(4, 4)
+        layout = make_layout(init=0, local=2, period=4, orders=2)
+        basis = build_basis(2, 4)
         keys = np.zeros((1, 2, 6), dtype=np.float32)
         sl = prefill(keys, keys, layout, 0, basis)[0]
         token = np.zeros(6, np.float32)

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
@@ -96,11 +96,13 @@ class CacheMachine(RuleBasedStateMachine):
     """One layer of ``KV_HEADS`` head slices against the rows they were given."""
 
     @initialize(init=st.integers(0, 3), local=st.integers(1, 4), period=st.integers(1, 8),
-                orders=st.integers(1, 10), k_sets=st.lists(dim_sets, min_size=KV_HEADS,
-                                                           max_size=KV_HEADS),
+                k_sets=st.lists(dim_sets, min_size=KV_HEADS, max_size=KV_HEADS),
                 v_sets=st.lists(dim_sets, min_size=KV_HEADS, max_size=KV_HEADS),
                 seed=st.integers(0, 2**32 - 1), data=st.data())
-    def build(self, init, local, period, orders, k_sets, v_sets, seed, data):
+    def build(self, init, local, period, k_sets, v_sets, seed, data):
+        # up to the largest orders the period accepts, which is drawn often
+        largest = (period + 1) // 2
+        orders = data.draw(st.one_of(st.integers(1, largest), st.just(largest)), label="orders")
         self.part = PartitionParams(init_len=init, local_len=local, period=period,
                                     orders=orders)
         self.layout = CacheLayout(
@@ -233,7 +235,10 @@ class CacheMachine(RuleBasedStateMachine):
         assert memory_report(self.layout, total)["exact_floats"] == held
 
 
+# no shrink phase: each shrink step replays a whole run with its folds and
+# attention, so a broken cache took minutes to report; unshrunk, it fails in seconds
 CacheMachine.TestCase.settings = settings(
-    max_examples=60, stateful_step_count=30, deadline=None, derandomize=True
+    max_examples=60, stateful_step_count=30, deadline=None, derandomize=True,
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
 )
 TestCacheOracle = CacheMachine.TestCase

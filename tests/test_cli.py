@@ -165,7 +165,9 @@ class TestEval:
         lambda doc: doc.update(dims=5),
         lambda doc: doc["partition"].update(orders="4"),
         lambda doc: doc["schema"].pop("ratios"),
-    ], ids=["no-geometry", "dims-not-a-list", "string-orders", "no-ratios"])
+        lambda doc: doc["partition"].update(orders=33),  # period 64 takes at most 32
+    ], ids=["no-geometry", "dims-not-a-list", "string-orders", "no-ratios",
+            "orders-past-the-bound"])
     def test_malformed_manifest_is_data_error(self, tmp_path, trace_file, manifest_file,
                                               capsys, damage):
         doc = json.loads(manifest_file.read_text())
@@ -316,6 +318,36 @@ class TestFlagValues:
             run("select", "--trace", trace_file, "--k", "four", "--out-manifest", tmp_path / "m")
         assert err.value.code == 2
         assert "argument --k: invalid int value: 'four'" in capsys.readouterr().err
+
+
+class TestSpectralBound:
+    """Orders past ``(T + 1) // 2`` alias: a usage error from flags, a data error from inputs."""
+
+    @pytest.mark.parametrize("flags", [
+        ("--k", 33, "--T", 64), ("--T", 7), ("--preset", "desk", "--k", 2049),
+        ("--preset", "desk", "--T", 30),
+    ], ids=["k-and-T", "stock-k", "desk-k", "desk-T"])
+    def test_select_flags_past_the_bound_are_usage_errors(self, tmp_path, trace_file, capsys,
+                                                          flags):
+        out = tmp_path / "m.json"
+        assert run("select", "--trace", trace_file, *flags, "--out-manifest", out) == 2
+        assert "orders must be <= (period + 1) // 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_select_at_the_bound_succeeds(self, tmp_path, trace_file):
+        # 32 middle positions, 4 orders: 2 * 4 - 1 = 7 == T
+        assert run("select", "--trace", trace_file, "--k", 4, "--T", 7, "--init", 4,
+                   "--local", 8, "--out-manifest", tmp_path / "m.json") == 0
+
+    def test_compare_bases_past_the_trace_length_is_a_data_error(self, tmp_path, capsys):
+        trace = tmp_path / "tone.kvt"
+        assert run("gen-trace", "--kind", "tone", "--layers", 1, "--heads", 1, "--dim", 2,
+                   "--len", 32, "--period", 32, "--seed", 1, "--out", trace) == 0
+        assert run("compare-bases", "--trace", trace, "--k", 16, "--out", tmp_path / "a.csv") == 0
+        out = tmp_path / "b.csv"
+        assert run("compare-bases", "--trace", trace, "--k", 17, "--out", out) == 4
+        assert "orders=17 at period=32" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestManifestReproducibility:

@@ -45,9 +45,10 @@ def calibration_trace(rng, *, layers=1, kv_heads=1, head_dim=4, init=4, local=8,
 @st.composite
 def calibration_cases(draw):
     """A partition, basis and trace whose middle is one position, or shorter than,
-    as long as or longer than the period; orders may pass period/2 and the period."""
+    as long as or longer than the period; orders reach the largest the period
+    accepts, ``(period + 1) // 2``."""
     period = draw(st.integers(2, 40))
-    orders = draw(st.integers(1, period + 3))
+    orders = draw(st.one_of(st.integers(1, (period + 1) // 2), st.just((period + 1) // 2)))
     middle = draw(st.sampled_from(["one", "shorter", "period", "longer"]))
     length = {
         "one": 1,
@@ -174,7 +175,7 @@ class TestRankDimensions:
                     np.testing.assert_allclose(got[layer, head], expected, rtol=1e-9)
 
     def test_matches_oracle_across_fold_chunks(self):
-        # a budget of 180 floats (a sub-run's trig tables and run columns, and
+        # a budget of 150 floats (a sub-run's trig tables and run columns, and
         # two columns' weights and output) folds the 100-position middle in 25
         # sub-runs of four positions, and each 3-column block in groups of two
         # and one
@@ -185,12 +186,11 @@ class TestRankDimensions:
         values = (rng.standard_normal((1, 2, 105, 3)) * np.arange(1, 4)).astype(np.float32)
         trace = KVTrace(keys=keys, values=values)
         assert rank_branch(trace, part, basis) == "gram"
-        with mock.patch.object(spectral, "_FOLD_CHUNK_FLOATS", 180), \
+        with mock.patch.object(spectral, "_FOLD_CHUNK_FLOATS", 150), \
                 mock.patch.object(FourierBasis, "_project_columns", autospec=True,
                                   side_effect=FourierBasis._project_columns) as fold:
             ranking = rank_dimensions(trace, part, basis)
-        # the Gram matrix's one projection reads the whole run; the fold its sub-runs
-        groups = [call.args for call in fold.call_args_list if call.args[2] != range(2, 102)]
+        groups = [call.args for call in fold.call_args_list]
         assert len({run for _, _, run, _ in groups}) == 25
         assert sorted({w.shape[1] for _, w, _, _ in groups}) == [1, 2]
         positions = np.arange(2, 102)
@@ -244,26 +244,23 @@ class TestRankDimensions:
 
 
 class TestGram:
-    """The Gram matrix ``C C.T`` of a run, from its cosine and sine sums, against explicit columns."""
+    """The Gram matrix ``C C.T`` of a run, from its closed-form cosine and sine sums,
+    against explicit columns."""
 
-    @pytest.mark.parametrize("ratios", [
-        {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 0},
-        {"_TABLE_COST_RATIO": spectral._TABLE_COST_RATIO},
-        {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 2**62},
-        {"_TABLE_COST_RATIO": 2**62},
-    ], ids=["chirp-z", "dispatch", "length-period", "tables"])
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    @settings(max_examples=400, deadline=None, derandomize=True)
     @given(period=st.integers(1, 40), data=st.data())
-    def test_equals_columns_gram(self, ratios, period, data):
-        # orders past period/2 and past the period; runs shorter or longer than
-        # the period, wrapping past a multiple of it
-        orders = data.draw(st.integers(1, 2 * period + 3))
-        first = data.draw(st.integers(0, 3 * period))
-        length = data.draw(st.integers(1, 2 * period + 5))
+    def test_equals_columns_gram(self, period, data):
+        # orders up to the largest the period accepts, whose sums reach order
+        # period - 1; runs shorter or longer than the period, wrapping past a
+        # multiple of it, and runs whole periods long, where most sums vanish
+        largest = (period + 1) // 2
+        orders = data.draw(st.one_of(st.integers(1, largest), st.just(largest)))
+        first = data.draw(st.one_of(st.integers(0, 3 * period), st.integers(0, 2**40)))
+        length = data.draw(st.one_of(st.integers(1, 2 * period + 5),
+                                     st.sampled_from([period, 2 * period])))
         basis = build_basis(orders, period)
         cols = basis.columns(range(first, first + length))
-        with mock.patch.multiple(spectral, **ratios):
-            got = dimselect._gram(basis, first, length)
+        got = dimselect._gram(basis, first, length)
         assert got.shape == (basis.n_rows, basis.n_rows)
         # every entry is a sum of ``length`` products of unit-bounded values
         assert np.all(np.abs(got - cols @ cols.T) <= 1e-12 * length)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fourier_kv import spectral
+from fourier_kv.cache import PartitionParams
 from fourier_kv.spectral import (
     FoldOrderError,
     FourierBasis,
@@ -152,6 +153,17 @@ class TestFourierBasis:
         with pytest.raises(ValueError):
             build_basis(2, 8).column(-1)
 
+    @pytest.mark.parametrize("period", [*range(1, 41), 4096, 32768])
+    def test_rejects_orders_past_half_the_period(self, period):
+        # orders past (period + 1) // 2 alias onto other orders' frequencies
+        largest = (period + 1) // 2
+        for make in (lambda k: FourierBasis(orders=k, period=period),
+                     lambda k: build_basis(k, period),
+                     lambda k: PartitionParams(init_len=0, local_len=1, period=period, orders=k)):
+            assert make(largest).orders == largest
+            with pytest.raises(ValueError, match=f"orders={largest + 1} at period={period}"):
+                make(largest + 1)
+
 
 class TestCompressBatch:
     def test_single_row_is_outer_product(self):
@@ -235,10 +247,11 @@ class TestFoldToken:
         np.testing.assert_allclose(coeffs, expected, rtol=0, atol=1e-12 * 3.5)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(period=st.integers(1, 64), orders_extra=st.integers(-63, 3), dim=st.integers(0, 5),
+    @given(period=st.integers(1, 64), orders_extra=st.integers(-31, 0), dim=st.integers(0, 5),
            length=st.integers(1, 40), start=st.integers(0, 200), seed=st.integers(0, 2**32 - 1))
     def test_stream_equals_columns_product(self, period, orders_extra, dim, length, start, seed):
-        basis = build_basis(orders=max(1, period + orders_extra), period=period)
+        # orders up to the largest the period accepts, (period + 1) // 2
+        basis = build_basis(orders=max(1, (period + 1) // 2 + orders_extra), period=period)
         values = np.random.default_rng(seed).standard_normal((length, dim))
         state = SpectralState.zeros(basis.orders, dim)
         for i in range(length):
@@ -277,6 +290,19 @@ class TestReconstruct:
             oracle = lstsq_projection(orders, period, signal, t)
             np.testing.assert_allclose(recon, oracle, atol=1e-9)
             assert np.max(np.abs(recon - signal)) < 1e-6
+
+    @pytest.mark.parametrize("period", range(1, 41))
+    def test_every_in_band_tone_recovers_at_the_largest_orders(self, period):
+        # (period + 1) // 2 orders: every cosine and sine below them, folded over
+        # one full period from its start or across a multiple of it, comes back
+        orders = (period + 1) // 2
+        basis = build_basis(orders, period)
+        for start in (0, period + 3):
+            t = np.arange(start, start + period)
+            angles = 2 * np.pi * np.outer(t, np.arange(orders)) / period
+            tones = np.hstack([np.cos(angles), np.sin(angles)])
+            state = compress_batch(basis, tones, start_pos=start)
+            np.testing.assert_allclose(reconstruct(state, basis, t), tones, rtol=0, atol=1e-9)
 
     def test_out_of_range_rejected(self):
         basis = build_basis(orders=2, period=8)
@@ -378,10 +404,10 @@ class TestProperties:
 
 @st.composite
 def basis_and_positions(draw):
-    """A basis whose orders reach past ``period/2`` (and past ``period``),
+    """A basis whose orders reach the largest a period accepts, ``(period + 1) // 2``,
     with short runs that start in the first four periods or far past them."""
     period = draw(st.integers(1, 80))
-    orders = draw(st.integers(1, 2 * period + 3))
+    orders = draw(st.one_of(st.integers(1, (period + 1) // 2), st.just((period + 1) // 2)))
     length = draw(st.integers(0, 40))
     start = draw(st.one_of(st.integers(0, 4 * period), st.integers(0, 2**40)))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -443,11 +469,12 @@ def basis_and_run(draw):
 
     Runs reach a full period and past it, start anywhere in the first three
     periods (so they often wrap past a multiple of the period), and include
-    empty runs, single positions and period 1; orders reach past ``period``,
-    so the bin count ``R = min(orders, period)`` may exceed the run's span.
+    empty runs, single positions and period 1; orders reach the largest the
+    period accepts, ``(period + 1) // 2``, so the bin count ``R = orders``
+    may exceed the run's span.
     """
     period = draw(st.one_of(st.just(1), st.integers(2, 80)))
-    orders = draw(st.one_of(st.integers(1, period), st.integers(period, 2 * period + 3)))
+    orders = draw(st.one_of(st.integers(1, (period + 1) // 2), st.just((period + 1) // 2)))
     length = draw(st.one_of(st.just(0), st.just(1), st.integers(1, period),
                             st.integers(period, 2 * period)))
     start = draw(st.integers(0, 3 * period))
@@ -535,8 +562,8 @@ class TestContiguousRuns:
             return sum(t.nbytes for t in tables), peaks
 
         table_bytes, peaks = footprint(2**12)
-        # 16 bins x (32 head rows + 32 tail positions), complex, and the bins
-        assert table_bytes == 16 * 16 * (32 + 32) + 8 * 16
+        # 16 bins x (32 head rows + 32 tail positions), complex
+        assert table_bytes == 16 * 16 * (32 + 32)
         for period in (2**16, 2**24):
             long_bytes, long_peaks = footprint(period)
             assert long_bytes == table_bytes
@@ -585,11 +612,12 @@ def basis_and_range(draw):
 
     Unit-step runs reach exactly one period and past it, start anywhere in
     the first three periods (so they often wrap past a multiple of the
-    period) or far past them, and may be empty; orders reach past
-    ``period``. Other steps, negative ones included, must be rejected.
+    period) or far past them, and may be empty; orders reach the largest
+    the period accepts, ``(period + 1) // 2``. Other steps, negative ones
+    included, must be rejected.
     """
     period = draw(st.one_of(st.just(1), st.integers(2, 80)))
-    orders = draw(st.one_of(st.integers(1, period), st.integers(period, 2 * period + 3)))
+    orders = draw(st.one_of(st.integers(1, (period + 1) // 2), st.just((period + 1) // 2)))
     count = draw(st.one_of(st.just(0), st.just(period), st.integers(1, period),
                            st.integers(period, 2 * period)))
     start = draw(st.one_of(st.integers(0, 3 * period), st.integers(0, 2**40)))
@@ -676,11 +704,11 @@ def basis_run_and_columns(draw):
 
     Runs are empty, single positions, up to one period or up to two, and
     start in the first three periods (so they often wrap past a multiple of
-    the period) or anywhere up to 2**40; orders reach past ``period/2`` and
-    past the period; column counts are 0, odd or even.
+    the period) or anywhere up to 2**40; orders reach the largest the period
+    accepts, ``(period + 1) // 2``; column counts are 0, odd or even.
     """
     period = draw(st.one_of(st.just(1), st.integers(2, 80)))
-    orders = draw(st.one_of(st.integers(1, period), st.integers(period, 2 * period + 3)))
+    orders = draw(st.one_of(st.integers(1, (period + 1) // 2), st.just((period + 1) // 2)))
     length = draw(st.one_of(st.just(0), st.just(1), st.integers(1, period),
                             st.integers(period, 2 * period)))
     start = draw(st.one_of(st.integers(0, 3 * period), st.integers(0, 2**40)))
@@ -824,13 +852,16 @@ def assert_fold_matches_oracle(state, basis, block, start_pos):
 def blocks_on_one_run(draw):
     """Blocks sharing one run of positions, with optional per-block column picks.
 
-    Lengths reach exactly one period; orders reach past ``period/2``, and
-    orders 4096 make column groups of about 15 columns, fewer than some
-    draws have; blocks may have no columns and picks may be empty or full.
+    Lengths reach exactly one period; orders reach the largest the period
+    accepts, ``(period + 1) // 2``, and orders 4096, at period 8191, make
+    column groups of about 15 columns, fewer than some draws have; blocks
+    may have no columns and picks may be empty or full.
     """
     period = draw(st.integers(1, 64))
-    orders = draw(st.one_of(st.integers(1, period + 2), st.just(4096)))
+    orders = draw(st.one_of(st.integers(1, (period + 1) // 2), st.just((period + 1) // 2),
+                            st.just(4096)))
     length = draw(st.one_of(st.integers(0, period), st.just(period)))
+    period = max(period, 2 * orders - 1)
     start_pos = draw(st.integers(0, 3 * period))
     widths = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -868,7 +899,7 @@ class TestFoldBlocks:
             assert_fold_matches_oracle(state, basis, selected, start_pos)
 
     def test_chunks_cover_a_run_longer_than_one_chunk(self):
-        basis = FourierBasis(orders=4096, period=64)  # 8192 rows: the largest states
+        basis = FourierBasis(orders=4096, period=8191)  # 8192 rows: the largest states
         block = np.random.default_rng(0).standard_normal((50, 3))
         # 2**9 floats hold less than one column: sub-runs of one position, groups of one column
         with mock.patch.object(spectral, "_FOLD_CHUNK_FLOATS", 2**9):
@@ -876,12 +907,12 @@ class TestFoldBlocks:
         assert_fold_matches_oracle(state, basis, block, 7)
 
     @pytest.mark.parametrize("orders, budget, length, sub_runs, group", [
-        (64, spectral._FOLD_CHUNK_FLOATS, 2500, 4, 4), (8, 2**9, 90, 15, 3),
+        (64, spectral._FOLD_CHUNK_FLOATS, 2500, 4, 4), (8, 2**9, 90, 15, 4),
     ], ids=["sub-runs at the budget", "small groups"])
     def test_sub_runs_and_groups_cover_a_long_run(self, orders, budget, length, sub_runs, group):
         # 64 orders over 2500 positions fold in four sub-runs of 625 positions,
         # each pick whole; 2**9 floats, which must hold each sub-run's trig
-        # tables too, make sub-runs of 6 positions and groups of up to 3
+        # tables too, make sub-runs of 6 positions and groups of up to 4
         # columns. The run wraps past a multiple of the period. Picks come
         # unordered, ordered with gaps, as a stretch, empty and as slices
         basis = FourierBasis(orders=orders, period=4096)
