@@ -12,7 +12,7 @@ The middle region, ``PartitionParams.middle``, goes to the transforms as
 the only input they take, a ``range`` of step 1, which they read without
 scanning it; the query is scaled once, every score is written into one
 preallocated buffer, and the softmax runs in that buffer, so a call makes a
-fixed number of numpy calls, whatever M. With ``R = min(k, period)`` and
+fixed number of numpy calls, whatever M. With ``R = k`` spectral bins and
 ``L = min(M + R, period)``, per query that costs O(min(R * M, L log L) +
 (E + M) * head_dim) time, plus O(k * head_dim) to contract the 2k-row
 states with the query: the transforms take whichever of products against
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fourier_kv.cache import HeadSlice
+from fourier_kv.cache import HeadSlice, check_basis
 from fourier_kv.spectral import FourierBasis, reconstruct
 from fourier_kv.traceio import KVTrace
 
@@ -120,6 +120,7 @@ def attend_compressed_materialized(
     middle region, then the local ring rolled so that its oldest position
     comes first. The weights come back in that order.
     """
+    check_basis(basis, slice_.partition)
     middle = slice_.partition.middle(slice_.total_len)
     dims = slice_.dims
     mid_k = np.empty((len(middle), slice_.exact_k.shape[1]))
@@ -147,6 +148,7 @@ def attend_compressed_fused(q, slice_: HeadSlice, basis: FourierBasis) -> Attent
     and the compressed output is ``(w * basis.project(p_mid, t)) @ C_v``.
     Agrees with :func:`attend_compressed_materialized` up to rounding.
     """
+    check_basis(basis, slice_.partition)
     q = np.asarray(q, dtype=np.float64)
     if q.ndim != 1:
         raise ValueError("fused path serves single decode queries")
@@ -220,13 +222,11 @@ def perturb_dims(
     dims,
     sigma: float,
     seed: int = 0,
-    include_values: bool = False,
 ) -> KVTrace:
     """Copy a trace with Gaussian noise added to the listed key dimensions.
 
     ``sigma=0`` or an empty dimension list returns a bit-identical copy.
-    Noise is drawn deterministically from ``seed``; values are perturbed only
-    when ``include_values`` is set.
+    Noise is drawn deterministically from ``seed``; values are copied as they are.
     """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
@@ -239,8 +239,6 @@ def perturb_dims(
         rng = np.random.default_rng(seed)
         noise_shape = (trace.layers, trace.kv_heads, trace.seq_len, dims.size)
         keys[..., dims] += (sigma * rng.standard_normal(noise_shape)).astype(np.float32)
-        if include_values:
-            values[..., dims] += (sigma * rng.standard_normal(noise_shape)).astype(np.float32)
     return KVTrace(keys=keys, values=values, provenance=f"{trace.provenance}+noise(sigma={sigma})")
 
 

@@ -4,17 +4,20 @@ Per layer and KV head, the cache splits a sequence three ways by absolute
 position, in :meth:`PartitionParams.middle` alone: the first ``init_len``
 positions and the latest ``local_len`` past them are stored exactly, in one
 block per K and V; everything between keeps its selected dimensions
-verbatim and folds the rest into fixed-size spectral states. Prefill folds
+verbatim and folds the rest into fixed-size spectral states. Which
+dimensions fold is one boolean mask per cache, ``CacheLayout.compressed``,
+of shape ``(layers, 2, kv_heads, head_dim)``. Prefill folds
 the middle region of every head of a layer in one batch fold. During
 decoding, a token takes its exact row, and once the local ring is full the
 token it evicts is split the same way, folded at its absolute position, so
-the spectral storage stays O(1) in sequence length. Non-finite K/V rows are
-rejected at both entry points, before anything is stored.
+the spectral storage stays O(1) in sequence length. Non-finite K/V rows,
+and a basis whose geometry is not the partition's, are rejected at both
+entry points, before anything is stored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +30,7 @@ __all__ = [
     "HeadSlice",
     "PartitionParams",
     "append_token",
+    "check_basis",
     "memory_report",
     "prefill",
     "prefill_trace",
@@ -68,89 +72,80 @@ class PartitionParams:
         return range(start, max(start, seq_len - self.local_len))
 
 
-def _dim_mask(indices, head_dim: int) -> np.ndarray:
-    """Boolean membership mask over ``0..head_dim-1`` of an index collection (repeats allowed)."""
-    arr = np.asarray(indices, dtype=np.int64)
-    if arr.size and (arr.min() < 0 or arr.max() >= head_dim):
-        raise ValueError(f"dimension indices must lie in [0, {head_dim})")
-    mask = np.zeros(head_dim, dtype=bool)
-    mask[arr] = True
-    return mask
-
-
-def _is_partition(compressed: np.ndarray, kept: np.ndarray, head_dim: int) -> bool:
-    """Whether the two index sets together hold each of ``0..head_dim-1`` exactly once."""
-    merged = np.concatenate([compressed, kept])
-    if merged.shape != (head_dim,):
-        return False
-    index = merged.astype(np.int64)
-    if not np.array_equal(index, merged):
-        return False  # a value that is not an integer index
-    if head_dim and (index.min() < 0 or index.max() >= head_dim):
-        return False
-    # head_dim indices in range with none repeated cover every index once
-    return bool(np.bincount(index, minlength=head_dim).max(initial=0) <= 1)
+def check_basis(basis: FourierBasis, part: PartitionParams) -> None:
+    """Raise ``ValueError`` unless ``basis`` has the orders and period of ``part``."""
+    if basis.orders != part.orders or basis.period != part.period:
+        raise ValueError("basis geometry does not match the layout partition")
 
 
 @dataclass(frozen=True)
 class HeadDims:
-    """Disjoint compressed/kept dimension index sets for one head's K and V."""
+    """Sorted compressed/kept dimension indices of one head's K and V.
+
+    Derived from a :class:`CacheLayout` mask, so each pair partitions
+    ``0..head_dim-1``.
+    """
 
     k_compressed: np.ndarray
     k_kept: np.ndarray
     v_compressed: np.ndarray
     v_kept: np.ndarray
 
-    @classmethod
-    def from_compressed(cls, head_dim: int, k_compressed, v_compressed) -> "HeadDims":
-        k_mask = _dim_mask(k_compressed, head_dim)
-        v_mask = _dim_mask(v_compressed, head_dim)
-        return cls(
-            k_compressed=np.flatnonzero(k_mask),
-            k_kept=np.flatnonzero(~k_mask),
-            v_compressed=np.flatnonzero(v_mask),
-            v_kept=np.flatnonzero(~v_mask),
-        )
 
-    def validate(self, head_dim: int) -> None:
-        for comp, kept, which in (
-            (self.k_compressed, self.k_kept, "K"),
-            (self.v_compressed, self.v_kept, "V"),
-        ):
-            if not _is_partition(comp, kept, head_dim):
-                raise ValueError(f"{which} dimension sets must partition 0..{head_dim - 1}")
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CacheLayout:
-    """Model geometry, partition parameters, and per-(layer, head) dim sets."""
+    """Partition parameters and the dimensions each (layer, K/V, head) compresses.
 
-    layers: int
-    kv_heads: int
-    head_dim: int
+    ``compressed`` is one read-only boolean array of shape ``(layers, 2,
+    kv_heads, head_dim)``, K at index 0 of axis 1 and V at 1: ``True`` folds
+    a dimension into spectral states and ``False`` keeps it verbatim, so a
+    head's compressed and kept sets partition ``0..head_dim-1`` by
+    construction. The layout holds a read-only copy of the array it is given.
+    ``dims[layer][head]`` is the same choice as a :class:`HeadDims` of sorted
+    index arrays, derived once here for the cache's gathers.
+    """
+
     partition: PartitionParams
-    dims: list  # [layer][head] -> HeadDims
+    compressed: np.ndarray
 
     def __post_init__(self):
-        if len(self.dims) != self.layers or any(len(row) != self.kv_heads for row in self.dims):
-            raise ValueError("dims must be a layers x kv_heads table")
-        for row in self.dims:
-            for hd in row:
-                hd.validate(self.head_dim)
+        mask = np.array(self.compressed)
+        if mask.dtype != bool or mask.ndim != 4 or mask.shape[1] != 2:
+            raise ValueError(
+                "compressed must be a boolean (layers, 2, kv_heads, head_dim) array, "
+                f"got {mask.dtype} {mask.shape}"
+            )
+        mask.setflags(write=False)
+        object.__setattr__(self, "compressed", mask)
+        # per row, the compressed dims ascending and then the kept ones ascending
+        order = np.argsort(~mask, axis=-1, kind="stable")
+        order.setflags(write=False)
+        counts = mask.sum(axis=-1).tolist()
+        dims = [
+            [
+                HeadDims(
+                    k_compressed=order[layer, 0, head, :k_count],
+                    k_kept=order[layer, 0, head, k_count:],
+                    v_compressed=order[layer, 1, head, :v_count],
+                    v_kept=order[layer, 1, head, v_count:],
+                )
+                for head, (k_count, v_count) in enumerate(zip(*layer_counts))
+            ]
+            for layer, layer_counts in enumerate(counts)
+        ]
+        object.__setattr__(self, "dims", dims)
 
-    @classmethod
-    def all_kept(cls, layers: int, kv_heads: int, head_dim: int, partition: PartitionParams):
-        """Lossless layout: nothing is compressed."""
-        return cls(
-            layers=layers,
-            kv_heads=kv_heads,
-            head_dim=head_dim,
-            partition=partition,
-            dims=[
-                [HeadDims.from_compressed(head_dim, [], []) for _ in range(kv_heads)]
-                for _ in range(layers)
-            ],
-        )
+    @property
+    def layers(self) -> int:
+        return self.compressed.shape[0]
+
+    @property
+    def kv_heads(self) -> int:
+        return self.compressed.shape[2]
+
+    @property
+    def head_dim(self) -> int:
+        return self.compressed.shape[3]
 
 
 class _GrowBuffer:
@@ -258,8 +253,7 @@ def prefill(keys, values, layout: CacheLayout, layer: int, basis: FourierBasis):
         raise ValueError(
             f"layer block shape {keys.shape}/{values.shape} does not match layout {expected}"
         )
-    if basis.orders != part.orders or basis.period != part.period:
-        raise ValueError("basis geometry does not match the layout partition")
+    check_basis(basis, part)
     if not (np.isfinite(keys).all() and np.isfinite(values).all()):
         raise ValueError(f"layer {layer} keys/values contain NaN or Inf")
     seq_len = keys.shape[1]
@@ -311,9 +305,10 @@ def append_token(slice_: HeadSlice, basis: FourierBasis, k_vec, v_vec) -> HeadSl
     position the middle region grows by, splits into kept rows and spectral
     folds at its absolute position. Mutates and returns the slice; a
     rejected token (wrong shape, NaN or Inf, or a middle region already one
-    period long) leaves it unchanged.
+    period long) or a basis of another geometry leaves it unchanged.
     """
     part = slice_.partition
+    check_basis(basis, part)
     k_vec = np.asarray(k_vec, dtype=np.float32)
     v_vec = np.asarray(v_vec, dtype=np.float32)
     if k_vec.shape != (slice_.exact_k.shape[1],) or v_vec.shape != k_vec.shape:
@@ -397,26 +392,16 @@ def memory_report(layout: CacheLayout, seq_len: int) -> dict:
         raise ValueError("seq_len must be >= 0")
     part = layout.partition
     middle = len(part.middle(seq_len))
-
-    exact = 0
-    spectral = 0
-    channels_total = 0
-    channels_spectral = 0
-    for layer in range(layout.layers):
-        for head in range(layout.kv_heads):
-            hd = layout.dims[layer][head]
-            n_kc, n_vc = hd.k_compressed.size, hd.v_compressed.size
-            exact += (seq_len - middle) * 2 * layout.head_dim
-            exact += middle * (hd.k_kept.size + hd.v_kept.size)
-            spectral += 2 * part.orders * (n_kc + n_vc)
-            channels_spectral += n_kc + n_vc
-            channels_total += 2 * layout.head_dim
-
-    full = layout.layers * layout.kv_heads * 2 * seq_len * layout.head_dim
+    mask = layout.compressed
+    channels_spectral = int(mask.sum())
+    # one exact float per channel a position outside the middle, per kept one inside it
+    exact = (seq_len - middle) * mask.size + middle * (mask.size - channels_spectral)
+    spectral = 2 * part.orders * channels_spectral
+    full = mask.size * seq_len
     return {
         "exact_floats": exact,
         "spectral_floats": spectral,
         "full_cache_floats": full,
-        "compressed_fraction": channels_spectral / channels_total,
+        "compressed_fraction": channels_spectral / mask.size,
         "ratio_vs_full": (exact + spectral) / full if full else float("nan"),
     }

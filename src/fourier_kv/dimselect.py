@@ -26,7 +26,7 @@ import numpy as np
 import scipy.fft
 
 from fourier_kv import spectral
-from fourier_kv.cache import CacheLayout, HeadDims, PartitionParams
+from fourier_kv.cache import CacheLayout, PartitionParams, check_basis
 from fourier_kv.spectral import FourierBasis, fold_blocks
 from fourier_kv.traceio import KVTrace
 
@@ -170,8 +170,7 @@ def rank_dimensions(trace: KVTrace, partition: PartitionParams, basis: FourierBa
     ``_FOLD_CHUNK_FLOATS`` (1 MB), plus the ``(2*orders, head_dim)`` states
     of one layer; nothing grows with ``M`` times the orders.
     """
-    if basis.orders != partition.orders or basis.period != partition.period:
-        raise ValueError("basis geometry does not match the partition")
+    check_basis(basis, partition)
     middle = partition.middle(trace.seq_len)
     if not middle:
         raise ValueError(
@@ -273,52 +272,27 @@ def _convolution_sse(basis: FourierBasis, layers, length: int, n_fft: int,
                 np.einsum("ij,ij->i", err, err, out=total[lo : lo + group])
 
 
-def _select_lowest(mse_row: np.ndarray, count: int) -> np.ndarray:
-    order = np.lexsort((np.arange(mse_row.size), mse_row))
-    return np.sort(order[:count])
-
-
 def apply_schema(
-    ranking: MseRanking | None,
-    schema: CompressionSchema,
-    *,
-    layers: int | None = None,
-    kv_heads: int | None = None,
-    head_dim: int | None = None,
-    partition: PartitionParams,
+    ranking: MseRanking, schema: CompressionSchema, *, partition: PartitionParams
 ) -> CacheLayout:
-    """Turn ranked MSEs plus a ratio table into concrete dimension sets.
+    """Turn ranked MSEs plus a ratio table into the layout's compressed mask.
 
-    Each head compresses its ``round(ratio * head_dim)`` lowest-MSE
-    dimensions (round-half-even; ties broken by ascending index). With no
-    ranking, dimensions are taken in index order, which is the all-ties
-    fallback.
+    In each layer, every head compresses the ``round(ratio * head_dim)``
+    lowest-MSE dimensions of its K and of its V (round-half-even; ties
+    broken by ascending index, as one stable ``argsort`` ranks them): the
+    mask ``(layers, 2, kv_heads, head_dim)`` of :class:`CacheLayout` is
+    ``True`` where a dimension's rank is below its layer's count. An
+    all-zero ranking compresses dimensions in index order.
     """
-    if ranking is not None:
-        layers, kv_heads, head_dim = ranking.layers, ranking.kv_heads, ranking.head_dim
-    if layers is None or kv_heads is None or head_dim is None:
-        raise ValueError("geometry is required when no ranking is given")
-    if schema.layers != layers:
-        raise ValueError(f"schema covers {schema.layers} layers, geometry has {layers}")
-
-    dims = []
-    for layer in range(layers):
-        k_ratio, v_ratio = schema.ratios[layer]
-        k_count = round(k_ratio * head_dim)
-        v_count = round(v_ratio * head_dim)
-        row = []
-        for head in range(kv_heads):
-            if ranking is None:
-                k_sel = np.arange(k_count, dtype=np.int64)
-                v_sel = np.arange(v_count, dtype=np.int64)
-            else:
-                k_sel = _select_lowest(ranking.k_mse[layer, head], k_count)
-                v_sel = _select_lowest(ranking.v_mse[layer, head], v_count)
-            row.append(HeadDims.from_compressed(head_dim, k_sel, v_sel))
-        dims.append(row)
-    return CacheLayout(
-        layers=layers, kv_heads=kv_heads, head_dim=head_dim, partition=partition, dims=dims
-    )
+    head_dim = ranking.head_dim
+    if schema.layers != ranking.layers:
+        raise ValueError(f"schema covers {schema.layers} layers, geometry has {ranking.layers}")
+    # (layers, 2) compressed counts; np.rint rounds half to even like round()
+    counts = np.rint(np.asarray(schema.ratios, dtype=np.float64).reshape(-1, 2) * head_dim)
+    order = np.argsort(np.stack([ranking.k_mse, ranking.v_mse], axis=1), axis=-1, kind="stable")
+    compressed = np.empty(order.shape, dtype=bool)
+    np.put_along_axis(compressed, order, np.arange(head_dim) < counts[:, :, None, None], axis=-1)
+    return CacheLayout(partition=partition, compressed=compressed)
 
 
 def temporal_std(trace: KVTrace) -> np.ndarray:
@@ -375,15 +349,8 @@ def selection_histogram(report: SelectionReport, group: int = 16) -> np.ndarray:
     if group < 1:
         raise ValueError("group must be >= 1")
     layout = report.layout
-    n_groups = -(-layout.head_dim // group)
-    out = np.zeros((layout.layers, 2, n_groups))
-    for layer in range(layout.layers):
-        for head in range(layout.kv_heads):
-            hd = layout.dims[layer][head]
-            for idx, sel in enumerate((hd.k_compressed, hd.v_compressed)):
-                counts = np.bincount(sel // group, minlength=n_groups)
-                out[layer, idx] += counts
-    return out / layout.kv_heads
+    starts = np.arange(0, layout.head_dim, group)
+    return np.add.reduceat(layout.compressed.sum(axis=2), starts, axis=-1) / layout.kv_heads
 
 
 def write_selection_manifest(report: SelectionReport, path) -> None:
@@ -424,12 +391,36 @@ def write_selection_manifest(report: SelectionReport, path) -> None:
         fh.write("\n")
 
 
+def _manifest_mask(rows, layers: int, kv_heads: int, head_dim: int) -> np.ndarray:
+    """The ``(layers, 2, kv_heads, head_dim)`` mask a manifest's ``dims`` table lists.
+
+    The table is checked to be ``layers x kv_heads`` before the mask exists;
+    every index must be an ``int`` (not a bool) in ``[0, head_dim)``, and
+    repeats are allowed.
+    """
+    if len(rows) != layers or any(len(row) != kv_heads for row in rows):
+        raise ValueError(f"dims must be a {layers} x {kv_heads} table")
+    mask = np.zeros((layers, 2, kv_heads, head_dim), dtype=bool)
+    for layer, row in enumerate(rows):
+        for head, entry in enumerate(row):
+            for kv, key in enumerate(("k_compressed", "v_compressed")):
+                indices = entry[key]
+                if not all(type(i) is int and 0 <= i < head_dim for i in indices):
+                    raise ValueError(f"{key} entries must be integers in [0, {head_dim})")
+                mask[layer, kv, head, indices] = True
+    return mask
+
+
 def read_selection_manifest(path):
     """Load a manifest back into (CacheLayout, CompressionSchema).
 
-    A file that is not a manifest, or one with a missing, mistyped or
-    invalid field, such as a partition whose orders break ``2*orders - 1 <=
-    period``, raises ``ValueError`` naming ``path``.
+    Each head's ``k_compressed`` and ``v_compressed`` index lists become the
+    ``True`` entries of the layout's ``(layers, 2, kv_heads, head_dim)``
+    mask. A file that is not a manifest, or one with a missing, mistyped or
+    invalid field, such as a ``dims`` table that is not ``layers x
+    kv_heads``, an index that is not an integer in ``[0, head_dim)``, or a
+    partition whose orders break ``2*orders - 1 <= period``, raises
+    ``ValueError`` naming ``path``.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -439,22 +430,11 @@ def read_selection_manifest(path):
         raise ValueError(f"{path}: unsupported manifest version {doc.get('version')}")
     try:
         geom = doc["geometry"]
-        part = PartitionParams(**doc["partition"])
-        dims = [
-            [
-                HeadDims.from_compressed(
-                    geom["head_dim"], entry["k_compressed"], entry["v_compressed"]
-                )
-                for entry in row
-            ]
-            for row in doc["dims"]
-        ]
         layout = CacheLayout(
-            layers=geom["layers"],
-            kv_heads=geom["kv_heads"],
-            head_dim=geom["head_dim"],
-            partition=part,
-            dims=dims,
+            partition=PartitionParams(**doc["partition"]),
+            compressed=_manifest_mask(
+                doc["dims"], geom["layers"], geom["kv_heads"], geom["head_dim"]
+            ),
         )
         schema = CompressionSchema(
             ratios=tuple((k, v) for k, v in doc["schema"]["ratios"]),

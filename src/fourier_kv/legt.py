@@ -180,12 +180,9 @@ def compare_bases(
     trace: KVTrace,
     k_states: int,
     *,
-    layers=None,
-    heads=None,
-    dims=None,
     tensor: str = "keys",
 ) -> BasisComparison:
-    """Reconstruct selected key-cache dimensions with both compressors.
+    """Reconstruct every dimension of the key (or value) cache with both compressors.
 
     The state budget is equalized: the Fourier side uses ``k_states`` complex
     orders (``2*k_states`` reals), the Legendre side ``2*k_states`` polynomial
@@ -196,18 +193,6 @@ def compare_bases(
     if tensor not in ("keys", "values"):
         raise ValueError(f"tensor must be 'keys' or 'values', got {tensor!r}")
     data = trace.keys if tensor == "keys" else trace.values
-    layers = range(trace.layers) if layers is None else list(layers)
-    heads = range(trace.kv_heads) if heads is None else list(heads)
-    dims = range(trace.head_dim) if dims is None else list(dims)
-    for name, sel, bound in (
-        ("layer", layers, trace.layers),
-        ("head", heads, trace.kv_heads),
-        ("dim", dims, trace.head_dim),
-    ):
-        for idx in sel:
-            if not 0 <= idx < bound:
-                raise ValueError(f"{name} selection {idx} out of range [0, {bound})")
-
     length = trace.seq_len
     basis = build_basis(orders=k_states, period=length)
     legt_order = 2 * k_states
@@ -215,9 +200,9 @@ def compare_bases(
     offsets = token_offsets(length)
     rows = []
     wins = []
-    for layer in layers:
-        for head in heads:
-            block = data[layer, head][:, list(dims)].astype(np.float64)
+    for layer in range(trace.layers):
+        for head in range(trace.kv_heads):
+            block = data[layer, head].astype(np.float64)
             spectral = compress_batch(basis, block, start_pos=0)
             mse_fourier = reconstruction_mse(block, reconstruct(spectral, basis, positions))
             legt_state = LegTState.steady(block[0], order=legt_order, window=length)
@@ -225,8 +210,8 @@ def compare_bases(
                 legt_fold(legt_state, row)
             mse_legt = reconstruction_mse(block, legt_reconstruct(legt_state, offsets))
             tie_floor = 1e-18 * np.maximum(np.mean(block**2, axis=0), np.finfo(np.float64).tiny)
-            for col, dim in enumerate(dims):
-                mf, ml = float(mse_fourier[col]), float(mse_legt[col])
+            for dim in range(trace.head_dim):
+                mf, ml = float(mse_fourier[dim]), float(mse_legt[dim])
                 rows.append((layer, head, dim, mf, ml))
-                wins.append(mf <= max(ml, tie_floor[col]))
+                wins.append(mf <= max(ml, tie_floor[dim]))
     return BasisComparison(rows=rows, wins=wins, fourier_orders=k_states, legt_order=legt_order)

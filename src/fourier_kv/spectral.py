@@ -385,11 +385,6 @@ class FourierBasis:
         # the residue grid reaches at most one period past the run
         return buffers, weights_and_output + span + 3 * self.period + 2
 
-    @property
-    def rows(self) -> np.ndarray:
-        """Full ``(2*orders, period)`` operator. O(orders*period) memory."""
-        return self.columns(np.arange(self.period))
-
     def synthesis_weights(self) -> np.ndarray:
         """Per-row inverse-transform weights used by :func:`reconstruct`.
 
@@ -580,14 +575,6 @@ class SpectralState:
     @property
     def dim(self) -> int:
         return self.coeffs.shape[1]
-
-    def copy(self) -> "SpectralState":
-        return SpectralState(
-            coeffs=self.coeffs.copy(),
-            token_count=self.token_count,
-            first_pos=self.first_pos,
-            last_pos=self.last_pos,
-        )
 
 
 def _add_outer(coeffs: np.ndarray, column: np.ndarray, vec: np.ndarray) -> None:

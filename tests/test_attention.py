@@ -17,8 +17,8 @@ from fourier_kv.attention import (
     output_divergence,
     perturb_dims,
 )
-from fourier_kv.cache import CacheLayout, HeadDims, PartitionParams, append_token, prefill
-from fourier_kv.spectral import build_basis
+from fourier_kv.cache import CacheLayout, PartitionParams, append_token, prefill
+from fourier_kv.spectral import FourierBasis, build_basis
 from fourier_kv.traceio import KVTrace, gen_synthetic
 
 
@@ -37,10 +37,10 @@ def build_slice(rng, *, seq_len=64, head_dim=8, init=4, local=8, orders=4, perio
                 k_comp=(0, 1, 2, 3), v_comp=(0, 1), keys=None, values=None):
     period = period or max(seq_len, 64)
     part = PartitionParams(init_len=init, local_len=local, period=period, orders=orders)
-    layout = CacheLayout(
-        layers=1, kv_heads=1, head_dim=head_dim, partition=part,
-        dims=[[HeadDims.from_compressed(head_dim, k_comp, v_comp)]],
-    )
+    mask = np.zeros((1, 2, 1, head_dim), dtype=bool)
+    mask[0, 0, 0, list(k_comp)] = True
+    mask[0, 1, 0, list(v_comp)] = True
+    layout = CacheLayout(partition=part, compressed=mask)
     basis = build_basis(orders, period)
     if keys is None:
         keys = rng.standard_normal((1, seq_len, head_dim)).astype(np.float32)
@@ -160,6 +160,17 @@ def decoded_slices(draw):
     for _ in range(steps):
         append_token(sl, basis, rng.standard_normal(head_dim), rng.standard_normal(head_dim))
     return sl, basis, q_scale * rng.standard_normal(head_dim)
+
+
+@pytest.mark.parametrize("attend", [attend_compressed_fused, attend_compressed_materialized],
+                         ids=["fused", "materialized"])
+@pytest.mark.parametrize("basis", [FourierBasis(8, 128), FourierBasis(4, 64)],
+                         ids=["period", "orders"])
+def test_a_basis_of_another_geometry_is_rejected(attend, basis):
+    # either basis reads a period-64, 8-order slice wrong, and both paths agree on it
+    sl, *_ = build_slice(np.random.default_rng(17), seq_len=64, orders=8, period=64)
+    with pytest.raises(ValueError, match="basis geometry does not match the layout partition"):
+        attend(np.ones(8), sl, basis)
 
 
 class TestCompressedFused:

@@ -2,31 +2,44 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fourier_kv.cache import (
     CacheLayout,
-    HeadDims,
     PartitionParams,
     append_token,
     memory_report,
     prefill,
     prefill_trace,
 )
-from fourier_kv.spectral import build_basis, compress_batch, reconstruct
+from fourier_kv.dimselect import (
+    CompressionSchema,
+    MseRanking,
+    SelectionReport,
+    apply_schema,
+    selection_histogram,
+)
+from fourier_kv.spectral import FourierBasis, build_basis, compress_batch
 from fourier_kv.traceio import KVTrace, gen_synthetic
 
 
 def make_layout(layers=1, kv_heads=1, head_dim=6, init=4, local=16, period=256, orders=4,
                 k_comp=(0, 1, 2), v_comp=(0, 1)):
     part = PartitionParams(init_len=init, local_len=local, period=period, orders=orders)
-    dims = [
-        [HeadDims.from_compressed(head_dim, k_comp, v_comp) for _ in range(kv_heads)]
-        for _ in range(layers)
-    ]
-    return CacheLayout(layers=layers, kv_heads=kv_heads, head_dim=head_dim,
-                       partition=part, dims=dims)
+    mask = np.zeros((layers, 2, kv_heads, head_dim), dtype=bool)
+    mask[:, 0, :, list(k_comp)] = True
+    mask[:, 1, :, list(v_comp)] = True
+    return CacheLayout(partition=part, compressed=mask)
+
+
+def one_layer(part, head_dim, k_sets, v_sets):
+    """A one-layer layout whose head ``h`` compresses ``k_sets[h]`` and ``v_sets[h]``."""
+    mask = np.zeros((1, 2, len(k_sets), head_dim), dtype=bool)
+    for head, (k_comp, v_comp) in enumerate(zip(k_sets, v_sets)):
+        mask[0, 0, head, list(k_comp)] = True
+        mask[0, 1, head, list(v_comp)] = True
+    return CacheLayout(partition=part, compressed=mask)
 
 
 def random_layer(rng, kv_heads=1, seq_len=64, head_dim=6):
@@ -48,77 +61,146 @@ def local_block(sl):
 def sorted_dim_sets(indices, head_dim):
     """The sort-based construction: unique compressed indices and their complement."""
     arr = np.unique(np.asarray(indices, dtype=np.int64))
-    if arr.size and (arr.min() < 0 or arr.max() >= head_dim):
-        raise ValueError("out of range")
     return arr, np.setdiff1d(np.arange(head_dim, dtype=np.int64), arr)
 
 
 index_lists = st.integers(0, 12).flatmap(
     lambda head_dim: st.tuples(
         st.just(head_dim),
-        st.lists(st.integers(-2, head_dim + 2), max_size=2 * head_dim + 2),
-        st.lists(st.integers(-2, head_dim + 2), max_size=2 * head_dim + 2),
+        *[st.lists(st.integers(0, head_dim - 1), max_size=2 * head_dim + 2)
+          if head_dim else st.just([])] * 2,
     )
 )
 
 
 @st.composite
-def split_index_sets(draw):
-    """Compressed and kept index lists for one head: a partition of 0..head_dim-1,
-    one with a repeat or an out-of-range index in place of a member, or free lists."""
-    head_dim = draw(st.integers(0, 12))
-    merged = draw(st.permutations(range(head_dim)))
-    mode = draw(st.sampled_from(["partition", "repeat", "out_of_range", "free"]))
-    if mode == "repeat" and head_dim >= 2:
-        i, j = draw(st.lists(st.integers(0, head_dim - 1), min_size=2, max_size=2, unique=True))
-        merged[i] = merged[j]
-    elif mode == "out_of_range" and head_dim:
-        merged[draw(st.integers(0, head_dim - 1))] = draw(st.sampled_from([-1, head_dim]))
-    elif mode == "free":
-        merged = draw(st.lists(st.integers(-2, head_dim + 2), max_size=2 * head_dim + 2))
-    cut = draw(st.integers(0, len(merged)))
-    return head_dim, merged[:cut], merged[cut:]
+def random_masks(draw):
+    """A ``(layers, 2, kv_heads, head_dim)`` mask with rows drawn independently, so
+    heads of one layer compress unequal counts; empty and full masks included."""
+    shape = (draw(st.integers(0, 3)), 2, draw(st.integers(0, 3)), draw(st.integers(0, 40)))
+    kind = draw(st.sampled_from(["random", "empty", "full"]))
+    if kind != "random":
+        return np.full(shape, kind == "full")
+    density = draw(st.sampled_from([0.1, 0.5, 0.9]))
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(shape) < density
 
 
-class TestHeadDims:
+def loop_memory_report(layout, seq_len):
+    """The per-head loop ``memory_report`` ran before the layout was one mask."""
+    part = layout.partition
+    middle = len(part.middle(seq_len))
+    exact = spectral = channels_total = channels_spectral = 0
+    for layer in range(layout.layers):
+        for head in range(layout.kv_heads):
+            hd = layout.dims[layer][head]
+            n_kc, n_vc = hd.k_compressed.size, hd.v_compressed.size
+            exact += (seq_len - middle) * 2 * layout.head_dim
+            exact += middle * (hd.k_kept.size + hd.v_kept.size)
+            spectral += 2 * part.orders * (n_kc + n_vc)
+            channels_spectral += n_kc + n_vc
+            channels_total += 2 * layout.head_dim
+    full = layout.layers * layout.kv_heads * 2 * seq_len * layout.head_dim
+    return {
+        "exact_floats": exact,
+        "spectral_floats": spectral,
+        "full_cache_floats": full,
+        "compressed_fraction": channels_spectral / channels_total,
+        "ratio_vs_full": (exact + spectral) / full if full else float("nan"),
+    }
+
+
+def loop_selection_histogram(layout, group):
+    """The per-head loop ``selection_histogram`` ran before the layout was one mask."""
+    n_groups = -(-layout.head_dim // group)
+    out = np.zeros((layout.layers, 2, n_groups))
+    for layer in range(layout.layers):
+        for head in range(layout.kv_heads):
+            hd = layout.dims[layer][head]
+            for idx, sel in enumerate((hd.k_compressed, hd.v_compressed)):
+                out[layer, idx] += np.bincount(sel // group, minlength=n_groups)
+    return out / layout.kv_heads
+
+
+PART = PartitionParams(init_len=2, local_len=3, period=16, orders=4)
+
+
+class TestCacheLayout:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(random_masks())
+    def test_derived_sets_partition_every_row(self, mask):
+        layout = CacheLayout(partition=PART, compressed=mask)
+        assert (layout.layers, layout.kv_heads, layout.head_dim) == (
+            mask.shape[0], mask.shape[2], mask.shape[3])
+        assert len(layout.dims) == layout.layers
+        for layer, row in enumerate(layout.dims):
+            assert len(row) == layout.kv_heads
+            for head, hd in enumerate(row):
+                for kv, (comp, kept) in enumerate(((hd.k_compressed, hd.k_kept),
+                                                   (hd.v_compressed, hd.v_kept))):
+                    assert comp.dtype == kept.dtype == np.int64
+                    np.testing.assert_array_equal(comp, np.flatnonzero(mask[layer, kv, head]))
+                    np.testing.assert_array_equal(kept, np.flatnonzero(~mask[layer, kv, head]))
+                    np.testing.assert_array_equal(np.sort(np.r_[comp, kept]),
+                                                  np.arange(layout.head_dim))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(random_masks(), st.integers(0, 40))
+    def test_memory_report_equals_the_per_head_loop(self, mask, seq_len):
+        layout = CacheLayout(partition=PART, compressed=mask)
+        if mask.size == 0:
+            with pytest.raises(ZeroDivisionError):
+                loop_memory_report(layout, seq_len)
+            with pytest.raises(ZeroDivisionError):
+                memory_report(layout, seq_len)
+            return
+        got, want = memory_report(layout, seq_len), loop_memory_report(layout, seq_len)
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            assert type(got[name]) is type(value), name
+            np.testing.assert_array_equal(got[name], value, err_msg=name)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(random_masks(), st.integers(1, 20))
+    def test_selection_histogram_equals_the_per_head_loop(self, mask, group):
+        assume(mask.shape[2] > 0)  # a mean over no heads
+        layout = CacheLayout(partition=PART, compressed=mask)
+        report = SelectionReport(layout=layout, schema=CompressionSchema(ratios=()))
+        np.testing.assert_array_equal(selection_histogram(report, group),
+                                      loop_selection_histogram(layout, group))
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(index_lists)
-    def test_from_compressed_equals_the_sorted_sets(self, case):
+    def test_dims_equal_the_sorted_sets(self, case):
         head_dim, k_indices, v_indices = case
-        try:
-            expected = (sorted_dim_sets(k_indices, head_dim), sorted_dim_sets(v_indices, head_dim))
-        except ValueError:
-            with pytest.raises(ValueError):
-                HeadDims.from_compressed(head_dim, k_indices, v_indices)
-            return
-        hd = HeadDims.from_compressed(head_dim, k_indices, v_indices)
+        mask = np.zeros((1, 2, 1, head_dim), dtype=bool)
+        mask[0, 0, 0, k_indices] = True
+        mask[0, 1, 0, v_indices] = True
+        hd = CacheLayout(partition=PART, compressed=mask).dims[0][0]
+        k_sets, v_sets = sorted_dim_sets(k_indices, head_dim), sorted_dim_sets(v_indices, head_dim)
         for got, want in zip((hd.k_compressed, hd.k_kept, hd.v_compressed, hd.v_kept),
-                             (*expected[0], *expected[1])):
-            assert got.dtype == np.int64
+                             (*k_sets, *v_sets)):
             np.testing.assert_array_equal(got, want)
-        hd.validate(head_dim)
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(split_index_sets(), st.booleans())
-    def test_validate_raises_unless_the_sets_partition(self, case, on_v):
-        head_dim, compressed, kept = case
-        partitions = sorted(compressed + kept) == list(range(head_dim))
-        sets = (np.asarray(compressed, dtype=np.int64), np.asarray(kept, dtype=np.int64))
-        whole = (np.arange(head_dim, dtype=np.int64), np.zeros(0, dtype=np.int64))
-        k_sets, v_sets = (whole, sets) if on_v else (sets, whole)
-        hd = HeadDims(k_compressed=k_sets[0], k_kept=k_sets[1],
-                      v_compressed=v_sets[0], v_kept=v_sets[1])
-        if partitions:
-            hd.validate(head_dim)
-        else:
-            with pytest.raises(ValueError, match="V" if on_v else "K"):
-                hd.validate(head_dim)
-
-    def test_validate_rejects_non_integer_indices(self):
-        hd = HeadDims(k_compressed=np.array([0.5]), k_kept=np.array([1.0]),
-                      v_compressed=np.array([0]), v_kept=np.array([1]))
+    def test_holds_a_read_only_copy(self):
+        mask = np.zeros((1, 2, 1, 4), dtype=bool)
+        mask[0, 0, 0, 1] = True
+        layout = CacheLayout(partition=PART, compressed=mask)
+        mask[...] = True
+        assert layout.compressed.sum() == 1
+        np.testing.assert_array_equal(layout.dims[0][0].k_compressed, [1])
         with pytest.raises(ValueError):
-            hd.validate(2)
+            layout.compressed[0, 0, 0, 0] = True
+        with pytest.raises(ValueError):
+            layout.dims[0][0].k_kept[0] = 1
+
+    @pytest.mark.parametrize("mask", [
+        np.zeros((1, 2, 1, 4), dtype=np.int64),  # not boolean
+        np.zeros((2, 1, 4), dtype=bool),  # no layer axis
+        np.zeros((1, 3, 1, 4), dtype=bool),  # K, V and a third
+    ], ids=["int", "3-d", "three-kinds"])
+    def test_rejects_a_mask_of_another_shape_or_dtype(self, mask):
+        with pytest.raises(ValueError, match="boolean"):
+            CacheLayout(partition=PART, compressed=mask)
 
 
 class TestPrefill:
@@ -199,19 +281,17 @@ def slice_arrays(sl):
     return {
         "exact_k": sl.exact_k.copy(), "exact_v": sl.exact_v.copy(),
         "kept_k": sl.kept_k.view().copy(), "kept_v": sl.kept_v.view().copy(),
-        "spec_k": sl.spec_k.copy(), "spec_v": sl.spec_v.copy(),
-        "counters": (sl.middle_count, sl.total_len),
+        "spec_k": sl.spec_k.coeffs.copy(), "spec_v": sl.spec_v.coeffs.copy(),
+        "counters": (sl.middle_count, sl.total_len,
+                     *[(state.token_count, state.first_pos, state.last_pos)
+                       for state in (sl.spec_k, sl.spec_v)]),
     }
 
 
 def assert_slice_unchanged(sl, before):
     after = slice_arrays(sl)
-    for name in ("exact_k", "exact_v", "kept_k", "kept_v"):
+    for name in ("exact_k", "exact_v", "kept_k", "kept_v", "spec_k", "spec_v"):
         np.testing.assert_array_equal(after[name], before[name], err_msg=name)
-    for name in ("spec_k", "spec_v"):
-        a, b = after[name], before[name]
-        np.testing.assert_array_equal(a.coeffs, b.coeffs, err_msg=name)
-        assert (a.token_count, a.first_pos, a.last_pos) == (b.token_count, b.first_pos, b.last_pos)
     assert after["counters"] == before["counters"]
 
 
@@ -236,10 +316,8 @@ def prefill_geometries(draw):
     dim_sets = st.one_of(st.just(()), st.just(tuple(range(head_dim))),
                          st.sets(st.integers(0, head_dim - 1)).map(sorted))
     part = PartitionParams(init_len=init, local_len=local, period=period, orders=orders)
-    dims = [[HeadDims.from_compressed(head_dim, draw(dim_sets), draw(dim_sets))
-             for _ in range(kv_heads)]]
-    layout = CacheLayout(layers=1, kv_heads=kv_heads, head_dim=head_dim, partition=part,
-                         dims=dims)
+    k_sets, v_sets = zip(*[(draw(dim_sets), draw(dim_sets)) for _ in range(kv_heads)])
+    layout = one_layer(part, head_dim, k_sets, v_sets)
     # a middle shorter than init+local leaves the ring partly empty
     seq_len = init + middle + local if middle else draw(st.integers(0, init + local))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -453,11 +531,10 @@ class TestMemoryReport:
     def test_inverted_pyramid_preset_fraction(self):
         # 32 layers at the published ratios; head_dim 20 makes every ratio an
         # exact dimension count, so the channel fraction equals the ratio mean
-        from fourier_kv.dimselect import CompressionSchema, apply_schema
-
         schema = CompressionSchema.inverted_pyramid(32)
         part = PartitionParams(init_len=4, local_len=64, period=4096, orders=16)
-        layout = apply_schema(None, schema, layers=32, kv_heads=2, head_dim=20, partition=part)
+        ties = np.zeros((32, 2, 20))
+        layout = apply_schema(MseRanking(ties, ties), schema, partition=part)
         report = memory_report(layout, seq_len=4096)
         assert abs(report["compressed_fraction"] - 0.7656) < 1e-4
 
@@ -473,6 +550,33 @@ class TestMemoryReport:
         a = memory_report(layout, 1024)["spectral_floats"]
         b = memory_report(layout, 65536)["spectral_floats"]
         assert a == b > 0
+
+
+WRONG_BASES = pytest.mark.parametrize("basis", [
+    FourierBasis(8, 128),  # the period doubled
+    FourierBasis(4, 64),  # fewer orders
+], ids=["period", "orders"])
+
+
+class TestBasisCheck:
+    """Every entry point rejects a basis whose geometry is not the partition's."""
+
+    @WRONG_BASES
+    def test_prefill(self, basis):
+        layout = make_layout(init=4, local=8, period=64, orders=8)
+        keys, values = random_layer(np.random.default_rng(15), seq_len=40)
+        with pytest.raises(ValueError, match="basis geometry does not match the layout partition"):
+            prefill(keys, values, layout, 0, basis)
+
+    @WRONG_BASES
+    def test_append_token(self, basis):
+        layout = make_layout(init=4, local=8, period=64, orders=8)
+        keys, values = random_layer(np.random.default_rng(16), seq_len=40)
+        sl = prefill(keys, values, layout, 0, build_basis(8, 64))[0]
+        before = slice_arrays(sl)
+        with pytest.raises(ValueError, match="basis geometry does not match the layout partition"):
+            append_token(sl, basis, keys[0, 0], values[0, 0])
+        assert_slice_unchanged(sl, before)
 
 
 class TestPrefillTrace:

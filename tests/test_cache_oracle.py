@@ -25,7 +25,6 @@ from fourier_kv.attention import (
 )
 from fourier_kv.cache import (
     CacheLayout,
-    HeadDims,
     PartitionParams,
     append_token,
     memory_report,
@@ -105,10 +104,12 @@ class CacheMachine(RuleBasedStateMachine):
         orders = data.draw(st.one_of(st.integers(1, largest), st.just(largest)), label="orders")
         self.part = PartitionParams(init_len=init, local_len=local, period=period,
                                     orders=orders)
-        self.layout = CacheLayout(
-            layers=1, kv_heads=KV_HEADS, head_dim=HEAD_DIM, partition=self.part,
-            dims=[[HeadDims.from_compressed(HEAD_DIM, k, v) for k, v in zip(k_sets, v_sets)]],
-        )
+        # the record's own copy of the choice: [K/V, head, dim], True where a dim folds
+        self.compressed = np.zeros((2, KV_HEADS, HEAD_DIM), dtype=bool)
+        for head, (k, v) in enumerate(zip(k_sets, v_sets)):
+            self.compressed[0, head, k] = True
+            self.compressed[1, head, v] = True
+        self.layout = CacheLayout(partition=self.part, compressed=self.compressed[None])
         self.basis = build_basis(orders, period)
         self.rng = np.random.default_rng(seed)
         self.new_prompt(data, self.part.period)
@@ -185,7 +186,7 @@ class CacheMachine(RuleBasedStateMachine):
     def attend(self, scale, head, ratios):
         """The fused path equals the materialized one over the same slice, and with
         nothing compressed the dense reference over the record."""
-        sl, hd = self.slices[head], self.layout.dims[0][head]
+        sl = self.slices[head]
         q = scale * self.rng.standard_normal(HEAD_DIM)
         if sl.total_len == 0:
             with pytest.raises(ValueError):
@@ -196,7 +197,7 @@ class CacheMachine(RuleBasedStateMachine):
         ref = attend_compressed_materialized(q, sl, self.basis, return_weights=True)
         assert ref.weights.shape == (sl.total_len,)
         assert np.max(np.abs(out - ref.output)) <= 1e-9 * max(1.0, np.max(np.abs(ref.output)))
-        if hd.k_compressed.size == 0 and hd.v_compressed.size == 0:
+        if not self.compressed[:, head].any():
             # the same float64 products summed in another order: rounding only
             dense = attend_full(q, self.keys[head], self.values[head]).output
             assert np.max(np.abs(out - dense)) <= 1e-12 * max(1.0, np.max(np.abs(dense)))
@@ -206,7 +207,7 @@ class CacheMachine(RuleBasedStateMachine):
         total = self.keys.shape[1]
         held = 0  # exact and kept floats in use, without capacity slack
         for head, sl in enumerate(self.slices):
-            hd = self.layout.dims[0][head]
+            k_comp, v_comp = self.compressed[:, head]
             assert sl.total_len == total and sl.represented() == total
             middle = middle_of(sl)
             positions, k_rows, v_rows = exact_rows(sl)
@@ -217,14 +218,12 @@ class CacheMachine(RuleBasedStateMachine):
             assert np.sum(positions >= middle.stop) <= self.part.local_len
             np.testing.assert_array_equal(k_rows, self.keys[head, positions])
             np.testing.assert_array_equal(v_rows, self.values[head, positions])
-            np.testing.assert_array_equal(sl.kept_k.view(),
-                                          self.keys[head, middle][:, hd.k_kept])
-            np.testing.assert_array_equal(sl.kept_v.view(),
-                                          self.values[head, middle][:, hd.v_kept])
+            np.testing.assert_array_equal(sl.kept_k.view(), self.keys[head, middle][:, ~k_comp])
+            np.testing.assert_array_equal(sl.kept_v.view(), self.values[head, middle][:, ~v_comp])
             held += (sl.total_len - sl.middle_count) * 2 * HEAD_DIM
             held += sl.kept_k.view().size + sl.kept_v.view().size
-            for state, block, comp in ((sl.spec_k, self.keys, hd.k_compressed),
-                                       (sl.spec_v, self.values, hd.v_compressed)):
+            for state, block, comp in ((sl.spec_k, self.keys, k_comp),
+                                       (sl.spec_v, self.values, v_comp)):
                 rows = block[head, middle][:, comp]
                 oracle = compress_batch(self.basis, rows, middle.start)
                 scale = np.maximum(1.0, np.abs(rows.astype(np.float64)).sum(axis=0))

@@ -133,16 +133,16 @@ class TestEval:
     def test_lossless_manifest_tracks_oracle(self, tmp_path, trace_file):
         # hand-written manifest with empty compressed sets
         from fourier_kv.cache import PartitionParams
+        from fourier_kv.cache import CacheLayout
         from fourier_kv.dimselect import (
             CompressionSchema,
             SelectionReport,
-            apply_schema,
             write_selection_manifest,
         )
 
         part = PartitionParams(init_len=4, local_len=8, period=64, orders=4)
         schema = CompressionSchema(ratios=((0.0, 0.0), (0.0, 0.0)))
-        layout = apply_schema(None, schema, layers=2, kv_heads=2, head_dim=8, partition=part)
+        layout = CacheLayout(partition=part, compressed=np.zeros((2, 2, 2, 8), dtype=bool))
         manifest = tmp_path / "lossless.json"
         write_selection_manifest(SelectionReport(layout=layout, schema=schema), manifest)
 
@@ -166,17 +166,25 @@ class TestEval:
         lambda doc: doc["partition"].update(orders="4"),
         lambda doc: doc["schema"].pop("ratios"),
         lambda doc: doc["partition"].update(orders=33),  # period 64 takes at most 32
+        # a compressed index that is not an int in [0, head_dim)
+        lambda doc: doc["dims"][0][0]["k_compressed"].append(0.5),
+        lambda doc: doc["dims"][0][0]["k_compressed"].append(True),
+        lambda doc: doc["dims"][0][0]["k_compressed"].append("1"),
+        lambda doc: doc["dims"][0][0]["k_compressed"].append(1e20),
+        lambda doc: doc["dims"][0][0]["k_compressed"].append(10**20),
     ], ids=["no-geometry", "dims-not-a-list", "string-orders", "no-ratios",
-            "orders-past-the-bound"])
+            "orders-past-the-bound", "half-index", "true-index", "string-index",
+            "float-1e20-index", "int-10**20-index"])
     def test_malformed_manifest_is_data_error(self, tmp_path, trace_file, manifest_file,
                                               capsys, damage):
         doc = json.loads(manifest_file.read_text())
         damage(doc)
         broken = tmp_path / "broken.json"
         broken.write_text(json.dumps(doc))
-        assert run("eval", "--trace", trace_file, "--manifest", broken,
-                   "--report", tmp_path / "r.csv") == 4
+        report = tmp_path / "r.csv"
+        assert run("eval", "--trace", trace_file, "--manifest", broken, "--report", report) == 4
         assert str(broken) in capsys.readouterr().err
+        assert not report.exists()
 
     @pytest.mark.parametrize("threads", ["0", "-2", "abc"])
     def test_bad_thread_count_is_usage_error(self, tmp_path, trace_file, manifest_file,

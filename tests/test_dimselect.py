@@ -1,5 +1,6 @@
 """Dimension ranking, schema application, and selection diagnostics."""
 
+import json
 import tracemalloc
 from unittest import mock
 
@@ -12,6 +13,8 @@ from fourier_kv import dimselect, spectral
 from fourier_kv.cache import PartitionParams
 from fourier_kv.dimselect import (
     CompressionSchema,
+    MseRanking,
+    SelectionReport,
     apply_schema,
     build_selection_report,
     rank_dimensions,
@@ -40,6 +43,12 @@ def calibration_trace(rng, *, layers=1, kv_heads=1, head_dim=4, init=4, local=8,
     if builder is not None:
         data = builder(np.arange(seq_len)).astype(np.float32)
     return KVTrace(keys=data, values=data.copy())
+
+
+def ties(layers, kv_heads, head_dim):
+    """An all-zero ranking: every head compresses its dimensions in index order."""
+    zeros = np.zeros((layers, kv_heads, head_dim))
+    return MseRanking(k_mse=zeros, v_mse=zeros)
 
 
 @st.composite
@@ -236,6 +245,14 @@ class TestRankDimensions:
         assert peak < basis.n_rows * 4096 * 8
         assert peak < 2 * 2**20  # one fold group and its transform's buffers, the Gram matrix
 
+    @pytest.mark.parametrize("basis", [FourierBasis(8, 64), FourierBasis(4, 128)],
+                             ids=["orders", "period"])
+    def test_a_basis_of_another_geometry_is_rejected(self, basis):
+        part = PartitionParams(init_len=4, local_len=8, period=64, orders=4)
+        trace = calibration_trace(np.random.default_rng(9), period=64)
+        with pytest.raises(ValueError, match="basis geometry does not match the layout partition"):
+            rank_dimensions(trace, part, basis)
+
     def test_too_short_trace_rejected(self):
         part = PartitionParams(init_len=4, local_len=8, period=32, orders=4)
         trace = gen_synthetic("constant", layers=1, kv_heads=1, head_dim=4, seq_len=12)
@@ -270,7 +287,7 @@ class TestApplySchema:
     def test_ratio_zero_keeps_everything(self):
         part = PartitionParams(init_len=4, local_len=8, period=64, orders=4)
         schema = CompressionSchema(ratios=((0.0, 0.0),))
-        layout = apply_schema(None, schema, layers=1, kv_heads=2, head_dim=8, partition=part)
+        layout = apply_schema(ties(1, 2, 8), schema, partition=part)
         hd = layout.dims[0][0]
         assert hd.k_compressed.size == 0
         assert hd.v_compressed.size == 0
@@ -279,14 +296,14 @@ class TestApplySchema:
     def test_half_ratio_on_128(self):
         part = PartitionParams(init_len=4, local_len=8, period=64, orders=4)
         schema = CompressionSchema(ratios=((0.5, 0.5),))
-        layout = apply_schema(None, schema, layers=1, kv_heads=1, head_dim=128, partition=part)
+        layout = apply_schema(ties(1, 1, 128), schema, partition=part)
         assert layout.dims[0][0].k_compressed.size == 64
 
     def test_counts_follow_round_half_even(self):
         part = PartitionParams(init_len=0, local_len=1, period=8, orders=1)
         # 0.25 * 10 = 2.5 -> 2 under round-half-even; 0.35 * 10 = 3.5 -> 4
         schema = CompressionSchema(ratios=((0.25, 0.35),))
-        layout = apply_schema(None, schema, layers=1, kv_heads=1, head_dim=10, partition=part)
+        layout = apply_schema(ties(1, 1, 10), schema, partition=part)
         assert layout.dims[0][0].k_compressed.size == 2
         assert layout.dims[0][0].v_compressed.size == 4
 
@@ -336,6 +353,11 @@ class TestApplySchema:
             chosen = set(layout.dims[0][0].k_compressed.tolist())
             assert previous <= chosen
             previous = chosen
+
+    def test_schema_and_ranking_layers_must_agree(self):
+        part = PartitionParams(init_len=0, local_len=1, period=8, orders=1)
+        with pytest.raises(ValueError, match="schema covers 1 layers, geometry has 2"):
+            apply_schema(ties(2, 1, 4), CompressionSchema(ratios=((0.5, 0.5),)), partition=part)
 
     def test_ratio_bounds_validated(self):
         with pytest.raises(ValueError):
@@ -413,10 +435,7 @@ class TestSelectionHistogram:
     def make_report(self, ratio, head_dim=128):
         part = PartitionParams(init_len=0, local_len=1, period=16, orders=2)
         schema = CompressionSchema(ratios=((ratio, ratio),))
-        layout = apply_schema(None, schema, layers=1, kv_heads=2, head_dim=head_dim,
-                              partition=part)
-        from fourier_kv.dimselect import SelectionReport
-
+        layout = apply_schema(ties(1, 2, head_dim), schema, partition=part)
         return SelectionReport(layout=layout, schema=schema)
 
     def test_all_compressed_fills_groups(self):
@@ -452,6 +471,62 @@ class TestSelectionHistogram:
         np.testing.assert_array_equal(hist[0, 0, 4:], np.zeros(4))
 
 
+def loop_apply_schema(ranking, schema):
+    """The per-head loop ``apply_schema`` ran before the layout was one mask:
+    compressed K and V index sets per (layer, head)."""
+
+    def select_lowest(mse_row, count):
+        order = np.lexsort((np.arange(mse_row.size), mse_row))
+        return np.sort(order[:count])
+
+    dims = []
+    for layer in range(ranking.layers):
+        k_ratio, v_ratio = schema.ratios[layer]
+        k_count = round(k_ratio * ranking.head_dim)
+        v_count = round(v_ratio * ranking.head_dim)
+        dims.append([(select_lowest(ranking.k_mse[layer, head], k_count),
+                      select_lowest(ranking.v_mse[layer, head], v_count))
+                     for head in range(ranking.kv_heads)])
+    return dims
+
+
+# tie-heavy MSEs: few distinct values, signed zeros and infinities among them
+mse_values = st.sampled_from([0.0, -0.0, 1.0, 1.0, 2.5, np.inf, 1e-300])
+ratios = st.one_of(st.sampled_from([0.0, 0.25, 0.35, 0.5, 1 / 3, 0.75, 0.9, 0.95, 1.0]),
+                   st.floats(0.0, 1.0))
+
+
+@st.composite
+def rankings_and_schemas(draw):
+    layers, kv_heads, head_dim = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+                                  draw(st.integers(0, 20)))
+    shape = (layers, kv_heads, head_dim)
+    mse = [np.array(draw(st.lists(mse_values, min_size=layers * kv_heads * head_dim,
+                                  max_size=layers * kv_heads * head_dim))).reshape(shape)
+           if draw(st.booleans()) else
+           np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, 3, shape) * 0.5
+           for _ in range(2)]
+    schema = CompressionSchema(ratios=tuple((draw(ratios), draw(ratios)) for _ in range(layers)))
+    return MseRanking(k_mse=mse[0], v_mse=mse[1]), schema
+
+
+class TestMaskDerivations:
+    """``apply_schema``'s one stable ``argsort`` against the per-head loop it replaces."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(rankings_and_schemas())
+    def test_apply_schema_equals_the_per_head_loop(self, case):
+        ranking, schema = case
+        part = PartitionParams(init_len=0, local_len=1, period=8, orders=1)
+        layout = apply_schema(ranking, schema, partition=part)
+        assert layout.compressed.shape == (ranking.layers, 2, ranking.kv_heads, ranking.head_dim)
+        for layer, row in enumerate(loop_apply_schema(ranking, schema)):
+            for head, (k_sel, v_sel) in enumerate(row):
+                hd = layout.dims[layer][head]
+                np.testing.assert_array_equal(hd.k_compressed, k_sel)
+                np.testing.assert_array_equal(hd.v_compressed, v_sel)
+
+
 class TestManifest:
     def test_round_trip_and_determinism(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -483,3 +558,39 @@ class TestManifest:
             path.write_text(text)
             with pytest.raises(ValueError, match="not a selection manifest"):
                 read_selection_manifest(path)
+
+    def test_rejects_indices_that_are_not_integers_in_range(self, tmp_path):
+        part = PartitionParams(init_len=4, local_len=8, period=32, orders=4)
+        report = build_selection_report(calibration_trace(np.random.default_rng(10), head_dim=8),
+                                        CompressionSchema(ratios=((0.5, 0.5),)), part,
+                                        build_basis(4, 32))
+        path = tmp_path / "sel.json"
+        write_selection_manifest(report, path)
+        good = json.loads(path.read_text())
+        for bad in (0.5, True, False, "1", 1e20, 10**20, -1, 8, None, [0]):
+            doc = json.loads(json.dumps(good))
+            doc["dims"][0][0]["v_compressed"].append(bad)
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match="v_compressed entries must be integers"):
+                read_selection_manifest(path)
+        # repeats and any order name the same set
+        doc = json.loads(json.dumps(good))
+        doc["dims"][0][0]["k_compressed"] = [7, 0, 7, 3]
+        path.write_text(json.dumps(doc))
+        layout, _ = read_selection_manifest(path)
+        np.testing.assert_array_equal(layout.dims[0][0].k_compressed, [0, 3, 7])
+
+    @pytest.mark.parametrize("dims", [[], [[], []], [[{}, {}]]], ids=["no-layers", "two-layers",
+                                                                      "two-heads"])
+    def test_rejects_a_dims_table_of_another_shape(self, tmp_path, dims):
+        part = PartitionParams(init_len=4, local_len=8, period=32, orders=4)
+        report = build_selection_report(calibration_trace(np.random.default_rng(11)),
+                                        CompressionSchema(ratios=((0.5, 0.5),)), part,
+                                        build_basis(4, 32))
+        path = tmp_path / "sel.json"
+        write_selection_manifest(report, path)
+        doc = json.loads(path.read_text())
+        doc["dims"] = dims
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="dims must be a 1 x 1 table"):
+            read_selection_manifest(path)

@@ -174,10 +174,3 @@ class TestCompareBases:
         assert len(report.rows) == 2 * 2 * 8
         assert 0.0 <= report.win_rate <= 1.0
         assert report.win_rate >= 0.5
-
-    def test_selection_out_of_range(self):
-        trace = gen_synthetic("constant", layers=1, kv_heads=1, head_dim=4, seq_len=16)
-        with pytest.raises(ValueError):
-            compare_bases(trace, k_states=2, layers=[1])
-        with pytest.raises(ValueError):
-            compare_bases(trace, k_states=2, dims=[4])

@@ -56,7 +56,7 @@ def lstsq_projection(orders, period, signal, positions):
 class TestFourierBasis:
     def test_row_structure_matches_direct_trig(self):
         basis = build_basis(orders=3, period=16)
-        rows = basis.rows
+        rows = basis.columns(range(16))
         for n in range(3):
             for t in range(16):
                 assert rows[2 * n, t] == pytest.approx(math.cos(2 * math.pi * n * t / 16), abs=1e-12)
@@ -64,7 +64,7 @@ class TestFourierBasis:
 
     def test_order_zero_rows(self):
         basis = build_basis(orders=4, period=32)
-        rows = basis.rows
+        rows = basis.columns(range(32))
         assert np.all(rows[0] == 1.0)
         assert np.all(rows[1] == 0.0)
 
@@ -76,7 +76,7 @@ class TestFourierBasis:
 
     def test_order_one_full_matrix(self):
         basis = build_basis(orders=1, period=4)
-        np.testing.assert_array_equal(basis.rows, [[1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(basis.columns(range(4)), [[1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
 
     def test_periodicity(self):
         basis = build_basis(orders=5, period=12)
