@@ -10,19 +10,27 @@ middle positions (see ``FourierBasis.evaluate``); kept dimensions and the
 block, are plain products, and one softmax runs over all ``E + M`` scores.
 The middle region, ``PartitionParams.middle``, goes to the transforms as
 the only input they take, a ``range`` of step 1, which they read without
-scanning it; the query is scaled once, every score is written into one
-preallocated buffer, and the softmax runs in that buffer, so a call makes a
-fixed number of numpy calls, whatever M. With ``R = k`` spectral bins and
-``L = min(M + R, period)``, per query that costs O(min(R * M, L log L) +
-(E + M) * head_dim) time, plus O(k * head_dim) to contract the 2k-row
-states with the query: the transforms take whichever of products against
-cached trig tables, a chirp-z FFT pair over the middle region or one
-length-period FFT is cheapest, and hold at most O(L) transient values. No
-``(M, head_dim)`` block of rebuilt rows ever exists. The stored blocks are
-not scanned for NaN or Inf on every call (``prefill`` and ``append_token``
-reject them); the scores and the output are checked instead.
+scanning it: its transform is resolved once (``FourierBasis._plan``) and
+shared by every head that reads the same middle, and a call runs only the
+transforms' arithmetic. The slice stores every row with its dimensions in
+layout order, compressed first, so the query is gathered into that order
+once and scaled, the kept and compressed dims are slices of it, and the
+output is gathered back to index order once; no other index gather or
+scatter-add runs. Every score is written into one preallocated buffer and
+the softmax runs in that buffer, so a call makes a fixed number of numpy
+calls, whatever M: 43 Python-level calls at desk geometry, a count a test
+bounds. With ``R = k`` spectral bins and ``L = min(M + R, period)``, per
+query that costs O(min(R * M, L log L) + (E + M) * head_dim) time, plus
+O(k * head_dim) to contract the 2k-row states with the query: the
+transforms take whichever of products against cached trig tables, a
+chirp-z FFT pair over the middle region or one length-period FFT is
+cheapest, and hold at most O(L) transient values. No ``(M, head_dim)``
+block of rebuilt rows ever exists. The stored blocks are not scanned for
+NaN or Inf on every call (``prefill`` and ``append_token`` reject them);
+the scores and the output are checked instead.
 ``attend_compressed_materialized`` is its oracle: it rebuilds every middle
-row through ``reconstruct``, orders every row by position and defers to
+row through ``reconstruct``, orders every row by position, puts every
+dimension back at its index from the slice's ``HeadDims`` and defers to
 ``attend_full``, the dense reference.
 
 Also home to two diagnostics: splitting attention scores into low/high
@@ -65,7 +73,8 @@ class AttentionOutput:
 
 
 def _check_finite(name, arr):
-    if not np.isfinite(arr).all():
+    # the ufunc's reduce itself: ndarray.all() adds a Python frame per call
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise ValueError(f"{name} contains NaN or Inf")
 
 
@@ -122,21 +131,26 @@ def attend_compressed_materialized(
     """
     check_basis(basis, slice_.partition)
     middle = slice_.partition.middle(slice_.total_len)
-    dims = slice_.dims
-    mid_k = np.empty((len(middle), slice_.exact_k.shape[1]))
-    mid_v = np.empty_like(mid_k)
-    mid_k[:, dims.k_kept] = slice_.kept_k.view()
-    mid_v[:, dims.v_kept] = slice_.kept_v.view()
-    if dims.k_compressed.size:
-        mid_k[:, dims.k_compressed] = reconstruct(slice_.spec_k, basis, middle)
-    if dims.v_compressed.size:
-        mid_v[:, dims.v_compressed] = reconstruct(slice_.spec_v, basis, middle)
     # the ring rows in use; its oldest position, the middle's end, comes first
     ring = slice(middle.start, slice_.total_len - len(middle))
     blocks = []
-    for exact, mid in ((slice_.exact_k, mid_k), (slice_.exact_v, mid_v)):
+    for exact, kept, state, comp, keep in (
+        (slice_.exact_k, slice_.kept_k, slice_.spec_k, slice_.dims.k_compressed,
+         slice_.dims.k_kept),
+        (slice_.exact_v, slice_.kept_v, slice_.spec_v, slice_.dims.v_compressed,
+         slice_.dims.v_kept),
+    ):
         local = np.roll(exact[ring], middle.start - middle.stop, axis=0)
-        blocks.append(np.concatenate([exact[: middle.start], mid, local], dtype=np.float64))
+        # rows as stored, dims in layout order, then each dim back at its index
+        rows = np.concatenate([exact[: middle.start], np.empty((len(middle), exact.shape[1])),
+                               local], dtype=np.float64)
+        mid = rows[middle.start : middle.stop]
+        mid[:, comp.size :] = kept.view()
+        if comp.size:
+            mid[:, : comp.size] = reconstruct(state, basis, middle)
+        natural = np.empty_like(rows)
+        natural[:, np.concatenate([comp, keep])] = rows
+        blocks.append(natural)
     return attend_full(q, *blocks, causal=False, return_weights=return_weights)
 
 
@@ -161,38 +175,46 @@ def attend_compressed_fused(q, slice_: HeadSlice, basis: FourierBasis) -> Attent
 
     # every score lands in one buffer, exact | middle; the exact rows in use
     # are a prefix of the block, read as stored since softmax and the weighted
-    # sum do not depend on the order of the keys. The query carries the
-    # 1/sqrt(d) scale, and the stored float32 blocks are cast transiently by
-    # each product
-    q = q * (1.0 / math.sqrt(head_dim))
-    dims = slice_.dims
+    # sum do not depend on the order of the keys. The query, gathered once into
+    # the K rows' layout order, carries the 1/sqrt(d) scale, and the stored
+    # float32 blocks are cast transiently by each product. Contiguous blocks
+    # go through np.dot, which costs less than @ at desk sizes; the state's K
+    # and V column views through @, which hands their strides to BLAS where
+    # np.dot takes a slower path (4x at stock)
+    q = q[slice_._order[0]] * (1.0 / math.sqrt(head_dim))
+    spec = slice_._spec.coeffs
+    k_count = slice_.dims.k_compressed.size
+    v_count = spec.shape[1] - k_count
     middle = slice_.partition.middle(slice_.total_len)
     n_exact = slice_.total_len - len(middle)
     scores = np.empty(slice_.total_len, dtype=np.float64)
     p_exact, p_mid = scores[:n_exact], scores[n_exact:]
-    np.matmul(slice_.exact_k[:n_exact], q, out=p_exact)
-    np.matmul(slice_.kept_k.view(), q[dims.k_kept], out=p_mid)
+    np.dot(slice_.exact_k[:n_exact], q, out=p_exact)
+    np.dot(slice_.kept_k.view(), q[k_count:], out=p_mid)
     synthesis = basis.synthesis_weights()
-    if len(middle) and dims.k_compressed.size:
-        poly = synthesis * (slice_.spec_k.coeffs @ q[dims.k_compressed])
-        p_mid += basis.evaluate(poly, middle)
+    # the middle region's transform, resolved once for both products; every
+    # head that reads the same middle shares it
+    plan = basis._plan(middle) if len(middle) and (k_count or v_count) else None
+    if plan is not None and k_count:
+        p_mid += basis._evaluate(synthesis * (spec[:, :k_count] @ q[:k_count]), plan)
     # the stored blocks are not scanned: a NaN or Inf in any key row, kept
     # row or spectral state reaches a score, and one in any value row the
     # output, also under a zero weight (0 * Inf is NaN)
     _check_finite("scores", scores)
     # the score views now hold unnormalized softmax weights; every term of the
     # output is linear in them, so the output is divided by their sum once
-    scores -= scores.max()
+    scores -= np.maximum.reduce(scores)
     np.exp(scores, out=scores)
 
-    out = p_exact @ slice_.exact_v[:n_exact]
-    out[dims.v_kept] += p_mid @ slice_.kept_v.view()
-    if len(middle) and dims.v_compressed.size:
-        folded = synthesis * basis.project(p_mid, middle)
-        out[dims.v_compressed] += folded @ slice_.spec_v.coeffs
-    out /= scores.sum()
+    # the output in the V rows' layout order, gathered back once at the end
+    out = np.dot(p_exact, slice_.exact_v[:n_exact])
+    out[v_count:] += np.dot(p_mid, slice_.kept_v.view())
+    if plan is not None and v_count:
+        folded = synthesis * basis._project_columns(p_mid, plan)
+        out[:v_count] += folded @ spec[:, k_count:]
+    out /= np.add.reduce(scores)
     _check_finite("output", out)
-    return AttentionOutput(output=out)
+    return AttentionOutput(output=out[slice_._order[2]])
 
 
 def decompose_scores(q, keys, split_dim: int) -> tuple[np.ndarray, np.ndarray]:

@@ -6,22 +6,25 @@ positions and the latest ``local_len`` past them are stored exactly, in one
 block per K and V; everything between keeps its selected dimensions
 verbatim and folds the rest into fixed-size spectral states. Which
 dimensions fold is one boolean mask per cache, ``CacheLayout.compressed``,
-of shape ``(layers, 2, kv_heads, head_dim)``. Prefill folds
-the middle region of every head of a layer in one batch fold. During
+of shape ``(layers, 2, kv_heads, head_dim)``. A head stores every K and V
+row with its dimensions in layout order, the compressed ones first and then
+the kept ones, and folds K's and V's compressed dims into one state. Prefill
+folds the middle region of every head of a layer in one batch fold. During
 decoding, a token takes its exact row, and once the local ring is full the
-token it evicts is split the same way, folded at its absolute position, so
-the spectral storage stays O(1) in sequence length. Non-finite K/V rows,
-and a basis whose geometry is not the partition's, are rejected at both
-entry points, before anything is stored.
+token it evicts is split into two slices of its row, its kept dims and one
+rank-1 fold at its absolute position, so the spectral storage stays O(1) in
+sequence length. Non-finite K/V rows, and a basis whose geometry is not the
+partition's, are rejected at both entry points, before anything is stored.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from fourier_kv.spectral import FourierBasis, SpectralState, fold_blocks, fold_token
+from fourier_kv.spectral import FourierBasis, SpectralState, _fold_into, fold_token
 
 __all__ = [
     "CacheLayout",
@@ -102,7 +105,9 @@ class CacheLayout:
     head's compressed and kept sets partition ``0..head_dim-1`` by
     construction. The layout holds a read-only copy of the array it is given.
     ``dims[layer][head]`` is the same choice as a :class:`HeadDims` of sorted
-    index arrays, derived once here for the cache's gathers.
+    index arrays, derived once here. Per row, its compressed dims and then
+    its kept dims, each ascending, are the order in which a :class:`HeadSlice`
+    stores that row's dimensions.
     """
 
     partition: PartitionParams
@@ -119,7 +124,17 @@ class CacheLayout:
         object.__setattr__(self, "compressed", mask)
         # per row, the compressed dims ascending and then the kept ones ascending
         order = np.argsort(~mask, axis=-1, kind="stable")
-        order.setflags(write=False)
+        # and per V row, the place of each dim in that order
+        v_slot = np.argsort(order[:, 1], axis=-1)
+        for table in (order, v_slot):
+            table.setflags(write=False)
+        # per head, the K order, the V order and the V places that its slices
+        # store rows by and read them back with, shared by every slice of it
+        object.__setattr__(self, "_orders", [
+            [(order[layer, 0, head], order[layer, 1, head], v_slot[layer, head])
+             for head in range(mask.shape[2])]
+            for layer in range(mask.shape[0])
+        ])
         counts = mask.sum(axis=-1).tolist()
         dims = [
             [
@@ -157,16 +172,12 @@ class _GrowBuffer:
     block holds exactly its rows until the first append.
     """
 
-    def __init__(self, width: int):
-        self._data = np.empty((0, width), dtype=np.float32)
-        self._len = 0
+    __slots__ = ("_data", "_len")
 
-    @classmethod
-    def from_block(cls, block: np.ndarray) -> "_GrowBuffer":
-        buf = cls(block.shape[1])
-        buf._data = np.array(block, dtype=np.float32)
-        buf._len = block.shape[0]
-        return buf
+    def __init__(self, rows: np.ndarray):
+        """A buffer holding exactly ``rows``, a float32 block it takes over."""
+        self._data = rows
+        self._len = rows.shape[0]
 
     def append(self, row: np.ndarray) -> None:
         cap = self.capacity
@@ -193,18 +204,25 @@ def _ring_row(part: PartitionParams, pos):
     return part.init_len + (pos - part.init_len) % part.local_len
 
 
-@dataclass
+@dataclass(slots=True)
 class HeadSlice:
     """Compressed cache storage for one (layer, head).
 
+    Every row the slice holds stores its dimensions in layout order: a K row
+    holds ``dims.k_compressed`` and then ``dims.k_kept``, each ascending, and
+    a V row the same of ``dims.v_*``, so an eviction splits a row into two
+    slices and attention gathers the query and its output once each.
     ``exact_k`` and ``exact_v`` hold the initial and local positions in
     ``init_len + local_len`` float32 rows each: position ``t`` sits in row
     ``t`` if ``t < init_len``, and otherwise in ring row ``init_len + (t -
     init_len) % local_len``, which it takes over from the token it evicts.
     The ring only fills or stays full, so the rows in use are always the
     prefix ``exact[:total_len - middle_count]``. Middle positions keep their
-    kept dims in ``kept_k``/``kept_v`` and fold the rest into float64
-    spectral states. Single-writer; distinct slices are independent.
+    kept dims in ``kept_k``/``kept_v`` and fold their compressed K dims, then
+    their compressed V dims, into one float64 spectral state of ``2*orders``
+    rows, so an eviction is one rank-1 update; ``spec_k`` and ``spec_v`` are
+    its K and V columns, views that share its coefficients. Single-writer;
+    distinct slices are independent.
     """
 
     dims: HeadDims
@@ -213,13 +231,28 @@ class HeadSlice:
     exact_v: np.ndarray
     kept_k: _GrowBuffer
     kept_v: _GrowBuffer
-    spec_k: SpectralState
-    spec_v: SpectralState
+    _spec: SpectralState  # (2*orders, c_k + c_v) coefficients, K's columns first
+    _order: tuple  # the layout's (K order, V order, V places) of the head
     total_len: int
 
     @property
     def middle_count(self) -> int:
         return len(self.kept_k)
+
+    @property
+    def spec_k(self) -> SpectralState:
+        """The K columns of the slice's state: a view with a copy of its counters."""
+        return self._columns(slice(None, self.dims.k_compressed.size))
+
+    @property
+    def spec_v(self) -> SpectralState:
+        """The V columns of the slice's state: a view with a copy of its counters."""
+        return self._columns(slice(self.dims.k_compressed.size, None))
+
+    def _columns(self, cols: slice) -> SpectralState:
+        spec = self._spec
+        return SpectralState(spec.coeffs[:, cols], spec.token_count, spec.first_pos,
+                             spec.last_pos)
 
     def represented(self) -> int:
         """Exact positions the split gives ``total_len`` plus the kept middle rows held.
@@ -234,14 +267,16 @@ def prefill(keys, values, layout: CacheLayout, layer: int, basis: FourierBasis):
 
     ``keys`` and ``values`` are ``(kv_heads, seq_len, head_dim)`` and must be
     finite. The middle region of every head, K and V alike, is folded at
-    absolute positions by one :func:`fold_blocks` call, which projects the
+    absolute positions in one batch fold, the one
+    :func:`~fourier_kv.spectral.fold_blocks` runs, which projects the
     compressed dims of every head onto the basis in column groups through
     the decode transforms: packed chirp-z FFTs at stock, and at desk one
-    matrix product per group against the run's columns, built once from
-    the trig tables. A sequence no longer than ``init_len + local_len``
-    simply has an empty middle, and its exact rows a free tail for the
-    tokens to come. The slices copy what they keep: later changes to
-    ``keys``/``values`` do not reach them.
+    matrix product per group against the run's columns, built once from the
+    trig tables. It adds each head's K and V columns straight into that
+    head's one state. A sequence no longer than ``init_len +
+    local_len`` simply has an empty middle, and its exact rows a free tail
+    for the tokens to come. The slices copy what they keep, in layout order:
+    later changes to ``keys``/``values`` do not reach them.
     """
     keys = np.asarray(keys, dtype=np.float32)
     values = np.asarray(values, dtype=np.float32)
@@ -265,36 +300,57 @@ def prefill(keys, values, layout: CacheLayout, layer: int, basis: FourierBasis):
             f"middle region of {len(middle)} positions exceeds the spectral period {part.period}"
         )
     heads = layout.dims[layer]
+    orders = layout._orders[layer]
     mid = slice(middle.start, middle.stop)
-    states = fold_blocks(
+    k_counts = [hd.k_compressed.size for hd in heads]
+    coeffs = [np.zeros((2 * part.orders, n + hd.v_compressed.size))
+              for n, hd in zip(k_counts, heads)]
+    _fold_into(
         basis,
         [*keys[:, mid], *values[:, mid]],
+        [hd.k_compressed for hd in heads] + [hd.v_compressed for hd in heads],
+        [c[:, :n] for c, n in zip(coeffs, k_counts)]
+        + [c[:, n:] for c, n in zip(coeffs, k_counts)],
         middle.start,
-        dims=[hd.k_compressed for hd in heads] + [hd.v_compressed for hd in heads],
     )
-    # K and V of every head at once: initial positions in their own rows,
-    # local ones in their ring rows
+    # one block for K and V of every head; a head's rows hold its dims in
+    # layout order, initial positions in their own rows, local ones in ring rows
     exact = np.zeros(
         (2, layout.kv_heads, part.init_len + part.local_len, layout.head_dim), dtype=np.float32
     )
-    rows = _ring_row(part, np.arange(middle.stop, seq_len))
-    for block, kv in zip(exact, (keys, values)):
-        block[:, : middle.start] = kv[:, : middle.start]
-        block[:, rows] = kv[:, middle.stop :]
-    return [
-        HeadSlice(
-            dims=hd,
-            partition=part,
-            exact_k=exact[0, head],
-            exact_v=exact[1, head],
-            kept_k=_GrowBuffer.from_block(keys[head, mid][:, hd.k_kept]),
-            kept_v=_GrowBuffer.from_block(values[head, mid][:, hd.v_kept]),
-            spec_k=states[head],
-            spec_v=states[layout.kv_heads + head],
-            total_len=seq_len,
+    # the local positions take consecutive rows from the oldest one's, up to
+    # the end of the ring, and those past it wrap round to its start
+    first = _ring_row(part, middle.stop)
+    wrap = min(seq_len, middle.stop + part.init_len + part.local_len - first)
+    to_end, wrapped = wrap - middle.stop, seq_len - wrap
+    slices = []
+    for head, hd in enumerate(heads):
+        for kv_index, kv in enumerate((keys[head], values[head])):
+            block, order = exact[kv_index, head], orders[head][kv_index]
+            # mode="clip" (the indices are in range) lets take write into out unbuffered
+            kv[: middle.start].take(order, axis=1, out=block[: middle.start], mode="clip")
+            kv[middle.stop : wrap].take(order, axis=1, out=block[first : first + to_end],
+                                        mode="clip")
+            kv[wrap:].take(order, axis=1, out=block[part.init_len : part.init_len + wrapped],
+                           mode="clip")
+        if len(middle):
+            state = SpectralState(coeffs[head], len(middle), middle.start, middle.stop - 1)
+        else:
+            state = SpectralState(coeffs[head])
+        slices.append(
+            HeadSlice(
+                dims=hd,
+                partition=part,
+                exact_k=exact[0, head],
+                exact_v=exact[1, head],
+                kept_k=_GrowBuffer(keys[head, mid].take(hd.k_kept, axis=1)),
+                kept_v=_GrowBuffer(values[head, mid].take(hd.v_kept, axis=1)),
+                _spec=state,
+                _order=orders[head],
+                total_len=seq_len,
+            )
         )
-        for head, hd in enumerate(heads)
-    ]
+    return slices
 
 
 def append_token(slice_: HeadSlice, basis: FourierBasis, k_vec, v_vec) -> HeadSlice:
@@ -302,10 +358,11 @@ def append_token(slice_: HeadSlice, basis: FourierBasis, k_vec, v_vec) -> HeadSl
 
     A token below ``init_len`` takes its own initial row; a later one takes
     its ring row, and once the ring is full, the token there before it, the
-    position the middle region grows by, splits into kept rows and spectral
-    folds at its absolute position. Mutates and returns the slice; a
-    rejected token (wrong shape, NaN or Inf, or a middle region already one
-    period long) or a basis of another geometry leaves it unchanged.
+    position the middle region grows by, splits into kept rows and one
+    spectral fold of its compressed K and V dims at its absolute position.
+    Mutates and returns the slice; a rejected token (wrong shape, NaN or
+    Inf, or a middle region already one period long) or a basis of another
+    geometry leaves it unchanged.
     """
     part = slice_.partition
     check_basis(basis, part)
@@ -313,28 +370,36 @@ def append_token(slice_: HeadSlice, basis: FourierBasis, k_vec, v_vec) -> HeadSl
     v_vec = np.asarray(v_vec, dtype=np.float32)
     if k_vec.shape != (slice_.exact_k.shape[1],) or v_vec.shape != k_vec.shape:
         raise ValueError("token vectors must have shape (head_dim,)")
-    if not (np.isfinite(k_vec).all() and np.isfinite(v_vec).all()):
+    # float32 values summed in float64 cannot overflow, so the sums are finite
+    # exactly when every entry is: NaN and Inf carry through, and Inf - Inf is NaN
+    if not math.isfinite(np.add.reduce(k_vec, dtype=np.float64)
+                         + np.add.reduce(v_vec, dtype=np.float64)):
         raise ValueError("token vectors contain NaN or Inf")
 
     pos = slice_.total_len
     row = pos if pos < part.init_len else _ring_row(part, pos)
+    spec = slice_._spec  # it has folded one position per kept middle row
     grown = part.middle(pos + 1)
-    if len(grown) > slice_.middle_count:
-        if slice_.spec_k.token_count >= part.period:
+    if len(grown) > spec.token_count:
+        if spec.token_count >= part.period:
             raise ValueError(
                 f"middle region already spans the full spectral period {part.period}; "
                 "folding more tokens would alias earlier positions"
             )
-        # the evicted position is one ring cycle before the token, in the same row
+        # the evicted position is one ring cycle before the token, in the same
+        # row; its compressed dims lead each row, and K's lead the state
         old_k = slice_.exact_k[row]
         old_v = slice_.exact_v[row]
-        slice_.kept_k.append(old_k[slice_.dims.k_kept])
-        slice_.kept_v.append(old_v[slice_.dims.v_kept])
-        fold_token(slice_.spec_k, basis, old_k[slice_.dims.k_compressed], grown[-1])
-        fold_token(slice_.spec_v, basis, old_v[slice_.dims.v_compressed], grown[-1])
+        k_count = slice_.dims.k_compressed.size
+        v_count = spec.coeffs.shape[1] - k_count
+        folded = np.concatenate((old_k[:k_count], old_v[:v_count]), dtype=np.float64)
+        fold_token(spec, basis, folded, grown[-1])
+        slice_.kept_k.append(old_k[k_count:])
+        slice_.kept_v.append(old_v[v_count:])
 
-    slice_.exact_k[row] = k_vec
-    slice_.exact_v[row] = v_vec
+    order = slice_._order
+    slice_.exact_k[row] = k_vec[order[0]]
+    slice_.exact_v[row] = v_vec[order[1]]
     slice_.total_len += 1
     return slice_
 

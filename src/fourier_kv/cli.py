@@ -43,8 +43,8 @@ from fourier_kv.attention import (
 from fourier_kv.cache import PartitionParams, memory_report, prefill_trace
 from fourier_kv.dimselect import (
     CompressionSchema,
+    _read_manifest,
     build_selection_report,
-    read_selection_manifest,
     schema_variants,
     selection_histogram,
     temporal_std,
@@ -263,14 +263,8 @@ def cmd_eval(args) -> int:
     started = time.monotonic()
     threads = _thread_count()
     trace = read_trace(args.trace)
-    layout, schema = read_selection_manifest(args.manifest)
-    if (trace.layers, trace.kv_heads, trace.head_dim) != (
-        layout.layers, layout.kv_heads, layout.head_dim,
-    ):
-        raise DataMismatchError(
-            f"trace geometry ({trace.layers}, {trace.kv_heads}, {trace.head_dim}) does not "
-            f"match manifest ({layout.layers}, {layout.kv_heads}, {layout.head_dim})"
-        )
+    # the manifest's geometry is checked against the trace before its mask is sized
+    layout, schema = _read_manifest(args.manifest, (trace.layers, trace.kv_heads, trace.head_dim))
     _warn_if_states_outweigh_rows(layout.partition, trace.seq_len)
     basis = build_basis(layout.partition.orders, layout.partition.period)
     cache = prefill_trace(trace, layout, basis)

@@ -422,6 +422,17 @@ def read_selection_manifest(path):
     partition whose orders break ``2*orders - 1 <= period``, raises
     ``ValueError`` naming ``path``.
     """
+    return _read_manifest(path, None)
+
+
+def _read_manifest(path, geometry):
+    """:func:`read_selection_manifest`, for a trace of ``geometry``.
+
+    ``geometry`` is ``(layers, kv_heads, head_dim)``, or ``None`` for any.
+    The file's own geometry is compared with it before anything is sized by
+    the file's numbers, so a small file stating a huge ``head_dim`` is
+    rejected, as a ``ValueError`` naming ``path``, without allocating for it.
+    """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != MANIFEST_FORMAT:
@@ -430,11 +441,12 @@ def read_selection_manifest(path):
         raise ValueError(f"{path}: unsupported manifest version {doc.get('version')}")
     try:
         geom = doc["geometry"]
+        stated = (geom["layers"], geom["kv_heads"], geom["head_dim"])
+        if geometry is not None and stated != tuple(geometry):
+            raise ValueError(f"geometry {stated} does not match the trace's {tuple(geometry)}")
         layout = CacheLayout(
             partition=PartitionParams(**doc["partition"]),
-            compressed=_manifest_mask(
-                doc["dims"], geom["layers"], geom["kv_heads"], geom["head_dim"]
-            ),
+            compressed=_manifest_mask(doc["dims"], *stated),
         )
         schema = CompressionSchema(
             ratios=tuple((k, v) for k, v in doc["schema"]["ratios"]),

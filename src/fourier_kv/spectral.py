@@ -20,7 +20,8 @@ the compressed region with them, calibration's Gram form projects one column
 of ones, and :func:`fold_blocks`, the fast batch fold, is ``project`` of many
 columns within a 1 MB transient budget. ``project`` has one implementation,
 and 1-D weights are its one-column case. A cost rule picks one of three
-transforms per call (see :class:`FourierBasis`), and the run is read without
+transforms per run (see :class:`FourierBasis`), resolved once into a plan
+that every later call over the same run reads, and the run is read without
 scanning it, so a call's fixed cost is a handful of numpy calls. Every cosine
 and sine comes from one phase builder, which reduces ``n*t`` mod the period
 in integers.
@@ -108,8 +109,12 @@ class FourierBasis:
     positions, where they measured slower. Tables hold phases reduced
     exactly in integers mod ``period``, are read-only, and the last few of
     each kind are cached per ``(orders, period, lo mod period)`` and their
-    sizes. This class owns the cosine/sine row layout; callers only pass
-    coefficient vectors of length ``2*orders``.
+    sizes. A run's resolved transform, its checks, pick, tables and the head
+    rows it reads with their conjugates, is cached too, per ``(orders,
+    period, start, span, packed)`` and the cost rule's ratios, so every head
+    of a decode step that reads one middle region reads one plan. This class
+    owns the cosine/sine row layout; callers only pass coefficient vectors
+    of length ``2*orders``.
 
     Immutable; safe to share across threads.
     """
@@ -192,25 +197,40 @@ class FourierBasis:
             return "chirp", n, 0
         return "fft", self.period, 0
 
-    def _transform(
-        self, run: range, packed: bool = False, cached: bool = True
-    ) -> tuple[int, _TrigTables | _ChirpPlan | None]:
-        """The length of a non-empty run and the plan :meth:`_pick` picks over it.
+    def _transform(self, run: range, packed: bool = False, cached: bool = True) -> _Run:
+        """The transform :meth:`_pick` picks over ``run``, resolved into a :class:`_Run`.
 
-        The plan holds the trig tables or the chirp-z tables; it is ``None``
-        for the length-period FFT. Plans come from small caches unless
-        ``cached`` is false, as for the sub-runs of a fold, which no later
-        call reads.
+        Checks the run first. The trig tables and chirp-z tables come from
+        small caches unless ``cached`` is false, as for the sub-runs of a
+        fold, which no later call reads. :meth:`_plan` caches the result.
         """
-        kind, size, rows = self._pick(len(run), packed)
-        lo = run.start % self.period
+        self._check_run(run)
+        span, lo = len(run), run.start % self.period
+        if span == 0:
+            return _Run(0, lo, None, None, None, None)
+        kind, size, rows = self._pick(span, packed)
         if kind == "tables":
             build = _trig_tables if cached else _trig_tables.__wrapped__
-            return len(run), build(self.orders, self.period, lo, size, rows)
+            tables = build(self.orders, self.period, lo, size, rows)
+            head = tables.head[: -(-span // size)]
+            head_conj = np.conjugate(head)
+            head_conj.setflags(write=False)
+            return _Run(span, lo, tables, head, head_conj, None)
         if kind == "chirp":
             build = _chirp_plan if cached else _chirp_plan.__wrapped__
-            return len(run), build(self.orders, self.period, lo, size)
-        return len(run), None
+            return _Run(span, lo, None, None, None, build(self.orders, self.period, lo, size))
+        return _Run(span, lo, None, None, None, None)
+
+    def _plan(self, run: range, packed: bool = False) -> _Run:
+        """:meth:`_transform` of ``run``, resolved once per run, ``packed`` and cost rule.
+
+        Every head that reads one middle region in a decode step gets the
+        same plan from :func:`_run_plan`, whose misses check the start.
+        """
+        if not isinstance(run, range) or run.step != 1:
+            self._check_run(run)  # raises: only a range of step 1 is read
+        return _run_plan(self.orders, self.period, run.start, len(run), packed,
+                         _TABLE_COST_RATIO, _CHIRP_LENGTH_RATIO)
 
     def evaluate(self, coeffs, run: range) -> np.ndarray:
         """``columns(run).T @ coeffs``: the trig polynomial at each position of a run.
@@ -225,31 +245,36 @@ class FourierBasis:
         a = np.ascontiguousarray(coeffs, dtype=np.float64)
         if a.shape != (self.n_rows,):
             raise ValueError(f"coeffs must have shape ({self.n_rows},), got {a.shape}")
-        self._check_run(run)
-        if len(run) == 0:
+        return self._evaluate(a, self._plan(run))
+
+    def _evaluate(self, a: np.ndarray, plan: _Run) -> np.ndarray:
+        """:meth:`evaluate` of contiguous float64 coefficients over a resolved run:
+        the arithmetic alone, as decode attention calls it once it holds the plan."""
+        span = plan.span
+        if span == 0:
             return np.zeros(0, dtype=np.float64)
-        span, plan = self._transform(run)
         # z[r] = c_r + i*s_r from the cosine and sine coefficients of order r: the
         # value at offset m is the sum over orders of Re(z[r] * exp(-i*theta_r*(lo + m)))
         z = a.view(np.complex128)
-        if plan is None:
+        if plan.tables is not None:
+            mixed = plan.head * z
+            return np.dot(mixed.view(np.float64), plan.tables.tail).ravel()[:span]
+        if plan.chirp is None:
             spectrum = np.zeros(self.period // 2 + 1, dtype=np.complex128)
             np.conjugate(z, out=spectrum[: self.orders])
             # irfft counts every bin but DC twice (once per sign of frequency);
             # no order reaches the Nyquist bin
             spectrum[1 : self.orders] *= 0.5
             wave = scipy.fft.irfft(spectrum, n=self.period, norm="forward", overwrite_x=True)
-            return wave[np.arange(run.start, run.stop) % self.period]
-        if isinstance(plan, _TrigTables):
-            mixed = plan.head[: -(-span // plan.tail.shape[1])] * z
-            return (mixed.view(np.float64) @ plan.tail).ravel()[:span]
-        x = np.zeros(plan.spectrum.size, dtype=np.complex128)
+            return wave[np.arange(plan.lo, plan.lo + span) % self.period]
+        chirp = plan.chirp
+        x = np.zeros(chirp.spectrum.size, dtype=np.complex128)
         np.conjugate(z, out=x[: z.size])
-        x[: z.size] *= plan.pre
+        x[: z.size] *= chirp.pre
         x = scipy.fft.fft(x, overwrite_x=True)
-        x *= plan.spectrum
+        x *= chirp.spectrum
         x = scipy.fft.ifft(x, overwrite_x=True)[:span]
-        x *= plan.chirp[:span]
+        x *= chirp.chirp[:span]
         return x.real
 
     def project(self, weights, run: range) -> np.ndarray:
@@ -261,39 +286,54 @@ class FourierBasis:
         are cast to float64 in the transform's own buffers or products, not
         copied first. ``run`` is read as by :meth:`evaluate`. The transform
         is priced for the columns given: one column is never packed, so it
-        runs the chirp-z length :meth:`evaluate` runs over the same run.
+        runs the plan :meth:`evaluate` runs over the same run.
         """
-        self._check_run(run)
         w = np.asarray(weights)
-        if w.ndim not in (1, 2) or w.shape[0] != len(run):
+        plan = self._plan(run, w.ndim == 2 and w.shape[1] > 1)
+        if w.ndim not in (1, 2) or w.shape[0] != plan.span:
             raise ValueError(
-                f"weights must have shape ({len(run)},) or ({len(run)}, c), got {w.shape}"
+                f"weights must have shape ({plan.span},) or ({plan.span}, c), got {w.shape}"
             )
-        cols = w[:, None] if w.ndim == 1 else w
-        if len(run) == 0 or cols.shape[1] == 0:
-            out = np.zeros((self.n_rows, cols.shape[1]), dtype=np.float64)
-        else:
-            out = self._project_columns(cols, run, self._transform(run, cols.shape[1] > 1)[1])
-        return out[:, 0] if w.ndim == 1 else out
+        if w.size == 0:
+            return np.zeros((self.n_rows, *w.shape[1:]), dtype=np.float64)
+        return self._project_columns(w, plan)
 
-    def _project_columns(self, w: np.ndarray, run: range, plan) -> np.ndarray:
-        """:meth:`project` of ``(span, c)`` weights, ``(2*orders, c)``.
+    def _project_columns(self, w: np.ndarray, plan) -> np.ndarray:
+        """:meth:`project` of ``(span, c)`` weights, ``(2*orders, c)``, or of one
+        ``(span,)`` column, ``(2*orders,)``.
 
         ``g[r] = sum_m w[m] * exp(i*theta_r*(lo + m))`` holds the cosine and
-        sine sums of bin ``r``. ``run`` is not empty, ``c >= 1``, and ``plan``
-        is the run's plan (packed if ``c > 1``; one column reads either), or
-        for the trig tables the run's columns, which :func:`fold_blocks`
-        builds once per sub-run. The chirp-z transform runs one FFT pair in
-        place per complex column. One weight column fills it alone and its
-        sums are bins ``0..R-1``; more are packed two to a column ``u +
-        i*v``, whose bins ``-(R-1)..R-1`` give, with ``G`` their sums,
-        ``g_u(r) = (G(r) + conj(G(-r))) / 2`` and ``g_v(r) = (G(r) -
-        conj(G(-r))) / 2i`` by conjugate symmetry. :meth:`_project_floats`
-        counts the buffers the packed paths hold.
+        sine sums of bin ``r``. ``span >= 1``, ``c >= 1``, and ``plan`` is
+        the run's :class:`_Run` (packed if ``c > 1``; one column reads
+        either), or for the trig tables the run's columns, which
+        :func:`fold_blocks` builds once per sub-run. The chirp-z transform
+        runs one FFT pair in place per complex column. One weight column
+        fills it alone and its sums are bins ``0..R-1``; more are packed two
+        to a column ``u + i*v``, whose bins ``-(R-1)..R-1`` give, with ``G``
+        their sums, ``g_u(r) = (G(r) + conj(G(-r))) / 2`` and ``g_v(r) =
+        (G(r) - conj(G(-r))) / 2i`` by conjugate symmetry.
+        :meth:`_project_floats` counts the buffers the packed paths hold.
         """
-        span, cols = w.shape
-        if plan is None:
-            lo = run.start % self.period
+        if isinstance(plan, np.ndarray):
+            return plan.T @ w
+        span = w.shape[0]
+        if plan.tables is not None:
+            if w.ndim == 2 and w.shape[1] > 1:
+                return plan.run_columns().T @ w
+            rows, width = plan.head.shape[0], plan.tables.tail.shape[1]
+            grid = np.zeros((rows * width, *w.shape[1:]))
+            grid[:span] = w
+            # evaluate transposed: the tail sums each row of the grid, the head what
+            # is left (np.dot and add.reduce, not @ and sum, cost less at this size)
+            sums = np.dot(grid.reshape(rows, width), plan.tables.tail.T).view(np.complex128)
+            sums *= plan.head_conj
+            g = np.add.reduce(sums).view(np.float64)
+            return g if w.ndim == 1 else g[:, None]
+        if w.ndim == 1:
+            return self._project_columns(w[:, None], plan)[:, 0]
+        cols = w.shape[1]
+        if plan.chirp is None:
+            lo = plan.lo
             grid = np.zeros((-(-(lo + span) // self.period) * self.period, cols))
             grid[lo : lo + span] = w
             spectrum = scipy.fft.rfft(
@@ -303,22 +343,8 @@ class FourierBasis:
             out[0::2] = spectrum.real[: self.orders]
             np.negative(spectrum.imag[: self.orders], out=out[1::2])
             return out
-        if isinstance(plan, _TrigTables):
-            if cols == 1:
-                width = plan.tail.shape[1]
-                rows = -(-span // width)
-                grid = np.zeros((rows * width, 1))
-                grid[:span] = w
-                # evaluate transposed: the tail sums each row of the grid, the head what
-                # is left (np.dot and add.reduce, not @ and sum, cost less at this size)
-                sums = np.dot(grid.reshape(rows, width), plan.tail.T).view(np.complex128)
-                sums *= np.conjugate(plan.head[:rows])
-                g = np.add.reduce(sums)
-                return g.view(np.float64)[:, None]
-            plan = plan.run_columns(span)
-        if isinstance(plan, np.ndarray):
-            return plan.T @ w
-        pairs, n = -(-cols // 2), plan.spectrum.size
+        chirp = plan.chirp
+        pairs, n = -(-cols // 2), chirp.spectrum.size
         # one column u + i*v of x per pair of weight columns, positions down its
         # rows: its float64 view interleaves the weight columns as they come
         x = np.empty((n, pairs), dtype=np.complex128)
@@ -326,23 +352,23 @@ class FourierBasis:
         packed[:span, :cols] = w
         packed[:span, cols:] = 0.0  # a lone or odd last column pairs with zeros
         x[span:] = 0.0
-        x[:span] *= plan.chirp[:span, None]
+        x[:span] *= chirp.chirp[:span, None]
         # fft(ifft(x) * H)[r] = sum_m x[m] * h[m - r]: the transpose of evaluate's
         # convolution with the filter h, from the same spectrum H
         x = scipy.fft.ifft(x, axis=0, overwrite_x=True)
-        x *= plan.spectrum[:, None]
+        x *= chirp.spectrum[:, None]
         x = scipy.fft.fft(x, axis=0, overwrite_x=True)
         if cols == 1:
             g = x[: self.orders, 0]
-            g *= plan.pre
+            g *= chirp.pre
             return g.view(np.float64)[:, None]
         # half the sums G at bin r, from row r, and at bin -r, from row n - r:
         # exp(i*theta_r*(lo + m)) is pre[r] * w(m) * conj(w(m - r)) at -r too,
         # with pre[-r] = conj(pre[r]) * w(r)**2. neg, a copy, is taken before pos,
         # a view of x scaled in place, since both read row 0
-        half = 0.5 * plan.pre
+        half = 0.5 * chirp.pre
         neg = x[-np.arange(self.orders) % n]
-        neg *= (np.conjugate(half) * plan.chirp[: self.orders] ** 2)[:, None]
+        neg *= (np.conjugate(half) * chirp.chirp[: self.orders] ** 2)[:, None]
         pos = x[: self.orders]
         pos *= half[:, None]
         # g_u = pos + conj(neg) and g_v = (pos - conj(neg)) / i: per pair, the
@@ -360,7 +386,7 @@ class FourierBasis:
         ``(fixed, per_column)`` for the packed plan, which :func:`fold_blocks`
         runs, the weights' own values counted per column.
         Fixed: for the trig tables, the tables a sub-run builds, the run's
-        columns and what :meth:`_TrigTables.run_columns` holds while it
+        columns and what :meth:`_Run.run_columns` holds while it
         builds them (the head conjugated, and numpy's buffer for the
         broadcast product, up to ``getbufsize()`` complex values); the
         orders' phase factors for the chirp-z transform; and for both FFTs
@@ -512,21 +538,6 @@ class _TrigTables(NamedTuple):
     head: np.ndarray  # (rows, R) complex exp(-i*theta_r*(lo + a*width))
     tail: np.ndarray  # (2R, width) cos and sin of theta_r*b, rows interleaved like columns
 
-    def run_columns(self, span: int) -> np.ndarray:
-        """``columns(run).T`` of the run's first ``span`` positions, ``(span, 2*orders)``.
-
-        The phase at offset ``a*width + b`` is ``conj(head[a]) * (cos +
-        i*sin)(theta*b)``: one broadcast product of ``orders`` phases by
-        ``span`` positions, whose float64 view is the interleaved cosine and
-        sine layout itself.
-        """
-        width = self.tail.shape[1]
-        rows = -(-span // width)
-        cols = np.empty((rows, width, self.head.shape[1]), dtype=np.complex128)
-        cols[:] = self.tail.T.view(np.complex128)
-        cols *= np.conjugate(self.head[:rows])[:, None]
-        return cols.reshape(rows * width, -1)[:span].view(np.float64)
-
 
 @functools.lru_cache(maxsize=4)
 def _trig_tables(orders: int, period: int, lo: int, width: int, rows: int) -> _TrigTables:
@@ -542,6 +553,46 @@ def _trig_tables(orders: int, period: int, lo: int, width: int, rows: int) -> _T
     return tables
 
 
+class _Run(NamedTuple):
+    """One run's transform, resolved by :meth:`FourierBasis._transform`.
+
+    For the trig tables, ``tables`` and ``head``, the head rows the run
+    reads (a view), with ``head_conj``, their conjugates, the one array a
+    plan owns; ``chirp`` for the chirp-z transform; neither for the
+    length-period FFT or an empty run. ``lo`` is the run's start mod the period.
+    """
+
+    span: int
+    lo: int
+    tables: _TrigTables | None
+    head: np.ndarray | None
+    head_conj: np.ndarray | None
+    chirp: _ChirpPlan | None
+
+    def run_columns(self) -> np.ndarray:
+        """``columns(run).T`` of a trig-table run, ``(span, 2*orders)``.
+
+        The phase at offset ``a*width + b`` is ``head_conj[a] * (cos +
+        i*sin)(theta*b)``: one broadcast product of ``orders`` phases by
+        ``span`` positions, whose float64 view is the interleaved cosine and
+        sine layout itself.
+        """
+        tail = self.tables.tail
+        rows, width = self.head_conj.shape[0], tail.shape[1]
+        cols = np.empty((rows, width, self.head_conj.shape[1]), dtype=np.complex128)
+        cols[:] = tail.T.view(np.complex128)
+        cols *= self.head_conj[:, None]
+        return cols.reshape(rows * width, -1)[: self.span].view(np.float64)
+
+
+@functools.lru_cache(maxsize=2)
+def _run_plan(orders: int, period: int, start: int, span: int, packed: bool,
+              table_ratio: int, chirp_ratio: int) -> _Run:
+    # keyed on the cost rule's ratios too, so that a plan picked under one is
+    # never read under another (tests patch them to force a transform)
+    return FourierBasis(orders, period)._transform(range(start, start + span), packed)
+
+
 def build_basis(orders: int, period: int) -> FourierBasis:
     """Construct the real translated-Fourier operator.
 
@@ -553,7 +604,7 @@ def build_basis(orders: int, period: int) -> FourierBasis:
     return FourierBasis(orders=orders, period=period)
 
 
-@dataclass
+@dataclass(slots=True)
 class SpectralState:
     """Running spectral moments of a contiguous run of D-dimensional tokens.
 
@@ -586,9 +637,11 @@ def _add_outer(coeffs: np.ndarray, column: np.ndarray, vec: np.ndarray) -> None:
     if vec.size == 0:
         return  # dger rejects empty arrays; there is nothing to add
     # BLAS sees coeffs.T, which is Fortran-ordered for a C-ordered state, and
-    # updates that buffer itself; any other layout it silently updates in a copy
-    updated = dger(1.0, vec, column, a=coeffs.T, overwrite_a=1)
-    if not np.may_share_memory(updated, coeffs):
+    # updates that buffer itself and returns it; any other layout it silently
+    # updates in a copy, which it returns
+    a = coeffs.T
+    updated = dger(1.0, vec, column, a=a, overwrite_a=1)
+    if updated is not a:
         coeffs[...] = updated.T
 
 
@@ -662,7 +715,7 @@ def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
     pair of length 2048 over 1020 positions), the trig tables at desk (the
     run's columns built from the tables and one matrix product per group),
     and at both geometries decode's next call over the benchmark's middles
-    reads the plan the fold built. Each block's picked columns go to it in
+    reads the tables the fold built. Each block's picked columns go to it in
     groups, selected from the block only then, so no block is copied whole;
     float32 blocks are cast to float64 by the transform. A group's weights,
     the transform's buffers and its output, with the trig tables and run
@@ -690,10 +743,29 @@ def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
     if len(lengths) > 1:
         raise ValueError(f"blocks must share one length, got {sorted(lengths)}")
     length = lengths.pop() if lengths else 0
-    picks = [np.arange(a.shape[1])[d] for a, d in zip(arrays, dims)]
-    states = [SpectralState.zeros(basis.orders, p.size) for p in picks]
+    states = [SpectralState.zeros(basis.orders, np.arange(a.shape[1])[d].size)
+              for a, d in zip(arrays, dims)]
+    _fold_into(basis, arrays, dims, [state.coeffs for state in states], start_pos)
+    if length:
+        for state in states:
+            state.token_count = length
+            state.first_pos = start_pos
+            state.last_pos = start_pos + length - 1
+    return states
+
+
+def _fold_into(basis: FourierBasis, arrays: list, dims, outs: list, start_pos: int) -> None:
+    """Add the fold of each block's columns ``dims[i]`` into ``outs[i]``, in place.
+
+    The work of :func:`fold_blocks`, whose checks the inputs have passed:
+    ``outs[i]`` is ``(2*orders, k_i)`` float64 for the ``k_i`` columns
+    picked, and may be a view of a larger array, as the cache's K and V
+    columns of one state.
+    """
+    length = arrays[0].shape[0] if arrays else 0
     if length == 0:
-        return states
+        return
+    picks = [np.arange(a.shape[1])[d] for a, d in zip(arrays, dims)]
     # a block whose dims are a slice of step 1 is read as a slice, not gathered
     stretch = [isinstance(d, slice) and d.step in (None, 1) for d in dims]
     # the longest halving of the run at which one column fits the budget in
@@ -707,24 +779,19 @@ def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
     for lo in range(0, length, sub_run):
         hi = min(length, lo + sub_run)
         run = range(start_pos + lo, start_pos + hi)
-        span, plan = basis._transform(run, packed=True, cached=sub_run == length)
-        if isinstance(plan, _TrigTables):
+        plan = basis._transform(run, packed=True, cached=sub_run == length)
+        if plan.tables is not None:
             # every group reads the run's columns, built once per sub-run
-            plan = plan.run_columns(span)
-        fixed, per_column = basis._project_floats(span)
+            plan = plan.run_columns()
+        fixed, per_column = basis._project_floats(hi - lo)
         group = max(1, (_FOLD_CHUNK_FLOATS - fixed) // per_column)
-        for array, pick, whole, state in zip(arrays, picks, stretch, states):
+        for array, pick, whole, out in zip(arrays, picks, stretch, outs):
             # a block's picks in groups of equal width, none a short remainder
             width = -(-pick.size // -(-pick.size // group)) if pick.size else 1
             for a in range(0, pick.size, width):
                 b = min(a + width, pick.size)
                 cols = slice(pick[a], pick[a] + b - a) if whole else pick[a:b]
-                state.coeffs[:, a:b] += basis._project_columns(array[lo:hi, cols], run, plan)
-    for state in states:
-        state.token_count = length
-        state.first_pos = start_pos
-        state.last_pos = start_pos + length - 1
-    return states
+                out[:, a:b] += basis._project_columns(array[lo:hi, cols], plan)
 
 
 def fold_token(state: SpectralState, basis: FourierBasis, value, pos: int) -> SpectralState:
@@ -739,7 +806,7 @@ def fold_token(state: SpectralState, basis: FourierBasis, value, pos: int) -> Sp
     if pos < 0:
         raise ValueError(f"position must be >= 0, got {pos}")
     vec = np.asarray(value, dtype=np.float64)
-    if vec.shape != (state.dim,):
+    if vec.shape != state.coeffs.shape[1:]:
         raise ValueError(f"value must have shape ({state.dim},), got {vec.shape}")
     if state.token_count == 0:
         state.first_pos = pos

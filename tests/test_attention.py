@@ -1,6 +1,8 @@
 """Attention paths: reference, compressed-materialized, fused, diagnostics."""
 
+import cProfile
 import math
+import pstats
 from unittest import mock
 
 import numpy as np
@@ -283,6 +285,70 @@ class TestCompressedFused:
         assert sl.represented() == 0
         with pytest.raises(ValueError):
             attend_compressed_fused(rng.standard_normal(8), sl, basis)
+
+
+DESK = PartitionParams(init_len=4, local_len=64, period=4096, orders=16)
+
+
+def desk_layer(rng, heads):
+    """Slices of a desk-geometry layer after a 1024-token prompt, unequal
+    compressed counts per head, and the next token of every head."""
+    mask = rng.random((1, 2, heads, 64)) < 0.6
+    layout = CacheLayout(partition=DESK, compressed=mask)
+    basis = FourierBasis(DESK.orders, DESK.period)
+    keys = rng.standard_normal((heads, 1025, 64)).astype(np.float32)
+    values = rng.standard_normal((heads, 1025, 64)).astype(np.float32)
+    slices = prefill(keys[:, :1024], values[:, :1024], layout, 0, basis)
+    return slices, basis, keys[:, 1024], values[:, 1024]
+
+
+def test_a_desk_step_over_32_heads_resolves_one_run_plan():
+    rng = np.random.default_rng(21)
+    slices, basis, k_next, v_next = desk_layer(rng, 32)
+    spectral._run_plan.cache_clear()
+    for head, sl in enumerate(slices):
+        append_token(sl, basis, k_next[head], v_next[head])
+        q = rng.standard_normal(64)
+        out = attend_compressed_fused(q, sl, basis).output
+        ref = attend_compressed_materialized(q, sl, basis).output
+        assert np.max(np.abs(out - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
+    info = spectral._run_plan.cache_info()
+    # every head reads the same middle: one plan built, 31 read from the cache
+    assert (info.misses, info.hits) == (1, 31)
+
+
+class TestDecodeCallCounts:
+    """Python-level calls per decode call at desk geometry, as cProfile counts
+    them (not time), with numpy 2.4: a guard against per-call work creeping back.
+
+    Each count is this code's, plus a margin of 3. The parent of this layout
+    made 78 calls per attention call and 39 per evicting append.
+    """
+
+    MARGIN = 3
+
+    @staticmethod
+    def calls(fn, *args) -> int:
+        profile = cProfile.Profile()
+        profile.runcall(fn, *args)
+        return pstats.Stats(profile).total_calls
+
+    def test_fused_attention(self):
+        rng = np.random.default_rng(22)
+        (first, second), basis, k_next, v_next = desk_layer(rng, 2)
+        for head, sl in enumerate((first, second)):
+            append_token(sl, basis, k_next[head], v_next[head])
+        q = rng.standard_normal(64)
+        attend_compressed_fused(q, first, basis)  # resolves the step's plan, as head 0 does
+        assert self.calls(attend_compressed_fused, q, second, basis) <= 43 + self.MARGIN
+
+    def test_evicting_append(self):
+        rng = np.random.default_rng(23)
+        (first, second), basis, k_next, v_next = desk_layer(rng, 2)
+        append_token(first, basis, k_next[0], v_next[0])  # builds the step's basis column
+        before = second.middle_count
+        assert self.calls(append_token, second, basis, k_next[1], v_next[1]) <= 26 + self.MARGIN
+        assert second.middle_count == before + 1  # the append evicted
 
 
 class TestDecomposeScores:

@@ -49,13 +49,21 @@ def random_layer(rng, kv_heads=1, seq_len=64, head_dim=6):
     )
 
 
+def in_index_order(sl, k_rows, v_rows):
+    """Stored K and V rows with their dims back in index order: a slice stores
+    each row's compressed dims first, then its kept ones."""
+    dims = sl.dims
+    return (k_rows[:, np.argsort(np.r_[dims.k_compressed, dims.k_kept])],
+            v_rows[:, np.argsort(np.r_[dims.v_compressed, dims.v_kept])])
+
+
 def local_block(sl):
     """Local K and V rows in ascending position order: position ``t`` sits in
     ring row ``init_len + (t - init_len) % local_len``."""
     part = sl.partition
     local = np.arange(part.middle(sl.total_len).stop, sl.total_len)
     rows = part.init_len + (local - part.init_len) % part.local_len
-    return sl.exact_k[rows], sl.exact_v[rows]
+    return in_index_order(sl, sl.exact_k[rows], sl.exact_v[rows])
 
 
 def sorted_dim_sets(indices, head_dim):
@@ -437,9 +445,13 @@ class TestAppend:
         for pos in range(8, 50):
             append_token(sl, basis, keys[0, pos], values[0, pos])
         evicted = slice(3, 50 - 5)
-        for state, block, comp in ((sl.spec_k, keys, (0, 2, 3)), (sl.spec_v, values, (1, 4, 5))):
-            oracle = compress_batch(basis, block[0, evicted][:, comp], 3)
-            np.testing.assert_array_equal(state.coeffs, oracle.coeffs)
+        # K's and V's compressed dims share one state, K's columns first: its
+        # oracle is compress_batch of the merged block
+        merged = np.hstack([keys[0, evicted][:, [0, 2, 3]], values[0, evicted][:, [1, 4, 5]]])
+        oracle = compress_batch(basis, merged, 3)
+        np.testing.assert_array_equal(np.hstack([sl.spec_k.coeffs, sl.spec_v.coeffs]),
+                                      oracle.coeffs)
+        for state in (sl.spec_k, sl.spec_v):
             assert (state.token_count, state.first_pos, state.last_pos) == (
                 oracle.token_count, oracle.first_pos, oracle.last_pos)
 
@@ -512,8 +524,9 @@ class TestShortPrompts:
             held = 0
             for head, sl in enumerate(slices):
                 # positions below init_len sit in their own rows, bitwise
-                np.testing.assert_array_equal(sl.exact_k[:n_init], keys[head, :n_init])
-                np.testing.assert_array_equal(sl.exact_v[:n_init], values[head, :n_init])
+                k_init, v_init = in_index_order(sl, sl.exact_k[:n_init], sl.exact_v[:n_init])
+                np.testing.assert_array_equal(k_init, keys[head, :n_init])
+                np.testing.assert_array_equal(v_init, values[head, :n_init])
                 assert sl.middle_count == max(0, total - 4 - 3)
                 held += (sl.total_len - sl.middle_count) * 2 * 6
                 held += sl.kept_k.view().size + sl.kept_v.view().size

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
@@ -44,26 +44,31 @@ def middle_of(sl) -> range:
 
 
 def exact_rows(sl):
-    """Positions held exactly, ascending, and their K and V rows.
+    """Positions held exactly, ascending, and their K and V rows, dims in index order.
 
     Position ``t`` sits in row ``t`` below ``init_len`` and in ring row
     ``init_len + (t - init_len) % local_len`` after it, and the rows in use
-    are a prefix of the exact block.
+    are a prefix of the exact block. A stored row holds its compressed dims,
+    then its kept ones, each ascending.
     """
     part, middle = sl.partition, middle_of(sl)
     positions = np.concatenate([np.arange(middle.start), np.arange(middle.stop, sl.total_len)])
     rows = np.where(positions < part.init_len, positions,
                     part.init_len + (positions - part.init_len) % part.local_len)
     np.testing.assert_array_equal(np.sort(rows), np.arange(sl.total_len - sl.middle_count))
-    return positions, sl.exact_k[rows], sl.exact_v[rows]
+    dims = sl.dims
+    k_order = np.argsort(np.r_[dims.k_compressed, dims.k_kept])
+    v_order = np.argsort(np.r_[dims.v_compressed, dims.v_kept])
+    return positions, sl.exact_k[rows][:, k_order], sl.exact_v[rows][:, v_order]
 
 
 def storage(sl) -> dict:
-    """Copies of every array and counter the slice holds."""
+    """Copies of every array and counter the slice holds; K's and V's states
+    are columns of one."""
     return {
         "exact_k": sl.exact_k.copy(), "exact_v": sl.exact_v.copy(),
         "kept_k": sl.kept_k.view().copy(), "kept_v": sl.kept_v.view().copy(),
-        "spec_k": sl.spec_k.coeffs.copy(), "spec_v": sl.spec_v.coeffs.copy(),
+        "spec": np.hstack([sl.spec_k.coeffs, sl.spec_v.coeffs]),
         "counters": (sl.total_len, sl.spec_k.token_count, sl.spec_k.first_pos,
                      sl.spec_k.last_pos, sl.spec_v.token_count),
     }
@@ -241,3 +246,45 @@ CacheMachine.TestCase.settings = settings(
     phases=[phase for phase in Phase if phase is not Phase.shrink],
 )
 TestCacheOracle = CacheMachine.TestCase
+
+
+@st.composite
+def layer_masks(draw):
+    """A ``(2, heads, HEAD_DIM)`` mask for 1 to 3 heads whose every K and V row
+    compresses all dims, none or any subset, so heads of one layer compress
+    unequal counts, as a hand-written manifest allows."""
+    heads = draw(st.integers(1, 3))
+    row = st.one_of(st.just([True] * HEAD_DIM), st.just([False] * HEAD_DIM),
+                    st.lists(st.booleans(), min_size=HEAD_DIM, max_size=HEAD_DIM))
+    return np.array([[draw(row) for _ in range(heads)] for _ in range(2)])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(mask=layer_masks(), prompt=st.integers(0, 30), steps=st.integers(0, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_every_mask_holds_the_tokens_fed_and_attends_as_its_oracle(mask, prompt, steps, seed):
+    """Whatever each head compresses, its rows read back in index order are the
+    tokens fed, bitwise, and fused attention equals materialized within 1e-9."""
+    part = PartitionParams(init_len=2, local_len=3, period=64, orders=4)
+    layout = CacheLayout(partition=part, compressed=mask[None])
+    basis = build_basis(part.orders, part.period)
+    rng = np.random.default_rng(seed)
+    heads = mask.shape[1]
+    keys = rng.standard_normal((heads, prompt + steps, HEAD_DIM)).astype(np.float32)
+    values = rng.standard_normal((heads, prompt + steps, HEAD_DIM)).astype(np.float32)
+    slices = prefill(keys[:, :prompt], values[:, :prompt], layout, 0, basis)
+    for pos in range(prompt, prompt + steps):
+        for head, sl in enumerate(slices):
+            append_token(sl, basis, keys[head, pos], values[head, pos])
+    for head, sl in enumerate(slices):
+        positions, k_rows, v_rows = exact_rows(sl)
+        np.testing.assert_array_equal(k_rows, keys[head, positions])
+        np.testing.assert_array_equal(v_rows, values[head, positions])
+        middle = middle_of(sl)
+        np.testing.assert_array_equal(sl.kept_k.view(), keys[head, middle][:, ~mask[0, head]])
+        np.testing.assert_array_equal(sl.kept_v.view(), values[head, middle][:, ~mask[1, head]])
+        if sl.total_len:
+            q = rng.standard_normal(HEAD_DIM)
+            out = attend_compressed_fused(q, sl, basis).output
+            ref = attend_compressed_materialized(q, sl, basis).output
+            assert np.max(np.abs(out - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,6 +160,29 @@ class TestEval:
                    "--dim", 4, "--len", 32, "--out", other) == 0
         assert run("eval", "--trace", other, "--manifest", manifest_file,
                    "--report", tmp_path / "r.csv") == 4
+
+    def test_a_huge_stated_head_dim_is_rejected_before_anything_is_sized(
+            self, tmp_path, manifest_file):
+        # a few hundred bytes that state head_dim 10**6: compared with the trace's
+        # geometry first, the file sizes nothing (its mask and sorts took 22 MB)
+        small = tmp_path / "small.kvt"
+        assert run("gen-trace", "--kind", "constant", "--layers", 1, "--heads", 1,
+                   "--dim", 4, "--len", 32, "--out", small) == 0
+        doc = json.loads(manifest_file.read_text())
+        doc["geometry"].update(layers=1, kv_heads=1, head_dim=10**6)
+        doc["dims"] = [[{"k_compressed": [0], "v_compressed": [1]}]]
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(doc))
+        report = tmp_path / "r.csv"
+        tracemalloc.start()
+        try:
+            code = run("eval", "--trace", small, "--manifest", huge, "--report", report)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert peak < 2**20
+        assert not report.exists()
 
     @pytest.mark.parametrize("damage", [
         lambda doc: doc.pop("geometry"),

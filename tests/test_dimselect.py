@@ -196,12 +196,15 @@ class TestRankDimensions:
         trace = KVTrace(keys=keys, values=values)
         assert rank_branch(trace, part, basis) == "gram"
         with mock.patch.object(spectral, "_FOLD_CHUNK_FLOATS", 150), \
+                mock.patch.object(FourierBasis, "_transform", autospec=True,
+                                  side_effect=FourierBasis._transform) as plans, \
                 mock.patch.object(FourierBasis, "_project_columns", autospec=True,
                                   side_effect=FourierBasis._project_columns) as fold:
             ranking = rank_dimensions(trace, part, basis)
-        groups = [call.args for call in fold.call_args_list]
-        assert len({run for _, _, run, _ in groups}) == 25
-        assert sorted({w.shape[1] for _, w, _, _ in groups}) == [1, 2]
+        # the fold's sub-runs are its packed plans; the Gram form's one column is not packed
+        sub_runs = {call.args[1] for call in plans.call_args_list if call.kwargs.get("packed")}
+        assert len(sub_runs) == 25
+        assert sorted({call.args[1].shape[1] for call in fold.call_args_list}) == [1, 2]
         positions = np.arange(2, 102)
         for head in range(2):
             for got, data in ((ranking.k_mse, keys), (ranking.v_mse, values)):

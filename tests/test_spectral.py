@@ -547,7 +547,7 @@ class TestContiguousRuns:
         def footprint(period):
             basis = FourierBasis(orders=16, period=period)
             coeffs = np.ones(basis.n_rows)
-            tables = basis._transform(positions)[1]
+            tables = basis._transform(positions).tables
             assert isinstance(tables, spectral._TrigTables)
             peaks = []
             for call in (lambda: basis.evaluate(coeffs, positions),
@@ -668,7 +668,7 @@ class TestRangePositions:
         period = 2**16
         basis = FourierBasis(orders=16, period=period)
         run = range(1000 * period - 5, 1000 * period + 5)
-        assert basis._transform(run)[0] == len(run)
+        assert basis._transform(run).span == len(run)
         coeffs, weights = np.ones(basis.n_rows), np.ones(len(run))
         cols = basis.columns(run)
         for call, expected in ((lambda: basis.evaluate(coeffs, run), cols.T @ coeffs),
@@ -766,22 +766,22 @@ class TestBatchedProject:
         weights = np.ones((span, cols), dtype=np.float32)
         with mock.patch.multiple(spectral, **ratios):
             assert basis._pick(span, packed=True)[0] == kind
-            plan = basis._transform(run, packed=True)[1]
+            plan = basis._transform(run, packed=True)
             fixed, per_column = basis._project_floats(span)
         if kind == "tables":
             # the run's columns, built once per sub-run, are the fixed part
             tracemalloc.start()
             try:
-                plan = plan.run_columns(span)
+                plan = plan.run_columns()
                 held = tracemalloc.get_traced_memory()[0]
             finally:
                 tracemalloc.stop()
             assert held <= 8 * fixed + 1024  # and the arrays' headers
             fixed = 0
-        basis._project_columns(weights, run, plan)  # numpy's own first-call allocations
+        basis._project_columns(weights, plan)  # numpy's own first-call allocations
         tracemalloc.start()
         try:
-            basis._project_columns(weights, run, plan)
+            basis._project_columns(weights, plan)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -809,10 +809,11 @@ class TestOneColumn:
         seen, transform = [], FourierBasis._transform
 
         def spy(self, run, packed=False, cached=True):
-            span, plan = transform(self, run, packed, cached)
-            seen.append(plan)
-            return span, plan
+            plan = transform(self, run, packed, cached)
+            seen.append(plan.chirp)
+            return plan
 
+        spectral._run_plan.cache_clear()  # the run's plan is resolved under the spy
         with mock.patch.object(FourierBasis, "_transform", spy):
             got = basis.project(weights, run)
         assert len(seen) == 1 and isinstance(seen[0], spectral._ChirpPlan)
@@ -825,8 +826,8 @@ class TestOneColumn:
         basis = FourierBasis(orders=16, period=4096)
         run = range(4, 4 + span)
         weights = np.random.default_rng(span).standard_normal((span, 2))
-        with mock.patch.object(spectral._TrigTables, "run_columns", autospec=True,
-                               side_effect=spectral._TrigTables.run_columns) as build:
+        with mock.patch.object(spectral._Run, "run_columns", autospec=True,
+                               side_effect=spectral._Run.run_columns) as build:
             one = basis.project(weights[:, 0], run)
             assert build.call_count == 0
             two = basis.project(weights, run)  # more columns take one product against them
@@ -922,10 +923,12 @@ class TestFoldBlocks:
         picks = [np.array([2, 0]), np.array([], dtype=np.int64), np.array([1, 3, 2, 4]),
                  np.array([1, 2, 3]), slice(2, 5), slice(1, None, 2)]
         with mock.patch.object(spectral, "_FOLD_CHUNK_FLOATS", budget), \
+                mock.patch.object(FourierBasis, "_transform", autospec=True,
+                                  side_effect=FourierBasis._transform) as plans, \
                 mock.patch.object(FourierBasis, "_project_columns", autospec=True,
                                   side_effect=FourierBasis._project_columns) as fold:
             states = fold_blocks(basis, blocks, 4090, dims=picks)
-        assert len({call.args[2] for call in fold.call_args_list}) == sub_runs
+        assert len({call.args[1] for call in plans.call_args_list}) == sub_runs
         assert max(call.args[1].shape[1] for call in fold.call_args_list) == group
         for state, block, pick in zip(states, blocks, picks):
             assert_fold_matches_oracle(state, basis, block[:, pick], 4090)
@@ -1044,16 +1047,64 @@ class TestFoldBlocks:
         seen, transform = [], FourierBasis._transform
 
         def spy(self, run, packed=False, cached=True):
-            span, got = transform(self, run, packed, cached)
-            seen.append((run, packed and cached, got))
-            return span, got
+            got = transform(self, run, packed, cached)
+            seen.append((run, packed and cached, got.chirp or got.tables))
+            return got
 
         with mock.patch.object(FourierBasis, "_transform", spy):
             fold_blocks(basis, blocks, start, dims=picks)
         assert seen
         for run, packed, got in seen:
-            # one run, packed, whose plan decode's next call reads from the cache
+            # one run, packed, whose tables decode's next call reads from the cache
             assert run == range(start, start + length) and packed
             assert isinstance(got, plan)
             if n is not None:
                 assert got.spectrum.size == n  # two columns per FFT pair of one column's length
+
+
+class TestRunPlans:
+    """A run's transform is resolved once; every later call over it reads the plan."""
+
+    # orders 4: the trig tables hold 8 head rows up to 64 positions and 16 from 65,
+    # and the chirp-z transform runs n = 64 up to 61 positions and 128 from 62
+    @pytest.mark.parametrize("ratios, first, size", [
+        ({"_TABLE_COST_RATIO": 2**62}, 61, lambda plan: plan.tables.head.shape[0]),
+        ({"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 0}, 58,
+         lambda plan: plan.chirp.spectrum.size),
+    ], ids=["tables", "chirp-z"])
+    def test_a_middle_grown_one_position_at_a_time_reads_reused_plans(self, ratios, first, size):
+        basis = FourierBasis(orders=4, period=4096)
+        rng = np.random.default_rng(first)
+        sizes = []
+        with mock.patch.multiple(spectral, **ratios):
+            spectral._run_plan.cache_clear()
+            for span in range(first, first + 8):
+                run = range(5, 5 + span)
+                plan = basis._plan(run)
+                assert basis._plan(run) is plan  # the second call reads the cache
+                sizes.append(size(plan))
+                cols = basis.columns(run)
+                a, p = rng.standard_normal(basis.n_rows), rng.standard_normal(span)
+                evaluated = basis._evaluate(a, plan)
+                projected = basis._project_columns(p, plan)
+                # the public calls resolve the same plan and run the same arithmetic
+                np.testing.assert_array_equal(basis.evaluate(a, run), evaluated)
+                np.testing.assert_array_equal(basis.project(p, run), projected)
+                np.testing.assert_allclose(evaluated, cols.T @ a, rtol=0,
+                                           atol=1e-12 * max(1.0, np.abs(a).sum()))
+                np.testing.assert_allclose(projected, cols @ p, rtol=0,
+                                           atol=1e-12 * max(1.0, np.abs(p).sum()))
+            assert spectral._run_plan.cache_info().misses == 8
+        # four spans on each side of the boundary, each side one set of tables
+        assert sizes == [sizes[0]] * 4 + [2 * sizes[0]] * 4
+
+    def test_a_patched_cost_rule_is_never_served_another_rules_plan(self):
+        # tests force a transform by patching the cost rule's ratios, so they key the plan too
+        basis = FourierBasis(orders=16, period=4096)
+        run = range(4, 964)
+        default = basis._plan(run)
+        assert default.tables is not None  # the desk middle runs the trig tables
+        with mock.patch.multiple(spectral, _TABLE_COST_RATIO=0, _CHIRP_LENGTH_RATIO=0):
+            forced = basis._plan(run)
+        assert forced.tables is None and forced.chirp is not None
+        assert basis._plan(run) is default
