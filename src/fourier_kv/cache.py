@@ -163,26 +163,33 @@ class CacheLayout:
         return self.compressed.shape[3]
 
 
+def _grown(rows: int) -> int:
+    """The capacity a buffer of ``rows`` rows grows to: an eighth more, at least 8."""
+    return rows + max(8, rows // 8)
+
+
 class _GrowBuffer:
     """Append-only float32 row buffer that grows by an eighth of its capacity.
 
     A full buffer of capacity ``c`` reallocates to ``c + max(8, c // 8)``
     rows, so capacity stays within ``1.125 * len + 8`` rows while appends
-    still cost amortized O(1) copies each. A buffer built from a prefill
-    block holds exactly its rows until the first append.
+    still cost amortized O(1) copies each. Prefill reserves that growth for
+    its ``M`` kept rows up front, a capacity of ``M + max(8, M // 8)``, so
+    the first evictions of a decode append in place, and the buffer holds
+    what one growth from ``M`` rows would.
     """
 
     __slots__ = ("_data", "_len")
 
-    def __init__(self, rows: np.ndarray):
-        """A buffer holding exactly ``rows``, a float32 block it takes over."""
-        self._data = rows
-        self._len = rows.shape[0]
+    def __init__(self, data: np.ndarray, length: int):
+        """A buffer holding the first ``length`` rows of ``data``, a float32 block it takes over."""
+        self._data = data
+        self._len = length
 
     def append(self, row: np.ndarray) -> None:
         cap = self.capacity
         if self._len == cap:
-            grown = np.empty((cap + max(8, cap // 8), self._data.shape[1]), dtype=np.float32)
+            grown = np.empty((_grown(cap), self._data.shape[1]), dtype=np.float32)
             grown[: self._len] = self._data[: self._len]
             self._data = grown
         self._data[self._len] = row
@@ -269,14 +276,17 @@ def prefill(keys, values, layout: CacheLayout, layer: int, basis: FourierBasis):
     finite. The middle region of every head, K and V alike, is folded at
     absolute positions in one batch fold, the one
     :func:`~fourier_kv.spectral.fold_blocks` runs, which projects the
-    compressed dims of every head onto the basis in column groups through
-    the decode transforms: packed chirp-z FFTs at stock, and at desk one
-    matrix product per group against the run's columns, built once from the
-    trig tables. It adds each head's K and V columns straight into that
-    head's one state. A sequence no longer than ``init_len +
-    local_len`` simply has an empty middle, and its exact rows a free tail
-    for the tokens to come. The slices copy what they keep, in layout order:
-    later changes to ``keys``/``values`` do not reach them.
+    compressed dims of every head onto the basis through the decode
+    transforms: packed chirp-z FFTs of column groups at stock, and at desk
+    one matrix product per span of a block's columns against the run's
+    columns, built once from the trig tables, with no column gathered. It
+    adds each head's K and V columns straight into that head's one state. A
+    sequence no longer than ``init_len + local_len`` simply has an empty
+    middle, and its exact rows a free tail for the tokens to come. The
+    slices copy what they keep, in layout order: later changes to
+    ``keys``/``values`` do not reach them. Each head's kept rows go into a
+    buffer with an eighth more rows reserved, so the first evictions of a
+    decode append without copying them.
     """
     keys = np.asarray(keys, dtype=np.float32)
     values = np.asarray(values, dtype=np.float32)
@@ -333,6 +343,11 @@ def prefill(keys, values, layout: CacheLayout, layer: int, basis: FourierBasis):
                                         mode="clip")
             kv[wrap:].take(order, axis=1, out=block[part.init_len : part.init_len + wrapped],
                            mode="clip")
+        kept = []
+        for kv, dims in ((keys[head, mid], hd.k_kept), (values[head, mid], hd.v_kept)):
+            rows = np.empty((_grown(len(middle)), dims.size), dtype=np.float32)
+            kv.take(dims, axis=1, out=rows[: len(middle)], mode="clip")
+            kept.append(_GrowBuffer(rows, len(middle)))
         if len(middle):
             state = SpectralState(coeffs[head], len(middle), middle.start, middle.stop - 1)
         else:
@@ -343,8 +358,8 @@ def prefill(keys, values, layout: CacheLayout, layer: int, basis: FourierBasis):
                 partition=part,
                 exact_k=exact[0, head],
                 exact_v=exact[1, head],
-                kept_k=_GrowBuffer(keys[head, mid].take(hd.k_kept, axis=1)),
-                kept_v=_GrowBuffer(values[head, mid].take(hd.v_kept, axis=1)),
+                kept_k=kept[0],
+                kept_v=kept[1],
                 _spec=state,
                 _order=orders[head],
                 total_len=seq_len,

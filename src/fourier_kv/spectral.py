@@ -18,7 +18,9 @@ The same inverse transform, :meth:`FourierBasis.evaluate`, and its adjoint,
 step 1, without building its columns: decode attention scores and aggregates
 the compressed region with them, calibration's Gram form projects one column
 of ones, and :func:`fold_blocks`, the fast batch fold, is ``project`` of many
-columns within a 1 MB transient budget. ``project`` has one implementation,
+columns within a 1 MB transient budget: over the trig tables, one matrix
+product per span of a block's columns, cast into one float64 buffer and never
+gathered, against the run's columns. ``project`` has one implementation,
 and 1-D weights are its one-column case. A cost rule picks one of three
 transforms per run (see :class:`FourierBasis`), resolved once into a plan
 that every later call over the same run reads, and the run is read without
@@ -384,18 +386,20 @@ class FourierBasis:
         """Float64 values that :meth:`_project_columns` holds over ``span`` positions.
 
         ``(fixed, per_column)`` for the packed plan, which :func:`fold_blocks`
-        runs, the weights' own values counted per column.
-        Fixed: for the trig tables, the tables a sub-run builds, the run's
-        columns and what :meth:`_Run.run_columns` holds while it
-        builds them (the head conjugated, and numpy's buffer for the
-        broadcast product, up to ``getbufsize()`` complex values); the
-        orders' phase factors for the chirp-z transform; and for both FFTs
-        numpy's two buffers for a broadcast product, up to ``getbufsize()``
-        complex values each. Per column: the weights and the output, and the
-        float64 copy the trig tables' product makes of float32 weights, half
-        a complex FFT buffer of length ``n`` and the packed rows gathered at
-        ``-r`` for the chirp-z transform, or the residue grid, the residue
-        sums and their spectrum for the length-period FFT.
+        runs. Fixed: for the trig tables, the tables a sub-run builds, the
+        run's columns and what :meth:`_Run.run_columns` holds while it builds
+        them (the head conjugated, and numpy's buffer for the broadcast
+        product, up to ``getbufsize()`` complex values); the orders' phase
+        factors for the chirp-z transform; and for both FFTs numpy's two
+        buffers for a broadcast product, up to ``getbufsize()`` complex
+        values each. Per column: for the trig tables, the column cast into
+        the fold's float64 buffer, the product's output, the picked columns
+        taken from it and, for unordered picks, the output columns they are
+        added into (the fold reads its blocks in place, so their own values
+        are not counted); for the FFTs, the weights gathered and the output,
+        with half a complex FFT buffer of length ``n`` and the packed rows
+        gathered at ``-r`` for the chirp-z transform, or the residue grid,
+        the residue sums and their spectrum for the length-period FFT.
         """
         kind, size, rows = self._pick(span, packed=True)
         buffers = 4 * np.getbufsize()
@@ -405,7 +409,7 @@ class FourierBasis:
             run_columns = used * size * self.orders  # complex values
             tables = 2 * self.orders * (rows + size)
             temporaries = 2 * self.orders * used + 2 * min(np.getbufsize(), run_columns)
-            return tables + 2 * run_columns + temporaries, weights_and_output + span // 2
+            return tables + 2 * run_columns + temporaries, span + 3 * self.n_rows
         if kind == "chirp":
             return 8 * self.orders + buffers, weights_and_output + size + self.orders
         # the residue grid reaches at most one period past the run
@@ -678,6 +682,17 @@ def compress_batch(basis: FourierBasis, values, start_pos: int) -> SpectralState
 # buffers and its output, at most 2**17 float64 values, 1 MB
 _FOLD_CHUNK_FLOATS = 2**17
 
+# the trig tables' fold keeps each product against run columns of at most 64
+# rows (32 orders) within 100**3 multiply-adds, the size up to which OpenBLAS
+# runs dgemm through its small-matrix kernels without packing the operands.
+# Over the desk middle (32 rows by 956 positions) a product took 1.4 us a
+# column up to 32 columns and 2.0-3.4 us from 33 to 128; with 64 rows, 2.8 us
+# at 16 columns against 3.6-3.8 at 64-128; with 128 or 256 rows the small
+# kernels were slower, 3.7-4.9 us a column against 3.4 at 128 columns
+# (scipy-openblas 0.3.31, AVX-512 x86_64, one thread)
+_SMALL_PRODUCT = 100**3
+_SMALL_PRODUCT_ROWS = 64
+
 
 def _unit_phases(orders: int, period: int, positions: np.ndarray) -> np.ndarray:
     """``exp(2*pi*i*n*t/period)`` for each ``t`` and ``n < orders``, ``(len(t), orders)``.
@@ -712,20 +727,24 @@ def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
     The fold is :meth:`FourierBasis.project` of the selected columns, so it
     runs the decode transforms, their cost rule and their plan caches: the
     packed chirp-z transform at stock (a pair of columns per complex FFT
-    pair of length 2048 over 1020 positions), the trig tables at desk (the
-    run's columns built from the tables and one matrix product per group),
-    and at both geometries decode's next call over the benchmark's middles
-    reads the tables the fold built. Each block's picked columns go to it in
-    groups, selected from the block only then, so no block is copied whole;
-    float32 blocks are cast to float64 by the transform. A group's weights,
-    the transform's buffers and its output, with the trig tables and run
-    columns a sub-run builds, fit ``_FOLD_CHUNK_FLOATS``
-    float64 values (1 MB) where one column allows, as
-    ``FourierBasis._project_floats`` counts them for the plan each sub-run
-    runs; a run at which one column does not fit is halved into consecutive
-    sub-runs until it fits every one, the shorter last one included, which
-    the fold's linearity allows, so the transient memory is one budget
-    whatever the run length.
+    pair of length 2048 over 1020 positions), the trig tables at desk, and
+    at both geometries decode's next call over the benchmark's middles
+    reads the tables the fold built. Over the FFTs every column costs a
+    transform, so each block's picked columns go to it in groups, selected
+    from the block only then. Over the trig tables a column costs no
+    transform: the run's columns are built once per sub-run, and a block's
+    columns from its first pick to its last go in spans, each cast into one
+    float64 buffer and projected by one matrix product against them, small
+    enough at low orders for BLAS's small-matrix kernels (32 columns at
+    desk), whose picked columns the state keeps; nothing is gathered from a
+    block. No block is copied whole. A group's or span's values, the
+    transform's buffers and its output, with the trig tables and run columns
+    a sub-run builds, fit ``_FOLD_CHUNK_FLOATS`` float64 values (1 MB) where
+    one column allows, as ``FourierBasis._project_floats`` counts them for
+    the plan each sub-run runs; a run at which one column does not fit is
+    halved into consecutive sub-runs until it fits every one, the shorter
+    last one included, which the fold's linearity allows, so the transient
+    memory is one budget whatever the run length.
     Returns one state per block, equal to :func:`compress_batch` of that
     block within ``1e-12 * max(1, sum|x|)`` per column: the transforms sum
     in their own order, so not bitwise.
@@ -760,7 +779,9 @@ def _fold_into(basis: FourierBasis, arrays: list, dims, outs: list, start_pos: i
     The work of :func:`fold_blocks`, whose checks the inputs have passed:
     ``outs[i]`` is ``(2*orders, k_i)`` float64 for the ``k_i`` columns
     picked, and may be a view of a larger array, as the cache's K and V
-    columns of one state.
+    columns of one state. Each sub-run over the trig tables goes to
+    :func:`_fold_spans`, a product per span of a block's columns; over
+    either FFT, each block's picks go to the transform in groups.
     """
     length = arrays[0].shape[0] if arrays else 0
     if length == 0:
@@ -780,11 +801,11 @@ def _fold_into(basis: FourierBasis, arrays: list, dims, outs: list, start_pos: i
         hi = min(length, lo + sub_run)
         run = range(start_pos + lo, start_pos + hi)
         plan = basis._transform(run, packed=True, cached=sub_run == length)
-        if plan.tables is not None:
-            # every group reads the run's columns, built once per sub-run
-            plan = plan.run_columns()
         fixed, per_column = basis._project_floats(hi - lo)
         group = max(1, (_FOLD_CHUNK_FLOATS - fixed) // per_column)
+        if plan.tables is not None:
+            _fold_spans(basis, plan.run_columns(), arrays, picks, stretch, outs, lo, hi, group)
+            continue
         for array, pick, whole, out in zip(arrays, picks, stretch, outs):
             # a block's picks in groups of equal width, none a short remainder
             width = -(-pick.size // -(-pick.size // group)) if pick.size else 1
@@ -792,6 +813,57 @@ def _fold_into(basis: FourierBasis, arrays: list, dims, outs: list, start_pos: i
                 b = min(a + width, pick.size)
                 cols = slice(pick[a], pick[a] + b - a) if whole else pick[a:b]
                 out[:, a:b] += basis._project_columns(array[lo:hi, cols], plan)
+
+
+def _fold_spans(basis: FourierBasis, columns: np.ndarray, arrays: list, picks: list,
+                stretch: list, outs: list, lo: int, hi: int, group: int) -> None:
+    """:func:`_fold_into`'s sub-run ``lo:hi`` of a trig-table run, a product per span.
+
+    ``columns`` is the sub-run's :meth:`_Run.run_columns`, and ``stretch[i]``
+    whether block ``i``'s picks are a slice of step 1. The columns of a
+    block from its first pick to its last are cast, ``group`` at most at a
+    time, into one float64 buffer, and each span of it is projected by one
+    product ``columns.T @ span``, within :data:`_SMALL_PRODUCT`
+    multiply-adds against at most :data:`_SMALL_PRODUCT_ROWS` rows of
+    columns, whose picked columns are added into ``outs[i]``.
+    No column is gathered from a block: in this form a column costs no
+    transform, so the unpicked columns of a span cost less than a gather.
+    """
+    step = group
+    if columns.shape[1] <= _SMALL_PRODUCT_ROWS:
+        step = max(1, _SMALL_PRODUCT // columns.size)
+    buffer = np.empty((hi - lo, 0))
+    for array, pick, whole, out in zip(arrays, picks, stretch, outs):
+        if not pick.size:
+            continue
+        # the picks ascending, and unless they come so (the cache's do), the output
+        # column of each
+        order = None
+        if not whole and not (pick[1:] > pick[:-1]).all():
+            order = np.argsort(pick, kind="stable")
+        cols = pick if order is None else pick[order]
+        first, stop = int(cols[0]), int(cols[-1]) + 1
+        # casts and products of equal widths, none a short remainder
+        width = -(-(stop - first) // -(-(stop - first) // group))
+        if buffer.shape[1] < width:
+            del buffer  # freed before the wider one is allocated
+            buffer = np.empty((hi - lo, width))
+        for c0 in range(first, stop, width):
+            c1 = min(c0 + width, stop)
+            np.copyto(buffer[:, : c1 - c0], array[lo:hi, c0:c1])
+            span = -(-(c1 - c0) // -(-(c1 - c0) // step))
+            for p0 in range(c0, c1, span):
+                p1 = min(p0 + span, c1)
+                a, b = (p0 - first, p1 - first) if whole else cols.searchsorted((p0, p1))
+                if a == b:
+                    continue
+                sums = basis._project_columns(buffer[:, p0 - c0 : p1 - c0], columns)
+                if order is not None:
+                    out[:, order[a:b]] += sums[:, cols[a:b] - p0]
+                elif b - a < p1 - p0:
+                    out[:, a:b] += sums[:, cols[a:b] - p0]
+                else:
+                    out[:, a:b] += sums  # distinct picks, one per column of the span
 
 
 def fold_token(state: SpectralState, basis: FourierBasis, value, pos: int) -> SpectralState:

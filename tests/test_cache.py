@@ -1,10 +1,15 @@
 """Cache partitioning, streaming eviction, and memory accounting."""
 
+import gc
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fourier_kv import spectral
 from fourier_kv.cache import (
     CacheLayout,
     PartitionParams,
@@ -357,6 +362,56 @@ class TestPrefillFold:
                     oracle.token_count, oracle.first_pos, oracle.last_pos)
             assert sl.represented() == seq_len
 
+    @staticmethod
+    def desk_layer():
+        """Desk geometry: 4 heads of 64 dims, 1024 tokens, 58 K and 32 V dims folded."""
+        rng = np.random.default_rng(16)
+        part = PartitionParams(init_len=4, local_len=64, period=4096, orders=16)
+        layout = one_layer(part, 64, [rng.choice(64, 58, replace=False) for _ in range(4)],
+                           [rng.choice(64, 32, replace=False) for _ in range(4)])
+        keys, values = random_layer(rng, kv_heads=4, seq_len=1024, head_dim=64)
+        return layout, keys, values, build_basis(16, 4096)
+
+    def test_desk_transient_stays_within_the_fold_budget(self):
+        # the benchmark's transient reads prefill after the slices are built,
+        # so it cannot see the fold; this bounds the peak of the call itself
+        layout, keys, values, basis = self.desk_layer()
+        prefill(keys, values, layout, 0, basis)  # plans and numpy's first-call allocations
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            slices = prefill(keys, values, layout, 0, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = slices[0].exact_k.base.nbytes + sum(
+            sl.kept_k._data.nbytes + sl.kept_v._data.nbytes + sl._spec.coeffs.nbytes
+            for sl in slices)
+        assert peak - before <= held + 8 * spectral._FOLD_CHUNK_FLOATS + 16 * 1024
+
+    def test_desk_fold_projects_two_spans_per_block_without_gathers(self):
+        # the trig tables fold each head's K and V block in two products of up
+        # to 32 of its columns, cast into a float64 buffer; a fold that
+        # gathered picked columns would pass float32 copies of them instead
+        layout, keys, values, basis = self.desk_layer()
+        with mock.patch.object(FourierBasis, "_project_columns", autospec=True,
+                               side_effect=FourierBasis._project_columns) as fold:
+            slices = prefill(keys, values, layout, 0, basis)
+        weights = [call.args[1] for call in fold.call_args_list]
+        assert len(weights) <= 2 * 2 * len(slices)
+        for w in weights:
+            assert w.dtype == np.float64 and w.shape[1] <= 32
+        for head, sl in enumerate(slices):
+            hd = layout.dims[0][head]
+            middle = slice(4, 1024 - 64)
+            for state, block, comp in ((sl.spec_k, keys, hd.k_compressed),
+                                       (sl.spec_v, values, hd.v_compressed)):
+                rows = block[head, middle][:, comp]
+                oracle = compress_batch(basis, rows, 4)
+                scale = np.maximum(1.0, np.abs(rows.astype(np.float64)).sum(axis=0))
+                assert np.all(np.abs(state.coeffs - oracle.coeffs) <= 1e-12 * scale)
+
     def test_slices_do_not_alias_the_callers_blocks(self):
         rng = np.random.default_rng(10)
         layout = make_layout(kv_heads=2, init=4, local=16, k_comp=(0, 1), v_comp=(5,))
@@ -484,8 +539,14 @@ class TestAppend:
         keys, values = random_layer(rng, seq_len=1000)
         sl = prefill(keys[:, :300], values[:, :300], layout, 0, basis)[0]
         for buf in (sl.kept_k, sl.kept_v):
-            assert buf.capacity == len(buf) == 300 - 4 - 16
-        for pos in range(300, 1000):
+            # prefill reserves the growth of one append: 280 rows and an eighth
+            assert len(buf) == 300 - 4 - 16 and buf.capacity == 280 + 35
+            assert buf.capacity <= 1.125 * len(buf) + 8
+        reserved = [sl.kept_k._data, sl.kept_v._data]
+        append_token(sl, basis, keys[0, 300], values[0, 300])
+        # the first eviction appends in place, without copying the kept rows
+        assert sl.kept_k._data is reserved[0] and sl.kept_v._data is reserved[1]
+        for pos in range(301, 1000):
             append_token(sl, basis, keys[0, pos], values[0, pos])
             for buf in (sl.kept_k, sl.kept_v):
                 assert len(buf) <= buf.capacity <= 1.125 * len(buf) + 8

@@ -185,9 +185,9 @@ class TestRankDimensions:
 
     def test_matches_oracle_across_fold_chunks(self):
         # a budget of 150 floats (a sub-run's trig tables and run columns, and
-        # two columns' weights and output) folds the 100-position middle in 25
-        # sub-runs of four positions, and each 3-column block in groups of two
-        # and one
+        # one column's weights, output and picked copies) folds the
+        # 100-position middle in 25 sub-runs of four positions, and each
+        # 3-column block in spans of one column
         rng = np.random.default_rng(5)
         part = PartitionParams(init_len=2, local_len=3, period=64, orders=4)
         basis = build_basis(4, 64)
@@ -204,7 +204,8 @@ class TestRankDimensions:
         # the fold's sub-runs are its packed plans; the Gram form's one column is not packed
         sub_runs = {call.args[1] for call in plans.call_args_list if call.kwargs.get("packed")}
         assert len(sub_runs) == 25
-        assert sorted({call.args[1].shape[1] for call in fold.call_args_list}) == [1, 2]
+        assert sorted({call.args[1].shape[1] for call in fold.call_args_list}) == [1]
+        assert len(fold.call_args_list) == 25 * 4 * 3  # sub-runs x blocks x columns
         positions = np.arange(2, 102)
         for head in range(2):
             for got, data in ((ranking.k_mse, keys), (ranking.v_mse, values)):

@@ -759,11 +759,13 @@ class TestBatchedProject:
     ], ids=["chirp-z", "tables", "length-period"])
     def test_project_floats_bound_each_transforms_buffers(
             self, orders, period, span, cols, ratios, kind):
-        # what the batch fold sizes its groups by: float32 weights, the plan
-        # built beforehand (for the tables, the run's columns, which are fixed)
+        # what the batch fold sizes its groups by: weights as the fold passes
+        # them, float32 columns gathered from a block or, for the tables, a
+        # span cast into the fold's float64 buffer, and the plan built
+        # beforehand (for the tables, the run's columns, which are fixed)
         basis = FourierBasis(orders=orders, period=period)
         run = range(7, 7 + span)
-        weights = np.ones((span, cols), dtype=np.float32)
+        weights = np.ones((span, cols), dtype=np.float64 if kind == "tables" else np.float32)
         with mock.patch.multiple(spectral, **ratios):
             assert basis._pick(span, packed=True)[0] == kind
             plan = basis._transform(run, packed=True)
@@ -907,15 +909,17 @@ class TestFoldBlocks:
             (state,) = fold_blocks(basis, [block], 7)
         assert_fold_matches_oracle(state, basis, block, 7)
 
-    @pytest.mark.parametrize("orders, budget, length, sub_runs, group", [
-        (64, spectral._FOLD_CHUNK_FLOATS, 2500, 4, 4), (8, 2**9, 90, 15, 4),
+    @pytest.mark.parametrize("orders, budget, length, sub_runs, span", [
+        (64, spectral._FOLD_CHUNK_FLOATS, 2500, 4, 5), (8, 2**9, 90, 15, 3),
     ], ids=["sub-runs at the budget", "small groups"])
-    def test_sub_runs_and_groups_cover_a_long_run(self, orders, budget, length, sub_runs, group):
-        # 64 orders over 2500 positions fold in four sub-runs of 625 positions,
-        # each pick whole; 2**9 floats, which must hold each sub-run's trig
-        # tables too, make sub-runs of 6 positions and groups of up to 4
-        # columns. The run wraps past a multiple of the period. Picks come
-        # unordered, ordered with gaps, as a stretch, empty and as slices
+    def test_sub_runs_and_groups_cover_a_long_run(self, orders, budget, length, sub_runs, span):
+        # the trig tables project spans of a block's columns, from its first
+        # pick to its last. 64 orders over 2500 positions fold in four sub-runs
+        # of 625 positions, each block's span whole, the widest 5 columns (picks
+        # 1, 3 and 5); 2**9 floats, which must hold each sub-run's trig tables
+        # too, make sub-runs of 6 positions and spans of up to 3 columns. The
+        # run wraps past a multiple of the period. Picks come unordered,
+        # ordered with gaps, as a stretch, empty and as slices
         basis = FourierBasis(orders=orders, period=4096)
         rng = np.random.default_rng(6)
         blocks = [rng.standard_normal((length, width)).astype(np.float32)
@@ -929,9 +933,45 @@ class TestFoldBlocks:
                                   side_effect=FourierBasis._project_columns) as fold:
             states = fold_blocks(basis, blocks, 4090, dims=picks)
         assert len({call.args[1] for call in plans.call_args_list}) == sub_runs
-        assert max(call.args[1].shape[1] for call in fold.call_args_list) == group
+        assert max(call.args[1].shape[1] for call in fold.call_args_list) == span
         for state, block, pick in zip(states, blocks, picks):
             assert_fold_matches_oracle(state, basis, block[:, pick], 4090)
+
+    @pytest.mark.parametrize("budget, small, sub_runs, products, widest", [
+        (spectral._FOLD_CHUNK_FLOATS, spectral._SMALL_PRODUCT, 1, 19, 32),
+        (spectral._FOLD_CHUNK_FLOATS, 2**62, 1, 11, 64),
+        (3 * 2**12, 2**62, 8, 8 * 40, 15),
+    ], ids=["small products", "whole blocks", "sub-runs and budget spans"])
+    def test_desk_blocks_fold_in_column_spans_like_compress_batch(
+            self, budget, small, sub_runs, products, widest):
+        # the benchmark's desk middle: 16 orders over 956 positions, which the
+        # trig tables project one span of columns at a time, from a block's first
+        # pick to its last. Products of at most 100**3 multiply-adds take spans of
+        # up to 32 columns. Without that cap, a 64-column block is one span and a
+        # 128-column one two at the default budget; picks 5 and 120 take two
+        # spans of 58, and no product for the columns between. 3 * 2**12 floats
+        # make 8 sub-runs of up to 120 positions and spans of at most 15 columns.
+        # Picks come scattered, unordered, repeated, as stretches, slices, empty
+        # and whole
+        basis = FourierBasis(orders=16, period=4096)
+        rng = np.random.default_rng(16)
+        blocks = [rng.standard_normal((956, width)).astype(np.float32)
+                  for width in (64, 64, 64, 64, 64, 64, 128, 128, 128)]
+        picks = [np.sort(rng.choice(64, 58, replace=False)), rng.permutation(64)[:32],
+                 slice(3, 61), slice(1, None, 2), np.array([], dtype=np.int64),
+                 np.array([3, 3, 4]), np.sort(rng.choice(128, 100, replace=False)),
+                 slice(None), np.array([5, 120])]
+        with mock.patch.multiple(spectral, _FOLD_CHUNK_FLOATS=budget, _SMALL_PRODUCT=small), \
+                mock.patch.object(FourierBasis, "_transform", autospec=True,
+                                  side_effect=FourierBasis._transform) as plans, \
+                mock.patch.object(FourierBasis, "_project_columns", autospec=True,
+                                  side_effect=FourierBasis._project_columns) as fold:
+            states = fold_blocks(basis, blocks, 4, dims=picks)
+        assert plans.call_count == sub_runs
+        assert fold.call_count == products
+        assert max(call.args[1].shape[1] for call in fold.call_args_list) == widest
+        for state, block, pick in zip(states, blocks, picks):
+            assert_fold_matches_oracle(state, basis, block[:, pick], 4)
 
     def test_empty_run_gives_zero_states(self):
         basis = FourierBasis(orders=3, period=16)
