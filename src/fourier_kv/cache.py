@@ -173,18 +173,20 @@ class _GrowBuffer:
 
     A full buffer of capacity ``c`` reallocates to ``c + max(8, c // 8)``
     rows, so capacity stays within ``1.125 * len + 8`` rows while appends
-    still cost amortized O(1) copies each. Prefill reserves that growth for
-    its ``M`` kept rows up front, a capacity of ``M + max(8, M // 8)``, so
-    the first evictions of a decode append in place, and the buffer holds
-    what one growth from ``M`` rows would.
+    still cost amortized O(1) copies each. A new buffer reserves one growth
+    past the ``M`` rows it copies, a capacity of ``M + max(8, M // 8)``, so
+    the first evictions after prefill append in place, and it holds what
+    one growth from ``M`` rows would.
     """
 
     __slots__ = ("_data", "_len")
 
-    def __init__(self, data: np.ndarray, length: int):
-        """A buffer holding the first ``length`` rows of ``data``, a float32 block it takes over."""
-        self._data = data
-        self._len = length
+    def __init__(self, block: np.ndarray, dims: np.ndarray):
+        """A buffer holding the columns ``dims`` of ``block``'s rows, copied as float32."""
+        self._len = block.shape[0]
+        self._data = np.empty((_grown(self._len), dims.size), dtype=np.float32)
+        # mode="clip" (the indices are in range) lets take write into out unbuffered
+        block.take(dims, axis=1, out=self._data[: self._len], mode="clip")
 
     def append(self, row: np.ndarray) -> None:
         cap = self.capacity
@@ -343,11 +345,6 @@ def prefill(keys, values, layout: CacheLayout, layer: int, basis: FourierBasis):
                                         mode="clip")
             kv[wrap:].take(order, axis=1, out=block[part.init_len : part.init_len + wrapped],
                            mode="clip")
-        kept = []
-        for kv, dims in ((keys[head, mid], hd.k_kept), (values[head, mid], hd.v_kept)):
-            rows = np.empty((_grown(len(middle)), dims.size), dtype=np.float32)
-            kv.take(dims, axis=1, out=rows[: len(middle)], mode="clip")
-            kept.append(_GrowBuffer(rows, len(middle)))
         if len(middle):
             state = SpectralState(coeffs[head], len(middle), middle.start, middle.stop - 1)
         else:
@@ -358,8 +355,8 @@ def prefill(keys, values, layout: CacheLayout, layer: int, basis: FourierBasis):
                 partition=part,
                 exact_k=exact[0, head],
                 exact_v=exact[1, head],
-                kept_k=kept[0],
-                kept_v=kept[1],
+                kept_k=_GrowBuffer(keys[head, mid], hd.k_kept),
+                kept_v=_GrowBuffer(values[head, mid], hd.v_kept),
                 _spec=state,
                 _order=orders[head],
                 total_len=seq_len,

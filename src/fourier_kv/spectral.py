@@ -850,7 +850,7 @@ def _fold_spans(basis: FourierBasis, columns: np.ndarray, arrays: list, picks: l
             buffer = np.empty((hi - lo, width))
         for c0 in range(first, stop, width):
             c1 = min(c0 + width, stop)
-            np.copyto(buffer[:, : c1 - c0], array[lo:hi, c0:c1])
+            buffer[:, : c1 - c0] = array[lo:hi, c0:c1]
             span = -(-(c1 - c0) // -(-(c1 - c0) // step))
             for p0 in range(c0, c1, span):
                 p1 = min(p0 + span, c1)
