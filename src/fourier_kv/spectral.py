@@ -394,9 +394,8 @@ class FourierBasis:
         buffers for a broadcast product, up to ``getbufsize()`` complex
         values each. Per column: for the trig tables, the column cast into
         the fold's float64 buffer, the product's output, the picked columns
-        taken from it and, for unordered picks, the output columns they are
-        added into (the fold reads its blocks in place, so their own values
-        are not counted); for the FFTs, the weights gathered and the output,
+        taken from it and the output columns they are added into (the fold
+        reads its blocks in place, so their own values are not counted); for the FFTs, the weights gathered and the output,
         with half a complex FFT buffer of length ``n`` and the packed rows
         gathered at ``-r`` for the chirp-z transform, or the residue grid,
         the residue sums and their spectrum for the length-period FFT.
@@ -682,16 +681,18 @@ def compress_batch(basis: FourierBasis, values, start_pos: int) -> SpectralState
 # buffers and its output, at most 2**17 float64 values, 1 MB
 _FOLD_CHUNK_FLOATS = 2**17
 
-# the trig tables' fold keeps each product against run columns of at most 64
-# rows (32 orders) within 100**3 multiply-adds, the size up to which OpenBLAS
-# runs dgemm through its small-matrix kernels without packing the operands.
-# Over the desk middle (32 rows by 956 positions) a product took 1.4 us a
-# column up to 32 columns and 2.0-3.4 us from 33 to 128; with 64 rows, 2.8 us
-# at 16 columns against 3.6-3.8 at 64-128; with 128 or 256 rows the small
-# kernels were slower, 3.7-4.9 us a column against 3.4 at 128 columns
-# (scipy-openblas 0.3.31, AVX-512 x86_64, one thread)
+# the trig tables' fold keeps each product against the run columns within
+# 100**3 multiply-adds, the size up to which OpenBLAS lets dgemm run its
+# small-matrix kernels, which skip packing the operands. In scipy-openblas
+# 0.3.31 (DYNAMIC_ARCH) only the SkylakeX kernels admit any product: its
+# dgemm_small_matrix_permit_SKYLAKEX refuses M*N*K above 1e6 (read from the
+# library's disassembly), and the Haswell, Sandy Bridge, Nehalem and Prescott
+# permits return 0, so on other cores the cap only splits a block into more
+# products. Over the desk middle (32 rows by 956 positions, AVX-512 x86_64,
+# one thread) a product took 1.4 us a column up to 32 columns and 2.0-3.4 us
+# from 33 to 128; with 64 rows, 2.8 us at 16 columns against 3.6-3.8 at
+# 64-128; with 128 or 256 rows, 3.7-4.9 us a column against 3.4 at 128
 _SMALL_PRODUCT = 100**3
-_SMALL_PRODUCT_ROWS = 64
 
 
 def _unit_phases(orders: int, period: int, positions: np.ndarray) -> np.ndarray:
@@ -734,10 +735,13 @@ def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
     from the block only then. Over the trig tables a column costs no
     transform: the run's columns are built once per sub-run, and a block's
     columns from its first pick to its last go in spans, each cast into one
-    float64 buffer and projected by one matrix product against them, small
-    enough at low orders for BLAS's small-matrix kernels (32 columns at
-    desk), whose picked columns the state keeps; nothing is gathered from a
-    block. No block is copied whole. A group's or span's values, the
+    float64 buffer and projected by one matrix product against them, within
+    the multiply-adds of BLAS's small-matrix kernels (32 columns at desk),
+    whose picked columns the state keeps; nothing is gathered from a block.
+    So the columns between a block's picks pass through the products too:
+    the fold ignores floating-point errors, and a NaN or Inf in a column
+    that is not picked leaves the picked columns' states as they are. No
+    block is copied whole. A group's or span's values, the
     transform's buffers and its output, with the trig tables and run columns
     a sub-run builds, fit ``_FOLD_CHUNK_FLOATS`` float64 values (1 MB) where
     one column allows, as ``FourierBasis._project_floats`` counts them for
@@ -764,7 +768,8 @@ def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
     length = lengths.pop() if lengths else 0
     states = [SpectralState.zeros(basis.orders, np.arange(a.shape[1])[d].size)
               for a, d in zip(arrays, dims)]
-    _fold_into(basis, arrays, dims, [state.coeffs for state in states], start_pos)
+    with np.errstate(invalid="ignore", over="ignore"):
+        _fold_into(basis, arrays, dims, [state.coeffs for state in states], start_pos)
     if length:
         for state in states:
             state.token_count = length
@@ -822,32 +827,28 @@ def _fold_spans(basis: FourierBasis, columns: np.ndarray, arrays: list, picks: l
     ``columns`` is the sub-run's :meth:`_Run.run_columns`, and ``stretch[i]``
     whether block ``i``'s picks are a slice of step 1. The columns of a
     block from its first pick to its last are cast, ``group`` at most at a
-    time, into one float64 buffer, and each span of it is projected by one
-    product ``columns.T @ span``, within :data:`_SMALL_PRODUCT`
-    multiply-adds against at most :data:`_SMALL_PRODUCT_ROWS` rows of
-    columns, whose picked columns are added into ``outs[i]``.
+    time, into one float64 buffer (one cast a block at desk: casting each
+    span apart took 4-5% longer), and each span of it within
+    :data:`_SMALL_PRODUCT` multiply-adds is projected by one product
+    ``columns.T @ span``, whose picked columns are added into ``outs[i]``.
     No column is gathered from a block: in this form a column costs no
     transform, so the unpicked columns of a span cost less than a gather.
     """
-    step = group
-    if columns.shape[1] <= _SMALL_PRODUCT_ROWS:
-        step = max(1, _SMALL_PRODUCT // columns.size)
-    buffer = np.empty((hi - lo, 0))
+    step = min(group, max(1, _SMALL_PRODUCT // columns.size))
+    buffer = np.empty((hi - lo, min(group, max(array.shape[1] for array in arrays))))
     for array, pick, whole, out in zip(arrays, picks, stretch, outs):
         if not pick.size:
             continue
-        # the picks ascending, and unless they come so (the cache's do), the output
-        # column of each
+        # the picks ascending, and the output column of each: for picks that
+        # ascend already (the cache's and a stretch's), a slice of the output
         order = None
         if not whole and not (pick[1:] > pick[:-1]).all():
             order = np.argsort(pick, kind="stable")
         cols = pick if order is None else pick[order]
         first, stop = int(cols[0]), int(cols[-1]) + 1
-        # casts and products of equal widths, none a short remainder
+        # casts of equal widths, at most group, and products of equal spans
+        # within each, none a short remainder
         width = -(-(stop - first) // -(-(stop - first) // group))
-        if buffer.shape[1] < width:
-            del buffer  # freed before the wider one is allocated
-            buffer = np.empty((hi - lo, width))
         for c0 in range(first, stop, width):
             c1 = min(c0 + width, stop)
             buffer[:, : c1 - c0] = array[lo:hi, c0:c1]
@@ -858,12 +859,13 @@ def _fold_spans(basis: FourierBasis, columns: np.ndarray, arrays: list, picks: l
                 if a == b:
                     continue
                 sums = basis._project_columns(buffer[:, p0 - c0 : p1 - c0], columns)
+                # picks that ascend and fill the span take its sums whole
+                at, sel = slice(a, b), slice(None)
+                if order is not None or b - a < p1 - p0:
+                    sel = cols[a:b] - p0
                 if order is not None:
-                    out[:, order[a:b]] += sums[:, cols[a:b] - p0]
-                elif b - a < p1 - p0:
-                    out[:, a:b] += sums[:, cols[a:b] - p0]
-                else:
-                    out[:, a:b] += sums  # distinct picks, one per column of the span
+                    at = order[a:b]
+                out[:, at] += sums[:, sel]
 
 
 def fold_token(state: SpectralState, basis: FourierBasis, value, pos: int) -> SpectralState:

@@ -6,6 +6,7 @@ and a least-squares projection onto explicitly built cosine/sine columns.
 
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -909,16 +910,20 @@ class TestFoldBlocks:
             (state,) = fold_blocks(basis, [block], 7)
         assert_fold_matches_oracle(state, basis, block, 7)
 
-    @pytest.mark.parametrize("orders, budget, length, sub_runs, span", [
-        (64, spectral._FOLD_CHUNK_FLOATS, 2500, 4, 5), (8, 2**9, 90, 15, 3),
-    ], ids=["sub-runs at the budget", "small groups"])
-    def test_sub_runs_and_groups_cover_a_long_run(self, orders, budget, length, sub_runs, span):
+    @pytest.mark.parametrize("orders, budget, small, length, sub_runs, span", [
+        (64, spectral._FOLD_CHUNK_FLOATS, spectral._SMALL_PRODUCT, 2500, 4, 5),
+        (64, spectral._FOLD_CHUNK_FLOATS, 2 * 128 * 625, 2500, 4, 2),
+        (8, 2**9, spectral._SMALL_PRODUCT, 90, 15, 3),
+    ], ids=["sub-runs at the budget", "capped products", "small groups"])
+    def test_sub_runs_and_groups_cover_a_long_run(self, orders, budget, small, length,
+                                                  sub_runs, span):
         # the trig tables project spans of a block's columns, from its first
         # pick to its last. 64 orders over 2500 positions fold in four sub-runs
         # of 625 positions, each block's span whole, the widest 5 columns (picks
-        # 1, 3 and 5); 2**9 floats, which must hold each sub-run's trig tables
-        # too, make sub-runs of 6 positions and spans of up to 3 columns. The
-        # run wraps past a multiple of the period. Picks come unordered,
+        # 1, 3 and 5), or 2 when a product may take only 2 columns of 128 rows
+        # over 625 positions; 2**9 floats, which must hold each sub-run's trig
+        # tables too, make sub-runs of 6 positions and spans of up to 3 columns.
+        # The run wraps past a multiple of the period. Picks come unordered,
         # ordered with gaps, as a stretch, empty and as slices
         basis = FourierBasis(orders=orders, period=4096)
         rng = np.random.default_rng(6)
@@ -926,7 +931,7 @@ class TestFoldBlocks:
                   for width in (3, 0, 5, 5, 6, 6)]
         picks = [np.array([2, 0]), np.array([], dtype=np.int64), np.array([1, 3, 2, 4]),
                  np.array([1, 2, 3]), slice(2, 5), slice(1, None, 2)]
-        with mock.patch.object(spectral, "_FOLD_CHUNK_FLOATS", budget), \
+        with mock.patch.multiple(spectral, _FOLD_CHUNK_FLOATS=budget, _SMALL_PRODUCT=small), \
                 mock.patch.object(FourierBasis, "_transform", autospec=True,
                                   side_effect=FourierBasis._transform) as plans, \
                 mock.patch.object(FourierBasis, "_project_columns", autospec=True,
@@ -972,6 +977,19 @@ class TestFoldBlocks:
         assert max(call.args[1].shape[1] for call in fold.call_args_list) == widest
         for state, block, pick in zip(states, blocks, picks):
             assert_fold_matches_oracle(state, basis, block[:, pick], 4)
+
+    def test_non_finite_columns_between_picks_leave_the_picked_states(self):
+        # the trig tables project every column from a block's first pick to its
+        # last; an Inf or NaN in a column between them reaches no picked
+        # column's state and raises no floating-point warning
+        basis = FourierBasis(orders=16, period=4096)
+        block = np.random.default_rng(7).standard_normal((956, 64)).astype(np.float32)
+        block[3, 10], block[5, 10], block[8, 30] = np.inf, -np.inf, np.nan
+        pick = np.array([2, 11, 40])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (state,) = fold_blocks(basis, [block], 4, dims=[pick])
+        assert_fold_matches_oracle(state, basis, block[:, pick], 4)
 
     def test_empty_run_gives_zero_states(self):
         basis = FourierBasis(orders=3, period=16)
