@@ -395,10 +395,11 @@ class FourierBasis:
         values each. Per column: for the trig tables, the column cast into
         the fold's float64 buffer, the product's output, the picked columns
         taken from it and the output columns they are added into (the fold
-        reads its blocks in place, so their own values are not counted); for the FFTs, the weights gathered and the output,
-        with half a complex FFT buffer of length ``n`` and the packed rows
-        gathered at ``-r`` for the chirp-z transform, or the residue grid,
-        the residue sums and their spectrum for the length-period FFT.
+        reads its blocks in place, so their own values are not counted);
+        for the FFTs, the weights gathered and the output, with half a
+        complex FFT buffer of length ``n`` and the packed rows gathered at
+        ``-r`` for the chirp-z transform, or the residue grid, the residue
+        sums and their spectrum for the length-period FFT.
         """
         kind, size, rows = self._pick(span, packed=True)
         buffers = 4 * np.getbufsize()
@@ -692,6 +693,7 @@ _FOLD_CHUNK_FLOATS = 2**17
 # one thread) a product took 1.4 us a column up to 32 columns and 2.0-3.4 us
 # from 33 to 128; with 64 rows, 2.8 us at 16 columns against 3.6-3.8 at
 # 64-128; with 128 or 256 rows, 3.7-4.9 us a column against 3.4 at 128
+# columns
 _SMALL_PRODUCT = 100**3
 
 
@@ -741,8 +743,8 @@ def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
     So the columns between a block's picks pass through the products too:
     the fold ignores floating-point errors, and a NaN or Inf in a column
     that is not picked leaves the picked columns' states as they are. No
-    block is copied whole. A group's or span's values, the
-    transform's buffers and its output, with the trig tables and run columns
+    block is copied whole. A group's or span's values, the transform's
+    buffers and its output, with the trig tables and run columns
     a sub-run builds, fit ``_FOLD_CHUNK_FLOATS`` float64 values (1 MB) where
     one column allows, as ``FourierBasis._project_floats`` counts them for
     the plan each sub-run runs; a run at which one column does not fit is
