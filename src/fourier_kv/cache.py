@@ -279,10 +279,12 @@ def prefill(keys, values, layout: CacheLayout, layer: int, basis: FourierBasis):
     absolute positions in one batch fold, the one
     :func:`~fourier_kv.spectral.fold_blocks` runs, which projects the
     compressed dims of every head onto the basis through the decode
-    transforms: packed chirp-z FFTs of column groups at stock, and at desk
-    one matrix product per span of a block's columns against the run's
-    columns, built once from the trig tables, with no column gathered. It
-    adds each head's K and V columns straight into that head's one state. A
+    transforms, priced for all of them together: at stock the Chebyshev
+    moments, a product per span of a block's columns against Chebyshev
+    polynomials and one by the orders' waves, and at desk one matrix product
+    per span against the run's columns, built once from the trig tables;
+    no column is gathered from a block. It adds each head's K and V columns
+    straight into that head's one state. A
     sequence no longer than ``init_len + local_len`` simply has an empty
     middle, and its exact rows a free tail for the tokens to come. The
     slices copy what they keep, in layout order: later changes to

@@ -18,15 +18,18 @@ The same inverse transform, :meth:`FourierBasis.evaluate`, and its adjoint,
 step 1, without building its columns: decode attention scores and aggregates
 the compressed region with them, calibration's Gram form projects one column
 of ones, and :func:`fold_blocks`, the fast batch fold, is ``project`` of many
-columns within a 1 MB transient budget: over the trig tables, one matrix
-product per span of a block's columns, cast into one float64 buffer and never
-gathered, against the run's columns. ``project`` has one implementation,
-and 1-D weights are its one-column case. A cost rule picks one of three
-transforms per run (see :class:`FourierBasis`), resolved once into a plan
-that every later call over the same run reads, and the run is read without
-scanning it, so a call's fixed cost is a handful of numpy calls. Every cosine
-and sine comes from one phase builder, which reduces ``n*t`` mod the period
-in integers.
+columns within a 1 MB transient budget. ``project`` has one implementation,
+and 1-D weights are its one-column case. A cost rule picks one of four
+transforms per run (see :class:`FourierBasis`): trig tables, Chebyshev
+moments (for two or more columns only), a chirp-z transform or the
+length-period FFT. A run's pick is resolved once into a plan that every later
+call over the same run reads, and the run is read without scanning it, so a
+call's fixed cost is a handful of numpy calls. The fold runs the trig tables
+and the moments as matrix products over spans of a block's columns, cast into
+one float64 buffer and never gathered: one product per span against the
+run's columns, or two through the moments, and each FFT once per column.
+Every cosine and sine comes from one phase builder, which reduces ``n*t`` mod
+the period in integers.
 
 Phases are indexed by *absolute* token position so that a state built during
 prefill and a state extended by streaming evictions agree without rephasing.
@@ -35,6 +38,7 @@ prefill and a state extended by streaming evictions agree without rephasing.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -82,8 +86,8 @@ class FourierBasis:
     :meth:`evaluate` (``columns(t).T @ a``) and its adjoint :meth:`project`
     (``columns(t) @ p``, ``p`` one column or ``c`` of them) never build them;
     both read a run ``t``, a ``range`` of step 1 from ``lo >= 0``, of any
-    length ``span``. Each call runs one of three transforms, priced by
-    ``span``, by ``R = orders`` and by ``c > 1``:
+    length ``span``. Each call runs one of four transforms, priced by
+    ``span``, by ``R = orders`` and by ``c``:
 
     * trig tables: each offset from ``lo`` splits as ``a*B + b``, with ``B``
       a power of two near ``sqrt(span)``, so every phase is one of ``lo +
@@ -92,12 +96,18 @@ class FourierBasis:
       positions). One column takes two small products against them,
       O(R * span) time and O(R * sqrt(span) + span) memory; more take one
       product against the run's columns, ``16 * orders * span`` bytes.
+    * Chebyshev moments, for ``c >= 2`` only: with ``x`` the run mapped onto
+      ``(-1, 1)``, every order's wave is a sum of ``degree`` Chebyshev
+      polynomials ``T_k(x)`` (Jacobi-Anger), ``degree`` growing with the
+      largest wave's phase over half the run as a bound on the tail sets it
+      (98 terms for 512 orders over 1020 positions at period 32768, where
+      that phase is 50 radians). A column costs its
+      ``degree`` moments, ``degree * span`` multiply-adds, and one product
+      of them by the waves, ``2R * degree``; the tables of both are built
+      for all ``c`` columns together, in chunks within the fold's budget.
     * chirp-z (Bluestein): with ``n`` the power of two ``>= span + R - 1``,
-      one complex FFT pair of length ``n``: O(n log n) time, O(n) memory and
-      ``32 * n <= 8 * period`` bytes of tables. More columns go two to a
-      complex column, which reads bins ``-(R-1)..R-1`` and so needs ``n >=
-      span + 2R - 2``. For 512 orders that is 2048 over 1020 positions, as
-      for one column, and 4096 past 1026, where one column keeps 2048.
+      one complex FFT pair of length ``n`` per column: O(n log n) time,
+      O(n) memory and ``32 * n <= 8 * period`` bytes of tables.
     * length-period FFT: one real FFT of length ``period`` per column, whose
       bins ``0..R-1`` are the orders: O(period log period) time and
       O(period) memory, no tables.
@@ -106,17 +116,20 @@ class FourierBasis:
     much as the length-period FFT or more. The tables run while ``R * span``,
     their work per column, is at most 16 times ``L log2 L``, with ``L`` the
     complex FFT length the other would run (``n``, or ``period/2 + 1`` for
-    the real FFT) and a packed pair counted once per two columns: they run
-    for 16 orders at any span, and not for 512 orders over a thousand
-    positions, where they measured slower. Tables hold phases reduced
-    exactly in integers mod ``period``, are read-only, and the last few of
-    each kind are cached per ``(orders, period, lo mod period)`` and their
-    sizes. A run's resolved transform, its checks, pick, tables and the head
-    rows it reads with their conjugates, is cached too, per ``(orders,
-    period, start, span, packed)`` and the cost rule's ratios, so every head
-    of a decode step that reads one middle region reads one plan. This class
-    owns the cosine/sine row layout; callers only pass coefficient vectors
-    of length ``2*orders``.
+    the real FFT): they run for 16 orders at any span, and not for 512
+    orders over a thousand positions, where they measured slower. Two or
+    more columns run the moments ahead of both while their work per column,
+    their builds shared among the columns, is at most the tables' and
+    passes the same test against the FFT: 512 orders over a thousand
+    positions take them, 16 orders keep the tables. Tables hold phases
+    reduced exactly in integers mod ``period``, are read-only, and the last
+    few of each kind are cached per ``(orders, period, lo mod period)`` and
+    their sizes. A run's resolved transform, its checks, pick, tables and
+    the head rows it reads with their conjugates, is cached too, per
+    ``(orders, period, start, span, c)`` and the cost rule's ratios, so
+    every head of a decode step that reads one middle region reads one
+    plan. This class owns the cosine/sine row layout; callers only pass
+    coefficient vectors of length ``2*orders``.
 
     Immutable; safe to share across threads.
     """
@@ -173,44 +186,53 @@ class FourierBasis:
             raise ValueError("positions must be >= 0")
         return _unit_phases(self.orders, self.period, pos).view(np.float64).T
 
-    def _pick(self, span: int, packed: bool = False) -> tuple[str, int, int]:
+    def _pick(self, span: int, columns: int = 1) -> tuple[str, int, int]:
         """The transform the cost rule picks over ``span`` positions, and its size.
 
         ``("tables", width, rows)`` for trig tables of ``rows`` head phases
-        ``width`` positions apart, ``("chirp", n, 0)`` for a chirp-z transform
-        of FFT length ``n`` and ``("fft", period, 0)`` for the length-period
-        FFT, with ``R = orders`` bins. ``packed`` prices two or more weight
-        columns: the chirp-z transform packs two real columns into each
-        complex column, which reads bins ``-(R-1)..R-1`` and so ``R - 1`` more
-        lags, and one FFT pair serves both.
+        ``width`` positions apart, ``("moments", degree, 0)`` for Chebyshev
+        moments of ``degree`` terms, ``("chirp", n, 0)`` for a chirp-z
+        transform of FFT length ``n`` and ``("fft", period, 0)`` for the
+        length-period FFT, with ``R = orders`` bins. ``columns`` is the
+        number of weight columns that share the call: the moments' tables
+        are built once for all of them, so they are priced only for two or
+        more, and never run for one.
         """
-        # linear convolution of ``span`` outputs with R = orders bins: n >= span + R - 1,
-        # and n >= span + 2R - 2 with the negative bins as well
-        n = 1 << (span + (1 + packed) * (self.orders - 1) - 1).bit_length()
+        orders = self.orders
+        # linear convolution of ``span`` outputs with R = orders bins: n >= span + R - 1
+        n = 1 << (span + orders - 2).bit_length()
         chirp = _CHIRP_LENGTH_RATIO * n <= self.period
         # the complex FFT length of the cheaper FFT: the chirp-z pair's n, or
-        # period // 2 + 1 for a real FFT of length period. Both cost the tables'
-        # products per column, but one packed chirp-z pair serves two columns
+        # period // 2 + 1 for a real FFT of length period
         fft_len = n if chirp else self.period // 2 + 1
-        if _products_cheaper((1 + (packed and chirp)) * self.orders * span, fft_len):
+        if columns > 1:
+            degree = _moment_degree(np.pi * (orders - 1) * span / self.period)
+            # the two products per column, in the tables' unit of R * span (a
+            # complex multiply-add), and the tables' builds shared by the columns
+            work = (_MOMENT_COST_RATIO * degree * (span + 2 * orders)
+                    * (columns + _MOMENT_BUILD_COLUMNS) / (2 * columns))
+            if work <= orders * span and _products_cheaper(work, fft_len):
+                return "moments", degree, 0
+        if _products_cheaper(orders * span, fft_len):
             width = 1 << (span.bit_length() // 2)
             return "tables", width, 1 << (-(-span // width) - 1).bit_length()
         if chirp:
             return "chirp", n, 0
         return "fft", self.period, 0
 
-    def _transform(self, run: range, packed: bool = False, cached: bool = True) -> _Run:
+    def _transform(self, run: range, columns: int = 1, cached: bool = True) -> _Run:
         """The transform :meth:`_pick` picks over ``run``, resolved into a :class:`_Run`.
 
         Checks the run first. The trig tables and chirp-z tables come from
         small caches unless ``cached`` is false, as for the sub-runs of a
-        fold, which no later call reads. :meth:`_plan` caches the result.
+        fold, which no later call reads; the moments' tables are built by
+        each call that runs them. :meth:`_plan` caches the result.
         """
         self._check_run(run)
         span, lo = len(run), run.start % self.period
         if span == 0:
             return _Run(0, lo, None, None, None, None)
-        kind, size, rows = self._pick(span, packed)
+        kind, size, rows = self._pick(span, columns)
         if kind == "tables":
             build = _trig_tables if cached else _trig_tables.__wrapped__
             tables = build(self.orders, self.period, lo, size, rows)
@@ -218,21 +240,23 @@ class FourierBasis:
             head_conj = np.conjugate(head)
             head_conj.setflags(write=False)
             return _Run(span, lo, tables, head, head_conj, None)
+        if kind == "moments":
+            return _Run(span, lo, None, None, None, None, size)
         if kind == "chirp":
             build = _chirp_plan if cached else _chirp_plan.__wrapped__
             return _Run(span, lo, None, None, None, build(self.orders, self.period, lo, size))
         return _Run(span, lo, None, None, None, None)
 
-    def _plan(self, run: range, packed: bool = False) -> _Run:
-        """:meth:`_transform` of ``run``, resolved once per run, ``packed`` and cost rule.
+    def _plan(self, run: range, columns: int = 1) -> _Run:
+        """:meth:`_transform` of ``run``, resolved once per run, column count and cost rule.
 
         Every head that reads one middle region in a decode step gets the
         same plan from :func:`_run_plan`, whose misses check the start.
         """
         if not isinstance(run, range) or run.step != 1:
             self._check_run(run)  # raises: only a range of step 1 is read
-        return _run_plan(self.orders, self.period, run.start, len(run), packed,
-                         _TABLE_COST_RATIO, _CHIRP_LENGTH_RATIO)
+        return _run_plan(self.orders, self.period, run.start, len(run), columns,
+                         _TABLE_COST_RATIO, _CHIRP_LENGTH_RATIO, _MOMENT_COST_RATIO)
 
     def evaluate(self, coeffs, run: range) -> np.ndarray:
         """``columns(run).T @ coeffs``: the trig polynomial at each position of a run.
@@ -287,11 +311,11 @@ class FourierBasis:
         attention passes, are the one-column case, reshaped. Float32 weights
         are cast to float64 in the transform's own buffers or products, not
         copied first. ``run`` is read as by :meth:`evaluate`. The transform
-        is priced for the columns given: one column is never packed, so it
-        runs the plan :meth:`evaluate` runs over the same run.
+        is priced for the columns given, so one column runs the plan
+        :meth:`evaluate` runs over the same run.
         """
         w = np.asarray(weights)
-        plan = self._plan(run, w.ndim == 2 and w.shape[1] > 1)
+        plan = self._plan(run, w.shape[1] if w.ndim == 2 else 1)
         if w.ndim not in (1, 2) or w.shape[0] != plan.span:
             raise ValueError(
                 f"weights must have shape ({plan.span},) or ({plan.span}, c), got {w.shape}"
@@ -306,15 +330,10 @@ class FourierBasis:
 
         ``g[r] = sum_m w[m] * exp(i*theta_r*(lo + m))`` holds the cosine and
         sine sums of bin ``r``. ``span >= 1``, ``c >= 1``, and ``plan`` is
-        the run's :class:`_Run` (packed if ``c > 1``; one column reads
-        either), or for the trig tables the run's columns, which
-        :func:`fold_blocks` builds once per sub-run. The chirp-z transform
-        runs one FFT pair in place per complex column. One weight column
-        fills it alone and its sums are bins ``0..R-1``; more are packed two
-        to a column ``u + i*v``, whose bins ``-(R-1)..R-1`` give, with ``G``
-        their sums, ``g_u(r) = (G(r) + conj(G(-r))) / 2`` and ``g_v(r) =
-        (G(r) - conj(G(-r))) / 2i`` by conjugate symmetry.
-        :meth:`_project_floats` counts the buffers the packed paths hold.
+        the run's :class:`_Run`, or for the trig tables the run's columns,
+        which :func:`fold_blocks` builds once per sub-run. The moments fold
+        all ``c`` columns through :func:`_fold_moments`, and the chirp-z
+        transform runs one complex FFT pair per column.
         """
         if isinstance(plan, np.ndarray):
             return plan.T @ w
@@ -334,6 +353,10 @@ class FourierBasis:
         if w.ndim == 1:
             return self._project_columns(w[:, None], plan)[:, 0]
         cols = w.shape[1]
+        if plan.degree:
+            out = np.zeros((self.n_rows, cols))
+            _fold_moments(self, plan, [w], [np.arange(cols)], [True], [out], 0, span)
+            return out
         if plan.chirp is None:
             lo = plan.lo
             grid = np.zeros((-(-(lo + span) // self.period) * self.period, cols))
@@ -346,74 +369,55 @@ class FourierBasis:
             np.negative(spectrum.imag[: self.orders], out=out[1::2])
             return out
         chirp = plan.chirp
-        pairs, n = -(-cols // 2), chirp.spectrum.size
-        # one column u + i*v of x per pair of weight columns, positions down its
-        # rows: its float64 view interleaves the weight columns as they come
-        x = np.empty((n, pairs), dtype=np.complex128)
-        packed = x.view(np.float64)
-        packed[:span, :cols] = w
-        packed[:span, cols:] = 0.0  # a lone or odd last column pairs with zeros
-        x[span:] = 0.0
-        x[:span] *= chirp.chirp[:span, None]
+        # one row of x per weight column, its positions along the row
+        x = np.zeros((cols, chirp.spectrum.size), dtype=np.complex128)
+        x.real[:, :span] = w.T
+        x[:, :span] *= chirp.chirp[:span]
         # fft(ifft(x) * H)[r] = sum_m x[m] * h[m - r]: the transpose of evaluate's
         # convolution with the filter h, from the same spectrum H
-        x = scipy.fft.ifft(x, axis=0, overwrite_x=True)
-        x *= chirp.spectrum[:, None]
-        x = scipy.fft.fft(x, axis=0, overwrite_x=True)
-        if cols == 1:
-            g = x[: self.orders, 0]
-            g *= chirp.pre
-            return g.view(np.float64)[:, None]
-        # half the sums G at bin r, from row r, and at bin -r, from row n - r:
-        # exp(i*theta_r*(lo + m)) is pre[r] * w(m) * conj(w(m - r)) at -r too,
-        # with pre[-r] = conj(pre[r]) * w(r)**2. neg, a copy, is taken before pos,
-        # a view of x scaled in place, since both read row 0
-        half = 0.5 * chirp.pre
-        neg = x[-np.arange(self.orders) % n]
-        neg *= (np.conjugate(half) * chirp.chirp[: self.orders] ** 2)[:, None]
-        pos = x[: self.orders]
-        pos *= half[:, None]
-        # g_u = pos + conj(neg) and g_v = (pos - conj(neg)) / i: per pair, the
-        # cosine sums of u and v are the real and imaginary part of pos + neg,
-        # and their sine sums those of -i * (pos - neg)
-        out = np.empty((self.orders, 2, pairs), dtype=np.complex128)
-        np.add(pos, neg, out=out[:, 0])
-        np.subtract(pos, neg, out=out[:, 1])
-        out[:, 1] *= -1j
-        return out.view(np.float64).reshape(self.n_rows, 2 * pairs)[:, :cols]
+        x = scipy.fft.ifft(x, axis=1, overwrite_x=True)
+        x *= chirp.spectrum
+        x = scipy.fft.fft(x, axis=1, overwrite_x=True)
+        g = x[:, : self.orders]
+        g *= chirp.pre
+        return g.view(np.float64).T
 
-    def _project_floats(self, span: int) -> tuple[int, int]:
-        """Float64 values that :meth:`_project_columns` holds over ``span`` positions.
+    def _project_floats(self, span: int, columns: int) -> tuple[int, int]:
+        """Float64 values that a fold of ``columns`` columns holds over ``span`` positions.
 
-        ``(fixed, per_column)`` for the packed plan, which :func:`fold_blocks`
-        runs. Fixed: for the trig tables, the tables a sub-run builds, the
-        run's columns and what :meth:`_Run.run_columns` holds while it builds
-        them (the head conjugated, and numpy's buffer for the broadcast
-        product, up to ``getbufsize()`` complex values); the orders' phase
-        factors for the chirp-z transform; and for both FFTs numpy's two
-        buffers for a broadcast product, up to ``getbufsize()`` complex
-        values each. Per column: for the trig tables, the column cast into
-        the fold's float64 buffer, the product's output, the picked columns
-        taken from it and the output columns they are added into (the fold
-        reads its blocks in place, so their own values are not counted);
-        for the FFTs, the weights gathered and the output, with half a
-        complex FFT buffer of length ``n`` and the packed rows gathered at
-        ``-r`` for the chirp-z transform, or the residue grid, the residue
+        ``(fixed, per_column)`` for the plan :func:`fold_blocks` runs over
+        them. For the trig tables, fixed: the tables a sub-run builds, the
+        run's columns and what :meth:`_Run.run_columns` holds while it
+        builds them (the head conjugated, and numpy's buffer for the
+        broadcast product, up to ``getbufsize()`` complex values); per
+        column: the column cast into the fold's float64 buffer, the
+        product's output, the picked columns taken from it and the output
+        columns they are added into (the fold reads its blocks in place, so
+        their own values are not counted). For the moments, fixed: the
+        larger of their two passes, as :func:`_moment_chunks` sizes them;
+        per column: its ``degree`` moments, held between the passes. For
+        the FFTs, fixed: numpy's two buffers for a broadcast product, up to
+        ``getbufsize()`` complex values each, and for the chirp-z transform
+        its tables; per column: the weights gathered, with the complex FFT
+        buffer of length ``n`` for the chirp-z transform, in which it
+        returns its output, or the output, the residue grid, the residue
         sums and their spectrum for the length-period FFT.
         """
-        kind, size, rows = self._pick(span, packed=True)
+        kind, size, rows = self._pick(span, columns)
         buffers = 4 * np.getbufsize()
-        weights_and_output = span + self.n_rows
         if kind == "tables":
             used = -(-span // size)  # head rows the run reads
             run_columns = used * size * self.orders  # complex values
             tables = 2 * self.orders * (rows + size)
             temporaries = 2 * self.orders * used + 2 * min(np.getbufsize(), run_columns)
             return tables + 2 * run_columns + temporaries, span + 3 * self.n_rows
+        if kind == "moments":
+            return _moment_chunks(self.orders, span, size)[-1], size
         if kind == "chirp":
-            return 8 * self.orders + buffers, weights_and_output + size + self.orders
+            # pre, chirp and spectrum: R, n - R + 1 and n complex values
+            return buffers + 2 * (2 * size + 1), span + 2 * size
         # the residue grid reaches at most one period past the run
-        return buffers, weights_and_output + span + 3 * self.period + 2
+        return buffers, 2 * span + self.n_rows + 3 * self.period + 2
 
     def synthesis_weights(self) -> np.ndarray:
         """Per-row inverse-transform weights used by :func:`reconstruct`.
@@ -450,11 +454,27 @@ _CHIRP_LENGTH_RATIO = 4
 # were faster in 57 of 59 cases with R * span / (L log2 L) <= 12.8 (1.04x and
 # 1.22x slower in the other two) and slower in all 11 at 18.3 and above
 # (orders 8-512, spans 256-4096, periods 4096 and 32768, numpy 2.4 on a
-# 2-core x86_64). With two or more columns a packed chirp-z pair serves two,
-# so R * span is counted twice against it: in all 14 cases where that moved
-# fold_blocks off the tables (orders 128-512, spans 384-4000), 4 blocks of 3
-# or 60 columns folded in 0.09-0.64x the time
+# 2-core x86_64). With two or more columns the Chebyshev moments are priced
+# first (below), and a fold of many columns over these tables runs one
+# product per span of a block's columns against the run's columns
 _TABLE_COST_RATIO = 16
+
+# project of two or more columns runs the Chebyshev moments while their work
+# per column, ratio * degree * (span + 2R) / 2 in the tables' unit of R * span
+# (half a real multiply-add), with the moments' tables counted as
+# _MOMENT_BUILD_COLUMNS more columns shared by all, is at most the trig
+# tables' R * span and passes _products_cheaper against the FFT. Set from a
+# sweep of folds under each forced transform (orders 64-512, spans 256-4000,
+# periods 4096 and 32768, 2-400 columns, numpy 2.4 and scipy-openblas 0.3.31
+# on a 2-core AVX-512 x86_64, one thread). Among ratios 1-2 and build counts
+# 4-128 that send the stock fold to the moments and the desk fold to the
+# tables, 1 and 32 left 6 of the 120 folds at over 1.5x the fastest forced
+# transform and lost 122 ms in all to it, against 401 ms with no moments; 1
+# and 4 lost 104 ms but left 26 folds past 1.5x. From 128 columns at period
+# 32768 the moments ran 0.10-0.72x the trig tables' time and 0.09-1.21x the
+# chirp-z's; at 2-8 columns, where their builds dominate, 0.7-20x the faster
+_MOMENT_COST_RATIO = 1
+_MOMENT_BUILD_COLUMNS = 32
 
 
 def _products_cheaper(work: int, fft_len: int) -> bool:
@@ -562,8 +582,10 @@ class _Run(NamedTuple):
 
     For the trig tables, ``tables`` and ``head``, the head rows the run
     reads (a view), with ``head_conj``, their conjugates, the one array a
-    plan owns; ``chirp`` for the chirp-z transform; neither for the
-    length-period FFT or an empty run. ``lo`` is the run's start mod the period.
+    plan owns; ``chirp`` for the chirp-z transform; ``degree``, the number
+    of Chebyshev terms, for the moments, which hold no tables; none of them
+    for the length-period FFT or an empty run. ``lo`` is the run's start mod
+    the period.
     """
 
     span: int
@@ -572,6 +594,7 @@ class _Run(NamedTuple):
     head: np.ndarray | None
     head_conj: np.ndarray | None
     chirp: _ChirpPlan | None
+    degree: int = 0
 
     def run_columns(self) -> np.ndarray:
         """``columns(run).T`` of a trig-table run, ``(span, 2*orders)``.
@@ -590,11 +613,11 @@ class _Run(NamedTuple):
 
 
 @functools.lru_cache(maxsize=2)
-def _run_plan(orders: int, period: int, start: int, span: int, packed: bool,
-              table_ratio: int, chirp_ratio: int) -> _Run:
+def _run_plan(orders: int, period: int, start: int, span: int, columns: int,
+              table_ratio: int, chirp_ratio: int, moment_ratio: int) -> _Run:
     # keyed on the cost rule's ratios too, so that a plan picked under one is
     # never read under another (tests patch them to force a transform)
-    return FourierBasis(orders, period)._transform(range(start, start + span), packed)
+    return FourierBasis(orders, period)._transform(range(start, start + span), columns)
 
 
 def build_basis(orders: int, period: int) -> FourierBasis:
@@ -728,29 +751,31 @@ def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
     ``blocks``, block ``i`` contributes only its columns ``dims[i]``.
 
     The fold is :meth:`FourierBasis.project` of the selected columns, so it
-    runs the decode transforms, their cost rule and their plan caches: the
-    packed chirp-z transform at stock (a pair of columns per complex FFT
-    pair of length 2048 over 1020 positions), the trig tables at desk, and
-    at both geometries decode's next call over the benchmark's middles
-    reads the tables the fold built. Over the FFTs every column costs a
-    transform, so each block's picked columns go to it in groups, selected
-    from the block only then. Over the trig tables a column costs no
-    transform: the run's columns are built once per sub-run, and a block's
-    columns from its first pick to its last go in spans, each cast into one
-    float64 buffer and projected by one matrix product against them, within
-    the multiply-adds of BLAS's small-matrix kernels (32 columns at desk),
-    whose picked columns the state keeps; nothing is gathered from a block.
-    So the columns between a block's picks pass through the products too:
-    the fold ignores floating-point errors, and a NaN or Inf in a column
-    that is not picked leaves the picked columns' states as they are. No
-    block is copied whole. A group's or span's values, the transform's
-    buffers and its output, with the trig tables and run columns
-    a sub-run builds, fit ``_FOLD_CHUNK_FLOATS`` float64 values (1 MB) where
-    one column allows, as ``FourierBasis._project_floats`` counts them for
-    the plan each sub-run runs; a run at which one column does not fit is
-    halved into consecutive sub-runs until it fits every one, the shorter
-    last one included, which the fold's linearity allows, so the transient
-    memory is one budget whatever the run length.
+    runs the decode transforms, their cost rule and their plan caches,
+    priced for every picked column of every block together: the Chebyshev
+    moments at stock (98 terms over 1020 positions), the trig tables at
+    desk, whose tables decode's next call over the benchmark's middle reads
+    from the cache. Over the FFTs every column costs a transform, so each
+    block's picked columns go to it in groups, selected from the block only
+    then. Over the trig tables and the moments a column costs no transform:
+    their tables are built once per sub-run (per chunk of positions and of
+    orders for the moments), and a block's columns from its first pick to
+    its last go in spans, each cast into one float64 buffer and projected
+    by one matrix product, within the multiply-adds of BLAS's small-matrix
+    kernels (32 columns at desk), whose picked columns the state keeps, or
+    for the moments the columns' moments, which a second product takes to
+    the state; nothing is gathered from a block. So the columns between a
+    block's picks pass through the products too: the fold ignores
+    floating-point errors, and a NaN or Inf in a column that is not picked
+    leaves the picked columns' states as they are. No block is copied
+    whole. A group's or span's values, the transform's buffers and its
+    output, with the tables a sub-run builds, fit ``_FOLD_CHUNK_FLOATS``
+    float64 values (1 MB) where one column allows, as
+    ``FourierBasis._project_floats`` counts them for the plan each sub-run
+    runs; a run at which one column does not fit is halved into consecutive
+    sub-runs until it fits every one, the shorter last one included, which
+    the fold's linearity allows, so the transient memory is one budget
+    whatever the run length.
     Returns one state per block, equal to :func:`compress_batch` of that
     block within ``1e-12 * max(1, sum|x|)`` per column: the transforms sum
     in their own order, so not bitwise.
@@ -786,29 +811,35 @@ def _fold_into(basis: FourierBasis, arrays: list, dims, outs: list, start_pos: i
     The work of :func:`fold_blocks`, whose checks the inputs have passed:
     ``outs[i]`` is ``(2*orders, k_i)`` float64 for the ``k_i`` columns
     picked, and may be a view of a larger array, as the cache's K and V
-    columns of one state. Each sub-run over the trig tables goes to
-    :func:`_fold_spans`, a product per span of a block's columns; over
-    either FFT, each block's picks go to the transform in groups.
+    columns of one state. The transform is priced for all the picked
+    columns together. Each sub-run over the trig tables goes to
+    :func:`_fold_spans`, a product per span of a block's columns, and over
+    the moments to :func:`_fold_moments`; over either FFT, each block's
+    picks go to the transform in groups.
     """
     length = arrays[0].shape[0] if arrays else 0
-    if length == 0:
-        return
     picks = [np.arange(a.shape[1])[d] for a, d in zip(arrays, dims)]
+    columns = sum(pick.size for pick in picks)
+    if length == 0 or columns == 0:
+        return
     # a block whose dims are a slice of step 1 is read as a slice, not gathered
     stretch = [isinstance(d, slice) and d.step in (None, 1) for d in dims]
     # the longest halving of the run at which one column fits the budget in
     # every sub-run: the last, shorter one may run another transform
     sub_run = length
     while sub_run > 1 and any(
-        sum(basis._project_floats(span)) > _FOLD_CHUNK_FLOATS
+        sum(basis._project_floats(span, columns)) > _FOLD_CHUNK_FLOATS
         for span in (sub_run, (length - 1) % sub_run + 1)
     ):
         sub_run = -(-sub_run // 2)
     for lo in range(0, length, sub_run):
         hi = min(length, lo + sub_run)
         run = range(start_pos + lo, start_pos + hi)
-        plan = basis._transform(run, packed=True, cached=sub_run == length)
-        fixed, per_column = basis._project_floats(hi - lo)
+        plan = basis._transform(run, columns, cached=sub_run == length)
+        if plan.degree:
+            _fold_moments(basis, plan, arrays, picks, stretch, outs, lo, hi)
+            continue
+        fixed, per_column = basis._project_floats(hi - lo, columns)
         group = max(1, (_FOLD_CHUNK_FLOATS - fixed) // per_column)
         if plan.tables is not None:
             _fold_spans(basis, plan.run_columns(), arrays, picks, stretch, outs, lo, hi, group)
@@ -824,10 +855,12 @@ def _fold_into(basis: FourierBasis, arrays: list, dims, outs: list, start_pos: i
 
 def _fold_spans(basis: FourierBasis, columns: np.ndarray, arrays: list, picks: list,
                 stretch: list, outs: list, lo: int, hi: int, group: int) -> None:
-    """:func:`_fold_into`'s sub-run ``lo:hi`` of a trig-table run, a product per span.
+    """Rows ``lo:hi`` of each block projected onto ``columns``, a product per span.
 
-    ``columns`` is the sub-run's :meth:`_Run.run_columns`, and ``stretch[i]``
-    whether block ``i``'s picks are a slice of step 1. The columns of a
+    ``columns`` is ``(hi - lo, n)``: a trig-table sub-run's
+    :meth:`_Run.run_columns`, or for :func:`_fold_moments` a chunk of its
+    Chebyshev rows, transposed. ``stretch[i]`` says whether block ``i``'s
+    picks are a slice of step 1. The columns of a
     block from its first pick to its last are cast, ``group`` at most at a
     time, into one float64 buffer (one cast a block at desk: casting each
     span apart took 4-5% longer), and each span of it within
@@ -868,6 +901,186 @@ def _fold_spans(basis: FourierBasis, columns: np.ndarray, arrays: list, picks: l
                 if order is not None:
                     at = order[a:b]
                 out[:, at] += sums[:, sel]
+
+
+# the moments keep their truncation error, 2 * sum over k >= degree of
+# (a/2)**k / k!, within this bound, a unit roundoff of float64
+_MOMENT_TAIL = 2.0**-53
+
+# the moments step their waves from order to order by running products over
+# at most this many orders, each from an exact start: a product's rounding
+# error grows with its length
+_MOMENT_ORDERS = 64
+
+
+def _moment_degree(a: float) -> int:
+    """How many Chebyshev terms expand ``exp(i*a*x)`` on ``[-1, 1]`` to ``_MOMENT_TAIL``.
+
+    ``exp(i*a*x) = sum_k eps_k * i**k * J_k(a) * T_k(x)`` (Jacobi-Anger),
+    with ``eps_0 = 1`` and ``eps_k = 2``, and ``|J_k(a)| <= (a/2)**k / k!``.
+    Once ``k + 1 >= a`` that bound at least halves from one ``k`` to the
+    next, so the terms from ``k`` on sum to at most ``4 * (a/2)**k / k!``:
+    the least such ``k`` at which that is within ``_MOMENT_TAIL``, found by
+    bisection on its logarithm. Every order's ``a`` is at most the largest.
+    """
+    if a <= 0:
+        return 1
+    log_tail = math.log(_MOMENT_TAIL / 4)
+
+    def within(k: int) -> bool:
+        return k * math.log(a / 2) - math.lgamma(k + 1) <= log_tail
+
+    low = max(1, math.ceil(a - 1))
+    high = low
+    while not within(high):
+        low, high = high + 1, 2 * high
+    while low < high:
+        mid = (low + high) // 2
+        low, high = (mid + 1, high) if not within(mid) else (low, mid)
+    return low
+
+
+def _moment_chunks(orders: int, span: int, degree: int) -> tuple[int, int, int, int, int]:
+    """How :func:`_fold_moments` splits its work to fit ``_FOLD_CHUNK_FLOATS``.
+
+    ``(positions, width, rows, window, fixed)``: positions per chunk of
+    Chebyshev rows (``degree * positions`` floats), block columns cast at a
+    time (``positions * width``), orders per chunk of waves
+    (:data:`_MOMENT_ORDERS`, ``2 * degree * rows`` floats) and moment
+    columns per product against them (``2 * rows * window``), each within a
+    quarter of the budget, or within one chunk of waves where that is more
+    (past 256 terms at the default budget); and ``fixed``, the larger
+    of the two passes' float64 values. The first also holds the rows'
+    position vectors, numpy's buffers for their broadcast products (``2 * s
+    * positions``, see :func:`_chebyshev_rows`) and the products of
+    :func:`_fold_spans` with the picked columns taken from them and the
+    sums they are added with (``3 * degree`` values per product column);
+    the second the waves' node and factor vectors.
+    """
+    rows = min(orders, _MOMENT_ORDERS)
+    quarter = max(_FOLD_CHUNK_FLOATS // 4, 2 * degree * rows)
+    positions = min(span, quarter // degree)
+    width = quarter // positions
+    window = quarter // (2 * rows)
+    step = min(width, max(1, _SMALL_PRODUCT // (degree * positions)))
+    s = max(2, math.isqrt(degree))
+    moments = (degree + 3 + 2 * s) * positions + positions * width + 3 * degree * step
+    waves = 2 * rows * (degree + window) + 8 * degree
+    return positions, width, rows, window, max(moments, waves)
+
+
+def _chebyshev_rows(x: np.ndarray, out: np.ndarray) -> None:
+    """``out[k] = T_k(x)`` for every row ``k`` of ``out``, ``x`` in ``[-1, 1]``.
+
+    The first ``2s`` rows, ``s = isqrt(degree)``, by the three-term
+    recurrence; the rest ``s`` rows at a time by ``T_(j+s) = 2*T_s*T_j -
+    T_(j-s)``, the same recurrence in ``T_s``: ``2 + 2*degree/s`` numpy
+    calls in place of ``2*degree``, and as accurate where the moments read
+    them (direct comparison with ``cos(k*arccos(x))`` in extended precision).
+    """
+    degree = out.shape[0]
+    out[0] = 1.0
+    if degree > 1:
+        out[1] = x
+    s = max(2, math.isqrt(degree))
+    twice = 2.0 * x
+    for k in range(2, min(degree, 2 * s)):
+        np.multiply(twice, out[k - 1], out=out[k])
+        out[k] -= out[k - 2]
+    if degree > 2 * s:
+        np.multiply(out[s], 2.0, out=twice)
+        for k in range(2 * s, degree, s):
+            end = min(k + s, degree)
+            np.multiply(out[k - s : end - s], twice, out=out[k:end])
+            out[k:end] -= out[k - 2 * s : end - 2 * s]
+
+
+def _moment_waves(period: int, lo: int, span: int, degree: int, r0: int, r1: int) -> np.ndarray:
+    """Orders ``r0..r1-1``'s waves at ``degree`` Chebyshev nodes, complex ``(degree, r1 - r0)``.
+
+    A run of ``span`` positions from ``lo`` has centre ``c = lo + (span -
+    1)/2`` and half-width ``h = span/2``, so ``exp(i*theta_r*t)`` is
+    ``exp(i*theta_r*c) * exp(i*a_r*x)`` at ``x = (t - c)/h``, with ``a_r =
+    theta_r*h = pi*r*span/period``. Element ``[j, r]`` is that wave at the
+    node ``cos(pi*(j + 1/2)/degree)``. From order to order the wave at a
+    node steps by one factor, so each row is a running product from order
+    ``r0``, over at most :data:`_MOMENT_ORDERS` orders; the centre phase
+    in its factors is reduced in integers mod ``2*period``.
+    """
+    nodes = (np.pi * span / period) * np.cos(np.pi * (np.arange(degree) + 0.5) / degree)
+    centre = 2 * lo + span - 1  # 2c
+    waves = np.empty((degree, r1 - r0), dtype=np.complex128)
+    waves[:, 0] = np.exp(1j * r0 * nodes) * _unit_phase(r0 * centre, period)
+    waves[:, 1:] = (np.exp(1j * nodes) * _unit_phase(centre, period))[:, None]
+    np.multiply.accumulate(waves, axis=1, out=waves)
+    return waves
+
+
+def _fold_moments(basis: FourierBasis, plan: _Run, arrays: list, picks: list,
+                  stretch: list, outs: list, lo: int, hi: int) -> None:
+    """:func:`_fold_into`'s sub-run ``lo:hi`` by Chebyshev moments, two products per column.
+
+    With ``x_t`` the run's positions mapped onto ``(-1, 1)`` and ``T_k``
+    the Chebyshev polynomials, ``exp(i*theta_r*t)`` is ``sum_k G[k, r] *
+    T_k(x_t)`` for ``k < degree``, ``G[:, r]`` being the Chebyshev
+    coefficients of order ``r``'s wave (:func:`_moment_waves`), a DCT of
+    it at ``degree`` nodes. So a column ``w`` folds as its moments ``mu =
+    P @ w``, ``P[k, m] = T_k(x_m)``, and then ``G.T @ mu``; the DCT moves
+    onto the moments, as its transpose (a DCT-III), so the second product
+    reads the waves themselves. The picked columns go in groups whose
+    moments fit the budget (every column at the benchmark's geometries).
+    Per group, ``P`` is built a chunk of positions at a time and each chunk
+    projects every block's columns into the moments through
+    :func:`_fold_spans`, from a block's first pick to its last; then the
+    waves are built a chunk of orders at a time, and each chunk's product
+    with a window of the moments is added into the output rows of those
+    orders. The sizes are :func:`_moment_chunks`'.
+    """
+    span, degree = hi - lo, plan.degree
+    positions, width, rows, window, fixed = _moment_chunks(basis.orders, span, degree)
+    # the columns whose moments fit what the budget leaves, or all of them
+    # where not even one column's do
+    group = (_FOLD_CHUNK_FLOATS - fixed) // degree
+    if group < 1:
+        group = sum(pick.size for pick in picks)
+    # chunks of equal widths, none a short remainder
+    positions = -(-span // -(-span // positions))
+    rows = -(-basis.orders // -(-basis.orders // rows))
+    pieces = [(i, a, min(a + group, pick.size))
+              for i, pick in enumerate(picks) for a in range(0, pick.size, group)]
+    while pieces:
+        # the pieces whose moments fit one group, each at its offset in them
+        batch, count = [], 0
+        while pieces and count + pieces[0][2] - pieces[0][1] <= group:
+            i, a, b = pieces.pop(0)
+            batch.append((i, a, b, count))
+            count += b - a
+        moments = np.zeros((degree, count))
+        cheb = np.empty((degree, positions))
+        for p0 in range(0, span, positions):
+            p1 = min(span, p0 + positions)
+            part = cheb[:, : p1 - p0]
+            _chebyshev_rows((2 * np.arange(p0, p1) - (span - 1)) / span, part)
+            _fold_spans(basis, part.T, [arrays[i] for i, *_ in batch],
+                        [picks[i][a:b] for i, a, b, _ in batch], [stretch[i] for i, *_ in batch],
+                        [moments[:, at : at + b - a] for _, a, b, at in batch],
+                        lo + p0, lo + p1, width)
+        del cheb, part
+        moments = scipy.fft.dct(moments, type=3, axis=0, overwrite_x=True)
+        moments /= degree
+        for r0 in range(0, basis.orders, rows):
+            r1 = min(basis.orders, r0 + rows)
+            # cosine and sine rows of each order, interleaved
+            waves = _moment_waves(basis.period, plan.lo, span, degree, r0, r1).view(np.float64).T
+            for c0 in range(0, count, window):
+                c1 = min(count, c0 + window)
+                sums = waves @ moments[:, c0:c1]
+                for i, a, b, at in batch:
+                    # the columns of this window that are the piece's
+                    u0, u1 = max(c0, at), min(c1, at + b - a)
+                    if u0 < u1:
+                        out = outs[i][2 * r0 : 2 * r1, a + u0 - at : a + u1 - at]
+                        out += sums[:, u0 - c0 : u1 - c0]
 
 
 def fold_token(state: SpectralState, basis: FourierBasis, value, pos: int) -> SpectralState:

@@ -341,16 +341,23 @@ def prefill_geometries(draw):
 class TestPrefillFold:
     """``prefill``'s shared-column fold against ``compress_batch`` per head."""
 
-    @settings(max_examples=120, deadline=None, derandomize=True)
-    @given(prefill_geometries())
-    def test_states_match_compress_batch(self, case):
-        layout, keys, values = case
+    # ratios 0 and 2**62 force one transform of the fold, as in test_spectral
+    TRANSFORMS = (
+        {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 0, "_MOMENT_COST_RATIO": 2**62},
+        {"_TABLE_COST_RATIO": spectral._TABLE_COST_RATIO},
+        {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 2**62, "_MOMENT_COST_RATIO": 2**62},
+        {"_TABLE_COST_RATIO": 2**62, "_MOMENT_COST_RATIO": 2**62},
+        {"_MOMENT_COST_RATIO": 0},
+    )
+
+    @staticmethod
+    def assert_states_match(layout, keys, values, slices, basis):
+        """Each head's K and V states equal ``compress_batch`` of its middle rows."""
         part = layout.partition
-        basis = build_basis(part.orders, part.period)
         seq_len = keys.shape[1]
         n_init = min(part.init_len, seq_len)
         local_start = max(n_init, seq_len - part.local_len)
-        for head, sl in enumerate(prefill(keys, values, layout, 0, basis)):
+        for head, sl in enumerate(slices):
             hd = layout.dims[0][head]
             for state, block, comp in ((sl.spec_k, keys, hd.k_compressed),
                                        (sl.spec_v, values, hd.v_compressed)):
@@ -361,6 +368,55 @@ class TestPrefillFold:
                 assert (state.token_count, state.first_pos, state.last_pos) == (
                     oracle.token_count, oracle.first_pos, oracle.last_pos)
             assert sl.represented() == seq_len
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(prefill_geometries())
+    def test_states_match_compress_batch(self, case):
+        # under each forced transform of the fold, and as the cost rule picks
+        layout, keys, values = case
+        basis = build_basis(layout.partition.orders, layout.partition.period)
+        for ratios in self.TRANSFORMS:
+            with mock.patch.multiple(spectral, **ratios):
+                slices = prefill(keys, values, layout, 0, basis)
+            self.assert_states_match(layout, keys, values, slices, basis)
+
+    @staticmethod
+    def stock_layer():
+        """Stock geometry: one head of 128 dims, 2048 tokens, 102 K and 102 V dims folded."""
+        rng = np.random.default_rng(17)
+        part = PartitionParams(init_len=4, local_len=1024, period=32768, orders=512)
+        layout = one_layer(part, 128, [np.sort(rng.choice(128, 102, replace=False))],
+                           [np.sort(rng.choice(128, 102, replace=False))])
+        keys, values = random_layer(rng, kv_heads=1, seq_len=2048, head_dim=128)
+        return layout, keys, values, build_basis(512, 32768)
+
+    def test_stock_fold_runs_the_moments_like_compress_batch(self):
+        layout, keys, values, basis = self.stock_layer()
+        with mock.patch.object(spectral, "_fold_moments", autospec=True,
+                               side_effect=spectral._fold_moments) as moments:
+            slices = prefill(keys, values, layout, 0, basis)
+        # the whole middle in one sub-run, K and V columns in one group
+        assert moments.call_count == 1
+        assert moments.call_args.args[1].degree == 98
+        self.assert_states_match(layout, keys, values, slices, basis)
+
+    def test_stock_transient_stays_within_the_fold_budget(self):
+        # the decode_stock_gqa geometry: the moments build their tables per
+        # fold, within the fold's budget, as the trig tables do at desk
+        layout, keys, values, basis = self.stock_layer()
+        prefill(keys, values, layout, 0, basis)  # numpy's first-call allocations
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            slices = prefill(keys, values, layout, 0, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = slices[0].exact_k.base.nbytes + sum(
+            sl.kept_k._data.nbytes + sl.kept_v._data.nbytes + sl._spec.coeffs.nbytes
+            for sl in slices)
+        assert peak - before <= held + 8 * spectral._FOLD_CHUNK_FLOATS + 16 * 1024
 
     @staticmethod
     def desk_layer():

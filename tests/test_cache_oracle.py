@@ -87,12 +87,14 @@ def assert_same_storage(before: dict, after: dict) -> None:
 
 dim_sets = st.sets(st.integers(0, HEAD_DIM - 1)).map(sorted)
 
-# as in test_spectral's TestContiguousRuns: ratios 0 and 2**62 force one transform
+# as in test_spectral's TRANSFORMS: ratios 0 and 2**62 force one transform, the
+# moments' only on calls of two or more columns, as prefill's fold makes
 transforms = st.sampled_from([
-    {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 0},
+    {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 0, "_MOMENT_COST_RATIO": 2**62},
     {"_TABLE_COST_RATIO": spectral._TABLE_COST_RATIO},
-    {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 2**62},
-    {"_TABLE_COST_RATIO": 2**62},
+    {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 2**62, "_MOMENT_COST_RATIO": 2**62},
+    {"_TABLE_COST_RATIO": 2**62, "_MOMENT_COST_RATIO": 2**62},
+    {"_MOMENT_COST_RATIO": 0},
 ])
 
 

@@ -4,6 +4,7 @@ Expected values come from independent oracles: a two-loop brute-force fold
 and a least-squares projection onto explicitly built cosine/sine columns.
 """
 
+import functools
 import math
 import tracemalloc
 import warnings
@@ -699,6 +700,19 @@ class TestRangePositions:
             np.testing.assert_array_equal(basis.project(np.zeros(0), run), np.zeros(6))
 
 
+# ratios 0 and 2**62 force one transform on calls of two or more columns, as in
+# TestContiguousRuns; a moment ratio of 0 prices the Chebyshev moments at no
+# work, and one of 2**62 never lets them run
+TRANSFORMS = {
+    "chirp-z": {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 0, "_MOMENT_COST_RATIO": 2**62},
+    "dispatch": {"_TABLE_COST_RATIO": spectral._TABLE_COST_RATIO},
+    "length-period": {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 2**62,
+                      "_MOMENT_COST_RATIO": 2**62},
+    "tables": {"_TABLE_COST_RATIO": 2**62, "_MOMENT_COST_RATIO": 2**62},
+    "moments": {"_MOMENT_COST_RATIO": 0},
+}
+
+
 @st.composite
 def basis_run_and_columns(draw):
     """A basis, a run and a column count for ``(len(run), c)`` weights.
@@ -721,13 +735,7 @@ def basis_run_and_columns(draw):
 class TestBatchedProject:
     """``project`` of ``(len(run), c)`` weights against ``columns(run) @ weights``."""
 
-    # as in TestContiguousRuns: ratios 0 and 2**62 force one transform
-    @pytest.mark.parametrize("ratios", [
-        {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 0},
-        {"_TABLE_COST_RATIO": spectral._TABLE_COST_RATIO},
-        {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 2**62},
-        {"_TABLE_COST_RATIO": 2**62},
-    ], ids=["chirp-z", "dispatch", "length-period", "tables"])
+    @pytest.mark.parametrize("ratios", TRANSFORMS.values(), ids=TRANSFORMS.keys())
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(case=basis_run_and_columns())
     def test_equals_columns_product_per_column(self, ratios, case):
@@ -754,23 +762,38 @@ class TestBatchedProject:
                                           basis.project(weights.astype(np.float64), range(7, 47)))
 
     @pytest.mark.parametrize("orders, period, span, cols, ratios, kind", [
-        (512, 32768, 1020, 24, {"_TABLE_COST_RATIO": spectral._TABLE_COST_RATIO}, "chirp"),
-        (16, 4096, 956, 70, {"_TABLE_COST_RATIO": spectral._TABLE_COST_RATIO}, "tables"),
-        (64, 4096, 3000, 9, {"_TABLE_COST_RATIO": 0}, "fft"),
-    ], ids=["chirp-z", "tables", "length-period"])
+        (512, 32768, 1020, 24, TRANSFORMS["chirp-z"], "chirp"),
+        (16, 4096, 956, 70, TRANSFORMS["dispatch"], "tables"),
+        (64, 4096, 3000, 9, TRANSFORMS["length-period"], "fft"),
+        (512, 32768, 1020, 24, TRANSFORMS["dispatch"], "moments"),
+    ], ids=["chirp-z", "tables", "length-period", "moments"])
     def test_project_floats_bound_each_transforms_buffers(
             self, orders, period, span, cols, ratios, kind):
         # what the batch fold sizes its groups by: weights as the fold passes
         # them, float32 columns gathered from a block or, for the tables, a
         # span cast into the fold's float64 buffer, and the plan built
-        # beforehand (for the tables, the run's columns, which are fixed)
+        # beforehand (for the tables, the run's columns, which are fixed).
+        # The moments fold a block in place into states the fold holds
         basis = FourierBasis(orders=orders, period=period)
         run = range(7, 7 + span)
         weights = np.ones((span, cols), dtype=np.float64 if kind == "tables" else np.float32)
         with mock.patch.multiple(spectral, **ratios):
-            assert basis._pick(span, packed=True)[0] == kind
-            plan = basis._transform(run, packed=True)
-            fixed, per_column = basis._project_floats(span)
+            assert basis._pick(span, cols)[0] == kind
+            plan = basis._transform(run, cols)
+            fixed, per_column = basis._project_floats(span, cols)
+        if kind == "moments":
+            outs = [np.zeros((basis.n_rows, cols))]
+            fold = functools.partial(spectral._fold_moments, basis, plan, [weights],
+                                     [np.arange(cols)], [True], outs, 0, span)
+            fold()  # numpy's own first-call allocations
+            tracemalloc.start()
+            try:
+                fold()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * (fixed + cols * per_column) + 1024
+            return
         if kind == "tables":
             # the run's columns, built once per sub-run, are the fixed part
             tracemalloc.start()
@@ -805,14 +828,16 @@ class TestOneColumn:
 
     @pytest.mark.parametrize("span", [1026, 1027, 1034])
     def test_stock_runs_the_chirp_z_at_one_columns_length(self, span):
-        # past 1026 positions two packed columns need n = 4096; one column needs 2048
+        # one column needs n >= span + 511, 2048 here, and never runs the
+        # moments, which a head's K and V columns over the same run take
         basis = FourierBasis(orders=512, period=32768)
         run = range(4, 4 + span)
         weights = np.random.default_rng(span).standard_normal(span)
         seen, transform = [], FourierBasis._transform
+        assert basis._pick(span, 204)[0] == "moments"
 
-        def spy(self, run, packed=False, cached=True):
-            plan = transform(self, run, packed, cached)
+        def spy(self, run, columns=1, cached=True):
+            plan = transform(self, run, columns, cached)
             seen.append(plan.chirp)
             return plan
 
@@ -842,9 +867,10 @@ class TestOneColumn:
                                    atol=1e-12 * max(1.0, np.abs(weights[:, 0]).sum()))
 
 
-def assert_fold_matches_oracle(state, basis, block, start_pos):
+def assert_fold_matches_oracle(state, basis, block, start_pos, oracle=None):
     """``state`` equals ``compress_batch`` of ``block`` within 1e-12 of each column's scale."""
-    oracle = compress_batch(basis, block, start_pos)
+    if oracle is None:
+        oracle = compress_batch(basis, block, start_pos)
     scale = np.maximum(1.0, np.abs(np.asarray(block, dtype=np.float64)).sum(axis=0))
     assert state.coeffs.shape == oracle.coeffs.shape
     assert np.all(np.abs(state.coeffs - oracle.coeffs) <= 1e-12 * scale)
@@ -880,27 +906,30 @@ def blocks_on_one_run(draw):
 class TestFoldBlocks:
     """The shared-column batch fold against its oracle ``compress_batch``."""
 
+    @staticmethod
+    def assert_every_transform_matches(basis, blocks, start_pos, picks, **patches):
+        """Fold under each forced transform, and as the cost rule picks, against the oracle."""
+        selected = [block if picks is None else block[:, pick]
+                    for block, pick in zip(blocks, picks or blocks)]
+        oracles = [compress_batch(basis, block, start_pos) for block in selected]
+        for ratios in TRANSFORMS.values():
+            with mock.patch.multiple(spectral, **ratios, **patches):
+                states = fold_blocks(basis, blocks, start_pos, dims=picks)
+            assert len(states) == len(blocks)
+            for state, block, oracle in zip(states, selected, oracles):
+                assert_fold_matches_oracle(state, basis, block, start_pos, oracle)
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(blocks_on_one_run())
     def test_equals_compress_batch_of_each_block(self, case):
-        basis, blocks, start_pos, picks = case
-        states = fold_blocks(basis, blocks, start_pos, dims=picks)
-        assert len(states) == len(blocks)
-        for i, (state, block) in enumerate(zip(states, blocks)):
-            selected = block if picks is None else block[:, picks[i]]
-            assert_fold_matches_oracle(state, basis, selected, start_pos)
+        self.assert_every_transform_matches(*case)
 
     # a budget of 2**9 floats folds the strategy's runs in sub-runs and groups
     # narrower than most blocks, single positions and columns at 4096 orders
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(blocks_on_one_run())
     def test_equals_compress_batch_of_each_block_at_a_small_budget(self, case):
-        basis, blocks, start_pos, picks = case
-        with mock.patch.object(spectral, "_FOLD_CHUNK_FLOATS", 2**9):
-            states = fold_blocks(basis, blocks, start_pos, dims=picks)
-        for i, (state, block) in enumerate(zip(states, blocks)):
-            selected = block if picks is None else block[:, picks[i]]
-            assert_fold_matches_oracle(state, basis, selected, start_pos)
+        self.assert_every_transform_matches(*case, _FOLD_CHUNK_FLOATS=2**9)
 
     def test_chunks_cover_a_run_longer_than_one_chunk(self):
         basis = FourierBasis(orders=4096, period=8191)  # 8192 rows: the largest states
@@ -924,14 +953,16 @@ class TestFoldBlocks:
         # over 625 positions; 2**9 floats, which must hold each sub-run's trig
         # tables too, make sub-runs of 6 positions and spans of up to 3 columns.
         # The run wraps past a multiple of the period. Picks come unordered,
-        # ordered with gaps, as a stretch, empty and as slices
+        # ordered with gaps, as a stretch, empty and as slices. The moments,
+        # which the cost rule picks for these sub-runs, are kept off
         basis = FourierBasis(orders=orders, period=4096)
         rng = np.random.default_rng(6)
         blocks = [rng.standard_normal((length, width)).astype(np.float32)
                   for width in (3, 0, 5, 5, 6, 6)]
         picks = [np.array([2, 0]), np.array([], dtype=np.int64), np.array([1, 3, 2, 4]),
                  np.array([1, 2, 3]), slice(2, 5), slice(1, None, 2)]
-        with mock.patch.multiple(spectral, _FOLD_CHUNK_FLOATS=budget, _SMALL_PRODUCT=small), \
+        with mock.patch.multiple(spectral, _FOLD_CHUNK_FLOATS=budget, _SMALL_PRODUCT=small,
+                                 _MOMENT_COST_RATIO=2**62), \
                 mock.patch.object(FourierBasis, "_transform", autospec=True,
                                   side_effect=FourierBasis._transform) as plans, \
                 mock.patch.object(FourierBasis, "_project_columns", autospec=True,
@@ -955,9 +986,10 @@ class TestFoldBlocks:
         # up to 32 columns. Without that cap, a 64-column block is one span and a
         # 128-column one two at the default budget; picks 5 and 120 take two
         # spans of 58, and no product for the columns between. 3 * 2**12 floats
-        # make 8 sub-runs of up to 120 positions and spans of at most 15 columns.
-        # Picks come scattered, unordered, repeated, as stretches, slices, empty
-        # and whole
+        # make 8 sub-runs of up to 120 positions and spans of at most 15 columns
+        # (the cost rule would run the moments over sub-runs that short, so
+        # they are kept off). Picks come scattered, unordered, repeated, as
+        # stretches, slices, empty and whole
         basis = FourierBasis(orders=16, period=4096)
         rng = np.random.default_rng(16)
         blocks = [rng.standard_normal((956, width)).astype(np.float32)
@@ -966,7 +998,8 @@ class TestFoldBlocks:
                  slice(3, 61), slice(1, None, 2), np.array([], dtype=np.int64),
                  np.array([3, 3, 4]), np.sort(rng.choice(128, 100, replace=False)),
                  slice(None), np.array([5, 120])]
-        with mock.patch.multiple(spectral, _FOLD_CHUNK_FLOATS=budget, _SMALL_PRODUCT=small), \
+        with mock.patch.multiple(spectral, _FOLD_CHUNK_FLOATS=budget, _SMALL_PRODUCT=small,
+                                 _MOMENT_COST_RATIO=2**62), \
                 mock.patch.object(FourierBasis, "_transform", autospec=True,
                                   side_effect=FourierBasis._transform) as plans, \
                 mock.patch.object(FourierBasis, "_project_columns", autospec=True,
@@ -1017,13 +1050,18 @@ class TestFoldBlocks:
             fold_blocks(basis, [np.zeros((2, 1))], 0, dims=[[0], [0]])
 
     def test_transient_memory_does_not_grow_with_run_length(self):
-        basis = FourierBasis(orders=512, period=32768)  # chunks of 128 positions
+        # over the trig tables, in sub-runs whose tables fill the budget. The
+        # moments the cost rule picks here hold more as their degree grows
+        # with the run (893 KB at 4096 positions against 397 KB at 256), up
+        # to the budget that the two peak tests below hold them to
+        basis = FourierBasis(orders=512, period=32768)
 
         def transient(length):
             blocks = [np.ones((length, 8), dtype=np.float32) for _ in range(4)]
             tracemalloc.start()
             try:
-                fold_blocks(basis, blocks, 0)
+                with mock.patch.multiple(spectral, **TRANSFORMS["tables"]):
+                    fold_blocks(basis, blocks, 0)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -1088,11 +1126,11 @@ class TestFoldBlocks:
         bound = 8 * spectral._FOLD_CHUNK_FLOATS + 16 * 8192 + 88 * 102 * 12
         assert peak - current <= bound + 16 * 1024
 
-    @pytest.mark.parametrize("part, plan, n", [
-        ((512, 32768, 4, 1020, 2), spectral._ChirpPlan, 2048),
-        ((16, 4096, 4, 956, 4), spectral._TrigTables, None),
+    @pytest.mark.parametrize("part, kind", [
+        ((512, 32768, 4, 1020, 2), "moments"),
+        ((16, 4096, 4, 956, 4), "tables"),
     ], ids=["stock", "desk"])
-    def test_benchmark_geometries_take_their_transform(self, part, plan, n):
+    def test_benchmark_geometries_take_their_transform(self, part, kind):
         # the benchmark's prefill middles: K and V of every head, 80% of their dims
         orders, period, start, length, heads = part
         basis = FourierBasis(orders=orders, period=period)
@@ -1104,20 +1142,24 @@ class TestFoldBlocks:
                  for _ in blocks]
         seen, transform = [], FourierBasis._transform
 
-        def spy(self, run, packed=False, cached=True):
-            got = transform(self, run, packed, cached)
-            seen.append((run, packed and cached, got.chirp or got.tables))
+        def spy(self, run, columns=1, cached=True):
+            got = transform(self, run, columns, cached)
+            seen.append((run, cached, got))
             return got
 
         with mock.patch.object(FourierBasis, "_transform", spy):
-            fold_blocks(basis, blocks, start, dims=picks)
-        assert seen
-        for run, packed, got in seen:
-            # one run, packed, whose tables decode's next call reads from the cache
-            assert run == range(start, start + length) and packed
-            assert isinstance(got, plan)
-            if n is not None:
-                assert got.spectrum.size == n  # two columns per FFT pair of one column's length
+            states = fold_blocks(basis, blocks, start, dims=picks)
+        # one run for every column, whose trig tables decode's next call reads from the cache
+        assert len(seen) == 1
+        run, cached, got = seen[0]
+        assert run == range(start, start + length) and cached
+        if kind == "moments":
+            # 98 Chebyshev terms for waves of up to pi * 511 * 1020 / 32768 radians
+            assert got.degree == 98 and got.chirp is None and got.tables is None
+        else:
+            assert isinstance(got.tables, spectral._TrigTables) and not got.degree
+        for state, block, pick in zip(states, blocks, picks):
+            assert_fold_matches_oracle(state, basis, block[:, pick], start)
 
 
 class TestRunPlans:
