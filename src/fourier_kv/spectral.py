@@ -101,10 +101,10 @@ class FourierBasis:
       polynomials ``T_k(x)`` (Jacobi-Anger), ``degree`` growing with the
       largest wave's phase over half the run as a bound on the tail sets it
       (98 terms for 512 orders over 1020 positions at period 32768, where
-      that phase is 50 radians). A column costs its
-      ``degree`` moments, ``degree * span`` multiply-adds, and one product
-      of them by the waves, ``2R * degree``; the tables of both are built
-      for all ``c`` columns together, in chunks within the fold's budget.
+      that phase is 50 radians). A column costs its ``degree`` moments,
+      ``degree * span`` multiply-adds, and one product of them by the
+      waves, ``2R * degree``; the tables of both are built for all ``c``
+      columns together, in chunks within the fold's budget.
     * chirp-z (Bluestein): with ``n`` the power of two ``>= span + R - 1``,
       one complex FFT pair of length ``n`` per column: O(n log n) time,
       O(n) memory and ``32 * n <= 8 * period`` bytes of tables.
@@ -120,16 +120,16 @@ class FourierBasis:
     orders over a thousand positions, where they measured slower. Two or
     more columns run the moments ahead of both while their work per column,
     their builds shared among the columns, is at most the tables' and
-    passes the same test against the FFT: 512 orders over a thousand
-    positions take them, 16 orders keep the tables. Tables hold phases
-    reduced exactly in integers mod ``period``, are read-only, and the last
-    few of each kind are cached per ``(orders, period, lo mod period)`` and
-    their sizes. A run's resolved transform, its checks, pick, tables and
-    the head rows it reads with their conjugates, is cached too, per
-    ``(orders, period, start, span, c)`` and the cost rule's ratios, so
-    every head of a decode step that reads one middle region reads one
-    plan. This class owns the cosine/sine row layout; callers only pass
-    coefficient vectors of length ``2*orders``.
+    passes the same test against the FFT: 512 orders over 1020 positions
+    take them from 11 columns on, 16 orders keep the tables. Tables hold
+    phases reduced exactly in integers mod ``period``, are read-only, and
+    the last few of each kind are cached per ``(orders, period, lo mod
+    period)`` and their sizes. A run's resolved transform, its checks,
+    pick, tables and the head rows it reads with their conjugates, is
+    cached too, per ``(orders, period, start, span, c)`` and the cost
+    rule's ratios, so every head of a decode step that reads one middle
+    region reads one plan. This class owns the cosine/sine row layout;
+    callers only pass coefficient vectors of length ``2*orders``.
 
     Immutable; safe to share across threads.
     """
