@@ -118,10 +118,12 @@ class FourierBasis:
     complex FFT length the other would run (``n``, or ``period/2 + 1`` for
     the real FFT): they run for 16 orders at any span, and not for 512
     orders over a thousand positions, where they measured slower. Two or
-    more columns run the moments ahead of both while their work per column,
+    more columns whose run columns exceed a fold's budget add the tables'
+    builds in its sub-runs to that work, as ``_TABLE_BUILD_COLUMNS`` more
+    columns. They run the moments ahead of both while their work per column,
     their builds shared among the columns, is at most the tables' and
     passes the same test against the FFT: 512 orders over 1020 positions
-    take them from 11 columns on, 16 orders keep the tables. Tables hold
+    take them from 34 columns on, 16 orders keep the tables. Tables hold
     phases reduced exactly in integers mod ``period``, are read-only, and
     the last few of each kind are cached per ``(orders, period, lo mod
     period)`` and their sizes. A run's resolved transform, its checks,
@@ -196,7 +198,9 @@ class FourierBasis:
         length-period FFT, with ``R = orders`` bins. ``columns`` is the
         number of weight columns that share the call: the moments' tables
         are built once for all of them, so they are priced only for two or
-        more, and never run for one.
+        more, and never run for one. Two or more columns read the trig
+        tables' run columns, and where those exceed ``_FOLD_CHUNK_FLOATS``
+        the tables are charged the builds of a fold's sub-runs too.
         """
         orders = self.orders
         # linear convolution of ``span`` outputs with R = orders bins: n >= span + R - 1
@@ -205,17 +209,23 @@ class FourierBasis:
         # the complex FFT length of the cheaper FFT: the chirp-z pair's n, or
         # period // 2 + 1 for a real FFT of length period
         fft_len = n if chirp else self.period // 2 + 1
+        width = 1 << (span.bit_length() // 2)
+        rows = 1 << (-(-span // width) - 1).bit_length()
+        tables = orders * span
+        if columns > 1 and sum(_table_floats(orders, span, width, rows)) > _FOLD_CHUNK_FLOATS:
+            # a fold whose run columns exceed its budget runs sub-runs that
+            # each build their own tables, counted as more columns
+            tables = tables * (columns + _TABLE_BUILD_COLUMNS) / columns
         if columns > 1:
             degree = _moment_degree(np.pi * (orders - 1) * span / self.period)
             # the two products per column, in the tables' unit of R * span (a
             # complex multiply-add), and the tables' builds shared by the columns
             work = (_MOMENT_COST_RATIO * degree * (span + 2 * orders)
                     * (columns + _MOMENT_BUILD_COLUMNS) / (2 * columns))
-            if work <= orders * span and _products_cheaper(work, fft_len):
+            if work <= tables and _products_cheaper(work, fft_len):
                 return "moments", degree, 0
-        if _products_cheaper(orders * span, fft_len):
-            width = 1 << (span.bit_length() // 2)
-            return "tables", width, 1 << (-(-span // width) - 1).bit_length()
+        if _products_cheaper(tables, fft_len):
+            return "tables", width, rows
         if chirp:
             return "chirp", n, 0
         return "fft", self.period, 0
@@ -406,11 +416,7 @@ class FourierBasis:
         kind, size, rows = self._pick(span, columns)
         buffers = 4 * np.getbufsize()
         if kind == "tables":
-            used = -(-span // size)  # head rows the run reads
-            run_columns = used * size * self.orders  # complex values
-            tables = 2 * self.orders * (rows + size)
-            temporaries = 2 * self.orders * used + 2 * min(np.getbufsize(), run_columns)
-            return tables + 2 * run_columns + temporaries, span + 3 * self.n_rows
+            return _table_floats(self.orders, span, size, rows)
         if kind == "moments":
             return _moment_chunks(self.orders, span, size)[-1], size
         if kind == "chirp":
@@ -459,22 +465,40 @@ _CHIRP_LENGTH_RATIO = 4
 # product per span of a block's columns against the run's columns
 _TABLE_COST_RATIO = 16
 
+# a fold whose run columns exceed _FOLD_CHUNK_FLOATS runs the tables in
+# sub-runs that each build their own, so there the tables' work is counted
+# with this many more columns shared by all
+_TABLE_BUILD_COLUMNS = 256
+
 # project of two or more columns runs the Chebyshev moments while their work
 # per column, ratio * degree * (span + 2R) / 2 in the tables' unit of R * span
 # (half a real multiply-add), with the moments' tables counted as
 # _MOMENT_BUILD_COLUMNS more columns shared by all, is at most the trig
-# tables' R * span and passes _products_cheaper against the FFT. Set from a
-# sweep of folds under each forced transform (orders 64-512, spans 256-4000,
-# periods 4096 and 32768, 2-400 columns, numpy 2.4 and scipy-openblas 0.3.31
-# on a 2-core AVX-512 x86_64, one thread). Among ratios 1-2 and build counts
-# 4-128 that send the stock fold to the moments and the desk fold to the
-# tables, 1 and 32 left 6 of the 120 folds at over 1.5x the fastest forced
-# transform and lost 122 ms in all to it, against 401 ms with no moments; 1
-# and 4 lost 104 ms but left 26 folds past 1.5x. From 128 columns at period
-# 32768 the moments ran 0.10-0.72x the trig tables' time and 0.09-1.21x the
-# chirp-z's; at 2-8 columns, where their builds dominate, 0.7-20x the faster
-_MOMENT_COST_RATIO = 1
+# tables' (with their sub-runs' builds) and passes _products_cheaper against
+# the FFT. The three constants come from a sweep of folds under each forced
+# transform (orders 64-512, spans 256-4000, periods 4096 and 32768, 2-400
+# columns, numpy 2.4 and scipy-openblas 0.3.31 on a 2-core AVX-512 x86_64,
+# one thread). Among ratios 0.75-3, moment build counts 8-128 and table build
+# counts 64-384 that send the stock fold to the moments and the desk fold to
+# the tables, 2, 32 and 256 lost 7 ms in all to the fastest forced transform
+# over the 120 folds, and left one at over 1.5x its time. Ratio 1 lost 45 ms
+# (12 folds past 1.5x), no table build count 160 ms (48: 2 columns over 256
+# orders and 4000 positions at period 32768 ran 24x the chirp-z's time on the
+# tables), no moments 237 ms. On a second grid that set nothing (orders 96,
+# 192 and 384, spans 500 and 2000, 4-256 columns, both periods) they lost
+# 1.6 ms over 48 folds, the worst at 1.63x, where a rule with ratio 1 and no
+# table build count lost 40 ms and left 15 folds past 1.5x
+_MOMENT_COST_RATIO = 2
 _MOMENT_BUILD_COLUMNS = 32
+
+
+def _table_floats(orders: int, span: int, width: int, rows: int) -> tuple[int, int]:
+    """:meth:`FourierBasis._project_floats` for the trig tables of ``rows`` by ``width``."""
+    used = -(-span // width)  # head rows the run reads
+    run_columns = used * width * orders  # complex values
+    tables = 2 * orders * (rows + width)
+    temporaries = 2 * orders * used + 2 * min(np.getbufsize(), run_columns)
+    return tables + 2 * run_columns + temporaries, span + 6 * orders
 
 
 def _products_cheaper(work: int, fft_len: int) -> bool:
@@ -829,12 +853,14 @@ def _fold_into(basis: FourierBasis, arrays: list, dims, outs: list, start_pos: i
     sub_run = length
     while sub_run > 1 and any(
         sum(basis._project_floats(span, columns)) > _FOLD_CHUNK_FLOATS
-        for span in (sub_run, (length - 1) % sub_run + 1)
+        for span in {sub_run, (length - 1) % sub_run + 1}
     ):
         sub_run = -(-sub_run // 2)
     for lo in range(0, length, sub_run):
         hi = min(length, lo + sub_run)
         run = range(start_pos + lo, start_pos + hi)
+        # the last sub-run's tables go before this one's are built
+        plan = None
         plan = basis._transform(run, columns, cached=sub_run == length)
         if plan.degree:
             _fold_moments(basis, plan, arrays, picks, stretch, outs, lo, hi)
@@ -903,8 +929,10 @@ def _fold_spans(basis: FourierBasis, columns: np.ndarray, arrays: list, picks: l
                 out[:, at] += sums[:, sel]
 
 
-# the moments keep their truncation error, 2 * sum over k >= degree of
-# (a/2)**k / k!, within this bound, a unit roundoff of float64
+# the moments keep their truncation tail, 2 * sum over k >= degree of
+# (a/2)**k / k!, within this bound, a unit roundoff of float64. They
+# interpolate at degree nodes, which folds the dropped terms back onto the
+# kept ones, so their error is within twice it, 2**-52
 _MOMENT_TAIL = 2.0**-53
 
 # the moments step their waves from order to order by running products over
@@ -913,6 +941,7 @@ _MOMENT_TAIL = 2.0**-53
 _MOMENT_ORDERS = 64
 
 
+@functools.lru_cache(maxsize=16)
 def _moment_degree(a: float) -> int:
     """How many Chebyshev terms expand ``exp(i*a*x)`` on ``[-1, 1]`` to ``_MOMENT_TAIL``.
 
@@ -922,6 +951,8 @@ def _moment_degree(a: float) -> int:
     next, so the terms from ``k`` on sum to at most ``4 * (a/2)**k / k!``:
     the least such ``k`` at which that is within ``_MOMENT_TAIL``, found by
     bisection on its logarithm. Every order's ``a`` is at most the largest.
+    Interpolation at ``k`` nodes, as :func:`_fold_moments` runs it, aliases
+    the tail onto the kept terms and so errs by at most twice the tail.
     """
     if a <= 0:
         return 1

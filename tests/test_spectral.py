@@ -765,7 +765,7 @@ class TestBatchedProject:
         (512, 32768, 1020, 24, TRANSFORMS["chirp-z"], "chirp"),
         (16, 4096, 956, 70, TRANSFORMS["dispatch"], "tables"),
         (64, 4096, 3000, 9, TRANSFORMS["length-period"], "fft"),
-        (512, 32768, 1020, 24, TRANSFORMS["dispatch"], "moments"),
+        (512, 32768, 1020, 48, TRANSFORMS["dispatch"], "moments"),
     ], ids=["chirp-z", "tables", "length-period", "moments"])
     def test_project_floats_bound_each_transforms_buffers(
             self, orders, period, span, cols, ratios, kind):
@@ -953,8 +953,9 @@ class TestFoldBlocks:
         # over 625 positions; 2**9 floats, which must hold each sub-run's trig
         # tables too, make sub-runs of 6 positions and spans of up to 3 columns.
         # The run wraps past a multiple of the period. Picks come unordered,
-        # ordered with gaps, as a stretch, empty and as slices. The moments,
-        # which the cost rule picks for these sub-runs, are kept off
+        # ordered with gaps, as a stretch, empty and as slices. The trig tables
+        # are forced: the cost rule runs the length-period FFT over the whole
+        # run, whose columns would overflow the budget
         basis = FourierBasis(orders=orders, period=4096)
         rng = np.random.default_rng(6)
         blocks = [rng.standard_normal((length, width)).astype(np.float32)
@@ -962,7 +963,7 @@ class TestFoldBlocks:
         picks = [np.array([2, 0]), np.array([], dtype=np.int64), np.array([1, 3, 2, 4]),
                  np.array([1, 2, 3]), slice(2, 5), slice(1, None, 2)]
         with mock.patch.multiple(spectral, _FOLD_CHUNK_FLOATS=budget, _SMALL_PRODUCT=small,
-                                 _MOMENT_COST_RATIO=2**62), \
+                                 **TRANSFORMS["tables"]), \
                 mock.patch.object(FourierBasis, "_transform", autospec=True,
                                   side_effect=FourierBasis._transform) as plans, \
                 mock.patch.object(FourierBasis, "_project_columns", autospec=True,
@@ -987,8 +988,8 @@ class TestFoldBlocks:
         # 128-column one two at the default budget; picks 5 and 120 take two
         # spans of 58, and no product for the columns between. 3 * 2**12 floats
         # make 8 sub-runs of up to 120 positions and spans of at most 15 columns
-        # (the cost rule would run the moments over sub-runs that short, so
-        # they are kept off). Picks come scattered, unordered, repeated, as
+        # (the trig tables are forced: the cost rule would run the moments over
+        # sub-runs that short). Picks come scattered, unordered, repeated, as
         # stretches, slices, empty and whole
         basis = FourierBasis(orders=16, period=4096)
         rng = np.random.default_rng(16)
@@ -999,7 +1000,7 @@ class TestFoldBlocks:
                  np.array([3, 3, 4]), np.sort(rng.choice(128, 100, replace=False)),
                  slice(None), np.array([5, 120])]
         with mock.patch.multiple(spectral, _FOLD_CHUNK_FLOATS=budget, _SMALL_PRODUCT=small,
-                                 _MOMENT_COST_RATIO=2**62), \
+                                 **TRANSFORMS["tables"]), \
                 mock.patch.object(FourierBasis, "_transform", autospec=True,
                                   side_effect=FourierBasis._transform) as plans, \
                 mock.patch.object(FourierBasis, "_project_columns", autospec=True,
@@ -1049,25 +1050,40 @@ class TestFoldBlocks:
         with pytest.raises(ValueError):
             fold_blocks(basis, [np.zeros((2, 1))], 0, dims=[[0], [0]])
 
-    def test_transient_memory_does_not_grow_with_run_length(self):
-        # over the trig tables, in sub-runs whose tables fill the budget. The
-        # moments the cost rule picks here hold more as their degree grows
-        # with the run (893 KB at 4096 positions against 397 KB at 256), up
-        # to the budget that the two peak tests below hold them to
+    @staticmethod
+    def fold_transient(length, ratios):
+        """The peak traced bytes of a stock fold of 4 blocks of 8 columns over ``length``."""
         basis = FourierBasis(orders=512, period=32768)
+        blocks = [np.ones((length, 8), dtype=np.float32) for _ in range(4)]
+        tracemalloc.start()
+        try:
+            with mock.patch.multiple(spectral, **ratios):
+                fold_blocks(basis, blocks, 0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
-        def transient(length):
-            blocks = [np.ones((length, 8), dtype=np.float32) for _ in range(4)]
-            tracemalloc.start()
-            try:
-                with mock.patch.multiple(spectral, **TRANSFORMS["tables"]):
-                    fold_blocks(basis, blocks, 0)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        short, long = transient(256), transient(4096)
+    def test_transient_memory_does_not_grow_with_run_length(self):
+        # the cost rule runs these 32 columns through the chirp-z transform from
+        # 1024 positions on, in sub-runs of 4096 positions past that
+        short = self.fold_transient(4096, TRANSFORMS["dispatch"])
+        long = self.fold_transient(16384, TRANSFORMS["dispatch"])
         # the states are 4 x 64 KiB; the rest is one chunk of columns and its temporaries
+        assert long <= short + 16 * 1024
+        assert short < 4 * 2**20
+
+    @pytest.mark.parametrize("kind, short_length, long_length", [
+        # sub-runs whose trig tables fill the budget
+        ("tables", 256, 4096),
+        # the moments hold more as their degree grows with the run (1.02 MB at
+        # 4096 positions against 0.40 MB at 256), up to sub-runs of 4096
+        # positions, whose chunks fill the budget
+        ("moments", 4096, 16384),
+    ])
+    def test_transient_memory_of_a_forced_transform_does_not_grow_with_run_length(
+            self, kind, short_length, long_length):
+        short = self.fold_transient(short_length, TRANSFORMS[kind])
+        long = self.fold_transient(long_length, TRANSFORMS[kind])
         assert long <= short + 16 * 1024
         assert short < 4 * 2**20
 
@@ -1160,6 +1176,19 @@ class TestFoldBlocks:
             assert isinstance(got.tables, spectral._TrigTables) and not got.degree
         for state, block, pick in zip(states, blocks, picks):
             assert_fold_matches_oracle(state, basis, block[:, pick], start)
+
+    def test_few_columns_leave_tables_whose_run_columns_exceed_the_budget(self):
+        # 256 orders over 1000 positions: the run's columns, 4 MB, would make a
+        # fold of few columns build its tables in 8 sub-runs (2 columns took 15x
+        # the chirp-z's time), while one column reads the tables whole
+        basis = FourierBasis(orders=256, period=32768)
+        assert basis._pick(1000, 1)[0] == "tables"
+        assert basis._pick(1000, 2)[0] == "chirp"
+        assert basis._pick(4000, 8)[0] == "chirp"
+        with mock.patch.multiple(spectral, **TRANSFORMS["tables"]):
+            assert basis._pick(1000, 2)[0] == "tables"
+        # the desk fold's run columns fit, so its tables are not charged
+        assert FourierBasis(orders=16, period=4096)._pick(956, 2)[0] == "tables"
 
 
 class TestRunPlans:
