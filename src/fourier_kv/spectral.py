@@ -16,20 +16,19 @@ any folded position, and returns a band-limited run one period long exactly.
 The same inverse transform, :meth:`FourierBasis.evaluate`, and its adjoint,
 :meth:`FourierBasis.project`, also run over a run of positions, a ``range`` of
 step 1, without building its columns: decode attention scores and aggregates
-the compressed region with them, calibration's Gram form projects one column
-of ones, and :func:`fold_blocks`, the fast batch fold, is ``project`` of many
-columns within a 1 MB transient budget. ``project`` has one implementation,
-and 1-D weights are its one-column case. A cost rule picks one of four
-transforms per run (see :class:`FourierBasis`): trig tables, Chebyshev
-moments (for two or more columns only), a chirp-z transform or the
-length-period FFT. A run's pick is resolved once into a plan that every later
-call over the same run reads, and the run is read without scanning it, so a
-call's fixed cost is a handful of numpy calls. The fold runs the trig tables
-and the moments as matrix products over spans of a block's columns, cast into
-one float64 buffer and never gathered: one product per span against the
-run's columns, or two through the moments, and each FFT once per column.
-Every cosine and sine comes from one phase builder, which reduces ``n*t`` mod
-the period in integers.
+the compressed region with them, one column at a time. :func:`fold_blocks`,
+the fast batch fold, is the one projection of many columns, within a 1 MB
+transient budget. A cost rule picks one of four transforms per run (see
+:class:`FourierBasis`): trig tables, Chebyshev moments (for a fold of two or
+more columns only), a chirp-z transform or the length-period FFT. A run's
+one-column pick is resolved once into a plan that every later call over the
+same run reads, and the run is read without scanning it, so a call's fixed
+cost is a handful of numpy calls. The fold runs the trig tables and the
+moments as matrix products over spans of a block's columns, cast into one
+float64 buffer and never gathered: one product per span against the run's
+columns, or two through the moments, and each FFT once per column. Every
+cosine and sine comes from one phase builder, which reduces ``n*t`` mod the
+period in integers.
 
 Phases are indexed by *absolute* token position so that a state built during
 prefill and a state extended by streaming evictions agree without rephasing.
@@ -84,18 +83,19 @@ class FourierBasis:
     :meth:`columns` builds columns explicitly, O(orders) trig calls each;
     :meth:`column` builds one, read-only, and the last one built is cached.
     :meth:`evaluate` (``columns(t).T @ a``) and its adjoint :meth:`project`
-    (``columns(t) @ p``, ``p`` one column or ``c`` of them) never build them;
-    both read a run ``t``, a ``range`` of step 1 from ``lo >= 0``, of any
-    length ``span``. Each call runs one of four transforms, priced by
-    ``span``, by ``R = orders`` and by ``c``:
+    (``columns(t) @ p``, ``p`` one column) never build them; both read a run
+    ``t``, a ``range`` of step 1 from ``lo >= 0``, of any length ``span``.
+    :func:`fold_blocks` projects ``c`` columns over the same transforms. Each
+    call runs one of four, priced by ``span``, by ``R = orders`` and by
+    ``c``, which is 1 for ``evaluate`` and ``project``:
 
     * trig tables: each offset from ``lo`` splits as ``a*B + b``, with ``B``
       a power of two near ``sqrt(span)``, so every phase is one of ``lo +
       a*B`` times one of ``b``, each from a cached table of R rows, at most
       ``56 * R * sqrt(span)`` bytes (16 KB for 16 orders over 960
       positions). One column takes two small products against them,
-      O(R * span) time and O(R * sqrt(span) + span) memory; more take one
-      product against the run's columns, ``16 * orders * span`` bytes.
+      O(R * span) time and O(R * sqrt(span) + span) memory; a fold, one
+      product per span against the run's columns, ``16 * orders * span`` bytes.
     * Chebyshev moments, for ``c >= 2`` only: with ``x`` the run mapped onto
       ``(-1, 1)``, every order's wave is a sum of ``degree`` Chebyshev
       polynomials ``T_k(x)`` (Jacobi-Anger), ``degree`` growing with the
@@ -126,9 +126,9 @@ class FourierBasis:
     take them from 34 columns on, 16 orders keep the tables. Tables hold
     phases reduced exactly in integers mod ``period``, are read-only, and
     the last few of each kind are cached per ``(orders, period, lo mod
-    period)`` and their sizes. A run's resolved transform, its checks,
-    pick, tables and the head rows it reads with their conjugates, is
-    cached too, per ``(orders, period, start, span, c)`` and the cost
+    period)`` and their sizes. A run's resolved one-column transform, its
+    checks, pick, tables and the head rows it reads with their conjugates,
+    is cached too, per ``(orders, period, start, span)`` and the cost
     rule's ratios, so every head of a decode step that reads one middle
     region reads one plan. This class owns the cosine/sine row layout;
     callers only pass coefficient vectors of length ``2*orders``.
@@ -196,11 +196,12 @@ class FourierBasis:
         moments of ``degree`` terms, ``("chirp", n, 0)`` for a chirp-z
         transform of FFT length ``n`` and ``("fft", period, 0)`` for the
         length-period FFT, with ``R = orders`` bins. ``columns`` is the
-        number of weight columns that share the call: the moments' tables
-        are built once for all of them, so they are priced only for two or
-        more, and never run for one. Two or more columns read the trig
-        tables' run columns, and where those exceed ``_FOLD_CHUNK_FLOATS``
-        the tables are charged the builds of a fold's sub-runs too.
+        number of columns a fold projects together, 1 for :meth:`evaluate`
+        and :meth:`project`: the moments' tables are built once for all of
+        them, so they are priced only for two or more, and never run for
+        one. Two or more columns read the trig tables' run columns, and
+        where those exceed ``_FOLD_CHUNK_FLOATS`` the tables are charged the
+        builds of a fold's sub-runs too.
         """
         orders = self.orders
         # linear convolution of ``span`` outputs with R = orders bins: n >= span + R - 1
@@ -231,12 +232,12 @@ class FourierBasis:
         return "fft", self.period, 0
 
     def _transform(self, run: range, columns: int = 1, cached: bool = True) -> _Run:
-        """The transform :meth:`_pick` picks over ``run``, resolved into a :class:`_Run`.
+        """``_pick(len(run), columns)`` resolved over ``run`` into a :class:`_Run`.
 
         Checks the run first. The trig tables and chirp-z tables come from
         small caches unless ``cached`` is false, as for the sub-runs of a
         fold, which no later call reads; the moments' tables are built by
-        each call that runs them. :meth:`_plan` caches the result.
+        the fold that runs them. :meth:`_plan` caches one column's result.
         """
         self._check_run(run)
         span, lo = len(run), run.start % self.period
@@ -257,16 +258,16 @@ class FourierBasis:
             return _Run(span, lo, None, None, None, build(self.orders, self.period, lo, size))
         return _Run(span, lo, None, None, None, None)
 
-    def _plan(self, run: range, columns: int = 1) -> _Run:
-        """:meth:`_transform` of ``run``, resolved once per run, column count and cost rule.
+    def _plan(self, run: range) -> _Run:
+        """:meth:`_transform` of one column over ``run``, resolved once per run and cost rule.
 
         Every head that reads one middle region in a decode step gets the
         same plan from :func:`_run_plan`, whose misses check the start.
         """
         if not isinstance(run, range) or run.step != 1:
             self._check_run(run)  # raises: only a range of step 1 is read
-        return _run_plan(self.orders, self.period, run.start, len(run), columns,
-                         _TABLE_COST_RATIO, _CHIRP_LENGTH_RATIO, _MOMENT_COST_RATIO)
+        return _run_plan(self.orders, self.period, run.start, len(run),
+                         _TABLE_COST_RATIO, _CHIRP_LENGTH_RATIO)
 
     def evaluate(self, coeffs, run: range) -> np.ndarray:
         """``columns(run).T @ coeffs``: the trig polynomial at each position of a run.
@@ -314,59 +315,49 @@ class FourierBasis:
         return x.real
 
     def project(self, weights, run: range) -> np.ndarray:
-        """``columns(run) @ weights``: the adjoint of :meth:`evaluate`.
+        """``columns(run) @ weights``: the adjoint of :meth:`evaluate`, one column.
 
-        ``weights`` has shape ``(len(run), c)``, giving ``(2*orders, c)``, or
-        ``(len(run),)``, giving ``(2*orders,)``: 1-D weights, as decode
-        attention passes, are the one-column case, reshaped. Float32 weights
-        are cast to float64 in the transform's own buffers or products, not
-        copied first. ``run`` is read as by :meth:`evaluate`. The transform
-        is priced for the columns given, so one column runs the plan
-        :meth:`evaluate` runs over the same run.
+        ``weights`` has shape ``(len(run),)``, as decode attention passes,
+        and the result ``(2*orders,)``; many columns go through
+        :func:`fold_blocks`, which prices them together within its budget.
+        Float32 weights are cast to float64 in the transform's own buffers,
+        not copied first. ``run`` is read as by :meth:`evaluate`, whose plan
+        the call runs.
         """
         w = np.asarray(weights)
-        plan = self._plan(run, w.shape[1] if w.ndim == 2 else 1)
-        if w.ndim not in (1, 2) or w.shape[0] != plan.span:
-            raise ValueError(
-                f"weights must have shape ({plan.span},) or ({plan.span}, c), got {w.shape}"
-            )
+        plan = self._plan(run)
+        if w.shape != (plan.span,):
+            raise ValueError(f"weights must have shape ({plan.span},), got {w.shape}; "
+                             "fold_blocks projects many columns")
         if w.size == 0:
-            return np.zeros((self.n_rows, *w.shape[1:]), dtype=np.float64)
+            return np.zeros(self.n_rows, dtype=np.float64)
         return self._project_columns(w, plan)
 
     def _project_columns(self, w: np.ndarray, plan) -> np.ndarray:
-        """:meth:`project` of ``(span, c)`` weights, ``(2*orders, c)``, or of one
-        ``(span,)`` column, ``(2*orders,)``.
+        """:meth:`project` of one ``(span,)`` column, ``(2*orders,)``, or a fold's
+        ``(span, c)`` columns, ``(2*orders, c)``.
 
         ``g[r] = sum_m w[m] * exp(i*theta_r*(lo + m))`` holds the cosine and
         sine sums of bin ``r``. ``span >= 1``, ``c >= 1``, and ``plan`` is
-        the run's :class:`_Run`, or for the trig tables the run's columns,
-        which :func:`fold_blocks` builds once per sub-run. The moments fold
-        all ``c`` columns through :func:`_fold_moments`, and the chirp-z
-        transform runs one complex FFT pair per column.
+        the run's :class:`_Run`, whose trig tables take one column, or the
+        run's columns, which :func:`_fold_spans` projects spans of a block
+        onto. The FFTs run one transform per column.
         """
         if isinstance(plan, np.ndarray):
             return plan.T @ w
         span = w.shape[0]
         if plan.tables is not None:
-            if w.ndim == 2 and w.shape[1] > 1:
-                return plan.run_columns().T @ w
             rows, width = plan.head.shape[0], plan.tables.tail.shape[1]
-            grid = np.zeros((rows * width, *w.shape[1:]))
+            grid = np.zeros(rows * width)
             grid[:span] = w
             # evaluate transposed: the tail sums each row of the grid, the head what
             # is left (np.dot and add.reduce, not @ and sum, cost less at this size)
             sums = np.dot(grid.reshape(rows, width), plan.tables.tail.T).view(np.complex128)
             sums *= plan.head_conj
-            g = np.add.reduce(sums).view(np.float64)
-            return g if w.ndim == 1 else g[:, None]
+            return np.add.reduce(sums).view(np.float64)
         if w.ndim == 1:
             return self._project_columns(w[:, None], plan)[:, 0]
         cols = w.shape[1]
-        if plan.degree:
-            out = np.zeros((self.n_rows, cols))
-            _fold_moments(self, plan, [w], [np.arange(cols)], [True], [out], 0, span)
-            return out
         if plan.chirp is None:
             lo = plan.lo
             grid = np.zeros((-(-(lo + span) // self.period) * self.period, cols))
@@ -470,7 +461,7 @@ _TABLE_COST_RATIO = 16
 # with this many more columns shared by all
 _TABLE_BUILD_COLUMNS = 256
 
-# project of two or more columns runs the Chebyshev moments while their work
+# a fold of two or more columns runs the Chebyshev moments while their work
 # per column, ratio * degree * (span + 2R) / 2 in the tables' unit of R * span
 # (half a real multiply-add), with the moments' tables counted as
 # _MOMENT_BUILD_COLUMNS more columns shared by all, is at most the trig
@@ -637,11 +628,11 @@ class _Run(NamedTuple):
 
 
 @functools.lru_cache(maxsize=2)
-def _run_plan(orders: int, period: int, start: int, span: int, columns: int,
-              table_ratio: int, chirp_ratio: int, moment_ratio: int) -> _Run:
-    # keyed on the cost rule's ratios too, so that a plan picked under one is
-    # never read under another (tests patch them to force a transform)
-    return FourierBasis(orders, period)._transform(range(start, start + span), columns)
+def _run_plan(orders: int, period: int, start: int, span: int,
+              table_ratio: int, chirp_ratio: int) -> _Run:
+    # keyed on the ratios one column's pick reads too, so that a plan picked
+    # under one is never read under another (tests patch them to force a transform)
+    return FourierBasis(orders, period)._transform(range(start, start + span))
 
 
 def build_basis(orders: int, period: int) -> FourierBasis:
@@ -772,10 +763,13 @@ def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
 
     Every block is ``(L, dim_i)`` with row ``j`` at position ``start_pos + j``;
     all blocks have the same ``L``. With ``dims``, a sequence parallel to
-    ``blocks``, block ``i`` contributes only its columns ``dims[i]``.
+    ``blocks``, block ``i`` contributes only its columns ``dims[i]``: a
+    slice of positive step, or column indices strictly ascending in ``[0,
+    dim_i)``. Any other entry raises ``ValueError``.
 
-    The fold is :meth:`FourierBasis.project` of the selected columns, so it
-    runs the decode transforms, their cost rule and their plan caches,
+    The fold is the one projection of many columns, ``columns(run) @
+    block[:, dims[i]]`` per block: it runs the transforms of
+    :meth:`FourierBasis.project`, their cost rule and their table caches,
     priced for every picked column of every block together: the Chebyshev
     moments at stock (98 terms over 1020 positions), the trig tables at
     desk, whose tables decode's next call over the benchmark's middle reads
@@ -817,6 +811,7 @@ def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
     if len(lengths) > 1:
         raise ValueError(f"blocks must share one length, got {sorted(lengths)}")
     length = lengths.pop() if lengths else 0
+    dims = [_ascending(d, a.shape[1]) for a, d in zip(arrays, dims)]
     states = [SpectralState.zeros(basis.orders, np.arange(a.shape[1])[d].size)
               for a, d in zip(arrays, dims)]
     with np.errstate(invalid="ignore", over="ignore"):
@@ -829,10 +824,25 @@ def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
     return states
 
 
+def _ascending(pick, dim: int):
+    """``pick`` as :func:`fold_blocks` reads it: a slice of positive step, or an
+    int64 array of column indices strictly ascending in ``[0, dim)``."""
+    if isinstance(pick, slice):
+        if pick.step is None or pick.step > 0:
+            return pick
+    elif (idx := np.asarray(pick)).ndim == 1 and (idx.dtype.kind in "iu" or not idx.size):
+        idx = idx.astype(np.int64, copy=False)
+        if not idx.size or (idx[0] >= 0 and idx[-1] < dim and (idx[1:] > idx[:-1]).all()):
+            return idx
+    raise ValueError("dims entries must be slices of positive step or column indices "
+                     f"strictly ascending in [0, {dim}), got {pick!r}")
+
+
 def _fold_into(basis: FourierBasis, arrays: list, dims, outs: list, start_pos: int) -> None:
     """Add the fold of each block's columns ``dims[i]`` into ``outs[i]``, in place.
 
     The work of :func:`fold_blocks`, whose checks the inputs have passed:
+    every ``dims[i]`` ascends, as the cache's ``HeadDims`` sets do, and
     ``outs[i]`` is ``(2*orders, k_i)`` float64 for the ``k_i`` columns
     picked, and may be a view of a larger array, as the cache's K and V
     columns of one state. The transform is priced for all the picked
@@ -885,8 +895,8 @@ def _fold_spans(basis: FourierBasis, columns: np.ndarray, arrays: list, picks: l
 
     ``columns`` is ``(hi - lo, n)``: a trig-table sub-run's
     :meth:`_Run.run_columns`, or for :func:`_fold_moments` a chunk of its
-    Chebyshev rows, transposed. ``stretch[i]`` says whether block ``i``'s
-    picks are a slice of step 1. The columns of a
+    Chebyshev rows, transposed. Every ``picks[i]`` ascends strictly, and
+    ``stretch[i]`` says whether it is a slice of step 1. The columns of a
     block from its first pick to its last are cast, ``group`` at most at a
     time, into one float64 buffer (one cast a block at desk: casting each
     span apart took 4-5% longer), and each span of it within
@@ -900,13 +910,7 @@ def _fold_spans(basis: FourierBasis, columns: np.ndarray, arrays: list, picks: l
     for array, pick, whole, out in zip(arrays, picks, stretch, outs):
         if not pick.size:
             continue
-        # the picks ascending, and the output column of each: for picks that
-        # ascend already (the cache's and a stretch's), a slice of the output
-        order = None
-        if not whole and not (pick[1:] > pick[:-1]).all():
-            order = np.argsort(pick, kind="stable")
-        cols = pick if order is None else pick[order]
-        first, stop = int(cols[0]), int(cols[-1]) + 1
+        first, stop = int(pick[0]), int(pick[-1]) + 1
         # casts of equal widths, at most group, and products of equal spans
         # within each, none a short remainder
         width = -(-(stop - first) // -(-(stop - first) // group))
@@ -916,17 +920,12 @@ def _fold_spans(basis: FourierBasis, columns: np.ndarray, arrays: list, picks: l
             span = -(-(c1 - c0) // -(-(c1 - c0) // step))
             for p0 in range(c0, c1, span):
                 p1 = min(p0 + span, c1)
-                a, b = (p0 - first, p1 - first) if whole else cols.searchsorted((p0, p1))
+                a, b = (p0 - first, p1 - first) if whole else pick.searchsorted((p0, p1))
                 if a == b:
                     continue
                 sums = basis._project_columns(buffer[:, p0 - c0 : p1 - c0], columns)
-                # picks that ascend and fill the span take its sums whole
-                at, sel = slice(a, b), slice(None)
-                if order is not None or b - a < p1 - p0:
-                    sel = cols[a:b] - p0
-                if order is not None:
-                    at = order[a:b]
-                out[:, at] += sums[:, sel]
+                # picks that fill the span take its sums whole
+                out[:, a:b] += sums if b - a == p1 - p0 else sums[:, pick[a:b] - p0]
 
 
 # the moments keep their truncation tail, 2 * sum over k >= degree of

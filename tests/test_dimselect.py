@@ -201,8 +201,7 @@ class TestRankDimensions:
                 mock.patch.object(FourierBasis, "_project_columns", autospec=True,
                                   side_effect=FourierBasis._project_columns) as fold:
             ranking = rank_dimensions(trace, part, basis)
-        # the fold resolves its sub-runs itself, saying whether to cache their
-        # tables; the Gram form's one column reads the run's cached plan
+        # the fold resolves its sub-runs itself, saying whether to cache their tables
         sub_runs = {call.args[1] for call in plans.call_args_list if "cached" in call.kwargs}
         assert len(sub_runs) == 25
         assert sorted({call.args[1].shape[1] for call in fold.call_args_list}) == [1]

@@ -733,7 +733,8 @@ def basis_run_and_columns(draw):
 
 
 class TestBatchedProject:
-    """``project`` of ``(len(run), c)`` weights against ``columns(run) @ weights``."""
+    """The one projection of many columns, :func:`fold_blocks` of a ``(len(run), c)``
+    block, against ``columns(run) @ weights``."""
 
     @pytest.mark.parametrize("ratios", TRANSFORMS.values(), ids=TRANSFORMS.keys())
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -744,22 +745,16 @@ class TestBatchedProject:
         expected = basis.columns(run) @ weights
         scale = np.maximum(1.0, np.abs(weights).sum(axis=0))
         with mock.patch.multiple(spectral, **ratios):
-            got = basis.project(weights, run)
-            if cols:
-                single = basis.project(weights[:, 0], run)
-                twin = basis.project(weights[:, :1], run)
-        assert got.shape == (basis.n_rows, cols)
-        assert np.all(np.abs(got - expected) <= 1e-12 * scale)
-        if cols:
-            # a 1-D call is its (span, 1) twin, reshaped
-            assert twin.shape == (basis.n_rows, 1)
-            np.testing.assert_array_equal(single, twin[:, 0])
+            (state,) = fold_blocks(basis, [weights], run.start)
+        assert state.coeffs.shape == (basis.n_rows, cols)
+        assert np.all(np.abs(state.coeffs - expected) <= 1e-12 * scale)
 
     def test_float32_weights_are_cast_in_the_transform(self):
         weights = np.random.default_rng(4).standard_normal((40, 5)).astype(np.float32)
         for basis in (FourierBasis(16, 4096), FourierBasis(512, 32768), FourierBasis(3, 8)):
-            np.testing.assert_array_equal(basis.project(weights, range(7, 47)),
-                                          basis.project(weights.astype(np.float64), range(7, 47)))
+            (got,) = fold_blocks(basis, [weights], 7)
+            (expected,) = fold_blocks(basis, [weights.astype(np.float64)], 7)
+            np.testing.assert_array_equal(got.coeffs, expected.coeffs)
 
     @pytest.mark.parametrize("orders, period, span, cols, ratios, kind", [
         (512, 32768, 1020, 24, TRANSFORMS["chirp-z"], "chirp"),
@@ -814,17 +809,23 @@ class TestBatchedProject:
         assert peak + weights.nbytes <= 8 * (fixed + cols * per_column) + 1024
 
     def test_rejects_bad_shapes(self):
+        # project takes one column; many go through fold_blocks, whose picks ascend
         basis = FourierBasis(orders=3, period=16)
-        assert basis.project(np.zeros((2, 4)), range(0, 2)).shape == (6, 4)
-        for weights in (np.zeros((3, 4)), np.zeros((2, 4, 1)), np.zeros(())):
-            with pytest.raises(ValueError, match="weights must have shape"):
+        assert basis.project(np.zeros(2), range(0, 2)).shape == (6,)
+        for weights in (np.zeros((2, 4)), np.zeros((2, 4, 1)), np.zeros(())):
+            with pytest.raises(ValueError, match="weights must have shape .*fold_blocks"):
                 basis.project(weights, range(0, 2))
         with pytest.raises(ValueError, match="step 1"):
-            basis.project(np.zeros((2, 4)), range(0, 4, 2))
+            basis.project(np.zeros(2), range(0, 4, 2))
+        block = np.ones((2, 4))
+        assert fold_blocks(basis, [block], 0, dims=[[0, 2]])[0].coeffs.shape == (6, 2)
+        for pick in ([2, 0], [1, 1], [4], slice(None, None, -1)):
+            with pytest.raises(ValueError, match="strictly ascending"):
+                fold_blocks(basis, [block], 0, dims=[pick])
 
 
 class TestOneColumn:
-    """One weight column, as decode attention and the Gram form pass, runs its own transform."""
+    """One weight column, as decode attention passes, runs its own transform."""
 
     @pytest.mark.parametrize("span", [1026, 1027, 1034])
     def test_stock_runs_the_chirp_z_at_one_columns_length(self, span):
@@ -858,12 +859,13 @@ class TestOneColumn:
                                side_effect=spectral._Run.run_columns) as build:
             one = basis.project(weights[:, 0], run)
             assert build.call_count == 0
-            two = basis.project(weights, run)  # more columns take one product against them
+            # a fold of more columns takes one product against them
+            (two,) = fold_blocks(basis, [weights], run.start)
             assert build.call_count == 1
         cols = basis.columns(run)
         np.testing.assert_allclose(one, cols @ weights[:, 0], rtol=0,
                                    atol=1e-12 * max(1.0, np.abs(weights[:, 0]).sum()))
-        np.testing.assert_allclose(two[:, 0], one, rtol=0,
+        np.testing.assert_allclose(two.coeffs[:, 0], one, rtol=0,
                                    atol=1e-12 * max(1.0, np.abs(weights[:, 0]).sum()))
 
 
@@ -952,15 +954,15 @@ class TestFoldBlocks:
         # 1, 3 and 5), or 2 when a product may take only 2 columns of 128 rows
         # over 625 positions; 2**9 floats, which must hold each sub-run's trig
         # tables too, make sub-runs of 6 positions and spans of up to 3 columns.
-        # The run wraps past a multiple of the period. Picks come unordered,
-        # ordered with gaps, as a stretch, empty and as slices. The trig tables
+        # The run wraps past a multiple of the period. Picks come with gaps,
+        # without, empty, as a stretch and as a step-2 slice. The trig tables
         # are forced: the cost rule runs the length-period FFT over the whole
         # run, whose columns would overflow the budget
         basis = FourierBasis(orders=orders, period=4096)
         rng = np.random.default_rng(6)
         blocks = [rng.standard_normal((length, width)).astype(np.float32)
                   for width in (3, 0, 5, 5, 6, 6)]
-        picks = [np.array([2, 0]), np.array([], dtype=np.int64), np.array([1, 3, 2, 4]),
+        picks = [np.array([0, 2]), np.array([], dtype=np.int64), np.array([1, 2, 3, 4]),
                  np.array([1, 2, 3]), slice(2, 5), slice(1, None, 2)]
         with mock.patch.multiple(spectral, _FOLD_CHUNK_FLOATS=budget, _SMALL_PRODUCT=small,
                                  **TRANSFORMS["tables"]), \
@@ -989,15 +991,15 @@ class TestFoldBlocks:
         # spans of 58, and no product for the columns between. 3 * 2**12 floats
         # make 8 sub-runs of up to 120 positions and spans of at most 15 columns
         # (the trig tables are forced: the cost rule would run the moments over
-        # sub-runs that short). Picks come scattered, unordered, repeated, as
-        # stretches, slices, empty and whole
+        # sub-runs that short). Picks come scattered, as stretches, slices,
+        # empty and whole
         basis = FourierBasis(orders=16, period=4096)
         rng = np.random.default_rng(16)
         blocks = [rng.standard_normal((956, width)).astype(np.float32)
                   for width in (64, 64, 64, 64, 64, 64, 128, 128, 128)]
-        picks = [np.sort(rng.choice(64, 58, replace=False)), rng.permutation(64)[:32],
+        picks = [np.sort(rng.choice(64, 58, replace=False)), np.sort(rng.permutation(64)[:32]),
                  slice(3, 61), slice(1, None, 2), np.array([], dtype=np.int64),
-                 np.array([3, 3, 4]), np.sort(rng.choice(128, 100, replace=False)),
+                 np.array([3, 4]), np.sort(rng.choice(128, 100, replace=False)),
                  slice(None), np.array([5, 120])]
         with mock.patch.multiple(spectral, _FOLD_CHUNK_FLOATS=budget, _SMALL_PRODUCT=small,
                                  **TRANSFORMS["tables"]), \
