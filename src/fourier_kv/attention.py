@@ -26,8 +26,9 @@ transforms take whichever of products against cached trig tables, a
 chirp-z FFT pair over the middle region or one length-period FFT is
 cheapest, and hold at most O(L) transient values. No ``(M, head_dim)``
 block of rebuilt rows ever exists. The stored blocks are not scanned for
-NaN or Inf on every call (``prefill`` and ``append_token`` reject them);
-the scores and the output are checked instead.
+NaN or Inf on every call (``cache.ingest``, through which every token
+enters a cache, rejects them); the scores and the output are checked
+instead.
 ``attend_compressed_materialized`` is its oracle: it rebuilds every middle
 row through ``reconstruct``, orders every row by position, puts every
 dimension back at its index from the slice's ``HeadDims`` and defers to

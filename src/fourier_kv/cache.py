@@ -8,18 +8,23 @@ verbatim and folds the rest into fixed-size spectral states. Which
 dimensions fold is one boolean mask per cache, ``CacheLayout.compressed``,
 of shape ``(layers, 2, kv_heads, head_dim)``. A head stores every K and V
 row with its dimensions in layout order, the compressed ones first and then
-the kept ones, and folds K's and V's compressed dims into one state. Prefill
-folds the middle region of every head of a layer in one batch fold. During
-decoding, a token takes its exact row, and once the local ring is full the
-token it evicts is split into two slices of its row, its kept dims and one
-rank-1 fold at its absolute position, so the spectral storage stays O(1) in
-sequence length. Non-finite K/V rows, and a basis whose geometry is not the
-partition's, are rejected at both entry points, before anything is stored.
+the kept ones, and folds K's and V's compressed dims into one state.
+
+Tokens enter a cache one way, :func:`ingest`: any number of tokens per head
+into one layer's slices. The positions the middle region grows by, one run,
+split into kept rows and a fold at their absolute positions, so the
+spectral storage stays O(1) in sequence length; the rest take exact rows.
+:func:`prefill` is an ingest of the whole prompt into empty slices, so its
+middle folds in one batch over every head, and :func:`append_token` an
+ingest of one token into one slice, whose one evicted position folds as one
+rank-1 update. A chunk of a prompt or of a decode is an ingest of its own,
+and any split of a sequence into chunks stores the rows one call stores.
+Non-finite K/V rows, and a basis whose geometry is not the partition's, are
+rejected before anything is stored.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +39,7 @@ __all__ = [
     "PartitionParams",
     "append_token",
     "check_basis",
+    "ingest",
     "memory_report",
     "prefill",
     "prefill_trace",
@@ -71,8 +77,10 @@ class PartitionParams:
         past them local; the middle is the run between, from
         ``min(init_len, seq_len)``, empty until ``seq_len > init_len + local_len``.
         """
-        start = min(self.init_len, seq_len)
-        return range(start, max(start, seq_len - self.local_len))
+        # conditionals, not min and max: every ingest and attention call splits here
+        start = self.init_len if seq_len > self.init_len else seq_len
+        stop = seq_len - self.local_len
+        return range(start, stop if stop > start else start)
 
 
 def check_basis(basis: FourierBasis, part: PartitionParams) -> None:
@@ -169,33 +177,33 @@ def _grown(rows: int) -> int:
 
 
 class _GrowBuffer:
-    """Append-only float32 row buffer that grows by an eighth of its capacity.
+    """Append-only float32 row buffer that grows by an eighth past what it must hold.
 
-    A full buffer of capacity ``c`` reallocates to ``c + max(8, c // 8)``
-    rows, so capacity stays within ``1.125 * len + 8`` rows while appends
-    still cost amortized O(1) copies each. A new buffer reserves one growth
-    past the ``M`` rows it copies, a capacity of ``M + max(8, M // 8)``, so
-    the first evictions after prefill append in place, and it holds what
-    one growth from ``M`` rows would.
+    A new buffer holds no rows and reserves none. :meth:`extend` lengthens it
+    by any number of rows and returns them for the caller to write; when the
+    ``need`` rows held after it would not fit, the buffer reallocates to
+    ``_grown(need) = need + max(8, need // 8)`` rows, one growth past what it
+    holds. So capacity stays within ``1.125 * len + 8`` rows, appends cost
+    amortized O(1) copies each, and a prefill of ``M`` middle rows leaves
+    room for the first ``max(8, M // 8)`` evictions of the decode after it.
     """
 
     __slots__ = ("_data", "_len")
 
-    def __init__(self, block: np.ndarray, dims: np.ndarray):
-        """A buffer holding the columns ``dims`` of ``block``'s rows, copied as float32."""
-        self._len = block.shape[0]
-        self._data = np.empty((_grown(self._len), dims.size), dtype=np.float32)
-        # mode="clip" (the indices are in range) lets take write into out unbuffered
-        block.take(dims, axis=1, out=self._data[: self._len], mode="clip")
+    def __init__(self, width: int):
+        """An empty buffer of rows ``width`` floats wide."""
+        self._len = 0
+        self._data = np.empty((0, width), dtype=np.float32)
 
-    def append(self, row: np.ndarray) -> None:
-        cap = self.capacity
-        if self._len == cap:
-            grown = np.empty((_grown(cap), self._data.shape[1]), dtype=np.float32)
-            grown[: self._len] = self._data[: self._len]
+    def extend(self, rows: int) -> np.ndarray:
+        """Lengthen the buffer by ``rows`` rows and return them, unwritten."""
+        start, need = self._len, self._len + rows
+        if need > self._data.shape[0]:
+            grown = np.empty((_grown(need), self._data.shape[1]), dtype=np.float32)
+            grown[:start] = self._data[:start]
             self._data = grown
-        self._data[self._len] = row
-        self._len += 1
+        self._len = need
+        return self._data[start:need]
 
     def view(self) -> np.ndarray:
         return self._data[: self._len]
@@ -208,9 +216,25 @@ class _GrowBuffer:
         return self._len
 
 
-def _ring_row(part: PartitionParams, pos):
-    """Exact-block row of a position (int or array) at or past ``init_len``."""
+def _ring_row(part: PartitionParams, pos: int) -> int:
+    """Exact-block row of a position at or past ``init_len``: its ring row."""
     return part.init_len + (pos - part.init_len) % part.local_len
+
+
+def _ring_rows(part: PartitionParams, start: int, stop: int) -> tuple:
+    """Ring rows of the positions ``start..stop-1``, at most ``local_len`` of them, as slices.
+
+    They take consecutive rows from ``start``'s up to the end of the ring,
+    and those past it wrap round to its start.
+    """
+    if stop <= start:
+        return ()
+    first = _ring_row(part, start)
+    wrapped = first + stop - start - part.init_len - part.local_len
+    if wrapped <= 0:
+        return (slice(first, first + stop - start),)
+    return (slice(first, part.init_len + part.local_len),
+            slice(part.init_len, part.init_len + wrapped))
 
 
 @dataclass(slots=True)
@@ -219,19 +243,19 @@ class HeadSlice:
 
     Every row the slice holds stores its dimensions in layout order: a K row
     holds ``dims.k_compressed`` and then ``dims.k_kept``, each ascending, and
-    a V row the same of ``dims.v_*``, so an eviction splits a row into two
+    a V row the same of ``dims.v_*``, so an evicted row splits into two
     slices and attention gathers the query and its output once each.
     ``exact_k`` and ``exact_v`` hold the initial and local positions in
     ``init_len + local_len`` float32 rows each: position ``t`` sits in row
     ``t`` if ``t < init_len``, and otherwise in ring row ``init_len + (t -
-    init_len) % local_len``, which it takes over from the token it evicts.
-    The ring only fills or stays full, so the rows in use are always the
-    prefix ``exact[:total_len - middle_count]``. Middle positions keep their
-    kept dims in ``kept_k``/``kept_v`` and fold their compressed K dims, then
-    their compressed V dims, into one float64 spectral state of ``2*orders``
-    rows, so an eviction is one rank-1 update; ``spec_k`` and ``spec_v`` are
-    its K and V columns, views that share its coefficients. Single-writer;
-    distinct slices are independent.
+    init_len) % local_len``, which it takes over from the position it
+    evicts. The ring only fills or stays full, so the rows in use are always
+    the prefix ``exact[:total_len - middle_count]``. Middle positions keep
+    their kept dims in ``kept_k``/``kept_v`` and fold their compressed K
+    dims, then their compressed V dims, into one float64 spectral state of
+    ``2*orders`` rows; ``spec_k`` and ``spec_v`` are its K and V columns,
+    views that share its coefficients. Only :func:`ingest` writes a slice.
+    Single-writer; distinct slices are independent.
     """
 
     dims: HeadDims
@@ -275,22 +299,13 @@ def prefill(keys, values, layout: CacheLayout, layer: int, basis: FourierBasis):
     """Build the compressed slices for one layer from its full K/V blocks.
 
     ``keys`` and ``values`` are ``(kv_heads, seq_len, head_dim)`` and must be
-    finite. The middle region of every head, K and V alike, is folded at
-    absolute positions in one batch fold, the one
-    :func:`~fourier_kv.spectral.fold_blocks` runs, which projects the
-    compressed dims of every head onto the basis through the decode
-    transforms, priced for all of them together: at stock the Chebyshev
-    moments, a product per span of a block's columns against Chebyshev
-    polynomials and one by the orders' waves, and at desk one matrix product
-    per span against the run's columns, built once from the trig tables;
-    no column is gathered from a block. It adds each head's K and V columns
-    straight into that head's one state. A
+    finite. The layer's slices start empty, with one exact block for K and V
+    of every head, and take the whole prompt in one :func:`ingest`, so its
+    middle region folds in one batch fold over every head's K and V. A
     sequence no longer than ``init_len + local_len`` simply has an empty
     middle, and its exact rows a free tail for the tokens to come. The
-    slices copy what they keep, in layout order: later changes to
-    ``keys``/``values`` do not reach them. Each head's kept rows go into a
-    buffer with an eighth more rows reserved, so the first evictions of a
-    decode append without copying them.
+    slices copy what they keep: later changes to ``keys``/``values`` do not
+    reach them.
     """
     keys = np.asarray(keys, dtype=np.float32)
     values = np.asarray(values, dtype=np.float32)
@@ -303,119 +318,182 @@ def prefill(keys, values, layout: CacheLayout, layer: int, basis: FourierBasis):
             f"layer block shape {keys.shape}/{values.shape} does not match layout {expected}"
         )
     check_basis(basis, part)
-    if not (np.isfinite(keys).all() and np.isfinite(values).all()):
-        raise ValueError(f"layer {layer} keys/values contain NaN or Inf")
-    seq_len = keys.shape[1]
-    middle = part.middle(seq_len)
-    if len(middle) > part.period:
-        # folded positions must cover distinct residues of the period; a
-        # contiguous middle region no longer than one period guarantees that
-        raise ValueError(
-            f"middle region of {len(middle)} positions exceeds the spectral period {part.period}"
-        )
-    heads = layout.dims[layer]
-    orders = layout._orders[layer]
-    mid = slice(middle.start, middle.stop)
-    k_counts = [hd.k_compressed.size for hd in heads]
-    coeffs = [np.zeros((2 * part.orders, n + hd.v_compressed.size))
-              for n, hd in zip(k_counts, heads)]
-    _fold_into(
-        basis,
-        [*keys[:, mid], *values[:, mid]],
-        [hd.k_compressed for hd in heads] + [hd.v_compressed for hd in heads],
-        [c[:, :n] for c, n in zip(coeffs, k_counts)]
-        + [c[:, n:] for c, n in zip(coeffs, k_counts)],
-        middle.start,
-    )
-    # one block for K and V of every head; a head's rows hold its dims in
-    # layout order, initial positions in their own rows, local ones in ring rows
-    exact = np.zeros(
+    # ingest writes the rows the prompt fills, after its fold; only the rows it
+    # leaves free are cleared here, since a block cleared before the fold has
+    # left the cache by the time its rows are written
+    exact = np.empty(
         (2, layout.kv_heads, part.init_len + part.local_len, layout.head_dim), dtype=np.float32
     )
-    # the local positions take consecutive rows from the oldest one's, up to
-    # the end of the ring, and those past it wrap round to its start
-    first = _ring_row(part, middle.stop)
-    wrap = min(seq_len, middle.stop + part.init_len + part.local_len - first)
-    to_end, wrapped = wrap - middle.stop, seq_len - wrap
-    slices = []
-    for head, hd in enumerate(heads):
-        for kv_index, kv in enumerate((keys[head], values[head])):
-            block, order = exact[kv_index, head], orders[head][kv_index]
-            # mode="clip" (the indices are in range) lets take write into out unbuffered
-            kv[: middle.start].take(order, axis=1, out=block[: middle.start], mode="clip")
-            kv[middle.stop : wrap].take(order, axis=1, out=block[first : first + to_end],
-                                        mode="clip")
-            kv[wrap:].take(order, axis=1, out=block[part.init_len : part.init_len + wrapped],
-                           mode="clip")
-        if len(middle):
-            state = SpectralState(coeffs[head], len(middle), middle.start, middle.stop - 1)
-        else:
-            state = SpectralState(coeffs[head])
-        slices.append(
-            HeadSlice(
-                dims=hd,
-                partition=part,
-                exact_k=exact[0, head],
-                exact_v=exact[1, head],
-                kept_k=_GrowBuffer(keys[head, mid], hd.k_kept),
-                kept_v=_GrowBuffer(values[head, mid], hd.v_kept),
-                _spec=state,
-                _order=orders[head],
-                total_len=seq_len,
-            )
+    exact[:, :, keys.shape[1] - len(part.middle(keys.shape[1])) :] = 0
+    slices = [
+        HeadSlice(
+            dims=hd,
+            partition=part,
+            exact_k=exact[0, head],
+            exact_v=exact[1, head],
+            kept_k=_GrowBuffer(hd.k_kept.size),
+            kept_v=_GrowBuffer(hd.v_kept.size),
+            _spec=SpectralState.zeros(part.orders, hd.k_compressed.size + hd.v_compressed.size),
+            _order=layout._orders[layer][head],
+            total_len=0,
         )
+        for head, hd in enumerate(layout.dims[layer])
+    ]
+    if slices and keys.shape[1]:
+        ingest(slices, basis, keys, values)
     return slices
 
 
 def append_token(slice_: HeadSlice, basis: FourierBasis, k_vec, v_vec) -> HeadSlice:
-    """Ingest one decoded token into a head slice.
+    """Ingest one decoded token, two ``(head_dim,)`` vectors, into a head slice.
 
-    A token below ``init_len`` takes its own initial row; a later one takes
-    its ring row, and once the ring is full, the token there before it, the
-    position the middle region grows by, splits into kept rows and one
-    spectral fold of its compressed K and V dims at its absolute position.
-    Mutates and returns the slice; a rejected token (wrong shape, NaN or
-    Inf, or a middle region already one period long) or a basis of another
-    geometry leaves it unchanged.
+    :func:`ingest` of one token into a one-slice layer. Mutates and returns
+    the slice; a rejected token (wrong shape, NaN or Inf, or a middle region
+    already one period long) or a basis of another geometry leaves it
+    unchanged.
     """
-    part = slice_.partition
-    check_basis(basis, part)
-    k_vec = np.asarray(k_vec, dtype=np.float32)
-    v_vec = np.asarray(v_vec, dtype=np.float32)
-    if k_vec.shape != (slice_.exact_k.shape[1],) or v_vec.shape != k_vec.shape:
-        raise ValueError("token vectors must have shape (head_dim,)")
-    # float32 values summed in float64 cannot overflow, so the sums are finite
-    # exactly when every entry is: NaN and Inf carry through, and Inf - Inf is NaN
-    if not math.isfinite(np.add.reduce(k_vec, dtype=np.float64)
-                         + np.add.reduce(v_vec, dtype=np.float64)):
-        raise ValueError("token vectors contain NaN or Inf")
-
-    pos = slice_.total_len
-    row = pos if pos < part.init_len else _ring_row(part, pos)
-    spec = slice_._spec  # it has folded one position per kept middle row
-    grown = part.middle(pos + 1)
-    if len(grown) > spec.token_count:
-        if spec.token_count >= part.period:
-            raise ValueError(
-                f"middle region already spans the full spectral period {part.period}; "
-                "folding more tokens would alias earlier positions"
-            )
-        # the evicted position is one ring cycle before the token, in the same
-        # row; its compressed dims lead each row, and K's lead the state
-        old_k = slice_.exact_k[row]
-        old_v = slice_.exact_v[row]
-        k_count = slice_.dims.k_compressed.size
-        v_count = spec.coeffs.shape[1] - k_count
-        folded = np.concatenate((old_k[:k_count], old_v[:v_count]), dtype=np.float64)
-        fold_token(spec, basis, folded, grown[-1])
-        slice_.kept_k.append(old_k[k_count:])
-        slice_.kept_v.append(old_v[v_count:])
-
-    order = slice_._order
-    slice_.exact_k[row] = k_vec[order[0]]
-    slice_.exact_v[row] = v_vec[order[1]]
-    slice_.total_len += 1
+    ingest([slice_], basis, np.asarray(k_vec, dtype=np.float32)[None, None],
+           np.asarray(v_vec, dtype=np.float32)[None, None])
     return slice_
+
+
+def ingest(slices, basis: FourierBasis, keys, values) -> None:
+    """Place ``n >= 1`` tokens per head into one layer's head slices.
+
+    ``slices`` share one partition, head_dim and ``total_len`` ``p``;
+    ``keys`` and ``values`` are ``(len(slices), n, head_dim)``, each head's
+    tokens at positions ``p..p+n-1``, and must be finite. This is the one
+    place tokens enter a cache, by one rule:
+
+    - The positions the middle region grows by, ``middle(p + n)`` minus
+      ``middle(p)``, are evicted. They are one run, read from ring rows
+      below ``p``, whose compressed dims lead each row, and from the chunk
+      from ``p`` on, through each head's :class:`HeadDims`.
+    - A run of two or more positions folds at its absolute positions in one
+      batch fold over every head's K and V, the one
+      :func:`~fourier_kv.spectral.fold_blocks` runs, priced for all their
+      columns together. A run of one folds through
+      :func:`~fourier_kv.spectral.fold_token`'s rank-1 update of the
+      concatenated compressed K|V, which keeps a stream of single tokens
+      bitwise equal to :func:`~fourier_kv.spectral.compress_batch`.
+    - The run's kept dims are appended to the kept rows.
+    - The chunk's positions that stay exact take their rows: those below
+      ``init_len`` their own, those past the grown middle their ring rows.
+
+    Every check runs before anything is stored: slices of different
+    geometry or length, a wrong shape, ``n = 0``, NaN or Inf, a basis of
+    another geometry, or a middle region that would outgrow one period
+    raise ``ValueError`` and leave every slice unchanged.
+    """
+    first = slices[0]
+    part = first.partition
+    check_basis(basis, part)
+    keys = np.asarray(keys, dtype=np.float32)
+    values = np.asarray(values, dtype=np.float32)
+    p = first.total_len
+    for sl in slices[1:]:
+        if sl.partition != part or sl.total_len != p or sl.exact_k.shape != first.exact_k.shape:
+            raise ValueError("slices must share one partition, head_dim and total_len")
+    if (keys.ndim != 3 or values.shape != keys.shape or not keys.shape[1]
+            or (keys.shape[0], keys.shape[2]) != (len(slices), first.exact_k.shape[1])):
+        raise ValueError(
+            f"keys/values of shape {keys.shape}/{values.shape} are not "
+            f"(heads {len(slices)}, n >= 1, head_dim {first.exact_k.shape[1]})"
+        )
+    # one bool temporary at a time, each counted: cheaper than a reduction on a token
+    if (np.count_nonzero(np.isfinite(keys)) != keys.size
+            or np.count_nonzero(np.isfinite(values)) != values.size):
+        raise ValueError("keys/values contain NaN or Inf")
+    end = p + keys.shape[1]
+    grown = part.middle(end)
+    if grown.stop - grown.start > part.period:
+        # folded positions must cover distinct residues of the period; a
+        # contiguous middle region no longer than one period guarantees that
+        raise ValueError(
+            f"a middle region of {grown.stop - grown.start} positions would exceed the "
+            f"spectral period {part.period}; folding it would alias earlier positions"
+        )
+
+    # the middle grows by the run past the positions folded so far, one a kept row
+    start = grown.start + first._spec.token_count
+    evicted = grown.stop - start
+    if evicted > 1:
+        _fold_run(slices, basis, keys, values, p, range(start, grown.stop))
+    # one evicted position folds per head below, from its ring row if below p
+    row = _ring_row(part, start) if evicted == 1 and start < p else None
+    # the chunk's positions that stay exact take their rows: their own below
+    # init_len, then ring rows from the first past the grown middle
+    low = part.init_len if end > part.init_len else end
+    local = grown.stop if grown.stop > p else p
+    ring = _ring_rows(part, local, end)
+    for i, sl in enumerate(slices):
+        k, v, order = keys[i], values[i], sl._order
+        if evicted == 1:
+            # the position's K and V rows, dims in layout order, read before a
+            # token of the chunk takes its row
+            if row is None:
+                k_row, v_row = k[start - p, order[0]], v[start - p, order[1]]
+            else:
+                k_row, v_row = sl.exact_k[row], sl.exact_v[row]
+            k_count = sl.dims.k_compressed.size
+            v_count = sl._spec.coeffs.shape[1] - k_count
+            fold_token(sl._spec, basis,
+                       np.concatenate((k_row[:k_count], v_row[:v_count]), dtype=np.float64),
+                       start)
+            sl.kept_k.extend(1)[0] = k_row[k_count:]
+            sl.kept_v.extend(1)[0] = v_row[v_count:]
+        # mode "clip" (the indices are in range) lets take write into out unbuffered
+        if p < low:
+            k[: low - p].take(order[0], 1, sl.exact_k[p:low], "clip")
+            v[: low - p].take(order[1], 1, sl.exact_v[p:low], "clip")
+        at = local - p
+        for rows in ring:
+            stop = at + rows.stop - rows.start
+            k[at:stop].take(order[0], 1, sl.exact_k[rows], "clip")
+            v[at:stop].take(order[1], 1, sl.exact_v[rows], "clip")
+            at = stop
+        sl.total_len = end
+
+
+def _fold_run(slices, basis: FourierBasis, keys, values, p: int, run: range) -> None:
+    """Fold an evicted run of two or more positions into every slice and append its kept rows.
+
+    Each head's K and V rows of the run are read in index order: straight
+    from the chunk when the run starts at or past ``p``, and otherwise
+    gathered from the ring rows, put back in index order, ahead of the
+    chunk's. The states are added to in one batch fold, before the kept
+    rows are written straight into their buffers.
+    """
+    count = len(run)
+    chunk = slice(max(run.start, p) - p, max(run.stop, p) - p)
+    k_runs, v_runs = keys[:, chunk], values[:, chunk]
+    if run.start < p:
+        # ring rows lead the run: gathered ahead of the chunk's, dims back in index order
+        ring = _ring_rows(slices[0].partition, run.start, min(run.stop, p))
+        k_runs, v_runs = list(k_runs), list(v_runs)
+        for i, sl in enumerate(slices):
+            for runs, exact, order in ((k_runs, sl.exact_k, sl._order[0]),
+                                       (v_runs, sl.exact_v, sl._order[1])):
+                held = np.concatenate([exact[rows] for rows in ring])[:, np.argsort(order)]
+                runs[i] = np.concatenate((held, runs[i]))
+    heads = [sl.dims for sl in slices]
+    _fold_into(
+        basis,
+        [*k_runs, *v_runs],
+        [hd.k_compressed for hd in heads] + [hd.v_compressed for hd in heads],
+        [sl._spec.coeffs[:, : hd.k_compressed.size] for sl, hd in zip(slices, heads)]
+        + [sl._spec.coeffs[:, hd.k_compressed.size :] for sl, hd in zip(slices, heads)],
+        run.start,
+    )
+    for sl, hd, k_run, v_run in zip(slices, heads, k_runs, v_runs):
+        spec = sl._spec
+        if not spec.token_count:
+            spec.first_pos = run.start
+        spec.token_count += count
+        spec.last_pos = run.stop - 1
+        # mode="clip" (the indices are in range) lets take write into out unbuffered
+        k_run.take(hd.k_kept, axis=1, out=sl.kept_k.extend(count), mode="clip")
+        v_run.take(hd.v_kept, axis=1, out=sl.kept_v.extend(count), mode="clip")
 
 
 @dataclass

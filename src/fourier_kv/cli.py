@@ -40,7 +40,7 @@ from fourier_kv.attention import (
     output_divergence,
     perturb_dims,
 )
-from fourier_kv.cache import PartitionParams, memory_report, prefill_trace
+from fourier_kv.cache import PartitionParams, ingest, memory_report, prefill_trace
 from fourier_kv.dimselect import (
     CompressionSchema,
     _read_manifest,
@@ -281,12 +281,12 @@ def cmd_eval(args) -> int:
     pairs = [(l, h) for l in range(trace.layers) for h in range(trace.kv_heads)]
     for step in range(args.decode_steps):
         length = trace.seq_len + step + 1
-        for layer, head in pairs:
-            k_vec = rng.standard_normal(trace.head_dim).astype(np.float32)
-            v_vec = rng.standard_normal(trace.head_dim).astype(np.float32)
-            cache.append(layer, head, k_vec, v_vec)
-            keys[layer, head, length - 1] = k_vec
-            values[layer, head, length - 1] = v_vec
+        for layer in range(trace.layers):
+            # each head's K and then V token, in the order of one draw per vector
+            kv = rng.standard_normal((trace.kv_heads, 2, 1, trace.head_dim)).astype(np.float32)
+            ingest(cache.slices[layer], basis, kv[:, 0], kv[:, 1])
+            keys[layer, :, length - 1] = kv[:, 0, 0]
+            values[layer, :, length - 1] = kv[:, 1, 0]
         queries = {pair: rng.standard_normal(trace.head_dim) for pair in pairs}
 
         def compare(pair):

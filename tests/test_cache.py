@@ -14,6 +14,7 @@ from fourier_kv.cache import (
     CacheLayout,
     PartitionParams,
     append_token,
+    ingest,
     memory_report,
     prefill,
     prefill_trace,
@@ -622,6 +623,128 @@ class TestAppend:
             append_token(sl, basis, token, token)
 
 
+def chunk_cuts(seq_len):
+    """Ascending cut points that split ``seq_len`` positions into chunks of 1 or more."""
+    return st.lists(st.integers(1, max(1, seq_len - 1)), unique=True).map(
+        lambda cuts: [c for c in sorted(cuts) if c < seq_len])
+
+
+class TestIngest:
+    """``ingest`` of a chunk per head: any split equals one call, and every
+    rejected call leaves every slice unchanged."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=prefill_geometries(), data=st.data())
+    def test_any_split_gives_the_rows_of_one_call(self, case, data):
+        # chunks evict runs of ring rows, some of them wrapping round the ring,
+        # together with rows of the chunk itself
+        layout, keys, values = case
+        part = layout.partition
+        basis = build_basis(part.orders, part.period)
+        seq_len = keys.shape[1]
+        cuts = data.draw(chunk_cuts(seq_len), label="cuts")
+        whole = prefill(keys, values, layout, 0, basis)
+        slices = prefill(keys[:, :0], values[:, :0], layout, 0, basis)
+        for lo, hi in zip([0, *cuts], [*cuts, seq_len]):
+            if hi > lo:
+                ingest(slices, basis, keys[:, lo:hi], values[:, lo:hi])
+        for one, split in zip(whole, slices):
+            for name in ("exact_k", "exact_v"):
+                np.testing.assert_array_equal(getattr(split, name), getattr(one, name))
+            for name in ("kept_k", "kept_v"):
+                np.testing.assert_array_equal(getattr(split, name).view(),
+                                              getattr(one, name).view())
+            assert split.total_len == one.total_len == seq_len
+        TestPrefillFold.assert_states_match(layout, keys, values, slices, basis)
+
+    def test_a_chunk_evicts_a_wrapped_ring_run_and_its_own_rows(self):
+        # init 2, local 4: after 9 tokens the ring holds positions 5-8 in rows
+        # 5, 2, 3, 4, so a chunk of 6 evicts 5-8 from rows 5 and then 2-4,
+        # wrapping round the ring, and its own first 2 tokens
+        layout = make_layout(kv_heads=2, init=2, local=4, period=64, orders=8,
+                             k_comp=(0, 3, 4), v_comp=(1,))
+        basis = build_basis(8, 64)
+        keys, values = random_layer(np.random.default_rng(18), kv_heads=2, seq_len=15)
+        slices = prefill(keys[:, :9], values[:, :9], layout, 0, basis)
+        ingest(slices, basis, keys[:, 9:], values[:, 9:])
+        whole = prefill(keys, values, layout, 0, basis)
+        for one, split in zip(whole, slices):
+            np.testing.assert_array_equal(split.exact_k, one.exact_k)
+            np.testing.assert_array_equal(split.exact_v, one.exact_v)
+            np.testing.assert_array_equal(split.kept_k.view(), one.kept_k.view())
+            np.testing.assert_array_equal(split.kept_v.view(), one.kept_v.view())
+        TestPrefillFold.assert_states_match(layout, keys, values, slices, basis)
+
+    @staticmethod
+    def two_heads(seq_len=9):
+        layout = make_layout(kv_heads=2, init=2, local=4, period=64, orders=8)
+        keys, values = random_layer(np.random.default_rng(19), kv_heads=2, seq_len=seq_len)
+        return prefill(keys, values, layout, 0, build_basis(8, 64))
+
+    @staticmethod
+    def assert_refused(slices, basis, keys, values, match=None):
+        before = [slice_arrays(sl) for sl in slices]
+        with pytest.raises(ValueError, match=match):
+            ingest(slices, basis, keys, values)
+        for sl, snapshot in zip(slices, before):
+            assert_slice_unchanged(sl, snapshot)
+
+    @staticmethod
+    def chunk():
+        """Six tokens for each of two heads."""
+        return random_layer(np.random.default_rng(20), kv_heads=2, seq_len=6)
+
+    def test_slices_of_different_lengths(self):
+        first = self.two_heads(seq_len=9)[0]
+        second = self.two_heads(seq_len=10)[1]
+        self.assert_refused([first, second], build_basis(8, 64), *self.chunk(), "total_len")
+
+    def test_slices_of_different_partitions(self):
+        first = self.two_heads()[0]
+        layout = make_layout(kv_heads=2, init=2, local=5, period=64, orders=8)
+        keys, values = random_layer(np.random.default_rng(21), kv_heads=2, seq_len=9)
+        second = prefill(keys, values, layout, 0, build_basis(8, 64))[1]
+        self.assert_refused([first, second], build_basis(8, 64), *self.chunk(), "partition")
+
+    @pytest.mark.parametrize("shape", [
+        (2, 0, 6),  # n = 0
+        (3, 6, 6),  # a head too many
+        (1, 6, 6),  # a head too few
+        (2, 6, 5),  # head_dim too small
+        (2, 6),  # no token axis
+        (2, 6, 1, 6),  # an extra axis
+    ], ids=["n=0", "heads+1", "heads-1", "head_dim-1", "2-d", "4-d"])
+    def test_a_wrong_shape(self, shape):
+        slices = self.two_heads()
+        keys = np.ones(shape, dtype=np.float32)
+        self.assert_refused(slices, build_basis(8, 64), keys, keys, "shape")
+
+    def test_keys_and_values_of_different_shapes(self):
+        keys, values = self.chunk()
+        self.assert_refused(self.two_heads(), build_basis(8, 64), keys, values[:, :5], "shape")
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(which=st.sampled_from(["keys", "values"]), head=st.integers(0, 1),
+           token=st.integers(0, 5), dim=st.integers(0, 5),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_nan_or_inf_anywhere_in_the_chunk(self, which, head, token, dim, bad):
+        # a chunk of 6 past a prompt of 9 evicts ring rows and rows of its own
+        keys, values = self.chunk()
+        {"keys": keys, "values": values}[which][head, token, dim] = bad
+        self.assert_refused(self.two_heads(), build_basis(8, 64), keys, values, "NaN or Inf")
+
+    def test_a_chunk_past_one_period(self):
+        # period 16, init 2, local 4: 9 tokens hold a middle of 3, and 14 more
+        # would make it 17
+        layout = make_layout(kv_heads=2, init=2, local=4, period=16, orders=4)
+        basis = build_basis(4, 16)
+        keys, values = random_layer(np.random.default_rng(22), kv_heads=2, seq_len=23)
+        slices = prefill(keys[:, :9], values[:, :9], layout, 0, basis)
+        self.assert_refused(slices, basis, keys[:, 9:], values[:, 9:], "period 16")
+        ingest(slices, basis, keys[:, 9:22], values[:, 9:22])  # a middle of 16 fits
+        assert slices[0].spec_k.token_count == 16
+
+
 class TestShortPrompts:
     """Tiers follow absolute position, whatever the prompt length."""
 
@@ -707,6 +830,17 @@ class TestBasisCheck:
         with pytest.raises(ValueError, match="basis geometry does not match the layout partition"):
             append_token(sl, basis, keys[0, 0], values[0, 0])
         assert_slice_unchanged(sl, before)
+
+    @WRONG_BASES
+    def test_ingest(self, basis):
+        layout = make_layout(kv_heads=2, init=4, local=8, period=64, orders=8)
+        keys, values = random_layer(np.random.default_rng(17), kv_heads=2, seq_len=40)
+        slices = prefill(keys[:, :30], values[:, :30], layout, 0, build_basis(8, 64))
+        before = [slice_arrays(sl) for sl in slices]
+        with pytest.raises(ValueError, match="basis geometry does not match the layout partition"):
+            ingest(slices, basis, keys[:, 30:], values[:, 30:])
+        for sl, snapshot in zip(slices, before):
+            assert_slice_unchanged(sl, snapshot)
 
 
 class TestPrefillTrace:

@@ -1,12 +1,12 @@
 """Stateful oracle for the cache: every operation checked against a record of its tokens.
 
 A ``RuleBasedStateMachine`` prefills one layer of two heads, appends decode
-tokens, attends and feeds bad tokens, in any order. The record holds every
-K/V row the cache was given. After every rule, the exact rows the cache
-holds, in position order, and its kept middle rows must equal the record
-bitwise, and its spectral states must equal :func:`compress_batch` of the
-record's middle. The adapter below is the only code that reads a slice's
-storage layout.
+tokens, ingests chunks of tokens, attends and feeds bad tokens, in any order.
+The record holds every K/V row the cache was given. After every rule, the
+exact rows the cache holds, in position order, and its kept middle rows must
+equal the record bitwise, and its spectral states must equal
+:func:`compress_batch` of the record's middle. The adapter below is the only
+code that reads a slice's storage layout.
 """
 
 from unittest import mock
@@ -27,6 +27,7 @@ from fourier_kv.cache import (
     CacheLayout,
     PartitionParams,
     append_token,
+    ingest,
     memory_report,
     prefill,
 )
@@ -164,6 +165,27 @@ class CacheMachine(RuleBasedStateMachine):
             self.values = np.concatenate([self.values, v_vec], axis=1)
         else:
             assert all(full)  # the heads share one geometry and one length
+
+    @rule(data=st.data(), ratios=transforms)
+    def ingest_chunk(self, data, ratios):
+        """A chunk of 1 to past ``init + local + period`` tokens per head in one call;
+        one that would take the middle past one period is refused."""
+        part = self.part
+        # chunks no longer than the ring too, which evict runs of ring rows alone
+        n = data.draw(st.integers(1, part.init_len + part.local_len + part.period + 1)
+                      | st.integers(1, part.local_len), label="chunk")
+        keys, values = self.tokens(n), self.tokens(n)
+        if self.keys.shape[1] + n - part.init_len - part.local_len > part.period:
+            before = [storage(sl) for sl in self.slices]
+            with pytest.raises(ValueError, match="period"):
+                ingest(self.slices, self.basis, keys, values)
+            for sl, snapshot in zip(self.slices, before):
+                assert_same_storage(snapshot, storage(sl))
+            return
+        with mock.patch.multiple(spectral, **ratios):
+            ingest(self.slices, self.basis, keys, values)
+        self.keys = np.concatenate([self.keys, keys], axis=1)
+        self.values = np.concatenate([self.values, values], axis=1)
 
     @rule(kind=st.sampled_from(["nan_k", "inf_v", "-inf_k", "short", "long", "matrix"]),
           head=st.integers(0, KV_HEADS - 1))
