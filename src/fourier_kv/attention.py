@@ -79,41 +79,31 @@ def _check_finite(name, arr):
         raise ValueError(f"{name} contains NaN or Inf")
 
 
-def attend_full(q, keys, values, causal: bool = False, return_weights: bool = False) -> AttentionOutput:
-    """Scaled dot-product attention with a max-subtracted softmax.
+def attend_full(q, keys, values, return_weights: bool = False) -> AttentionOutput:
+    """Scaled dot-product attention of one ``(d,)`` decode query, with a max-subtracted softmax.
 
-    ``q`` may be a single ``(d,)`` decode query or an ``(Lq, d)`` block. With
-    ``causal=True`` query i attends keys ``0..L-Lq+i`` (query block aligned
-    to the end of the key sequence).
+    The query attends every one of the ``(L, d)`` keys; the weights come back
+    in key order.
     """
     q = np.asarray(q, dtype=np.float64)
     keys = np.asarray(keys, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    single = q.ndim == 1
-    q2d = q[None, :] if single else q
     if keys.ndim != 2 or values.ndim != 2 or keys.shape != values.shape:
         raise ValueError("keys and values must be (L, d) with matching shapes")
-    if q2d.shape[1] != keys.shape[1]:
-        raise ValueError(f"query dim {q2d.shape[1]} != key dim {keys.shape[1]}")
+    if q.shape != keys.shape[1:]:
+        raise ValueError(f"query of shape {q.shape} does not match key dim {keys.shape[1]}")
     if keys.shape[0] == 0:
         raise ValueError("attention over zero keys is undefined")
-    for name, arr in (("q", q2d), ("keys", keys), ("values", values)):
+    for name, arr in (("q", q), ("keys", keys), ("values", values)):
         _check_finite(name, arr)
 
-    scale = 1.0 / np.sqrt(keys.shape[1])
-    scores = (q2d @ keys.T) * scale
-    if causal:
-        n_q, n_k = scores.shape
-        offset = n_k - n_q
-        mask = np.arange(n_k)[None, :] > (np.arange(n_q)[:, None] + offset)
-        scores = np.where(mask, -np.inf, scores)
-    scores = scores - scores.max(axis=1, keepdims=True)
+    # a (1, d) row times keys.T, not keys @ q, which may sum in another order
+    scores = (q[None, :] @ keys.T) * (1.0 / np.sqrt(keys.shape[1]))
+    scores -= scores.max(axis=1, keepdims=True)
     weights = np.exp(scores)
     weights /= weights.sum(axis=1, keepdims=True)
     out = weights @ values
-    if single:
-        return AttentionOutput(output=out[0], weights=weights[0] if return_weights else None)
-    return AttentionOutput(output=out, weights=weights if return_weights else None)
+    return AttentionOutput(output=out[0], weights=weights[0] if return_weights else None)
 
 
 def attend_compressed_materialized(
@@ -125,10 +115,10 @@ def attend_compressed_materialized(
     """Decode attention over the exact rows and the rebuilt middle, in position order.
 
     Middle rows get their kept dims copied and their compressed dims rebuilt
-    by ``reconstruct``. Decode queries attend to every represented position
-    (no causal mask), assembled in ascending position order: initial rows,
-    middle region, then the local ring rolled so that its oldest position
-    comes first. The weights come back in that order.
+    by ``reconstruct``. Decode queries attend to every represented position,
+    assembled in ascending position order: initial rows, middle region, then
+    the local ring rolled so that its oldest position comes first. The
+    weights come back in that order.
     """
     check_basis(basis, slice_.partition)
     middle = slice_.partition.middle(slice_.total_len)
@@ -152,7 +142,7 @@ def attend_compressed_materialized(
         natural = np.empty_like(rows)
         natural[:, np.concatenate([comp, keep])] = rows
         blocks.append(natural)
-    return attend_full(q, *blocks, causal=False, return_weights=return_weights)
+    return attend_full(q, *blocks, return_weights=return_weights)
 
 
 def attend_compressed_fused(q, slice_: HeadSlice, basis: FourierBasis) -> AttentionOutput:
@@ -218,25 +208,24 @@ def attend_compressed_fused(q, slice_: HeadSlice, basis: FourierBasis) -> Attent
     return AttentionOutput(output=out[slice_._order[2]])
 
 
-def decompose_scores(q, keys, split_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split scaled attention scores into low-/high-dimension components.
+def decompose_scores(queries, keys, split_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Split the scaled scores of an ``(Lq, d)`` query block into low-/high-dimension parts.
 
-    Both components use the full ``1/sqrt(d)`` scale so they add up exactly
+    Returns two ``(Lq, L)`` arrays: the scores over dims below ``split_dim``
+    and over the rest. Both use the full ``1/sqrt(d)`` scale, so they add up
     to the undivided scores. ``split_dim`` may equal ``d``, leaving the upper
-    component empty (all zeros).
+    component all zeros.
     """
-    q = np.asarray(q, dtype=np.float64)
+    queries = np.asarray(queries, dtype=np.float64)
     keys = np.asarray(keys, dtype=np.float64)
-    single = q.ndim == 1
-    q2d = q[None, :] if single else q
     d = keys.shape[1]
+    if queries.ndim != 2 or queries.shape[1] != d:
+        raise ValueError(f"queries must be (Lq, {d}), got {queries.shape}")
     if not 0 < split_dim <= d:
         raise ValueError(f"split_dim must lie in (0, {d}], got {split_dim}")
     scale = 1.0 / np.sqrt(d)
-    low = (q2d[:, :split_dim] @ keys[:, :split_dim].T) * scale
-    high = (q2d[:, split_dim:] @ keys[:, split_dim:].T) * scale
-    if single:
-        return low[0], high[0]
+    low = (queries[:, :split_dim] @ keys[:, :split_dim].T) * scale
+    high = (queries[:, split_dim:] @ keys[:, split_dim:].T) * scale
     return low, high
 
 

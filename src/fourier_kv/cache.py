@@ -380,18 +380,23 @@ def ingest(slices, basis: FourierBasis, keys, values) -> None:
     - The chunk's positions that stay exact take their rows: those below
       ``init_len`` their own, those past the grown middle their ring rows.
 
-    Every check runs before anything is stored: slices of different
-    geometry or length, a wrong shape, ``n = 0``, NaN or Inf, a basis of
-    another geometry, or a middle region that would outgrow one period
-    raise ``ValueError`` and leave every slice unchanged.
+    Every check runs before anything is stored: no slices, a slice listed
+    twice, slices of different geometry or length, a wrong shape, ``n = 0``,
+    NaN or Inf, a basis of another geometry, or a middle region that would
+    outgrow one period raise ``ValueError`` and leave every slice unchanged.
     """
-    first = slices[0]
+    if not slices:
+        raise ValueError("ingest needs at least one head slice")
+    first, rest = slices[0], slices[1:]
     part = first.partition
     check_basis(basis, part)
     keys = np.asarray(keys, dtype=np.float32)
     values = np.asarray(values, dtype=np.float32)
     p = first.total_len
-    for sl in slices[1:]:
+    # a slice listed twice would fold and store its heads' tokens into one state
+    if rest and len({id(sl) for sl in slices}) != len(slices):
+        raise ValueError("each head slice may appear only once")
+    for sl in rest:
         if sl.partition != part or sl.total_len != p or sl.exact_k.shape != first.exact_k.shape:
             raise ValueError("slices must share one partition, head_dim and total_len")
     if (keys.ndim != 3 or values.shape != keys.shape or not keys.shape[1]

@@ -5,8 +5,6 @@ recording the resolved arguments, a config hash, and wall time, so a run can
 be reproduced from its output directory alone. Reports are RFC-4180 CSV with
 a header row.
 
-``eval`` spreads its per-head comparisons over ``FOURIER_KV_THREADS``
-threads: a positive integer, 1 when unset; any other value is a usage error.
 ``select`` and ``eval`` warn on stderr when the trace's middle region holds
 at most ``4 * orders`` positions, where a compressed dimension's float64
 state outweighs the float32 rows it replaces.
@@ -24,10 +22,8 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -42,9 +38,10 @@ from fourier_kv.attention import (
 )
 from fourier_kv.cache import PartitionParams, ingest, memory_report, prefill_trace
 from fourier_kv.dimselect import (
+    HISTOGRAM_GROUP,
     CompressionSchema,
-    _read_manifest,
     build_selection_report,
+    read_selection_manifest,
     schema_variants,
     selection_histogram,
     temporal_std,
@@ -65,8 +62,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_DATA = 4
-
-THREADS_ENV = "FOURIER_KV_THREADS"
 
 _SCHEMA_NAMES = ("inverted", "uniform", "kv-inv", "layer-inv")
 
@@ -89,24 +84,6 @@ def _write_csv(path, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(x) for x in row])
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise UsageError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return threads
-
-
-def _map_slices(fn, items, threads: int):
-    if threads == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _write_run_manifest(primary_output, command: str, args: dict, inputs, outputs, started: float):
@@ -248,7 +225,7 @@ def cmd_select(args) -> int:
     for layer in range(hist.shape[0]):
         for kv_idx, kv in enumerate(("K", "V")):
             for grp in range(hist.shape[2]):
-                rows.append((layer, kv, grp * 16, hist[layer, kv_idx, grp]))
+                rows.append((layer, kv, grp * HISTOGRAM_GROUP, hist[layer, kv_idx, grp]))
     _write_csv(hist_path, ("layer", "kv", "group_start", "mean_compressed"), rows)
     _write_run_manifest(
         args.out_manifest, "select", _public_args(args),
@@ -261,10 +238,10 @@ def cmd_select(args) -> int:
 
 def cmd_eval(args) -> int:
     started = time.monotonic()
-    threads = _thread_count()
     trace = read_trace(args.trace)
     # the manifest's geometry is checked against the trace before its mask is sized
-    layout, schema = _read_manifest(args.manifest, (trace.layers, trace.kv_heads, trace.head_dim))
+    layout, _ = read_selection_manifest(
+        args.manifest, (trace.layers, trace.kv_heads, trace.head_dim))
     _warn_if_states_outweigh_rows(layout.partition, trace.seq_len)
     basis = build_basis(layout.partition.orders, layout.partition.period)
     cache = prefill_trace(trace, layout, basis)
@@ -278,7 +255,6 @@ def cmd_eval(args) -> int:
 
     rng = np.random.default_rng(args.seed)
     rows = []
-    pairs = [(l, h) for l in range(trace.layers) for h in range(trace.kv_heads)]
     for step in range(args.decode_steps):
         length = trace.seq_len + step + 1
         for layer in range(trace.layers):
@@ -287,24 +263,18 @@ def cmd_eval(args) -> int:
             ingest(cache.slices[layer], basis, kv[:, 0], kv[:, 1])
             keys[layer, :, length - 1] = kv[:, 0, 0]
             values[layer, :, length - 1] = kv[:, 1, 0]
-        queries = {pair: rng.standard_normal(trace.head_dim) for pair in pairs}
-
-        def compare(pair):
-            layer, head = pair
-            q = queries[pair]
-            ref = attend_full(q, keys[layer, head, :length], values[layer, head, :length])
-            sl = cache.slice(layer, head)
-            mat = attend_compressed_materialized(q, sl, basis)
-            fus = attend_compressed_fused(q, sl, basis)
-            out = []
-            for path, cand in (("materialized", mat), ("fused", fus)):
-                metrics = output_divergence(ref, cand)
-                out.append((layer, head, step, path,
-                            metrics["max_abs"], metrics["rmse"], metrics["cosine"]))
-            return out
-
-        for chunk in _map_slices(compare, pairs, threads):
-            rows.extend(chunk)
+        # one query per head in (layer, head) order: one draw, the same as one per head
+        queries = rng.standard_normal((trace.layers, trace.kv_heads, trace.head_dim))
+        for layer in range(trace.layers):
+            for head in range(trace.kv_heads):
+                q = queries[layer, head]
+                ref = attend_full(q, keys[layer, head, :length], values[layer, head, :length])
+                sl = cache.slice(layer, head)
+                for path, attend in (("materialized", attend_compressed_materialized),
+                                     ("fused", attend_compressed_fused)):
+                    metrics = output_divergence(ref, attend(q, sl, basis))
+                    rows.append((layer, head, step, path,
+                                 metrics["max_abs"], metrics["rmse"], metrics["cosine"]))
 
     _write_csv(
         args.report,
@@ -376,7 +346,7 @@ def cmd_analyze(args) -> int:
     heat_path = out_dir / "score_decomposition.csv"
     heat_rows = []
     for qi in range(block.shape[0]):
-        for kj in range(qi + 1):  # causal triangle
+        for kj in range(qi + 1):  # each query's own key and the keys before it
             heat_rows.append((qi, kj, low[qi, kj], high[qi, kj], low[qi, kj] + high[qi, kj]))
     _write_csv(heat_path, ("query_pos", "key_pos", "low", "high", "full"), heat_rows)
 

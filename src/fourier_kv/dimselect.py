@@ -14,7 +14,7 @@ within the batch fold's 1 MB chunk. The stock schema compresses
 more of the V cache than the K cache and more of the lower layers than the
 upper ones (an inverted pyramid); ablation variants flatten, swap, or flip
 it. Diagnostics cover temporal standard deviations and the distribution of
-compressed indices grouped every 16 dimensions.
+compressed indices grouped every ``HISTOGRAM_GROUP`` (16) dimensions.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from fourier_kv.spectral import FourierBasis, fold_blocks
 from fourier_kv.traceio import KVTrace
 
 __all__ = [
+    "HISTOGRAM_GROUP",
     "CompressionSchema",
     "MseRanking",
     "SelectionReport",
@@ -46,6 +47,9 @@ __all__ = [
 
 MANIFEST_FORMAT = "fourier-kv-selection"
 MANIFEST_VERSION = 1
+
+# the diagnostic histogram counts compressed dimensions in groups of this many indices
+HISTOGRAM_GROUP = 16
 
 
 @dataclass(frozen=True)
@@ -340,16 +344,14 @@ def build_selection_report(
     return SelectionReport(layout=layout, schema=schema, ranking=ranking)
 
 
-def selection_histogram(report: SelectionReport, group: int = 16) -> np.ndarray:
-    """Compressed-dimension counts grouped every ``group`` indices.
+def selection_histogram(report: SelectionReport) -> np.ndarray:
+    """Compressed-dimension counts grouped every :data:`HISTOGRAM_GROUP` indices.
 
     Returns ``(layers, 2, n_groups)`` of per-group counts averaged across
     heads (K at index 0, V at 1). The last group may cover fewer indices.
     """
-    if group < 1:
-        raise ValueError("group must be >= 1")
     layout = report.layout
-    starts = np.arange(0, layout.head_dim, group)
+    starts = np.arange(0, layout.head_dim, HISTOGRAM_GROUP)
     return np.add.reduceat(layout.compressed.sum(axis=2), starts, axis=-1) / layout.kv_heads
 
 
@@ -411,27 +413,19 @@ def _manifest_mask(rows, layers: int, kv_heads: int, head_dim: int) -> np.ndarra
     return mask
 
 
-def read_selection_manifest(path):
-    """Load a manifest back into (CacheLayout, CompressionSchema).
+def read_selection_manifest(path, geometry):
+    """Load a manifest, for a trace of ``geometry``, back into (CacheLayout, CompressionSchema).
 
-    Each head's ``k_compressed`` and ``v_compressed`` index lists become the
-    ``True`` entries of the layout's ``(layers, 2, kv_heads, head_dim)``
-    mask. A file that is not a manifest, or one with a missing, mistyped or
-    invalid field, such as a ``dims`` table that is not ``layers x
-    kv_heads``, an index that is not an integer in ``[0, head_dim)``, or a
-    partition whose orders break ``2*orders - 1 <= period``, raises
-    ``ValueError`` naming ``path``.
-    """
-    return _read_manifest(path, None)
-
-
-def _read_manifest(path, geometry):
-    """:func:`read_selection_manifest`, for a trace of ``geometry``.
-
-    ``geometry`` is ``(layers, kv_heads, head_dim)``, or ``None`` for any.
-    The file's own geometry is compared with it before anything is sized by
-    the file's numbers, so a small file stating a huge ``head_dim`` is
-    rejected, as a ``ValueError`` naming ``path``, without allocating for it.
+    ``geometry`` is the trace's ``(layers, kv_heads, head_dim)``. The file's
+    own geometry is compared with it before anything is sized by the file's
+    numbers, so a small file stating a huge ``head_dim`` is rejected without
+    allocating for it. Each head's ``k_compressed`` and ``v_compressed``
+    index lists become the ``True`` entries of the layout's ``(layers, 2,
+    kv_heads, head_dim)`` mask. A file that is not a manifest, or one with
+    another geometry or a missing, mistyped or invalid field, such as a
+    ``dims`` table that is not ``layers x kv_heads``, an index that is not an
+    integer in ``[0, head_dim)``, or a partition whose orders break
+    ``2*orders - 1 <= period``, raises ``ValueError`` naming ``path``.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -442,7 +436,7 @@ def _read_manifest(path, geometry):
     try:
         geom = doc["geometry"]
         stated = (geom["layers"], geom["kv_heads"], geom["head_dim"])
-        if geometry is not None and stated != tuple(geometry):
+        if stated != tuple(geometry):
             raise ValueError(f"geometry {stated} does not match the trace's {tuple(geometry)}")
         layout = CacheLayout(
             partition=PartitionParams(**doc["partition"]),

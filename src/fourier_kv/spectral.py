@@ -27,8 +27,11 @@ cost is a handful of numpy calls. The fold runs the trig tables and the
 moments as matrix products over spans of a block's columns, cast into one
 float64 buffer and never gathered: one product per span against the run's
 columns, or two through the moments, and each FFT once per column. Every
-cosine and sine comes from one phase builder, which reduces ``n*t`` mod the
-period in integers.
+cosine and sine comes from one of two phase builders, each reducing its
+integer phase exactly before the float product: :func:`_unit_phases`
+reduces ``n*t`` mod ``period``, for basis columns and trig tables, and
+:func:`_unit_phase` reduces mod ``2*period``, for the chirp-z plans, the
+moments' waves and the Gram matrix of ``dimselect``.
 
 Phases are indexed by *absolute* token position so that a state built during
 prefill and a state extended by streaming evictions agree without rephasing.
@@ -333,18 +336,16 @@ class FourierBasis:
             return np.zeros(self.n_rows, dtype=np.float64)
         return self._project_columns(w, plan)
 
-    def _project_columns(self, w: np.ndarray, plan) -> np.ndarray:
+    def _project_columns(self, w: np.ndarray, plan: _Run) -> np.ndarray:
         """:meth:`project` of one ``(span,)`` column, ``(2*orders,)``, or a fold's
         ``(span, c)`` columns, ``(2*orders, c)``.
 
         ``g[r] = sum_m w[m] * exp(i*theta_r*(lo + m))`` holds the cosine and
         sine sums of bin ``r``. ``span >= 1``, ``c >= 1``, and ``plan`` is
-        the run's :class:`_Run`, whose trig tables take one column, or the
-        run's columns, which :func:`_fold_spans` projects spans of a block
-        onto. The FFTs run one transform per column.
+        the run's :class:`_Run`. Its trig tables take one column (a fold
+        projects many through :func:`_fold_spans`); the FFTs run one
+        transform per column.
         """
-        if isinstance(plan, np.ndarray):
-            return plan.T @ w
         span = w.shape[0]
         if plan.tables is not None:
             rows, width = plan.head.shape[0], plan.tables.tail.shape[1]
@@ -881,7 +882,7 @@ def _fold_into(basis: FourierBasis, arrays: list, dims, outs: list, start_pos: i
         fixed, per_column = basis._project_floats(hi - lo, columns)
         group = max(1, (_FOLD_CHUNK_FLOATS - fixed) // per_column)
         if plan.tables is not None:
-            _fold_spans(basis, plan.run_columns(), arrays, picks, stretch, outs, lo, hi, group)
+            _fold_spans(plan.run_columns(), arrays, picks, stretch, outs, lo, hi, group)
             continue
         for array, pick, whole, out in zip(arrays, picks, stretch, outs):
             # a block's picks in groups of equal width, none a short remainder
@@ -892,8 +893,8 @@ def _fold_into(basis: FourierBasis, arrays: list, dims, outs: list, start_pos: i
                 out[:, a:b] += basis._project_columns(array[lo:hi, cols], plan)
 
 
-def _fold_spans(basis: FourierBasis, columns: np.ndarray, arrays: list, picks: list,
-                stretch: list, outs: list, lo: int, hi: int, group: int) -> None:
+def _fold_spans(columns: np.ndarray, arrays: list, picks: list, stretch: list, outs: list,
+                lo: int, hi: int, group: int) -> None:
     """Rows ``lo:hi`` of each block projected onto ``columns``, a product per span.
 
     ``columns`` is ``(hi - lo, n)``: a trig-table sub-run's
@@ -926,7 +927,7 @@ def _fold_spans(basis: FourierBasis, columns: np.ndarray, arrays: list, picks: l
                 a, b = (p0 - first, p1 - first) if whole else pick.searchsorted((p0, p1))
                 if a == b:
                     continue
-                sums = basis._project_columns(buffer[:, p0 - c0 : p1 - c0], columns)
+                sums = columns.T @ buffer[:, p0 - c0 : p1 - c0]
                 # picks that fill the span take its sums whole
                 out[:, a:b] += sums if b - a == p1 - p0 else sums[:, pick[a:b] - p0]
 
@@ -1094,7 +1095,7 @@ def _fold_moments(basis: FourierBasis, plan: _Run, arrays: list, picks: list,
             p1 = min(span, p0 + positions)
             part = cheb[:, : p1 - p0]
             _chebyshev_rows((2 * np.arange(p0, p1) - (span - 1)) / span, part)
-            _fold_spans(basis, part.T, [arrays[i] for i, *_ in batch],
+            _fold_spans(part.T, [arrays[i] for i, *_ in batch],
                         [picks[i][a:b] for i, a, b, _ in batch], [stretch[i] for i, *_ in batch],
                         [moments[:, at : at + b - a] for _, a, b, at in batch],
                         lo + p0, lo + p1, width)

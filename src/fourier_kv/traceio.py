@@ -228,10 +228,9 @@ def gen_synthetic(
 class TinyModelConfig:
     """Geometry and seed for the tiny deterministic transformer.
 
-    ``linear_path=True`` strips every nonlinearity (norms, activation, and
-    softmax mixing, which becomes causal mean pooling) so keys and values
-    become exactly linear in the embedding scale; useful as a linearity
-    oracle, not as a realistic cache source.
+    Each layer is a pre-norm block: grouped-query softmax attention, in which
+    each position reads itself and the positions before it, with rotary keys
+    and queries, then a SiLU MLP of width ``2 * model_dim``.
     """
 
     layers: int = 4
@@ -240,9 +239,6 @@ class TinyModelConfig:
     head_dim: int = 16
     vocab: int = 128
     seed: int = 0
-    embed_scale: float = 1.0
-    mlp_mult: int = 2
-    linear_path: bool = False
 
     def __post_init__(self):
         if self.heads % self.kv_heads != 0:
@@ -279,23 +275,6 @@ def _rotary(x: np.ndarray, positions: np.ndarray) -> np.ndarray:
     return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
 
 
-def _causal_softmax_attend(q, k, v):
-    """Per-head causal attention; q,k,v are (L, hd)."""
-    length = q.shape[0]
-    scores = (q @ k.T) / np.sqrt(q.shape[1])
-    mask = np.triu(np.ones((length, length), dtype=bool), k=1)
-    scores[mask] = -np.inf
-    scores -= scores.max(axis=1, keepdims=True)
-    w = np.exp(scores)
-    w /= w.sum(axis=1, keepdims=True)
-    return w @ v
-
-
-def _causal_mean(v):
-    counts = np.arange(1, v.shape[0] + 1, dtype=np.float64)[:, None]
-    return np.cumsum(v, axis=0) / counts
-
-
 def tiny_forward(config: TinyModelConfig, token_ids) -> KVTrace:
     """Run the tiny transformer and dump its per-layer KV cache.
 
@@ -319,20 +298,21 @@ def tiny_forward(config: TinyModelConfig, token_ids) -> KVTrace:
                 "wk": _orthogonal(rng, dim, config.kv_heads * hd),
                 "wv": _orthogonal(rng, dim, config.kv_heads * hd),
                 "wo": _orthogonal(rng, config.heads * hd, dim),
-                "w_up": _orthogonal(rng, dim, config.mlp_mult * dim),
-                "w_down": _orthogonal(rng, config.mlp_mult * dim, dim),
+                "w_up": _orthogonal(rng, dim, 2 * dim),
+                "w_down": _orthogonal(rng, 2 * dim, dim),
             }
         )
 
     length = tokens.size
     positions = np.arange(length, dtype=np.float64)
     group = config.heads // config.kv_heads
-    x = embed[tokens] * config.embed_scale
+    x = embed[tokens]
     keys_out = np.empty((config.layers, config.kv_heads, length, hd), dtype=np.float32)
     vals_out = np.empty_like(keys_out)
+    future = np.triu(np.ones((length, length), dtype=bool), k=1)  # keys after each query
 
     for li, w in enumerate(layers):
-        h = x if config.linear_path else _rmsnorm(x)
+        h = _rmsnorm(x)
         q = _rotary((h @ w["wq"]).reshape(length, config.heads, hd), positions)
         k = _rotary((h @ w["wk"]).reshape(length, config.kv_heads, hd), positions)
         v = (h @ w["wv"]).reshape(length, config.kv_heads, hd)
@@ -342,16 +322,16 @@ def tiny_forward(config: TinyModelConfig, token_ids) -> KVTrace:
         attn = np.empty((length, config.heads, hd))
         for qh in range(config.heads):
             kv = qh // group
-            if config.linear_path:
-                attn[:, qh] = _causal_mean(v[:, kv])
-            else:
-                attn[:, qh] = _causal_softmax_attend(q[:, qh], k[:, kv], v[:, kv])
+            scores = (q[:, qh] @ k[:, kv].T) / np.sqrt(hd)
+            scores[future] = -np.inf
+            scores -= scores.max(axis=1, keepdims=True)
+            weights = np.exp(scores)
+            weights /= weights.sum(axis=1, keepdims=True)
+            attn[:, qh] = weights @ v[:, kv]
         x = x + attn.reshape(length, -1) @ w["wo"]
 
-        h2 = x if config.linear_path else _rmsnorm(x)
-        up = h2 @ w["w_up"]
-        if not config.linear_path:
-            up = up / (1.0 + np.exp(-up))  # silu
+        up = _rmsnorm(x) @ w["w_up"]
+        up = up / (1.0 + np.exp(-up))  # silu
         x = x + up @ w["w_down"]
 
     return KVTrace(

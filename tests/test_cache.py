@@ -20,6 +20,7 @@ from fourier_kv.cache import (
     prefill_trace,
 )
 from fourier_kv.dimselect import (
+    HISTOGRAM_GROUP,
     CompressionSchema,
     MseRanking,
     SelectionReport,
@@ -123,8 +124,9 @@ def loop_memory_report(layout, seq_len):
     }
 
 
-def loop_selection_histogram(layout, group):
+def loop_selection_histogram(layout):
     """The per-head loop ``selection_histogram`` ran before the layout was one mask."""
+    group = HISTOGRAM_GROUP
     n_groups = -(-layout.head_dim // group)
     out = np.zeros((layout.layers, 2, n_groups))
     for layer in range(layout.layers):
@@ -173,14 +175,15 @@ class TestCacheLayout:
             assert type(got[name]) is type(value), name
             np.testing.assert_array_equal(got[name], value, err_msg=name)
 
+    # head_dim up to 40: up to three groups of HISTOGRAM_GROUP, the last one short
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(random_masks(), st.integers(1, 20))
-    def test_selection_histogram_equals_the_per_head_loop(self, mask, group):
+    @given(random_masks())
+    def test_selection_histogram_equals_the_per_head_loop(self, mask):
         assume(mask.shape[2] > 0)  # a mean over no heads
         layout = CacheLayout(partition=PART, compressed=mask)
         report = SelectionReport(layout=layout, schema=CompressionSchema(ratios=()))
-        np.testing.assert_array_equal(selection_histogram(report, group),
-                                      loop_selection_histogram(layout, group))
+        np.testing.assert_array_equal(selection_histogram(report),
+                                      loop_selection_histogram(layout))
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(index_lists)
@@ -447,16 +450,14 @@ class TestPrefillFold:
             for sl in slices)
         assert peak - before <= held + 8 * spectral._FOLD_CHUNK_FLOATS + 16 * 1024
 
-    def test_desk_fold_projects_two_spans_per_block_without_gathers(self):
+    def test_desk_fold_projects_two_spans_per_block_without_gathers(self, table_products):
         # the trig tables fold each head's K and V block in two products of up
         # to 32 of its columns, cast into a float64 buffer; a fold that
         # gathered picked columns would pass float32 copies of them instead
         layout, keys, values, basis = self.desk_layer()
-        with mock.patch.object(FourierBasis, "_project_columns", autospec=True,
-                               side_effect=FourierBasis._project_columns) as fold:
+        with table_products() as weights:
             slices = prefill(keys, values, layout, 0, basis)
-        weights = [call.args[1] for call in fold.call_args_list]
-        assert len(weights) <= 2 * 2 * len(slices)
+        assert 0 < len(weights) <= 2 * 2 * len(slices)
         for w in weights:
             assert w.dtype == np.float64 and w.shape[1] <= 32
         for head, sl in enumerate(slices):
@@ -693,6 +694,19 @@ class TestIngest:
     def chunk():
         """Six tokens for each of two heads."""
         return random_layer(np.random.default_rng(20), kv_heads=2, seq_len=6)
+
+    def test_no_slices(self):
+        self.assert_refused([], build_basis(8, 64), *self.chunk(), "at least one")
+
+    def test_a_slice_listed_twice(self):
+        # folded, both heads' chunks would land in one state: 10 positions
+        # represented for 8 tokens
+        layout = make_layout(kv_heads=1, init=2, local=3, period=16, orders=4)
+        basis = build_basis(4, 16)
+        keys, values = random_layer(np.random.default_rng(24), kv_heads=2, seq_len=8)
+        (sl,) = prefill(keys[:1, :6], values[:1, :6], layout, 0, basis)
+        self.assert_refused([sl, sl], basis, keys[:, 6:], values[:, 6:], "only once")
+        assert sl.represented() == 6
 
     def test_slices_of_different_lengths(self):
         first = self.two_heads(seq_len=9)[0]

@@ -26,6 +26,10 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+# the (layers, kv_heads, head_dim) of trace_file
+TRACE_GEOMETRY = (2, 2, 8)
+
+
 @pytest.fixture
 def trace_file(tmp_path):
     path = tmp_path / "trace.kvt"
@@ -79,7 +83,7 @@ class TestGenTrace:
 
 class TestSelect:
     def test_manifest_has_preset_ratios(self, manifest_file):
-        layout, schema = read_selection_manifest(manifest_file)
+        layout, schema = read_selection_manifest(manifest_file, TRACE_GEOMETRY)
         assert schema.preset == "inverted_pyramid"
         assert schema.ratios[0] == (0.90, 0.95)   # first eighth of 2 layers -> layer 0
         assert schema.ratios[1] == (0.50, 0.70)
@@ -96,7 +100,7 @@ class TestSelect:
         assert run("select", "--trace", trace_file, "--schema", "kv-inv",
                    "--k", 4, "--T", 32, "--init", 4, "--local", 8,
                    "--out-manifest", path) == 0
-        _, schema = read_selection_manifest(path)
+        _, schema = read_selection_manifest(path, TRACE_GEOMETRY)
         assert schema.ratios[0] == (0.95, 0.90)
 
     def test_select_is_deterministic(self, tmp_path, trace_file):
@@ -209,28 +213,6 @@ class TestEval:
         assert run("eval", "--trace", trace_file, "--manifest", broken, "--report", report) == 4
         assert str(broken) in capsys.readouterr().err
         assert not report.exists()
-
-    @pytest.mark.parametrize("threads", ["0", "-2", "abc"])
-    def test_bad_thread_count_is_usage_error(self, tmp_path, trace_file, manifest_file,
-                                             monkeypatch, capsys, threads):
-        monkeypatch.setenv("FOURIER_KV_THREADS", threads)
-        report = tmp_path / "threads.csv"
-        assert run("eval", "--trace", trace_file, "--manifest", manifest_file,
-                   "--decode-steps", 1, "--report", report) == 2
-        assert "FOURIER_KV_THREADS" in capsys.readouterr().err
-        assert not report.exists()
-
-    def test_two_threads_match_one(self, tmp_path, trace_file, manifest_file, monkeypatch):
-        reports = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("FOURIER_KV_THREADS", threads)
-            report = tmp_path / f"t{threads}" / "divergence.csv"
-            report.parent.mkdir()
-            assert run("eval", "--trace", trace_file, "--manifest", manifest_file,
-                       "--decode-steps", 2, "--report", report) == 0
-            reports.append(report.read_bytes())
-        assert reports[0] == reports[1]
-
 
 class TestStateSizeWarning:
     """``select`` and ``eval`` warn when a float64 state outweighs the float32 rows it replaces."""

@@ -183,7 +183,7 @@ class TestRankDimensions:
                     expected = reconstruction_mse(block, reconstruct(state, basis, positions))
                     np.testing.assert_allclose(got[layer, head], expected, rtol=1e-9)
 
-    def test_matches_oracle_across_fold_chunks(self):
+    def test_matches_oracle_across_fold_chunks(self, table_products):
         # a budget of 150 floats (a sub-run's trig tables and run columns, and
         # one column's weights, output and picked copies) folds the
         # 100-position middle in 25 sub-runs of four positions, and each
@@ -198,14 +198,13 @@ class TestRankDimensions:
         with mock.patch.object(spectral, "_FOLD_CHUNK_FLOATS", 150), \
                 mock.patch.object(FourierBasis, "_transform", autospec=True,
                                   side_effect=FourierBasis._transform) as plans, \
-                mock.patch.object(FourierBasis, "_project_columns", autospec=True,
-                                  side_effect=FourierBasis._project_columns) as fold:
+                table_products() as products:
             ranking = rank_dimensions(trace, part, basis)
         # the fold resolves its sub-runs itself, saying whether to cache their tables
         sub_runs = {call.args[1] for call in plans.call_args_list if "cached" in call.kwargs}
         assert len(sub_runs) == 25
-        assert sorted({call.args[1].shape[1] for call in fold.call_args_list}) == [1]
-        assert len(fold.call_args_list) == 25 * 4 * 3  # sub-runs x blocks x columns
+        assert sorted({w.shape[1] for w in products}) == [1]
+        assert len(products) == 25 * 4 * 3  # sub-runs x blocks x columns
         positions = np.arange(2, 102)
         for head in range(2):
             for got, data in ((ranking.k_mse, keys), (ranking.v_mse, values)):
@@ -546,7 +545,7 @@ class TestManifest:
         )
         assert path_a.read_bytes() == path_b.read_bytes()
 
-        layout, schema_back = read_selection_manifest(path_a)
+        layout, schema_back = read_selection_manifest(path_a, (2, 2, 8))
         assert schema_back.ratios == schema.ratios
         assert layout.partition == part
         for layer in range(2):
@@ -561,7 +560,7 @@ class TestManifest:
         for text in ('{"hello": 1}', "[1, 2]"):
             path.write_text(text)
             with pytest.raises(ValueError, match="not a selection manifest"):
-                read_selection_manifest(path)
+                read_selection_manifest(path, (1, 1, 4))
 
     def test_rejects_indices_that_are_not_integers_in_range(self, tmp_path):
         part = PartitionParams(init_len=4, local_len=8, period=32, orders=4)
@@ -576,12 +575,12 @@ class TestManifest:
             doc["dims"][0][0]["v_compressed"].append(bad)
             path.write_text(json.dumps(doc))
             with pytest.raises(ValueError, match="v_compressed entries must be integers"):
-                read_selection_manifest(path)
+                read_selection_manifest(path, (1, 1, 8))
         # repeats and any order name the same set
         doc = json.loads(json.dumps(good))
         doc["dims"][0][0]["k_compressed"] = [7, 0, 7, 3]
         path.write_text(json.dumps(doc))
-        layout, _ = read_selection_manifest(path)
+        layout, _ = read_selection_manifest(path, (1, 1, 8))
         np.testing.assert_array_equal(layout.dims[0][0].k_compressed, [0, 3, 7])
 
     @pytest.mark.parametrize("dims", [[], [[], []], [[{}, {}]]], ids=["no-layers", "two-layers",
@@ -597,4 +596,4 @@ class TestManifest:
         doc["dims"] = dims
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="dims must be a 1 x 1 table"):
-            read_selection_manifest(path)
+            read_selection_manifest(path, (1, 1, 4))

@@ -206,32 +206,6 @@ class TestTinyModel:
         np.testing.assert_array_equal(a.keys, b.keys)
         np.testing.assert_array_equal(a.values, b.values)
 
-    def test_linear_path_scales_linearly(self):
-        tokens = np.arange(24) % 32
-        base = tiny_forward(
-            TinyModelConfig(layers=2, heads=2, kv_heads=2, head_dim=8, vocab=32,
-                            seed=2, linear_path=True),
-            tokens,
-        )
-        doubled = tiny_forward(
-            TinyModelConfig(layers=2, heads=2, kv_heads=2, head_dim=8, vocab=32,
-                            seed=2, linear_path=True, embed_scale=2.0),
-            tokens,
-        )
-        np.testing.assert_allclose(doubled.keys, 2.0 * base.keys, rtol=1e-5, atol=1e-6)
-        np.testing.assert_allclose(doubled.values, 2.0 * base.values, rtol=1e-5, atol=1e-6)
-
-    def test_default_path_is_not_linear(self):
-        tokens = np.arange(24) % 32
-        cfg = TinyModelConfig(layers=2, heads=2, kv_heads=2, head_dim=8, vocab=32, seed=2)
-        base = tiny_forward(cfg, tokens)
-        doubled = tiny_forward(
-            TinyModelConfig(layers=2, heads=2, kv_heads=2, head_dim=8, vocab=32,
-                            seed=2, embed_scale=2.0),
-            tokens,
-        )
-        assert not np.allclose(doubled.values, 2.0 * base.values, rtol=1e-3)
-
     def test_rejects_out_of_vocab(self):
         cfg = TinyModelConfig(vocab=16)
         with pytest.raises(ValueError):
