@@ -7,11 +7,14 @@ a header row.
 
 ``select`` and ``eval`` warn on stderr when the trace's middle region holds
 at most ``4 * orders`` positions, where a compressed dimension's float64
-state outweighs the float32 rows it replaces.
+state outweighs the float32 rows it replaces, and when the middle is too
+short for its period, so that the window can use fewer than half of a
+state's ``2 * orders`` coefficients.
 
 Exit codes: 0 success, 2 usage, 3 I/O failure, 4 data mismatch. A flag value
 that no input could make valid, such as ``--k 0``, is a usage error, and so is
-a ``select`` ``--k``/``--T`` past the spectral bound ``2k - 1 <= T``. An ``eval``
+a ``select`` ``--k``/``--T`` past the spectral bound ``2k - 1 <= T`` or an
+``analyze`` ``--dims`` range whose end is below its start. An ``eval``
 manifest past it, or ``compare-bases --k`` with ``2k - 1`` past the trace
 length, is a data mismatch.
 """
@@ -48,7 +51,7 @@ from fourier_kv.dimselect import (
     write_selection_manifest,
 )
 from fourier_kv.legt import compare_bases
-from fourier_kv.spectral import build_basis
+from fourier_kv.spectral import _run_degree, build_basis
 from fourier_kv.traceio import (
     TinyModelConfig,
     TraceFormatError,
@@ -104,15 +107,17 @@ def _write_run_manifest(primary_output, command: str, args: dict, inputs, output
 
 
 def _parse_dims(text: str):
-    """Dimension list flag: '0-69' or '0,3,17' or a mix."""
+    """Dimension list flag: '0-69' or '0,3,17' or a mix; a range's end is at least its start."""
     dims = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
         if "-" in part:
-            lo, hi = part.split("-", 1)
-            dims.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(end) for end in part.split("-", 1))
+            if hi < lo:
+                raise argparse.ArgumentTypeError(f"range {part!r} ends below its start")
+            dims.extend(range(lo, hi + 1))
         else:
             dims.append(int(part))
     if not dims:
@@ -148,18 +153,29 @@ def _resolve_partition(args) -> PartitionParams:
         raise UsageError(str(exc)) from exc
 
 
-def _warn_if_states_outweigh_rows(partition: PartitionParams, seq_len: int) -> None:
+def _warn_if_middle_too_short(partition: PartitionParams, seq_len: int) -> None:
     """Warn on stderr when a middle region of ``seq_len`` is too short to compress.
 
     A compressed dimension keeps ``2*orders`` float64 values, ``16*orders``
     bytes, in place of the middle's float32 rows, 4 bytes a position: with
-    ``M <= 4*orders`` middle positions the state is no smaller.
+    ``M <= 4*orders`` middle positions the state is no smaller. Over ``M``
+    positions the basis rows are also combinations of the moments fold's
+    Chebyshev terms, ``spectral._run_degree`` of them, so every state the
+    middle folds lies in a space of that many dimensions. Below ``orders``
+    the window uses fewer than half of the ``2*orders`` coefficients: the
+    period is too long for it.
     """
     middle = len(partition.middle(seq_len))
     if middle <= 4 * partition.orders:
         print(f"warning: the middle region holds {middle} positions, at most "
               f"4 * orders = {4 * partition.orders}: each compressed dimension's float64 "
               f"state outweighs the float32 rows it replaces", file=sys.stderr)
+    degree = _run_degree(partition.orders, partition.period, middle)
+    if middle and degree < partition.orders:
+        print(f"warning: at period {partition.period} the middle region's {middle} positions "
+              f"resolve {degree} Chebyshev terms, fewer than half of the 2 * orders = "
+              f"{2 * partition.orders} coefficients each compressed dimension keeps: "
+              f"a shorter period would serve this window", file=sys.stderr)
 
 
 def _build_schema(name: str, layers: int) -> CompressionSchema:
@@ -216,7 +232,7 @@ def cmd_select(args) -> int:
     basis = build_basis(partition.orders, partition.period)
     schema = _build_schema(args.schema, trace.layers)
     report = build_selection_report(trace, schema, partition, basis)
-    _warn_if_states_outweigh_rows(partition, trace.seq_len)
+    _warn_if_middle_too_short(partition, trace.seq_len)
     write_selection_manifest(report, args.out_manifest)
 
     hist_path = args.hist_csv or str(Path(args.out_manifest).with_name("histogram.csv"))
@@ -242,7 +258,7 @@ def cmd_eval(args) -> int:
     # the manifest's geometry is checked against the trace before its mask is sized
     layout, _ = read_selection_manifest(
         args.manifest, (trace.layers, trace.kv_heads, trace.head_dim))
-    _warn_if_states_outweigh_rows(layout.partition, trace.seq_len)
+    _warn_if_middle_too_short(layout.partition, trace.seq_len)
     basis = build_basis(layout.partition.orders, layout.partition.period)
     cache = prefill_trace(trace, layout, basis)
 

@@ -4,13 +4,15 @@ Dimensions are ranked per (layer, head) by how well the spectral compressor
 reconstructs them on a calibration trace (mean squared error, ties broken by
 ascending index), then a per-layer ratio schema decides how many of the
 best-reconstructed dimensions each head folds. The ranking never reads a
-middle region back through basis columns. With many orders (stock) the
-fold-and-reconstruct operator is a convolution with one kernel over the lag,
-so each dimension costs one real FFT pair of about twice the middle's
-length; with few orders (desk) each dimension's error is a quadratic form
-of its folded state with one data-independent Gram matrix. The decode
-transforms' cost rule picks between them, and either keeps its transient
-within the batch fold's 1 MB chunk. The stock schema compresses
+middle region back through basis columns. One of three forms computes the
+errors, each keeping its transient within the batch fold's 1 MB chunk: a
+convolution with one kernel over the lag, one real FFT pair of about twice
+the middle's length per dimension (many orders over a long middle); a
+quadratic form of each dimension's folded state with one data-independent
+Gram matrix (desk); or the same form over each dimension's Chebyshev
+moments, as many as the moments fold uses over the middle (stock: 98, for
+1024 coefficients). The cheaper Gram form runs where the decode
+transforms' cost rule says it beats the convolution. The stock schema compresses
 more of the V cache than the K cache and more of the lower layers than the
 upper ones (an inverted pyramid); ablation variants flatten, swap, or flip
 it. Diagnostics cover temporal standard deviations and the distribution of
@@ -149,7 +151,7 @@ def rank_dimensions(trace: KVTrace, partition: PartitionParams, basis: FourierBa
     cleanly measures out-of-band energy. A middle column ``x`` of ``M``
     positions reconstructs as ``P x = C.T W C x``, with ``C`` the basis
     columns of the run and ``W`` the synthesis weights; no middle is ever
-    read back through ``C``. One of two forms computes ``|x - P x|**2``:
+    read back through ``C``. One of three forms computes ``|x - P x|**2``:
 
     * convolution: ``C.T W C`` depends only on the lag between two positions,
       ``k(lag) = sum_n w_n cos(2*pi*n*lag/period)``, so ``P x`` is ``x``
@@ -157,22 +159,35 @@ def rank_dimensions(trace: KVTrace, partition: PartitionParams, basis: FourierBa
       per call, and every column one real FFT pair of the power-of-two
       length ``n >= 2M - 1``, in float64: O(M log M) per column whatever the
       orders.
-    * Gram: with ``s = C x`` from :func:`fold_blocks` and the
+    * Fourier Gram: with ``s = C x`` from :func:`fold_blocks` and the
       data-independent ``G = C C.T``, ``|x - P x|**2 = |x|**2 + s.T (W G W -
       2W) s``: O(orders * (M + orders)) per column for the fold and the
       form. ``G`` is built once per call from the run's cosine and sine sums
       of orders below ``2*orders - 1``, in closed form.
+    * moment Gram: the same form with the columns written through ``d``
+      Chebyshev moments, ``d`` the moments fold's degree for the middle,
+      ``spectral._run_degree`` (98 for 512 orders over 1020 positions at
+      period 32768). With ``mu`` a column's
+      moments, ``|x - P x|**2 = |x|**2 + mu.T (A H A - 2A) mu``: O(d * (M +
+      d)) per column, and two ``d x d`` matrices built once per call in
+      closed form (:func:`_moment_grams`). Nothing of size ``2R`` is built.
 
-    The decode transforms' cost rule picks the form, pricing the Gram form's
-    ``2R * M`` multiply-adds of the fold and ``(2R)**2`` of the quadratic
-    form per column, halved as the rule counts the tables' own products:
-    ``R * (M + 2R)`` with ``R = orders``, against
-    ``_TABLE_COST_RATIO * L log2 L`` with ``L = n/2 + 1``. 16 orders over a
-    thousand positions take the Gram form, 256 orders and more the
-    convolution. Either way the transient
-    memory is one fold group or one group of FFT columns, each within
+    One rule picks the form, with ``R = orders``. The Fourier Gram form is
+    priced at ``R * (M + 2R)``: its fold's ``2R * M`` multiply-adds and the
+    quadratic form's ``(2R)**2`` per column, halved as the rule counts the
+    tables' own products. The moment Gram form is priced as the fold prices
+    its moments, ``_MOMENT_COST_RATIO * d * (M + d) / 2``. The cheaper of the
+    two runs where ``_products_cheaper`` says it beats the convolution, whose
+    FFT length is ``L = n/2 + 1``; ties go to the Fourier form. The desk
+    middle (16 orders over 956 positions) takes the Fourier Gram form
+    (15,808 against 37,772 for the moments), the stock middle the moments
+    (109,564, against 1,046,528 for the Fourier Gram form and 180,400 for
+    the convolution), and 512 orders over 4000 positions the convolution.
+    Whichever runs, the transient memory is one fold group, one group of FFT
+    columns or one chunk of Chebyshev rows and its cast, each within
     ``_FOLD_CHUNK_FLOATS`` (1 MB), plus the ``(2*orders, head_dim)`` states
-    of one layer; nothing grows with ``M`` times the orders.
+    or ``(d, head_dim)`` moments of one layer; nothing grows with ``M``
+    times the orders.
     """
     check_basis(basis, partition)
     middle = partition.middle(trace.seq_len)
@@ -183,16 +198,21 @@ def rank_dimensions(trace: KVTrace, partition: PartitionParams, basis: FourierBa
         )
     first, last, length = middle.start, middle.stop, len(middle)
     n_fft = 1 << (2 * length - 2).bit_length()  # linear convolution of M with M: n >= 2M - 1
+    degree = spectral._run_degree(basis.orders, basis.period, length)
     # per layer, every head's K, then every head's V: (positions, head_dim) views of the trace
     layers = [
         [*trace.keys[layer, :, first:last], *trace.values[layer, :, first:last]]
         for layer in range(trace.layers)
     ]
     sse = np.empty((trace.layers, 2 * trace.kv_heads, trace.head_dim))
-    if spectral._products_cheaper(basis.orders * (length + 2 * basis.orders), n_fft // 2 + 1):
-        _gram_sse(basis, layers, first, length, out=sse)
-    else:
+    fourier = basis.orders * (length + 2 * basis.orders)
+    moments = spectral._MOMENT_COST_RATIO * degree * (length + degree) / 2
+    if not spectral._products_cheaper(min(fourier, moments), n_fft // 2 + 1):
         _convolution_sse(basis, layers, length, n_fft, out=sse)
+    elif moments < fourier:
+        _moment_sse(basis, layers, length, degree, out=sse)
+    else:
+        _gram_sse(basis, layers, first, length, out=sse)
     mse = (sse / length).reshape(trace.layers, 2, trace.kv_heads, trace.head_dim)
     return MseRanking(k_mse=mse[:, 0], v_mse=mse[:, 1])
 
@@ -244,6 +264,103 @@ def _gram(basis: FourierBasis, first: int, length: int) -> np.ndarray:
     gram[:, 1, :, 0] = s[total] + s_diff
     gram *= 0.5
     return gram.reshape(basis.n_rows, basis.n_rows)
+
+
+def _moment_sse(basis: FourierBasis, layers, length: int, degree: int, out: np.ndarray) -> None:
+    """Squared reconstruction error of every column of every block, by the moment Gram form.
+
+    Blocks and ``out`` as for :func:`_gram_sse`, whose form this is with the
+    basis columns written as ``C = G.T P`` (see :func:`_moment_grams`): with
+    a column's ``degree`` Chebyshev moments ``mu = P x``, ``|x - P x|**2 =
+    |x|**2 + mu.T (A H A - 2A) mu``. Each layer's moments are summed over
+    the chunks of :func:`_chebyshev_chunks`, each projecting a block's
+    columns in groups whose float64 casts take at most the other half of
+    the fold's budget.
+    """
+    a, h = _moment_grams(basis, length, degree)
+    form = a @ (h @ a)
+    form -= 2.0 * a
+    del a, h
+    for layer_sse, blocks in zip(out, layers):
+        moments = [np.zeros((degree, block.shape[1])) for block in blocks]
+        for p0, p1, rows in _chebyshev_chunks(length, degree):
+            width = max(1, spectral._FOLD_CHUNK_FLOATS // 2 // (p1 - p0))
+            for block, mu in zip(blocks, moments):
+                for c0 in range(0, block.shape[1], width):
+                    mu[:, c0 : c0 + width] += rows @ block[p0:p1, c0 : c0 + width]
+        for total, block, mu in zip(layer_sse, blocks, moments):
+            np.einsum("ij,ij->j", block, block, dtype=np.float64, out=total)
+            total += np.einsum("ij,ij->j", mu, form @ mu)
+    # as for the Fourier Gram form, a column reconstructed almost exactly may dip below 0
+    np.maximum(out, 0.0, out=out)
+
+
+def _chebyshev_chunks(length: int, degree: int):
+    """``P[:, p0:p1]``, ``P[k, m] = T_k(x_m)``, over a run of ``length`` positions, by chunks.
+
+    Yields ``(p0, p1, rows)`` with ``x_m = (2m - (length - 1)) / length``,
+    from :func:`spectral._chebyshev_rows`. The chunks have equal widths,
+    none a short remainder, and share one buffer within half of
+    ``spectral._FOLD_CHUNK_FLOATS``.
+    """
+    positions = max(1, min(length, spectral._FOLD_CHUNK_FLOATS // 2 // degree))
+    positions = -(-length // -(-length // positions))
+    cheb = np.empty((degree, positions))
+    for p0 in range(0, length, positions):
+        p1 = min(length, p0 + positions)
+        rows = cheb[:, : p1 - p0]
+        spectral._chebyshev_rows((2 * np.arange(p0, p1) - (length - 1)) / length, rows)
+        yield p0, p1, rows
+
+
+def _moment_grams(basis: FourierBasis, length: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """``A = G W G.T`` and ``H = P P.T`` of a run of ``length`` positions, each ``(degree, degree)``.
+
+    With the run mapped onto ``x_m = (2m - (length - 1)) / length`` in
+    ``(-1, 1)``, ``P[k, m] = T_k(x_m)``, and ``G`` the Chebyshev
+    coefficients of the basis rows over it, as :func:`spectral._fold_moments`
+    reads them, ``C = G.T P`` within twice ``spectral._MOMENT_TAIL`` once
+    ``degree`` is ``spectral._run_degree`` of the run; ``W`` holds the
+    synthesis weights. ``G`` is the transpose of the DCT-III (scaled by
+    ``1/degree``) applied to the waves at the ``degree`` Chebyshev nodes
+    ``y_j``, so ``A`` is that DCT's transpose times ``V W V.T`` times the
+    DCT. Entry ``[j, k]`` of ``V W V.T`` sums ``w_r cos(r * phi)`` over the
+    orders ``r``, ``phi = pi * length * (y_j - y_k) / period``: the
+    Dirichlet kernel ``sin((R - 1/2) phi) / sin(phi/2) / period``, and
+    ``(2R - 1) / period`` at ``phi = 0``. The run's centre phase cancels,
+    so ``A`` does not depend on where the run starts. ``H`` is ``(sigma[j +
+    k] + sigma[|j - k|]) / 2``, from ``T_j T_k = (T_(j+k) + T_|j-k|) / 2``
+    and the sums ``sigma_n = sum_m T_n(x_m)``, ``n < 2*degree - 1``. The
+    positions are symmetric about 0 and ``T_n`` is odd for odd ``n``, so
+    the odd sums vanish; by the same identity the even ones are ``sigma[2j]
+    = 2 sum_m T_j(x_m)**2 - sigma[0]``, from ``P``'s rows, a chunk of
+    :func:`_chebyshev_chunks` at a time.
+    """
+    nodes = np.cos(np.pi * (np.arange(degree) + 0.5) / degree)
+    phi = (np.pi * length / basis.period) * (nodes[:, None] - nodes)
+    # the nodes are distinct, so sin(phi/2) is 0 on the diagonal only
+    np.fill_diagonal(phi, 1.0)
+    kernel = np.sin((basis.orders - 0.5) * phi)
+    phi *= 0.5
+    kernel /= np.sin(phi, out=phi)
+    del phi
+    np.fill_diagonal(kernel, 2 * basis.orders - 1)
+    kernel /= basis.period
+    # DCT-III of the identity: column k holds eps_k * T_k at the nodes
+    dct3 = scipy.fft.dct(np.eye(degree), type=3, axis=0, overwrite_x=True)
+    dct3 /= degree
+    a = dct3.T @ (kernel @ dct3)
+    del kernel, dct3
+
+    squares = np.zeros(degree)
+    for _, _, rows in _chebyshev_chunks(length, degree):
+        squares += np.einsum("ij,ij->i", rows, rows)
+    sigma = np.zeros(2 * degree - 1)
+    sigma[0::2] = 2.0 * squares - squares[0]
+    n = np.arange(degree)
+    h = sigma[n[:, None] + n] + sigma[np.abs(n[:, None] - n)]
+    h *= 0.5
+    return a, h
 
 
 def _convolution_sse(basis: FourierBasis, layers, length: int, n_fft: int,

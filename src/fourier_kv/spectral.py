@@ -31,7 +31,9 @@ cosine and sine comes from one of two phase builders, each reducing its
 integer phase exactly before the float product: :func:`_unit_phases`
 reduces ``n*t`` mod ``period``, for basis columns and trig tables, and
 :func:`_unit_phase` reduces mod ``2*period``, for the chirp-z plans, the
-moments' waves and the Gram matrix of ``dimselect``.
+moments' waves and the Fourier Gram matrix of ``dimselect``. The moment
+Gram matrices of ``dimselect`` read no phase of a position: their kernel
+depends only on differences of Chebyshev nodes.
 
 Phases are indexed by *absolute* token position so that a state built during
 prefill and a state extended by streaming evictions agree without rephasing.
@@ -221,7 +223,7 @@ class FourierBasis:
             # each build their own tables, counted as more columns
             tables = tables * (columns + _TABLE_BUILD_COLUMNS) / columns
         if columns > 1:
-            degree = _moment_degree(np.pi * (orders - 1) * span / self.period)
+            degree = _run_degree(orders, self.period, span)
             # the two products per column, in the tables' unit of R * span (a
             # complex multiply-add), and the tables' builds shared by the columns
             work = (_MOMENT_COST_RATIO * degree * (span + 2 * orders)
@@ -497,17 +499,30 @@ def _products_cheaper(work: int, fft_len: int) -> bool:
     """Whether products of ``work = R * span`` beat a complex FFT of length ``fft_len``.
 
     ``work <= _TABLE_COST_RATIO * L * log2(L)`` with ``L = fft_len``, read at
-    call time so a test can force either side. The trig tables use it, and
-    so does ``dimselect.rank_dimensions`` to choose its Gram form over its
-    convolution, with ``work = R * (M + 2R)`` for the fold and the quadratic
-    form of a calibration middle of ``M`` positions and ``L`` the real FFT
-    of twice its length: there it picked the faster form in 35 and 34 of
-    36 timed cases in two sweeps (orders 8-512, middles 256-4000, periods
-    4096 and 32768; the misses were 256 orders over 4000 positions at
-    period 4096, where the convolution ran 1.5-1.6x the Gram form's time,
-    and in one sweep 128 orders over 1000 positions at period 32768, where
-    the Gram form ran 1.09x the convolution's; numpy 2.4 and scipy 1.17 on
-    a 2-core x86_64).
+    call time so a test can force either side. The trig tables and the
+    moments fold use it, and so does ``dimselect.rank_dimensions`` to choose
+    between its convolution and the cheaper of its two Gram forms, with
+    ``L`` the real FFT of twice the calibration middle's ``M`` positions.
+    The Fourier Gram form's ``work`` is ``R * (M + 2R)``, for the fold and
+    the quadratic form; on that pricing alone it picked the faster of it
+    and the convolution in 35 and 34 of 36 timed cases in two sweeps
+    (orders 8-512, middles 256-4000, periods 4096 and 32768; the misses
+    were 256 orders over 4000 positions at period 4096, where the
+    convolution ran 1.5-1.6x the Gram form's time, and in one sweep 128
+    orders over 1000 positions at period 32768, where the Gram form ran
+    1.09x the convolution's; numpy 2.4 and scipy 1.17 on a 2-core x86_64).
+    The moment Gram form's is ``_MOMENT_COST_RATIO * d * (M + d) / 2`` for
+    ``d`` moments, as the fold prices its moments. Over the same geometries
+    and 512 orders over 8192 positions at period 32768 (256 columns, two
+    sweeps timing both rules in one process, alternating; same host, one
+    BLAS thread), the three-form rule moved 15 of 37 rankings to the
+    moments, each at 0.29-1.01x its earlier form's time, and picked a form
+    within 1.11x of the fastest in 33 and 34 of 37. The misses were 256
+    orders over 4000 positions at period 4096 again (the convolution at
+    1.8-2.5x the Fourier Gram form), 64 orders over 1000 positions at
+    period 4096 (the Fourier Gram form at 1.31-1.47x the moments) and,
+    under half a millisecond, 8 orders over 256 positions at period 32768
+    (1.13-1.16x) and in one sweep 16 over 256 at period 4096 (1.17x).
     """
     return work <= _TABLE_COST_RATIO * fft_len * fft_len.bit_length()
 
@@ -972,6 +987,12 @@ def _moment_degree(a: float) -> int:
         mid = (low + high) // 2
         low, high = (mid + 1, high) if not within(mid) else (low, mid)
     return low
+
+
+def _run_degree(orders: int, period: int, span: int) -> int:
+    """:func:`_moment_degree` over a run of ``span`` positions, whose largest wave's
+    phase over half the run is ``pi * (orders - 1) * span / period``."""
+    return _moment_degree(np.pi * (orders - 1) * span / period)
 
 
 def _moment_chunks(orders: int, span: int, degree: int) -> tuple[int, int, int, int, int]:

@@ -233,6 +233,36 @@ class TestStateSizeWarning:
             assert "holds 32 positions, at most 4 * orders = 32" in err
 
 
+class TestPeriodWarning:
+    """``select`` and ``eval`` warn when the middle's moment degree is below ``orders``:
+    the window can use fewer than half of a state's ``2 * orders`` coefficients."""
+
+    # the benchmark's middles: 1020 positions at stock, where 512 orders over
+    # period 32768 resolve 98 terms, and 956 at desk, where 16 orders over
+    # period 4096 resolve 38
+    @pytest.mark.parametrize("length, preset, warning", [
+        (2048, [], "at period 32768 the middle region's 1020 positions resolve 98 Chebyshev "
+                   "terms, fewer than half of the 2 * orders = 1024 coefficients"),
+        (1024, ["--preset", "desk"], None),
+    ], ids=["stock", "desk"])
+    def test_warns_when_the_period_outgrows_the_window(self, tmp_path, capsys, length, preset,
+                                                       warning):
+        trace = tmp_path / "t.kvt"
+        assert run("gen-trace", "--kind", "noise", "--layers", 1, "--heads", 1, "--dim", 2,
+                   "--len", length, "--seed", 4, "--out", trace) == 0
+        capsys.readouterr()
+        manifest = tmp_path / "sel.json"
+        assert run("select", "--trace", trace, *preset, "--out-manifest", manifest) == 0
+        err = capsys.readouterr().err
+        assert run("eval", "--trace", trace, "--manifest", manifest,
+                   "--decode-steps", 1, "--report", tmp_path / "r.csv") == 0
+        assert capsys.readouterr().err == err
+        if warning is None:
+            assert "Chebyshev" not in err
+        else:
+            assert warning in err
+
+
 class TestCompareBases:
     def test_tone_trace_wins_everywhere(self, tmp_path):
         trace = tmp_path / "tone.kvt"
@@ -300,6 +330,15 @@ class TestAnalyze:
         with pytest.raises(SystemExit) as err:
             run("analyze", "--trace", trace_file, "--dims", "zebra", "--out", tmp_path / "x")
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("dims", ["5-3", "1,5-3", "0-2,5-3,7"],
+                             ids=["alone", "after-a-dim", "between-valid-parts"])
+    def test_a_reversed_range_is_usage_error(self, tmp_path, trace_file, capsys, dims):
+        with pytest.raises(SystemExit) as err:
+            run("analyze", "--trace", trace_file, "--dims", dims, "--out", tmp_path / "x")
+        assert err.value.code == 2
+        assert "range '5-3' ends below its start" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestFlagValues:

@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +32,7 @@ from fourier_kv.spectral import (
     reconstruct,
     reconstruction_mse,
 )
-from fourier_kv.traceio import KVTrace, gen_synthetic
+from fourier_kv.traceio import KVTrace, TinyModelConfig, gen_synthetic, tiny_forward
 
 
 def calibration_trace(rng, *, layers=1, kv_heads=1, head_dim=4, init=4, local=8, period=32,
@@ -99,31 +100,42 @@ def rank_oracle(trace, part, basis):
 
 
 def rank_branch(trace, part, basis) -> str:
-    """Which form ``rank_dimensions`` computes the MSEs with: "gram" or "convolution"."""
+    """Which form ``rank_dimensions`` computes the MSEs with: "gram" (the
+    Fourier Gram form), "moments" (the moment Gram form) or "convolution"."""
+    forms = ("gram", "moments", "convolution")
     with mock.patch.object(dimselect, "_gram_sse", wraps=dimselect._gram_sse) as gram, \
+            mock.patch.object(dimselect, "_moment_sse", wraps=dimselect._moment_sse) as moments, \
             mock.patch.object(dimselect, "_convolution_sse",
                               wraps=dimselect._convolution_sse) as convolution:
         rank_dimensions(trace, part, basis)
-    assert gram.call_count + convolution.call_count == 1
-    return "gram" if gram.called else "convolution"
+    calls = [gram.call_count, moments.call_count, convolution.call_count]
+    assert sorted(calls) == [0, 0, 1]
+    return forms[calls.index(1)]
 
 
 class TestRankDimensions:
-    # a cost ratio of 0 forces the convolution, 2**62 the Gram form
-    @pytest.mark.parametrize("ratio", [0, spectral._TABLE_COST_RATIO, 2**62],
-                             ids=["convolution", "dispatch", "gram"])
+    # (table cost ratio, moment cost ratio): a table ratio of 0 forces the
+    # convolution, 2**62 a Gram form; a moment ratio of 0 then forces the
+    # moments, 2**62 the Fourier Gram form
+    @pytest.mark.parametrize("ratios", [
+        (0, spectral._MOMENT_COST_RATIO),
+        (spectral._TABLE_COST_RATIO, spectral._MOMENT_COST_RATIO),
+        (2**62, 2**62),
+        (2**62, 0),
+    ], ids=["convolution", "dispatch", "gram", "moments"])
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(case=calibration_cases())
-    def test_both_forms_match_the_compress_batch_oracle(self, ratio, case):
+    def test_both_forms_match_the_compress_batch_oracle(self, ratios, case):
         part, basis, trace = case
-        with mock.patch.object(spectral, "_TABLE_COST_RATIO", ratio):
+        with mock.patch.object(spectral, "_TABLE_COST_RATIO", ratios[0]), \
+                mock.patch.object(spectral, "_MOMENT_COST_RATIO", ratios[1]):
             ranking = rank_dimensions(trace, part, basis)
         expected, scale = rank_oracle(trace, part, basis)
         got = np.stack([ranking.k_mse, ranking.v_mse])
         assert np.all(np.abs(got - expected) <= 1e-9 * expected + 1e-12 * scale)
 
     @pytest.mark.parametrize("part, branch", [
-        (PartitionParams(init_len=4, local_len=1024, period=32768, orders=512), "convolution"),
+        (PartitionParams(init_len=4, local_len=1024, period=32768, orders=512), "moments"),
         (PartitionParams(init_len=4, local_len=64, period=4096, orders=16), "gram"),
     ], ids=["stock", "desk"])
     def test_benchmark_geometries_take_their_form(self, part, branch):
@@ -231,9 +243,10 @@ class TestRankDimensions:
         assert peak < 2 * 2**20  # one group of FFT columns, plus small states
 
     def test_gram_peak_is_below_one_column_block(self):
-        # the twin of the test above for the Gram form: one (2k, M) block is 4 MiB
-        part = PartitionParams(init_len=4, local_len=8, period=32768, orders=64)
-        basis = build_basis(64, 32768)
+        # the twin of the test above for the Fourier Gram form: one (2k, M)
+        # block is 4 MiB. At period 32768 these orders would take the moments
+        part = PartitionParams(init_len=4, local_len=8, period=4096, orders=64)
+        basis = build_basis(64, 4096)
         rng = np.random.default_rng(9)
         shape = (1, 1, 4 + 4096 + 8, 4)
         trace = KVTrace(keys=rng.standard_normal(shape).astype(np.float32),
@@ -247,6 +260,47 @@ class TestRankDimensions:
             tracemalloc.stop()
         assert peak < basis.n_rows * 4096 * 8
         assert peak < 2 * 2**20  # one fold group and its transform's buffers, the Gram matrix
+
+    def test_moment_peak_is_below_one_column_block(self):
+        # the twin for the moment Gram form: one (2k, M) block is 16 MiB, and
+        # the 165 x 2000 Chebyshev rows (2.5 MiB) are built in chunks
+        part = PartitionParams(init_len=4, local_len=8, period=32768, orders=512)
+        basis = build_basis(512, 32768)
+        rng = np.random.default_rng(10)
+        shape = (1, 1, 4 + 2000 + 8, 4)
+        trace = KVTrace(keys=rng.standard_normal(shape).astype(np.float32),
+                        values=rng.standard_normal(shape).astype(np.float32))
+        assert rank_branch(trace, part, basis) == "moments"
+        tracemalloc.start()
+        try:
+            ranking = rank_dimensions(trace, part, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < basis.n_rows * 2000 * 8
+        assert peak < 2 * 2**20  # one chunk of rows and its cast, the d x d matrices
+        # the chunks sum to the convolution's errors
+        with mock.patch.object(spectral, "_TABLE_COST_RATIO", 0):
+            expected = rank_dimensions(trace, part, basis)
+        np.testing.assert_allclose(ranking.k_mse, expected.k_mse, rtol=1e-9)
+        np.testing.assert_allclose(ranking.v_mse, expected.v_mse, rtol=1e-9)
+
+    def test_stock_selection_equals_the_oracle_selection(self):
+        # a tiny model's trace at the stock partition: the ranking takes the
+        # moments, and the schema keeps the same dimensions as from the
+        # compress_batch + reconstruct MSEs
+        part = PartitionParams(init_len=4, local_len=1024, period=32768, orders=512)
+        basis = build_basis(512, 32768)
+        config = TinyModelConfig(layers=1, heads=2, kv_heads=2, head_dim=16, seed=0)
+        tokens = np.random.default_rng(11).integers(0, config.vocab, 2048)
+        trace = tiny_forward(config, tokens)
+        assert rank_branch(trace, part, basis) == "moments"
+        schema = CompressionSchema.inverted_pyramid(1)
+        got = apply_schema(rank_dimensions(trace, part, basis), schema, partition=part)
+        expected, _ = rank_oracle(trace, part, basis)
+        oracle = apply_schema(MseRanking(k_mse=expected[0], v_mse=expected[1]), schema,
+                              partition=part)
+        np.testing.assert_array_equal(got.compressed, oracle.compressed)
 
     @pytest.mark.parametrize("basis", [FourierBasis(8, 64), FourierBasis(4, 128)],
                              ids=["orders", "period"])
@@ -284,6 +338,40 @@ class TestGram:
         assert got.shape == (basis.n_rows, basis.n_rows)
         # every entry is a sum of ``length`` products of unit-bounded values
         assert np.all(np.abs(got - cols @ cols.T) <= 1e-12 * length)
+
+
+class TestMomentGrams:
+    """The moment Gram form's ``A = G W G.T`` and ``H = P P.T``, from the
+    Dirichlet kernel and the Chebyshev sums, against explicit products."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(period=st.integers(1, 400), data=st.data())
+    def test_equal_their_explicit_products(self, period, data):
+        # runs shorter or longer than the period, at the moments fold's
+        # degree or past it; G from the waves at the Chebyshev nodes and
+        # their DCT, as the fold reads them, and P from the Chebyshev rows
+        largest = (period + 1) // 2
+        orders = data.draw(st.one_of(st.integers(1, largest), st.just(largest)))
+        length = data.draw(st.integers(1, 2 * period + 5))
+        first = data.draw(st.integers(0, 3 * period))
+        degree = spectral._run_degree(orders, period, length)
+        degree += data.draw(st.integers(0, 3))
+        basis = build_basis(orders, period)
+        a, h = dimselect._moment_grams(basis, length, degree)
+        assert a.shape == h.shape == (degree, degree)
+
+        waves = spectral._moment_waves(period, first % period, length, degree, 0, orders)
+        dct3 = scipy.fft.dct(np.eye(degree), type=3, axis=0) / degree
+        g = dct3.T @ waves.view(np.float64)
+        rows = np.empty((degree, length))
+        spectral._chebyshev_rows((2 * np.arange(length) - (length - 1)) / length, rows)
+        # the coefficients reproduce the run's columns: C = G.T P
+        cols = basis.columns(range(first, first + length))
+        assert np.all(np.abs(g.T @ rows - cols) <= 1e-12)
+        explicit = (g * basis.synthesis_weights()) @ g.T
+        # |G| is at most 2 entrywise and the weights sum to 4R / period
+        assert np.all(np.abs(a - explicit) <= 1e-12 * 16 * orders / period)
+        assert np.all(np.abs(h - rows @ rows.T) <= 1e-12 * length)
 
 
 class TestApplySchema:
