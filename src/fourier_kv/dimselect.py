@@ -4,24 +4,20 @@ Dimensions are ranked per (layer, head) by how well the spectral compressor
 reconstructs them on a calibration trace (mean squared error, ties broken by
 ascending index), then a per-layer ratio schema decides how many of the
 best-reconstructed dimensions each head folds. The ranking never reads a
-middle region back through basis columns. One of three forms computes the
-errors, each keeping its transient within the batch fold's 1 MB chunk: a
-convolution with one kernel over the lag, one real FFT pair of about twice
-the middle's length per dimension (many orders over a long middle); a
-quadratic form of each dimension's folded state with one data-independent
-Gram matrix (desk); or the same form over each dimension's Chebyshev
-moments, as many as the moments fold uses over the middle (stock: 98, for
-1024 coefficients). The cheaper Gram form runs where the decode
-transforms' cost rule says it beats the convolution. The stock schema compresses
-more of the V cache than the K cache and more of the lower layers than the
-upper ones (an inverted pyramid); ablation variants flatten, swap, or flip
-it. Diagnostics cover temporal standard deviations and the distribution of
+middle region back through basis columns: a convolution over the lag (many
+orders over a long middle) or a quadratic form of each dimension's centred
+Fourier sums (desk) or Chebyshev moments (stock), through the middle's even
+and odd halves, computes the errors, as the decode transforms' cost rule
+prices them. The stock schema compresses more of the V cache than the K
+cache and more of the lower layers than the upper ones (an inverted
+pyramid); ablation variants flatten, swap, or flip it. Diagnostics cover temporal standard deviations and the distribution of
 compressed indices grouped every ``HISTOGRAM_GROUP`` (16) dimensions.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +25,7 @@ import scipy.fft
 
 from fourier_kv import spectral
 from fourier_kv.cache import CacheLayout, PartitionParams, check_basis
-from fourier_kv.spectral import FourierBasis, fold_blocks
+from fourier_kv.spectral import FourierBasis
 from fourier_kv.traceio import KVTrace
 
 __all__ = [
@@ -150,44 +146,30 @@ def rank_dimensions(trace: KVTrace, partition: PartitionParams, basis: FourierBa
     period long the reconstruction is the orthogonal projection and the MSE
     cleanly measures out-of-band energy. A middle column ``x`` of ``M``
     positions reconstructs as ``P x = C.T W C x``, with ``C`` the basis
-    columns of the run and ``W`` the synthesis weights; no middle is ever
-    read back through ``C``. One of three forms computes ``|x - P x|**2``:
+    columns of the run and ``W`` the synthesis weights, never read back
+    through ``C``. ``C.T W C`` depends only on the lag between positions, so
+    the errors do not depend on where the middle starts. One of three forms
+    computes ``|x - P x|**2``: the convolution of ``x`` with ``k(lag) =
+    sum_n w_n cos(2*pi*n*lag/period)``, one real FFT pair of the
+    power-of-two length ``n >= 2M - 1`` per column in float64; or
+    ``|x|**2`` plus a quadratic form of the column's sums against the
+    cosine and sine rows about the middle's centre (Fourier Gram,
+    :func:`_fourier_split`) or of its ``d = spectral._run_degree``
+    Chebyshev moments (moment Gram, :func:`_moment_split`; 98 for 512 orders
+    over 1020 positions at period 32768), both through :func:`_split_sse`.
 
-    * convolution: ``C.T W C`` depends only on the lag between two positions,
-      ``k(lag) = sum_n w_n cos(2*pi*n*lag/period)``, so ``P x`` is ``x``
-      convolved with ``k``. The kernel is one :meth:`FourierBasis.evaluate`
-      per call, and every column one real FFT pair of the power-of-two
-      length ``n >= 2M - 1``, in float64: O(M log M) per column whatever the
-      orders.
-    * Fourier Gram: with ``s = C x`` from :func:`fold_blocks` and the
-      data-independent ``G = C C.T``, ``|x - P x|**2 = |x|**2 + s.T (W G W -
-      2W) s``: O(orders * (M + orders)) per column for the fold and the
-      form. ``G`` is built once per call from the run's cosine and sine sums
-      of orders below ``2*orders - 1``, in closed form.
-    * moment Gram: the same form with the columns written through ``d``
-      Chebyshev moments, ``d`` the moments fold's degree for the middle,
-      ``spectral._run_degree`` (98 for 512 orders over 1020 positions at
-      period 32768). With ``mu`` a column's
-      moments, ``|x - P x|**2 = |x|**2 + mu.T (A H A - 2A) mu``: O(d * (M +
-      d)) per column, and two ``d x d`` matrices built once per call in
-      closed form (:func:`_moment_grams`). Nothing of size ``2R`` is built.
-
-    One rule picks the form, with ``R = orders``. The Fourier Gram form is
-    priced at ``R * (M + 2R)``: its fold's ``2R * M`` multiply-adds and the
-    quadratic form's ``(2R)**2`` per column, halved as the rule counts the
-    tables' own products. The moment Gram form is priced as the fold prices
-    its moments, ``_MOMENT_COST_RATIO * d * (M + d) / 2``. The cheaper of the
-    two runs where ``_products_cheaper`` says it beats the convolution, whose
-    FFT length is ``L = n/2 + 1``; ties go to the Fourier form. The desk
-    middle (16 orders over 956 positions) takes the Fourier Gram form
-    (15,808 against 37,772 for the moments), the stock middle the moments
-    (109,564, against 1,046,528 for the Fourier Gram form and 180,400 for
-    the convolution), and 512 orders over 4000 positions the convolution.
-    Whichever runs, the transient memory is one fold group, one group of FFT
-    columns or one chunk of Chebyshev rows and its cast, each within
-    ``_FOLD_CHUNK_FLOATS`` (1 MB), plus the ``(2*orders, head_dim)`` states
-    or ``(d, head_dim)`` moments of one layer; nothing grows with ``M``
-    times the orders.
+    With ``R = orders``, one rule prices each Gram form at half its unsplit
+    work, as the split halves it: the Fourier form at ``R * (M + 2R) / 2``,
+    the moments at ``_MOMENT_COST_RATIO * d * (M + d) / 4`` while four ``d x
+    d`` matrices fit ``_FOLD_CHUNK_FLOATS`` (``d <= 181``). The cheaper runs
+    where ``_products_cheaper`` says it beats the convolution (FFT length
+    ``L = n/2 + 1``); ties go to the Fourier form. Desk's middle (16 orders
+    over 956 positions) takes the Fourier form (7,904 against 18,886),
+    stock's the moments (54,782, against 523,264 and the convolution's
+    180,400), 512 orders over 4000 positions at period 32768 (299 moments)
+    the convolution. The transient is one group of FFT columns, or one chunk
+    of rows and a block's halves, within ``_FOLD_CHUNK_FLOATS`` (1 MB), plus
+    one layer's sums or moments.
     """
     check_basis(basis, partition)
     middle = partition.middle(trace.seq_len)
@@ -205,146 +187,155 @@ def rank_dimensions(trace: KVTrace, partition: PartitionParams, basis: FourierBa
         for layer in range(trace.layers)
     ]
     sse = np.empty((trace.layers, 2 * trace.kv_heads, trace.head_dim))
-    fourier = basis.orders * (length + 2 * basis.orders)
-    moments = spectral._MOMENT_COST_RATIO * degree * (length + degree) / 2
+    fourier = basis.orders * (length + 2 * basis.orders) / 2
+    moments = spectral._MOMENT_COST_RATIO * degree * (length + degree) / 4
+    if 4 * degree**2 > spectral._FOLD_CHUNK_FLOATS:
+        moments = math.inf  # its d x d matrices, four at a time, would outgrow the fold's budget
     if not spectral._products_cheaper(min(fourier, moments), n_fft // 2 + 1):
         _convolution_sse(basis, layers, length, n_fft, out=sse)
     elif moments < fourier:
-        _moment_sse(basis, layers, length, degree, out=sse)
+        _split_sse(*_moment_split(basis, length, degree), layers, length, out=sse)
     else:
-        _gram_sse(basis, layers, first, length, out=sse)
+        _split_sse(*_fourier_split(basis, length), layers, length, out=sse)
     mse = (sse / length).reshape(trace.layers, 2, trace.kv_heads, trace.head_dim)
     return MseRanking(k_mse=mse[:, 0], v_mse=mse[:, 1])
 
 
-def _gram_sse(basis: FourierBasis, layers, first: int, length: int, out: np.ndarray) -> None:
-    """Squared reconstruction error of every column of every block, by the Gram form.
+def _split_sse(rows, forms: tuple, layers, length: int, out: np.ndarray) -> None:
+    """Squared reconstruction error of every column of every block, through its halves.
 
-    ``layers`` holds lists of ``(length, dim)`` blocks at positions ``first..``;
-    ``out[layer, block]`` receives one error per column.
+    ``layers`` holds lists of ``(length, dim)`` blocks of the middle, and
+    ``out[layer, block]`` receives one error per column. ``rows(u, out)``
+    fills ``out[:, j]`` with the rows at offset ``u[j] / 2`` from the
+    centre (``u`` ascending by 2), the even ones at even indices; ``forms``
+    holds ``F_e`` and ``F_o``. Rows ``i`` and ``length - 1 - i`` pair up, an
+    odd middle's centre with zero. With a pair's halves ``E = x(v) + x(-v)``
+    and ``O = x(v) - x(-v)`` cast once to float64, ``a = rows_even @ E`` and
+    ``b = rows_odd @ O``, the error is ``|x|**2 + a.T F_e a + b.T F_o b``. A
+    chunk's rows, their build and a block's halves fit ``_FOLD_CHUNK_FLOATS``;
+    one chunk of every pair serves all layers.
     """
-    weights = basis.synthesis_weights()
-    # |x - C.T W s|^2 = |x|^2 - 2 s.T W s + s.T W G W s, with s = C x
-    form = _gram(basis, first, length) * weights[:, None] * weights
-    form[np.diag_indices_from(form)] -= 2.0 * weights
-    for layer_sse, blocks in zip(out, layers):
-        states = fold_blocks(basis, blocks, first)
-        for total, block, state in zip(layer_sse, blocks, states):
-            np.einsum("ij,ij->j", block, block, dtype=np.float64, out=total)
-            total += np.einsum("ij,ij->j", state.coeffs, form @ state.coeffs)
-    # the form cancels on a column it reconstructs almost exactly, and may dip below 0
+    f_even, f_odd = forms
+    half = (length + 1) // 2  # pairs, the centre of an odd middle among them
+    dim = layers[0][0].shape[1]
+    count = len(f_even) + len(f_odd)
+    step = max(1, min(half, spectral._FOLD_CHUNK_FLOATS // (2 * count + 3 * dim)))
+    offsets = 2 * np.arange(length - half, length) - (length - 1)  # 2v, ascending from the centre
+    basis_rows = np.empty((count, step))
+    halves = np.empty((3, step, dim))  # the pairs' top and bottom rows, then the odd halves
+    for layer, (layer_sse, blocks) in enumerate(zip(out, layers)):
+        a = np.zeros((len(blocks), len(f_even), dim))
+        b = np.zeros((len(blocks), len(f_odd), dim))
+        layer_sse[:] = 0.0
+        for p0 in range(0, half, step):
+            p1 = min(half, p0 + step)
+            chunk = basis_rows[:, : p1 - p0]
+            if layer == 0 or step < half:
+                rows(offsets[p0:p1], chunk)
+            top, bottom, odd_half = pairs = halves[:, : p1 - p0]
+            for block, a_sum, b_sum, total in zip(blocks, a, b, layer_sse):
+                np.copyto(top, block[length - half + p0 : length - half + p1])
+                np.copyto(bottom, block[half - p1 : half - p0][::-1])
+                if p0 == 0 and length % 2:
+                    bottom[0] = 0.0
+                total += np.einsum("kij,kij->j", pairs[:2], pairs[:2])
+                np.subtract(top, bottom, out=odd_half)
+                top += bottom
+                a_sum += chunk[0::2] @ top
+                b_sum += chunk[1::2] @ odd_half
+        layer_sse += np.einsum("bij,bij->bj", a, f_even @ a)
+        layer_sse += np.einsum("bij,bij->bj", b, f_odd @ b)
+    # the forms cancel on a column reconstructed almost exactly, which may dip below 0
     np.maximum(out, 0.0, out=out)
 
 
-def _gram(basis: FourierBasis, first: int, length: int) -> np.ndarray:
-    """``C C.T`` over a run, from the run's cosine and sine sums of orders below ``2*orders - 1``.
+def _fourier_split(basis: FourierBasis, length: int) -> tuple:
+    """The rows and forms of :func:`_split_sse` for the Fourier Gram form of a run.
 
-    With ``c(n)`` and ``s(n)`` the sums of ``cos(theta_n t)`` and ``sin(theta_n t)``
-    over the run, products of two basis rows are sums and differences of angles:
-    ``cos a cos b = (cos(a - b) + cos(a + b)) / 2`` and so on, so every entry
-    is half a sum of ``c`` or ``s`` at ``|n - m|`` and ``n + m``. The sum of
-    ``exp(i*theta_n*t)`` over ``M`` positions is the phase of the run's centre
-    times ``sin(pi*n*M/period) / sin(pi*n/period)`` (``M`` at ``n = 0``, the
-    only ``n`` below ``period`` whose denominator is 0), angles reduced in integers.
+    The rows interleave ``cos(theta_n v)`` and ``sin(theta_n v)``, ``n <
+    orders``, at the offsets ``v`` from the run's centre, as the basis
+    interleaves its columns; a state of absolute positions reaches them by
+    rotating order ``n`` by the centre's phase. Both rows of an order share
+    a weight ``w_n``: the forms are ``W G W - 2W`` over :func:`_fourier_grams`.
     """
-    n = np.arange(2 * basis.orders - 1, dtype=np.int64)
-    sums = spectral._unit_phase(n * (2 * first + length - 1), basis.period)
-    sums[0] = length
-    sums[1:] *= (spectral._unit_phase(n[1:] * length, basis.period).imag
-                 / spectral._unit_phase(n[1:], basis.period).imag)
-    c, s = sums.real, sums.imag
+    weights = basis.synthesis_weights()[0::2]
+    forms = tuple(g * weights[:, None] * weights - 2.0 * np.diag(weights)
+                  for g in _fourier_grams(basis, length))
+
+    def rows(u: np.ndarray, out: np.ndarray) -> None:
+        # theta_n * v = 2*pi*n*u / (2*period) for u = 2v, ascending by 2: the
+        # phase at u[0] + 2(a*w + b) is the one at u[0] + 2a*w times the one at 2b
+        w = math.isqrt(len(u)) + 1
+        head = spectral._unit_phases(basis.orders, 2 * basis.period, u[::w]).T
+        tail = spectral._unit_phases(basis.orders, 2 * basis.period, u[:w] - u[0]).T
+        grid = (head[:, :, None] * tail[:, None]).reshape(basis.orders, -1)[:, : len(u)]
+        out[0::2], out[1::2] = grid.real, grid.imag
+
+    return rows, forms
+
+
+def _fourier_grams(basis: FourierBasis, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The centred cosine and sine Gram halves of a run of ``length`` positions.
+
+    Entry ``[n, m]`` sums ``cos(theta_n v) cos(theta_m v)``, or the sines,
+    over the offsets ``v`` from the run's centre: half the sum, or the
+    difference, of ``c(|n - m|)`` and ``c(n + m)``, ``c(m) = sin(pi*m*M/period)
+    / sin(pi*m/period)`` the real Dirichlet sum (``M`` at ``m = 0``), angles
+    reduced in integers. Over symmetric offsets the cosine-sine entries vanish.
+    """
+    m = np.arange(1, 2 * basis.orders - 1, dtype=np.int64)
+    sums = np.full(2 * basis.orders - 1, float(length))
+    sums[1:] = (spectral._unit_phase(m * length, basis.period).imag
+                / spectral._unit_phase(m, basis.period).imag)
     n = np.arange(basis.orders)
-    diff, total = n[:, None] - n, n[:, None] + n
-    # sin(theta_d) is odd in d: s at n - m is sign(n - m) * s(|n - m|)
-    s_diff = np.sign(diff) * s[np.abs(diff)]
-    gram = np.empty((basis.orders, 2, basis.orders, 2))
-    gram[:, 0, :, 0] = c[np.abs(diff)] + c[total]
-    gram[:, 1, :, 1] = c[np.abs(diff)] - c[total]
-    gram[:, 0, :, 1] = s[total] - s_diff
-    gram[:, 1, :, 0] = s[total] + s_diff
-    gram *= 0.5
-    return gram.reshape(basis.n_rows, basis.n_rows)
+    diff, total = sums[np.abs(n[:, None] - n)], sums[n[:, None] + n]
+    return (diff + total) / 2, (diff - total) / 2
 
 
-def _moment_sse(basis: FourierBasis, layers, length: int, degree: int, out: np.ndarray) -> None:
-    """Squared reconstruction error of every column of every block, by the moment Gram form.
+def _moment_split(basis: FourierBasis, length: int, degree: int) -> tuple:
+    """The rows and forms of :func:`_split_sse` for the moment Gram form of a run.
 
-    Blocks and ``out`` as for :func:`_gram_sse`, whose form this is with the
-    basis columns written as ``C = G.T P`` (see :func:`_moment_grams`): with
-    a column's ``degree`` Chebyshev moments ``mu = P x``, ``|x - P x|**2 =
-    |x|**2 + mu.T (A H A - 2A) mu``. Each layer's moments are summed over
-    the chunks of :func:`_chebyshev_chunks`, each projecting a block's
-    columns in groups whose float64 casts take at most the other half of
-    the fold's budget.
+    The rows are ``T_k(2v / length)``, ``k < degree``; the forms are the even
+    and odd blocks of ``A H A - 2A`` (:func:`_moment_grams`), whose
+    cross-parity entries vanish, as ``H`` and ``A``'s kernel are even.
     """
     a, h = _moment_grams(basis, length, degree)
     form = a @ (h @ a)
     form -= 2.0 * a
-    del a, h
-    for layer_sse, blocks in zip(out, layers):
-        moments = [np.zeros((degree, block.shape[1])) for block in blocks]
-        for p0, p1, rows in _chebyshev_chunks(length, degree):
-            width = max(1, spectral._FOLD_CHUNK_FLOATS // 2 // (p1 - p0))
-            for block, mu in zip(blocks, moments):
-                for c0 in range(0, block.shape[1], width):
-                    mu[:, c0 : c0 + width] += rows @ block[p0:p1, c0 : c0 + width]
-        for total, block, mu in zip(layer_sse, blocks, moments):
-            np.einsum("ij,ij->j", block, block, dtype=np.float64, out=total)
-            total += np.einsum("ij,ij->j", mu, form @ mu)
-    # as for the Fourier Gram form, a column reconstructed almost exactly may dip below 0
-    np.maximum(out, 0.0, out=out)
 
+    def rows(u: np.ndarray, out: np.ndarray) -> None:
+        spectral._chebyshev_rows(u / length, out)
 
-def _chebyshev_chunks(length: int, degree: int):
-    """``P[:, p0:p1]``, ``P[k, m] = T_k(x_m)``, over a run of ``length`` positions, by chunks.
-
-    Yields ``(p0, p1, rows)`` with ``x_m = (2m - (length - 1)) / length``,
-    from :func:`spectral._chebyshev_rows`. The chunks have equal widths,
-    none a short remainder, and share one buffer within half of
-    ``spectral._FOLD_CHUNK_FLOATS``.
-    """
-    positions = max(1, min(length, spectral._FOLD_CHUNK_FLOATS // 2 // degree))
-    positions = -(-length // -(-length // positions))
-    cheb = np.empty((degree, positions))
-    for p0 in range(0, length, positions):
-        p1 = min(length, p0 + positions)
-        rows = cheb[:, : p1 - p0]
-        spectral._chebyshev_rows((2 * np.arange(p0, p1) - (length - 1)) / length, rows)
-        yield p0, p1, rows
+    return rows, (form[0::2, 0::2].copy(), form[1::2, 1::2].copy())
 
 
 def _moment_grams(basis: FourierBasis, length: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """``A = G W G.T`` and ``H = P P.T`` of a run of ``length`` positions, each ``(degree, degree)``.
 
-    With the run mapped onto ``x_m = (2m - (length - 1)) / length`` in
-    ``(-1, 1)``, ``P[k, m] = T_k(x_m)``, and ``G`` the Chebyshev
-    coefficients of the basis rows over it, as :func:`spectral._fold_moments`
-    reads them, ``C = G.T P`` within twice ``spectral._MOMENT_TAIL`` once
-    ``degree`` is ``spectral._run_degree`` of the run; ``W`` holds the
-    synthesis weights. ``G`` is the transpose of the DCT-III (scaled by
-    ``1/degree``) applied to the waves at the ``degree`` Chebyshev nodes
-    ``y_j``, so ``A`` is that DCT's transpose times ``V W V.T`` times the
-    DCT. Entry ``[j, k]`` of ``V W V.T`` sums ``w_r cos(r * phi)`` over the
-    orders ``r``, ``phi = pi * length * (y_j - y_k) / period``: the
-    Dirichlet kernel ``sin((R - 1/2) phi) / sin(phi/2) / period``, and
-    ``(2R - 1) / period`` at ``phi = 0``. The run's centre phase cancels,
-    so ``A`` does not depend on where the run starts. ``H`` is ``(sigma[j +
-    k] + sigma[|j - k|]) / 2``, from ``T_j T_k = (T_(j+k) + T_|j-k|) / 2``
-    and the sums ``sigma_n = sum_m T_n(x_m)``, ``n < 2*degree - 1``. The
-    positions are symmetric about 0 and ``T_n`` is odd for odd ``n``, so
-    the odd sums vanish; by the same identity the even ones are ``sigma[2j]
-    = 2 sum_m T_j(x_m)**2 - sigma[0]``, from ``P``'s rows, a chunk of
-    :func:`_chebyshev_chunks` at a time.
+    With ``x_m = (2m - (length - 1)) / length``, ``P[k, m] = T_k(x_m)`` and
+    ``G`` the Chebyshev coefficients of the basis rows as
+    :func:`spectral._fold_moments` reads them, ``C = G.T P`` within twice
+    ``spectral._MOMENT_TAIL`` at ``spectral._run_degree``; ``W`` holds the
+    synthesis weights. ``A`` is the transposed DCT-III (scaled by
+    ``1/degree``) times ``V W V.T`` at the Chebyshev nodes ``y_j`` times the
+    DCT, entry ``[j, k]`` of ``V W V.T`` the Dirichlet kernel ``sin((R -
+    1/2) phi) / sin(phi/2) / period`` at ``phi = pi * length * (y_j - y_k) /
+    period`` (``(2R - 1) / period`` at 0). ``H`` is ``(sigma[j + k] +
+    sigma[|j - k|]) / 2`` for ``sigma_n = sum_m T_n(x_m)``: 0 for odd ``n``,
+    ``2 sum_m T_j(x_m)**2 - sigma[0]`` at ``n = 2j``, from ``P``'s rows over
+    the top half, in chunks within half of ``spectral._FOLD_CHUNK_FLOATS``.
     """
     nodes = np.cos(np.pi * (np.arange(degree) + 0.5) / degree)
     phi = (np.pi * length / basis.period) * (nodes[:, None] - nodes)
-    # the nodes are distinct, so sin(phi/2) is 0 on the diagonal only
-    np.fill_diagonal(phi, 1.0)
+    # the kernel is 2*pi-periodic: reduced, it stays accurate near nonzero multiples
+    phi -= (2 * np.pi) * np.round(phi / (2 * np.pi))
+    zero = phi == 0.0  # the diagonal and exact multiples, where the kernel is 2R - 1
+    phi[zero] = 1.0
     kernel = np.sin((basis.orders - 0.5) * phi)
     phi *= 0.5
     kernel /= np.sin(phi, out=phi)
     del phi
-    np.fill_diagonal(kernel, 2 * basis.orders - 1)
+    kernel[zero] = 2 * basis.orders - 1
     kernel /= basis.period
     # DCT-III of the identity: column k holds eps_k * T_k at the nodes
     dct3 = scipy.fft.dct(np.eye(degree), type=3, axis=0, overwrite_x=True)
@@ -352,9 +343,18 @@ def _moment_grams(basis: FourierBasis, length: int, degree: int) -> tuple[np.nda
     a = dct3.T @ (kernel @ dct3)
     del kernel, dct3
 
+    half = (length + 1) // 2
+    offsets = 2 * np.arange(length - half, length) - (length - 1)
+    step = max(1, min(half, spectral._FOLD_CHUNK_FLOATS // 2 // degree))
+    rows = np.empty((degree, step))
     squares = np.zeros(degree)
-    for _, _, rows in _chebyshev_chunks(length, degree):
-        squares += np.einsum("ij,ij->i", rows, rows)
+    for p0 in range(0, half, step):
+        chunk = rows[:, : min(half - p0, step)]
+        spectral._chebyshev_rows(offsets[p0 : p0 + step] / length, chunk)
+        squares += np.einsum("ij,ij->i", chunk, chunk)
+    # every row but an odd run's centre stands for two positions; T_j(0)**2 is 1 for even j
+    squares *= 2.0
+    squares[0::2] -= length % 2
     sigma = np.zeros(2 * degree - 1)
     sigma[0::2] = 2.0 * squares - squares[0]
     n = np.arange(degree)
@@ -367,7 +367,7 @@ def _convolution_sse(basis: FourierBasis, layers, length: int, n_fft: int,
                      out: np.ndarray) -> None:
     """Squared reconstruction error of every column of every block, by FFT convolution.
 
-    Blocks and ``out`` as for :func:`_gram_sse`; ``n_fft >= 2 * length - 1``.
+    Blocks and ``out`` as for :func:`_split_sse`; ``n_fft >= 2 * length - 1``.
     """
     weights = np.zeros(basis.n_rows)
     weights[0::2] = basis.synthesis_weights()[0::2]

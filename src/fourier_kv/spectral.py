@@ -29,11 +29,12 @@ float64 buffer and never gathered: one product per span against the run's
 columns, or two through the moments, and each FFT once per column. Every
 cosine and sine comes from one of two phase builders, each reducing its
 integer phase exactly before the float product: :func:`_unit_phases`
-reduces ``n*t`` mod ``period``, for basis columns and trig tables, and
-:func:`_unit_phase` reduces mod ``2*period``, for the chirp-z plans, the
-moments' waves and the Fourier Gram matrix of ``dimselect``. The moment
-Gram matrices of ``dimselect`` read no phase of a position: their kernel
-depends only on differences of Chebyshev nodes.
+reduces ``n*t`` mod ``period``, for basis columns, trig tables and, at
+twice the period, the centred Fourier rows of ``dimselect``'s calibration,
+and :func:`_unit_phase` reduces mod ``2*period``, for the chirp-z plans,
+the moments' waves and the Dirichlet sums of ``dimselect``'s Fourier Gram
+halves. The moment Gram matrices of ``dimselect`` read no phase of a
+position: their kernel depends only on differences of Chebyshev nodes.
 
 Phases are indexed by *absolute* token position so that a state built during
 prefill and a state extended by streaming evictions agree without rephasing.
@@ -503,26 +504,23 @@ def _products_cheaper(work: int, fft_len: int) -> bool:
     moments fold use it, and so does ``dimselect.rank_dimensions`` to choose
     between its convolution and the cheaper of its two Gram forms, with
     ``L`` the real FFT of twice the calibration middle's ``M`` positions.
-    The Fourier Gram form's ``work`` is ``R * (M + 2R)``, for the fold and
-    the quadratic form; on that pricing alone it picked the faster of it
-    and the convolution in 35 and 34 of 36 timed cases in two sweeps
-    (orders 8-512, middles 256-4000, periods 4096 and 32768; the misses
-    were 256 orders over 4000 positions at period 4096, where the
-    convolution ran 1.5-1.6x the Gram form's time, and in one sweep 128
-    orders over 1000 positions at period 32768, where the Gram form ran
-    1.09x the convolution's; numpy 2.4 and scipy 1.17 on a 2-core x86_64).
-    The moment Gram form's is ``_MOMENT_COST_RATIO * d * (M + d) / 2`` for
-    ``d`` moments, as the fold prices its moments. Over the same geometries
-    and 512 orders over 8192 positions at period 32768 (256 columns, two
-    sweeps timing both rules in one process, alternating; same host, one
-    BLAS thread), the three-form rule moved 15 of 37 rankings to the
-    moments, each at 0.29-1.01x its earlier form's time, and picked a form
-    within 1.11x of the fastest in 33 and 34 of 37. The misses were 256
-    orders over 4000 positions at period 4096 again (the convolution at
-    1.8-2.5x the Fourier Gram form), 64 orders over 1000 positions at
-    period 4096 (the Fourier Gram form at 1.31-1.47x the moments) and,
-    under half a millisecond, 8 orders over 256 positions at period 32768
-    (1.13-1.16x) and in one sweep 16 over 256 at period 4096 (1.17x).
+    Both Gram forms fold a column's even and odd halves about the middle's
+    centre, half the multiply-adds of their unsplit products, and are
+    priced at half their unsplit work: the Fourier Gram form at ``R * (M +
+    2R) / 2``, the moment Gram form at ``_MOMENT_COST_RATIO * d * (M + d) /
+    4`` for ``d`` moments, while four ``d x d`` matrices fit
+    ``_FOLD_CHUNK_FLOATS``. Over orders 8-512, middles 256-4000 and periods
+    4096 and 32768, and 512 orders over 8192 positions at period 32768 (256
+    columns; two sweeps timing this rule and the unsplit one in one
+    process, alternating; numpy 2.4 and scipy 1.17 on a 2-core x86_64, one
+    BLAS thread), it picked a form within 1.1x of the fastest in 35 and 33
+    of 37 rankings and took a median 0.78-0.80x the unsplit rule's time. It
+    moved two rankings off the convolution: 256 orders over 4000 positions
+    at period 4096 to the Fourier Gram form, at 0.73-0.76x the time, and 512
+    orders over 256 positions at period 4096 to the moments, at 1.96-2.03x,
+    as their ``d x d`` builds (168 moments) go unpriced. The cap keeps 512
+    orders over 4000 positions at period 32768 (299 moments) on the
+    convolution, at 1.6x the moments' time.
     """
     return work <= _TABLE_COST_RATIO * fft_len * fft_len.bit_length()
 

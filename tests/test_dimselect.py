@@ -1,5 +1,6 @@
 """Dimension ranking, schema application, and selection diagnostics."""
 
+import contextlib
 import json
 import tracemalloc
 from unittest import mock
@@ -103,8 +104,10 @@ def rank_branch(trace, part, basis) -> str:
     """Which form ``rank_dimensions`` computes the MSEs with: "gram" (the
     Fourier Gram form), "moments" (the moment Gram form) or "convolution"."""
     forms = ("gram", "moments", "convolution")
-    with mock.patch.object(dimselect, "_gram_sse", wraps=dimselect._gram_sse) as gram, \
-            mock.patch.object(dimselect, "_moment_sse", wraps=dimselect._moment_sse) as moments, \
+    with mock.patch.object(dimselect, "_fourier_split",
+                           wraps=dimselect._fourier_split) as gram, \
+            mock.patch.object(dimselect, "_moment_split",
+                              wraps=dimselect._moment_split) as moments, \
             mock.patch.object(dimselect, "_convolution_sse",
                               wraps=dimselect._convolution_sse) as convolution:
         rank_dimensions(trace, part, basis)
@@ -113,26 +116,99 @@ def rank_branch(trace, part, basis) -> str:
     return forms[calls.index(1)]
 
 
+@contextlib.contextmanager
+def recorded_row_chunks():
+    """Yields a list of the ``(rows, pairs)`` shape of every chunk of basis rows
+    the Gram forms build while the manager is open."""
+    chunks = []
+    split_sse = dimselect._split_sse
+
+    def recording(rows, *args, **kwargs):
+        def recorded(u, out):
+            chunks.append(out.shape)
+            rows(u, out)
+        return split_sse(recorded, *args, **kwargs)
+
+    with mock.patch.object(dimselect, "_split_sse", recording):
+        yield chunks
+
+
+# (table cost ratio, moment cost ratio): a table ratio of 0 forces the
+# convolution, 2**62 a Gram form; a moment ratio of 0 then forces the
+# moments, 2**62 the Fourier Gram form
+FORMS = {"convolution": (0, spectral._MOMENT_COST_RATIO),
+         "dispatch": (spectral._TABLE_COST_RATIO, spectral._MOMENT_COST_RATIO),
+         "gram": (2**62, 2**62),
+         "moments": (2**62, 0)}
+
+
+def forced(form):
+    """Patches the cost rule's ratios so ``rank_dimensions`` runs ``form``."""
+    table, moment = FORMS[form]
+    return mock.patch.multiple(spectral, _TABLE_COST_RATIO=table, _MOMENT_COST_RATIO=moment)
+
+
 class TestRankDimensions:
-    # (table cost ratio, moment cost ratio): a table ratio of 0 forces the
-    # convolution, 2**62 a Gram form; a moment ratio of 0 then forces the
-    # moments, 2**62 the Fourier Gram form
-    @pytest.mark.parametrize("ratios", [
-        (0, spectral._MOMENT_COST_RATIO),
-        (spectral._TABLE_COST_RATIO, spectral._MOMENT_COST_RATIO),
-        (2**62, 2**62),
-        (2**62, 0),
-    ], ids=["convolution", "dispatch", "gram", "moments"])
+    @pytest.mark.parametrize("form", list(FORMS))
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(case=calibration_cases())
-    def test_both_forms_match_the_compress_batch_oracle(self, ratios, case):
+    def test_both_forms_match_the_compress_batch_oracle(self, form, case):
         part, basis, trace = case
-        with mock.patch.object(spectral, "_TABLE_COST_RATIO", ratios[0]), \
-                mock.patch.object(spectral, "_MOMENT_COST_RATIO", ratios[1]):
+        with forced(form):
             ranking = rank_dimensions(trace, part, basis)
         expected, scale = rank_oracle(trace, part, basis)
         got = np.stack([ranking.k_mse, ranking.v_mse])
         assert np.all(np.abs(got - expected) <= 1e-9 * expected + 1e-12 * scale)
+
+    # middles of one position (the centre alone), two (one pair) and three (a
+    # pair and the centre), odd and even middles with every sine row zero
+    # (one order) or not, each whole and at a budget that splits the pairs into
+    # chunks: 40 floats, or for the moments the least budget that holds their
+    # d x d matrices, with a head wide enough to split them
+    @pytest.mark.parametrize("chunked", [False, True], ids=["whole", "chunked"])
+    @pytest.mark.parametrize("length, orders", [(1, 3), (2, 3), (3, 3), (10, 1), (11, 1),
+                                                (40, 5), (41, 5)])
+    @pytest.mark.parametrize("form", ["gram", "moments"])
+    def test_pairs_match_the_compress_batch_oracle(self, form, length, orders, chunked):
+        part = PartitionParams(init_len=3, local_len=2, period=64, orders=orders)
+        basis = build_basis(orders, 64)
+        degree = spectral._run_degree(orders, 64, length)
+        budget, head_dim = spectral._FOLD_CHUNK_FLOATS, 3
+        if chunked:
+            budget, head_dim = (40, 3) if form == "gram" else (4 * degree**2, 80)
+        rng = np.random.default_rng(length * 10 + orders)
+        shape = (2, 2, 3 + length + 2, head_dim)
+        trace = KVTrace(keys=rng.standard_normal(shape).astype(np.float32),
+                        values=(rng.standard_normal(shape) + 0.5).astype(np.float32))
+        with forced(form), mock.patch.object(spectral, "_FOLD_CHUNK_FLOATS", budget):
+            assert rank_branch(trace, part, basis) == form
+            with recorded_row_chunks() as chunks:
+                ranking = rank_dimensions(trace, part, basis)
+        # one chunk of every pair is built once for both layers
+        pairs, widths = (length + 1) // 2, [width for _, width in chunks]
+        assert sum(widths) == (pairs if len(chunks) == 1 else 2 * pairs)
+        assert not chunked or pairs == 1 or max(widths) < pairs
+        expected, scale = rank_oracle(trace, part, basis)
+        got = np.stack([ranking.k_mse, ranking.v_mse])
+        assert np.all(np.abs(got - expected) <= 1e-9 * expected + 1e-12 * scale)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=calibration_cases(), prefix=st.integers(0, 200), form=st.sampled_from(list(FORMS)))
+    def test_errors_do_not_depend_on_where_the_middle_starts(self, case, prefix, form):
+        # the same middle and local rows behind another initial region
+        part, basis, trace = case
+        moved = PartitionParams(init_len=prefix, local_len=part.local_len,
+                                period=part.period, orders=part.orders)
+        rng = np.random.default_rng(prefix)
+        shape = (trace.layers, trace.kv_heads, prefix, trace.head_dim)
+        keys, values = ([rng.standard_normal(shape).astype(np.float32), data[:, :, part.init_len:]]
+                        for data in (trace.keys, trace.values))
+        with forced(form):
+            ranking = rank_dimensions(trace, part, basis)
+            other = rank_dimensions(KVTrace(keys=np.concatenate(keys, axis=2),
+                                            values=np.concatenate(values, axis=2)), moved, basis)
+        np.testing.assert_allclose(other.k_mse, ranking.k_mse, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(other.v_mse, ranking.v_mse, rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("part, branch", [
         (PartitionParams(init_len=4, local_len=1024, period=32768, orders=512), "moments"),
@@ -195,11 +271,10 @@ class TestRankDimensions:
                     expected = reconstruction_mse(block, reconstruct(state, basis, positions))
                     np.testing.assert_allclose(got[layer, head], expected, rtol=1e-9)
 
-    def test_matches_oracle_across_fold_chunks(self, table_products):
-        # a budget of 150 floats (a sub-run's trig tables and run columns, and
-        # one column's weights, output and picked copies) folds the
-        # 100-position middle in 25 sub-runs of four positions, and each
-        # 3-column block in spans of one column
+    def test_matches_oracle_across_fold_chunks(self):
+        # a budget of 150 floats holds six pairs: their 8 rows and the rows'
+        # build, 16 floats a pair, and a block's halves, 9: the 100-position
+        # middle goes in 9 chunks of its 50 pairs, 8 of six and one of two
         rng = np.random.default_rng(5)
         part = PartitionParams(init_len=2, local_len=3, period=64, orders=4)
         basis = build_basis(4, 64)
@@ -208,15 +283,9 @@ class TestRankDimensions:
         trace = KVTrace(keys=keys, values=values)
         assert rank_branch(trace, part, basis) == "gram"
         with mock.patch.object(spectral, "_FOLD_CHUNK_FLOATS", 150), \
-                mock.patch.object(FourierBasis, "_transform", autospec=True,
-                                  side_effect=FourierBasis._transform) as plans, \
-                table_products() as products:
+                recorded_row_chunks() as chunks:
             ranking = rank_dimensions(trace, part, basis)
-        # the fold resolves its sub-runs itself, saying whether to cache their tables
-        sub_runs = {call.args[1] for call in plans.call_args_list if "cached" in call.kwargs}
-        assert len(sub_runs) == 25
-        assert sorted({w.shape[1] for w in products}) == [1]
-        assert len(products) == 25 * 4 * 3  # sub-runs x blocks x columns
+        assert chunks == [(8, 6)] * 8 + [(8, 2)]
         positions = np.arange(2, 102)
         for head in range(2):
             for got, data in ((ranking.k_mse, keys), (ranking.v_mse, values)):
@@ -318,8 +387,8 @@ class TestRankDimensions:
 
 
 class TestGram:
-    """The Gram matrix ``C C.T`` of a run, from its closed-form cosine and sine sums,
-    against explicit columns."""
+    """The centred cosine and sine Gram halves of a run, from its real Dirichlet
+    sums, against explicit columns rotated to the run's centre."""
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(period=st.integers(1, 40), data=st.data())
@@ -334,10 +403,25 @@ class TestGram:
                                      st.sampled_from([period, 2 * period])))
         basis = build_basis(orders, period)
         cols = basis.columns(range(first, first + length))
-        got = dimselect._gram(basis, first, length)
-        assert got.shape == (basis.n_rows, basis.n_rows)
+        # order n at the centre c = first + (length - 1)/2 turns by theta_n * c
+        turn = spectral._unit_phase(np.arange(orders) * (2 * first + length - 1), period)
+        cos, sin = cols[0::2], cols[1::2]
+        centred = np.empty_like(cols)
+        centred[0::2] = cos * turn.real[:, None] + sin * turn.imag[:, None]
+        centred[1::2] = sin * turn.real[:, None] - cos * turn.imag[:, None]
+        g_even, g_odd = dimselect._fourier_grams(basis, length)
+        assert g_even.shape == g_odd.shape == (orders, orders)
+        gram = centred @ centred.T
         # every entry is a sum of ``length`` products of unit-bounded values
-        assert np.all(np.abs(got - cols @ cols.T) <= 1e-12 * length)
+        assert np.all(np.abs(g_even - gram[0::2, 0::2]) <= 1e-12 * length)
+        assert np.all(np.abs(g_odd - gram[1::2, 1::2]) <= 1e-12 * length)
+        assert np.all(np.abs(gram[0::2, 1::2]) <= 1e-12 * length)
+        # the split form's rows are the centred columns of the run's top half
+        half = (length + 1) // 2
+        rows = np.empty((2 * orders, half))
+        dimselect._fourier_split(basis, length)[0](
+            2 * np.arange(length - half, length) - (length - 1), rows)
+        assert np.all(np.abs(rows - centred[:, length - half:]) <= 1e-12)
 
 
 class TestMomentGrams:
@@ -372,6 +456,11 @@ class TestMomentGrams:
         # |G| is at most 2 entrywise and the weights sum to 4R / period
         assert np.all(np.abs(a - explicit) <= 1e-12 * 16 * orders / period)
         assert np.all(np.abs(h - rows @ rows.T) <= 1e-12 * length)
+        # the form's entries between an even and an odd moment vanish, to
+        # rounding in its two terms (the form itself vanishes over two periods)
+        aha = a @ h @ a
+        scale = max(np.abs(aha).max(), 2 * np.abs(a).max())
+        assert np.all(np.abs((aha - 2.0 * a)[0::2, 1::2]) <= 1e-13 * scale)
 
 
 class TestApplySchema:

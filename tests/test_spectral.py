@@ -937,6 +937,27 @@ class TestFoldBlocks:
     def test_equals_compress_batch_of_each_block_at_a_small_budget(self, case):
         self.assert_every_transform_matches(*case, _FOLD_CHUNK_FLOATS=2**9)
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=blocks_on_one_run(), a=st.floats(-4, 4), b=st.floats(-4, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_is_linear(self, case, a, b, seed):
+        # fold(a X + b Y) = a fold(X) + b fold(Y) under each transform, within
+        # 1e-12 of each column's sum of |a X| + |b Y|
+        basis, blocks, start_pos, picks = case
+        rng = np.random.default_rng(seed)
+        others = [rng.standard_normal(block.shape) for block in blocks]
+        mixed = [a * x.astype(np.float64) + b * y for x, y in zip(blocks, others)]
+        for ratios in TRANSFORMS.values():
+            with mock.patch.multiple(spectral, **ratios):
+                fx, fy, fz = (fold_blocks(basis, group, start_pos, dims=picks)
+                              for group in (blocks, others, mixed))
+            for i, (sx, sy, sz) in enumerate(zip(fx, fy, fz)):
+                pick = slice(None) if picks is None else picks[i]
+                scale = (np.abs(a * blocks[i][:, pick].astype(np.float64)).sum(axis=0)
+                         + np.abs(b * others[i][:, pick]).sum(axis=0))
+                expected = a * sx.coeffs + b * sy.coeffs
+                assert np.all(np.abs(sz.coeffs - expected) <= 1e-12 * np.maximum(1.0, scale))
+
     def test_chunks_cover_a_run_longer_than_one_chunk(self):
         basis = FourierBasis(orders=4096, period=8191)  # 8192 rows: the largest states
         block = np.random.default_rng(0).standard_normal((50, 3))
