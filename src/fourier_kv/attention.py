@@ -1,37 +1,34 @@
 """Attention over exact and spectrally compressed caches.
 
-Two decode paths serve a compressed head slice. ``attend_compressed_fused``
-is the production path: it never rebuilds a compressed row. The compressed
-part of a middle score is the trig polynomial ``col(t)^T (w * C_k q_c)`` and
-the compressed part of the output is its adjoint
-``(w * sum_t p_t col(t))^T C_v``, each one Fourier transform over the M
-middle positions (see ``FourierBasis.evaluate``); kept dimensions and the
-``E <= init_len + local_len`` exact rows, one prefix of the slice's exact
-block, are plain products, and one softmax runs over all ``E + M`` scores.
-The middle region, ``PartitionParams.middle``, goes to the transforms as
-the only input they take, a ``range`` of step 1, which they read without
-scanning it: its transform is resolved once (``FourierBasis._plan``) and
-shared by every head that reads the same middle, and a call runs only the
-transforms' arithmetic. The slice stores every row with its dimensions in
-layout order, compressed first, so the query is gathered into that order
+Two decode paths serve one KV head of a compressed layer, a
+``cache.HeadView``. ``attend_compressed_fused`` is the production path: it
+never rebuilds a compressed row. The compressed part of a middle score is
+the trig polynomial ``col(t)^T (w * C_k q_c)`` and the compressed part of
+the output is its adjoint ``(w * sum_t p_t col(t))^T C_v``, each one Fourier
+transform over the M middle positions (see ``FourierBasis.evaluate``); kept
+dimensions and the ``E <= init_len + local_len`` exact rows, one prefix of
+the head's exact block, are plain products, and one softmax runs over all
+``E + M`` scores. The middle region, ``PartitionParams.middle``, goes to the
+transforms as the only input they take, a ``range`` of step 1: its
+transform is resolved once (``FourierBasis._plan``) and shared by every head
+that reads the same middle. The layer stores every row with its dimensions
+in layout order, compressed first, so the query is gathered into that order
 once and scaled, the kept and compressed dims are slices of it, and the
-output is gathered back to index order once; no other index gather or
-scatter-add runs. Every score is written into one preallocated buffer and
-the softmax runs in that buffer, so a call makes a fixed number of numpy
-calls, whatever M: 43 Python-level calls at desk geometry, a count a test
-bounds. With ``R = k`` spectral bins and ``L = min(M + R, period)``, per
-query that costs O(min(R * M, L log L) + (E + M) * head_dim) time, plus
-O(k * head_dim) to contract the 2k-row states with the query: the
-transforms take whichever of products against cached trig tables, a
-chirp-z FFT pair over the middle region or one length-period FFT is
-cheapest, and hold at most O(L) transient values. No ``(M, head_dim)``
-block of rebuilt rows ever exists. The stored blocks are not scanned for
-NaN or Inf on every call (``cache.ingest``, through which every token
-enters a cache, rejects them); the scores and the output are checked
+output is gathered back to index order once. Every score is written into
+one preallocated buffer and the softmax runs in that buffer, so a call makes
+a fixed number of numpy calls, whatever M: 37 Python-level calls at desk
+geometry under numpy 2.4, a count a test bounds. With ``R = k`` spectral
+bins and ``L = min(M + R, period)``, per query that costs O(min(R * M, L log
+L) + (E + M) * head_dim) time, plus O(k * head_dim) to contract the 2k-row
+states with the query: the transforms take whichever of products against
+cached trig tables, a chirp-z FFT pair over the middle region or one
+length-period FFT is cheapest, and hold at most O(L) transient values. The
+stored blocks are not scanned for NaN or Inf on every call (the cache
+rejects them as tokens enter); the scores and the output are checked
 instead.
 ``attend_compressed_materialized`` is its oracle: it rebuilds every middle
 row through ``reconstruct``, orders every row by position, puts every
-dimension back at its index from the slice's ``HeadDims`` and defers to
+dimension back at its index from the head's ``HeadDims`` and defers to
 ``attend_full``, the dense reference.
 
 Also home to two diagnostics: splitting attention scores into low/high
@@ -46,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fourier_kv.cache import HeadSlice, check_basis
-from fourier_kv.spectral import FourierBasis, reconstruct
+from fourier_kv.cache import HeadView, check_basis
+from fourier_kv.spectral import FourierBasis, SpectralState, reconstruct
 from fourier_kv.traceio import KVTrace
 
 __all__ = [
@@ -108,7 +105,7 @@ def attend_full(q, keys, values, return_weights: bool = False) -> AttentionOutpu
 
 def attend_compressed_materialized(
     q,
-    slice_: HeadSlice,
+    slice_: HeadView,
     basis: FourierBasis,
     return_weights: bool = False,
 ) -> AttentionOutput:
@@ -120,24 +117,27 @@ def attend_compressed_materialized(
     the local ring rolled so that its oldest position comes first. The
     weights come back in that order.
     """
-    check_basis(basis, slice_.partition)
-    middle = slice_.partition.middle(slice_.total_len)
+    lay, h = slice_
+    check_basis(basis, lay.partition)
+    total = lay.total_len[h]
+    middle = lay.partition.middle(total)
     # the ring rows in use; its oldest position, the middle's end, comes first
-    ring = slice(middle.start, slice_.total_len - len(middle))
+    ring = slice(middle.start, total - len(middle))
+    dims = lay.dims[h]
     blocks = []
-    for exact, kept, state, comp, keep in (
-        (slice_.exact_k, slice_.kept_k, slice_.spec_k, slice_.dims.k_compressed,
-         slice_.dims.k_kept),
-        (slice_.exact_v, slice_.kept_v, slice_.spec_v, slice_.dims.v_compressed,
-         slice_.dims.v_kept),
+    for exact, kept, cols, comp, keep in (
+        (lay.exact[0, h], lay.kept_k[h], 0, dims.k_compressed, dims.k_kept),
+        (lay.exact[1, h], lay.kept_v[h], lay.k_cols, dims.v_compressed, dims.v_kept),
     ):
         local = np.roll(exact[ring], middle.start - middle.stop, axis=0)
         # rows as stored, dims in layout order, then each dim back at its index
         rows = np.concatenate([exact[: middle.start], np.empty((len(middle), exact.shape[1])),
                                local], dtype=np.float64)
         mid = rows[middle.start : middle.stop]
-        mid[:, comp.size :] = kept.view()
+        mid[:, comp.size :] = kept[: len(middle), : keep.size]
         if comp.size:
+            state = SpectralState(lay.states[h, :, cols : cols + comp.size], len(middle),
+                                  middle.start, middle.stop - 1)
             mid[:, : comp.size] = reconstruct(state, basis, middle)
         natural = np.empty_like(rows)
         natural[:, np.concatenate([comp, keep])] = rows
@@ -145,7 +145,7 @@ def attend_compressed_materialized(
     return attend_full(q, *blocks, return_weights=return_weights)
 
 
-def attend_compressed_fused(q, slice_: HeadSlice, basis: FourierBasis) -> AttentionOutput:
+def attend_compressed_fused(q, slice_: HeadView, basis: FourierBasis) -> AttentionOutput:
     """Decode attention scored and aggregated in the coefficient domain.
 
     With ``w`` the synthesis weights and ``C_k``/``C_v`` the spectral states,
@@ -153,15 +153,17 @@ def attend_compressed_fused(q, slice_: HeadSlice, basis: FourierBasis) -> Attent
     and the compressed output is ``(w * basis.project(p_mid, t)) @ C_v``.
     Agrees with :func:`attend_compressed_materialized` up to rounding.
     """
-    check_basis(basis, slice_.partition)
+    lay, h = slice_
+    check_basis(basis, lay.partition)
     q = np.asarray(q, dtype=np.float64)
     if q.ndim != 1:
         raise ValueError("fused path serves single decode queries")
     _check_finite("q", q)
-    head_dim = slice_.exact_k.shape[1]
+    head_dim = lay.exact.shape[3]
     if q.shape != (head_dim,):
         raise ValueError(f"query must have shape ({head_dim},)")
-    if slice_.total_len == 0:
+    total = lay.total_len[h]
+    if total == 0:
         raise ValueError("attention over an empty cache is undefined")
 
     # every score lands in one buffer, exact | middle; the exact rows in use
@@ -172,20 +174,21 @@ def attend_compressed_fused(q, slice_: HeadSlice, basis: FourierBasis) -> Attent
     # go through np.dot, which costs less than @ at desk sizes; the state's K
     # and V column views through @, which hands their strides to BLAS where
     # np.dot takes a slower path (4x at stock)
-    q = q[slice_._order[0]] * (1.0 / math.sqrt(head_dim))
-    spec = slice_._spec.coeffs
-    k_count = slice_.dims.k_compressed.size
-    v_count = spec.shape[1] - k_count
-    middle = slice_.partition.middle(slice_.total_len)
-    n_exact = slice_.total_len - len(middle)
-    scores = np.empty(slice_.total_len, dtype=np.float64)
+    order = lay._orders[h]
+    q = q[order[0]] * (1.0 / math.sqrt(head_dim))
+    k_count, v_count = order[3], order[4]
+    spec = lay.states[h]
+    middle = lay.partition.middle(total)
+    n_mid = len(middle)
+    n_exact = total - n_mid
+    scores = np.empty(total, dtype=np.float64)
     p_exact, p_mid = scores[:n_exact], scores[n_exact:]
-    np.dot(slice_.exact_k[:n_exact], q, out=p_exact)
-    np.dot(slice_.kept_k.view(), q[k_count:], out=p_mid)
+    np.dot(lay.exact[0, h, :n_exact], q, out=p_exact)
+    np.dot(lay.kept_k[h, :n_mid, : head_dim - k_count], q[k_count:], out=p_mid)
     synthesis = basis.synthesis_weights()
     # the middle region's transform, resolved once for both products; every
     # head that reads the same middle shares it
-    plan = basis._plan(middle) if len(middle) and (k_count or v_count) else None
+    plan = basis._plan(middle) if n_mid and (k_count or v_count) else None
     if plan is not None and k_count:
         p_mid += basis._evaluate(synthesis * (spec[:, :k_count] @ q[:k_count]), plan)
     # the stored blocks are not scanned: a NaN or Inf in any key row, kept
@@ -198,14 +201,14 @@ def attend_compressed_fused(q, slice_: HeadSlice, basis: FourierBasis) -> Attent
     np.exp(scores, out=scores)
 
     # the output in the V rows' layout order, gathered back once at the end
-    out = np.dot(p_exact, slice_.exact_v[:n_exact])
-    out[v_count:] += np.dot(p_mid, slice_.kept_v.view())
+    out = np.dot(p_exact, lay.exact[1, h, :n_exact])
+    out[v_count:] += np.dot(p_mid, lay.kept_v[h, :n_mid, : head_dim - v_count])
     if plan is not None and v_count:
         folded = synthesis * basis._project_columns(p_mid, plan)
-        out[:v_count] += folded @ spec[:, k_count:]
+        out[:v_count] += folded @ spec[:, lay.k_cols : lay.k_cols + v_count]
     out /= np.add.reduce(scores)
     _check_finite("output", out)
-    return AttentionOutput(output=out[slice_._order[2]])
+    return AttentionOutput(output=out[order[2]])
 
 
 def decompose_scores(queries, keys, split_dim: int) -> tuple[np.ndarray, np.ndarray]:

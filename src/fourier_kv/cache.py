@@ -1,31 +1,30 @@
 """Partitioned KV cache with spectrally compressed middle region.
 
-Per layer and KV head, the cache splits a sequence three ways by absolute
-position, in :meth:`PartitionParams.middle` alone: the first ``init_len``
-positions and the latest ``local_len`` past them are stored exactly, in one
-block per K and V; everything between keeps its selected dimensions
-verbatim and folds the rest into fixed-size spectral states. Which
-dimensions fold is one boolean mask per cache, ``CacheLayout.compressed``,
-of shape ``(layers, 2, kv_heads, head_dim)``. A head stores every K and V
-row with its dimensions in layout order, the compressed ones first and then
-the kept ones, and folds K's and V's compressed dims into one state.
+Per KV head, the cache splits a sequence three ways by absolute position, in
+:meth:`PartitionParams.middle` alone: the first ``init_len`` positions and
+the latest ``local_len`` past them are stored exactly; everything between
+keeps its selected dimensions verbatim and folds the rest into fixed-size
+spectral states. Which dimensions fold is one boolean mask per cache,
+``CacheLayout.compressed``, of shape ``(layers, 2, kv_heads, head_dim)``. A
+:class:`LayerCache` holds every head of a layer in four arrays and two
+counts per head; a :class:`HeadView` names one head of it.
 
-Tokens enter a cache one way, :func:`ingest`: any number of tokens per head
-into one layer's slices. The positions the middle region grows by, one run,
+Tokens enter a cache through one routine: any number of tokens per head
+into a whole layer (:func:`ingest`), or one token into one head
+(:func:`append_token`). The positions the middle region grows by, one run,
 split into kept rows and a fold at their absolute positions, so the
 spectral storage stays O(1) in sequence length; the rest take exact rows.
-:func:`prefill` is an ingest of the whole prompt into empty slices, so its
-middle folds in one batch over every head, and :func:`append_token` an
-ingest of one token into one slice, whose one evicted position folds as one
-rank-1 update. A chunk of a prompt or of a decode is an ingest of its own,
-and any split of a sequence into chunks stores the rows one call stores.
-Non-finite K/V rows, and a basis whose geometry is not the partition's, are
-rejected before anything is stored.
+:func:`prefill` is an ingest of the whole prompt into an empty layer, so its
+middle folds in one batch over every head, and a one-token eviction folds
+as one rank-1 update. Any split of a sequence into chunks stores the rows
+one call stores. Non-finite K/V rows, and a basis whose geometry is not the
+partition's, are rejected before anything is stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +34,8 @@ __all__ = [
     "CacheLayout",
     "CompressedCache",
     "HeadDims",
-    "HeadSlice",
+    "HeadView",
+    "LayerCache",
     "PartitionParams",
     "append_token",
     "check_basis",
@@ -114,7 +114,7 @@ class CacheLayout:
     construction. The layout holds a read-only copy of the array it is given.
     ``dims[layer][head]`` is the same choice as a :class:`HeadDims` of sorted
     index arrays, derived once here. Per row, its compressed dims and then
-    its kept dims, each ascending, are the order in which a :class:`HeadSlice`
+    its kept dims, each ascending, are the order in which a :class:`LayerCache`
     stores that row's dimensions.
     """
 
@@ -136,14 +136,19 @@ class CacheLayout:
         v_slot = np.argsort(order[:, 1], axis=-1)
         for table in (order, v_slot):
             table.setflags(write=False)
-        # per head, the K order, the V order and the V places that its slices
-        # store rows by and read them back with, shared by every slice of it
+        counts = mask.sum(axis=-1)
+        # per head, the K order, the V order, the V places and the K and V
+        # compressed counts that its layer stores rows by and reads them back with
         object.__setattr__(self, "_orders", [
-            [(order[layer, 0, head], order[layer, 1, head], v_slot[layer, head])
+            [(order[layer, 0, head], order[layer, 1, head], v_slot[layer, head],
+              *counts[layer, :, head].tolist())
              for head in range(mask.shape[2])]
             for layer in range(mask.shape[0])
         ])
-        counts = mask.sum(axis=-1).tolist()
+        # per layer, the K and V state columns and kept widths its heads pad to
+        most = counts.max(axis=2, initial=0).tolist()
+        kept = (mask.shape[3] - counts.min(axis=2, initial=mask.shape[3])).tolist()
+        object.__setattr__(self, "_widest", [(*m, *k) for m, k in zip(most, kept)])
         dims = [
             [
                 HeadDims(
@@ -154,7 +159,7 @@ class CacheLayout:
                 )
                 for head, (k_count, v_count) in enumerate(zip(*layer_counts))
             ]
-            for layer, layer_counts in enumerate(counts)
+            for layer, layer_counts in enumerate(counts.tolist())
         ]
         object.__setattr__(self, "dims", dims)
 
@@ -171,49 +176,72 @@ class CacheLayout:
         return self.compressed.shape[3]
 
 
-def _grown(rows: int) -> int:
-    """The capacity a buffer of ``rows`` rows grows to: an eighth more, at least 8."""
-    return rows + max(8, rows // 8)
+class LayerCache:
+    """Compressed cache storage for every KV head of one layer.
 
+    Every row stores its dimensions in layout order: head ``h``'s K row
+    holds ``dims[h].k_compressed`` and then ``dims[h].k_kept``, each
+    ascending, and its V row the same of ``dims[h].v_*``.
 
-class _GrowBuffer:
-    """Append-only float32 row buffer that grows by an eighth past what it must hold.
+    - ``exact``, ``(2, heads, init_len + local_len, head_dim)`` float32, K
+      first: position ``t`` sits in row ``t`` if ``t < init_len``, and
+      otherwise in ring row ``init_len + (t - init_len) % local_len``, which
+      it takes over from the position it evicts, so the rows in use are the
+      prefix ``exact[:, h, :total_len[h] - folded[h]]``.
+    - ``kept_k`` and ``kept_v``, ``(heads, capacity, width)`` float32: row
+      ``i`` holds the kept dims of middle position ``init_len + i``, for ``i
+      < folded[h]``. One capacity serves the layer, so a growth copies
+      every head.
+    - ``states``, ``(heads, 2*orders, k_cols + v_cols)`` float64: a head's
+      compressed K dims fold into columns ``0..`` and its V dims into
+      columns ``k_cols..``.
+    - ``total_len[h]`` and ``folded[h]``: the tokens head ``h`` has taken
+      and the middle positions it has folded, also its kept rows.
 
-    A new buffer holds no rows and reserves none. :meth:`extend` lengthens it
-    by any number of rows and returns them for the caller to write; when the
-    ``need`` rows held after it would not fit, the buffer reallocates to
-    ``_grown(need) = need + max(8, need // 8)`` rows, one growth past what it
-    holds. So capacity stays within ``1.125 * len + 8`` rows, appends cost
-    amortized O(1) copies each, and a prefill of ``M`` middle rows leaves
-    room for the first ``max(8, M // 8)`` evictions of the decode after it.
+    Heads that compress unequal counts pad the states and the kept rows to
+    the layer's widest (``memory_report``'s ``padding_floats``). Only
+    :func:`ingest` and :func:`append_token` write a layer. Single-writer.
     """
 
-    __slots__ = ("_data", "_len")
+    __slots__ = ("partition", "dims", "_orders", "k_cols", "exact", "kept_k", "kept_v",
+                 "states", "total_len", "folded")
 
-    def __init__(self, width: int):
-        """An empty buffer of rows ``width`` floats wide."""
-        self._len = 0
-        self._data = np.empty((0, width), dtype=np.float32)
+    def __init__(self, layout: CacheLayout, layer: int):
+        """An empty layer: no tokens, no kept rows and zero states."""
+        self.partition = part = layout.partition
+        self.dims, self._orders = layout.dims[layer], layout._orders[layer]
+        self.k_cols, v_cols, k_width, v_width = layout._widest[layer]
+        heads, head_dim = layout.kv_heads, layout.head_dim
+        self.exact = np.empty((2, heads, part.init_len + part.local_len, head_dim),
+                              dtype=np.float32)
+        self.states = np.zeros((heads, 2 * part.orders, self.k_cols + v_cols))
+        self.kept_k = np.empty((heads, 0, k_width), dtype=np.float32)
+        self.kept_v = np.empty((heads, 0, v_width), dtype=np.float32)
+        self.total_len, self.folded = [0] * heads, [0] * heads
 
-    def extend(self, rows: int) -> np.ndarray:
-        """Lengthen the buffer by ``rows`` rows and return them, unwritten."""
-        start, need = self._len, self._len + rows
-        if need > self._data.shape[0]:
-            grown = np.empty((_grown(need), self._data.shape[1]), dtype=np.float32)
-            grown[:start] = self._data[:start]
-            self._data = grown
-        self._len = need
-        return self._data[start:need]
 
-    def view(self) -> np.ndarray:
-        return self._data[: self._len]
+class HeadView(NamedTuple):
+    """One KV head of a :class:`LayerCache`: the layer and the head's index, no arrays."""
+
+    layer: LayerCache
+    head: int
 
     @property
-    def capacity(self) -> int:
-        return self._data.shape[0]
+    def partition(self) -> PartitionParams:
+        return self.layer.partition
 
-    def __len__(self) -> int:
-        return self._len
+    @property
+    def total_len(self) -> int:
+        return self.layer.total_len[self.head]
+
+    @property
+    def middle_count(self) -> int:
+        return self.layer.folded[self.head]
+
+    def represented(self) -> int:
+        """Exact positions the split gives ``total_len`` plus the kept middle rows: its tokens."""
+        total = self.total_len
+        return total - len(self.partition.middle(total)) + self.middle_count
 
 
 def _ring_row(part: PartitionParams, pos: int) -> int:
@@ -237,75 +265,16 @@ def _ring_rows(part: PartitionParams, start: int, stop: int) -> tuple:
             slice(part.init_len, part.init_len + wrapped))
 
 
-@dataclass(slots=True)
-class HeadSlice:
-    """Compressed cache storage for one (layer, head).
-
-    Every row the slice holds stores its dimensions in layout order: a K row
-    holds ``dims.k_compressed`` and then ``dims.k_kept``, each ascending, and
-    a V row the same of ``dims.v_*``, so an evicted row splits into two
-    slices and attention gathers the query and its output once each.
-    ``exact_k`` and ``exact_v`` hold the initial and local positions in
-    ``init_len + local_len`` float32 rows each: position ``t`` sits in row
-    ``t`` if ``t < init_len``, and otherwise in ring row ``init_len + (t -
-    init_len) % local_len``, which it takes over from the position it
-    evicts. The ring only fills or stays full, so the rows in use are always
-    the prefix ``exact[:total_len - middle_count]``. Middle positions keep
-    their kept dims in ``kept_k``/``kept_v`` and fold their compressed K
-    dims, then their compressed V dims, into one float64 spectral state of
-    ``2*orders`` rows; ``spec_k`` and ``spec_v`` are its K and V columns,
-    views that share its coefficients. Only :func:`ingest` writes a slice.
-    Single-writer; distinct slices are independent.
-    """
-
-    dims: HeadDims
-    partition: PartitionParams
-    exact_k: np.ndarray
-    exact_v: np.ndarray
-    kept_k: _GrowBuffer
-    kept_v: _GrowBuffer
-    _spec: SpectralState  # (2*orders, c_k + c_v) coefficients, K's columns first
-    _order: tuple  # the layout's (K order, V order, V places) of the head
-    total_len: int
-
-    @property
-    def middle_count(self) -> int:
-        return len(self.kept_k)
-
-    @property
-    def spec_k(self) -> SpectralState:
-        """The K columns of the slice's state: a view with a copy of its counters."""
-        return self._columns(slice(None, self.dims.k_compressed.size))
-
-    @property
-    def spec_v(self) -> SpectralState:
-        """The V columns of the slice's state: a view with a copy of its counters."""
-        return self._columns(slice(self.dims.k_compressed.size, None))
-
-    def _columns(self, cols: slice) -> SpectralState:
-        spec = self._spec
-        return SpectralState(spec.coeffs[:, cols], spec.token_count, spec.first_pos,
-                             spec.last_pos)
-
-    def represented(self) -> int:
-        """Exact positions the split gives ``total_len`` plus the kept middle rows held.
-
-        Equals the tokens ingested while the kept rows match the split.
-        """
-        return self.total_len - len(self.partition.middle(self.total_len)) + self.middle_count
-
-
-def prefill(keys, values, layout: CacheLayout, layer: int, basis: FourierBasis):
-    """Build the compressed slices for one layer from its full K/V blocks.
+def prefill(keys, values, layout: CacheLayout, layer: int, basis: FourierBasis) -> LayerCache:
+    """Build the compressed storage of one layer from its full K/V blocks.
 
     ``keys`` and ``values`` are ``(kv_heads, seq_len, head_dim)`` and must be
-    finite. The layer's slices start empty, with one exact block for K and V
-    of every head, and take the whole prompt in one :func:`ingest`, so its
-    middle region folds in one batch fold over every head's K and V. A
-    sequence no longer than ``init_len + local_len`` simply has an empty
-    middle, and its exact rows a free tail for the tokens to come. The
-    slices copy what they keep: later changes to ``keys``/``values`` do not
-    reach them.
+    finite. The layer starts empty and takes the whole prompt in one
+    :func:`ingest`, so its middle region folds in one batch fold over every
+    head's K and V. A sequence no longer than ``init_len + local_len``
+    simply has an empty middle, and its exact rows a free tail for the
+    tokens to come. The layer copies what it keeps: later changes to
+    ``keys``/``values`` do not reach it.
     """
     keys = np.asarray(keys, dtype=np.float32)
     values = np.asarray(values, dtype=np.float32)
@@ -318,52 +287,36 @@ def prefill(keys, values, layout: CacheLayout, layer: int, basis: FourierBasis):
             f"layer block shape {keys.shape}/{values.shape} does not match layout {expected}"
         )
     check_basis(basis, part)
+    lay = LayerCache(layout, layer)
     # ingest writes the rows the prompt fills, after its fold; only the rows it
     # leaves free are cleared here, since a block cleared before the fold has
     # left the cache by the time its rows are written
-    exact = np.empty(
-        (2, layout.kv_heads, part.init_len + part.local_len, layout.head_dim), dtype=np.float32
-    )
-    exact[:, :, keys.shape[1] - len(part.middle(keys.shape[1])) :] = 0
-    slices = [
-        HeadSlice(
-            dims=hd,
-            partition=part,
-            exact_k=exact[0, head],
-            exact_v=exact[1, head],
-            kept_k=_GrowBuffer(hd.k_kept.size),
-            kept_v=_GrowBuffer(hd.v_kept.size),
-            _spec=SpectralState.zeros(part.orders, hd.k_compressed.size + hd.v_compressed.size),
-            _order=layout._orders[layer][head],
-            total_len=0,
-        )
-        for head, hd in enumerate(layout.dims[layer])
-    ]
-    if slices and keys.shape[1]:
-        ingest(slices, basis, keys, values)
-    return slices
+    lay.exact[:, :, keys.shape[1] - len(part.middle(keys.shape[1])) :] = 0
+    if layout.kv_heads and keys.shape[1]:
+        ingest(lay, basis, keys, values)
+    return lay
 
 
-def append_token(slice_: HeadSlice, basis: FourierBasis, k_vec, v_vec) -> HeadSlice:
-    """Ingest one decoded token, two ``(head_dim,)`` vectors, into a head slice.
+def append_token(slice_: HeadView, basis: FourierBasis, k_vec, v_vec) -> HeadView:
+    """Ingest one decoded token, two ``(head_dim,)`` vectors, into one head of a layer.
 
-    :func:`ingest` of one token into a one-slice layer. Mutates and returns
-    the slice; a rejected token (wrong shape, NaN or Inf, or a middle region
-    already one period long) or a basis of another geometry leaves it
-    unchanged.
+    The rule of :func:`ingest`, for one token of one head. Mutates the layer
+    and returns the view; a rejected token (wrong shape, NaN or Inf, or a
+    middle region already one period long) or a basis of another geometry
+    leaves it unchanged.
     """
-    ingest([slice_], basis, np.asarray(k_vec, dtype=np.float32)[None, None],
+    _place(slice_.layer, range(slice_.head, slice_.head + 1), basis,
+           np.asarray(k_vec, dtype=np.float32)[None, None],
            np.asarray(v_vec, dtype=np.float32)[None, None])
     return slice_
 
 
-def ingest(slices, basis: FourierBasis, keys, values) -> None:
-    """Place ``n >= 1`` tokens per head into one layer's head slices.
+def ingest(layer: LayerCache, basis: FourierBasis, keys, values) -> None:
+    """Place ``n >= 1`` tokens per head into every head of a layer.
 
-    ``slices`` share one partition, head_dim and ``total_len`` ``p``;
-    ``keys`` and ``values`` are ``(len(slices), n, head_dim)``, each head's
-    tokens at positions ``p..p+n-1``, and must be finite. This is the one
-    place tokens enter a cache, by one rule:
+    The layer's heads share one ``total_len`` ``p``; ``keys`` and ``values``
+    are ``(heads, n, head_dim)``, each head's tokens at positions
+    ``p..p+n-1``, and must be finite. Tokens enter a cache by one rule:
 
     - The positions the middle region grows by, ``middle(p + n)`` minus
       ``middle(p)``, are evicted. They are one run, read from ring rows
@@ -380,30 +333,31 @@ def ingest(slices, basis: FourierBasis, keys, values) -> None:
     - The chunk's positions that stay exact take their rows: those below
       ``init_len`` their own, those past the grown middle their ring rows.
 
-    Every check runs before anything is stored: no slices, a slice listed
-    twice, slices of different geometry or length, a wrong shape, ``n = 0``,
-    NaN or Inf, a basis of another geometry, or a middle region that would
-    outgrow one period raise ``ValueError`` and leave every slice unchanged.
+    Every check runs before anything is stored: a layer of no heads, heads
+    of different lengths, a wrong shape, ``n = 0``, NaN or Inf, a basis of
+    another geometry, or a middle region that would outgrow one period raise
+    ``ValueError`` and leave the layer unchanged.
     """
-    if not slices:
-        raise ValueError("ingest needs at least one head slice")
-    first, rest = slices[0], slices[1:]
-    part = first.partition
+    _place(layer, range(len(layer.total_len)), basis, keys, values)
+
+
+def _place(lay: LayerCache, heads: range, basis: FourierBasis, keys, values) -> None:
+    """The rule of :func:`ingest`, for the heads ``heads`` of a layer."""
+    if not heads:
+        raise ValueError("ingest needs a layer of at least one head")
+    part = lay.partition
     check_basis(basis, part)
+    n_heads, p = len(heads), lay.total_len[heads.start]
+    if n_heads > 1 and lay.total_len.count(p) != n_heads:
+        raise ValueError("the heads of the layer must share one total_len")
     keys = np.asarray(keys, dtype=np.float32)
     values = np.asarray(values, dtype=np.float32)
-    p = first.total_len
-    # a slice listed twice would fold and store its heads' tokens into one state
-    if rest and len({id(sl) for sl in slices}) != len(slices):
-        raise ValueError("each head slice may appear only once")
-    for sl in rest:
-        if sl.partition != part or sl.total_len != p or sl.exact_k.shape != first.exact_k.shape:
-            raise ValueError("slices must share one partition, head_dim and total_len")
+    head_dim = lay.exact.shape[3]
     if (keys.ndim != 3 or values.shape != keys.shape or not keys.shape[1]
-            or (keys.shape[0], keys.shape[2]) != (len(slices), first.exact_k.shape[1])):
+            or (keys.shape[0], keys.shape[2]) != (n_heads, head_dim)):
         raise ValueError(
             f"keys/values of shape {keys.shape}/{values.shape} are not "
-            f"(heads {len(slices)}, n >= 1, head_dim {first.exact_k.shape[1]})"
+            f"(heads {n_heads}, n >= 1, head_dim {head_dim})"
         )
     # one bool temporary at a time, each counted: cheaper than a reduction on a token
     if (np.count_nonzero(np.isfinite(keys)) != keys.size
@@ -411,109 +365,134 @@ def ingest(slices, basis: FourierBasis, keys, values) -> None:
         raise ValueError("keys/values contain NaN or Inf")
     end = p + keys.shape[1]
     grown = part.middle(end)
-    if grown.stop - grown.start > part.period:
+    folded = grown.stop - grown.start
+    if folded > part.period:
         # folded positions must cover distinct residues of the period; a
         # contiguous middle region no longer than one period guarantees that
         raise ValueError(
-            f"a middle region of {grown.stop - grown.start} positions would exceed the "
+            f"a middle region of {folded} positions would exceed the "
             f"spectral period {part.period}; folding it would alias earlier positions"
         )
 
     # the middle grows by the run past the positions folded so far, one a kept row
-    start = grown.start + first._spec.token_count
+    start = grown.start + lay.folded[heads.start]
     evicted = grown.stop - start
     if evicted > 1:
-        _fold_run(slices, basis, keys, values, p, range(start, grown.stop))
-    # one evicted position folds per head below, from its ring row if below p
-    row = _ring_row(part, start) if evicted == 1 and start < p else None
+        _fold_run(lay, heads, basis, keys, values, p, range(start, grown.stop))
+    elif evicted == 1:
+        if folded > lay.kept_k.shape[1]:
+            _grow(lay, folded)
+        # one evicted position folds per head below, from its ring row if below p
+        row = _ring_row(part, start) if start < p else None
     # the chunk's positions that stay exact take their rows: their own below
     # init_len, then ring rows from the first past the grown middle
     low = part.init_len if end > part.init_len else end
     local = grown.stop if grown.stop > p else p
     ring = _ring_rows(part, local, end)
-    for i, sl in enumerate(slices):
-        k, v, order = keys[i], values[i], sl._order
+    exact = lay.exact
+    for i, h in enumerate(heads):
+        k, v, order = keys[i], values[i], lay._orders[h]
         if evicted == 1:
             # the position's K and V rows, dims in layout order, read before a
             # token of the chunk takes its row
             if row is None:
                 k_row, v_row = k[start - p, order[0]], v[start - p, order[1]]
             else:
-                k_row, v_row = sl.exact_k[row], sl.exact_v[row]
-            k_count = sl.dims.k_compressed.size
-            v_count = sl._spec.coeffs.shape[1] - k_count
-            fold_token(sl._spec, basis,
-                       np.concatenate((k_row[:k_count], v_row[:v_count]), dtype=np.float64),
-                       start)
-            sl.kept_k.extend(1)[0] = k_row[k_count:]
-            sl.kept_v.extend(1)[0] = v_row[v_count:]
+                k_row, v_row = exact[0, h, row], exact[1, h, row]
+            # K's compressed dims, then V's from column k_cols; padding columns stay 0
+            k_count, v_count = order[3], order[4]
+            merged = np.zeros(lay.states.shape[2])
+            merged[:k_count] = k_row[:k_count]
+            merged[lay.k_cols : lay.k_cols + v_count] = v_row[:v_count]
+            # the state's counts follow from the middle: it starts at grown.start
+            fold_token(SpectralState(lay.states[h], start - grown.start, grown.start, start - 1),
+                       basis, merged, start)
+            lay.kept_k[h, start - grown.start, : head_dim - k_count] = k_row[k_count:]
+            lay.kept_v[h, start - grown.start, : head_dim - v_count] = v_row[v_count:]
         # mode "clip" (the indices are in range) lets take write into out unbuffered
         if p < low:
-            k[: low - p].take(order[0], 1, sl.exact_k[p:low], "clip")
-            v[: low - p].take(order[1], 1, sl.exact_v[p:low], "clip")
+            k[: low - p].take(order[0], 1, exact[0, h, p:low], "clip")
+            v[: low - p].take(order[1], 1, exact[1, h, p:low], "clip")
         at = local - p
         for rows in ring:
             stop = at + rows.stop - rows.start
-            k[at:stop].take(order[0], 1, sl.exact_k[rows], "clip")
-            v[at:stop].take(order[1], 1, sl.exact_v[rows], "clip")
+            k[at:stop].take(order[0], 1, exact[0, h, rows], "clip")
+            v[at:stop].take(order[1], 1, exact[1, h, rows], "clip")
             at = stop
-        sl.total_len = end
+        lay.folded[h] = folded
+        lay.total_len[h] = end
 
 
-def _fold_run(slices, basis: FourierBasis, keys, values, p: int, run: range) -> None:
-    """Fold an evicted run of two or more positions into every slice and append its kept rows.
+def _grow(lay: LayerCache, rows: int) -> None:
+    """Grow the kept rows, keeping those held, to ``rows + max(8, rows // 8)`` a head.
+
+    So appends cost amortized O(1) copies, and a prefill of ``M`` middle rows
+    leaves room for the first ``max(8, M // 8)`` evictions of its decode.
+    """
+    for name in ("kept_k", "kept_v"):
+        kept = getattr(lay, name)
+        grown = np.empty((kept.shape[0], rows + max(8, rows // 8), kept.shape[2]),
+                         dtype=np.float32)
+        grown[:, : kept.shape[1]] = kept
+        setattr(lay, name, grown)
+
+
+def _fold_run(lay: LayerCache, heads: range, basis: FourierBasis, keys, values, p: int,
+              run: range) -> None:
+    """Fold an evicted run of two or more positions into every head and append its kept rows.
 
     Each head's K and V rows of the run are read in index order: straight
     from the chunk when the run starts at or past ``p``, and otherwise
     gathered from the ring rows, put back in index order, ahead of the
-    chunk's. The states are added to in one batch fold, before the kept
-    rows are written straight into their buffers.
+    chunk's. The states are added to in one batch fold, and only then do
+    the kept rows grow and take the run's, so the fold's transient and the
+    kept rows are not held at once.
     """
     count = len(run)
     chunk = slice(max(run.start, p) - p, max(run.stop, p) - p)
     k_runs, v_runs = keys[:, chunk], values[:, chunk]
     if run.start < p:
         # ring rows lead the run: gathered ahead of the chunk's, dims back in index order
-        ring = _ring_rows(slices[0].partition, run.start, min(run.stop, p))
+        ring = _ring_rows(lay.partition, run.start, min(run.stop, p))
         k_runs, v_runs = list(k_runs), list(v_runs)
-        for i, sl in enumerate(slices):
-            for runs, exact, order in ((k_runs, sl.exact_k, sl._order[0]),
-                                       (v_runs, sl.exact_v, sl._order[1])):
+        for i, h in enumerate(heads):
+            for runs, exact, order in ((k_runs, lay.exact[0, h], lay._orders[h][0]),
+                                       (v_runs, lay.exact[1, h], lay._orders[h][1])):
                 held = np.concatenate([exact[rows] for rows in ring])[:, np.argsort(order)]
                 runs[i] = np.concatenate((held, runs[i]))
-    heads = [sl.dims for sl in slices]
+    dims = [lay.dims[h] for h in heads]
+    states, k_cols = lay.states, lay.k_cols
     _fold_into(
         basis,
         [*k_runs, *v_runs],
-        [hd.k_compressed for hd in heads] + [hd.v_compressed for hd in heads],
-        [sl._spec.coeffs[:, : hd.k_compressed.size] for sl, hd in zip(slices, heads)]
-        + [sl._spec.coeffs[:, hd.k_compressed.size :] for sl, hd in zip(slices, heads)],
+        [hd.k_compressed for hd in dims] + [hd.v_compressed for hd in dims],
+        [states[h, :, : hd.k_compressed.size] for h, hd in zip(heads, dims)]
+        + [states[h, :, k_cols : k_cols + hd.v_compressed.size] for h, hd in zip(heads, dims)],
         run.start,
     )
-    for sl, hd, k_run, v_run in zip(slices, heads, k_runs, v_runs):
-        spec = sl._spec
-        if not spec.token_count:
-            spec.first_pos = run.start
-        spec.token_count += count
-        spec.last_pos = run.stop - 1
+    first = lay.folded[heads.start]
+    if first + count > lay.kept_k.shape[1]:
+        _grow(lay, first + count)
+    rows = slice(first, first + count)
+    for h, hd, k_run, v_run in zip(heads, dims, k_runs, v_runs):
         # mode="clip" (the indices are in range) lets take write into out unbuffered
-        k_run.take(hd.k_kept, axis=1, out=sl.kept_k.extend(count), mode="clip")
-        v_run.take(hd.v_kept, axis=1, out=sl.kept_v.extend(count), mode="clip")
+        k_run.take(hd.k_kept, axis=1, out=lay.kept_k[h, rows, : hd.k_kept.size], mode="clip")
+        v_run.take(hd.v_kept, axis=1, out=lay.kept_v[h, rows, : hd.v_kept.size], mode="clip")
 
 
 @dataclass
 class CompressedCache:
-    """All layers' head slices plus the shared layout and basis."""
+    """Every layer's storage plus the shared layout and basis."""
 
     layout: CacheLayout
     basis: FourierBasis
-    slices: list  # [layer][head] -> HeadSlice
+    layers: list  # [layer] -> LayerCache
 
-    def slice(self, layer: int, head: int) -> HeadSlice:
-        return self.slices[layer][head]
+    def slice(self, layer: int, head: int) -> HeadView:
+        return HeadView(self.layers[layer], head)
 
     def append(self, layer: int, head: int, k_vec, v_vec) -> None:
-        append_token(self.slices[layer][head], self.basis, k_vec, v_vec)
+        append_token(HeadView(self.layers[layer], head), self.basis, k_vec, v_vec)
 
 
 def prefill_trace(trace, layout: CacheLayout, basis: FourierBasis) -> CompressedCache:
@@ -527,11 +506,11 @@ def prefill_trace(trace, layout: CacheLayout, basis: FourierBasis) -> Compressed
             f"trace geometry ({trace.layers}, {trace.kv_heads}, {trace.head_dim}) does not "
             f"match layout ({layout.layers}, {layout.kv_heads}, {layout.head_dim})"
         )
-    slices = [
+    layers = [
         prefill(trace.keys[layer], trace.values[layer], layout, layer, basis)
         for layer in range(layout.layers)
     ]
-    return CompressedCache(layout=layout, basis=basis, slices=slices)
+    return CompressedCache(layout=layout, basis=basis, layers=layers)
 
 
 def memory_report(layout: CacheLayout, seq_len: int) -> dict:
@@ -542,6 +521,9 @@ def memory_report(layout: CacheLayout, seq_len: int) -> dict:
     ``seq_len`` minus the middle, for K and V, and the middle's kept dims;
     a head's exact block reserves ``init_len + local_len`` rows, so a
     sequence shorter than that leaves rows free that are not counted.
+    ``padding_floats`` counts the float32 kept dims and float64 state
+    columns a :class:`LayerCache` pads its heads to, 0 where every head of
+    a layer compresses as many K and as many V dims.
     ``compressed_fraction`` is the share of (layer, head, dim, K/V) channels
     routed to spectral storage; as ``seq_len`` grows, ``ratio_vs_full``
     approaches ``1 - compressed_fraction``. The counts do not weigh bytes: a
@@ -560,9 +542,15 @@ def memory_report(layout: CacheLayout, seq_len: int) -> dict:
     exact = (seq_len - middle) * mask.size + middle * (mask.size - channels_spectral)
     spectral = 2 * part.orders * channels_spectral
     full = mask.size * seq_len
+    # per layer and K/V, each head's compressed count short of the widest
+    # pads its state columns, and past the fewest its kept rows
+    counts = mask.sum(axis=-1)
+    short = int((counts.max(axis=2, keepdims=True, initial=0) - counts).sum())
+    past = int((counts - counts.min(axis=2, keepdims=True, initial=mask.shape[3])).sum())
     return {
         "exact_floats": exact,
         "spectral_floats": spectral,
+        "padding_floats": 2 * part.orders * short + middle * past,
         "full_cache_floats": full,
         "compressed_fraction": channels_spectral / mask.size,
         "ratio_vs_full": (exact + spectral) / full if full else float("nan"),

@@ -276,7 +276,7 @@ def cmd_eval(args) -> int:
         for layer in range(trace.layers):
             # each head's K and then V token, in the order of one draw per vector
             kv = rng.standard_normal((trace.kv_heads, 2, 1, trace.head_dim)).astype(np.float32)
-            ingest(cache.slices[layer], basis, kv[:, 0], kv[:, 1])
+            ingest(cache.layers[layer], basis, kv[:, 0], kv[:, 1])
             keys[layer, :, length - 1] = kv[:, 0, 0]
             values[layer, :, length - 1] = kv[:, 1, 0]
         # one query per head in (layer, head) order: one draw, the same as one per head

@@ -158,16 +158,19 @@ def rank_dimensions(trace: KVTrace, partition: PartitionParams, basis: FourierBa
     Chebyshev moments (moment Gram, :func:`_moment_split`; 98 for 512 orders
     over 1020 positions at period 32768), both through :func:`_split_sse`.
 
-    With ``R = orders``, one rule prices each Gram form at half its unsplit
-    work, as the split halves it: the Fourier form at ``R * (M + 2R) / 2``,
-    the moments at ``_MOMENT_COST_RATIO * d * (M + d) / 4`` while four ``d x
-    d`` matrices fit ``_FOLD_CHUNK_FLOATS`` (``d <= 181``). The cheaper runs
-    where ``_products_cheaper`` says it beats the convolution (FFT length
-    ``L = n/2 + 1``); ties go to the Fourier form. Desk's middle (16 orders
-    over 956 positions) takes the Fourier form (7,904 against 18,886),
-    stock's the moments (54,782, against 523,264 and the convolution's
-    180,400), 512 orders over 4000 positions at period 32768 (299 moments)
-    the convolution. The transient is one group of FFT columns, or one chunk
+    With ``R = orders``, one rule prices each Gram form per column at half
+    its unsplit work, as the split halves it: the Fourier form at ``R * (M +
+    2R) / 2``, the moments at ``_MOMENT_COST_RATIO * (d * (M + d) / 4 + 2 *
+    d**3 / columns)``, whose second term spreads their ``d x d`` build over
+    the trace's columns, while four ``d x d`` matrices fit
+    ``_FOLD_CHUNK_FLOATS`` (``d <= 181``). The cheaper runs where
+    ``_products_cheaper`` says it beats the convolution (FFT length ``L =
+    n/2 + 1``); ties go to the Fourier form. Desk (16 orders over 956
+    positions) takes the Fourier form (7,904), stock the moments (69,488 at
+    256 columns, against 523,264 and the convolution's 180,400), and 512
+    orders over 256 positions at period 4096 (168 moments, 109,704) or over
+    4000 at period 32768 (299 moments) the convolution. The transient is one
+    group of FFT columns, or one chunk
     of rows and a block's halves, within ``_FOLD_CHUNK_FLOATS`` (1 MB), plus
     one layer's sums or moments.
     """
@@ -188,7 +191,11 @@ def rank_dimensions(trace: KVTrace, partition: PartitionParams, basis: FourierBa
     ]
     sse = np.empty((trace.layers, 2 * trace.kv_heads, trace.head_dim))
     fourier = basis.orders * (length + 2 * basis.orders) / 2
-    moments = spectral._MOMENT_COST_RATIO * degree * (length + degree) / 4
+    # the moments' d x d build, about 4 d**3 multiply-adds priced as their
+    # products are (half the ratio each), is shared by every column
+    columns = trace.layers * 2 * trace.kv_heads * trace.head_dim
+    moments = spectral._MOMENT_COST_RATIO * (degree * (length + degree) / 4
+                                             + 2 * degree**3 / columns)
     if 4 * degree**2 > spectral._FOLD_CHUNK_FLOATS:
         moments = math.inf  # its d x d matrices, four at a time, would outgrow the fold's budget
     if not spectral._products_cheaper(min(fourier, moments), n_fft // 2 + 1):

@@ -505,21 +505,22 @@ def _products_cheaper(work: int, fft_len: int) -> bool:
     between its convolution and the cheaper of its two Gram forms, with
     ``L`` the real FFT of twice the calibration middle's ``M`` positions.
     Both Gram forms fold a column's even and odd halves about the middle's
-    centre, half the multiply-adds of their unsplit products, and are
-    priced at half their unsplit work: the Fourier Gram form at ``R * (M +
-    2R) / 2``, the moment Gram form at ``_MOMENT_COST_RATIO * d * (M + d) /
-    4`` for ``d`` moments, while four ``d x d`` matrices fit
-    ``_FOLD_CHUNK_FLOATS``. Over orders 8-512, middles 256-4000 and periods
-    4096 and 32768, and 512 orders over 8192 positions at period 32768 (256
-    columns; two sweeps timing this rule and the unsplit one in one
-    process, alternating; numpy 2.4 and scipy 1.17 on a 2-core x86_64, one
-    BLAS thread), it picked a form within 1.1x of the fastest in 35 and 33
-    of 37 rankings and took a median 0.78-0.80x the unsplit rule's time. It
-    moved two rankings off the convolution: 256 orders over 4000 positions
-    at period 4096 to the Fourier Gram form, at 0.73-0.76x the time, and 512
-    orders over 256 positions at period 4096 to the moments, at 1.96-2.03x,
-    as their ``d x d`` builds (168 moments) go unpriced. The cap keeps 512
-    orders over 4000 positions at period 32768 (299 moments) on the
+    centre, half the multiply-adds of their unsplit products, and are priced at
+    half their unsplit work: the Fourier Gram form at ``R * (M + 2R) / 2``, the
+    moment Gram form at ``_MOMENT_COST_RATIO * (d * (M + d) / 4 + 2 * d**3 /
+    columns)`` for ``d`` moments (the second term their ``d x d`` build), while
+    four ``d x d`` matrices fit ``_FOLD_CHUNK_FLOATS``. Over orders 8-512,
+    middles 256-4000 and periods 4096 and 32768, and 512 orders over 8192
+    positions at period 32768 (256 columns; two sweeps timing this rule and the
+    unsplit one in one process, alternating; numpy 2.4 and scipy 1.17 on a
+    2-core x86_64, one BLAS thread), it picked a form within 1.1x of the
+    fastest in 35 and 33 of 37 rankings and took a median 0.78-0.80x the
+    unsplit rule's time. It moved two rankings off the convolution: 256 orders
+    over 4000 positions at period 4096 to the Fourier Gram form, at 0.73-0.76x
+    the time, and 512 orders over 256 positions at period 4096 to the moments,
+    at 1.96-2.03x, as their ``d x d`` builds (168 moments) went unpriced;
+    priced, over 256 columns, that ranking runs the convolution again. The cap
+    keeps 512 orders over 4000 positions at period 32768 (299 moments) on the
     convolution, at 1.6x the moments' time.
     """
     return work <= _TABLE_COST_RATIO * fft_len * fft_len.bit_length()

@@ -19,7 +19,7 @@ from fourier_kv.attention import (
     output_divergence,
     perturb_dims,
 )
-from fourier_kv.cache import CacheLayout, PartitionParams, append_token, prefill
+from fourier_kv.cache import CacheLayout, HeadView, PartitionParams, append_token, prefill
 from fourier_kv.spectral import FourierBasis, build_basis
 from fourier_kv.traceio import KVTrace, gen_synthetic
 
@@ -47,7 +47,7 @@ def build_slice(rng, *, seq_len=64, head_dim=8, init=4, local=8, orders=4, perio
     if keys is None:
         keys = rng.standard_normal((1, seq_len, head_dim)).astype(np.float32)
         values = rng.standard_normal((1, seq_len, head_dim)).astype(np.float32)
-    sl = prefill(keys, values, layout, 0, basis)[0]
+    sl = HeadView(prefill(keys, values, layout, 0, basis), 0)
     return sl, basis, keys[0], values[0]
 
 
@@ -234,7 +234,7 @@ class TestCompressedFused:
         assume(local.size > 0)
         rows = part.init_len + (local - part.init_len) % part.local_len
         row = data.draw(st.sampled_from(rows.tolist()))
-        sl.exact_k[row, data.draw(st.integers(0, sl.exact_k.shape[1] - 1))] = np.inf
+        sl.layer.exact[0, 0, row, data.draw(st.integers(0, sl.layer.exact.shape[3] - 1))] = np.inf
         with pytest.raises(ValueError):
             attend_compressed_fused(q, sl, basis)
 
@@ -246,10 +246,12 @@ class TestCompressedFused:
         rng = np.random.default_rng(4)
         sl, basis, *_ = build_slice(rng, seq_len=64)
         q = rng.standard_normal(8)
+        layer = sl.layer
         if where.startswith("kept"):
-            getattr(sl, where).view()[10, 1] = np.nan
+            getattr(layer, where)[0, 10, 1] = np.nan
         else:
-            getattr(sl, where).coeffs[3, 1] = np.inf
+            # K's compressed columns lead the state, V's from k_cols on
+            layer.states[0, 3, 1 + (layer.k_cols if where == "spec_v" else 0)] = np.inf
         with pytest.raises(ValueError):
             attend_compressed_fused(q, sl, basis)
 
@@ -260,10 +262,10 @@ class TestCompressedFused:
         q = rng.standard_normal(8)
         oldest = sl.partition.middle(sl.total_len).stop  # the oldest local position
         row = 4 + (oldest - 4) % 8  # its ring row at init 4, local 8
-        sl.exact_k[row] = -1000.0 * q
+        sl.layer.exact[0, 0, row] = -1000.0 * q
         weights = attend_compressed_materialized(q, sl, basis, return_weights=True).weights
         assert weights[oldest] == 0.0  # exp underflows to exactly 0
-        sl.exact_v[row, 2] = np.inf
+        sl.layer.exact[1, 0, row, 2] = np.inf
         with pytest.raises(ValueError):
             attend_compressed_fused(q, sl, basis)
 
@@ -285,15 +287,15 @@ DESK = PartitionParams(init_len=4, local_len=64, period=4096, orders=16)
 
 
 def desk_layer(rng, heads):
-    """Slices of a desk-geometry layer after a 1024-token prompt, unequal
-    compressed counts per head, and the next token of every head."""
+    """Views of the heads of a desk-geometry layer after a 1024-token prompt,
+    unequal compressed counts per head, and the next token of every head."""
     mask = rng.random((1, 2, heads, 64)) < 0.6
     layout = CacheLayout(partition=DESK, compressed=mask)
     basis = FourierBasis(DESK.orders, DESK.period)
     keys = rng.standard_normal((heads, 1025, 64)).astype(np.float32)
     values = rng.standard_normal((heads, 1025, 64)).astype(np.float32)
-    slices = prefill(keys[:, :1024], values[:, :1024], layout, 0, basis)
-    return slices, basis, keys[:, 1024], values[:, 1024]
+    layer = prefill(keys[:, :1024], values[:, :1024], layout, 0, basis)
+    return [HeadView(layer, head) for head in range(heads)], basis, keys[:, 1024], values[:, 1024]
 
 
 def test_a_desk_step_over_32_heads_resolves_one_run_plan():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fourier_kv import spectral
 from fourier_kv.cache import (
     CacheLayout,
+    HeadView,
     PartitionParams,
     append_token,
     ingest,
@@ -27,7 +28,7 @@ from fourier_kv.dimselect import (
     apply_schema,
     selection_histogram,
 )
-from fourier_kv.spectral import FourierBasis, build_basis, compress_batch
+from fourier_kv.spectral import FourierBasis, SpectralState, build_basis, compress_batch
 from fourier_kv.traceio import KVTrace, gen_synthetic
 
 
@@ -56,10 +57,45 @@ def random_layer(rng, kv_heads=1, seq_len=64, head_dim=6):
     )
 
 
+def heads_of(layer):
+    """A view of each head of a layer."""
+    return [HeadView(layer, head) for head in range(len(layer.total_len))]
+
+
+def exact_blocks(sl):
+    """A head's exact K and V blocks: its rows of the layer's exact array."""
+    return sl.layer.exact[0, sl.head], sl.layer.exact[1, sl.head]
+
+
+def kept_rows(sl):
+    """A head's kept K and V rows in use, as wide as its kept dims."""
+    layer, head = sl
+    dims, rows = layer.dims[head], layer.folded[head]
+    return (layer.kept_k[head, :rows, : dims.k_kept.size],
+            layer.kept_v[head, :rows, : dims.v_kept.size])
+
+
+def states(sl):
+    """A head's K and V states: views of its columns of the layer's states,
+    with the counters that its folded positions give."""
+    layer, head = sl
+    dims, count = layer.dims[head], layer.folded[head]
+    start = layer.partition.middle(layer.total_len[head]).start
+    bounds = (start, start + count - 1) if count else (None, None)
+    return [SpectralState(layer.states[head, :, cols], count, *bounds)
+            for cols in (slice(0, dims.k_compressed.size),
+                         slice(layer.k_cols, layer.k_cols + dims.v_compressed.size))]
+
+
+def layer_bytes(layer):
+    """The bytes of the arrays a layer holds."""
+    return layer.exact.nbytes + layer.kept_k.nbytes + layer.kept_v.nbytes + layer.states.nbytes
+
+
 def in_index_order(sl, k_rows, v_rows):
-    """Stored K and V rows with their dims back in index order: a slice stores
+    """Stored K and V rows with their dims back in index order: a layer stores
     each row's compressed dims first, then its kept ones."""
-    dims = sl.dims
+    dims = sl.layer.dims[sl.head]
     return (k_rows[:, np.argsort(np.r_[dims.k_compressed, dims.k_kept])],
             v_rows[:, np.argsort(np.r_[dims.v_compressed, dims.v_kept])])
 
@@ -70,7 +106,8 @@ def local_block(sl):
     part = sl.partition
     local = np.arange(part.middle(sl.total_len).stop, sl.total_len)
     rows = part.init_len + (local - part.init_len) % part.local_len
-    return in_index_order(sl, sl.exact_k[rows], sl.exact_v[rows])
+    exact_k, exact_v = exact_blocks(sl)
+    return in_index_order(sl, exact_k[rows], exact_v[rows])
 
 
 def sorted_dim_sets(indices, head_dim):
@@ -104,20 +141,28 @@ def loop_memory_report(layout, seq_len):
     """The per-head loop ``memory_report`` ran before the layout was one mask."""
     part = layout.partition
     middle = len(part.middle(seq_len))
-    exact = spectral = channels_total = channels_spectral = 0
+    exact = spectral = padding = channels_total = channels_spectral = 0
     for layer in range(layout.layers):
-        for head in range(layout.kv_heads):
-            hd = layout.dims[layer][head]
+        heads = layout.dims[layer]
+        # a layer's heads are padded to its widest state and its widest kept rows
+        widest_kc = max((hd.k_compressed.size for hd in heads), default=0)
+        widest_vc = max((hd.v_compressed.size for hd in heads), default=0)
+        widest_kk = max((hd.k_kept.size for hd in heads), default=0)
+        widest_vk = max((hd.v_kept.size for hd in heads), default=0)
+        for hd in heads:
             n_kc, n_vc = hd.k_compressed.size, hd.v_compressed.size
             exact += (seq_len - middle) * 2 * layout.head_dim
             exact += middle * (hd.k_kept.size + hd.v_kept.size)
             spectral += 2 * part.orders * (n_kc + n_vc)
+            padding += 2 * part.orders * (widest_kc - n_kc + widest_vc - n_vc)
+            padding += middle * (widest_kk - hd.k_kept.size + widest_vk - hd.v_kept.size)
             channels_spectral += n_kc + n_vc
             channels_total += 2 * layout.head_dim
     full = layout.layers * layout.kv_heads * 2 * seq_len * layout.head_dim
     return {
         "exact_floats": exact,
         "spectral_floats": spectral,
+        "padding_floats": padding,
         "full_cache_floats": full,
         "compressed_fraction": channels_spectral / channels_total,
         "ratio_vs_full": (exact + spectral) / full if full else float("nan"),
@@ -227,10 +272,11 @@ class TestPrefill:
         layout = make_layout(init=4, local=16, head_dim=6, period=64, orders=8)
         basis = build_basis(8, 64)
         keys, values = random_layer(rng, seq_len=64)
-        sl = prefill(keys, values, layout, 0, basis)[0]
-        assert sl.spec_k.token_count == 44
-        assert sl.spec_k.first_pos == 4
-        assert sl.spec_k.last_pos == 47
+        layer = prefill(keys, values, layout, 0, basis)
+        sl = HeadView(layer, 0)
+        assert layer.folded == [44] and layer.total_len == [64]
+        assert layer.exact.shape == (2, 1, 20, 6) and layer.states.shape == (1, 16, 5)
+        assert layer.kept_k.shape[2] == 3 and layer.kept_v.shape[2] == 4
         assert sl.middle_count == 44
         assert sl.partition.middle(sl.total_len) == range(4, 48)
         assert sl.total_len - sl.middle_count - 4 == 16  # ring rows in use
@@ -241,20 +287,20 @@ class TestPrefill:
         layout = make_layout(init=4, local=16)
         basis = build_basis(4, 256)
         keys, values = random_layer(rng, seq_len=20)
-        sl = prefill(keys, values, layout, 0, basis)[0]
-        assert sl.spec_k.token_count == 0
-        assert np.all(sl.spec_k.coeffs == 0.0)
-        assert sl.middle_count == 0
+        layer = prefill(keys, values, layout, 0, basis)
+        assert layer.folded == [0]
+        assert np.all(layer.states == 0.0)
+        assert HeadView(layer, 0).middle_count == 0
 
     def test_lossless_head_round_trips(self):
         rng = np.random.default_rng(2)
         layout = make_layout(k_comp=(), v_comp=())
         basis = build_basis(4, 256)
         keys, values = random_layer(rng, seq_len=40)
-        sl = prefill(keys, values, layout, 0, basis)[0]
+        sl = HeadView(prefill(keys, values, layout, 0, basis), 0)
         middle = np.arange(4, 40 - 16)
-        np.testing.assert_array_equal(sl.kept_k.view(), keys[0][middle])
-        np.testing.assert_array_equal(sl.exact_k[:4], keys[0][:4])
+        np.testing.assert_array_equal(kept_rows(sl)[0], keys[0][middle])
+        np.testing.assert_array_equal(exact_blocks(sl)[0][:4], keys[0][:4])
         local_k, local_v = local_block(sl)
         np.testing.assert_array_equal(local_k, keys[0][-16:])
         np.testing.assert_array_equal(local_v, values[0][-16:])
@@ -264,10 +310,10 @@ class TestPrefill:
         layout = make_layout(k_comp=(0, 1), v_comp=(5,))
         basis = build_basis(4, 256)
         keys, values = random_layer(rng, seq_len=50)
-        sl = prefill(keys, values, layout, 0, basis)[0]
+        kept_k, kept_v = kept_rows(HeadView(prefill(keys, values, layout, 0, basis), 0))
         middle = np.arange(4, 50 - 16)
-        np.testing.assert_array_equal(sl.kept_k.view(), keys[0][middle][:, [2, 3, 4, 5]])
-        np.testing.assert_array_equal(sl.kept_v.view(), values[0][middle][:, [0, 1, 2, 3, 4]])
+        np.testing.assert_array_equal(kept_k, keys[0][middle][:, [2, 3, 4, 5]])
+        np.testing.assert_array_equal(kept_v, values[0][middle][:, [0, 1, 2, 3, 4]])
 
     def test_geometry_mismatch_rejected(self):
         rng = np.random.default_rng(4)
@@ -293,23 +339,21 @@ class TestPrefill:
         prefill(keys, values, layout, 0, basis)
 
 
-def slice_arrays(sl):
-    """Every array and counter a head slice holds, copied."""
+def layer_arrays(layer):
+    """Every array and count a layer holds, copied; the kept rows with their
+    capacity, so that a growth shows too."""
     return {
-        "exact_k": sl.exact_k.copy(), "exact_v": sl.exact_v.copy(),
-        "kept_k": sl.kept_k.view().copy(), "kept_v": sl.kept_v.view().copy(),
-        "spec_k": sl.spec_k.coeffs.copy(), "spec_v": sl.spec_v.coeffs.copy(),
-        "counters": (sl.middle_count, sl.total_len,
-                     *[(state.token_count, state.first_pos, state.last_pos)
-                       for state in (sl.spec_k, sl.spec_v)]),
+        "exact": layer.exact.copy(), "kept_k": layer.kept_k.copy(),
+        "kept_v": layer.kept_v.copy(), "states": layer.states.copy(),
+        "counts": (list(layer.total_len), list(layer.folded)),
     }
 
 
-def assert_slice_unchanged(sl, before):
-    after = slice_arrays(sl)
-    for name in ("exact_k", "exact_v", "kept_k", "kept_v", "spec_k", "spec_v"):
+def assert_layer_unchanged(layer, before):
+    after = layer_arrays(layer)
+    for name in ("exact", "kept_k", "kept_v", "states"):
         np.testing.assert_array_equal(after[name], before[name], err_msg=name)
-    assert after["counters"] == before["counters"]
+    assert after["counts"] == before["counts"]
 
 
 @st.composite
@@ -355,16 +399,16 @@ class TestPrefillFold:
     )
 
     @staticmethod
-    def assert_states_match(layout, keys, values, slices, basis):
+    def assert_states_match(layout, keys, values, layer, basis):
         """Each head's K and V states equal ``compress_batch`` of its middle rows."""
         part = layout.partition
         seq_len = keys.shape[1]
         n_init = min(part.init_len, seq_len)
         local_start = max(n_init, seq_len - part.local_len)
-        for head, sl in enumerate(slices):
+        for head, sl in enumerate(heads_of(layer)):
             hd = layout.dims[0][head]
-            for state, block, comp in ((sl.spec_k, keys, hd.k_compressed),
-                                       (sl.spec_v, values, hd.v_compressed)):
+            for state, block, comp in zip(states(sl), (keys, values),
+                                          (hd.k_compressed, hd.v_compressed)):
                 rows = block[head, n_init:local_start][:, comp]
                 oracle = compress_batch(basis, rows, n_init)
                 scale = np.maximum(1.0, np.abs(rows.astype(np.float64)).sum(axis=0))
@@ -381,8 +425,8 @@ class TestPrefillFold:
         basis = build_basis(layout.partition.orders, layout.partition.period)
         for ratios in self.TRANSFORMS:
             with mock.patch.multiple(spectral, **ratios):
-                slices = prefill(keys, values, layout, 0, basis)
-            self.assert_states_match(layout, keys, values, slices, basis)
+                layer = prefill(keys, values, layout, 0, basis)
+            self.assert_states_match(layout, keys, values, layer, basis)
 
     @staticmethod
     def stock_layer():
@@ -398,11 +442,11 @@ class TestPrefillFold:
         layout, keys, values, basis = self.stock_layer()
         with mock.patch.object(spectral, "_fold_moments", autospec=True,
                                side_effect=spectral._fold_moments) as moments:
-            slices = prefill(keys, values, layout, 0, basis)
+            layer = prefill(keys, values, layout, 0, basis)
         # the whole middle in one sub-run, K and V columns in one group
         assert moments.call_count == 1
         assert moments.call_args.args[1].degree == 98
-        self.assert_states_match(layout, keys, values, slices, basis)
+        self.assert_states_match(layout, keys, values, layer, basis)
 
     def test_stock_transient_stays_within_the_fold_budget(self):
         # the decode_stock_gqa geometry: the moments build their tables per
@@ -413,14 +457,11 @@ class TestPrefillFold:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            slices = prefill(keys, values, layout, 0, basis)
+            layer = prefill(keys, values, layout, 0, basis)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        held = slices[0].exact_k.base.nbytes + sum(
-            sl.kept_k._data.nbytes + sl.kept_v._data.nbytes + sl._spec.coeffs.nbytes
-            for sl in slices)
-        assert peak - before <= held + 8 * spectral._FOLD_CHUNK_FLOATS + 16 * 1024
+        assert peak - before <= layer_bytes(layer) + 8 * spectral._FOLD_CHUNK_FLOATS + 16 * 1024
 
     @staticmethod
     def desk_layer():
@@ -433,7 +474,7 @@ class TestPrefillFold:
         return layout, keys, values, build_basis(16, 4096)
 
     def test_desk_transient_stays_within_the_fold_budget(self):
-        # the benchmark's transient reads prefill after the slices are built,
+        # the benchmark's transient reads prefill after the layer is built,
         # so it cannot see the fold; this bounds the peak of the call itself
         layout, keys, values, basis = self.desk_layer()
         prefill(keys, values, layout, 0, basis)  # plans and numpy's first-call allocations
@@ -441,14 +482,11 @@ class TestPrefillFold:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            slices = prefill(keys, values, layout, 0, basis)
+            layer = prefill(keys, values, layout, 0, basis)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        held = slices[0].exact_k.base.nbytes + sum(
-            sl.kept_k._data.nbytes + sl.kept_v._data.nbytes + sl._spec.coeffs.nbytes
-            for sl in slices)
-        assert peak - before <= held + 8 * spectral._FOLD_CHUNK_FLOATS + 16 * 1024
+        assert peak - before <= layer_bytes(layer) + 8 * spectral._FOLD_CHUNK_FLOATS + 16 * 1024
 
     def test_desk_fold_projects_two_spans_per_block_without_gathers(self, table_products):
         # the trig tables fold each head's K and V block in two products of up
@@ -456,15 +494,15 @@ class TestPrefillFold:
         # gathered picked columns would pass float32 copies of them instead
         layout, keys, values, basis = self.desk_layer()
         with table_products() as weights:
-            slices = prefill(keys, values, layout, 0, basis)
-        assert 0 < len(weights) <= 2 * 2 * len(slices)
+            layer = prefill(keys, values, layout, 0, basis)
+        assert 0 < len(weights) <= 2 * 2 * layout.kv_heads
         for w in weights:
             assert w.dtype == np.float64 and w.shape[1] <= 32
-        for head, sl in enumerate(slices):
+        for head, sl in enumerate(heads_of(layer)):
             hd = layout.dims[0][head]
             middle = slice(4, 1024 - 64)
-            for state, block, comp in ((sl.spec_k, keys, hd.k_compressed),
-                                       (sl.spec_v, values, hd.v_compressed)):
+            for state, block, comp in zip(states(sl), (keys, values),
+                                          (hd.k_compressed, hd.v_compressed)):
                 rows = block[head, middle][:, comp]
                 oracle = compress_batch(basis, rows, 4)
                 scale = np.maximum(1.0, np.abs(rows.astype(np.float64)).sum(axis=0))
@@ -474,12 +512,11 @@ class TestPrefillFold:
         rng = np.random.default_rng(10)
         layout = make_layout(kv_heads=2, init=4, local=16, k_comp=(0, 1), v_comp=(5,))
         keys, values = random_layer(rng, kv_heads=2, seq_len=50)
-        slices = prefill(keys, values, layout, 0, build_basis(4, 256))
-        before = [slice_arrays(sl) for sl in slices]
+        layer = prefill(keys, values, layout, 0, build_basis(4, 256))
+        before = layer_arrays(layer)
         keys[...] = 7.0
         values[...] = -7.0
-        for sl, snapshot in zip(slices, before):
-            assert_slice_unchanged(sl, snapshot)
+        assert_layer_unchanged(layer, before)
 
 
 class TestNonFinite:
@@ -499,14 +536,14 @@ class TestNonFinite:
         layout = make_layout(init=2, local=4)
         basis = build_basis(4, 256)
         keys, values = random_layer(rng, seq_len=12)  # ring full: the next append evicts
-        sl = prefill(keys, values, layout, 0, basis)[0]
-        before = slice_arrays(sl)
+        layer = prefill(keys, values, layout, 0, basis)
+        before = layer_arrays(layer)
         k_vec = rng.standard_normal(6).astype(np.float32)
         v_vec = rng.standard_normal(6).astype(np.float32)
         (k_vec if which == "k" else v_vec)[2] = np.nan
         with pytest.raises(ValueError):
-            append_token(sl, basis, k_vec, v_vec)
-        assert_slice_unchanged(sl, before)
+            append_token(HeadView(layer, 0), basis, k_vec, v_vec)
+        assert_layer_unchanged(layer, before)
 
 
 class TestAppend:
@@ -515,10 +552,10 @@ class TestAppend:
         layout = make_layout(init=2, local=8)
         basis = build_basis(4, 256)
         keys, values = random_layer(rng, seq_len=6)
-        sl = prefill(keys, values, layout, 0, basis)[0]
-        coeffs_before = sl.spec_k.coeffs.copy()
+        sl = HeadView(prefill(keys, values, layout, 0, basis), 0)
+        coeffs_before = sl.layer.states.copy()
         append_token(sl, basis, np.ones(6, np.float32), np.ones(6, np.float32))
-        np.testing.assert_array_equal(sl.spec_k.coeffs, coeffs_before)
+        np.testing.assert_array_equal(sl.layer.states, coeffs_before)
         assert sl.total_len == 7
         assert sl.represented() == 7
 
@@ -527,20 +564,19 @@ class TestAppend:
         layout = make_layout(init=4, local=16, head_dim=6, period=512, orders=4)
         basis = build_basis(4, 512)
         keys, values = random_layer(rng, seq_len=200)
-        full = prefill(keys, values, layout, 0, basis)[0]
+        full = HeadView(prefill(keys, values, layout, 0, basis), 0)
 
         prefix = 40
-        streamed = prefill(keys[:, :prefix], values[:, :prefix], layout, 0, basis)[0]
+        streamed = HeadView(prefill(keys[:, :prefix], values[:, :prefix], layout, 0, basis), 0)
         for pos in range(prefix, 200):
             append_token(streamed, basis, keys[0, pos], values[0, pos])
 
-        for attr in ("spec_k", "spec_v"):
-            a, b = getattr(full, attr), getattr(streamed, attr)
+        for a, b in zip(states(full), states(streamed)):
             denom = np.linalg.norm(a.coeffs) or 1.0
             assert np.linalg.norm(a.coeffs - b.coeffs) / denom < 1e-5
-            assert (a.first_pos, a.last_pos, a.token_count) == (b.first_pos, b.last_pos, b.token_count)
-        np.testing.assert_array_equal(full.kept_k.view(), streamed.kept_k.view())
-        np.testing.assert_array_equal(full.kept_v.view(), streamed.kept_v.view())
+        assert full.layer.folded == streamed.layer.folded == [200 - 4 - 16]
+        for a, b in zip(kept_rows(full), kept_rows(streamed)):
+            np.testing.assert_array_equal(a, b)
         fk, fv = local_block(full)
         sk, sv = local_block(streamed)
         np.testing.assert_array_equal(fk, sk)
@@ -554,69 +590,68 @@ class TestAppend:
                              k_comp=(0, 2, 3), v_comp=(1, 4, 5))
         basis = build_basis(40, 79)
         keys, values = random_layer(rng, seq_len=50)
-        sl = prefill(keys[:, :8], values[:, :8], layout, 0, basis)[0]
+        layer = prefill(keys[:, :8], values[:, :8], layout, 0, basis)
         for pos in range(8, 50):
-            append_token(sl, basis, keys[0, pos], values[0, pos])
+            append_token(HeadView(layer, 0), basis, keys[0, pos], values[0, pos])
         evicted = slice(3, 50 - 5)
         # K's and V's compressed dims share one state, K's columns first: its
         # oracle is compress_batch of the merged block
         merged = np.hstack([keys[0, evicted][:, [0, 2, 3]], values[0, evicted][:, [1, 4, 5]]])
         oracle = compress_batch(basis, merged, 3)
-        np.testing.assert_array_equal(np.hstack([sl.spec_k.coeffs, sl.spec_v.coeffs]),
-                                      oracle.coeffs)
-        for state in (sl.spec_k, sl.spec_v):
-            assert (state.token_count, state.first_pos, state.last_pos) == (
-                oracle.token_count, oracle.first_pos, oracle.last_pos)
+        np.testing.assert_array_equal(layer.states[0], oracle.coeffs)
+        assert layer.folded == [oracle.token_count]
 
     def test_zero_vector_eviction_counts_only(self):
         layout = make_layout(init=0, local=4)
         basis = build_basis(4, 256)
         keys = np.zeros((1, 4, 6), dtype=np.float32)
         values = np.zeros_like(keys)
-        sl = prefill(keys, values, layout, 0, basis)[0]
-        append_token(sl, basis, np.full(6, 2.0, np.float32), np.full(6, 2.0, np.float32))
-        assert np.all(sl.spec_k.coeffs == 0.0)
-        assert sl.spec_k.token_count == 1
+        layer = prefill(keys, values, layout, 0, basis)
+        append_token(HeadView(layer, 0), basis, np.full(6, 2.0, np.float32),
+                     np.full(6, 2.0, np.float32))
+        assert np.all(layer.states == 0.0)
+        assert layer.folded == [1]
 
     def test_conservation_under_long_decode(self):
         rng = np.random.default_rng(8)
         layout = make_layout(init=2, local=4)
         basis = build_basis(4, 256)
         keys, values = random_layer(rng, seq_len=10)
-        sl = prefill(keys, values, layout, 0, basis)[0]
+        sl = HeadView(prefill(keys, values, layout, 0, basis), 0)
         for step in range(60):
             vec = rng.standard_normal(6).astype(np.float32)
             append_token(sl, basis, vec, vec)
             assert sl.represented() == 11 + step
-            assert sl.spec_k.token_count == sl.spec_v.token_count
+            assert sl.middle_count == len(sl.partition.middle(sl.total_len))
 
     def test_kept_rows_survive_growth_with_bounded_slack(self):
         rng = np.random.default_rng(14)
         layout = make_layout(init=4, local=16, head_dim=6, period=2048, orders=4)
         basis = build_basis(4, 2048)
         keys, values = random_layer(rng, seq_len=1000)
-        sl = prefill(keys[:, :300], values[:, :300], layout, 0, basis)[0]
-        for buf in (sl.kept_k, sl.kept_v):
-            # prefill reserves the growth of one append: 280 rows and an eighth
-            assert len(buf) == 300 - 4 - 16 and buf.capacity == 280 + 35
-            assert buf.capacity <= 1.125 * len(buf) + 8
-        reserved = [sl.kept_k._data, sl.kept_v._data]
+        layer = prefill(keys[:, :300], values[:, :300], layout, 0, basis)
+        sl = HeadView(layer, 0)
+        # prefill reserves the growth of one append: 280 rows and an eighth
+        assert sl.middle_count == 300 - 4 - 16 and layer.kept_k.shape[1] == 280 + 35
+        assert layer.kept_v.shape[1] == layer.kept_k.shape[1] <= 1.125 * sl.middle_count + 8
+        reserved = [layer.kept_k, layer.kept_v]
         append_token(sl, basis, keys[0, 300], values[0, 300])
         # the first eviction appends in place, without copying the kept rows
-        assert sl.kept_k._data is reserved[0] and sl.kept_v._data is reserved[1]
+        assert layer.kept_k is reserved[0] and layer.kept_v is reserved[1]
         for pos in range(301, 1000):
             append_token(sl, basis, keys[0, pos], values[0, pos])
-            for buf in (sl.kept_k, sl.kept_v):
-                assert len(buf) <= buf.capacity <= 1.125 * len(buf) + 8
+            for kept in (layer.kept_k, layer.kept_v):
+                assert sl.middle_count <= kept.shape[1] <= 1.125 * sl.middle_count + 8
         middle = slice(4, 1000 - 16)
-        np.testing.assert_array_equal(sl.kept_k.view(), keys[0, middle][:, layout.dims[0][0].k_kept])
-        np.testing.assert_array_equal(sl.kept_v.view(), values[0, middle][:, layout.dims[0][0].v_kept])
+        kept_k, kept_v = kept_rows(sl)
+        np.testing.assert_array_equal(kept_k, keys[0, middle][:, layout.dims[0][0].k_kept])
+        np.testing.assert_array_equal(kept_v, values[0, middle][:, layout.dims[0][0].v_kept])
 
     def test_eviction_past_period_rejected(self):
         layout = make_layout(init=0, local=2, period=4, orders=2)
         basis = build_basis(2, 4)
         keys = np.zeros((1, 2, 6), dtype=np.float32)
-        sl = prefill(keys, keys, layout, 0, basis)[0]
+        sl = HeadView(prefill(keys, keys, layout, 0, basis), 0)
         token = np.zeros(6, np.float32)
         for _ in range(4):
             append_token(sl, basis, token, token)
@@ -632,7 +667,16 @@ def chunk_cuts(seq_len):
 
 class TestIngest:
     """``ingest`` of a chunk per head: any split equals one call, and every
-    rejected call leaves every slice unchanged."""
+    rejected call leaves the layer unchanged."""
+
+    @staticmethod
+    def assert_same_rows(one, split):
+        """Two layers hold the same exact rows, the same kept rows and the same lengths."""
+        np.testing.assert_array_equal(split.exact, one.exact)
+        for a, b in zip(heads_of(one), heads_of(split)):
+            for kept_a, kept_b in zip(kept_rows(a), kept_rows(b)):
+                np.testing.assert_array_equal(kept_b, kept_a)
+        assert split.total_len == one.total_len and split.folded == one.folded
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(case=prefill_geometries(), data=st.data())
@@ -645,18 +689,13 @@ class TestIngest:
         seq_len = keys.shape[1]
         cuts = data.draw(chunk_cuts(seq_len), label="cuts")
         whole = prefill(keys, values, layout, 0, basis)
-        slices = prefill(keys[:, :0], values[:, :0], layout, 0, basis)
+        layer = prefill(keys[:, :0], values[:, :0], layout, 0, basis)
         for lo, hi in zip([0, *cuts], [*cuts, seq_len]):
             if hi > lo:
-                ingest(slices, basis, keys[:, lo:hi], values[:, lo:hi])
-        for one, split in zip(whole, slices):
-            for name in ("exact_k", "exact_v"):
-                np.testing.assert_array_equal(getattr(split, name), getattr(one, name))
-            for name in ("kept_k", "kept_v"):
-                np.testing.assert_array_equal(getattr(split, name).view(),
-                                              getattr(one, name).view())
-            assert split.total_len == one.total_len == seq_len
-        TestPrefillFold.assert_states_match(layout, keys, values, slices, basis)
+                ingest(layer, basis, keys[:, lo:hi], values[:, lo:hi])
+        self.assert_same_rows(whole, layer)
+        assert layer.total_len == [seq_len] * layout.kv_heads
+        TestPrefillFold.assert_states_match(layout, keys, values, layer, basis)
 
     def test_a_chunk_evicts_a_wrapped_ring_run_and_its_own_rows(self):
         # init 2, local 4: after 9 tokens the ring holds positions 5-8 in rows
@@ -666,15 +705,10 @@ class TestIngest:
                              k_comp=(0, 3, 4), v_comp=(1,))
         basis = build_basis(8, 64)
         keys, values = random_layer(np.random.default_rng(18), kv_heads=2, seq_len=15)
-        slices = prefill(keys[:, :9], values[:, :9], layout, 0, basis)
-        ingest(slices, basis, keys[:, 9:], values[:, 9:])
-        whole = prefill(keys, values, layout, 0, basis)
-        for one, split in zip(whole, slices):
-            np.testing.assert_array_equal(split.exact_k, one.exact_k)
-            np.testing.assert_array_equal(split.exact_v, one.exact_v)
-            np.testing.assert_array_equal(split.kept_k.view(), one.kept_k.view())
-            np.testing.assert_array_equal(split.kept_v.view(), one.kept_v.view())
-        TestPrefillFold.assert_states_match(layout, keys, values, slices, basis)
+        layer = prefill(keys[:, :9], values[:, :9], layout, 0, basis)
+        ingest(layer, basis, keys[:, 9:], values[:, 9:])
+        self.assert_same_rows(prefill(keys, values, layout, 0, basis), layer)
+        TestPrefillFold.assert_states_match(layout, keys, values, layer, basis)
 
     @staticmethod
     def two_heads(seq_len=9):
@@ -683,12 +717,11 @@ class TestIngest:
         return prefill(keys, values, layout, 0, build_basis(8, 64))
 
     @staticmethod
-    def assert_refused(slices, basis, keys, values, match=None):
-        before = [slice_arrays(sl) for sl in slices]
+    def assert_refused(layer, basis, keys, values, match=None):
+        before = layer_arrays(layer)
         with pytest.raises(ValueError, match=match):
-            ingest(slices, basis, keys, values)
-        for sl, snapshot in zip(slices, before):
-            assert_slice_unchanged(sl, snapshot)
+            ingest(layer, basis, keys, values)
+        assert_layer_unchanged(layer, before)
 
     @staticmethod
     def chunk():
@@ -696,29 +729,17 @@ class TestIngest:
         return random_layer(np.random.default_rng(20), kv_heads=2, seq_len=6)
 
     def test_no_slices(self):
-        self.assert_refused([], build_basis(8, 64), *self.chunk(), "at least one")
-
-    def test_a_slice_listed_twice(self):
-        # folded, both heads' chunks would land in one state: 10 positions
-        # represented for 8 tokens
-        layout = make_layout(kv_heads=1, init=2, local=3, period=16, orders=4)
-        basis = build_basis(4, 16)
-        keys, values = random_layer(np.random.default_rng(24), kv_heads=2, seq_len=8)
-        (sl,) = prefill(keys[:1, :6], values[:1, :6], layout, 0, basis)
-        self.assert_refused([sl, sl], basis, keys[:, 6:], values[:, 6:], "only once")
-        assert sl.represented() == 6
+        # a layer of no heads, which a layout of no KV heads prefills
+        layout = make_layout(kv_heads=0, init=2, local=4, period=64, orders=8)
+        empty = np.zeros((0, 6, 6), dtype=np.float32)
+        layer = prefill(empty, empty, layout, 0, build_basis(8, 64))
+        self.assert_refused(layer, build_basis(8, 64), empty, empty, "at least one")
 
     def test_slices_of_different_lengths(self):
-        first = self.two_heads(seq_len=9)[0]
-        second = self.two_heads(seq_len=10)[1]
-        self.assert_refused([first, second], build_basis(8, 64), *self.chunk(), "total_len")
-
-    def test_slices_of_different_partitions(self):
-        first = self.two_heads()[0]
-        layout = make_layout(kv_heads=2, init=2, local=5, period=64, orders=8)
-        keys, values = random_layer(np.random.default_rng(21), kv_heads=2, seq_len=9)
-        second = prefill(keys, values, layout, 0, build_basis(8, 64))[1]
-        self.assert_refused([first, second], build_basis(8, 64), *self.chunk(), "partition")
+        # one head a token ahead of the other, as a decode appending head by head leaves it
+        layer = self.two_heads(seq_len=9)
+        append_token(HeadView(layer, 1), build_basis(8, 64), np.ones(6), np.ones(6))
+        self.assert_refused(layer, build_basis(8, 64), *self.chunk(), "total_len")
 
     @pytest.mark.parametrize("shape", [
         (2, 0, 6),  # n = 0
@@ -729,9 +750,8 @@ class TestIngest:
         (2, 6, 1, 6),  # an extra axis
     ], ids=["n=0", "heads+1", "heads-1", "head_dim-1", "2-d", "4-d"])
     def test_a_wrong_shape(self, shape):
-        slices = self.two_heads()
         keys = np.ones(shape, dtype=np.float32)
-        self.assert_refused(slices, build_basis(8, 64), keys, keys, "shape")
+        self.assert_refused(self.two_heads(), build_basis(8, 64), keys, keys, "shape")
 
     def test_keys_and_values_of_different_shapes(self):
         keys, values = self.chunk()
@@ -753,10 +773,10 @@ class TestIngest:
         layout = make_layout(kv_heads=2, init=2, local=4, period=16, orders=4)
         basis = build_basis(4, 16)
         keys, values = random_layer(np.random.default_rng(22), kv_heads=2, seq_len=23)
-        slices = prefill(keys[:, :9], values[:, :9], layout, 0, basis)
-        self.assert_refused(slices, basis, keys[:, 9:], values[:, 9:], "period 16")
-        ingest(slices, basis, keys[:, 9:22], values[:, 9:22])  # a middle of 16 fits
-        assert slices[0].spec_k.token_count == 16
+        layer = prefill(keys[:, :9], values[:, :9], layout, 0, basis)
+        self.assert_refused(layer, basis, keys[:, 9:], values[:, 9:], "period 16")
+        ingest(layer, basis, keys[:, 9:22], values[:, 9:22])  # a middle of 16 fits
+        assert layer.folded == [16, 16]
 
 
 class TestShortPrompts:
@@ -769,25 +789,66 @@ class TestShortPrompts:
                              k_comp=(0, 1, 2), v_comp=(5,))
         basis = build_basis(4, 64)
         keys, values = random_layer(rng, kv_heads=2, seq_len=30)
-        slices = prefill(keys[:, :prompt], values[:, :prompt], layout, 0, basis)
+        layer = prefill(keys[:, :prompt], values[:, :prompt], layout, 0, basis)
         for total in range(prompt, 31):
             if total > prompt:
-                for head, sl in enumerate(slices):
+                for head, sl in enumerate(heads_of(layer)):
                     append_token(sl, basis, keys[head, total - 1], values[head, total - 1])
             n_init = min(4, total)
             held = 0
-            for head, sl in enumerate(slices):
+            for head, sl in enumerate(heads_of(layer)):
                 # positions below init_len sit in their own rows, bitwise
-                k_init, v_init = in_index_order(sl, sl.exact_k[:n_init], sl.exact_v[:n_init])
+                exact_k, exact_v = exact_blocks(sl)
+                k_init, v_init = in_index_order(sl, exact_k[:n_init], exact_v[:n_init])
                 np.testing.assert_array_equal(k_init, keys[head, :n_init])
                 np.testing.assert_array_equal(v_init, values[head, :n_init])
                 assert sl.middle_count == max(0, total - 4 - 3)
                 held += (sl.total_len - sl.middle_count) * 2 * 6
-                held += sl.kept_k.view().size + sl.kept_v.view().size
+                held += sum(kept.size for kept in kept_rows(sl))
             assert memory_report(layout, total)["exact_floats"] == held
 
 
 class TestMemoryReport:
+    @pytest.mark.parametrize("geometry", ["desk", "gqa", "unequal"])
+    def test_a_layers_bytes_are_the_reports_arithmetic(self, geometry):
+        # the bytes a layer's arrays hold are 4 * (exact_floats + kept slack +
+        # kept padding) + 8 * (spectral_floats + state padding), after prefill
+        # and again after a decode whose kept rows grow; the benchmark's desk
+        # and gqa layouts compress as many dims in every head, and pad nothing
+        if geometry == "desk":
+            layout, keys, values, basis = TestPrefillFold.desk_layer()
+        elif geometry == "gqa":
+            layout, keys, values, basis = TestPrefillFold.stock_layer()
+        else:
+            # head 0 folds K {0, 1, 2} and V {0}, head 1 K {0} and V {0, 1, 2, 3}:
+            # the states pad head 1's K by 2 columns and head 0's V by 3, and
+            # the kept rows head 0's K by 2 dims and head 1's V by 3
+            part = PartitionParams(init_len=4, local_len=8, period=256, orders=8)
+            layout = one_layer(part, 6, [(0, 1, 2), (0,)], [(0,), (0, 1, 2, 3)])
+            keys, values = random_layer(np.random.default_rng(25), kv_heads=2, seq_len=60)
+            basis = build_basis(8, 256)
+        kept_pad, state_pad = (5, 2 * 8 * 5) if geometry == "unequal" else (0, 0)
+        layer = prefill(keys, values, layout, 0, basis)
+
+        def assert_bytes_match():
+            seq_len = layer.total_len[0]
+            report = memory_report(layout, seq_len)
+            middle = len(layout.partition.middle(seq_len))
+            assert report["padding_floats"] == kept_pad * middle + state_pad
+            slack = ((layer.kept_k.shape[1] - middle) * layout.kv_heads
+                     * (layer.kept_k.shape[2] + layer.kept_v.shape[2]))
+            assert layer_bytes(layer) == (
+                4 * (report["exact_floats"] + slack + kept_pad * middle)
+                + 8 * (report["spectral_floats"] + state_pad))
+
+        assert_bytes_match()
+        rng = np.random.default_rng(26)
+        capacity = layer.kept_k.shape[1]
+        while layer.kept_k.shape[1] == capacity:
+            k, v = rng.standard_normal((2, layout.kv_heads, 1, layout.head_dim))
+            ingest(layer, basis, k, v)
+        assert_bytes_match()
+
     def test_all_kept_is_full_size(self):
         layout = make_layout(k_comp=(), v_comp=())
         report = memory_report(layout, seq_len=128)
@@ -839,22 +900,21 @@ class TestBasisCheck:
     def test_append_token(self, basis):
         layout = make_layout(init=4, local=8, period=64, orders=8)
         keys, values = random_layer(np.random.default_rng(16), seq_len=40)
-        sl = prefill(keys, values, layout, 0, build_basis(8, 64))[0]
-        before = slice_arrays(sl)
+        layer = prefill(keys, values, layout, 0, build_basis(8, 64))
+        before = layer_arrays(layer)
         with pytest.raises(ValueError, match="basis geometry does not match the layout partition"):
-            append_token(sl, basis, keys[0, 0], values[0, 0])
-        assert_slice_unchanged(sl, before)
+            append_token(HeadView(layer, 0), basis, keys[0, 0], values[0, 0])
+        assert_layer_unchanged(layer, before)
 
     @WRONG_BASES
     def test_ingest(self, basis):
         layout = make_layout(kv_heads=2, init=4, local=8, period=64, orders=8)
         keys, values = random_layer(np.random.default_rng(17), kv_heads=2, seq_len=40)
-        slices = prefill(keys[:, :30], values[:, :30], layout, 0, build_basis(8, 64))
-        before = [slice_arrays(sl) for sl in slices]
+        layer = prefill(keys[:, :30], values[:, :30], layout, 0, build_basis(8, 64))
+        before = layer_arrays(layer)
         with pytest.raises(ValueError, match="basis geometry does not match the layout partition"):
-            ingest(slices, basis, keys[:, 30:], values[:, 30:])
-        for sl, snapshot in zip(slices, before):
-            assert_slice_unchanged(sl, snapshot)
+            ingest(layer, basis, keys[:, 30:], values[:, 30:])
+        assert_layer_unchanged(layer, before)
 
 
 class TestPrefillTrace:

@@ -6,7 +6,7 @@ The record holds every K/V row the cache was given. After every rule, the
 exact rows the cache holds, in position order, and its kept middle rows must
 equal the record bitwise, and its spectral states must equal
 :func:`compress_batch` of the record's middle. The adapter below is the only
-code that reads a slice's storage layout.
+code that reads a layer's storage layout.
 """
 
 from unittest import mock
@@ -25,22 +25,28 @@ from fourier_kv.attention import (
 )
 from fourier_kv.cache import (
     CacheLayout,
+    HeadView,
     PartitionParams,
     append_token,
     ingest,
     memory_report,
     prefill,
 )
-from fourier_kv.spectral import build_basis, compress_batch
+from fourier_kv.spectral import SpectralState, build_basis, compress_batch
 
 HEAD_DIM = 4
 KV_HEADS = 2
 
 
-# -- adapter: the one place that knows how a slice stores its tiers ----------
+# -- adapter: the one place that knows how a layer stores its tiers ----------
+
+def heads_of(layer) -> list:
+    """A view of each head of the layer, as attention and ``append_token`` take it."""
+    return [HeadView(layer, head) for head in range(len(layer.total_len))]
+
 
 def middle_of(sl) -> range:
-    """Positions folded into the slice's middle region."""
+    """Positions folded into the head's middle region."""
     return sl.partition.middle(sl.total_len)
 
 
@@ -57,21 +63,42 @@ def exact_rows(sl):
     rows = np.where(positions < part.init_len, positions,
                     part.init_len + (positions - part.init_len) % part.local_len)
     np.testing.assert_array_equal(np.sort(rows), np.arange(sl.total_len - sl.middle_count))
-    dims = sl.dims
+    layer, head = sl
+    dims = layer.dims[head]
     k_order = np.argsort(np.r_[dims.k_compressed, dims.k_kept])
     v_order = np.argsort(np.r_[dims.v_compressed, dims.v_kept])
-    return positions, sl.exact_k[rows][:, k_order], sl.exact_v[rows][:, v_order]
+    return (positions, layer.exact[0, head, rows][:, k_order],
+            layer.exact[1, head, rows][:, v_order])
+
+
+def kept_rows(sl):
+    """The head's kept K and V middle rows, as wide as its kept dims."""
+    layer, head = sl
+    dims, rows = layer.dims[head], layer.folded[head]
+    return (layer.kept_k[head, :rows, : dims.k_kept.size],
+            layer.kept_v[head, :rows, : dims.v_kept.size])
+
+
+def states(sl):
+    """The head's K and V states: its columns of the layer's states, with the
+    counters its folded middle positions give."""
+    layer, head = sl
+    dims, count = layer.dims[head], layer.folded[head]
+    start = middle_of(sl).start
+    bounds = (start, start + count - 1) if count else (None, None)
+    return [SpectralState(layer.states[head, :, cols], count, *bounds)
+            for cols in (slice(0, dims.k_compressed.size),
+                         slice(layer.k_cols, layer.k_cols + dims.v_compressed.size))]
 
 
 def storage(sl) -> dict:
-    """Copies of every array and counter the slice holds; K's and V's states
-    are columns of one."""
+    """Copies of every array and counter the head's layer holds; K's and V's
+    states are columns of one array."""
+    layer = sl.layer
     return {
-        "exact_k": sl.exact_k.copy(), "exact_v": sl.exact_v.copy(),
-        "kept_k": sl.kept_k.view().copy(), "kept_v": sl.kept_v.view().copy(),
-        "spec": np.hstack([sl.spec_k.coeffs, sl.spec_v.coeffs]),
-        "counters": (sl.total_len, sl.spec_k.token_count, sl.spec_k.first_pos,
-                     sl.spec_k.last_pos, sl.spec_v.token_count),
+        "exact": layer.exact.copy(), "kept_k": layer.kept_k.copy(),
+        "kept_v": layer.kept_v.copy(), "states": layer.states.copy(),
+        "counters": (list(layer.total_len), list(layer.folded)),
     }
 
 # -----------------------------------------------------------------------------
@@ -100,7 +127,7 @@ transforms = st.sampled_from([
 
 
 class CacheMachine(RuleBasedStateMachine):
-    """One layer of ``KV_HEADS`` head slices against the rows they were given."""
+    """One layer of ``KV_HEADS`` heads against the rows they were given."""
 
     @initialize(init=st.integers(0, 3), local=st.integers(1, 4), period=st.integers(1, 8),
                 k_sets=st.lists(dim_sets, min_size=KV_HEADS, max_size=KV_HEADS),
@@ -141,7 +168,8 @@ class CacheMachine(RuleBasedStateMachine):
             with pytest.raises(ValueError):
                 prefill(keys, values, self.layout, 0, self.basis)
             return
-        self.slices = prefill(keys, values, self.layout, 0, self.basis)
+        self.layer = prefill(keys, values, self.layout, 0, self.basis)
+        self.slices = heads_of(self.layer)
         self.keys, self.values = keys, values
 
     @rule()
@@ -178,12 +206,12 @@ class CacheMachine(RuleBasedStateMachine):
         if self.keys.shape[1] + n - part.init_len - part.local_len > part.period:
             before = [storage(sl) for sl in self.slices]
             with pytest.raises(ValueError, match="period"):
-                ingest(self.slices, self.basis, keys, values)
+                ingest(self.layer, self.basis, keys, values)
             for sl, snapshot in zip(self.slices, before):
                 assert_same_storage(snapshot, storage(sl))
             return
         with mock.patch.multiple(spectral, **ratios):
-            ingest(self.slices, self.basis, keys, values)
+            ingest(self.layer, self.basis, keys, values)
         self.keys = np.concatenate([self.keys, keys], axis=1)
         self.values = np.concatenate([self.values, values], axis=1)
 
@@ -247,12 +275,13 @@ class CacheMachine(RuleBasedStateMachine):
             assert np.sum(positions >= middle.stop) <= self.part.local_len
             np.testing.assert_array_equal(k_rows, self.keys[head, positions])
             np.testing.assert_array_equal(v_rows, self.values[head, positions])
-            np.testing.assert_array_equal(sl.kept_k.view(), self.keys[head, middle][:, ~k_comp])
-            np.testing.assert_array_equal(sl.kept_v.view(), self.values[head, middle][:, ~v_comp])
+            kept_k, kept_v = kept_rows(sl)
+            np.testing.assert_array_equal(kept_k, self.keys[head, middle][:, ~k_comp])
+            np.testing.assert_array_equal(kept_v, self.values[head, middle][:, ~v_comp])
             held += (sl.total_len - sl.middle_count) * 2 * HEAD_DIM
-            held += sl.kept_k.view().size + sl.kept_v.view().size
-            for state, block, comp in ((sl.spec_k, self.keys, k_comp),
-                                       (sl.spec_v, self.values, v_comp)):
+            held += kept_k.size + kept_v.size
+            for state, block, comp in zip(states(sl), (self.keys, self.values),
+                                          (k_comp, v_comp)):
                 rows = block[head, middle][:, comp]
                 oracle = compress_batch(self.basis, rows, middle.start)
                 scale = np.maximum(1.0, np.abs(rows.astype(np.float64)).sum(axis=0))
@@ -296,7 +325,7 @@ def test_every_mask_holds_the_tokens_fed_and_attends_as_its_oracle(mask, prompt,
     heads = mask.shape[1]
     keys = rng.standard_normal((heads, prompt + steps, HEAD_DIM)).astype(np.float32)
     values = rng.standard_normal((heads, prompt + steps, HEAD_DIM)).astype(np.float32)
-    slices = prefill(keys[:, :prompt], values[:, :prompt], layout, 0, basis)
+    slices = heads_of(prefill(keys[:, :prompt], values[:, :prompt], layout, 0, basis))
     for pos in range(prompt, prompt + steps):
         for head, sl in enumerate(slices):
             append_token(sl, basis, keys[head, pos], values[head, pos])
@@ -305,8 +334,9 @@ def test_every_mask_holds_the_tokens_fed_and_attends_as_its_oracle(mask, prompt,
         np.testing.assert_array_equal(k_rows, keys[head, positions])
         np.testing.assert_array_equal(v_rows, values[head, positions])
         middle = middle_of(sl)
-        np.testing.assert_array_equal(sl.kept_k.view(), keys[head, middle][:, ~mask[0, head]])
-        np.testing.assert_array_equal(sl.kept_v.view(), values[head, middle][:, ~mask[1, head]])
+        kept_k, kept_v = kept_rows(sl)
+        np.testing.assert_array_equal(kept_k, keys[head, middle][:, ~mask[0, head]])
+        np.testing.assert_array_equal(kept_v, values[head, middle][:, ~mask[1, head]])
         if sl.total_len:
             q = rng.standard_normal(HEAD_DIM)
             out = attend_compressed_fused(q, sl, basis).output

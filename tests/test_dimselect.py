@@ -210,14 +210,20 @@ class TestRankDimensions:
         np.testing.assert_allclose(other.k_mse, ranking.k_mse, rtol=1e-9, atol=0)
         np.testing.assert_allclose(other.v_mse, ranking.v_mse, rtol=1e-9, atol=0)
 
-    @pytest.mark.parametrize("part, branch", [
-        (PartitionParams(init_len=4, local_len=1024, period=32768, orders=512), "moments"),
-        (PartitionParams(init_len=4, local_len=64, period=4096, orders=16), "gram"),
-    ], ids=["stock", "desk"])
-    def test_benchmark_geometries_take_their_form(self, part, branch):
-        # the benchmark's calibration middles: 1020 positions at stock, 956 at desk
+    @pytest.mark.parametrize("part, shape, branch", [
+        (PartitionParams(init_len=4, local_len=1024, period=32768, orders=512),
+         (1, 1, 2048, 128), "moments"),
+        (PartitionParams(init_len=4, local_len=64, period=4096, orders=16),
+         (1, 1, 1024, 2), "gram"),
+        (PartitionParams(init_len=4, local_len=64, period=4096, orders=512),
+         (1, 1, 324, 128), "convolution"),
+    ], ids=["stock", "desk", "short-middle-many-orders"])
+    def test_benchmark_geometries_take_their_form(self, part, shape, branch):
+        # the benchmark's calibration middles, 1020 positions at stock and 956
+        # at desk, and 512 orders over 256 positions, whose 168 moments' d x d
+        # build costs more than the convolution; the stock and short traces
+        # have 256 columns, as decode_stock_gqa's, over which the build is spread
         rng = np.random.default_rng(8)
-        shape = (1, 1, 2048 if part.orders == 512 else 1024, 2)
         trace = KVTrace(keys=rng.standard_normal(shape).astype(np.float32),
                         values=rng.standard_normal(shape).astype(np.float32))
         assert rank_branch(trace, part, build_basis(part.orders, part.period)) == branch
@@ -332,11 +338,12 @@ class TestRankDimensions:
 
     def test_moment_peak_is_below_one_column_block(self):
         # the twin for the moment Gram form: one (2k, M) block is 16 MiB, and
-        # the 165 x 2000 Chebyshev rows (2.5 MiB) are built in chunks
+        # the 165 x 2000 Chebyshev rows (2.5 MiB) are built in chunks; 128
+        # columns share the d x d build enough for the rule to pick the moments
         part = PartitionParams(init_len=4, local_len=8, period=32768, orders=512)
         basis = build_basis(512, 32768)
         rng = np.random.default_rng(10)
-        shape = (1, 1, 4 + 2000 + 8, 4)
+        shape = (1, 1, 4 + 2000 + 8, 64)
         trace = KVTrace(keys=rng.standard_normal(shape).astype(np.float32),
                         values=rng.standard_normal(shape).astype(np.float32))
         assert rank_branch(trace, part, basis) == "moments"
