@@ -11,10 +11,10 @@ the head's exact block, are plain products, and one softmax runs over all
 ``E + M`` scores. The middle region, ``PartitionParams.middle``, goes to the
 transforms as the only input they take, a ``range`` of step 1: its
 transform is resolved once (``FourierBasis._plan``) and shared by every head
-that reads the same middle. The layer stores every row with its dimensions
-in layout order, compressed first, so the query is gathered into that order
-once and scaled, the kept and compressed dims are slices of it, and the
-output is gathered back to index order once. Every score is written into
+that reads the same middle. The layer stores exact rows as the tokens
+arrived, so the query, scaled once, meets them as given; the head's
+``HeadDims`` gather the query's kept and compressed dims, and the middle's
+terms are added into the output at those dims. Every score is written into
 one preallocated buffer and the softmax runs in that buffer, so a call makes
 a fixed number of numpy calls, whatever M: 37 Python-level calls at desk
 geometry under numpy 2.4, a count a test bounds. With ``R = k`` spectral
@@ -27,9 +27,9 @@ stored blocks are not scanned for NaN or Inf on every call (the cache
 rejects them as tokens enter); the scores and the output are checked
 instead.
 ``attend_compressed_materialized`` is its oracle: it rebuilds every middle
-row through ``reconstruct``, orders every row by position, puts every
-dimension back at its index from the head's ``HeadDims`` and defers to
-``attend_full``, the dense reference.
+row, its kept dims copied and its compressed dims through ``reconstruct``,
+each at its index from the head's ``HeadDims``, orders every row by
+position and defers to ``attend_full``, the dense reference.
 
 Also home to two diagnostics: splitting attention scores into low/high
 dimension components, and seeded Gaussian perturbation of selected
@@ -130,18 +130,15 @@ def attend_compressed_materialized(
         (lay.exact[1, h], lay.kept_v[h], lay.k_cols, dims.v_compressed, dims.v_kept),
     ):
         local = np.roll(exact[ring], middle.start - middle.stop, axis=0)
-        # rows as stored, dims in layout order, then each dim back at its index
         rows = np.concatenate([exact[: middle.start], np.empty((len(middle), exact.shape[1])),
                                local], dtype=np.float64)
         mid = rows[middle.start : middle.stop]
-        mid[:, comp.size :] = kept[: len(middle), : keep.size]
+        mid[:, keep] = kept[: len(middle), : keep.size]
         if comp.size:
             state = SpectralState(lay.states[h, :, cols : cols + comp.size], len(middle),
                                   middle.start, middle.stop - 1)
-            mid[:, : comp.size] = reconstruct(state, basis, middle)
-        natural = np.empty_like(rows)
-        natural[:, np.concatenate([comp, keep])] = rows
-        blocks.append(natural)
+            mid[:, comp] = reconstruct(state, basis, middle)
+        blocks.append(rows)
     return attend_full(q, *blocks, return_weights=return_weights)
 
 
@@ -168,15 +165,16 @@ def attend_compressed_fused(q, slice_: HeadView, basis: FourierBasis) -> Attenti
 
     # every score lands in one buffer, exact | middle; the exact rows in use
     # are a prefix of the block, read as stored since softmax and the weighted
-    # sum do not depend on the order of the keys. The query, gathered once into
-    # the K rows' layout order, carries the 1/sqrt(d) scale, and the stored
-    # float32 blocks are cast transiently by each product. Contiguous blocks
-    # go through np.dot, which costs less than @ at desk sizes; the state's K
-    # and V column views through @, which hands their strides to BLAS where
-    # np.dot takes a slower path (4x at stock)
-    order = lay._orders[h]
-    q = q[order[0]] * (1.0 / math.sqrt(head_dim))
-    k_count, v_count = order[3], order[4]
+    # sum do not depend on the order of the keys. The query, scaled once by
+    # 1/sqrt(d), meets the exact rows as given, and its kept and compressed
+    # dims are gathered for the middle; the stored float32 blocks are cast
+    # transiently by each product. Contiguous blocks go through np.dot, which
+    # costs less than @ at desk sizes; the state's K and V column views
+    # through @, which hands their strides to BLAS where np.dot takes a
+    # slower path (4x at stock)
+    dims = lay.dims[h]
+    q = q * (1.0 / math.sqrt(head_dim))
+    k_count, v_count = dims.k_compressed.size, dims.v_compressed.size
     spec = lay.states[h]
     middle = lay.partition.middle(total)
     n_mid = len(middle)
@@ -184,13 +182,13 @@ def attend_compressed_fused(q, slice_: HeadView, basis: FourierBasis) -> Attenti
     scores = np.empty(total, dtype=np.float64)
     p_exact, p_mid = scores[:n_exact], scores[n_exact:]
     np.dot(lay.exact[0, h, :n_exact], q, out=p_exact)
-    np.dot(lay.kept_k[h, :n_mid, : head_dim - k_count], q[k_count:], out=p_mid)
+    np.dot(lay.kept_k[h, :n_mid, : head_dim - k_count], q[dims.k_kept], out=p_mid)
     synthesis = basis.synthesis_weights()
     # the middle region's transform, resolved once for both products; every
     # head that reads the same middle shares it
     plan = basis._plan(middle) if n_mid and (k_count or v_count) else None
     if plan is not None and k_count:
-        p_mid += basis._evaluate(synthesis * (spec[:, :k_count] @ q[:k_count]), plan)
+        p_mid += basis._evaluate(synthesis * (spec[:, :k_count] @ q[dims.k_compressed]), plan)
     # the stored blocks are not scanned: a NaN or Inf in any key row, kept
     # row or spectral state reaches a score, and one in any value row the
     # output, also under a zero weight (0 * Inf is NaN)
@@ -200,15 +198,15 @@ def attend_compressed_fused(q, slice_: HeadView, basis: FourierBasis) -> Attenti
     scores -= np.maximum.reduce(scores)
     np.exp(scores, out=scores)
 
-    # the output in the V rows' layout order, gathered back once at the end
+    # the exact rows' output, and the middle's added at its kept and compressed dims
     out = np.dot(p_exact, lay.exact[1, h, :n_exact])
-    out[v_count:] += np.dot(p_mid, lay.kept_v[h, :n_mid, : head_dim - v_count])
+    out[dims.v_kept] += np.dot(p_mid, lay.kept_v[h, :n_mid, : head_dim - v_count])
     if plan is not None and v_count:
         folded = synthesis * basis._project_columns(p_mid, plan)
-        out[:v_count] += folded @ spec[:, lay.k_cols : lay.k_cols + v_count]
+        out[dims.v_compressed] += folded @ spec[:, lay.k_cols : lay.k_cols + v_count]
     out /= np.add.reduce(scores)
     _check_finite("output", out)
-    return AttentionOutput(output=out[order[2]])
+    return AttentionOutput(output=out)
 
 
 def decompose_scores(queries, keys, split_dim: int) -> tuple[np.ndarray, np.ndarray]:

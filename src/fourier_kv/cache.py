@@ -2,11 +2,13 @@
 
 Per KV head, the cache splits a sequence three ways by absolute position, in
 :meth:`PartitionParams.middle` alone: the first ``init_len`` positions and
-the latest ``local_len`` past them are stored exactly; everything between
-keeps its selected dimensions verbatim and folds the rest into fixed-size
-spectral states. Which dimensions fold is one boolean mask per cache,
-``CacheLayout.compressed``, of shape ``(layers, 2, kv_heads, head_dim)``. A
-:class:`LayerCache` holds every head of a layer in four arrays and two
+the latest ``local_len`` past them are stored exactly, each row as its
+token arrived; everything between keeps its selected dimensions verbatim
+and folds the rest into fixed-size spectral states. Which dimensions fold
+is one boolean mask per cache, ``CacheLayout.compressed``, of shape
+``(layers, 2, kv_heads, head_dim)``, read as each head's
+:class:`HeadDims` wherever a row splits into its compressed and kept dims.
+A :class:`LayerCache` holds every head of a layer in four arrays and two
 counts per head; a :class:`HeadView` names one head of it.
 
 Tokens enter a cache through one routine: any number of tokens per head
@@ -113,9 +115,9 @@ class CacheLayout:
     head's compressed and kept sets partition ``0..head_dim-1`` by
     construction. The layout holds a read-only copy of the array it is given.
     ``dims[layer][head]`` is the same choice as a :class:`HeadDims` of sorted
-    index arrays, derived once here. Per row, its compressed dims and then
-    its kept dims, each ascending, are the order in which a :class:`LayerCache`
-    stores that row's dimensions.
+    index arrays, derived once here: the one record of a head's dims that a
+    :class:`LayerCache` and attention read, to split a row where they need
+    its compressed and kept dims apart.
     """
 
     partition: PartitionParams
@@ -132,19 +134,8 @@ class CacheLayout:
         object.__setattr__(self, "compressed", mask)
         # per row, the compressed dims ascending and then the kept ones ascending
         order = np.argsort(~mask, axis=-1, kind="stable")
-        # and per V row, the place of each dim in that order
-        v_slot = np.argsort(order[:, 1], axis=-1)
-        for table in (order, v_slot):
-            table.setflags(write=False)
+        order.setflags(write=False)
         counts = mask.sum(axis=-1)
-        # per head, the K order, the V order, the V places and the K and V
-        # compressed counts that its layer stores rows by and reads them back with
-        object.__setattr__(self, "_orders", [
-            [(order[layer, 0, head], order[layer, 1, head], v_slot[layer, head],
-              *counts[layer, :, head].tolist())
-             for head in range(mask.shape[2])]
-            for layer in range(mask.shape[0])
-        ])
         # per layer, the K and V state columns and kept widths its heads pad to
         most = counts.max(axis=2, initial=0).tolist()
         kept = (mask.shape[3] - counts.min(axis=2, initial=mask.shape[3])).tolist()
@@ -179,19 +170,17 @@ class CacheLayout:
 class LayerCache:
     """Compressed cache storage for every KV head of one layer.
 
-    Every row stores its dimensions in layout order: head ``h``'s K row
-    holds ``dims[h].k_compressed`` and then ``dims[h].k_kept``, each
-    ascending, and its V row the same of ``dims[h].v_*``.
-
     - ``exact``, ``(2, heads, init_len + local_len, head_dim)`` float32, K
-      first: position ``t`` sits in row ``t`` if ``t < init_len``, and
+      first, each row as its token arrived, dims in index order: position
+      ``t`` sits in row ``t`` if ``t < init_len``, and
       otherwise in ring row ``init_len + (t - init_len) % local_len``, which
       it takes over from the position it evicts, so the rows in use are the
       prefix ``exact[:, h, :total_len[h] - folded[h]]``.
     - ``kept_k`` and ``kept_v``, ``(heads, capacity, width)`` float32: row
-      ``i`` holds the kept dims of middle position ``init_len + i``, for ``i
-      < folded[h]``. One capacity serves the layer, so a growth copies
-      every head.
+      ``i`` holds the kept dims of middle position ``init_len + i``,
+      ascending (``dims[h].k_kept``, ``dims[h].v_kept``), for ``i <
+      folded[h]``. One capacity serves the layer, so a growth copies every
+      head.
     - ``states``, ``(heads, 2*orders, k_cols + v_cols)`` float64: a head's
       compressed K dims fold into columns ``0..`` and its V dims into
       columns ``k_cols..``.
@@ -203,13 +192,13 @@ class LayerCache:
     :func:`ingest` and :func:`append_token` write a layer. Single-writer.
     """
 
-    __slots__ = ("partition", "dims", "_orders", "k_cols", "exact", "kept_k", "kept_v",
-                 "states", "total_len", "folded")
+    __slots__ = ("partition", "dims", "k_cols", "exact", "kept_k", "kept_v", "states",
+                 "total_len", "folded")
 
     def __init__(self, layout: CacheLayout, layer: int):
         """An empty layer: no tokens, no kept rows and zero states."""
         self.partition = part = layout.partition
-        self.dims, self._orders = layout.dims[layer], layout._orders[layer]
+        self.dims = layout.dims[layer]
         self.k_cols, v_cols, k_width, v_width = layout._widest[layer]
         heads, head_dim = layout.kv_heads, layout.head_dim
         self.exact = np.empty((2, heads, part.init_len + part.local_len, head_dim),
@@ -320,8 +309,8 @@ def ingest(layer: LayerCache, basis: FourierBasis, keys, values) -> None:
 
     - The positions the middle region grows by, ``middle(p + n)`` minus
       ``middle(p)``, are evicted. They are one run, read from ring rows
-      below ``p``, whose compressed dims lead each row, and from the chunk
-      from ``p`` on, through each head's :class:`HeadDims`.
+      below ``p`` and from the chunk from ``p`` on, and each head's
+      :class:`HeadDims` splits its rows into compressed and kept dims.
     - A run of two or more positions folds at its absolute positions in one
       batch fold over every head's K and V, the one
       :func:`~fourier_kv.spectral.fold_blocks` runs, priced for all their
@@ -330,8 +319,9 @@ def ingest(layer: LayerCache, basis: FourierBasis, keys, values) -> None:
       concatenated compressed K|V, which keeps a stream of single tokens
       bitwise equal to :func:`~fourier_kv.spectral.compress_batch`.
     - The run's kept dims are appended to the kept rows.
-    - The chunk's positions that stay exact take their rows: those below
-      ``init_len`` their own, those past the grown middle their ring rows.
+    - The chunk's positions that stay exact take their rows as they
+      arrived: those below ``init_len`` their own, those past the grown
+      middle their ring rows.
 
     Every check runs before anything is stored: a layer of no heads, heads
     of different lengths, a wrong shape, ``n = 0``, NaN or Inf, a basis of
@@ -384,43 +374,41 @@ def _place(lay: LayerCache, heads: range, basis: FourierBasis, keys, values) -> 
             _grow(lay, folded)
         # one evicted position folds per head below, from its ring row if below p
         row = _ring_row(part, start) if start < p else None
-    # the chunk's positions that stay exact take their rows: their own below
-    # init_len, then ring rows from the first past the grown middle
-    low = part.init_len if end > part.init_len else end
-    local = grown.stop if grown.stop > p else p
-    ring = _ring_rows(part, local, end)
     exact = lay.exact
     for i, h in enumerate(heads):
-        k, v, order = keys[i], values[i], lay._orders[h]
         if evicted == 1:
-            # the position's K and V rows, dims in layout order, read before a
-            # token of the chunk takes its row
+            # the position's K and V rows, read before a token of the chunk takes its row
             if row is None:
-                k_row, v_row = k[start - p, order[0]], v[start - p, order[1]]
+                k_row, v_row = keys[i, start - p], values[i, start - p]
             else:
                 k_row, v_row = exact[0, h, row], exact[1, h, row]
             # K's compressed dims, then V's from column k_cols; padding columns stay 0
-            k_count, v_count = order[3], order[4]
+            hd = lay.dims[h]
             merged = np.zeros(lay.states.shape[2])
-            merged[:k_count] = k_row[:k_count]
-            merged[lay.k_cols : lay.k_cols + v_count] = v_row[:v_count]
+            merged[: hd.k_compressed.size] = k_row[hd.k_compressed]
+            merged[lay.k_cols : lay.k_cols + hd.v_compressed.size] = v_row[hd.v_compressed]
             # the state's counts follow from the middle: it starts at grown.start
             fold_token(SpectralState(lay.states[h], start - grown.start, grown.start, start - 1),
                        basis, merged, start)
-            lay.kept_k[h, start - grown.start, : head_dim - k_count] = k_row[k_count:]
-            lay.kept_v[h, start - grown.start, : head_dim - v_count] = v_row[v_count:]
-        # mode "clip" (the indices are in range) lets take write into out unbuffered
-        if p < low:
-            k[: low - p].take(order[0], 1, exact[0, h, p:low], "clip")
-            v[: low - p].take(order[1], 1, exact[1, h, p:low], "clip")
-        at = local - p
-        for rows in ring:
-            stop = at + rows.stop - rows.start
-            k[at:stop].take(order[0], 1, exact[0, h, rows], "clip")
-            v[at:stop].take(order[1], 1, exact[1, h, rows], "clip")
-            at = stop
+            lay.kept_k[h, start - grown.start, : hd.k_kept.size] = k_row[hd.k_kept]
+            lay.kept_v[h, start - grown.start, : hd.v_kept.size] = v_row[hd.v_kept]
         lay.folded[h] = folded
         lay.total_len[h] = end
+    # the chunk's positions that stay exact take their rows as they arrived,
+    # every head's at once: their own below init_len, then ring rows from the
+    # first past the grown middle
+    low = part.init_len if end > part.init_len else end
+    local = grown.stop if grown.stop > p else p
+    block = slice(heads.start, heads.stop)
+    if p < low:
+        exact[0, block, p:low] = keys[:, : low - p]
+        exact[1, block, p:low] = values[:, : low - p]
+    at = local - p
+    for rows in _ring_rows(part, local, end):
+        stop = at + rows.stop - rows.start
+        exact[0, block, rows] = keys[:, at:stop]
+        exact[1, block, rows] = values[:, at:stop]
+        at = stop
 
 
 def _grow(lay: LayerCache, rows: int) -> None:
@@ -441,25 +429,23 @@ def _fold_run(lay: LayerCache, heads: range, basis: FourierBasis, keys, values, 
               run: range) -> None:
     """Fold an evicted run of two or more positions into every head and append its kept rows.
 
-    Each head's K and V rows of the run are read in index order: straight
-    from the chunk when the run starts at or past ``p``, and otherwise
-    gathered from the ring rows, put back in index order, ahead of the
-    chunk's. The states are added to in one batch fold, and only then do
-    the kept rows grow and take the run's, so the fold's transient and the
-    kept rows are not held at once.
+    The run's K and V rows are read as stored: straight from the chunk when
+    the run starts at or past ``p``, and otherwise from the ring rows, ahead
+    of the chunk's, every head's at once. Each head's :class:`HeadDims`
+    picks the columns the fold reads and the kept rows take. The states are
+    added to in one batch fold, and only then do the kept rows grow and
+    take the run's, so the fold's transient and the kept rows are not held
+    at once.
     """
     count = len(run)
     chunk = slice(max(run.start, p) - p, max(run.stop, p) - p)
     k_runs, v_runs = keys[:, chunk], values[:, chunk]
     if run.start < p:
-        # ring rows lead the run: gathered ahead of the chunk's, dims back in index order
+        # ring rows lead the run, ahead of the chunk's
         ring = _ring_rows(lay.partition, run.start, min(run.stop, p))
-        k_runs, v_runs = list(k_runs), list(v_runs)
-        for i, h in enumerate(heads):
-            for runs, exact, order in ((k_runs, lay.exact[0, h], lay._orders[h][0]),
-                                       (v_runs, lay.exact[1, h], lay._orders[h][1])):
-                held = np.concatenate([exact[rows] for rows in ring])[:, np.argsort(order)]
-                runs[i] = np.concatenate((held, runs[i]))
+        block = slice(heads.start, heads.stop)
+        k_runs = np.concatenate([lay.exact[0, block, rows] for rows in ring] + [k_runs], axis=1)
+        v_runs = np.concatenate([lay.exact[1, block, rows] for rows in ring] + [v_runs], axis=1)
     dims = [lay.dims[h] for h in heads]
     states, k_cols = lay.states, lay.k_cols
     _fold_into(

@@ -301,10 +301,10 @@ def cmd_eval(args) -> int:
     mem_path = str(Path(args.report).with_name("memory.csv"))
     _write_csv(
         mem_path,
-        ("seq_len", "exact_floats", "spectral_floats", "full_cache_floats",
+        ("seq_len", "exact_floats", "spectral_floats", "padding_floats", "full_cache_floats",
          "compressed_fraction", "ratio_vs_full"),
-        [(final_len, mem["exact_floats"], mem["spectral_floats"], mem["full_cache_floats"],
-          mem["compressed_fraction"], mem["ratio_vs_full"])],
+        [(final_len, mem["exact_floats"], mem["spectral_floats"], mem["padding_floats"],
+          mem["full_cache_floats"], mem["compressed_fraction"], mem["ratio_vs_full"])],
     )
     _write_run_manifest(
         args.report, "eval", _public_args(args),

@@ -874,8 +874,6 @@ def _fold_into(basis: FourierBasis, arrays: list, dims, outs: list, start_pos: i
     columns = sum(pick.size for pick in picks)
     if length == 0 or columns == 0:
         return
-    # a block whose dims are a slice of step 1 is read as a slice, not gathered
-    stretch = [isinstance(d, slice) and d.step in (None, 1) for d in dims]
     # the longest halving of the run at which one column fits the budget in
     # every sub-run: the last, shorter one may run another transform
     sub_run = length
@@ -891,33 +889,32 @@ def _fold_into(basis: FourierBasis, arrays: list, dims, outs: list, start_pos: i
         plan = None
         plan = basis._transform(run, columns, cached=sub_run == length)
         if plan.degree:
-            _fold_moments(basis, plan, arrays, picks, stretch, outs, lo, hi)
+            _fold_moments(basis, plan, arrays, picks, outs, lo, hi)
             continue
         fixed, per_column = basis._project_floats(hi - lo, columns)
         group = max(1, (_FOLD_CHUNK_FLOATS - fixed) // per_column)
         if plan.tables is not None:
-            _fold_spans(plan.run_columns(), arrays, picks, stretch, outs, lo, hi, group)
+            _fold_spans(plan.run_columns(), arrays, picks, outs, lo, hi, group)
             continue
-        for array, pick, whole, out in zip(arrays, picks, stretch, outs):
-            # a block's picks in groups of equal width, none a short remainder
+        for array, pick, out in zip(arrays, picks, outs):
+            # a block's picks in groups of equal width, none a short remainder,
+            # each gathered from the block
             width = -(-pick.size // -(-pick.size // group)) if pick.size else 1
             for a in range(0, pick.size, width):
                 b = min(a + width, pick.size)
-                cols = slice(pick[a], pick[a] + b - a) if whole else pick[a:b]
-                out[:, a:b] += basis._project_columns(array[lo:hi, cols], plan)
+                out[:, a:b] += basis._project_columns(array[lo:hi, pick[a:b]], plan)
 
 
-def _fold_spans(columns: np.ndarray, arrays: list, picks: list, stretch: list, outs: list,
-                lo: int, hi: int, group: int) -> None:
+def _fold_spans(columns: np.ndarray, arrays: list, picks: list, outs: list, lo: int, hi: int,
+                group: int) -> None:
     """Rows ``lo:hi`` of each block projected onto ``columns``, a product per span.
 
     ``columns`` is ``(hi - lo, n)``: a trig-table sub-run's
     :meth:`_Run.run_columns`, or for :func:`_fold_moments` a chunk of its
-    Chebyshev rows, transposed. Every ``picks[i]`` ascends strictly, and
-    ``stretch[i]`` says whether it is a slice of step 1. The columns of a
-    block from its first pick to its last are cast, ``group`` at most at a
-    time, into one float64 buffer (one cast a block at desk: casting each
-    span apart took 4-5% longer), and each span of it within
+    Chebyshev rows, transposed. Every ``picks[i]`` ascends strictly. The
+    columns of a block from its first pick to its last are cast, ``group``
+    at most at a time, into one float64 buffer (one cast a block at desk:
+    casting each span apart took 4-5% longer), and each span of it within
     :data:`_SMALL_PRODUCT` multiply-adds is projected by one product
     ``columns.T @ span``, whose picked columns are added into ``outs[i]``.
     No column is gathered from a block: in this form a column costs no
@@ -925,7 +922,7 @@ def _fold_spans(columns: np.ndarray, arrays: list, picks: list, stretch: list, o
     """
     step = min(group, max(1, _SMALL_PRODUCT // columns.size))
     buffer = np.empty((hi - lo, min(group, max(array.shape[1] for array in arrays))))
-    for array, pick, whole, out in zip(arrays, picks, stretch, outs):
+    for array, pick, out in zip(arrays, picks, outs):
         if not pick.size:
             continue
         first, stop = int(pick[0]), int(pick[-1]) + 1
@@ -938,7 +935,7 @@ def _fold_spans(columns: np.ndarray, arrays: list, picks: list, stretch: list, o
             span = -(-(c1 - c0) // -(-(c1 - c0) // step))
             for p0 in range(c0, c1, span):
                 p1 = min(p0 + span, c1)
-                a, b = (p0 - first, p1 - first) if whole else pick.searchsorted((p0, p1))
+                a, b = pick.searchsorted((p0, p1))
                 if a == b:
                     continue
                 sums = columns.T @ buffer[:, p0 - c0 : p1 - c0]
@@ -1070,8 +1067,8 @@ def _moment_waves(period: int, lo: int, span: int, degree: int, r0: int, r1: int
     return waves
 
 
-def _fold_moments(basis: FourierBasis, plan: _Run, arrays: list, picks: list,
-                  stretch: list, outs: list, lo: int, hi: int) -> None:
+def _fold_moments(basis: FourierBasis, plan: _Run, arrays: list, picks: list, outs: list,
+                  lo: int, hi: int) -> None:
     """:func:`_fold_into`'s sub-run ``lo:hi`` by Chebyshev moments, two products per column.
 
     With ``x_t`` the run's positions mapped onto ``(-1, 1)`` and ``T_k``
@@ -1116,7 +1113,7 @@ def _fold_moments(basis: FourierBasis, plan: _Run, arrays: list, picks: list,
             part = cheb[:, : p1 - p0]
             _chebyshev_rows((2 * np.arange(p0, p1) - (span - 1)) / span, part)
             _fold_spans(part.T, [arrays[i] for i, *_ in batch],
-                        [picks[i][a:b] for i, a, b, _ in batch], [stretch[i] for i, *_ in batch],
+                        [picks[i][a:b] for i, a, b, _ in batch],
                         [moments[:, at : at + b - a] for _, a, b, at in batch],
                         lo + p0, lo + p1, width)
         del cheb, part

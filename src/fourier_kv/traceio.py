@@ -241,6 +241,10 @@ class TinyModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.heads < 1 or self.kv_heads < 1:
+            raise ValueError(f"heads and kv_heads must be >= 1, got {self.heads} and {self.kv_heads}")
+        if self.head_dim < 2:
+            raise ValueError(f"head_dim must be >= 2, got {self.head_dim}")
         if self.heads % self.kv_heads != 0:
             raise ValueError("heads must be a multiple of kv_heads")
         if self.head_dim % 2 != 0:

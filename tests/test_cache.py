@@ -92,14 +92,6 @@ def layer_bytes(layer):
     return layer.exact.nbytes + layer.kept_k.nbytes + layer.kept_v.nbytes + layer.states.nbytes
 
 
-def in_index_order(sl, k_rows, v_rows):
-    """Stored K and V rows with their dims back in index order: a layer stores
-    each row's compressed dims first, then its kept ones."""
-    dims = sl.layer.dims[sl.head]
-    return (k_rows[:, np.argsort(np.r_[dims.k_compressed, dims.k_kept])],
-            v_rows[:, np.argsort(np.r_[dims.v_compressed, dims.v_kept])])
-
-
 def local_block(sl):
     """Local K and V rows in ascending position order: position ``t`` sits in
     ring row ``init_len + (t - init_len) % local_len``."""
@@ -107,7 +99,7 @@ def local_block(sl):
     local = np.arange(part.middle(sl.total_len).stop, sl.total_len)
     rows = part.init_len + (local - part.init_len) % part.local_len
     exact_k, exact_v = exact_blocks(sl)
-    return in_index_order(sl, exact_k[rows], exact_v[rows])
+    return exact_k[rows], exact_v[rows]
 
 
 def sorted_dim_sets(indices, head_dim):
@@ -799,9 +791,8 @@ class TestShortPrompts:
             for head, sl in enumerate(heads_of(layer)):
                 # positions below init_len sit in their own rows, bitwise
                 exact_k, exact_v = exact_blocks(sl)
-                k_init, v_init = in_index_order(sl, exact_k[:n_init], exact_v[:n_init])
-                np.testing.assert_array_equal(k_init, keys[head, :n_init])
-                np.testing.assert_array_equal(v_init, values[head, :n_init])
+                np.testing.assert_array_equal(exact_k[:n_init], keys[head, :n_init])
+                np.testing.assert_array_equal(exact_v[:n_init], values[head, :n_init])
                 assert sl.middle_count == max(0, total - 4 - 3)
                 held += (sl.total_len - sl.middle_count) * 2 * 6
                 held += sum(kept.size for kept in kept_rows(sl))

@@ -55,8 +55,7 @@ def exact_rows(sl):
 
     Position ``t`` sits in row ``t`` below ``init_len`` and in ring row
     ``init_len + (t - init_len) % local_len`` after it, and the rows in use
-    are a prefix of the exact block. A stored row holds its compressed dims,
-    then its kept ones, each ascending.
+    are a prefix of the exact block, each row as its token arrived.
     """
     part, middle = sl.partition, middle_of(sl)
     positions = np.concatenate([np.arange(middle.start), np.arange(middle.stop, sl.total_len)])
@@ -64,11 +63,7 @@ def exact_rows(sl):
                     part.init_len + (positions - part.init_len) % part.local_len)
     np.testing.assert_array_equal(np.sort(rows), np.arange(sl.total_len - sl.middle_count))
     layer, head = sl
-    dims = layer.dims[head]
-    k_order = np.argsort(np.r_[dims.k_compressed, dims.k_kept])
-    v_order = np.argsort(np.r_[dims.v_compressed, dims.v_kept])
-    return (positions, layer.exact[0, head, rows][:, k_order],
-            layer.exact[1, head, rows][:, v_order])
+    return positions, layer.exact[0, head, rows], layer.exact[1, head, rows]
 
 
 def kept_rows(sl):

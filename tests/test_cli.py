@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fourier_kv.cache import memory_report
 from fourier_kv.cli import main
 from fourier_kv.dimselect import read_selection_manifest
 from fourier_kv.traceio import read_trace
@@ -67,6 +68,12 @@ class TestGenTrace:
     def test_tone_without_period_is_usage_error(self, tmp_path):
         assert run("gen-trace", "--kind", "tone", "--len", 8,
                    "--out", tmp_path / "t.kvt") == 2
+
+    @pytest.mark.parametrize("flags", [("--heads", 0), ("--dim", 0)], ids=["heads-0", "dim-0"])
+    def test_tiny_geometry_no_model_can_have_is_usage_error(self, tmp_path, flags):
+        out = tmp_path / "t.kvt"
+        assert run("gen-trace", "--kind", "tiny", *flags, "--len", 8, "--out", out) == 2
+        assert not out.exists()
 
     def test_tiny_trace_deterministic(self, tmp_path):
         a, b = tmp_path / "a.kvt", tmp_path / "b.kvt"
@@ -134,6 +141,23 @@ class TestEval:
         mem = read_csv(report.parent / "memory.csv")[0]
         assert float(mem["compressed_fraction"]) > 0.5
         assert float(mem["ratio_vs_full"]) < 1.0
+        assert int(mem["padding_floats"]) == 0  # each layer's heads compress equal counts
+
+    def test_memory_report_counts_the_padding_of_unequal_heads(self, tmp_path, trace_file,
+                                                               manifest_file):
+        # one head of layer 0 compresses one K dim fewer than the other
+        doc = json.loads(manifest_file.read_text())
+        doc["dims"][0][0]["k_compressed"].pop()
+        unequal = tmp_path / "unequal.json"
+        unequal.write_text(json.dumps(doc))
+        report = tmp_path / "out" / "divergence.csv"
+        report.parent.mkdir()
+        assert run("eval", "--trace", trace_file, "--manifest", unequal,
+                   "--decode-steps", 2, "--report", report) == 0
+        layout, _ = read_selection_manifest(unequal, TRACE_GEOMETRY)
+        padding = memory_report(layout, 44 + 2)["padding_floats"]
+        assert padding > 0
+        assert int(read_csv(report.parent / "memory.csv")[0]["padding_floats"]) == padding
 
     def test_lossless_manifest_tracks_oracle(self, tmp_path, trace_file):
         # hand-written manifest with empty compressed sets

@@ -779,7 +779,7 @@ class TestBatchedProject:
         if kind == "moments":
             outs = [np.zeros((basis.n_rows, cols))]
             fold = functools.partial(spectral._fold_moments, basis, plan, [weights],
-                                     [np.arange(cols)], [True], outs, 0, span)
+                                     [np.arange(cols)], outs, 0, span)
             fold()  # numpy's own first-call allocations
             tracemalloc.start()
             try:
