@@ -8,8 +8,9 @@ and folds the rest into fixed-size spectral states. Which dimensions fold
 is one boolean mask per cache, ``CacheLayout.compressed``, of shape
 ``(layers, 2, kv_heads, head_dim)``, read as each head's
 :class:`HeadDims` wherever a row splits into its compressed and kept dims.
-A :class:`LayerCache` holds every head of a layer in four arrays and two
-counts per head; a :class:`HeadView` names one head of it.
+A :class:`LayerCache` holds every head of a layer in four arrays and one
+length per head, from which :meth:`PartitionParams.middle` gives the rest;
+a :class:`HeadView` names one head of it.
 
 Tokens enter a cache through one routine: any number of tokens per head
 into a whole layer (:func:`ingest`), or one token into one head
@@ -174,18 +175,18 @@ class LayerCache:
       first, each row as its token arrived, dims in index order: position
       ``t`` sits in row ``t`` if ``t < init_len``, and
       otherwise in ring row ``init_len + (t - init_len) % local_len``, which
-      it takes over from the position it evicts, so the rows in use are the
-      prefix ``exact[:, h, :total_len[h] - folded[h]]``.
+      it takes over from the position it evicts, so with ``M`` the length
+      of ``middle(total_len[h])`` the rows in use are the prefix
+      ``exact[:, h, :total_len[h] - M]``.
     - ``kept_k`` and ``kept_v``, ``(heads, capacity, width)`` float32: row
       ``i`` holds the kept dims of middle position ``init_len + i``,
-      ascending (``dims[h].k_kept``, ``dims[h].v_kept``), for ``i <
-      folded[h]``. One capacity serves the layer, so a growth copies every
-      head.
+      ascending (``dims[h].k_kept``, ``dims[h].v_kept``), for ``i < M``.
+      One capacity serves the layer, so a growth copies every head.
     - ``states``, ``(heads, 2*orders, k_cols + v_cols)`` float64: a head's
       compressed K dims fold into columns ``0..`` and its V dims into
       columns ``k_cols..``.
-    - ``total_len[h]`` and ``folded[h]``: the tokens head ``h`` has taken
-      and the middle positions it has folded, also its kept rows.
+    - ``total_len[h]``: the tokens head ``h`` has taken. Its middle, the
+      positions it has folded and its kept rows, is ``middle(total_len[h])``.
 
     Heads that compress unequal counts pad the states and the kept rows to
     the layer's widest (``memory_report``'s ``padding_floats``). Only
@@ -193,7 +194,7 @@ class LayerCache:
     """
 
     __slots__ = ("partition", "dims", "k_cols", "exact", "kept_k", "kept_v", "states",
-                 "total_len", "folded")
+                 "total_len")
 
     def __init__(self, layout: CacheLayout, layer: int):
         """An empty layer: no tokens, no kept rows and zero states."""
@@ -206,7 +207,7 @@ class LayerCache:
         self.states = np.zeros((heads, 2 * part.orders, self.k_cols + v_cols))
         self.kept_k = np.empty((heads, 0, k_width), dtype=np.float32)
         self.kept_v = np.empty((heads, 0, v_width), dtype=np.float32)
-        self.total_len, self.folded = [0] * heads, [0] * heads
+        self.total_len = [0] * heads
 
 
 class HeadView(NamedTuple):
@@ -225,12 +226,12 @@ class HeadView(NamedTuple):
 
     @property
     def middle_count(self) -> int:
-        return self.layer.folded[self.head]
+        """Middle positions the head has folded, also its kept rows."""
+        return len(self.layer.partition.middle(self.layer.total_len[self.head]))
 
     def represented(self) -> int:
-        """Exact positions the split gives ``total_len`` plus the kept middle rows: its tokens."""
-        total = self.total_len
-        return total - len(self.partition.middle(total)) + self.middle_count
+        """Positions the head represents, exact rows and middle alike: its ``total_len``."""
+        return self.total_len
 
 
 def _ring_row(part: PartitionParams, pos: int) -> int:
@@ -328,11 +329,12 @@ def ingest(layer: LayerCache, basis: FourierBasis, keys, values) -> None:
     another geometry, or a middle region that would outgrow one period raise
     ``ValueError`` and leave the layer unchanged.
     """
-    _place(layer, range(len(layer.total_len)), basis, keys, values)
+    _place(layer, range(len(layer.total_len)), basis,
+           np.asarray(keys, dtype=np.float32), np.asarray(values, dtype=np.float32))
 
 
 def _place(lay: LayerCache, heads: range, basis: FourierBasis, keys, values) -> None:
-    """The rule of :func:`ingest`, for the heads ``heads`` of a layer."""
+    """The rule of :func:`ingest`, for the heads ``heads`` of a layer and float32 arrays."""
     if not heads:
         raise ValueError("ingest needs a layer of at least one head")
     part = lay.partition
@@ -340,8 +342,6 @@ def _place(lay: LayerCache, heads: range, basis: FourierBasis, keys, values) -> 
     n_heads, p = len(heads), lay.total_len[heads.start]
     if n_heads > 1 and lay.total_len.count(p) != n_heads:
         raise ValueError("the heads of the layer must share one total_len")
-    keys = np.asarray(keys, dtype=np.float32)
-    values = np.asarray(values, dtype=np.float32)
     head_dim = lay.exact.shape[3]
     if (keys.ndim != 3 or values.shape != keys.shape or not keys.shape[1]
             or (keys.shape[0], keys.shape[2]) != (n_heads, head_dim)):
@@ -355,23 +355,24 @@ def _place(lay: LayerCache, heads: range, basis: FourierBasis, keys, values) -> 
         raise ValueError("keys/values contain NaN or Inf")
     end = p + keys.shape[1]
     grown = part.middle(end)
-    folded = grown.stop - grown.start
-    if folded > part.period:
+    grown_len = grown.stop - grown.start
+    if grown_len > part.period:
         # folded positions must cover distinct residues of the period; a
         # contiguous middle region no longer than one period guarantees that
         raise ValueError(
-            f"a middle region of {folded} positions would exceed the "
+            f"a middle region of {grown_len} positions would exceed the "
             f"spectral period {part.period}; folding it would alias earlier positions"
         )
 
-    # the middle grows by the run past the positions folded so far, one a kept row
-    start = grown.start + lay.folded[heads.start]
+    # the middle grows by the run past the one it held at p, one kept row a position
+    held = part.middle(p)
+    start = grown.start + held.stop - held.start
     evicted = grown.stop - start
     if evicted > 1:
         _fold_run(lay, heads, basis, keys, values, p, range(start, grown.stop))
     elif evicted == 1:
-        if folded > lay.kept_k.shape[1]:
-            _grow(lay, folded)
+        if grown_len > lay.kept_k.shape[1]:
+            _grow(lay, grown_len)
         # one evicted position folds per head below, from its ring row if below p
         row = _ring_row(part, start) if start < p else None
     exact = lay.exact
@@ -392,7 +393,6 @@ def _place(lay: LayerCache, heads: range, basis: FourierBasis, keys, values) -> 
                        basis, merged, start)
             lay.kept_k[h, start - grown.start, : hd.k_kept.size] = k_row[hd.k_kept]
             lay.kept_v[h, start - grown.start, : hd.v_kept.size] = v_row[hd.v_kept]
-        lay.folded[h] = folded
         lay.total_len[h] = end
     # the chunk's positions that stay exact take their rows as they arrived,
     # every head's at once: their own below init_len, then ring rows from the
@@ -456,7 +456,7 @@ def _fold_run(lay: LayerCache, heads: range, basis: FourierBasis, keys, values, 
         + [states[h, :, k_cols : k_cols + hd.v_compressed.size] for h, hd in zip(heads, dims)],
         run.start,
     )
-    first = lay.folded[heads.start]
+    first = len(lay.partition.middle(p))  # the kept rows held ahead of the run
     if first + count > lay.kept_k.shape[1]:
         _grow(lay, first + count)
     rows = slice(first, first + count)
@@ -468,9 +468,8 @@ def _fold_run(lay: LayerCache, heads: range, basis: FourierBasis, keys, values, 
 
 @dataclass
 class CompressedCache:
-    """Every layer's storage plus the shared layout and basis."""
+    """Every layer's storage plus the shared basis."""
 
-    layout: CacheLayout
     basis: FourierBasis
     layers: list  # [layer] -> LayerCache
 
@@ -496,7 +495,7 @@ def prefill_trace(trace, layout: CacheLayout, basis: FourierBasis) -> Compressed
         prefill(trace.keys[layer], trace.values[layer], layout, layer, basis)
         for layer in range(layout.layers)
     ]
-    return CompressedCache(layout=layout, basis=basis, layers=layers)
+    return CompressedCache(basis=basis, layers=layers)
 
 
 def memory_report(layout: CacheLayout, seq_len: int) -> dict:

@@ -192,7 +192,7 @@ def cmd_gen_trace(args) -> int:
         if args.kind == "tiny":
             config = TinyModelConfig(
                 layers=args.layers,
-                heads=args.q_heads or args.heads,
+                heads=args.heads if args.q_heads is None else args.q_heads,
                 kv_heads=args.heads,
                 head_dim=args.dim,
                 vocab=args.vocab,
@@ -401,18 +401,20 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen-trace", help="generate a synthetic or tiny-transformer trace")
     gen.add_argument("--kind", required=True,
                      choices=["constant", "tone", "bandlimited", "noise", "mix", "tiny"])
-    gen.add_argument("--layers", type=int, default=2)
-    gen.add_argument("--heads", type=int, default=2, help="KV heads")
-    gen.add_argument("--q-heads", type=int, default=None, help="query heads (tiny; default = --heads)")
-    gen.add_argument("--dim", type=int, default=16)
-    gen.add_argument("--len", type=int, default=256)
+    gen.add_argument("--layers", type=_at_least(1), default=2)
+    gen.add_argument("--heads", type=_at_least(1), default=2, help="KV heads")
+    gen.add_argument("--q-heads", type=_at_least(1), default=None,
+                     help="query heads (tiny; default = --heads)")
+    gen.add_argument("--dim", type=_at_least(1), default=16)
+    gen.add_argument("--len", type=_at_least(1), default=256)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--period", type=int, default=None, help="signal period for tone/bandlimited/mix")
+    gen.add_argument("--period", type=_at_least(1), default=None,
+                     help="signal period for tone/bandlimited/mix")
     gen.add_argument("--tone-order", type=int, default=1)
-    gen.add_argument("--band-orders", type=int, default=4)
+    gen.add_argument("--band-orders", type=_at_least(1), default=4)
     gen.add_argument("--sigma", type=float, default=1.0)
     gen.add_argument("--value", type=float, default=1.0)
-    gen.add_argument("--vocab", type=int, default=128)
+    gen.add_argument("--vocab", type=_at_least(1), default=128)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_gen_trace)
 

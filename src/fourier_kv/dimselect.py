@@ -450,11 +450,10 @@ def temporal_std(trace: KVTrace) -> np.ndarray:
 
 @dataclass
 class SelectionReport:
-    """Chosen dimension sets plus the diagnostics that justified them."""
+    """The chosen dimension sets and the schema that chose them."""
 
     layout: CacheLayout
     schema: CompressionSchema
-    ranking: MseRanking | None = None
 
 
 def build_selection_report(
@@ -463,9 +462,8 @@ def build_selection_report(
     partition: PartitionParams,
     basis: FourierBasis,
 ) -> SelectionReport:
-    ranking = rank_dimensions(trace, partition, basis)
-    layout = apply_schema(ranking, schema, partition=partition)
-    return SelectionReport(layout=layout, schema=schema, ranking=ranking)
+    layout = apply_schema(rank_dimensions(trace, partition, basis), schema, partition=partition)
+    return SelectionReport(layout=layout, schema=schema)
 
 
 def selection_histogram(report: SelectionReport) -> np.ndarray:

@@ -265,15 +265,14 @@ class FourierBasis:
         return _Run(span, lo, None, None, None, None)
 
     def _plan(self, run: range) -> _Run:
-        """:meth:`_transform` of one column over ``run``, resolved once per run and cost rule.
+        """:meth:`_transform` of one column over ``run``, resolved once per run.
 
         Every head that reads one middle region in a decode step gets the
         same plan from :func:`_run_plan`, whose misses check the start.
         """
         if not isinstance(run, range) or run.step != 1:
             self._check_run(run)  # raises: only a range of step 1 is read
-        return _run_plan(self.orders, self.period, run.start, len(run),
-                         _TABLE_COST_RATIO, _CHIRP_LENGTH_RATIO)
+        return _run_plan(self.orders, self.period, run.start, len(run))
 
     def evaluate(self, coeffs, run: range) -> np.ndarray:
         """``columns(run).T @ coeffs``: the trig polynomial at each position of a run.
@@ -643,10 +642,8 @@ class _Run(NamedTuple):
 
 
 @functools.lru_cache(maxsize=2)
-def _run_plan(orders: int, period: int, start: int, span: int,
-              table_ratio: int, chirp_ratio: int) -> _Run:
-    # keyed on the ratios one column's pick reads too, so that a plan picked
-    # under one is never read under another (tests patch them to force a transform)
+def _run_plan(orders: int, period: int, start: int, span: int) -> _Run:
+    # keyed on the run alone: the cost rule's ratios are constants, read once per plan
     return FourierBasis(orders, period)._transform(range(start, start + span))
 
 
@@ -781,9 +778,9 @@ def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
 
     Every block is ``(L, dim_i)`` with row ``j`` at position ``start_pos + j``;
     all blocks have the same ``L``. With ``dims``, a sequence parallel to
-    ``blocks``, block ``i`` contributes only its columns ``dims[i]``: a
-    slice of positive step, or column indices strictly ascending in ``[0,
-    dim_i)``. Any other entry raises ``ValueError``.
+    ``blocks``, block ``i`` contributes only its columns ``dims[i]``,
+    integer indices strictly ascending in ``[0, dim_i)``; any other entry,
+    a slice among them, raises ``ValueError``.
 
     The fold is the one projection of many columns, ``columns(run) @
     block[:, dims[i]]`` per block: it runs the transforms of
@@ -819,9 +816,7 @@ def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
     if start_pos < 0:
         raise ValueError(f"start_pos must be >= 0, got {start_pos}")
     arrays = [np.asarray(block) for block in blocks]
-    if dims is None:
-        dims = [slice(None)] * len(arrays)
-    elif len(dims) != len(arrays):
+    if dims is not None and len(dims) != len(arrays):
         raise ValueError(f"dims has {len(dims)} entries for {len(arrays)} blocks")
     if any(a.ndim != 2 for a in arrays):
         raise ValueError("every block must be 2-D (length x dim)")
@@ -829,9 +824,11 @@ def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
     if len(lengths) > 1:
         raise ValueError(f"blocks must share one length, got {sorted(lengths)}")
     length = lengths.pop() if lengths else 0
-    dims = [_ascending(d, a.shape[1]) for a, d in zip(arrays, dims)]
-    states = [SpectralState.zeros(basis.orders, np.arange(a.shape[1])[d].size)
-              for a, d in zip(arrays, dims)]
+    if dims is None:
+        dims = [np.arange(a.shape[1]) for a in arrays]
+    else:
+        dims = [_ascending(d, a.shape[1]) for a, d in zip(arrays, dims)]
+    states = [SpectralState.zeros(basis.orders, d.size) for d in dims]
     with np.errstate(invalid="ignore", over="ignore"):
         _fold_into(basis, arrays, dims, [state.coeffs for state in states], start_pos)
     if length:
@@ -842,35 +839,32 @@ def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
     return states
 
 
-def _ascending(pick, dim: int):
-    """``pick`` as :func:`fold_blocks` reads it: a slice of positive step, or an
-    int64 array of column indices strictly ascending in ``[0, dim)``."""
-    if isinstance(pick, slice):
-        if pick.step is None or pick.step > 0:
-            return pick
-    elif (idx := np.asarray(pick)).ndim == 1 and (idx.dtype.kind in "iu" or not idx.size):
+def _ascending(pick, dim: int) -> np.ndarray:
+    """``pick`` as :func:`fold_blocks` reads it: an int64 array of column
+    indices strictly ascending in ``[0, dim)``."""
+    if (idx := np.asarray(pick)).ndim == 1 and (idx.dtype.kind in "iu" or not idx.size):
         idx = idx.astype(np.int64, copy=False)
         if not idx.size or (idx[0] >= 0 and idx[-1] < dim and (idx[1:] > idx[:-1]).all()):
             return idx
-    raise ValueError("dims entries must be slices of positive step or column indices "
+    raise ValueError("dims entries must be column indices "
                      f"strictly ascending in [0, {dim}), got {pick!r}")
 
 
-def _fold_into(basis: FourierBasis, arrays: list, dims, outs: list, start_pos: int) -> None:
-    """Add the fold of each block's columns ``dims[i]`` into ``outs[i]``, in place.
+def _fold_into(basis: FourierBasis, arrays: list, picks: list, outs: list,
+               start_pos: int) -> None:
+    """Add the fold of each block's columns ``picks[i]`` into ``outs[i]``, in place.
 
     The work of :func:`fold_blocks`, whose checks the inputs have passed:
-    every ``dims[i]`` ascends, as the cache's ``HeadDims`` sets do, and
-    ``outs[i]`` is ``(2*orders, k_i)`` float64 for the ``k_i`` columns
-    picked, and may be a view of a larger array, as the cache's K and V
-    columns of one state. The transform is priced for all the picked
-    columns together. Each sub-run over the trig tables goes to
-    :func:`_fold_spans`, a product per span of a block's columns, and over
-    the moments to :func:`_fold_moments`; over either FFT, each block's
-    picks go to the transform in groups.
+    every ``picks[i]`` is an integer array that ascends strictly, as the
+    cache's ``HeadDims`` sets do, and ``outs[i]`` is ``(2*orders, k_i)``
+    float64 for the ``k_i`` columns picked, and may be a view of a larger
+    array, as the cache's K and V columns of one state. The transform is
+    priced for all the picked columns together. Each sub-run over the trig
+    tables goes to :func:`_fold_spans`, a product per span of a block's
+    columns, and over the moments to :func:`_fold_moments`; over either
+    FFT, each block's picks go to the transform in groups.
     """
     length = arrays[0].shape[0] if arrays else 0
-    picks = [np.arange(a.shape[1])[d] for a, d in zip(arrays, dims)]
     columns = sum(pick.size for pick in picks)
     if length == 0 or columns == 0:
         return

@@ -56,8 +56,8 @@ class UnknownDtypeError(TraceFormatError):
 class KVTrace:
     """Raw key/value cache dump plus provenance.
 
-    ``keys`` and ``values`` have shape ``(layers, kv_heads, seq_len, head_dim)``
-    and dtype float32. All entries must be finite.
+    ``keys`` and ``values`` have shape ``(layers, kv_heads, seq_len, head_dim)``,
+    every size at least 1, and dtype float32. All entries must be finite.
     """
 
     keys: np.ndarray
@@ -71,6 +71,8 @@ class KVTrace:
             raise ValueError(
                 f"keys/values must share a 4-D shape, got {self.keys.shape} vs {self.values.shape}"
             )
+        if not self.keys.size:
+            raise ValueError(f"every trace dimension must be >= 1, got {self.keys.shape}")
         if not (np.isfinite(self.keys).all() and np.isfinite(self.values).all()):
             raise ValueError("trace contains non-finite values")
 

@@ -3,7 +3,6 @@
 import cProfile
 import math
 import pstats
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from fourier_kv.attention import (
 from fourier_kv.cache import CacheLayout, HeadView, PartitionParams, append_token, prefill
 from fourier_kv.spectral import FourierBasis, build_basis
 from fourier_kv.traceio import KVTrace, gen_synthetic
+from harness import ONE_COLUMN, forced
 
 
 def naive_attention(q, keys, values):
@@ -190,16 +190,11 @@ class TestCompressedFused:
 
     # a middle region that starts after the initial block and grows by
     # evictions until it is one period long, so its positions cross a
-    # multiple of the period; each ratio setting forces one transform. 32 is
+    # multiple of the period; each forces one transform of a column. 32 is
     # the largest order count period 64 accepts
     @pytest.mark.parametrize("orders", [5, 32])
-    @pytest.mark.parametrize("ratios", [
-        {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 0},
-        {"_TABLE_COST_RATIO": spectral._TABLE_COST_RATIO},
-        {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 2**62},
-        {"_TABLE_COST_RATIO": 2**62},
-    ], ids=["chirp-z", "dispatch", "length-period", "tables"])
-    def test_fused_equals_materialized_on_a_middle_across_the_period(self, ratios, orders):
+    @pytest.mark.parametrize("transform", ONE_COLUMN)
+    def test_fused_equals_materialized_on_a_middle_across_the_period(self, transform, orders):
         rng = np.random.default_rng(orders)
         init, local, period, head_dim = 5, 8, 64, 8
         sl, basis, *_ = build_slice(rng, seq_len=init + period - 12 + local, head_dim=head_dim,
@@ -210,7 +205,7 @@ class TestCompressedFused:
             if sl.partition.middle(sl.total_len)[-1] < period:
                 continue
             q = 2.0 * rng.standard_normal(head_dim)
-            with mock.patch.multiple(spectral, **ratios):
+            with forced(transform):
                 out = attend_compressed_fused(q, sl, basis).output
             ref = attend_compressed_materialized(q, sl, basis).output
             assert np.max(np.abs(out - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
@@ -318,9 +313,10 @@ class TestDecodeCallCounts:
     them (not time), with numpy 2.4: a guard against per-call work creeping back.
 
     Each count is this code's, plus a margin of 3: 37 calls per attention
-    call and 25 per evicting append. The code made 78 and 39 before each
-    middle run's transform was resolved once, and 37 and 27 while it stored
-    exact rows permuted into a per-head dimension order.
+    call and 24 per evicting append. The code made 78 and 39 before each
+    middle run's transform was resolved once, 37 and 27 while it stored
+    exact rows permuted into a per-head dimension order, and 37 and 25 while
+    it kept a second count per head and converted an appended token twice.
     """
 
     MARGIN = 3
@@ -345,7 +341,7 @@ class TestDecodeCallCounts:
         (first, second), basis, k_next, v_next = desk_layer(rng, 2)
         append_token(first, basis, k_next[0], v_next[0])  # builds the step's basis column
         before = second.middle_count
-        assert self.calls(append_token, second, basis, k_next[1], v_next[1]) <= 25 + self.MARGIN
+        assert self.calls(append_token, second, basis, k_next[1], v_next[1]) <= 24 + self.MARGIN
         assert second.middle_count == before + 1  # the append evicted
 
 

@@ -28,8 +28,20 @@ from fourier_kv.dimselect import (
     apply_schema,
     selection_histogram,
 )
-from fourier_kv.spectral import FourierBasis, SpectralState, build_basis, compress_batch
+from fourier_kv.spectral import FourierBasis, build_basis, compress_batch
 from fourier_kv.traceio import KVTrace, gen_synthetic
+from harness import (
+    TRANSFORMS,
+    assert_layer_unchanged,
+    exact_blocks,
+    forced,
+    heads_of,
+    kept_rows,
+    layer_arrays,
+    layer_bytes,
+    local_block,
+    states,
+)
 
 
 def make_layout(layers=1, kv_heads=1, head_dim=6, init=4, local=16, period=256, orders=4,
@@ -55,51 +67,6 @@ def random_layer(rng, kv_heads=1, seq_len=64, head_dim=6):
         rng.standard_normal((kv_heads, seq_len, head_dim)).astype(np.float32),
         rng.standard_normal((kv_heads, seq_len, head_dim)).astype(np.float32),
     )
-
-
-def heads_of(layer):
-    """A view of each head of a layer."""
-    return [HeadView(layer, head) for head in range(len(layer.total_len))]
-
-
-def exact_blocks(sl):
-    """A head's exact K and V blocks: its rows of the layer's exact array."""
-    return sl.layer.exact[0, sl.head], sl.layer.exact[1, sl.head]
-
-
-def kept_rows(sl):
-    """A head's kept K and V rows in use, as wide as its kept dims."""
-    layer, head = sl
-    dims, rows = layer.dims[head], layer.folded[head]
-    return (layer.kept_k[head, :rows, : dims.k_kept.size],
-            layer.kept_v[head, :rows, : dims.v_kept.size])
-
-
-def states(sl):
-    """A head's K and V states: views of its columns of the layer's states,
-    with the counters that its folded positions give."""
-    layer, head = sl
-    dims, count = layer.dims[head], layer.folded[head]
-    start = layer.partition.middle(layer.total_len[head]).start
-    bounds = (start, start + count - 1) if count else (None, None)
-    return [SpectralState(layer.states[head, :, cols], count, *bounds)
-            for cols in (slice(0, dims.k_compressed.size),
-                         slice(layer.k_cols, layer.k_cols + dims.v_compressed.size))]
-
-
-def layer_bytes(layer):
-    """The bytes of the arrays a layer holds."""
-    return layer.exact.nbytes + layer.kept_k.nbytes + layer.kept_v.nbytes + layer.states.nbytes
-
-
-def local_block(sl):
-    """Local K and V rows in ascending position order: position ``t`` sits in
-    ring row ``init_len + (t - init_len) % local_len``."""
-    part = sl.partition
-    local = np.arange(part.middle(sl.total_len).stop, sl.total_len)
-    rows = part.init_len + (local - part.init_len) % part.local_len
-    exact_k, exact_v = exact_blocks(sl)
-    return exact_k[rows], exact_v[rows]
 
 
 def sorted_dim_sets(indices, head_dim):
@@ -266,7 +233,7 @@ class TestPrefill:
         keys, values = random_layer(rng, seq_len=64)
         layer = prefill(keys, values, layout, 0, basis)
         sl = HeadView(layer, 0)
-        assert layer.folded == [44] and layer.total_len == [64]
+        assert layer.total_len == [64]
         assert layer.exact.shape == (2, 1, 20, 6) and layer.states.shape == (1, 16, 5)
         assert layer.kept_k.shape[2] == 3 and layer.kept_v.shape[2] == 4
         assert sl.middle_count == 44
@@ -280,7 +247,6 @@ class TestPrefill:
         basis = build_basis(4, 256)
         keys, values = random_layer(rng, seq_len=20)
         layer = prefill(keys, values, layout, 0, basis)
-        assert layer.folded == [0]
         assert np.all(layer.states == 0.0)
         assert HeadView(layer, 0).middle_count == 0
 
@@ -331,23 +297,6 @@ class TestPrefill:
         prefill(keys, values, layout, 0, basis)
 
 
-def layer_arrays(layer):
-    """Every array and count a layer holds, copied; the kept rows with their
-    capacity, so that a growth shows too."""
-    return {
-        "exact": layer.exact.copy(), "kept_k": layer.kept_k.copy(),
-        "kept_v": layer.kept_v.copy(), "states": layer.states.copy(),
-        "counts": (list(layer.total_len), list(layer.folded)),
-    }
-
-
-def assert_layer_unchanged(layer, before):
-    after = layer_arrays(layer)
-    for name in ("exact", "kept_k", "kept_v", "states"):
-        np.testing.assert_array_equal(after[name], before[name], err_msg=name)
-    assert after["counts"] == before["counts"]
-
-
 @st.composite
 def prefill_geometries(draw):
     """A one-layer layout and its K/V blocks.
@@ -381,15 +330,6 @@ def prefill_geometries(draw):
 class TestPrefillFold:
     """``prefill``'s shared-column fold against ``compress_batch`` per head."""
 
-    # ratios 0 and 2**62 force one transform of the fold, as in test_spectral
-    TRANSFORMS = (
-        {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 0, "_MOMENT_COST_RATIO": 2**62},
-        {"_TABLE_COST_RATIO": spectral._TABLE_COST_RATIO},
-        {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 2**62, "_MOMENT_COST_RATIO": 2**62},
-        {"_TABLE_COST_RATIO": 2**62, "_MOMENT_COST_RATIO": 2**62},
-        {"_MOMENT_COST_RATIO": 0},
-    )
-
     @staticmethod
     def assert_states_match(layout, keys, values, layer, basis):
         """Each head's K and V states equal ``compress_batch`` of its middle rows."""
@@ -415,8 +355,8 @@ class TestPrefillFold:
         # under each forced transform of the fold, and as the cost rule picks
         layout, keys, values = case
         basis = build_basis(layout.partition.orders, layout.partition.period)
-        for ratios in self.TRANSFORMS:
-            with mock.patch.multiple(spectral, **ratios):
+        for transform in TRANSFORMS:
+            with forced(transform):
                 layer = prefill(keys, values, layout, 0, basis)
             self.assert_states_match(layout, keys, values, layer, basis)
 
@@ -566,7 +506,7 @@ class TestAppend:
         for a, b in zip(states(full), states(streamed)):
             denom = np.linalg.norm(a.coeffs) or 1.0
             assert np.linalg.norm(a.coeffs - b.coeffs) / denom < 1e-5
-        assert full.layer.folded == streamed.layer.folded == [200 - 4 - 16]
+        assert full.middle_count == streamed.middle_count == 200 - 4 - 16
         for a, b in zip(kept_rows(full), kept_rows(streamed)):
             np.testing.assert_array_equal(a, b)
         fk, fv = local_block(full)
@@ -591,7 +531,7 @@ class TestAppend:
         merged = np.hstack([keys[0, evicted][:, [0, 2, 3]], values[0, evicted][:, [1, 4, 5]]])
         oracle = compress_batch(basis, merged, 3)
         np.testing.assert_array_equal(layer.states[0], oracle.coeffs)
-        assert layer.folded == [oracle.token_count]
+        assert HeadView(layer, 0).middle_count == oracle.token_count
 
     def test_zero_vector_eviction_counts_only(self):
         layout = make_layout(init=0, local=4)
@@ -602,7 +542,7 @@ class TestAppend:
         append_token(HeadView(layer, 0), basis, np.full(6, 2.0, np.float32),
                      np.full(6, 2.0, np.float32))
         assert np.all(layer.states == 0.0)
-        assert layer.folded == [1]
+        assert HeadView(layer, 0).middle_count == 1
 
     def test_conservation_under_long_decode(self):
         rng = np.random.default_rng(8)
@@ -668,7 +608,7 @@ class TestIngest:
         for a, b in zip(heads_of(one), heads_of(split)):
             for kept_a, kept_b in zip(kept_rows(a), kept_rows(b)):
                 np.testing.assert_array_equal(kept_b, kept_a)
-        assert split.total_len == one.total_len and split.folded == one.folded
+        assert split.total_len == one.total_len
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(case=prefill_geometries(), data=st.data())
@@ -768,7 +708,7 @@ class TestIngest:
         layer = prefill(keys[:, :9], values[:, :9], layout, 0, basis)
         self.assert_refused(layer, basis, keys[:, 9:], values[:, 9:], "period 16")
         ingest(layer, basis, keys[:, 9:22], values[:, 9:22])  # a middle of 16 fits
-        assert layer.folded == [16, 16]
+        assert [sl.middle_count for sl in heads_of(layer)] == [16, 16]
 
 
 class TestShortPrompts:

@@ -5,11 +5,9 @@ tokens, ingests chunks of tokens, attends and feeds bad tokens, in any order.
 The record holds every K/V row the cache was given. After every rule, the
 exact rows the cache holds, in position order, and its kept middle rows must
 equal the record bitwise, and its spectral states must equal
-:func:`compress_batch` of the record's middle. The adapter below is the only
-code that reads a layer's storage layout.
+:func:`compress_batch` of the record's middle. The storage adapter of
+``harness`` is the only code that reads a layer's storage layout.
 """
-
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +15,6 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from fourier_kv import spectral
 from fourier_kv.attention import (
     attend_compressed_fused,
     attend_compressed_materialized,
@@ -25,100 +22,33 @@ from fourier_kv.attention import (
 )
 from fourier_kv.cache import (
     CacheLayout,
-    HeadView,
     PartitionParams,
     append_token,
     ingest,
     memory_report,
     prefill,
 )
-from fourier_kv.spectral import SpectralState, build_basis, compress_batch
+from fourier_kv.spectral import build_basis, compress_batch
+from harness import (
+    TRANSFORMS,
+    assert_layer_unchanged,
+    exact_rows,
+    forced,
+    heads_of,
+    kept_rows,
+    layer_arrays,
+    states,
+)
 
 HEAD_DIM = 4
 KV_HEADS = 2
 
 
-# -- adapter: the one place that knows how a layer stores its tiers ----------
-
-def heads_of(layer) -> list:
-    """A view of each head of the layer, as attention and ``append_token`` take it."""
-    return [HeadView(layer, head) for head in range(len(layer.total_len))]
-
-
-def middle_of(sl) -> range:
-    """Positions folded into the head's middle region."""
-    return sl.partition.middle(sl.total_len)
-
-
-def exact_rows(sl):
-    """Positions held exactly, ascending, and their K and V rows, dims in index order.
-
-    Position ``t`` sits in row ``t`` below ``init_len`` and in ring row
-    ``init_len + (t - init_len) % local_len`` after it, and the rows in use
-    are a prefix of the exact block, each row as its token arrived.
-    """
-    part, middle = sl.partition, middle_of(sl)
-    positions = np.concatenate([np.arange(middle.start), np.arange(middle.stop, sl.total_len)])
-    rows = np.where(positions < part.init_len, positions,
-                    part.init_len + (positions - part.init_len) % part.local_len)
-    np.testing.assert_array_equal(np.sort(rows), np.arange(sl.total_len - sl.middle_count))
-    layer, head = sl
-    return positions, layer.exact[0, head, rows], layer.exact[1, head, rows]
-
-
-def kept_rows(sl):
-    """The head's kept K and V middle rows, as wide as its kept dims."""
-    layer, head = sl
-    dims, rows = layer.dims[head], layer.folded[head]
-    return (layer.kept_k[head, :rows, : dims.k_kept.size],
-            layer.kept_v[head, :rows, : dims.v_kept.size])
-
-
-def states(sl):
-    """The head's K and V states: its columns of the layer's states, with the
-    counters its folded middle positions give."""
-    layer, head = sl
-    dims, count = layer.dims[head], layer.folded[head]
-    start = middle_of(sl).start
-    bounds = (start, start + count - 1) if count else (None, None)
-    return [SpectralState(layer.states[head, :, cols], count, *bounds)
-            for cols in (slice(0, dims.k_compressed.size),
-                         slice(layer.k_cols, layer.k_cols + dims.v_compressed.size))]
-
-
-def storage(sl) -> dict:
-    """Copies of every array and counter the head's layer holds; K's and V's
-    states are columns of one array."""
-    layer = sl.layer
-    return {
-        "exact": layer.exact.copy(), "kept_k": layer.kept_k.copy(),
-        "kept_v": layer.kept_v.copy(), "states": layer.states.copy(),
-        "counters": (list(layer.total_len), list(layer.folded)),
-    }
-
-# -----------------------------------------------------------------------------
-
-
-def assert_same_storage(before: dict, after: dict) -> None:
-    assert before.keys() == after.keys()
-    for name, value in before.items():
-        if name == "counters":
-            assert after[name] == value
-        else:
-            np.testing.assert_array_equal(after[name], value, err_msg=name)
-
-
 dim_sets = st.sets(st.integers(0, HEAD_DIM - 1)).map(sorted)
 
-# as in test_spectral's TRANSFORMS: ratios 0 and 2**62 force one transform, the
-# moments' only on calls of two or more columns, as prefill's fold makes
-transforms = st.sampled_from([
-    {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 0, "_MOMENT_COST_RATIO": 2**62},
-    {"_TABLE_COST_RATIO": spectral._TABLE_COST_RATIO},
-    {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 2**62, "_MOMENT_COST_RATIO": 2**62},
-    {"_TABLE_COST_RATIO": 2**62, "_MOMENT_COST_RATIO": 2**62},
-    {"_MOMENT_COST_RATIO": 0},
-])
+# each forces one transform, the moments only on calls of two or more
+# columns, as prefill's fold makes
+transforms = st.sampled_from(list(TRANSFORMS))
 
 
 class CacheMachine(RuleBasedStateMachine):
@@ -147,10 +77,10 @@ class CacheMachine(RuleBasedStateMachine):
     def tokens(self, length: int) -> np.ndarray:
         return self.rng.standard_normal((KV_HEADS, length, HEAD_DIM)).astype(np.float32)
 
-    @rule(data=st.data(), ratios=transforms)
-    def prefill(self, data, ratios):
+    @rule(data=st.data(), transform=transforms)
+    def prefill(self, data, transform):
         """A new prompt of 0 to past ``init + local + period`` tokens replaces the cache."""
-        with mock.patch.multiple(spectral, **ratios):
+        with forced(transform):
             self.new_prompt(data, self.part.period + 1)
 
     def new_prompt(self, data, longest_middle: int) -> None:
@@ -172,15 +102,15 @@ class CacheMachine(RuleBasedStateMachine):
         """One decode token per head; past a middle one period long it is refused."""
         k_vec, v_vec = self.tokens(1), self.tokens(1)
         # a full ring evicts its oldest row, which a middle one period long cannot take
-        full = [len(middle_of(sl)) == self.part.period
-                and np.sum(exact_rows(sl)[0] >= middle_of(sl).stop) == self.part.local_len
+        full = [len(sl.partition.middle(sl.total_len)) == self.part.period
+                and np.sum(exact_rows(sl)[0] >= sl.partition.middle(sl.total_len).stop) == self.part.local_len
                 for sl in self.slices]
         for head, sl in enumerate(self.slices):
             if full[head]:
-                before = storage(sl)
+                before = layer_arrays(sl.layer)
                 with pytest.raises(ValueError, match="period"):
                     append_token(sl, self.basis, k_vec[head, 0], v_vec[head, 0])
-                assert_same_storage(before, storage(sl))
+                assert_layer_unchanged(sl.layer, before)
             else:
                 append_token(sl, self.basis, k_vec[head, 0], v_vec[head, 0])
         if not any(full):
@@ -189,8 +119,8 @@ class CacheMachine(RuleBasedStateMachine):
         else:
             assert all(full)  # the heads share one geometry and one length
 
-    @rule(data=st.data(), ratios=transforms)
-    def ingest_chunk(self, data, ratios):
+    @rule(data=st.data(), transform=transforms)
+    def ingest_chunk(self, data, transform):
         """A chunk of 1 to past ``init + local + period`` tokens per head in one call;
         one that would take the middle past one period is refused."""
         part = self.part
@@ -199,13 +129,12 @@ class CacheMachine(RuleBasedStateMachine):
                       | st.integers(1, part.local_len), label="chunk")
         keys, values = self.tokens(n), self.tokens(n)
         if self.keys.shape[1] + n - part.init_len - part.local_len > part.period:
-            before = [storage(sl) for sl in self.slices]
+            before = layer_arrays(self.layer)
             with pytest.raises(ValueError, match="period"):
                 ingest(self.layer, self.basis, keys, values)
-            for sl, snapshot in zip(self.slices, before):
-                assert_same_storage(snapshot, storage(sl))
+            assert_layer_unchanged(self.layer, before)
             return
-        with mock.patch.multiple(spectral, **ratios):
+        with forced(transform):
             ingest(self.layer, self.basis, keys, values)
         self.keys = np.concatenate([self.keys, keys], axis=1)
         self.values = np.concatenate([self.values, values], axis=1)
@@ -228,14 +157,14 @@ class CacheMachine(RuleBasedStateMachine):
         else:
             k_vec, v_vec = np.tile(k_vec, (2, 1)), np.tile(v_vec, (2, 1))
         sl = self.slices[head]
-        before = storage(sl)
+        before = layer_arrays(sl.layer)
         with pytest.raises(ValueError):
             append_token(sl, self.basis, k_vec, v_vec)
-        assert_same_storage(before, storage(sl))
+        assert_layer_unchanged(sl.layer, before)
 
     @rule(scale=st.sampled_from([0.1, 1.0, 8.0]), head=st.integers(0, KV_HEADS - 1),
-          ratios=transforms)
-    def attend(self, scale, head, ratios):
+          transform=transforms)
+    def attend(self, scale, head, transform):
         """The fused path equals the materialized one over the same slice, and with
         nothing compressed the dense reference over the record."""
         sl = self.slices[head]
@@ -244,7 +173,7 @@ class CacheMachine(RuleBasedStateMachine):
             with pytest.raises(ValueError):
                 attend_compressed_fused(q, sl, self.basis)
             return
-        with mock.patch.multiple(spectral, **ratios):
+        with forced(transform):
             out = attend_compressed_fused(q, sl, self.basis).output
         ref = attend_compressed_materialized(q, sl, self.basis, return_weights=True)
         assert ref.weights.shape == (sl.total_len,)
@@ -261,7 +190,7 @@ class CacheMachine(RuleBasedStateMachine):
         for head, sl in enumerate(self.slices):
             k_comp, v_comp = self.compressed[:, head]
             assert sl.total_len == total and sl.represented() == total
-            middle = middle_of(sl)
+            middle = sl.partition.middle(sl.total_len)
             positions, k_rows, v_rows = exact_rows(sl)
             # the exact tiers and the middle cover every position once
             covered = np.sort(np.r_[positions, np.arange(middle.start, middle.stop)])
@@ -328,7 +257,7 @@ def test_every_mask_holds_the_tokens_fed_and_attends_as_its_oracle(mask, prompt,
         positions, k_rows, v_rows = exact_rows(sl)
         np.testing.assert_array_equal(k_rows, keys[head, positions])
         np.testing.assert_array_equal(v_rows, values[head, positions])
-        middle = middle_of(sl)
+        middle = sl.partition.middle(sl.total_len)
         kept_k, kept_v = kept_rows(sl)
         np.testing.assert_array_equal(kept_k, keys[head, middle][:, ~mask[0, head]])
         np.testing.assert_array_equal(kept_v, values[head, middle][:, ~mask[1, head]])

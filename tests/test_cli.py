@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,14 @@ from fourier_kv.traceio import read_trace
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def exit_code(*argv):
+    """The CLI's exit code: what ``main`` returns, or the code argparse exits with."""
+    try:
+        return run(*argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def sha256(path):
@@ -72,7 +81,29 @@ class TestGenTrace:
     @pytest.mark.parametrize("flags", [("--heads", 0), ("--dim", 0)], ids=["heads-0", "dim-0"])
     def test_tiny_geometry_no_model_can_have_is_usage_error(self, tmp_path, flags):
         out = tmp_path / "t.kvt"
-        assert run("gen-trace", "--kind", "tiny", *flags, "--len", 8, "--out", out) == 2
+        assert exit_code("gen-trace", "--kind", "tiny", *flags, "--len", 8, "--out", out) == 2
+        assert not out.exists()
+
+    # sizes and counts below 1 that no input could make valid; the cases with a
+    # period or band orders of 0 must exit before numpy warns, which
+    # filterwarnings = error turns into a failure
+    @pytest.mark.parametrize("flags", [
+        ("--kind", "noise", "--layers", 0),
+        ("--kind", "tiny", "--layers", 0),
+        ("--kind", "noise", "--len", 0),
+        ("--kind", "noise", "--dim", 0),
+        ("--kind", "constant", "--heads", 0),
+        ("--kind", "tone", "--period", -3),
+        ("--kind", "tone", "--period", 0),
+        ("--kind", "bandlimited", "--period", 16, "--band-orders", 0),
+        ("--kind", "tiny", "--q-heads", 0),
+        ("--kind", "tiny", "--vocab", 0),
+    ], ids=["noise-layers-0", "tiny-layers-0", "len-0", "noise-dim-0", "constant-heads-0",
+            "period-negative", "period-0", "band-orders-0", "q-heads-0", "vocab-0"])
+    def test_sizes_below_one_are_usage_errors(self, tmp_path, flags):
+        out = tmp_path / "t.kvt"
+        # a flag given twice takes its last value, so --len 0 overrides --len 8
+        assert exit_code("gen-trace", "--len", 8, *flags, "--out", out) == 2
         assert not out.exists()
 
     def test_tiny_trace_deterministic(self, tmp_path):
@@ -127,6 +158,16 @@ class TestSelect:
     def test_missing_trace_is_io_error(self, tmp_path):
         assert run("select", "--trace", tmp_path / "absent.kvt", "--k", 4, "--T", 32,
                    "--out-manifest", tmp_path / "m.json") == 3
+
+    def test_a_trace_of_head_dim_0_is_data_error(self, tmp_path, capsys):
+        # a hand-packed header of 1 layer, 1 KV head, head_dim 0 and 64
+        # positions: its payload is empty, and the trace holds no dimension to rank
+        trace = tmp_path / "empty.kvt"
+        trace.write_bytes(struct.pack("<4sIIIIII", b"KVTR", 1, 1, 1, 0, 64, 1))
+        assert run("select", "--trace", trace, "--k", 4, "--T", 32, "--init", 4,
+                   "--local", 8, "--out-manifest", tmp_path / "m.json") == 4
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestEval:

@@ -34,6 +34,7 @@ from fourier_kv.spectral import (
     reconstruction_mse,
 )
 from fourier_kv.traceio import KVTrace, TinyModelConfig, gen_synthetic, tiny_forward
+from harness import forced
 
 
 def calibration_trace(rng, *, layers=1, kv_heads=1, head_dim=4, init=4, local=8, period=32,
@@ -133,19 +134,13 @@ def recorded_row_chunks():
         yield chunks
 
 
-# (table cost ratio, moment cost ratio): a table ratio of 0 forces the
-# convolution, 2**62 a Gram form; a moment ratio of 0 then forces the
-# moments, 2**62 the Fourier Gram form
-FORMS = {"convolution": (0, spectral._MOMENT_COST_RATIO),
-         "dispatch": (spectral._TABLE_COST_RATIO, spectral._MOMENT_COST_RATIO),
-         "gram": (2**62, 2**62),
-         "moments": (2**62, 0)}
-
-
-def forced(form):
-    """Patches the cost rule's ratios so ``rank_dimensions`` runs ``form``."""
-    table, moment = FORMS[form]
-    return mock.patch.multiple(spectral, _TABLE_COST_RATIO=table, _MOMENT_COST_RATIO=moment)
+# the cost rule's ratios under which ``rank_dimensions`` runs each form: a
+# table ratio of 0 forces the convolution, 2**62 a Gram form; a moment ratio
+# of 0 then forces the moments, 2**62 the Fourier Gram form
+FORMS = {"convolution": {"_TABLE_COST_RATIO": 0},
+         "dispatch": {},
+         "gram": {"_TABLE_COST_RATIO": 2**62, "_MOMENT_COST_RATIO": 2**62},
+         "moments": {"_TABLE_COST_RATIO": 2**62, "_MOMENT_COST_RATIO": 0}}
 
 
 class TestRankDimensions:
@@ -154,7 +149,7 @@ class TestRankDimensions:
     @given(case=calibration_cases())
     def test_both_forms_match_the_compress_batch_oracle(self, form, case):
         part, basis, trace = case
-        with forced(form):
+        with forced(**FORMS[form]):
             ranking = rank_dimensions(trace, part, basis)
         expected, scale = rank_oracle(trace, part, basis)
         got = np.stack([ranking.k_mse, ranking.v_mse])
@@ -180,7 +175,7 @@ class TestRankDimensions:
         shape = (2, 2, 3 + length + 2, head_dim)
         trace = KVTrace(keys=rng.standard_normal(shape).astype(np.float32),
                         values=(rng.standard_normal(shape) + 0.5).astype(np.float32))
-        with forced(form), mock.patch.object(spectral, "_FOLD_CHUNK_FLOATS", budget):
+        with forced(**FORMS[form], _FOLD_CHUNK_FLOATS=budget):
             assert rank_branch(trace, part, basis) == form
             with recorded_row_chunks() as chunks:
                 ranking = rank_dimensions(trace, part, basis)
@@ -203,7 +198,7 @@ class TestRankDimensions:
         shape = (trace.layers, trace.kv_heads, prefix, trace.head_dim)
         keys, values = ([rng.standard_normal(shape).astype(np.float32), data[:, :, part.init_len:]]
                         for data in (trace.keys, trace.values))
-        with forced(form):
+        with forced(**FORMS[form]):
             ranking = rank_dimensions(trace, part, basis)
             other = rank_dimensions(KVTrace(keys=np.concatenate(keys, axis=2),
                                             values=np.concatenate(values, axis=2)), moved, basis)
@@ -288,8 +283,7 @@ class TestRankDimensions:
         values = (rng.standard_normal((1, 2, 105, 3)) * np.arange(1, 4)).astype(np.float32)
         trace = KVTrace(keys=keys, values=values)
         assert rank_branch(trace, part, basis) == "gram"
-        with mock.patch.object(spectral, "_FOLD_CHUNK_FLOATS", 150), \
-                recorded_row_chunks() as chunks:
+        with forced(_FOLD_CHUNK_FLOATS=150), recorded_row_chunks() as chunks:
             ranking = rank_dimensions(trace, part, basis)
         assert chunks == [(8, 6)] * 8 + [(8, 2)]
         positions = np.arange(2, 102)
@@ -356,7 +350,7 @@ class TestRankDimensions:
         assert peak < basis.n_rows * 2000 * 8
         assert peak < 2 * 2**20  # one chunk of rows and its cast, the d x d matrices
         # the chunks sum to the convolution's errors
-        with mock.patch.object(spectral, "_TABLE_COST_RATIO", 0):
+        with forced(**FORMS["convolution"]):
             expected = rank_dimensions(trace, part, basis)
         np.testing.assert_allclose(ranking.k_mse, expected.k_mse, rtol=1e-9)
         np.testing.assert_allclose(ranking.v_mse, expected.v_mse, rtol=1e-9)

@@ -29,6 +29,7 @@ from fourier_kv.spectral import (
     reconstruct,
     reconstruction_mse,
 )
+from harness import ONE_COLUMN, TRANSFORMS, forced
 
 
 def brute_force_fold(orders, period, rows, start_pos):
@@ -465,53 +466,8 @@ class TestFftBasisOperations:
         np.testing.assert_array_equal(basis.project(np.zeros(0), range(-4, -4)), np.zeros(6))
 
 
-@st.composite
-def basis_and_run(draw):
-    """A basis and one contiguous run of positions, as decode attention reads.
-
-    Runs reach a full period and past it, start anywhere in the first three
-    periods (so they often wrap past a multiple of the period), and include
-    empty runs, single positions and period 1; orders reach the largest the
-    period accepts, ``(period + 1) // 2``, so the bin count ``R = orders``
-    may exceed the run's span.
-    """
-    period = draw(st.one_of(st.just(1), st.integers(2, 80)))
-    orders = draw(st.one_of(st.integers(1, (period + 1) // 2), st.just((period + 1) // 2)))
-    length = draw(st.one_of(st.just(0), st.just(1), st.integers(1, period),
-                            st.integers(period, 2 * period)))
-    start = draw(st.integers(0, 3 * period))
-    seed = draw(st.integers(0, 2**32 - 1))
-    return FourierBasis(orders=orders, period=period), range(start, start + length), seed
-
-
 class TestContiguousRuns:
-    """``evaluate``/``project`` on runs against explicit columns, and what they allocate."""
-
-    # the trig tables serve spans whose cost R * span is at most the table ratio
-    # times L log L of the FFT they would run otherwise; of those, the chirp-z
-    # transform serves FFT lengths n <= period / chirp ratio and the
-    # length-period FFT the rest. Ratios 0 and 2**62 force one transform.
-    @pytest.mark.parametrize("ratios", [
-        {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 0},
-        {"_TABLE_COST_RATIO": spectral._TABLE_COST_RATIO},
-        {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 2**62},
-        {"_TABLE_COST_RATIO": 2**62},
-    ], ids=["chirp-z", "dispatch", "length-period", "tables"])
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(case=basis_and_run())
-    def test_evaluate_and_project_equal_columns_products(self, ratios, case):
-        basis, positions, seed = case
-        rng = np.random.default_rng(seed)
-        coeffs = rng.standard_normal(basis.n_rows)
-        weights = rng.standard_normal(len(positions))
-        cols = basis.columns(positions)
-        with mock.patch.multiple(spectral, **ratios):
-            evaluated = basis.evaluate(coeffs, positions)
-            projected = basis.project(weights, positions)
-        np.testing.assert_allclose(evaluated, cols.T @ coeffs, rtol=0,
-                                   atol=1e-12 * max(1.0, np.abs(coeffs).sum()))
-        np.testing.assert_allclose(projected, cols @ weights, rtol=0,
-                                   atol=1e-12 * max(1.0, np.abs(weights).sum()))
+    """What ``evaluate``/``project`` allocate on runs, and which transform serves them."""
 
     def test_transient_memory_does_not_grow_with_the_period(self):
         weights = np.ones(1000)
@@ -533,7 +489,7 @@ class TestContiguousRuns:
             return peaks
 
         # orders 16 would run the trig tables: force the chirp-z transform
-        with mock.patch.object(spectral, "_TABLE_COST_RATIO", 0):
+        with forced(_TABLE_COST_RATIO=0):
             short = transient(2**12)
             # the last run wraps past the period and still costs its own length
             longs = (transient(2**20), transient(2**20, start=2**20 - 500))
@@ -580,7 +536,7 @@ class TestContiguousRuns:
         # orders 16 would run the trig tables, so the chirp-z transform is forced
         for length, tables in ((period // 4 - 15, 1), (period // 4 - 14, 0)):
             spectral._chirp_plan.cache_clear()
-            with mock.patch.object(spectral, "_TABLE_COST_RATIO", 0):
+            with forced(_TABLE_COST_RATIO=0):
                 basis.evaluate(coeffs, range(3, 3 + length))
             assert spectral._chirp_plan.cache_info().currsize == tables
 
@@ -594,7 +550,7 @@ class TestContiguousRuns:
         for call, expected in ((lambda: basis.evaluate(coeffs, positions), cols.T @ coeffs),
                                (lambda: basis.project(weights, positions), cols @ weights)):
             # orders 16 would run the trig tables: the FFTs are what is tested here
-            with mock.patch.object(spectral, "_TABLE_COST_RATIO", 0):
+            with forced(_TABLE_COST_RATIO=0):
                 call()  # numpy sets up its FFT of this length on first use
                 tracemalloc.start()
                 try:
@@ -614,13 +570,14 @@ def basis_and_range(draw):
 
     Unit-step runs reach exactly one period and past it, start anywhere in
     the first three periods (so they often wrap past a multiple of the
-    period) or far past them, and may be empty; orders reach the largest
-    the period accepts, ``(period + 1) // 2``. Other steps, negative ones
-    included, must be rejected.
+    period) or far past them, and may be empty or single positions; orders
+    reach the largest the period accepts, ``(period + 1) // 2``, so the bin
+    count ``R = orders`` may exceed the run's span, and the period may be 1.
+    Other steps, negative ones included, must be rejected.
     """
     period = draw(st.one_of(st.just(1), st.integers(2, 80)))
     orders = draw(st.one_of(st.integers(1, (period + 1) // 2), st.just((period + 1) // 2)))
-    count = draw(st.one_of(st.just(0), st.just(period), st.integers(1, period),
+    count = draw(st.one_of(st.just(0), st.just(1), st.just(period), st.integers(1, period),
                            st.integers(period, 2 * period)))
     start = draw(st.one_of(st.integers(0, 3 * period), st.integers(0, 2**40)))
     step = draw(st.one_of(st.just(1), st.sampled_from([-3, -1, 2, 5])))
@@ -633,15 +590,12 @@ def basis_and_range(draw):
 class TestRangePositions:
     """A unit-step ``range`` reads as its positions given as an array; other steps are rejected."""
 
-    @pytest.mark.parametrize("ratios", [
-        {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 0},
-        {"_TABLE_COST_RATIO": spectral._TABLE_COST_RATIO},
-        {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 2**62},
-        {"_TABLE_COST_RATIO": 2**62},
-    ], ids=["chirp-z", "dispatch", "length-period", "tables"])
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    # each forces one transform of a column; about half the examples are
+    # unit-step runs, which evaluate and project, and the rest are rejected
+    @pytest.mark.parametrize("transform", ONE_COLUMN)
+    @settings(max_examples=400, deadline=None, derandomize=True)
     @given(case=basis_and_range())
-    def test_range_equals_array_and_columns_products(self, ratios, case):
+    def test_range_equals_array_and_columns_products(self, transform, case):
         basis, run, seed = case
         positions = np.asarray(run, dtype=np.int64)
         rng = np.random.default_rng(seed)
@@ -649,7 +603,7 @@ class TestRangePositions:
         weights = rng.standard_normal(len(run))
         cols = basis.columns(positions)
         np.testing.assert_array_equal(basis.columns(run), cols)
-        with mock.patch.multiple(spectral, **ratios):
+        with forced(transform):
             if run.step != 1:
                 with pytest.raises(ValueError, match="step 1"):
                     basis.evaluate(coeffs, run)
@@ -700,19 +654,6 @@ class TestRangePositions:
             np.testing.assert_array_equal(basis.project(np.zeros(0), run), np.zeros(6))
 
 
-# ratios 0 and 2**62 force one transform on calls of two or more columns, as in
-# TestContiguousRuns; a moment ratio of 0 prices the Chebyshev moments at no
-# work, and one of 2**62 never lets them run
-TRANSFORMS = {
-    "chirp-z": {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 0, "_MOMENT_COST_RATIO": 2**62},
-    "dispatch": {"_TABLE_COST_RATIO": spectral._TABLE_COST_RATIO},
-    "length-period": {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 2**62,
-                      "_MOMENT_COST_RATIO": 2**62},
-    "tables": {"_TABLE_COST_RATIO": 2**62, "_MOMENT_COST_RATIO": 2**62},
-    "moments": {"_MOMENT_COST_RATIO": 0},
-}
-
-
 @st.composite
 def basis_run_and_columns(draw):
     """A basis, a run and a column count for ``(len(run), c)`` weights.
@@ -736,15 +677,15 @@ class TestBatchedProject:
     """The one projection of many columns, :func:`fold_blocks` of a ``(len(run), c)``
     block, against ``columns(run) @ weights``."""
 
-    @pytest.mark.parametrize("ratios", TRANSFORMS.values(), ids=TRANSFORMS.keys())
+    @pytest.mark.parametrize("transform", TRANSFORMS)
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(case=basis_run_and_columns())
-    def test_equals_columns_product_per_column(self, ratios, case):
+    def test_equals_columns_product_per_column(self, transform, case):
         basis, run, cols, seed = case
         weights = np.random.default_rng(seed).standard_normal((len(run), cols))
         expected = basis.columns(run) @ weights
         scale = np.maximum(1.0, np.abs(weights).sum(axis=0))
-        with mock.patch.multiple(spectral, **ratios):
+        with forced(transform):
             (state,) = fold_blocks(basis, [weights], run.start)
         assert state.coeffs.shape == (basis.n_rows, cols)
         assert np.all(np.abs(state.coeffs - expected) <= 1e-12 * scale)
@@ -756,14 +697,14 @@ class TestBatchedProject:
             (expected,) = fold_blocks(basis, [weights.astype(np.float64)], 7)
             np.testing.assert_array_equal(got.coeffs, expected.coeffs)
 
-    @pytest.mark.parametrize("orders, period, span, cols, ratios, kind", [
-        (512, 32768, 1020, 24, TRANSFORMS["chirp-z"], "chirp"),
-        (16, 4096, 956, 70, TRANSFORMS["dispatch"], "tables"),
-        (64, 4096, 3000, 9, TRANSFORMS["length-period"], "fft"),
-        (512, 32768, 1020, 48, TRANSFORMS["dispatch"], "moments"),
+    @pytest.mark.parametrize("orders, period, span, cols, transform, kind", [
+        (512, 32768, 1020, 24, "chirp-z", "chirp"),
+        (16, 4096, 956, 70, "dispatch", "tables"),
+        (64, 4096, 3000, 9, "length-period", "fft"),
+        (512, 32768, 1020, 48, "dispatch", "moments"),
     ], ids=["chirp-z", "tables", "length-period", "moments"])
     def test_project_floats_bound_each_transforms_buffers(
-            self, orders, period, span, cols, ratios, kind):
+            self, orders, period, span, cols, transform, kind):
         # what the batch fold sizes its groups by: weights as the fold passes
         # them, float32 columns gathered from a block or, for the tables, a
         # span cast into the fold's float64 buffer, and the plan built
@@ -772,7 +713,7 @@ class TestBatchedProject:
         basis = FourierBasis(orders=orders, period=period)
         run = range(7, 7 + span)
         weights = np.ones((span, cols), dtype=np.float64 if kind == "tables" else np.float32)
-        with mock.patch.multiple(spectral, **ratios):
+        with forced(transform):
             assert basis._pick(span, cols)[0] == kind
             plan = basis._transform(run, cols)
             fixed, per_column = basis._project_floats(span, cols)
@@ -823,7 +764,7 @@ class TestBatchedProject:
             basis.project(np.zeros(2), range(0, 4, 2))
         block = np.ones((2, 4))
         assert fold_blocks(basis, [block], 0, dims=[[0, 2]])[0].coeffs.shape == (6, 2)
-        for pick in ([2, 0], [1, 1], [4], slice(None, None, -1)):
+        for pick in ([2, 0], [1, 1], [4], slice(None), slice(None, None, -1)):
             with pytest.raises(ValueError, match="strictly ascending"):
                 fold_blocks(basis, [block], 0, dims=[pick])
 
@@ -918,8 +859,8 @@ class TestFoldBlocks:
         selected = [block if picks is None else block[:, pick]
                     for block, pick in zip(blocks, picks or blocks)]
         oracles = [compress_batch(basis, block, start_pos) for block in selected]
-        for ratios in TRANSFORMS.values():
-            with mock.patch.multiple(spectral, **ratios, **patches):
+        for transform in TRANSFORMS:
+            with forced(transform, **patches):
                 states = fold_blocks(basis, blocks, start_pos, dims=picks)
             assert len(states) == len(blocks)
             for state, block, oracle in zip(states, selected, oracles):
@@ -947,8 +888,8 @@ class TestFoldBlocks:
         rng = np.random.default_rng(seed)
         others = [rng.standard_normal(block.shape) for block in blocks]
         mixed = [a * x.astype(np.float64) + b * y for x, y in zip(blocks, others)]
-        for ratios in TRANSFORMS.values():
-            with mock.patch.multiple(spectral, **ratios):
+        for transform in TRANSFORMS:
+            with forced(transform):
                 fx, fy, fz = (fold_blocks(basis, group, start_pos, dims=picks)
                               for group in (blocks, others, mixed))
             for i, (sx, sy, sz) in enumerate(zip(fx, fy, fz)):
@@ -962,7 +903,7 @@ class TestFoldBlocks:
         basis = FourierBasis(orders=4096, period=8191)  # 8192 rows: the largest states
         block = np.random.default_rng(0).standard_normal((50, 3))
         # 2**9 floats hold less than one column: sub-runs of one position, groups of one column
-        with mock.patch.object(spectral, "_FOLD_CHUNK_FLOATS", 2**9):
+        with forced(_FOLD_CHUNK_FLOATS=2**9):
             (state,) = fold_blocks(basis, [block], 7)
         assert_fold_matches_oracle(state, basis, block, 7)
 
@@ -980,7 +921,7 @@ class TestFoldBlocks:
         # over 625 positions; 2**9 floats, which must hold each sub-run's trig
         # tables too, make sub-runs of 6 positions and spans of up to 3 columns.
         # The run wraps past a multiple of the period. Picks come with gaps,
-        # without, empty, as a stretch and as a step-2 slice. The trig tables
+        # without, empty, as a stretch and as every second column. The trig tables
         # are forced: the cost rule runs the length-period FFT over the whole
         # run, whose columns would overflow the budget
         basis = FourierBasis(orders=orders, period=4096)
@@ -988,9 +929,8 @@ class TestFoldBlocks:
         blocks = [rng.standard_normal((length, width)).astype(np.float32)
                   for width in (3, 0, 5, 5, 6, 6)]
         picks = [np.array([0, 2]), np.array([], dtype=np.int64), np.array([1, 2, 3, 4]),
-                 np.array([1, 2, 3]), slice(2, 5), slice(1, None, 2)]
-        with mock.patch.multiple(spectral, _FOLD_CHUNK_FLOATS=budget, _SMALL_PRODUCT=small,
-                                 **TRANSFORMS["tables"]), \
+                 np.array([1, 2, 3]), np.arange(2, 5), np.arange(1, 6, 2)]
+        with forced("tables", _FOLD_CHUNK_FLOATS=budget, _SMALL_PRODUCT=small), \
                 mock.patch.object(FourierBasis, "_transform", autospec=True,
                                   side_effect=FourierBasis._transform) as plans, \
                 table_products() as products:
@@ -1015,18 +955,17 @@ class TestFoldBlocks:
         # spans of 58, and no product for the columns between. 3 * 2**12 floats
         # make 8 sub-runs of up to 120 positions and spans of at most 15 columns
         # (the trig tables are forced: the cost rule would run the moments over
-        # sub-runs that short). Picks come scattered, as stretches, slices,
-        # empty and whole
+        # sub-runs that short). Picks come scattered, as stretches, every
+        # second column, empty and whole
         basis = FourierBasis(orders=16, period=4096)
         rng = np.random.default_rng(16)
         blocks = [rng.standard_normal((956, width)).astype(np.float32)
                   for width in (64, 64, 64, 64, 64, 64, 128, 128, 128)]
         picks = [np.sort(rng.choice(64, 58, replace=False)), np.sort(rng.permutation(64)[:32]),
-                 slice(3, 61), slice(1, None, 2), np.array([], dtype=np.int64),
+                 np.arange(3, 61), np.arange(1, 64, 2), np.array([], dtype=np.int64),
                  np.array([3, 4]), np.sort(rng.choice(128, 100, replace=False)),
-                 slice(None), np.array([5, 120])]
-        with mock.patch.multiple(spectral, _FOLD_CHUNK_FLOATS=budget, _SMALL_PRODUCT=small,
-                                 **TRANSFORMS["tables"]), \
+                 np.arange(128), np.array([5, 120])]
+        with forced("tables", _FOLD_CHUNK_FLOATS=budget, _SMALL_PRODUCT=small), \
                 mock.patch.object(FourierBasis, "_transform", autospec=True,
                                   side_effect=FourierBasis._transform) as plans, \
                 table_products() as taken:
@@ -1076,13 +1015,13 @@ class TestFoldBlocks:
             fold_blocks(basis, [np.zeros((2, 1))], 0, dims=[[0], [0]])
 
     @staticmethod
-    def fold_transient(length, ratios):
+    def fold_transient(length, transform):
         """The peak traced bytes of a stock fold of 4 blocks of 8 columns over ``length``."""
         basis = FourierBasis(orders=512, period=32768)
         blocks = [np.ones((length, 8), dtype=np.float32) for _ in range(4)]
         tracemalloc.start()
         try:
-            with mock.patch.multiple(spectral, **ratios):
+            with forced(transform):
                 fold_blocks(basis, blocks, 0)
             return tracemalloc.get_traced_memory()[1]
         finally:
@@ -1091,8 +1030,8 @@ class TestFoldBlocks:
     def test_transient_memory_does_not_grow_with_run_length(self):
         # the cost rule runs these 32 columns through the chirp-z transform from
         # 1024 positions on, in sub-runs of 4096 positions past that
-        short = self.fold_transient(4096, TRANSFORMS["dispatch"])
-        long = self.fold_transient(16384, TRANSFORMS["dispatch"])
+        short = self.fold_transient(4096, "dispatch")
+        long = self.fold_transient(16384, "dispatch")
         # the states are 4 x 64 KiB; the rest is one chunk of columns and its temporaries
         assert long <= short + 16 * 1024
         assert short < 4 * 2**20
@@ -1107,8 +1046,8 @@ class TestFoldBlocks:
     ])
     def test_transient_memory_of_a_forced_transform_does_not_grow_with_run_length(
             self, kind, short_length, long_length):
-        short = self.fold_transient(short_length, TRANSFORMS[kind])
-        long = self.fold_transient(long_length, TRANSFORMS[kind])
+        short = self.fold_transient(short_length, kind)
+        long = self.fold_transient(long_length, kind)
         assert long <= short + 16 * 1024
         assert short < 4 * 2**20
 
@@ -1210,7 +1149,7 @@ class TestFoldBlocks:
         assert basis._pick(1000, 1)[0] == "tables"
         assert basis._pick(1000, 2)[0] == "chirp"
         assert basis._pick(4000, 8)[0] == "chirp"
-        with mock.patch.multiple(spectral, **TRANSFORMS["tables"]):
+        with forced("tables"):
             assert basis._pick(1000, 2)[0] == "tables"
         # the desk fold's run columns fit, so its tables are not charged
         assert FourierBasis(orders=16, period=4096)._pick(956, 2)[0] == "tables"
@@ -1221,17 +1160,16 @@ class TestRunPlans:
 
     # orders 4: the trig tables hold 8 head rows up to 64 positions and 16 from 65,
     # and the chirp-z transform runs n = 64 up to 61 positions and 128 from 62
-    @pytest.mark.parametrize("ratios, first, size", [
-        ({"_TABLE_COST_RATIO": 2**62}, 61, lambda plan: plan.tables.head.shape[0]),
-        ({"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 0}, 58,
-         lambda plan: plan.chirp.spectrum.size),
+    @pytest.mark.parametrize("transform, first, size", [
+        ("tables", 61, lambda plan: plan.tables.head.shape[0]),
+        ("chirp-z", 58, lambda plan: plan.chirp.spectrum.size),
     ], ids=["tables", "chirp-z"])
-    def test_a_middle_grown_one_position_at_a_time_reads_reused_plans(self, ratios, first, size):
+    def test_a_middle_grown_one_position_at_a_time_reads_reused_plans(self, transform, first,
+                                                                      size):
         basis = FourierBasis(orders=4, period=4096)
         rng = np.random.default_rng(first)
         sizes = []
-        with mock.patch.multiple(spectral, **ratios):
-            spectral._run_plan.cache_clear()
+        with forced(transform):
             for span in range(first, first + 8):
                 run = range(5, 5 + span)
                 plan = basis._plan(run)
@@ -1251,14 +1189,3 @@ class TestRunPlans:
             assert spectral._run_plan.cache_info().misses == 8
         # four spans on each side of the boundary, each side one set of tables
         assert sizes == [sizes[0]] * 4 + [2 * sizes[0]] * 4
-
-    def test_a_patched_cost_rule_is_never_served_another_rules_plan(self):
-        # tests force a transform by patching the cost rule's ratios, so they key the plan too
-        basis = FourierBasis(orders=16, period=4096)
-        run = range(4, 964)
-        default = basis._plan(run)
-        assert default.tables is not None  # the desk middle runs the trig tables
-        with mock.patch.multiple(spectral, _TABLE_COST_RATIO=0, _CHIRP_LENGTH_RATIO=0):
-            forced = basis._plan(run)
-        assert forced.tables is None and forced.chirp is not None
-        assert basis._plan(run) is default

@@ -1,6 +1,7 @@
 """Trace format round trips, corruption handling, and generators."""
 
 import os
+import struct
 import threading
 
 import numpy as np
@@ -155,6 +156,21 @@ class TestFormat:
         bad[0, 0, 0, 0] = np.nan
         with pytest.raises(ValueError):
             KVTrace(keys=bad, values=np.zeros_like(bad))
+
+    @pytest.mark.parametrize("axis", range(4), ids=["layers", "kv-heads", "seq-len", "head-dim"])
+    def test_rejects_a_zero_size_dimension(self, tmp_path, axis):
+        shape = [1, 2, 3, 4]
+        shape[axis] = 0
+        empty = np.zeros(shape, dtype=np.float32)
+        with pytest.raises(ValueError, match="must be >= 1"):
+            KVTrace(keys=empty, values=empty)
+        # a header of that geometry, hand-packed, and the empty payload it implies
+        layers, kv_heads, seq_len, head_dim = shape
+        path = tmp_path / "t.kvt"
+        path.write_bytes(struct.pack("<4sIIIIII", b"KVTR", 1, layers, kv_heads, head_dim,
+                                     seq_len, 1))
+        with pytest.raises(ValueError, match="must be >= 1"):
+            read_trace(path)
 
 
 class TestSynthetic:
