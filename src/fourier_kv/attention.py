@@ -22,10 +22,14 @@ bins and ``L = min(M + R, period)``, per query that costs O(min(R * M, L log
 L) + (E + M) * head_dim) time, plus O(k * head_dim) to contract the 2k-row
 states with the query: the transforms take whichever of products against
 cached trig tables, a chirp-z FFT pair over the middle region or one
-length-period FFT is cheapest, and hold at most O(L) transient values. The
-stored blocks are not scanned for NaN or Inf on every call (the cache
-rejects them as tokens enter); the scores and the output are checked
-instead.
+length-period FFT is cheapest, and hold at most O(L) transient values. Each
+float32 block the products read, exact or kept, K or V, is cast to float64
+at most ``_ATTEND_CHUNK_FLOATS`` values (256 KB) at a time: a block within
+that budget is one product, a larger one runs in equal row chunks. So the
+call's transient is the budget plus the ``E + M`` scores and the
+transforms', whatever the window length. The stored blocks are not scanned
+for NaN or Inf on every call (the cache rejects them as tokens enter); the
+scores and the output are checked instead.
 ``attend_compressed_materialized`` is its oracle: it rebuilds every middle
 row, its kept dims copied and its compressed dims through ``reconstruct``,
 each at its index from the head's ``HeadDims``, orders every row by
@@ -74,6 +78,48 @@ def _check_finite(name, arr):
     # the ufunc's reduce itself: ndarray.all() adds a Python frame per call
     if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise ValueError(f"{name} contains NaN or Inf")
+
+
+# np.dot of float32 rows and a float64 vector copies the rows to float64
+# first, so a fused call reads each stored block, exact or kept rows of K or
+# V, through products of at most this many rows * width floats (256 KB). At
+# stock geometry (head_dim 128, local_len 1024) a query's exact K block alone
+# is 1028 * 128 floats, a 1.05 MB copy; in 5 chunks of 206 rows it costs
+# 0.21 MB. Over the benchmark's decode_stock_gqa inputs (seeds 1-3, under
+# tracemalloc) the attention calls' transient fell 1.072 -> 0.235 MB, below
+# prefill's 0.44 MB, and a decode step took 8% less time (median of 10
+# alternating runs, numpy 2.4 with one BLAS thread on a 2-core x86_64). The
+# gqa kept blocks (at most 1034 * 26 floats) and every desk block (at most
+# 963 * 32) fit, and keep their one product
+_ATTEND_CHUNK_FLOATS = 2**15
+
+
+def _chunk_rows(block) -> int:
+    """Rows per product of a ``(rows, width)`` block over ``_ATTEND_CHUNK_FLOATS``.
+
+    As few chunks as keep each within the budget, where one row allows, of
+    equal rows: none a short remainder. Read at call time, so a test can
+    force any block to split.
+    """
+    rows, width = block.shape
+    chunks = -(-rows // max(1, _ATTEND_CHUNK_FLOATS // max(1, width)))
+    return -(-rows // chunks)
+
+
+def _scores_in_chunks(block, q, out) -> None:
+    """``np.dot(block, q, out=out)``, a product per chunk of :func:`_chunk_rows` rows."""
+    step = _chunk_rows(block)
+    for a in range(0, len(block), step):
+        np.dot(block[a : a + step], q, out=out[a : a + step])
+
+
+def _weighted_sum_in_chunks(p, block) -> np.ndarray:
+    """``np.dot(p, block)``, summed over chunks of :func:`_chunk_rows` rows."""
+    step = _chunk_rows(block)
+    out = np.dot(p[:step], block[:step])
+    for a in range(step, len(block), step):
+        out += np.dot(p[a : a + step], block[a : a + step])
+    return out
 
 
 def attend_full(q, keys, values, return_weights: bool = False) -> AttentionOutput:
@@ -167,11 +213,13 @@ def attend_compressed_fused(q, slice_: HeadView, basis: FourierBasis) -> Attenti
     # are a prefix of the block, read as stored since softmax and the weighted
     # sum do not depend on the order of the keys. The query, scaled once by
     # 1/sqrt(d), meets the exact rows as given, and its kept and compressed
-    # dims are gathered for the middle; the stored float32 blocks are cast
-    # transiently by each product. Contiguous blocks go through np.dot, which
-    # costs less than @ at desk sizes; the state's K and V column views
-    # through @, which hands their strides to BLAS where np.dot takes a
-    # slower path (4x at stock)
+    # dims are gathered for the middle. A stored float32 block within
+    # _ATTEND_CHUNK_FLOATS is cast by its one product, inline; a larger one
+    # in row chunks, each written into its slice of the scores or added into
+    # the output. Each block is sliced in the call that reads it, so no view
+    # outlives its product. Blocks go through np.dot, which costs less than @
+    # at desk sizes; the state's K and V column views through @, which hands
+    # their strides to BLAS where np.dot takes a slower path (4x at stock)
     dims = lay.dims[h]
     q = q * (1.0 / math.sqrt(head_dim))
     k_count, v_count = dims.k_compressed.size, dims.v_compressed.size
@@ -181,8 +229,14 @@ def attend_compressed_fused(q, slice_: HeadView, basis: FourierBasis) -> Attenti
     n_exact = total - n_mid
     scores = np.empty(total, dtype=np.float64)
     p_exact, p_mid = scores[:n_exact], scores[n_exact:]
-    np.dot(lay.exact[0, h, :n_exact], q, out=p_exact)
-    np.dot(lay.kept_k[h, :n_mid, : head_dim - k_count], q[dims.k_kept], out=p_mid)
+    if n_exact * head_dim <= _ATTEND_CHUNK_FLOATS:
+        np.dot(lay.exact[0, h, :n_exact], q, out=p_exact)
+    else:
+        _scores_in_chunks(lay.exact[0, h, :n_exact], q, p_exact)
+    if n_mid * (head_dim - k_count) <= _ATTEND_CHUNK_FLOATS:
+        np.dot(lay.kept_k[h, :n_mid, : head_dim - k_count], q[dims.k_kept], out=p_mid)
+    else:
+        _scores_in_chunks(lay.kept_k[h, :n_mid, : head_dim - k_count], q[dims.k_kept], p_mid)
     synthesis = basis.synthesis_weights()
     # the middle region's transform, resolved once for both products; every
     # head that reads the same middle shares it
@@ -199,8 +253,15 @@ def attend_compressed_fused(q, slice_: HeadView, basis: FourierBasis) -> Attenti
     np.exp(scores, out=scores)
 
     # the exact rows' output, and the middle's added at its kept and compressed dims
-    out = np.dot(p_exact, lay.exact[1, h, :n_exact])
-    out[dims.v_kept] += np.dot(p_mid, lay.kept_v[h, :n_mid, : head_dim - v_count])
+    if n_exact * head_dim <= _ATTEND_CHUNK_FLOATS:
+        out = np.dot(p_exact, lay.exact[1, h, :n_exact])
+    else:
+        out = _weighted_sum_in_chunks(p_exact, lay.exact[1, h, :n_exact])
+    if n_mid * (head_dim - v_count) <= _ATTEND_CHUNK_FLOATS:
+        out[dims.v_kept] += np.dot(p_mid, lay.kept_v[h, :n_mid, : head_dim - v_count])
+    else:
+        out[dims.v_kept] += _weighted_sum_in_chunks(p_mid,
+                                                    lay.kept_v[h, :n_mid, : head_dim - v_count])
     if plan is not None and v_count:
         folded = synthesis * basis._project_columns(p_mid, plan)
         out[dims.v_compressed] += folded @ spec[:, lay.k_cols : lay.k_cols + v_count]

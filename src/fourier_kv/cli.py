@@ -140,6 +140,17 @@ def _at_least(low, cast=int):
     return parse
 
 
+def _float32(text: str) -> float:
+    """Flag type: a float a float32 trace can hold, rejected by argparse (exit 2) otherwise."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not abs(value) <= float(np.finfo(np.float32).max):  # NaN and Inf too
+        raise argparse.ArgumentTypeError(f"must be finite in float32, got {text}")
+    return value
+
+
 def _resolve_partition(args) -> PartitionParams:
     """Flag precedence: explicit value, then desk preset, then stock defaults."""
     desk = args.preset == "desk"
@@ -412,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="signal period for tone/bandlimited/mix")
     gen.add_argument("--tone-order", type=int, default=1)
     gen.add_argument("--band-orders", type=_at_least(1), default=4)
-    gen.add_argument("--sigma", type=float, default=1.0)
-    gen.add_argument("--value", type=float, default=1.0)
+    gen.add_argument("--sigma", type=_at_least(0.0, float), default=1.0)
+    gen.add_argument("--value", type=_float32, default=1.0)
     gen.add_argument("--vocab", type=_at_least(1), default=128)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_gen_trace)

@@ -1,15 +1,18 @@
 """Attention paths: reference, compressed-materialized, fused, diagnostics."""
 
 import cProfile
+import gc
 import math
 import pstats
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fourier_kv import spectral
+from fourier_kv import attention, spectral
 from fourier_kv.attention import (
     attend_compressed_fused,
     attend_compressed_materialized,
@@ -212,6 +215,60 @@ class TestCompressedFused:
         assert sl.middle_count == period
         assert sl.partition.middle(sl.total_len) == range(init, init + period)
 
+    # a budget below twice the narrowest stored block's width splits every
+    # block of two or more rows, into chunks of one row or, for wider blocks
+    # of more rows, several; a block of width 0 (every dim compressed) holds
+    # no floats and never splits
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(decoded_slices(), st.integers(1, 300))
+    def test_fused_in_chunks_equals_materialized_randomized(self, case, budget):
+        sl, basis, q = case
+        dims = sl.layer.dims[sl.head]
+        head_dim = q.size
+        widths = [w for w in (head_dim, head_dim - dims.k_compressed.size,
+                              head_dim - dims.v_compressed.size) if w]
+        budget = min(budget, 2 * min(widths) - 1)
+        ref = attend_compressed_materialized(q, sl, basis).output
+        with mock.patch.object(attention, "_ATTEND_CHUNK_FLOATS", budget):
+            out = attend_compressed_fused(q, sl, basis).output
+        assert np.max(np.abs(out - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
+
+    # the layouts the property above draws among others, each forced through
+    # one-row chunks (budget 1) and chunks of several rows (budget 20)
+    @pytest.mark.parametrize("budget", [1, 20])
+    @pytest.mark.parametrize("case", [
+        dict(k_comp=range(8), v_comp=range(8)),
+        dict(k_comp=(), v_comp=()),
+        dict(seq_len=12),
+        dict(seq_len=40, steps=13),
+    ], ids=["every-dim-compressed", "every-dim-kept", "empty-middle", "wrapped-ring"])
+    def test_fused_in_chunks_equals_materialized(self, case, budget):
+        rng = np.random.default_rng(budget)
+        case = dict(case)
+        steps = case.pop("steps", 0)
+        sl, basis, *_ = build_slice(rng, **case)
+        for _ in range(steps):
+            append_token(sl, basis, rng.standard_normal(8), rng.standard_normal(8))
+        q = 2.0 * rng.standard_normal(8)
+        ref = attend_compressed_materialized(q, sl, basis).output
+        with mock.patch.object(attention, "_ATTEND_CHUNK_FLOATS", budget):
+            out = attend_compressed_fused(q, sl, basis).output
+        assert np.max(np.abs(out - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
+
+    def test_chunks_fit_the_budget_in_equal_rows(self):
+        for budget in (1, 7, 20, 64):
+            for width in range(11):
+                for rows in range(1, 40):
+                    with mock.patch.object(attention, "_ATTEND_CHUNK_FLOATS", budget):
+                        step = attention._chunk_rows(np.empty((rows, width)))
+                    chunks = -(-rows // step)
+                    # as few chunks as fit the budget, or one row each
+                    assert chunks == -(-rows // max(1, budget // max(1, width)))
+                    assert step * width <= budget or step == 1
+                    # the last chunk is short of the others by less than one
+                    # row per chunk: no short remainder
+                    assert step - (rows - (chunks - 1) * step) < chunks
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(decoded_slices(), st.data())
     def test_rejects_nan_query(self, case, data):
@@ -308,15 +365,54 @@ def test_a_desk_step_over_32_heads_resolves_one_run_plan():
     assert (info.misses, info.hits) == (1, 31)
 
 
+class TestFusedTransient:
+    """The fused call's float64 casts of the stored float32 blocks fit its chunk
+    budget, whatever the window: at stock geometry, one call over a local
+    window of 1024 rows, and over one of 4096."""
+
+    @staticmethod
+    def transient(local_len) -> int:
+        """Peak bytes one fused call allocates above those held before it."""
+        rng = np.random.default_rng(local_len)
+        part = PartitionParams(init_len=4, local_len=local_len, period=32768, orders=512)
+        layout = CacheLayout(partition=part, compressed=rng.random((1, 2, 1, 128)) < 0.6)
+        basis = FourierBasis(part.orders, part.period)
+        # a middle of 1020 positions, as a 2048-token prompt leaves at local 1024
+        length = part.init_len + 1020 + local_len
+        keys, values = rng.standard_normal((2, 1, length, 128)).astype(np.float32)
+        sl = HeadView(prefill(keys, values, layout, 0, basis), 0)
+        q = rng.standard_normal(128)
+        attend_compressed_fused(q, sl, basis)  # resolves the middle's plan
+        gc.collect()
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            attend_compressed_fused(q, sl, basis)
+            return tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+
+    def test_the_window_length_adds_only_its_scores(self):
+        near, far = self.transient(1024), self.transient(4096)
+        # the exact block cast whole would be 1028 * 128 float64 values; the
+        # budget casts at most 2**15 of them at a time, 206 rows here
+        assert near < (1028 * 128 * 8) / 4
+        # 3072 more scores at 8 bytes, and chunks of 242 rows, not 206: the
+        # slack covers chunks up to the budget's 256 KB
+        assert far - near <= 8 * 3072 + 64 * 1024
+
+
 class TestDecodeCallCounts:
     """Python-level calls per decode call at desk geometry, as cProfile counts
     them (not time), with numpy 2.4: a guard against per-call work creeping back.
 
     Each count is this code's, plus a margin of 3: 37 calls per attention
-    call and 24 per evicting append. The code made 78 and 39 before each
-    middle run's transform was resolved once, 37 and 27 while it stored
-    exact rows permuted into a per-head dimension order, and 37 and 25 while
-    it kept a second count per head and converted an appended token twice.
+    call and 24 per evicting append. Every desk block fits the fused call's
+    chunk budget, so each keeps its one product and the budget adds no
+    call. The code made 78 and 39 before each middle run's transform was
+    resolved once, 37 and 27 while it stored exact rows permuted into a
+    per-head dimension order, and 37 and 25 while it kept a second count per
+    head and converted an appended token twice.
     """
 
     MARGIN = 3

@@ -106,6 +106,26 @@ class TestGenTrace:
         assert exit_code("gen-trace", "--len", 8, *flags, "--out", out) == 2
         assert not out.exists()
 
+    # a negative noise scale, or a constant a float32 trace cannot hold, is a
+    # usage error that names its flag, and no trace is written; flag=value,
+    # since argparse reads a lone "-inf" as an option
+    @pytest.mark.parametrize("kind, flag, value", [
+        (("noise",), "--sigma", -1),
+        (("mix", "--period", 16), "--sigma", -1),
+        (("constant",), "--value", "inf"),
+        (("constant",), "--value", "-inf"),
+        (("constant",), "--value", "nan"),
+        (("constant",), "--value", "1e39"),
+    ], ids=["noise-sigma-negative", "mix-sigma-negative", "value-inf", "value-minus-inf",
+            "value-nan", "value-past-float32"])
+    def test_bad_sigma_or_value_is_usage_error_naming_the_flag(self, tmp_path, capsys, kind,
+                                                              flag, value):
+        out = tmp_path / "t.kvt"
+        assert exit_code("gen-trace", "--len", 8, "--kind", *kind, f"{flag}={value}",
+                         "--out", out) == 2
+        assert not out.exists()
+        assert f"argument {flag}: must be" in capsys.readouterr().err
+
     def test_tiny_trace_deterministic(self, tmp_path):
         a, b = tmp_path / "a.kvt", tmp_path / "b.kvt"
         for out in (a, b):
