@@ -22,14 +22,18 @@ bins and ``L = min(M + R, period)``, per query that costs O(min(R * M, L log
 L) + (E + M) * head_dim) time, plus O(k * head_dim) to contract the 2k-row
 states with the query: the transforms take whichever of products against
 cached trig tables, a chirp-z FFT pair over the middle region or one
-length-period FFT is cheapest, and hold at most O(L) transient values. Each
-float32 block the products read, exact or kept, K or V, is cast to float64
-at most ``_ATTEND_CHUNK_FLOATS`` values (256 KB) at a time: a block within
-that budget is one product, a larger one runs in equal row chunks. So the
-call's transient is the budget plus the ``E + M`` scores and the
-transforms', whatever the window length. The stored blocks are not scanned
-for NaN or Inf on every call (the cache rejects them as tokens enter); the
-scores and the output are checked instead.
+length-period FFT is cheapest. The FFTs hold O(L) transient values; the
+trig tables' evaluate holds ``rows * R`` complex values, ``rows = ceil(M /
+width)`` for a power of two ``width`` near ``sqrt(M)``, and numpy's buffer
+for that broadcast product, up to as many again (``FourierBasis._evaluate``):
+0.263 MB at 512 orders over a 256-position middle, more than the casts'
+budget below. Each float32 block the products read, exact or kept, K or V,
+is cast to float64 at most ``_ATTEND_CHUNK_FLOATS`` values (256 KB) at a
+time: a block within that budget is one product, a larger one runs in equal
+row chunks. So the call's transient is the budget plus the ``E + M`` scores
+and the transforms', whatever the window length. The stored blocks are not
+scanned for NaN or Inf on every call (the cache rejects them as tokens
+enter); the scores and the output are checked instead.
 ``attend_compressed_materialized`` is its oracle: it rebuilds every middle
 row, its kept dims copied and its compressed dims through ``reconstruct``,
 each at its index from the head's ``HeadDims``, orders every row by

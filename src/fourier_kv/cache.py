@@ -447,13 +447,13 @@ def _fold_run(lay: LayerCache, heads: range, basis: FourierBasis, keys, values, 
         k_runs = np.concatenate([lay.exact[0, block, rows] for rows in ring] + [k_runs], axis=1)
         v_runs = np.concatenate([lay.exact[1, block, rows] for rows in ring] + [v_runs], axis=1)
     dims = [lay.dims[h] for h in heads]
-    states, k_cols = lay.states, lay.k_cols
+    # each head's K folds into its state's columns 0.. and its V into k_cols..
     _fold_into(
         basis,
         [*k_runs, *v_runs],
         [hd.k_compressed for hd in dims] + [hd.v_compressed for hd in dims],
-        [states[h, :, : hd.k_compressed.size] for h, hd in zip(heads, dims)]
-        + [states[h, :, k_cols : k_cols + hd.v_compressed.size] for h, hd in zip(heads, dims)],
+        [lay.states[h] for h in heads] * 2,
+        [0] * len(dims) + [lay.k_cols] * len(dims),
         run.start,
     )
     first = len(lay.partition.middle(p))  # the kept rows held ahead of the run

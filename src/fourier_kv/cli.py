@@ -477,6 +477,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse drops a flag's value "--" (``--len=--``) and stores an empty
+    # list without calling the flag's type; no flag takes an empty list
+    for name, value in vars(args).items():
+        if isinstance(value, list) and not value:
+            parser.error(f"argument --{name.replace('_', '-')}: expected one value, got '--'")
     try:
         return args.func(args)
     except UsageError as exc:

@@ -215,21 +215,23 @@ def _split_sse(rows, forms: tuple, layers, length: int, out: np.ndarray) -> None
     ``out[layer, block]`` receives one error per column. ``rows(u, out)``
     fills ``out[:, j]`` with the rows at offset ``u[j] / 2`` from the
     centre (``u`` ascending by 2), the even ones at even indices; ``forms``
-    holds ``F_e`` and ``F_o``. Rows ``i`` and ``length - 1 - i`` pair up, an
-    odd middle's centre with zero. With a pair's halves ``E = x(v) + x(-v)``
-    and ``O = x(v) - x(-v)`` cast once to float64, ``a = rows_even @ E`` and
-    ``b = rows_odd @ O``, the error is ``|x|**2 + a.T F_e a + b.T F_o b``. A
-    chunk's rows, their build and a block's halves fit ``_FOLD_CHUNK_FLOATS``;
-    one chunk of every pair serves all layers.
+    holds ``F_e`` and ``F_o``. Rows ``i`` and ``length - 1 - i`` pair up as
+    the batch fold pairs them (``spectral._centred_pairs``, an odd middle's
+    centre with zero): with a pair's halves ``E = x(v) + x(-v)`` and ``O =
+    x(v) - x(-v)``, cast once to float64, ``a = rows_even @ E`` and ``b =
+    rows_odd @ O``, the error is ``|x|**2 + a.T F_e a + b.T F_o b``, and
+    ``|x|**2`` is ``(|E|**2 + |O|**2) / 2``. A chunk's rows, their build
+    and a block's halves fit ``_FOLD_CHUNK_FLOATS``; one chunk of every pair
+    serves all layers.
     """
     f_even, f_odd = forms
     half = (length + 1) // 2  # pairs, the centre of an odd middle among them
     dim = layers[0][0].shape[1]
     count = len(f_even) + len(f_odd)
-    step = max(1, min(half, spectral._FOLD_CHUNK_FLOATS // (2 * count + 3 * dim)))
+    step = max(1, min(half, spectral._FOLD_CHUNK_FLOATS // (2 * count + 2 * dim)))
     offsets = 2 * np.arange(length - half, length) - (length - 1)  # 2v, ascending from the centre
     basis_rows = np.empty((count, step))
-    halves = np.empty((3, step, dim))  # the pairs' top and bottom rows, then the odd halves
+    halves = np.empty(2 * step * dim)  # a chunk's sums, then its differences
     for layer, (layer_sse, blocks) in enumerate(zip(out, layers)):
         a = np.zeros((len(blocks), len(f_even), dim))
         b = np.zeros((len(blocks), len(f_odd), dim))
@@ -239,17 +241,13 @@ def _split_sse(rows, forms: tuple, layers, length: int, out: np.ndarray) -> None
             chunk = basis_rows[:, : p1 - p0]
             if layer == 0 or step < half:
                 rows(offsets[p0:p1], chunk)
-            top, bottom, odd_half = pairs = halves[:, : p1 - p0]
+            pairs = halves[: 2 * (p1 - p0) * dim].reshape(2, p1 - p0, dim)
             for block, a_sum, b_sum, total in zip(blocks, a, b, layer_sse):
-                np.copyto(top, block[length - half + p0 : length - half + p1])
-                np.copyto(bottom, block[half - p1 : half - p0][::-1])
-                if p0 == 0 and length % 2:
-                    bottom[0] = 0.0
-                total += np.einsum("kij,kij->j", pairs[:2], pairs[:2])
-                np.subtract(top, bottom, out=odd_half)
-                top += bottom
-                a_sum += chunk[0::2] @ top
-                b_sum += chunk[1::2] @ odd_half
+                even, odd = spectral._centred_pairs(block, p0, pairs)
+                total += np.einsum("kij,kij->j", pairs, pairs)
+                a_sum += chunk[0::2] @ even
+                b_sum += chunk[1::2] @ odd
+        layer_sse *= 0.5
         layer_sse += np.einsum("bij,bij->bj", a, f_even @ a)
         layer_sse += np.einsum("bij,bij->bj", b, f_odd @ b)
     # the forms cancel on a column reconstructed almost exactly, which may dip below 0

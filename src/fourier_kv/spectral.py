@@ -25,8 +25,12 @@ one-column pick is resolved once into a plan that every later call over the
 same run reads, and the run is read without scanning it, so a call's fixed
 cost is a handful of numpy calls. The fold runs the trig tables and the
 moments as matrix products over spans of a block's columns, cast into one
-float64 buffer and never gathered: one product per span against the run's
-columns, or two through the moments, and each FFT once per column. Every
+float64 buffer and never gathered, and each FFT once per column. The tables
+take one product per span against the run's columns. The moments read the
+run as pairs of rows about its centre, whose sums meet the even Chebyshev
+rows and whose differences the odd ones, half the multiply-adds of the
+unpaired run, and their second product adds into each state's rows in place, one
+BLAS ``dgemm``; ``dimselect``'s Gram forms read the same pairs. Every
 cosine and sine comes from one of two phase builders, each reducing its
 integer phase exactly before the float product: :func:`_unit_phases`
 reduces ``n*t`` mod ``period``, for basis columns, trig tables and, at
@@ -49,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.fft
-from scipy.linalg.blas import dger
+from scipy.linalg.blas import dgemm, dger
 
 __all__ = [
     "FoldOrderError",
@@ -108,9 +112,10 @@ class FourierBasis:
       largest wave's phase over half the run as a bound on the tail sets it
       (98 terms for 512 orders over 1020 positions at period 32768, where
       that phase is 50 radians). A column costs its ``degree`` moments,
-      ``degree * span`` multiply-adds, and one product of them by the
-      waves, ``2R * degree``; the tables of both are built for all ``c``
-      columns together, in chunks within the fold's budget.
+      ``degree * span / 2`` multiply-adds over the run's pairs of rows
+      about its centre, and one product of them by the waves, ``2R *
+      degree``; the tables of both are built for all ``c`` columns
+      together, in chunks within the fold's budget.
     * chirp-z (Bluestein): with ``n`` the power of two ``>= span + R - 1``,
       one complex FFT pair of length ``n`` per column: O(n log n) time,
       O(n) memory and ``32 * n <= 8 * period`` bytes of tables.
@@ -291,7 +296,17 @@ class FourierBasis:
 
     def _evaluate(self, a: np.ndarray, plan: _Run) -> np.ndarray:
         """:meth:`evaluate` of contiguous float64 coefficients over a resolved run:
-        the arithmetic alone, as decode attention calls it once it holds the plan."""
+        the arithmetic alone, as decode attention calls it once it holds the plan.
+
+        Its transient: over the trig tables, the product of the ``rows`` head
+        phases the run reads by the coefficients, ``rows * R`` complex values,
+        and numpy's buffer for that broadcast product, ``min(getbufsize(),
+        rows * R)`` complex values, so at most ``32 * rows * R`` bytes (0.263
+        MB for 16 rows of 512 orders over 256 positions), besides the
+        ``span`` values returned; over the chirp-z transform, its FFT buffer
+        of length ``n``; over the length-period FFT, one spectrum and one wave
+        of the period.
+        """
         span = plan.span
         if span == 0:
             return np.zeros(0, dtype=np.float64)
@@ -398,8 +413,10 @@ class FourierBasis:
         product's output, the picked columns taken from it and the output
         columns they are added into (the fold reads its blocks in place, so
         their own values are not counted). For the moments, fixed: the
-        larger of their two passes, as :func:`_moment_chunks` sizes them;
-        per column: its ``degree`` moments, held between the passes. For
+        larger of their two passes, as :func:`_moment_chunks` sizes them,
+        the first over the run's pairs of rows and the second adding into
+        the states in place; per column: its ``degree`` moments, held
+        between the passes (a layer's padding columns among them). For
         the FFTs, fixed: numpy's two buffers for a broadcast product, up to
         ``getbufsize()`` complex values each, and for the chirp-z transform
         its tables; per column: the weights gathered, with the complex FFT
@@ -481,7 +498,10 @@ _TABLE_BUILD_COLUMNS = 256
 # tables), no moments 237 ms. On a second grid that set nothing (orders 96,
 # 192 and 384, spans 500 and 2000, 4-256 columns, both periods) they lost
 # 1.6 ms over 48 folds, the worst at 1.63x, where a rule with ratio 1 and no
-# table build count lost 40 ms and left 15 folds past 1.5x
+# table build count lost 40 ms and left 15 folds past 1.5x. The sweep timed
+# the moments before they read the run as pairs, which halved their first
+# product: the rule now overprices them, and keeps every pick it made (stock
+# takes the moments, desk the tables)
 _MOMENT_COST_RATIO = 2
 _MOMENT_BUILD_COLUMNS = 32
 
@@ -791,13 +811,15 @@ def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
     from the cache. Over the FFTs every column costs a transform, so each
     block's picked columns go to it in groups, selected from the block only
     then. Over the trig tables and the moments a column costs no transform:
-    their tables are built once per sub-run (per chunk of positions and of
+    their tables are built once per sub-run (per chunk of pairs and of
     orders for the moments), and a block's columns from its first pick to
     its last go in spans, each cast into one float64 buffer and projected
     by one matrix product, within the multiply-adds of BLAS's small-matrix
-    kernels (32 columns at desk), whose picked columns the state keeps, or
-    for the moments the columns' moments, which a second product takes to
-    the state; nothing is gathered from a block. So the columns between a
+    kernels (32 columns at desk), whose picked columns the state keeps. The
+    moments cast a span as pairs of rows about the run's centre, its sums
+    and its differences, and project each by half the Chebyshev rows; a
+    second product takes every column's moments to the state, added into
+    its rows in place. Nothing is gathered from a block. So the columns between a
     block's picks pass through the products too: the fold ignores
     floating-point errors, and a NaN or Inf in a column that is not picked
     leaves the picked columns' states as they are. No block is copied
@@ -830,7 +852,8 @@ def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
         dims = [_ascending(d, a.shape[1]) for a, d in zip(arrays, dims)]
     states = [SpectralState.zeros(basis.orders, d.size) for d in dims]
     with np.errstate(invalid="ignore", over="ignore"):
-        _fold_into(basis, arrays, dims, [state.coeffs for state in states], start_pos)
+        _fold_into(basis, arrays, dims, [state.coeffs for state in states], [0] * len(states),
+                   start_pos)
     if length:
         for state in states:
             state.token_count = length
@@ -850,24 +873,29 @@ def _ascending(pick, dim: int) -> np.ndarray:
                      f"strictly ascending in [0, {dim}), got {pick!r}")
 
 
-def _fold_into(basis: FourierBasis, arrays: list, picks: list, outs: list,
+def _fold_into(basis: FourierBasis, arrays: list, picks: list, states: list, offsets: list,
                start_pos: int) -> None:
-    """Add the fold of each block's columns ``picks[i]`` into ``outs[i]``, in place.
+    """Add the fold of each block's columns ``picks[i]`` into its state, in place.
 
     The work of :func:`fold_blocks`, whose checks the inputs have passed:
     every ``picks[i]`` is an integer array that ascends strictly, as the
-    cache's ``HeadDims`` sets do, and ``outs[i]`` is ``(2*orders, k_i)``
-    float64 for the ``k_i`` columns picked, and may be a view of a larger
-    array, as the cache's K and V columns of one state. The transform is
-    priced for all the picked columns together. Each sub-run over the trig
-    tables goes to :func:`_fold_spans`, a product per span of a block's
-    columns, and over the moments to :func:`_fold_moments`; over either
-    FFT, each block's picks go to the transform in groups.
+    cache's ``HeadDims`` sets do. Block ``i``'s ``k_i`` picked columns fold
+    into columns ``offsets[i]..offsets[i]+k_i-1`` of ``states[i]``, a
+    C-ordered ``(2*orders, width)`` float64 array that other blocks may
+    share: a layer folds a head's K at 0 and its V at ``k_cols`` of the
+    head's one state, and :func:`fold_blocks` each block into a state of its
+    own. The transform is priced for all the picked columns together.
+    Each sub-run over the trig tables goes to :func:`_fold_spans`, a product
+    per span of a block's columns, and over either FFT each block's picks go
+    to the transform in groups, each adding into the block's columns of its
+    state; over the moments, :func:`_fold_moments` adds into whole states.
     """
     length = arrays[0].shape[0] if arrays else 0
     columns = sum(pick.size for pick in picks)
     if length == 0 or columns == 0:
         return
+    outs = [state[:, offset : offset + pick.size]
+            for state, offset, pick in zip(states, offsets, picks)]
     # the longest halving of the run at which one column fits the budget in
     # every sub-run: the last, shorter one may run another transform
     sub_run = length
@@ -883,7 +911,7 @@ def _fold_into(basis: FourierBasis, arrays: list, picks: list, outs: list,
         plan = None
         plan = basis._transform(run, columns, cached=sub_run == length)
         if plan.degree:
-            _fold_moments(basis, plan, arrays, picks, outs, lo, hi)
+            _fold_moments(basis, plan, arrays, picks, states, offsets, lo, hi)
             continue
         fixed, per_column = basis._project_floats(hi - lo, columns)
         group = max(1, (_FOLD_CHUNK_FLOATS - fixed) // per_column)
@@ -903,9 +931,8 @@ def _fold_spans(columns: np.ndarray, arrays: list, picks: list, outs: list, lo: 
                 group: int) -> None:
     """Rows ``lo:hi`` of each block projected onto ``columns``, a product per span.
 
-    ``columns`` is ``(hi - lo, n)``: a trig-table sub-run's
-    :meth:`_Run.run_columns`, or for :func:`_fold_moments` a chunk of its
-    Chebyshev rows, transposed. Every ``picks[i]`` ascends strictly. The
+    ``columns`` is ``(hi - lo, n)``, a trig-table sub-run's
+    :meth:`_Run.run_columns`. Every ``picks[i]`` ascends strictly. The
     columns of a block from its first pick to its last are cast, ``group``
     at most at a time, into one float64 buffer (one cast a block at desk:
     casting each span apart took 4-5% longer), and each span of it within
@@ -985,33 +1012,60 @@ def _run_degree(orders: int, period: int, span: int) -> int:
     return _moment_degree(np.pi * (orders - 1) * span / period)
 
 
-def _moment_chunks(orders: int, span: int, degree: int) -> tuple[int, int, int, int, int]:
+def _moment_chunks(orders: int, span: int, degree: int) -> tuple[int, int, int, int]:
     """How :func:`_fold_moments` splits its work to fit ``_FOLD_CHUNK_FLOATS``.
 
-    ``(positions, width, rows, window, fixed)``: positions per chunk of
-    Chebyshev rows (``degree * positions`` floats), block columns cast at a
-    time (``positions * width``), orders per chunk of waves
-    (:data:`_MOMENT_ORDERS`, ``2 * degree * rows`` floats) and moment
-    columns per product against them (``2 * rows * window``), each within a
+    ``(pairs, width, rows, fixed)``: pairs of positions per chunk of
+    Chebyshev rows (``degree * pairs`` floats, over the run's top half),
+    block columns whose pairs are cast at a time (their sums and
+    differences, ``2 * pairs * width``) and orders per chunk of waves
+    (:data:`_MOMENT_ORDERS`, ``2 * degree * rows`` floats), each within a
     quarter of the budget, or within one chunk of waves where that is more
-    (past 256 terms at the default budget); and ``fixed``, the larger
-    of the two passes' float64 values. The first also holds the rows'
+    (past 256 terms at the default budget); and ``fixed``, the larger of
+    the two passes' float64 values. The first also holds the rows'
     position vectors, numpy's buffers for their broadcast products (``2 * s
-    * positions``, see :func:`_chebyshev_rows`) and the products of
-    :func:`_fold_spans` with the picked columns taken from them and the
-    sums they are added with (``3 * degree`` values per product column);
-    the second the waves' node and factor vectors.
+    * pairs``, see :func:`_chebyshev_rows`) and each product of the even or
+    odd rows with a span of the pairs, with the picked columns taken from
+    it (``2 * ceil(degree / 2)`` values per product column); the second the
+    waves' node and factor vectors, since each chunk of waves is added into
+    the states in place.
     """
     rows = min(orders, _MOMENT_ORDERS)
     quarter = max(_FOLD_CHUNK_FLOATS // 4, 2 * degree * rows)
-    positions = min(span, quarter // degree)
-    width = quarter // positions
-    window = quarter // (2 * rows)
-    step = min(width, max(1, _SMALL_PRODUCT // (degree * positions)))
+    pairs = min((span + 1) // 2, quarter // degree)
+    width = max(1, quarter // (2 * pairs))
+    parity = (degree + 1) // 2  # the even rows; the odd ones are no more
+    step = min(width, max(1, _SMALL_PRODUCT // (parity * pairs)))
     s = max(2, math.isqrt(degree))
-    moments = (degree + 3 + 2 * s) * positions + positions * width + 3 * degree * step
-    waves = 2 * rows * (degree + window) + 8 * degree
-    return positions, width, rows, window, max(moments, waves)
+    moments = (degree + 3 + 2 * s) * pairs + 2 * pairs * width + 2 * parity * step
+    waves = 2 * rows * degree + 8 * degree
+    return pairs, width, rows, max(moments, waves)
+
+
+def _centred_pairs(block: np.ndarray, p0: int, out: np.ndarray) -> np.ndarray:
+    """Pairs ``p0..p0+n-1`` of a block's rows about its centre, cast once to float64.
+
+    Pair ``p`` of a ``(span, dim)`` block joins the row ``p`` places above
+    its centre, ``span - half + p`` with ``half = (span + 1) // 2``, and
+    the row as far below it, ``half - 1 - p``; an odd span's centre, pair
+    0, joins zero. ``out`` is ``(2, n, dim)`` float64 and receives the
+    pairs' sums ``E`` in ``out[0]`` and differences ``O`` in ``out[1]``: a
+    function of the offset from the centre that is even reads only ``E``,
+    one that is odd only ``O``, and ``|x|**2`` over the pairs is ``(|E|**2
+    + |O|**2) / 2``. ``O`` is ``E - 2 * bottom``, exact for float32 rows
+    within 29 binades of each other, as ``E`` is. Returns ``out``.
+    """
+    span, n = block.shape[0], out.shape[1]
+    top = span - (span + 1) // 2 + p0  # the first top row; the bottom rows end below its mirror
+    total, odd = out
+    np.copyto(total, block[top : top + n])
+    np.copyto(odd, block[span - top - n : span - top][::-1])
+    if p0 == 0 and span % 2:
+        odd[0] = 0.0
+    total += odd
+    odd *= -2.0
+    odd += total
+    return out
 
 
 def _chebyshev_rows(x: np.ndarray, out: np.ndarray) -> None:
@@ -1061,8 +1115,8 @@ def _moment_waves(period: int, lo: int, span: int, degree: int, r0: int, r1: int
     return waves
 
 
-def _fold_moments(basis: FourierBasis, plan: _Run, arrays: list, picks: list, outs: list,
-                  lo: int, hi: int) -> None:
+def _fold_moments(basis: FourierBasis, plan: _Run, arrays: list, picks: list, states: list,
+                  offsets: list, lo: int, hi: int) -> None:
     """:func:`_fold_into`'s sub-run ``lo:hi`` by Chebyshev moments, two products per column.
 
     With ``x_t`` the run's positions mapped onto ``(-1, 1)`` and ``T_k``
@@ -1072,60 +1126,142 @@ def _fold_moments(basis: FourierBasis, plan: _Run, arrays: list, picks: list, ou
     it at ``degree`` nodes. So a column ``w`` folds as its moments ``mu =
     P @ w``, ``P[k, m] = T_k(x_m)``, and then ``G.T @ mu``; the DCT moves
     onto the moments, as its transpose (a DCT-III), so the second product
-    reads the waves themselves. The picked columns go in groups whose
-    moments fit the budget (every column at the benchmark's geometries).
-    Per group, ``P`` is built a chunk of positions at a time and each chunk
-    projects every block's columns into the moments through
-    :func:`_fold_spans`, from a block's first pick to its last; then the
-    waves are built a chunk of orders at a time, and each chunk's product
-    with a window of the moments is added into the output rows of those
-    orders. The sizes are :func:`_moment_chunks`'.
+    reads the waves themselves.
+
+    The first product reads the run as pairs of rows about its centre
+    (:func:`_centred_pairs`): ``x`` of a pair's bottom row is minus its top
+    row's, and ``T_k(-x) = (-1)**k T_k(x)``, so the even rows of ``P``,
+    built at the top rows only, take the pairs' sums and the odd rows their
+    differences, filling the even and odd entries of each column's
+    ``degree`` moments: half the multiply-adds and half the rows of ``P``.
+    The moments are a row per column of whole states, or of windows of
+    their columns where a state's do not fit the budget, in the state's
+    column order, so the columns no block folds into (a layer's padding)
+    hold zero moments. Per group of
+    them, ``P`` is built a chunk of pairs at a time and each chunk projects
+    every block's columns, from a block's first pick to its last; then the
+    waves are built a chunk of orders at a time, and each chunk is
+    multiplied by every state's moments and added into those orders' rows
+    of the state in place (:func:`_add_product`). The sizes are
+    :func:`_moment_chunks`'.
     """
     span, degree = hi - lo, plan.degree
-    positions, width, rows, window, fixed = _moment_chunks(basis.orders, span, degree)
-    # the columns whose moments fit what the budget leaves, or all of them
-    # where not even one column's do
+    pairs, width, rows, fixed = _moment_chunks(basis.orders, span, degree)
+    targets = []  # the states the blocks fold into, each once
+    for state in states:
+        if all(state is not target for target in targets):
+            targets.append(state)
+    # the state columns whose moments fit what the budget leaves, or all of
+    # them where not even one column's do
     group = (_FOLD_CHUNK_FLOATS - fixed) // degree
     if group < 1:
-        group = sum(pick.size for pick in picks)
+        group = sum(target.shape[1] for target in targets)
+    # windows of each state's columns of equal widths, none a short
+    # remainder: the whole state wherever it fits
+    pieces = []
+    for target in targets:
+        cols = target.shape[1]
+        if cols:
+            size = -(-cols // -(-cols // group))
+            pieces += [(target, c0, min(c0 + size, cols)) for c0 in range(0, cols, size)]
+    half = (span + 1) // 2
     # chunks of equal widths, none a short remainder
-    positions = -(-span // -(-span // positions))
+    pairs = -(-half // -(-half // pairs))
     rows = -(-basis.orders // -(-basis.orders // rows))
-    pieces = [(i, a, min(a + group, pick.size))
-              for i, pick in enumerate(picks) for a in range(0, pick.size, group)]
+    step = min(width, max(1, _SMALL_PRODUCT // ((degree + 1) // 2 * pairs)))
+    width = min(width, max(array.shape[1] for array in arrays))
     while pieces:
-        # the pieces whose moments fit one group, each at its offset in them
+        # the windows whose moments fit one group
         batch, count = [], 0
         while pieces and count + pieces[0][2] - pieces[0][1] <= group:
-            i, a, b = pieces.pop(0)
-            batch.append((i, a, b, count))
-            count += b - a
-        moments = np.zeros((degree, count))
-        cheb = np.empty((degree, positions))
-        for p0 in range(0, span, positions):
-            p1 = min(span, p0 + positions)
+            batch.append(pieces.pop(0))
+            count += batch[-1][2] - batch[-1][1]
+        # a row of moments per column of the windows, one window after the
+        # other: each window's rows are one C-ordered operand of the product
+        moments = np.zeros((count, degree))
+        cheb = np.empty((degree, pairs))
+        buffer = np.empty(2 * pairs * width)
+        for p0 in range(0, half, pairs):
+            p1 = min(half, p0 + pairs)
             part = cheb[:, : p1 - p0]
-            _chebyshev_rows((2 * np.arange(p0, p1) - (span - 1)) / span, part)
-            _fold_spans(part.T, [arrays[i] for i, *_ in batch],
-                        [picks[i][a:b] for i, a, b, _ in batch],
-                        [moments[:, at : at + b - a] for _, a, b, at in batch],
-                        lo + p0, lo + p1, width)
-        del cheb, part
-        moments = scipy.fft.dct(moments, type=3, axis=0, overwrite_x=True)
+            # the top rows' offsets from the centre over the half-width
+            _chebyshev_rows((2 * np.arange(span - half + p0, span - half + p1) - (span - 1))
+                            / span, part)
+            at = 0
+            for target, c0, c1 in batch:
+                # each block's picks that fold into the window, into their rows
+                for array, pick, state, offset in zip(arrays, picks, states, offsets):
+                    a, b = max(0, c0 - offset), min(pick.size, c1 - offset)
+                    if state is target and a < b:
+                        row = at + offset + a - c0
+                        _fold_pairs(part, array[lo:hi], pick[a:b], moments[row : row + b - a],
+                                    p0, buffer, width, step)
+                at += c1 - c0
+        del cheb, part, buffer
+        moments = scipy.fft.dct(moments, type=3, axis=1, overwrite_x=True)
         moments /= degree
         for r0 in range(0, basis.orders, rows):
             r1 = min(basis.orders, r0 + rows)
             # cosine and sine rows of each order, interleaved
             waves = _moment_waves(basis.period, plan.lo, span, degree, r0, r1).view(np.float64).T
-            for c0 in range(0, count, window):
-                c1 = min(count, c0 + window)
-                sums = waves @ moments[:, c0:c1]
-                for i, a, b, at in batch:
-                    # the columns of this window that are the piece's
-                    u0, u1 = max(c0, at), min(c1, at + b - a)
-                    if u0 < u1:
-                        out = outs[i][2 * r0 : 2 * r1, a + u0 - at : a + u1 - at]
-                        out += sums[:, u0 - c0 : u1 - c0]
+            at = 0
+            for target, c0, c1 in batch:
+                _add_product(target[2 * r0 : 2 * r1, c0:c1], waves, moments[at : at + c1 - c0])
+                at += c1 - c0
+
+
+def _fold_pairs(cheb: np.ndarray, block: np.ndarray, pick: np.ndarray, out: np.ndarray,
+                p0: int, buffer: np.ndarray, width: int, step: int) -> None:
+    """Add the moments of a block's pairs ``p0..`` into ``out``, for its picked columns.
+
+    ``cheb`` holds ``T_k`` at the top rows of ``n`` pairs, ``(degree, n)``;
+    ``out`` is ``(pick.size, degree)``, a row per picked column. The block's
+    columns from its first pick to its last are cast as pairs, ``width`` at
+    a time, into the flat ``buffer`` (:func:`_centred_pairs`), and each span
+    of them within ``step`` columns is projected twice, by the even rows of
+    ``cheb`` from the pairs' sums and by the odd rows from their
+    differences; the picked columns' moments are added into the even and
+    odd entries of their rows of ``out``. As in :func:`_fold_spans`, no
+    column is gathered from a block.
+    """
+    n = cheb.shape[1]
+    first, stop = int(pick[0]), int(pick[-1]) + 1
+    # casts of equal widths, at most width, and products of equal spans
+    # within each, none a short remainder
+    width = -(-(stop - first) // -(-(stop - first) // width))
+    for c0 in range(first, stop, width):
+        c1 = min(c0 + width, stop)
+        # contiguous, as numpy buffers a ufunc over strided operands
+        halves = _centred_pairs(block[:, c0:c1], p0,
+                                buffer[: 2 * n * (c1 - c0)].reshape(2, n, c1 - c0))
+        span = -(-(c1 - c0) // -(-(c1 - c0) // step))
+        for q0 in range(c0, c1, span):
+            q1 = min(q0 + span, c1)
+            a, b = pick.searchsorted((q0, q1))
+            if a == b:
+                continue
+            for parity, pairs in enumerate(halves):
+                moments = pairs[:, q0 - c0 : q1 - c0].T @ cheb[parity::2].T
+                # picks that fill the span take its moments whole
+                out[a:b, parity::2] += moments if b - a == q1 - q0 else moments[pick[a:b] - q0]
+
+
+def _add_product(out: np.ndarray, waves: np.ndarray, moments: np.ndarray) -> None:
+    """``out += waves @ moments.T`` in place, as one BLAS product (``dgemm``, beta 1).
+
+    No temporary of ``out``'s size exists. ``waves`` is Fortran-ordered and
+    ``moments``, a row per column of ``out``, C-ordered, so BLAS reads both
+    as they are. As for :func:`_add_outer`'s ``dger``, BLAS sees ``out.T``,
+    which is Fortran-ordered for rows of a C-ordered state, and updates
+    that buffer itself and returns it; a window of a state's columns it
+    updates in a copy, which is written back. The arguments are ``(alpha,
+    a, b, beta, c, trans_a, trans_b, overwrite_c)``, positional as for
+    ``dger``.
+    """
+    c = out.T
+    updated = dgemm(1.0, moments.T, waves, 1.0, c, 1, 1, 1)
+    if updated is not c:
+        out[...] = updated.T
 
 
 def fold_token(state: SpectralState, basis: FourierBasis, value, pos: int) -> SpectralState:

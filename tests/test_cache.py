@@ -451,6 +451,64 @@ class TestPrefillFold:
         assert_layer_unchanged(layer, before)
 
 
+
+@st.composite
+def moment_chunks(draw):
+    """A one-layer layout of 1-3 heads that compress unequal counts, a prompt, and
+    a chunk ingested after it.
+
+    The prompt's middle holds 0-3 positions or more, odd and even, and
+    starts at position 0-3 or past one period; the chunk evicts 1-4
+    positions or more into the states the prompt left. The fold's budget is
+    the default or small enough to split a head's state into windows.
+    """
+    head_dim = draw(st.integers(2, 8))
+    kv_heads = draw(st.integers(1, 3))
+    period = draw(st.integers(16, 48))
+    init = draw(st.one_of(st.integers(0, 3), st.integers(period + 1, 3 * period)))
+    local = draw(st.integers(1, 6))
+    orders = draw(st.integers(1, (period + 1) // 2))
+    first = draw(st.one_of(st.integers(0, 3), st.integers(4, period // 2)))
+    chunk = draw(st.one_of(st.integers(1, 4), st.integers(5, period - first)))
+    dim_sets = st.sets(st.integers(0, head_dim - 1)).map(sorted)
+    part = PartitionParams(init_len=init, local_len=local, period=period, orders=orders)
+    k_sets, v_sets = zip(*[(draw(dim_sets), draw(dim_sets)) for _ in range(kv_heads)])
+    layout = one_layer(part, head_dim, k_sets, v_sets)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keys, values = random_layer(rng, kv_heads=kv_heads, seq_len=init + first + local + chunk,
+                                head_dim=head_dim)
+    budget = draw(st.sampled_from([spectral._FOLD_CHUNK_FLOATS, 2**12, 2**10]))
+    return layout, keys, values, init + first + local, budget
+
+
+class TestMomentsFold:
+    """The Chebyshev moments fold, forced, against ``compress_batch`` per head."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=moment_chunks())
+    def test_prefill_then_a_chunk_matches_compress_batch(self, case):
+        layout, keys, values, prompt, budget = case
+        part = layout.partition
+        basis = build_basis(part.orders, part.period)
+        with forced("moments", _FOLD_CHUNK_FLOATS=budget), \
+                mock.patch.object(spectral, "_fold_moments",
+                                  side_effect=spectral._fold_moments) as moments:
+            layer = prefill(keys[:, :prompt], values[:, :prompt], layout, 0, basis)
+            ingest(layer, basis, keys[:, prompt:], values[:, prompt:])
+        widths = [hd.k_compressed.size + hd.v_compressed.size for hd in layout.dims[0]]
+        # every fold of two or more positions and columns runs the moments
+        folds = [span for span in (len(part.middle(prompt)), keys.shape[1] - prompt)
+                 if span > 1 and sum(widths) > 1]
+        assert moments.call_count >= len(folds)
+        TestPrefillFold.assert_states_match(layout, keys, values, layer, basis)
+        for head, hd in enumerate(layout.dims[0]):
+            # the padding columns of a head that compresses fewer dims than the widest
+            padding = np.ones(layer.states.shape[2], dtype=bool)
+            padding[: hd.k_compressed.size] = False
+            padding[layer.k_cols : layer.k_cols + hd.v_compressed.size] = False
+            assert np.all(layer.states[head][:, padding] == 0.0)
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("block, dim, bad", [("keys", 3, np.nan),  # kept K dim
                                                  ("values", 0, np.inf)])  # compressed V dim

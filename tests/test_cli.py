@@ -4,10 +4,15 @@ import csv
 import hashlib
 import json
 import struct
+import tempfile
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fourier_kv.cache import memory_report
 from fourier_kv.cli import main
@@ -137,6 +142,75 @@ class TestGenTrace:
     def test_unwritable_out_is_io_error(self, tmp_path):
         assert run("gen-trace", "--kind", "constant", "--len", 8,
                    "--out", tmp_path / "nonexistent_dir" / "t.kvt") == 3
+
+
+# the CLI's documented exit codes: success, usage, I/O failure, data mismatch
+EXIT_CODES = (0, 2, 3, 4)
+
+# flags of gen-trace whose values the properties below draw, and a small
+# valid base every call starts from: 1 x 1 x 16 x 4 floats of K and of V,
+# so two drawn sizes of at most 6 keep a trace within 4,608 floats
+GEN_FLAGS = ("--layers", "--heads", "--q-heads", "--dim", "--len", "--seed", "--period",
+             "--tone-order", "--band-orders", "--sigma", "--value", "--vocab")
+GEN_BASE = ("--layers", 1, "--heads", 1, "--dim", 4, "--len", 16, "--period", 8)
+
+flag_values = st.one_of(
+    st.integers(-3, 6).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "", "x", "1.5", "1e", "0x10", "2..", "--"]),
+)
+
+
+def quiet_exit_code(*argv):
+    """:func:`exit_code` with every warning recorded: ``(code, warnings)``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = exit_code(*argv)
+    return code, [str(w.message) for w in caught]
+
+
+class TestExitCodeProperties:
+    """Any drawn flags give a documented exit code: no traceback, no warning."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(kind=st.sampled_from(["constant", "tone", "bandlimited", "noise", "mix", "tiny"]),
+           flags=st.lists(st.tuples(st.sampled_from(GEN_FLAGS), flag_values),
+                          min_size=1, max_size=2))
+    def test_gen_trace_exits_with_a_documented_code(self, kind, flags):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "t.kvt"
+            # flag=value, since argparse reads a lone "-inf" or "-3" as an option
+            drawn = [f"{flag}={value}" for flag, value in flags]
+            code, caught = quiet_exit_code("gen-trace", "--kind", kind, *GEN_BASE, *drawn,
+                                           "--out", out)
+            assert code in EXIT_CODES
+            assert not caught
+            assert out.exists() == (code == 0)
+            if code == 0:
+                # at least one layer, head, position and dim, and a few thousand floats
+                trace = read_trace(out)
+                assert min(trace.keys.shape) >= 1 and 2 * trace.keys.size <= 4608
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(kind=st.sampled_from(["constant", "tone", "bandlimited", "noise", "mix", "tiny"]),
+           flags=st.lists(st.tuples(st.sampled_from(GEN_FLAGS), st.integers(-3, 6).map(str)),
+                          max_size=2),
+           window=st.tuples(st.integers(1, 4), st.integers(1, 16), st.integers(0, 3),
+                            st.integers(1, 6)))
+    def test_select_and_eval_never_exit_1_on_a_written_trace(self, kind, flags, window):
+        orders, period, init, local = window
+        with tempfile.TemporaryDirectory() as tmp:
+            trace, manifest = Path(tmp) / "t.kvt", Path(tmp) / "sel.json"
+            drawn = [f"{flag}={value}" for flag, value in flags]
+            if exit_code("gen-trace", "--kind", kind, *GEN_BASE, *drawn, "--out", trace):
+                return
+            code = exit_code("select", "--trace", trace, "--k", orders, "--T", period,
+                             "--init", init, "--local", local, "--out-manifest", manifest)
+            assert code in EXIT_CODES
+            if code == 0:
+                assert exit_code("eval", "--trace", trace, "--manifest", manifest,
+                                 "--decode-steps", 2, "--report", Path(tmp) / "r") in EXIT_CODES
 
 
 class TestSelect:

@@ -170,7 +170,7 @@ class TestRankDimensions:
         degree = spectral._run_degree(orders, 64, length)
         budget, head_dim = spectral._FOLD_CHUNK_FLOATS, 3
         if chunked:
-            budget, head_dim = (40, 3) if form == "gram" else (4 * degree**2, 80)
+            budget, head_dim = (40, 5) if form == "gram" else (4 * degree**2, 120)
         rng = np.random.default_rng(length * 10 + orders)
         shape = (2, 2, 3 + length + 2, head_dim)
         trace = KVTrace(keys=rng.standard_normal(shape).astype(np.float32),
@@ -274,8 +274,8 @@ class TestRankDimensions:
 
     def test_matches_oracle_across_fold_chunks(self):
         # a budget of 150 floats holds six pairs: their 8 rows and the rows'
-        # build, 16 floats a pair, and a block's halves, 9: the 100-position
-        # middle goes in 9 chunks of its 50 pairs, 8 of six and one of two
+        # build, 16 floats a pair, and a block's sums and differences, 6: the
+        # 100-position middle goes in 9 chunks of its 50 pairs, 8 of six and one of two
         rng = np.random.default_rng(5)
         part = PartitionParams(init_len=2, local_len=3, period=64, orders=4)
         basis = build_basis(4, 64)

@@ -758,7 +758,7 @@ class TestBatchedProject:
         if kind == "moments":
             outs = [np.zeros((basis.n_rows, cols))]
             fold = functools.partial(spectral._fold_moments, basis, plan, [weights],
-                                     [np.arange(cols)], outs, 0, span)
+                                     [np.arange(cols)], outs, [0], 0, span)
             fold()  # numpy's own first-call allocations
             tracemalloc.start()
             try:
@@ -936,6 +936,26 @@ class TestFoldBlocks:
                          + np.abs(b * others[i][:, pick]).sum(axis=0))
                 expected = a * sx.coeffs + b * sy.coeffs
                 assert np.all(np.abs(sz.coeffs - expected) <= 1e-12 * np.maximum(1.0, scale))
+
+    @pytest.mark.parametrize("span", range(1, 8))
+    def test_centred_pairs_join_rows_about_the_centre(self, span):
+        # pair p joins the rows p places above and below the centre, an odd
+        # span's centre with zero; every chunk of pairs reads the same pairs
+        block = np.random.default_rng(span).standard_normal((span, 3)).astype(np.float32)
+        half = (span + 1) // 2
+        top = block[span - half :].astype(np.float64)
+        bottom = block[:half][::-1].astype(np.float64)
+        if span % 2:
+            bottom[0] = 0.0
+        for p0 in range(half):
+            for n in range(1, half - p0 + 1):
+                out = spectral._centred_pairs(block, p0, np.full((2, n, 3), np.nan))
+                np.testing.assert_array_equal(out[0], (top + bottom)[p0 : p0 + n])
+                np.testing.assert_array_equal(out[1], (top - bottom)[p0 : p0 + n])
+        out = spectral._centred_pairs(block, 0, np.empty((2, half, 3)))
+        np.testing.assert_allclose(np.einsum("kij,kij->j", out, out) / 2,
+                                   np.einsum("ij,ij->j", block, block, dtype=np.float64),
+                                   rtol=1e-15)
 
     def test_chunks_cover_a_run_longer_than_one_chunk(self):
         basis = FourierBasis(orders=4096, period=8191)  # 8192 rows: the largest states
@@ -1227,3 +1247,27 @@ class TestRunPlans:
             assert spectral._run_plan.cache_info().misses == 8
         # four spans on each side of the boundary, each side one set of tables
         assert sizes == [sizes[0]] * 4 + [2 * sizes[0]] * 4
+
+    @pytest.mark.parametrize("orders, period, span", [
+        (512, 32768, 64), (512, 32768, 256), (128, 32768, 300), (16, 4096, 956)])
+    def test_table_evaluate_holds_its_product_and_one_numpy_buffer(self, orders, period, span):
+        # the trig tables' evaluate holds rows x R complex values, and numpy's
+        # buffer for the broadcast product as many again up to getbufsize():
+        # 0.263 MB at 512 orders over 256 positions, more than O(M + R) values
+        basis = FourierBasis(orders=orders, period=period)
+        plan = basis._plan(range(4, 4 + span))
+        assert plan.tables is not None
+        rows = plan.head.shape[0]
+        a = np.random.default_rng(span).standard_normal(basis.n_rows)
+        basis._evaluate(a, plan)  # numpy's own first-call allocations
+        tracemalloc.start()
+        try:
+            basis._evaluate(a, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        product = rows * orders
+        bound = 16 * (product + min(np.getbufsize(), product)) + 8 * span
+        assert peak <= bound + 4096
+        if (orders, span) == (512, 256):
+            assert product == 8192 and peak > 0.26e6
