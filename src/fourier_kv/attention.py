@@ -316,7 +316,9 @@ def perturb_dims(
     if sigma > 0 and dims.size:
         rng = np.random.default_rng(seed)
         noise_shape = (trace.layers, trace.kv_heads, trace.seq_len, dims.size)
-        keys[..., dims] += (sigma * rng.standard_normal(noise_shape)).astype(np.float32)
+        # noise past float32's range overflows to inf, which KVTrace rejects
+        with np.errstate(over="ignore"):
+            keys[..., dims] += (sigma * rng.standard_normal(noise_shape)).astype(np.float32)
     return KVTrace(keys=keys, values=values, provenance=f"{trace.provenance}+noise(sigma={sigma})")
 
 

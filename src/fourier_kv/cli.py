@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="signal period for tone/bandlimited/mix")
     gen.add_argument("--tone-order", type=int, default=1)
     gen.add_argument("--band-orders", type=_at_least(1), default=4)
-    gen.add_argument("--sigma", type=_at_least(0.0, float), default=1.0)
+    gen.add_argument("--sigma", type=_at_least(0.0, _float32), default=1.0)
     gen.add_argument("--value", type=_float32, default=1.0)
     gen.add_argument("--vocab", type=_at_least(1), default=128)
     gen.add_argument("--out", required=True)
@@ -462,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--trace", required=True)
     an.add_argument("--split-dim", type=_at_least(1), default=None,
                     help="low/high boundary (default: 70/128 of head_dim)")
-    an.add_argument("--sigma", type=_at_least(0.0, float), default=1.0)
+    an.add_argument("--sigma", type=_at_least(0.0, _float32), default=1.0)
     an.add_argument("--dims", type=_parse_dims, default=[0],
                     help="dimensions to perturb, e.g. '0-69' or '0,3,17'")
     an.add_argument("--layer", type=_at_least(0), default=0)

@@ -150,8 +150,9 @@ def rank_dimensions(trace: KVTrace, partition: PartitionParams, basis: FourierBa
     through ``C``. ``C.T W C`` depends only on the lag between positions, so
     the errors do not depend on where the middle starts. One of three forms
     computes ``|x - P x|**2``: the convolution of ``x`` with ``k(lag) =
-    sum_n w_n cos(2*pi*n*lag/period)``, one real FFT pair of the
-    power-of-two length ``n >= 2M - 1`` per column in float64; or
+    sum_n w_n cos(2*pi*n*lag/period)``, one real FFT pair per column in
+    float64, of length ``n = spectral._fast_len(2M - 1)``, as the chirp-z
+    transform pads; or
     ``|x|**2`` plus a quadratic form of the column's sums against the
     cosine and sine rows about the middle's centre (Fourier Gram,
     :func:`_fourier_split`) or of its ``d = spectral._run_degree``
@@ -165,7 +166,8 @@ def rank_dimensions(trace: KVTrace, partition: PartitionParams, basis: FourierBa
     the trace's columns, while four ``d x d`` matrices fit
     ``_FOLD_CHUNK_FLOATS`` (``d <= 181``). The cheaper runs where
     ``_products_cheaper`` says it beats the convolution (FFT length ``L =
-    n/2 + 1``); ties go to the Fourier form. Desk (16 orders over 956
+    p/2 + 1``, with ``p`` the power of two at or above ``n`` that the ratios
+    were timed against); ties go to the Fourier form. Desk (16 orders over 956
     positions) takes the Fourier form (7,904), stock the moments (69,488 at
     256 columns, against 523,264 and the convolution's 180,400), and 512
     orders over 256 positions at period 4096 (168 moments, 109,704) or over
@@ -182,7 +184,7 @@ def rank_dimensions(trace: KVTrace, partition: PartitionParams, basis: FourierBa
             f"{partition.init_len + partition.local_len} positions, got {trace.seq_len}"
         )
     first, last, length = middle.start, middle.stop, len(middle)
-    n_fft = 1 << (2 * length - 2).bit_length()  # linear convolution of M with M: n >= 2M - 1
+    n_fft = spectral._fast_len(2 * length - 1)  # linear convolution of M with M
     degree = spectral._run_degree(basis.orders, basis.period, length)
     # per layer, every head's K, then every head's V: (positions, head_dim) views of the trace
     layers = [
@@ -198,7 +200,9 @@ def rank_dimensions(trace: KVTrace, partition: PartitionParams, basis: FourierBa
                                              + 2 * degree**3 / columns)
     if 4 * degree**2 > spectral._FOLD_CHUNK_FLOATS:
         moments = math.inf  # its d x d matrices, four at a time, would outgrow the fold's budget
-    if not spectral._products_cheaper(min(fourier, moments), n_fft // 2 + 1):
+    # the real FFT pair priced at the power of two at or above n_fft, as the ratios were timed
+    fft_len = (1 << (n_fft - 1).bit_length()) // 2 + 1
+    if not spectral._products_cheaper(min(fourier, moments), fft_len):
         _convolution_sse(basis, layers, length, n_fft, out=sse)
     elif moments < fourier:
         _split_sse(*_moment_split(basis, length, degree), layers, length, out=sse)

@@ -20,10 +20,14 @@ the compressed region with them, one column at a time. :func:`fold_blocks`,
 the fast batch fold, is the one projection of many columns, within a 1 MB
 transient budget. A cost rule picks one of four transforms per run (see
 :class:`FourierBasis`): trig tables, Chebyshev moments (for a fold of two or
-more columns only), a chirp-z transform or the length-period FFT. A run's
-one-column pick is resolved once into a plan that every later call over the
-same run reads, and the run is read without scanning it, so a call's fixed
-cost is a handful of numpy calls. The fold runs the trig tables and the
+more columns only), a chirp-z transform or the length-period FFT. The
+chirp-z transform, like ``dimselect``'s convolution, pads to the least
+fast length that it needs (:func:`_fast_len`), not to a power of two, and
+runs while its FFT pair costs at most the length-period FFT's
+(:func:`_chirp_reaches`), with no tuned ratio. A run's one-column pick
+is resolved once into a plan that every later call over the same run
+reads, and the run is read without scanning it, so a call's fixed cost is
+a handful of numpy calls. The fold runs the trig tables and the
 moments as matrix products over spans of a block's columns, cast into one
 float64 buffer and never gathered, and each FFT once per column. The tables
 take one product per span against the run's columns. The moments read the
@@ -116,28 +120,35 @@ class FourierBasis:
       about its centre, and one product of them by the waves, ``2R *
       degree``; the tables of both are built for all ``c`` columns
       together, in chunks within the fold's budget.
-    * chirp-z (Bluestein): with ``n`` the power of two ``>= span + R - 1``,
-      one complex FFT pair of length ``n`` per column: O(n log n) time,
-      O(n) memory and ``32 * n <= 8 * period`` bytes of tables.
+    * chirp-z (Bluestein): with ``n = _fast_len(span + R - 1)``, the least
+      ``2**a * m >= span + R - 1`` with ``m`` odd, 5-smooth and at most
+      ``2**a``, one complex FFT pair of length ``n`` per column: O(n log n)
+      time, O(n) memory and ``32 * n`` bytes of tables (49 KB at the stock
+      middle's ``n`` of 1536).
     * length-period FFT: one real FFT of length ``period`` per column, whose
       bins ``0..R-1`` are the orders: O(period log period) time and
       O(period) memory, no tables.
 
-    The chirp-z pair runs while ``n <= period / 4``; beyond that it costs as
-    much as the length-period FFT or more. The tables run while ``R * span``,
-    their work per column, is at most 16 times ``L log2 L``, with ``L`` the
-    complex FFT length the other would run (``n``, or ``period/2 + 1`` for
-    the real FFT): they run for 16 orders at any span, and not for 512
-    orders over a thousand positions, where they measured slower. Two or
-    more columns whose run columns exceed a fold's budget add the tables'
-    builds in its sub-runs to that work, as ``_TABLE_BUILD_COLUMNS`` more
-    columns. They run the moments ahead of both while their work per column,
-    their builds shared among the columns, is at most the tables' and
-    passes the same test against the FFT: 512 orders over 1020 positions
-    take them from 34 columns on, 16 orders keep the tables. Tables hold
-    phases reduced exactly in integers mod ``period``, are read-only, and
-    the last few of each kind are cached per ``(orders, period, lo mod
-    period)`` and their sizes. A run's resolved one-column transform, its
+    The chirp-z pair runs while its work, ``2 * n * log2(n)``, is at most
+    the length-period FFT's, ``L * log2(L)`` with ``L = period/2 + 1``
+    (:func:`_chirp_reaches`): for powers of two that is ``n <= period / 4``.
+    At periods 4096 and 32768 the fast lengths past a quarter period, from
+    ``9/8`` of it, cost more, so 512 orders reach middles of 7,681 positions
+    at period 32768. The tables run while ``R * span``, their work per
+    column, is at most 16 times ``L log2 L``, with ``L`` the complex FFT
+    length the other would run (the power of two at or above ``n``, which
+    the ratios were timed against, or ``period/2 + 1`` for the real FFT):
+    they run for 16 orders at any span, and not for 512 orders over a
+    thousand positions, where they measured slower. Two or more columns
+    whose run columns exceed a fold's budget add the tables' builds in its
+    sub-runs to that work, as ``_TABLE_BUILD_COLUMNS`` more columns. They
+    run the moments ahead of both while their work per column, their builds
+    shared among the columns, is at most the tables' and passes the same
+    test against the FFT: 512 orders over 1020 positions take them from 34
+    columns on, 16 orders keep the tables. Tables hold phases reduced
+    exactly in integers mod ``period``, are read-only, and the last few of
+    each kind are cached per ``(orders, period, lo mod period)`` and their
+    sizes. A run's resolved one-column transform, its
     checks, pick, tables and the head rows it reads with their conjugates,
     is cached too, per ``(orders, period, start, span)`` and the cost
     rule's ratios, so every head of a decode step that reads one middle
@@ -216,11 +227,13 @@ class FourierBasis:
         """
         orders = self.orders
         # linear convolution of ``span`` outputs with R = orders bins: n >= span + R - 1
-        n = 1 << (span + orders - 2).bit_length()
-        chirp = _CHIRP_LENGTH_RATIO * n <= self.period
-        # the complex FFT length of the cheaper FFT: the chirp-z pair's n, or
-        # period // 2 + 1 for a real FFT of length period
-        fft_len = n if chirp else self.period // 2 + 1
+        n = _fast_len(span + orders - 1)
+        chirp = _chirp_reaches(n, self.period)
+        # the complex FFT length the products are priced against: the power of
+        # two at or above the chirp-z's n, which the ratios were timed against
+        # and which a fast n runs in at most its time, or period // 2 + 1 for
+        # a real FFT of length period
+        fft_len = 1 << (n - 1).bit_length() if chirp else self.period // 2 + 1
         width = 1 << (span.bit_length() // 2)
         rows = 1 << (-(-span // width) - 1).bit_length()
         tables = orders * span
@@ -459,21 +472,17 @@ class FourierBasis:
         return w
 
 
-# evaluate/project run a chirp-z transform of FFT length n only while
-# n <= period / 4. Against one length-period real FFT, its complex FFT pair
-# took 0.4-1.6x the time at n = period/4, 1.1-2.5x at period/2 and 1.6-5.3x
-# at n = period (periods 4096 and 32768, numpy 2.4 on a 2-core x86_64)
-_CHIRP_LENGTH_RATIO = 4
-
-# evaluate/project run the trig tables while R * span <= ratio * L * log2(L),
-# with R = orders and L the complex FFT length they would run
-# otherwise. Timed per evaluate + project pair against that FFT, the tables
-# were faster in 57 of 59 cases with R * span / (L log2 L) <= 12.8 (1.04x and
-# 1.22x slower in the other two) and slower in all 11 at 18.3 and above
-# (orders 8-512, spans 256-4096, periods 4096 and 32768, numpy 2.4 on a
-# 2-core x86_64). With two or more columns the Chebyshev moments are priced
-# first (below), and a fold of many columns over these tables runs one
-# product per span of a block's columns against the run's columns
+# evaluate/project run the trig tables while R * span <= ratio * L *
+# log2(L), with R = orders and L the complex FFT length they would run
+# otherwise, a chirp-z's taken at the power of two at or above its n, the
+# lengths it ran when these ratios were timed. Timed per evaluate + project
+# pair against that FFT, the tables were faster in 57 of 59 cases with R *
+# span / (L log2 L) <= 12.8 (1.04x and 1.22x slower in the other two) and
+# slower in all 11 at 18.3 and above (orders 8-512, spans 256-4096, periods
+# 4096 and 32768, numpy 2.4 on a 2-core x86_64). With two or more columns
+# the Chebyshev moments are priced first (below), and a fold of many columns
+# over these tables runs one product per span of a block's columns against
+# the run's columns
 _TABLE_COST_RATIO = 16
 
 # a fold whose run columns exceed _FOLD_CHUNK_FLOATS runs the tables in
@@ -522,7 +531,8 @@ def _products_cheaper(work: int, fft_len: int) -> bool:
     call time so a test can force either side. The trig tables and the
     moments fold use it, and so does ``dimselect.rank_dimensions`` to choose
     between its convolution and the cheaper of its two Gram forms, with
-    ``L`` the real FFT of twice the calibration middle's ``M`` positions.
+    ``L`` the real FFT of the power of two at or above ``2M - 1``, for a
+    calibration middle of ``M`` positions.
     Both Gram forms fold a column's even and odd halves about the middle's
     centre, half the multiply-adds of their unsplit products, and are priced at
     half their unsplit work: the Fourier Gram form at ``R * (M + 2R) / 2``, the
@@ -545,6 +555,47 @@ def _products_cheaper(work: int, fft_len: int) -> bool:
     return work <= _TABLE_COST_RATIO * fft_len * fft_len.bit_length()
 
 
+def _chirp_reaches(n: int, period: int) -> bool:
+    """Whether a chirp-z transform of FFT length ``n`` costs at most the length-period FFT.
+
+    The chirp-z runs a complex FFT pair of length ``n``, ``2 * n * log2(n)``,
+    and the real FFT of length ``period`` costs a complex one of ``L =
+    period // 2 + 1``, ``L * log2(L)``, each ``log2`` taken as a
+    ``bit_length`` as :func:`_products_cheaper` takes it. For power-of-two
+    ``n`` and ``period >= 4`` this holds exactly while ``4 * n <= period``.
+    Read at call time, so a test can force either transform.
+    """
+    fft_len = period // 2 + 1
+    return 2 * n * n.bit_length() <= fft_len * fft_len.bit_length()
+
+
+@functools.lru_cache(maxsize=64)
+def _fast_len(target: int) -> int:
+    """The least FFT length ``n >= target`` the chirp-z and ``dimselect`` pad to.
+
+    ``n = 2**a * m`` with ``m`` odd, 5-smooth and at most ``2**a``: at least
+    half of ``log2(n)`` runs in scipy's radix-2 passes, its fastest. The
+    least 5-smooth length (``scipy.fft.next_fast_len``) is not always faster
+    than the next power of two: 2025 = 3**4 * 5**2, 4050 and 972 ran one
+    complex FFT pair in 1.15-1.24x its time, where every length of this form
+    from 256 to 8192 ran in at most 1.06x, a mean 0.77x over the targets
+    256-8192 (0.79x for the least 5-smooth; scipy 1.17 on a 2-core x86_64,
+    one thread). 1536 = 2**9 * 3 and 1600 = 2**6 * 5**2 qualify; 2025 and
+    1944 = 2**3 * 3**5 do not.
+    """
+    best = 1 << (target - 1).bit_length()
+    threes = 1
+    while threes * threes < best:
+        m = threes
+        while m * m < best:
+            # the least power of two at or above both m and target / m
+            power = max(m - 1, -(-target // m) - 1).bit_length()
+            best = min(best, m << power)
+            m *= 5
+        threes *= 3
+    return best
+
+
 @functools.lru_cache(maxsize=1)
 def _column(orders: int, period: int, pos: int) -> np.ndarray:
     # one column, 16 * orders bytes: every fold of one eviction step reads the same.
@@ -564,8 +615,8 @@ class _ChirpPlan(NamedTuple):
     With ``R = orders`` bins, one per order since ``2*orders - 1 <= period``,
     and ``w(m) = exp(i*pi*m^2/period)``, ``exp(2*pi*i*r*(lo + m)/period) =
     pre[r] * w(m) * conj(w(m - r))``, so a sum over orders ``r`` at offsets
-    ``m`` is a chirp, a convolution with ``conj(w)`` and a chirp. ``n`` is a
-    power of two with ``span + R - 1 <= n`` and ``n <= period / 4``.
+    ``m`` is a chirp, a convolution with ``conj(w)`` and a chirp. ``n`` is
+    ``_fast_len(span + R - 1)``, within :func:`_chirp_reaches`.
     """
 
     pre: np.ndarray       # (R,) exp(2*pi*i*r*lo/period) * w(r)
@@ -581,7 +632,7 @@ def _unit_phase(numer: np.ndarray, period: int) -> np.ndarray:
 @functools.lru_cache(maxsize=4)
 def _chirp_plan(orders: int, period: int, lo: int, n: int) -> _ChirpPlan:
     # keyed on n, not on the span: a growing middle region reuses one plan
-    # until its span crosses a power of two
+    # until its span + R - 1 passes n
     r = np.arange(orders, dtype=np.int64)
     m = np.arange(n, dtype=np.int64)
     lags = np.where(m <= n - orders, m, n - m)
@@ -663,7 +714,7 @@ class _Run(NamedTuple):
 
 @functools.lru_cache(maxsize=2)
 def _run_plan(orders: int, period: int, start: int, span: int) -> _Run:
-    # keyed on the run alone: the cost rule's ratios are constants, read once per plan
+    # keyed on the run alone: the cost rule's ratios and reach are fixed, read once per plan
     return FourierBasis(orders, period)._transform(range(start, start + span))
 
 

@@ -217,13 +217,11 @@ def gen_synthetic(
             return sigma * rng.standard_normal(shape)
         return build("bandlimited") + sigma * rng.standard_normal(shape)
 
-    keys = build(kind)
-    vals = build(kind)
-    return KVTrace(
-        keys=keys.astype(np.float32),
-        values=vals.astype(np.float32),
-        provenance=f"synthetic:{kind}:seed={seed}",
-    )
+    # a noise scale past float32's range overflows to inf, which KVTrace rejects
+    with np.errstate(over="ignore"):
+        keys = build(kind).astype(np.float32)
+        vals = build(kind).astype(np.float32)
+    return KVTrace(keys=keys, values=vals, provenance=f"synthetic:{kind}:seed={seed}")
 
 
 @dataclass(frozen=True)

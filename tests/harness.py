@@ -1,9 +1,10 @@
 """Shared test harness: forcing the fold's transforms, and reading a layer's storage.
 
 :func:`forced` is the one way a test patches a constant of ``spectral``, the
-cost rule's ratios among them, and :data:`TRANSFORMS` names the ratios that
-force each transform. The storage adapter below it is the only test code
-that knows how a :class:`~fourier_kv.cache.LayerCache` lays out its tiers.
+cost rule's ratios and the chirp-z's reach among them, and
+:data:`TRANSFORMS` names the patches that force each transform. The storage
+adapter below it is the only test code that knows how a
+:class:`~fourier_kv.cache.LayerCache` lays out its tiers.
 """
 
 import contextlib
@@ -17,15 +18,17 @@ from fourier_kv.spectral import SpectralState
 
 # the trig tables serve spans whose cost R * span is at most the table ratio
 # times L log L of the FFT they would run otherwise; of those, the chirp-z
-# transform serves FFT lengths n <= period / chirp ratio and the
-# length-period FFT the rest. Ratios 0 and 2**62 force one transform; a
-# moment ratio of 0 prices the Chebyshev moments at no work, and one of 2**62
-# never lets them run. The moments run only on calls of two or more columns,
-# so ONE_COLUMN names the transforms a one-column call can be forced to.
+# transform serves the FFT lengths n that spectral._chirp_reaches admits and
+# the length-period FFT the rest. A table ratio of 0 or 2**62, and a reach
+# that admits every n or none, force one transform; a moment ratio of 0
+# prices the Chebyshev moments at no work, and one of 2**62 never lets them
+# run. The moments run only on calls of two or more columns, so ONE_COLUMN
+# names the transforms a one-column call can be forced to.
 TRANSFORMS = {
-    "chirp-z": {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 0, "_MOMENT_COST_RATIO": 2**62},
+    "chirp-z": {"_TABLE_COST_RATIO": 0, "_chirp_reaches": lambda n, period: True,
+                "_MOMENT_COST_RATIO": 2**62},
     "dispatch": {},
-    "length-period": {"_TABLE_COST_RATIO": 0, "_CHIRP_LENGTH_RATIO": 2**62,
+    "length-period": {"_TABLE_COST_RATIO": 0, "_chirp_reaches": lambda n, period: False,
                       "_MOMENT_COST_RATIO": 2**62},
     "tables": {"_TABLE_COST_RATIO": 2**62, "_MOMENT_COST_RATIO": 2**62},
     "moments": {"_MOMENT_COST_RATIO": 0},

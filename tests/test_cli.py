@@ -1,7 +1,9 @@
 """Command-line surface: artifacts, exit codes, determinism."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import struct
 import tempfile
@@ -156,7 +158,8 @@ GEN_BASE = ("--layers", 1, "--heads", 1, "--dim", 4, "--len", 16, "--period", 8)
 
 flag_values = st.one_of(
     st.integers(-3, 6).map(str),
-    st.sampled_from(["nan", "inf", "-inf", "", "x", "1.5", "1e", "0x10", "2..", "--"]),
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "3e38", "", "x", "1.5", "1e", "0x10", "2..",
+                     "--"]),
 )
 
 
@@ -166,6 +169,47 @@ def quiet_exit_code(*argv):
         warnings.simplefilter("always")
         code = exit_code(*argv)
     return code, [str(w.message) for w in caught]
+
+
+# the flags each command's property draws, over a valid base that reads a
+# 1 x 1 x 40 x 4 trace, 320 floats; no output path is drawn, so a call writes
+# only into its own directory. Beside flag_values, each may take a value that
+# some flag accepts
+COMMAND_FLAGS = {
+    "select": ("--trace", "--schema", "--k", "--T", "--init", "--local", "--preset"),
+    "eval": ("--trace", "--manifest", "--decode-steps", "--seed"),
+    "compare-bases": ("--trace", "--k", "--tensor"),
+    "analyze": ("--trace", "--split-dim", "--sigma", "--dims", "--layer", "--head", "--seed"),
+}
+command_values = st.one_of(
+    flag_values, st.sampled_from(["desk", "uniform", "kv-inv", "values", "0-2", "1,3", "5-3"]))
+
+# the warnings cli's docstring documents: a middle region too short to compress
+SHORT_MIDDLE = ("warning: the middle region holds ", "warning: at period ")
+
+
+@pytest.fixture(scope="module")
+def tiny_inputs(tmp_path_factory):
+    """A 320-float trace and a selection manifest of it, read by every drawn call."""
+    tmp = tmp_path_factory.mktemp("tiny")
+    trace, manifest = tmp / "t.kvt", tmp / "sel.json"
+    assert run("gen-trace", "--kind", "mix", "--layers", 1, "--heads", 1, "--dim", 4,
+               "--len", 40, "--period", 16, "--seed", 3, "--out", trace) == 0
+    assert run("select", "--trace", trace, "--k", 2, "--T", 64, "--init", 2, "--local", 4,
+               "--out-manifest", manifest) == 0
+    return trace, manifest
+
+
+def command_base(command, trace, manifest, out):
+    """A valid call of ``command`` over the tiny inputs, writing under ``out``."""
+    return {
+        "select": ("--trace", trace, "--k", 2, "--T", 64, "--init", 2, "--local", 4,
+                   "--out-manifest", out / "m.json"),
+        "eval": ("--trace", trace, "--manifest", manifest, "--decode-steps", 2,
+                 "--report", out / "r.csv"),
+        "compare-bases": ("--trace", trace, "--k", 2, "--out", out / "c.csv"),
+        "analyze": ("--trace", trace, "--split-dim", 2, "--dims", "0-1", "--out", out / "a"),
+    }[command]
 
 
 class TestExitCodeProperties:
@@ -211,6 +255,28 @@ class TestExitCodeProperties:
             if code == 0:
                 assert exit_code("eval", "--trace", trace, "--manifest", manifest,
                                  "--decode-steps", 2, "--report", Path(tmp) / "r") in EXIT_CODES
+
+    @pytest.mark.parametrize("command", COMMAND_FLAGS)
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_every_command_exits_with_a_documented_code(self, tiny_inputs, command, data):
+        flags = data.draw(st.lists(st.tuples(st.sampled_from(COMMAND_FLAGS[command]),
+                                             command_values), min_size=1, max_size=2))
+        with tempfile.TemporaryDirectory() as tmp:
+            base = command_base(command, *tiny_inputs, Path(tmp))
+            assert exit_code(command, *base) == 0  # the base alone is valid
+            # flag=value, since argparse reads a lone "-inf" or "-3" as an option
+            drawn = [f"{flag}={value}" for flag, value in flags]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code, caught = quiet_exit_code(command, *base, *drawn)
+        assert code in EXIT_CODES
+        assert not caught
+        for line in err.getvalue().splitlines():
+            assert "Traceback" not in line
+            assert not line.startswith("warning:") or line.startswith(SHORT_MIDDLE), line
 
 
 class TestSelect:
@@ -522,8 +588,34 @@ class TestFlagValues:
         with pytest.raises(SystemExit) as err:
             run(command, flag, value, *rest)
         assert err.value.code == 2
-        assert f"argument {flag}: must be >= " in capsys.readouterr().err
+        # --sigma reads a float32 first, which rejects NaN before its bound
+        message = "must be finite in float32" if value == "nan" else "must be >= "
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-trace", "analyze"])
+    @pytest.mark.parametrize("value", ["inf", "1e308"])
+    def test_a_noise_scale_past_float32_is_usage_error(self, tmp_path, trace_file, capsys,
+                                                       command, value):
+        out = tmp_path / "out"
+        rest = {"gen-trace": ("--kind", "noise", "--len", 8, "--out", out),
+                "analyze": ("--trace", trace_file, "--out", out)}[command]
+        with pytest.raises(SystemExit) as err:
+            run(command, f"--sigma={value}", *rest)
+        assert err.value.code == 2
+        assert "argument --sigma: must be finite in float32, got " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_noise_that_overflows_float32_is_rejected_without_a_warning(self, tmp_path,
+                                                                         trace_file):
+        # a scale float32 holds, whose noise does not: the generator's trace is
+        # rejected as a usage error, and analyze's perturbed keys as data
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("gen-trace", "--kind", "noise", "--len", 8, "--sigma=3e38",
+                       "--out", tmp_path / "t.kvt") == 2
+            assert run("analyze", "--trace", trace_file, "--sigma=3e38",
+                       "--out", tmp_path / "a") == 4
 
     def test_a_flag_that_is_not_a_number_is_usage_error(self, tmp_path, trace_file, capsys):
         with pytest.raises(SystemExit) as err:

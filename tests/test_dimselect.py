@@ -223,6 +223,17 @@ class TestRankDimensions:
                         values=rng.standard_normal(shape).astype(np.float32))
         assert rank_branch(trace, part, build_basis(part.orders, part.period)) == branch
 
+    def test_the_convolution_pads_to_the_fast_length(self):
+        # 2 * 956 - 1 positions of linear convolution: 1920 = 2**7 * 15, not 2048
+        part = PartitionParams(init_len=4, local_len=64, period=4096, orders=16)
+        rng = np.random.default_rng(9)
+        trace = KVTrace(keys=rng.standard_normal((1, 1, 1024, 2)).astype(np.float32),
+                        values=rng.standard_normal((1, 1, 1024, 2)).astype(np.float32))
+        with forced(**FORMS["convolution"]), mock.patch.object(
+                dimselect, "_convolution_sse", wraps=dimselect._convolution_sse) as convolution:
+            rank_dimensions(trace, part, build_basis(part.orders, part.period))
+        assert convolution.call_args.args[3] == 1920
+
     def test_constant_dimension_ranks_first(self):
         rng = np.random.default_rng(0)
         part = PartitionParams(init_len=4, local_len=8, period=32, orders=4)

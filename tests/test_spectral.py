@@ -567,16 +567,69 @@ class TestContiguousRuns:
                 assert large <= small + 4096
 
     def test_chirp_z_serves_fft_lengths_up_to_a_quarter_period(self):
-        period = 2**12
-        basis = FourierBasis(orders=16, period=period)
-        coeffs = np.ones(basis.n_rows)
-        # span + 16 - 1 positions of linear convolution: n = period/4, then period/2;
-        # orders 16 would run the trig tables, so the chirp-z transform is forced
-        for length, tables in ((period // 4 - 15, 1), (period // 4 - 14, 0)):
-            spectral._chirp_plan.cache_clear()
-            with forced(_TABLE_COST_RATIO=0):
-                basis.evaluate(coeffs, range(3, 3 + length))
-            assert spectral._chirp_plan.cache_info().currsize == tables
+        # the chirp-z's FFT pair, 2 n log2 n, runs while it costs at most the
+        # length-period FFT's L log2 L (L = period/2 + 1): up to a quarter period,
+        # whose next fast length, 9/8 of it, costs more
+        for period in (2**12, 2**15):
+            basis = FourierBasis(orders=16, period=period)
+            coeffs = np.ones(basis.n_rows)
+            reach, past = period // 4, 9 * period // 32
+            fft_len = period // 2 + 1
+            assert spectral._fast_len(reach + 1) == past
+            assert (2 * reach * reach.bit_length() <= fft_len * fft_len.bit_length()
+                    < 2 * past * past.bit_length())
+            # span + 16 - 1 positions of linear convolution; orders 16 would run the
+            # trig tables, so the chirp-z transform is forced
+            for n, tables in ((3 * period // 16, 1), (reach, 1), (reach + 1, 0)):
+                run = range(3, 3 + n - 15)
+                spectral._chirp_plan.cache_clear()
+                with forced(_TABLE_COST_RATIO=0):
+                    basis.evaluate(coeffs, run)
+                    plan = basis._plan(run)
+                assert spectral._chirp_plan.cache_info().currsize == tables
+                if tables:
+                    assert plan.chirp.spectrum.size == n
+                else:
+                    assert plan.chirp is None
+
+    def test_the_chirp_z_reach_is_a_quarter_period_at_powers_of_two(self):
+        # for power-of-two n and period the derived reach is n <= period / 4, but
+        # for one order over one position at period 2, which the tables serve
+        differ = {(1 << a, 1 << p) for a in range(21) for p in range(21)
+                  if spectral._chirp_reaches(1 << a, 1 << p) != (4 << a <= 1 << p)}
+        assert differ == {(1, 2)}
+        assert FourierBasis(orders=1, period=2)._pick(1)[0] == "tables"
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(period=st.integers(1, 2**15), fraction=st.floats(0, 1), span=st.integers(1, 5000),
+           start=st.integers(0, 2**20), columns=st.integers(1, 300))
+    def test_chirp_plans_run_the_least_fast_length(self, period, fraction, span, start, columns):
+        def fast(m):
+            # 2**a times an odd 5-smooth factor of at most 2**a
+            power = m & -m
+            odd = m // power
+            for p in (3, 5):
+                while odd % p == 0:
+                    odd //= p
+            return odd == 1 and m // power <= power
+
+        orders = 1 + int(fraction * ((period - 1) // 2))
+        basis = FourierBasis(orders=orders, period=period)
+        target = span + orders - 1
+        with forced("chirp-z"):
+            kind, n, _ = basis._pick(span, columns)
+            plan = basis._transform(range(start, start + span))
+        assert kind == "chirp" and plan.chirp.spectrum.size == n >= target
+        assert fast(n) and not any(fast(m) for m in range(target, n))
+        assert (plan.chirp.pre.size, plan.chirp.chirp.size) == (orders, n - orders + 1)
+
+    def test_fast_lengths_run_no_slower_factorisations_than_the_stock_middles(self):
+        # 1536 = 2**9 * 3 and 1600 = 2**6 * 5**2 serve the benchmark's stock
+        # middles; 2025 = 3**4 * 5**2, 1944 = 2**3 * 3**5 and 4050 = 2 * 3**4 *
+        # 5**2, the least 5-smooth lengths at these targets, ran slower than the
+        # power of two after them
+        assert [spectral._fast_len(t) for t in (1532, 1536, 1537, 1545)] == [1536, 1536, 1600, 1600]
+        assert [spectral._fast_len(t) for t in (1925, 2011, 3539 + 511)] == [2048, 2048, 4096]
 
     def test_a_run_past_a_quarter_period_costs_at_most_the_period(self):
         # a full period of positions: a chirp-z transform would need n = 2 * period
@@ -812,8 +865,8 @@ class TestOneColumn:
 
     @pytest.mark.parametrize("span", [1026, 1027, 1034])
     def test_stock_runs_the_chirp_z_at_one_columns_length(self, span):
-        # one column needs n >= span + 511, 2048 here, and never runs the
-        # moments, which a head's K and V columns over the same run take
+        # one column runs the least fast n >= span + 511, 1600 here, and never
+        # the moments, which a head's K and V columns over the same run take
         basis = FourierBasis(orders=512, period=32768)
         run = range(4, 4 + span)
         weights = np.random.default_rng(span).standard_normal(span)
@@ -829,7 +882,7 @@ class TestOneColumn:
         with mock.patch.object(FourierBasis, "_transform", spy):
             got = basis.project(weights, run)
         assert len(seen) == 1 and isinstance(seen[0], spectral._ChirpPlan)
-        assert seen[0].spectrum.size == 2048
+        assert seen[0].spectrum.size == 1600
         np.testing.assert_allclose(got, basis.columns(run) @ weights, rtol=0,
                                    atol=1e-12 * max(1.0, np.abs(weights).sum()))
 
@@ -1109,24 +1162,37 @@ class TestFoldBlocks:
         assert long <= short + 16 * 1024
         assert short < 4 * 2**20
 
-    @pytest.mark.parametrize("orders, lengths", [
-        (512, range(1020, 1601)),
-        # sub-runs of 1537 chirp-z positions leave a last one of 1536, which would
-        # run trig tables with 3 MB of run columns
-        (128, [3073]),
+    @pytest.mark.parametrize("orders, lengths, widths, sub_runs", [
+        (512, range(1020, 1601), (4, 4), None),
+        # one column: sub-runs of 705 positions on the chirp-z would leave a last
+        # one of 704, whose trig tables hold 3.4 MB of run columns, so the fold
+        # halves on, to sub-runs of 89 positions on the tables and a last of 74
+        (256, [1409], (1,), [89] * 15 + [74]),
     ], ids=["stock middles", "a shorter last sub-run"])
-    def test_peak_stays_within_the_budget_whatever_the_middle(self, orders, lengths):
+    def test_peak_stays_within_the_budget_whatever_the_middle(self, orders, lengths, widths,
+                                                             sub_runs):
         basis = FourierBasis(orders=orders, period=32768)
+        runs, transform = [], FourierBasis._transform
+
+        def spy(self, run, columns=1, cached=True):
+            plan = transform(self, run, columns, cached)
+            runs.append((len(run), plan.tables is not None))
+            return plan
+
         for length in lengths:
-            blocks = [np.ones((length, 4), dtype=np.float32) for _ in range(2)]
+            blocks = [np.ones((length, width), dtype=np.float32) for width in widths]
+            del runs[:]
             tracemalloc.start()
             try:
-                states = fold_blocks(basis, blocks, 4)
+                with mock.patch.object(FourierBasis, "_transform", spy):
+                    states = fold_blocks(basis, blocks, 4)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             held = sum(s.coeffs.nbytes for s in states)
             assert peak <= held + 8 * spectral._FOLD_CHUNK_FLOATS + 16 * 1024, length
+            if sub_runs is not None:
+                assert runs == [(span, True) for span in sub_runs]
 
     @pytest.mark.parametrize("period", [4096, 32768])
     def test_peak_stays_within_the_budget_at_any_orders(self, period):
@@ -1199,6 +1265,36 @@ class TestFoldBlocks:
         for state, block, pick in zip(states, blocks, picks):
             assert_fold_matches_oracle(state, basis, block[:, pick], start)
 
+    @pytest.mark.parametrize("orders, period, spans, kind", [
+        (512, 32768, range(1021, 1035), "chirp"),
+        (16, 4096, range(957, 964), "tables"),
+    ], ids=["stock", "desk"])
+    def test_benchmark_decode_middles_take_their_transform(self, orders, period, spans, kind):
+        # the benchmark's decode middles, one position longer at each step, read
+        # one column at a time by attention
+        basis = FourierBasis(orders=orders, period=period)
+        for span in spans:
+            got = basis._transform(range(4, 4 + span))
+            assert not got.degree
+            if kind == "chirp":
+                # the least fast n >= span + 511: 1536 = 2**9 * 3, then 1600 = 2**6 * 5**2
+                assert got.tables is None
+                assert got.chirp.spectrum.size == (1536 if span <= 1025 else 1600)
+            else:
+                assert isinstance(got.tables, spectral._TrigTables) and got.chirp is None
+
+    @pytest.mark.parametrize("orders, period, span, columns, kind", [
+        (512, 32768, 1020, 33, "chirp"), (512, 32768, 1020, 34, "moments"),
+        (256, 32768, 4000, 128, "moments"), (512, 32768, 2000, 256, "moments"),
+        (64, 4096, 1000, 32, "moments"), (256, 4096, 512, 1, "tables"),
+    ])
+    def test_products_are_priced_against_the_power_of_two_chirp(self, orders, period, span,
+                                                               columns, kind):
+        # the cost ratios were timed against chirp-z pairs of power-of-two n; priced
+        # against the fast n below it, these folds and this pair left the moments
+        # and the tables for the chirp-z, and ran up to 2.1x slower
+        assert FourierBasis(orders=orders, period=period)._pick(span, columns)[0] == kind
+
     def test_few_columns_leave_tables_whose_run_columns_exceed_the_budget(self):
         # 256 orders over 1000 positions: the run's columns, 4 MB, would make a
         # fold of few columns build its tables in 8 sub-runs (2 columns took 15x
@@ -1217,22 +1313,24 @@ class TestRunPlans:
     """A run's transform is resolved once; every later call over it reads the plan."""
 
     # orders 4: the trig tables hold 8 head rows up to 64 positions and 16 from 65,
-    # and the chirp-z transform runs n = 64 up to 61 positions and 128 from 62
-    @pytest.mark.parametrize("transform, first, size", [
-        ("tables", 61, lambda plan: plan.tables.head.shape[0]),
-        ("chirp-z", 58, lambda plan: plan.chirp.spectrum.size),
+    # and the chirp-z transform runs n = 64 up to 61 positions and 80 = 2**4 * 5,
+    # the next fast length, from 62
+    @pytest.mark.parametrize("transform, first, size, boundary", [
+        ("tables", 61, lambda plan: plan.tables.head.shape[0], (8, 16)),
+        ("chirp-z", 58, lambda plan: plan.chirp.spectrum.size, (64, 80)),
     ], ids=["tables", "chirp-z"])
     def test_a_middle_grown_one_position_at_a_time_reads_reused_plans(self, transform, first,
-                                                                      size):
+                                                                      size, boundary):
         basis = FourierBasis(orders=4, period=4096)
         rng = np.random.default_rng(first)
-        sizes = []
+        sizes, tables = [], []
         with forced(transform):
             for span in range(first, first + 8):
                 run = range(5, 5 + span)
                 plan = basis._plan(run)
                 assert basis._plan(run) is plan  # the second call reads the cache
                 sizes.append(size(plan))
+                tables.append(plan.tables if plan.tables is not None else plan.chirp)
                 cols = basis.columns(run)
                 a, p = rng.standard_normal(basis.n_rows), rng.standard_normal(span)
                 evaluated = basis._evaluate(a, plan)
@@ -1246,7 +1344,9 @@ class TestRunPlans:
                                            atol=1e-12 * max(1.0, np.abs(p).sum()))
             assert spectral._run_plan.cache_info().misses == 8
         # four spans on each side of the boundary, each side one set of tables
-        assert sizes == [sizes[0]] * 4 + [2 * sizes[0]] * 4
+        assert sizes == [boundary[0]] * 4 + [boundary[1]] * 4
+        assert [t is tables[0] for t in tables] == [True] * 4 + [False] * 4
+        assert all(t is tables[4] for t in tables[4:])
 
     @pytest.mark.parametrize("orders, period, span", [
         (512, 32768, 64), (512, 32768, 256), (128, 32768, 300), (16, 4096, 956)])
