@@ -16,7 +16,7 @@ arrived, so the query, scaled once, meets them as given; the head's
 ``HeadDims`` gather the query's kept and compressed dims, and the middle's
 terms are added into the output at those dims. Every score is written into
 one preallocated buffer and the softmax runs in that buffer, so a call makes
-a fixed number of numpy calls, whatever M: 37 Python-level calls at desk
+a fixed number of numpy calls, whatever M: 38 Python-level calls at desk
 geometry under numpy 2.4, a count a test bounds. With ``R = k`` spectral
 bins and ``L = min(M + R, period)``, per query that costs O(min(R * M, L log
 L) + (E + M) * head_dim) time, plus O(k * head_dim) to contract the 2k-row
@@ -24,10 +24,9 @@ states with the query: the transforms take whichever of products against
 cached trig tables, a chirp-z FFT pair over the middle region or one
 length-period FFT is cheapest. The FFTs hold O(L) transient values; the
 trig tables' evaluate holds ``rows * R`` complex values, ``rows = ceil(M /
-width)`` for a power of two ``width`` near ``sqrt(M)``, and numpy's buffer
-for that broadcast product, up to as many again (``FourierBasis._evaluate``):
-0.263 MB at 512 orders over a 256-position middle, more than the casts'
-budget below. Each float32 block the products read, exact or kept, K or V,
+width)`` for a power of two ``width`` near ``sqrt(M)``, in one array of
+their own (``FourierBasis._evaluate``): 0.131 MB at 512 orders over a
+256-position middle, half the casts' budget below. Each float32 block the products read, exact or kept, K or V,
 is cast to float64 at most ``_ATTEND_CHUNK_FLOATS`` values (256 KB) at a
 time: a block within that budget is one product, a larger one runs in equal
 row chunks. So the call's transient is the budget plus the ``E + M`` scores

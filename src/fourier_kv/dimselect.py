@@ -16,6 +16,7 @@ compressed indices grouped every ``HISTOGRAM_GROUP`` (16) dimensions.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -154,8 +155,9 @@ def rank_dimensions(trace: KVTrace, partition: PartitionParams, basis: FourierBa
     float64, of length ``n = spectral._fast_len(2M - 1)``, as the chirp-z
     transform pads; or
     ``|x|**2`` plus a quadratic form of the column's sums against the
-    cosine and sine rows about the middle's centre (Fourier Gram,
-    :func:`_fourier_split`) or of its ``d = spectral._run_degree``
+    cosine and sine rows about the middle's centre, as the batch fold over
+    the trig tables reads them (Fourier Gram, :func:`_fourier_split`), or
+    of its ``d = spectral._run_degree``
     Chebyshev moments (moment Gram, :func:`_moment_split`; 98 for 512 orders
     over 1020 positions at period 32768), both through :func:`_split_sse`.
 
@@ -172,9 +174,10 @@ def rank_dimensions(trace: KVTrace, partition: PartitionParams, basis: FourierBa
     256 columns, against 523,264 and the convolution's 180,400), and 512
     orders over 256 positions at period 4096 (168 moments, 109,704) or over
     4000 at period 32768 (299 moments) the convolution. The transient is one
-    group of FFT columns, or one chunk
-    of rows and a block's halves, within ``_FOLD_CHUNK_FLOATS`` (1 MB), plus
-    one layer's sums or moments.
+    group of FFT columns, or one chunk of rows and a block's halves, within
+    ``_FOLD_CHUNK_FLOATS`` (1 MB), plus one layer's sums or moments: the
+    forms and one block's products with them fit the budget's share for the
+    rows' build.
     """
     check_basis(basis, partition)
     middle = partition.middle(trace.seq_len)
@@ -226,7 +229,7 @@ def _split_sse(rows, forms: tuple, layers, length: int, out: np.ndarray) -> None
     rows_odd @ O``, the error is ``|x|**2 + a.T F_e a + b.T F_o b``, and
     ``|x|**2`` is ``(|E|**2 + |O|**2) / 2``. A chunk's rows, their build
     and a block's halves fit ``_FOLD_CHUNK_FLOATS``; one chunk of every pair
-    serves all layers.
+    serves all layers. The forms meet one block's sums at a time.
     """
     f_even, f_odd = forms
     half = (length + 1) // 2  # pairs, the centre of an odd middle among them
@@ -252,8 +255,10 @@ def _split_sse(rows, forms: tuple, layers, length: int, out: np.ndarray) -> None
                 a_sum += chunk[0::2] @ even
                 b_sum += chunk[1::2] @ odd
         layer_sse *= 0.5
-        layer_sse += np.einsum("bij,bij->bj", a, f_even @ a)
-        layer_sse += np.einsum("bij,bij->bj", b, f_odd @ b)
+        # a block at a time: the forms' products are one block's sums, not a layer's
+        for total, a_sum, b_sum in zip(layer_sse, a, b):
+            total += np.einsum("ij,ij->j", a_sum, f_even @ a_sum)
+            total += np.einsum("ij,ij->j", b_sum, f_odd @ b_sum)
     # the forms cancel on a column reconstructed almost exactly, which may dip below 0
     np.maximum(out, 0.0, out=out)
 
@@ -261,26 +266,17 @@ def _split_sse(rows, forms: tuple, layers, length: int, out: np.ndarray) -> None
 def _fourier_split(basis: FourierBasis, length: int) -> tuple:
     """The rows and forms of :func:`_split_sse` for the Fourier Gram form of a run.
 
-    The rows interleave ``cos(theta_n v)`` and ``sin(theta_n v)``, ``n <
-    orders``, at the offsets ``v`` from the run's centre, as the basis
-    interleaves its columns; a state of absolute positions reaches them by
+    The rows are ``spectral._centred_rows``, the cosine and sine rows of
+    each order at the offsets ``v`` from the run's centre, interleaved as
+    the basis interleaves its columns, as the batch fold over the trig
+    tables reads them; a state of absolute positions reaches them by
     rotating order ``n`` by the centre's phase. Both rows of an order share
     a weight ``w_n``: the forms are ``W G W - 2W`` over :func:`_fourier_grams`.
     """
     weights = basis.synthesis_weights()[0::2]
     forms = tuple(g * weights[:, None] * weights - 2.0 * np.diag(weights)
                   for g in _fourier_grams(basis, length))
-
-    def rows(u: np.ndarray, out: np.ndarray) -> None:
-        # theta_n * v = 2*pi*n*u / (2*period) for u = 2v, ascending by 2: the
-        # phase at u[0] + 2(a*w + b) is the one at u[0] + 2a*w times the one at 2b
-        w = math.isqrt(len(u)) + 1
-        head = spectral._unit_phases(basis.orders, 2 * basis.period, u[::w]).T
-        tail = spectral._unit_phases(basis.orders, 2 * basis.period, u[:w] - u[0]).T
-        grid = (head[:, :, None] * tail[:, None]).reshape(basis.orders, -1)[:, : len(u)]
-        out[0::2], out[1::2] = grid.real, grid.imag
-
-    return rows, forms
+    return functools.partial(spectral._centred_rows, basis.orders, basis.period), forms
 
 
 def _fourier_grams(basis: FourierBasis, length: int) -> tuple[np.ndarray, np.ndarray]:

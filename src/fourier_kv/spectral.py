@@ -27,22 +27,23 @@ runs while its FFT pair costs at most the length-period FFT's
 (:func:`_chirp_reaches`), with no tuned ratio. A run's one-column pick
 is resolved once into a plan that every later call over the same run
 reads, and the run is read without scanning it, so a call's fixed cost is
-a handful of numpy calls. The fold runs the trig tables and the
-moments as matrix products over spans of a block's columns, cast into one
-float64 buffer and never gathered, and each FFT once per column. The tables
-take one product per span against the run's columns. The moments read the
-run as pairs of rows about its centre, whose sums meet the even Chebyshev
-rows and whose differences the odd ones, half the multiply-adds of the
-unpaired run, and their second product adds into each state's rows in place, one
-BLAS ``dgemm``; ``dimselect``'s Gram forms read the same pairs. Every
-cosine and sine comes from one of two phase builders, each reducing its
-integer phase exactly before the float product: :func:`_unit_phases`
-reduces ``n*t`` mod ``period``, for basis columns, trig tables and, at
-twice the period, the centred Fourier rows of ``dimselect``'s calibration,
-and :func:`_unit_phase` reduces mod ``2*period``, for the chirp-z plans,
-the moments' waves and the Dirichlet sums of ``dimselect``'s Fourier Gram
-halves. The moment Gram matrices of ``dimselect`` read no phase of a
-position: their kernel depends only on differences of Chebyshev nodes.
+a handful of numpy calls. Over the trig tables and the moments the fold
+reads the run as pairs of rows about its centre, cast into one float64
+buffer and never gathered: their sums meet the rows even in the offset
+from the centre and their differences the odd ones, half the multiply-adds
+of the unpaired run. Those rows are the centred cosine and sine rows
+(:func:`_centred_rows`, which ``dimselect``'s Fourier Gram form reads too),
+whose sums one complex product turns to absolute phase, or the Chebyshev
+rows, whose moments a second product, one BLAS ``dgemm``, adds into each
+state's rows in place. Each FFT runs once per column. Every cosine and sine
+comes from one of two phase builders, each reducing its integer phase
+exactly before the float product: :func:`_unit_phases` reduces ``n*t`` mod
+``period``, for basis columns, trig tables and, at twice the period, the
+centred rows, and :func:`_unit_phase` reduces mod ``2*period``, for the
+chirp-z plans, the moments' waves, the centre's phase and the Dirichlet
+sums of ``dimselect``'s Fourier Gram halves. Its moment Gram matrices read
+no phase of a position: their kernel depends only on differences of
+Chebyshev nodes.
 
 Phases are indexed by *absolute* token position so that a state built during
 prefill and a state extended by streaming evictions agree without rephasing.
@@ -108,8 +109,10 @@ class FourierBasis:
       a*B`` times one of ``b``, each from a cached table of R rows, at most
       ``56 * R * sqrt(span)`` bytes (16 KB for 16 orders over 960
       positions). One column takes two small products against them,
-      O(R * span) time and O(R * sqrt(span) + span) memory; a fold, one
-      product per span against the run's columns, ``16 * orders * span`` bytes.
+      O(R * span) time and O(R * sqrt(span) + span) memory. A fold builds
+      no tables: it reads the run's pairs of rows about its centre against
+      each order's cosine and sine at their offsets, ``R * span``
+      multiply-adds a column, and turns the sums by the centre's phase.
     * Chebyshev moments, for ``c >= 2`` only: with ``x`` the run mapped onto
       ``(-1, 1)``, every order's wave is a sum of ``degree`` Chebyshev
       polynomials ``T_k(x)`` (Jacobi-Anger), ``degree`` growing with the
@@ -139,10 +142,10 @@ class FourierBasis:
     length the other would run (the power of two at or above ``n``, which
     the ratios were timed against, or ``period/2 + 1`` for the real FFT):
     they run for 16 orders at any span, and not for 512 orders over a
-    thousand positions, where they measured slower. Two or more columns
-    whose run columns exceed a fold's budget add the tables' builds in its
-    sub-runs to that work, as ``_TABLE_BUILD_COLUMNS`` more columns. They
-    run the moments ahead of both while their work per column, their builds
+    thousand positions, where they measured slower. A fold of two or more
+    columns whose run's ``2R * span`` basis values exceed its budget is
+    charged ``_TABLE_BUILD_COLUMNS`` more columns of that work, the builds
+    of sub-runs the fold once made. Folds run the moments ahead of both while their work per column, their builds
     shared among the columns, is at most the tables' and passes the same
     test against the FFT: 512 orders over 1020 positions take them from 34
     columns on, 16 orders keep the tables. Tables hold phases reduced
@@ -221,9 +224,9 @@ class FourierBasis:
         number of columns a fold projects together, 1 for :meth:`evaluate`
         and :meth:`project`: the moments' tables are built once for all of
         them, so they are priced only for two or more, and never run for
-        one. Two or more columns read the trig tables' run columns, and
-        where those exceed ``_FOLD_CHUNK_FLOATS`` the tables are charged the
-        builds of a fold's sub-runs too.
+        one. Where the run's basis values would exceed
+        ``_FOLD_CHUNK_FLOATS``, a fold of two or more columns charges the
+        tables the builds of the sub-runs it once made.
         """
         orders = self.orders
         # linear convolution of ``span`` outputs with R = orders bins: n >= span + R - 1
@@ -237,9 +240,9 @@ class FourierBasis:
         width = 1 << (span.bit_length() // 2)
         rows = 1 << (-(-span // width) - 1).bit_length()
         tables = orders * span
-        if columns > 1 and sum(_table_floats(orders, span, width, rows)) > _FOLD_CHUNK_FLOATS:
-            # a fold whose run columns exceed its budget runs sub-runs that
-            # each build their own tables, counted as more columns
+        if columns > 1 and _table_floats(orders, span, width, rows) > _FOLD_CHUNK_FLOATS:
+            # a fold that once built the run's columns ran sub-runs that each
+            # built their own tables, counted as more columns
             tables = tables * (columns + _TABLE_BUILD_COLUMNS) / columns
         if columns > 1:
             degree = _run_degree(orders, self.period, span)
@@ -255,32 +258,36 @@ class FourierBasis:
             return "chirp", n, 0
         return "fft", self.period, 0
 
-    def _transform(self, run: range, columns: int = 1, cached: bool = True) -> _Run:
+    def _transform(self, run: range, columns: int = 0, cached: bool = True) -> _Run:
         """``_pick(len(run), columns)`` resolved over ``run`` into a :class:`_Run`.
 
-        Checks the run first. The trig tables and chirp-z tables come from
-        small caches unless ``cached`` is false, as for the sub-runs of a
-        fold, which no later call reads; the moments' tables are built by
-        the fold that runs them. :meth:`_plan` caches one column's result.
+        ``columns`` is the number of columns a fold projects together, or 0
+        for the one column of :meth:`evaluate` and :meth:`project`, priced as
+        one. Checks the run first. One column's trig tables and the chirp-z
+        tables come from small caches unless ``cached`` is false, as for a
+        fold's sub-runs, which no later call reads; a fold over the trig
+        tables or the moments builds its rows per chunk of centred pairs
+        (:func:`_fold_moments`). :meth:`_plan` caches one column's result.
         """
         self._check_run(run)
         span, lo = len(run), run.start % self.period
         if span == 0:
-            return _Run(0, lo, None, None, None, None)
-        kind, size, rows = self._pick(span, columns)
-        if kind == "tables":
+            return _Run("fft", 0, lo, None, None, None, None)
+        kind, size, rows = self._pick(span, max(1, columns))
+        if kind == "tables" and not columns:
             build = _trig_tables if cached else _trig_tables.__wrapped__
             tables = build(self.orders, self.period, lo, size, rows)
             head = tables.head[: -(-span // size)]
             head_conj = np.conjugate(head)
             head_conj.setflags(write=False)
-            return _Run(span, lo, tables, head, head_conj, None)
-        if kind == "moments":
-            return _Run(span, lo, None, None, None, None, size)
+            return _Run(kind, span, lo, tables, head, head_conj, None)
+        if kind in ("tables", "moments"):
+            return _Run(kind, span, lo, None, None, None, None,
+                        self.n_rows if kind == "tables" else size)
         if kind == "chirp":
             build = _chirp_plan if cached else _chirp_plan.__wrapped__
-            return _Run(span, lo, None, None, None, build(self.orders, self.period, lo, size))
-        return _Run(span, lo, None, None, None, None)
+            return _Run(kind, span, lo, None, None, None, build(self.orders, self.period, lo, size))
+        return _Run(kind, span, lo, None, None, None, None)
 
     def _plan(self, run: range) -> _Run:
         """:meth:`_transform` of one column over ``run``, resolved once per run.
@@ -312,13 +319,11 @@ class FourierBasis:
         the arithmetic alone, as decode attention calls it once it holds the plan.
 
         Its transient: over the trig tables, the product of the ``rows`` head
-        phases the run reads by the coefficients, ``rows * R`` complex values,
-        and numpy's buffer for that broadcast product, ``min(getbufsize(),
-        rows * R)`` complex values, so at most ``32 * rows * R`` bytes (0.263
-        MB for 16 rows of 512 orders over 256 positions), besides the
-        ``span`` values returned; over the chirp-z transform, its FFT buffer
-        of length ``n``; over the length-period FFT, one spectrum and one wave
-        of the period.
+        phases the run reads by the coefficients, ``rows * R`` complex values
+        in one array, so ``16 * rows * R`` bytes (0.131 MB for 16 rows of 512
+        orders over 256 positions), besides the ``span`` values returned;
+        over the chirp-z transform, its FFT buffer of length ``n``; over the
+        length-period FFT, one spectrum and one wave of the period.
         """
         span = plan.span
         if span == 0:
@@ -327,7 +332,10 @@ class FourierBasis:
         # value at offset m is the sum over orders of Re(z[r] * exp(-i*theta_r*(lo + m)))
         z = a.view(np.complex128)
         if plan.tables is not None:
-            mixed = plan.head * z
+            # the coefficients repeated per head row and multiplied in place:
+            # a broadcast product holds numpy's buffer, up to getbufsize() values
+            mixed = z[None].repeat(plan.head.shape[0], axis=0)
+            np.multiply(plan.head, mixed, out=mixed)
             return np.dot(mixed.view(np.float64), plan.tables.tail).ravel()[:span]
         if plan.chirp is None:
             spectrum = np.zeros(self.period // 2 + 1, dtype=np.complex128)
@@ -373,8 +381,8 @@ class FourierBasis:
         ``g[r] = sum_m w[m] * exp(i*theta_r*(lo + m))`` holds the cosine and
         sine sums of bin ``r``. ``span >= 1``, ``c >= 1``, and ``plan`` is
         the run's :class:`_Run`. Its trig tables take one column (a fold
-        projects many through :func:`_fold_spans`); the FFTs run one
-        transform per column.
+        reads them as centred pairs, :func:`_fold_moments`); the FFTs run
+        one transform per column.
         """
         span = w.shape[0]
         if plan.tables is not None:
@@ -418,18 +426,13 @@ class FourierBasis:
         """Float64 values that a fold of ``columns`` columns holds over ``span`` positions.
 
         ``(fixed, per_column)`` for the plan :func:`fold_blocks` runs over
-        them. For the trig tables, fixed: the tables a sub-run builds, the
-        run's columns and what :meth:`_Run.run_columns` holds while it
-        builds them (the head conjugated, and numpy's buffer for the
-        broadcast product, up to ``getbufsize()`` complex values); per
-        column: the column cast into the fold's float64 buffer, the
-        product's output, the picked columns taken from it and the output
-        columns they are added into (the fold reads its blocks in place, so
-        their own values are not counted). For the moments, fixed: the
-        larger of their two passes, as :func:`_moment_chunks` sizes them,
-        the first over the run's pairs of rows and the second adding into
-        the states in place; per column: its ``degree`` moments, held
-        between the passes (a layer's padding columns among them). For
+        them. For the trig tables and the moments, which read the run as
+        centred pairs, fixed: the larger of their two passes, as
+        :func:`_moment_chunks` sizes them at ``2R`` rows a pair or ``degree``,
+        the first over the pairs and the second adding into the states in
+        place; per column: its ``2R`` sums or ``degree`` moments, held
+        between the passes (a layer's padding columns among them). The fold
+        reads its blocks in place, so their own values are not counted. For
         the FFTs, fixed: numpy's two buffers for a broadcast product, up to
         ``getbufsize()`` complex values each, and for the chirp-z transform
         its tables; per column: the weights gathered, with the complex FFT
@@ -437,12 +440,11 @@ class FourierBasis:
         returns its output, or the output, the residue grid, the residue
         sums and their spectrum for the length-period FFT.
         """
-        kind, size, rows = self._pick(span, columns)
+        kind, size, _ = self._pick(span, columns)
         buffers = 4 * np.getbufsize()
-        if kind == "tables":
-            return _table_floats(self.orders, span, size, rows)
-        if kind == "moments":
-            return _moment_chunks(self.orders, span, size)[-1], size
+        if kind in ("tables", "moments"):
+            rows = self.n_rows if kind == "tables" else size
+            return _moment_chunks(self.orders, span, rows, kind == "tables")[-1], rows
         if kind == "chirp":
             # pre, chirp and spectrum: R, n - R + 1 and n complex values
             return buffers + 2 * (2 * size + 1), span + 2 * size
@@ -480,14 +482,13 @@ class FourierBasis:
 # span / (L log2 L) <= 12.8 (1.04x and 1.22x slower in the other two) and
 # slower in all 11 at 18.3 and above (orders 8-512, spans 256-4096, periods
 # 4096 and 32768, numpy 2.4 on a 2-core x86_64). With two or more columns
-# the Chebyshev moments are priced first (below), and a fold of many columns
-# over these tables runs one product per span of a block's columns against
-# the run's columns
+# the Chebyshev moments are priced first (below)
 _TABLE_COST_RATIO = 16
 
-# a fold whose run columns exceed _FOLD_CHUNK_FLOATS runs the tables in
-# sub-runs that each build their own, so there the tables' work is counted
-# with this many more columns shared by all
+# a fold whose run's basis values exceed _FOLD_CHUNK_FLOATS once ran the
+# tables in sub-runs that each built their own, so there the tables' work is
+# counted with this many more columns shared by all; the fold now reads the
+# run as centred pairs, but the three ratios below were fitted with it
 _TABLE_BUILD_COLUMNS = 256
 
 # a fold of two or more columns runs the Chebyshev moments while their work
@@ -515,13 +516,14 @@ _MOMENT_COST_RATIO = 2
 _MOMENT_BUILD_COLUMNS = 32
 
 
-def _table_floats(orders: int, span: int, width: int, rows: int) -> tuple[int, int]:
-    """:meth:`FourierBasis._project_floats` for the trig tables of ``rows`` by ``width``."""
+def _table_floats(orders: int, span: int, width: int, rows: int) -> int:
+    """Float64 values a one-column fold held over trig tables of ``rows`` by
+    ``width`` while it built the run's columns, which :meth:`FourierBasis._pick` charges."""
     used = -(-span // width)  # head rows the run reads
     run_columns = used * width * orders  # complex values
     tables = 2 * orders * (rows + width)
     temporaries = 2 * orders * used + 2 * min(np.getbufsize(), run_columns)
-    return tables + 2 * run_columns + temporaries, span + 6 * orders
+    return tables + 2 * run_columns + temporaries + span + 6 * orders
 
 
 def _products_cheaper(work: int, fft_len: int) -> bool:
@@ -680,14 +682,16 @@ def _trig_tables(orders: int, period: int, lo: int, width: int, rows: int) -> _T
 class _Run(NamedTuple):
     """One run's transform, resolved by :meth:`FourierBasis._transform`.
 
-    For the trig tables, ``tables`` and ``head``, the head rows the run
-    reads (a view), with ``head_conj``, their conjugates, the one array a
-    plan owns; ``chirp`` for the chirp-z transform; ``degree``, the number
-    of Chebyshev terms, for the moments, which hold no tables; none of them
-    for the length-period FFT or an empty run. ``lo`` is the run's start mod
-    the period.
+    ``kind`` is :meth:`FourierBasis._pick`'s. One column over the trig
+    tables holds ``tables`` and ``head``, the head rows the run reads (a
+    view), with ``head_conj``, their conjugates, the one array a plan owns;
+    ``chirp`` serves the chirp-z transform. A fold over the trig tables or
+    the moments holds no tables: its centred pairs each meet ``degree``
+    rows, the ``2R`` cosine and sine rows or the Chebyshev terms. ``lo`` is
+    the run's start mod the period.
     """
 
+    kind: str
     span: int
     lo: int
     tables: _TrigTables | None
@@ -695,21 +699,6 @@ class _Run(NamedTuple):
     head_conj: np.ndarray | None
     chirp: _ChirpPlan | None
     degree: int = 0
-
-    def run_columns(self) -> np.ndarray:
-        """``columns(run).T`` of a trig-table run, ``(span, 2*orders)``.
-
-        The phase at offset ``a*width + b`` is ``head_conj[a] * (cos +
-        i*sin)(theta*b)``: one broadcast product of ``orders`` phases by
-        ``span`` positions, whose float64 view is the interleaved cosine and
-        sine layout itself.
-        """
-        tail = self.tables.tail
-        rows, width = self.head_conj.shape[0], tail.shape[1]
-        cols = np.empty((rows, width, self.head_conj.shape[1]), dtype=np.complex128)
-        cols[:] = tail.T.view(np.complex128)
-        cols *= self.head_conj[:, None]
-        return cols.reshape(rows * width, -1)[: self.span].view(np.float64)
 
 
 @functools.lru_cache(maxsize=2)
@@ -806,18 +795,17 @@ def compress_batch(basis: FourierBasis, values, start_pos: int) -> SpectralState
 # buffers and its output, at most 2**17 float64 values, 1 MB
 _FOLD_CHUNK_FLOATS = 2**17
 
-# the trig tables' fold keeps each product against the run columns within
-# 100**3 multiply-adds, the size up to which OpenBLAS lets dgemm run its
-# small-matrix kernels, which skip packing the operands. In scipy-openblas
-# 0.3.31 (DYNAMIC_ARCH) only the SkylakeX kernels admit any product: its
-# dgemm_small_matrix_permit_SKYLAKEX refuses M*N*K above 1e6 (read from the
-# library's disassembly), and the Haswell, Sandy Bridge, Nehalem and Prescott
-# permits return 0, so on other cores the cap only splits a block into more
-# products. Over the desk middle (32 rows by 956 positions, AVX-512 x86_64,
-# one thread) a product took 1.4 us a column up to 32 columns and 2.0-3.4 us
-# from 33 to 128; with 64 rows, 2.8 us at 16 columns against 3.6-3.8 at
-# 64-128; with 128 or 256 rows, 3.7-4.9 us a column against 3.4 at 128
-# columns
+# the paired fold keeps each product of a span of pairs with the even or odd
+# rows within 100**3 multiply-adds, the size up to which OpenBLAS lets dgemm
+# run its small-matrix kernels, which skip packing the operands. In
+# scipy-openblas 0.3.31 (DYNAMIC_ARCH) only the SkylakeX kernels admit any
+# product: its dgemm_small_matrix_permit_SKYLAKEX refuses M*N*K above 1e6
+# (read from the library's disassembly), and the Haswell, Sandy Bridge,
+# Nehalem and Prescott permits return 0, so on other cores the cap only
+# splits a block into more products. Over the desk middle's pairs (16 rows
+# by 478 pairs, AVX-512 x86_64, one thread) a product took 0.28-0.34 us a
+# column up to the cap's 130 columns and 0.54-0.61 past it; over the stock
+# moments' (49 rows by 255 pairs), 0.42-0.71 up to its 80 and 0.71-0.76 past
 _SMALL_PRODUCT = 100**3
 
 
@@ -858,23 +846,22 @@ def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
     :meth:`FourierBasis.project`, their cost rule and their table caches,
     priced for every picked column of every block together: the Chebyshev
     moments at stock (98 terms over 1020 positions), the trig tables at
-    desk, whose tables decode's next call over the benchmark's middle reads
-    from the cache. Over the FFTs every column costs a transform, so each
-    block's picked columns go to it in groups, selected from the block only
-    then. Over the trig tables and the moments a column costs no transform:
-    their tables are built once per sub-run (per chunk of pairs and of
-    orders for the moments), and a block's columns from its first pick to
-    its last go in spans, each cast into one float64 buffer and projected
-    by one matrix product, within the multiply-adds of BLAS's small-matrix
-    kernels (32 columns at desk), whose picked columns the state keeps. The
-    moments cast a span as pairs of rows about the run's centre, its sums
-    and its differences, and project each by half the Chebyshev rows; a
-    second product takes every column's moments to the state, added into
-    its rows in place. Nothing is gathered from a block. So the columns between a
-    block's picks pass through the products too: the fold ignores
-    floating-point errors, and a NaN or Inf in a column that is not picked
-    leaves the picked columns' states as they are. No block is copied
-    whole. A group's or span's values, the transform's buffers and its
+    desk. Over the FFTs every column costs a transform, so each block's
+    picked columns go to it in groups, selected from the block only then.
+    Over the trig tables and the moments a column costs no transform: a
+    block's columns from its first pick to its last are cast as pairs of
+    rows about the run's centre, their sums and differences, into one
+    float64 buffer (66 columns at desk), and each span of them within the
+    multiply-adds of BLAS's small-matrix kernels is projected by the rows
+    even and odd in the offset from the centre, the trig tables' cosine
+    and sine rows or the Chebyshev rows, built per chunk of pairs; the
+    picked columns' sums then go to the state, turned by the centre's
+    phase or by a second product with the moments' waves, added into its
+    rows in place (:func:`_fold_moments`). Nothing is gathered from a
+    block, so the columns between a block's picks pass through the products
+    too: the fold ignores floating-point errors, and a NaN or Inf in a
+    column that is not picked leaves the picked columns' states as they
+    are. No block is copied whole. A group's or chunk's values, the transform's buffers and its
     output, with the tables a sub-run builds, fit ``_FOLD_CHUNK_FLOATS``
     float64 values (1 MB) where one column allows, as
     ``FourierBasis._project_floats`` counts them for the plan each sub-run
@@ -936,10 +923,10 @@ def _fold_into(basis: FourierBasis, arrays: list, picks: list, states: list, off
     share: a layer folds a head's K at 0 and its V at ``k_cols`` of the
     head's one state, and :func:`fold_blocks` each block into a state of its
     own. The transform is priced for all the picked columns together.
-    Each sub-run over the trig tables goes to :func:`_fold_spans`, a product
-    per span of a block's columns, and over either FFT each block's picks go
-    to the transform in groups, each adding into the block's columns of its
-    state; over the moments, :func:`_fold_moments` adds into whole states.
+    Each sub-run over the trig tables or the moments goes to
+    :func:`_fold_moments`, which reads it as centred pairs and adds into
+    whole states; over either FFT each block's picks go to the transform in
+    groups, each adding into the block's columns of its state.
     """
     length = arrays[0].shape[0] if arrays else 0
     columns = sum(pick.size for pick in picks)
@@ -966,9 +953,6 @@ def _fold_into(basis: FourierBasis, arrays: list, picks: list, states: list, off
             continue
         fixed, per_column = basis._project_floats(hi - lo, columns)
         group = max(1, (_FOLD_CHUNK_FLOATS - fixed) // per_column)
-        if plan.tables is not None:
-            _fold_spans(plan.run_columns(), arrays, picks, outs, lo, hi, group)
-            continue
         for array, pick, out in zip(arrays, picks, outs):
             # a block's picks in groups of equal width, none a short remainder,
             # each gathered from the block
@@ -976,43 +960,6 @@ def _fold_into(basis: FourierBasis, arrays: list, picks: list, states: list, off
             for a in range(0, pick.size, width):
                 b = min(a + width, pick.size)
                 out[:, a:b] += basis._project_columns(array[lo:hi, pick[a:b]], plan)
-
-
-def _fold_spans(columns: np.ndarray, arrays: list, picks: list, outs: list, lo: int, hi: int,
-                group: int) -> None:
-    """Rows ``lo:hi`` of each block projected onto ``columns``, a product per span.
-
-    ``columns`` is ``(hi - lo, n)``, a trig-table sub-run's
-    :meth:`_Run.run_columns`. Every ``picks[i]`` ascends strictly. The
-    columns of a block from its first pick to its last are cast, ``group``
-    at most at a time, into one float64 buffer (one cast a block at desk:
-    casting each span apart took 4-5% longer), and each span of it within
-    :data:`_SMALL_PRODUCT` multiply-adds is projected by one product
-    ``columns.T @ span``, whose picked columns are added into ``outs[i]``.
-    No column is gathered from a block: in this form a column costs no
-    transform, so the unpicked columns of a span cost less than a gather.
-    """
-    step = min(group, max(1, _SMALL_PRODUCT // columns.size))
-    buffer = np.empty((hi - lo, min(group, max(array.shape[1] for array in arrays))))
-    for array, pick, out in zip(arrays, picks, outs):
-        if not pick.size:
-            continue
-        first, stop = int(pick[0]), int(pick[-1]) + 1
-        # casts of equal widths, at most group, and products of equal spans
-        # within each, none a short remainder
-        width = -(-(stop - first) // -(-(stop - first) // group))
-        for c0 in range(first, stop, width):
-            c1 = min(c0 + width, stop)
-            buffer[:, : c1 - c0] = array[lo:hi, c0:c1]
-            span = -(-(c1 - c0) // -(-(c1 - c0) // step))
-            for p0 in range(c0, c1, span):
-                p1 = min(p0 + span, c1)
-                a, b = pick.searchsorted((p0, p1))
-                if a == b:
-                    continue
-                sums = columns.T @ buffer[:, p0 - c0 : p1 - c0]
-                # picks that fill the span take its sums whole
-                out[:, a:b] += sums if b - a == p1 - p0 else sums[:, pick[a:b] - p0]
 
 
 # the moments keep their truncation tail, 2 * sum over k >= degree of
@@ -1063,34 +1010,50 @@ def _run_degree(orders: int, period: int, span: int) -> int:
     return _moment_degree(np.pi * (orders - 1) * span / period)
 
 
-def _moment_chunks(orders: int, span: int, degree: int) -> tuple[int, int, int, int]:
+def _moment_chunks(orders: int, span: int, degree: int,
+                   trig: bool = False) -> tuple[int, int, int, int]:
     """How :func:`_fold_moments` splits its work to fit ``_FOLD_CHUNK_FLOATS``.
 
-    ``(pairs, width, rows, fixed)``: pairs of positions per chunk of
-    Chebyshev rows (``degree * pairs`` floats, over the run's top half),
-    block columns whose pairs are cast at a time (their sums and
-    differences, ``2 * pairs * width``) and orders per chunk of waves
-    (:data:`_MOMENT_ORDERS`, ``2 * degree * rows`` floats), each within a
-    quarter of the budget, or within one chunk of waves where that is more
-    (past 256 terms at the default budget); and ``fixed``, the larger of
-    the two passes' float64 values. The first also holds the rows'
-    position vectors, numpy's buffers for their broadcast products (``2 * s
-    * pairs``, see :func:`_chebyshev_rows`) and each product of the even or
-    odd rows with a span of the pairs, with the picked columns taken from
-    it (``2 * ceil(degree / 2)`` values per product column); the second the
-    waves' node and factor vectors, since each chunk of waves is added into
-    the states in place.
+    The run's pairs each meet ``degree`` rows: Chebyshev terms, or with
+    ``trig`` the ``2R`` centred cosine and sine rows. ``(pairs, width, rows,
+    fixed)``: pairs of positions per chunk of rows (``degree * pairs``
+    floats, over the run's top half), block columns whose pairs are cast at
+    a time (their sums and differences, ``2 * pairs * width``) and orders
+    per chunk of waves (:data:`_MOMENT_ORDERS`, ``2 * degree * rows``
+    floats), each within a quarter of the budget, or within one chunk of
+    waves where that is more (past 256 terms at the default budget); and
+    ``fixed``, the larger of the two passes' float64 values. The first also
+    holds the rows' position vectors, numpy's buffers for their broadcast
+    products (``2 * s * pairs``, see :func:`_chebyshev_rows`) and each
+    product of the even or odd rows with a span of the pairs, with the
+    picked columns taken from it (``2 * ceil(degree / 2)`` values per
+    product column); the second the waves' node and factor vectors, since
+    each chunk of waves is added into the states in place. The trig rows
+    share their quarter with the grid they are copied from
+    (:func:`_centred_rows`), their casts and products' outputs share half
+    the budget, and their second pass holds a few vectors of ``R`` values.
+    Neither pass counts numpy's buffers for a broadcast or strided operand,
+    up to the operation's size: the trig turn's and its transposed adds'
+    reach the group's sums (0.09 and 0.02 MB at desk).
     """
     rows = min(orders, _MOMENT_ORDERS)
-    quarter = max(_FOLD_CHUNK_FLOATS // 4, 2 * degree * rows)
-    pairs = min((span + 1) // 2, quarter // degree)
-    width = max(1, quarter // (2 * pairs))
     parity = (degree + 1) // 2  # the even rows; the odd ones are no more
+    if trig:
+        quarter = _FOLD_CHUNK_FLOATS // 4
+        pairs = min((span + 1) // 2, max(1, quarter // (2 * degree)))
+        width = max(1, _FOLD_CHUNK_FLOATS // 2 // (2 * (pairs + parity)))
+        side = math.isqrt(pairs) + 1  # the grid's head and tail rows
+        build = degree * (pairs + 3 * side) + orders + 3 * pairs
+        second = 4 * degree
+    else:
+        quarter = max(_FOLD_CHUNK_FLOATS // 4, 2 * degree * rows)
+        pairs = min((span + 1) // 2, quarter // degree)
+        width = max(1, quarter // (2 * pairs))
+        build = (3 + 2 * max(2, math.isqrt(degree))) * pairs
+        second = 2 * rows * degree + 8 * degree
     step = min(width, max(1, _SMALL_PRODUCT // (parity * pairs)))
-    s = max(2, math.isqrt(degree))
-    moments = (degree + 3 + 2 * s) * pairs + 2 * pairs * width + 2 * parity * step
-    waves = 2 * rows * degree + 8 * degree
-    return pairs, width, rows, max(moments, waves)
+    first = degree * pairs + build + 2 * pairs * width + 2 * parity * step
+    return pairs, width, rows, max(first, second)
 
 
 def _centred_pairs(block: np.ndarray, p0: int, out: np.ndarray) -> np.ndarray:
@@ -1117,6 +1080,28 @@ def _centred_pairs(block: np.ndarray, p0: int, out: np.ndarray) -> np.ndarray:
     odd *= -2.0
     odd += total
     return out
+
+
+def _centred_rows(orders: int, period: int, u: np.ndarray, out: np.ndarray) -> None:
+    """``out[2n] = cos(theta_n * u / 2)`` and ``out[2n + 1] = sin(theta_n * u / 2)``, ``n < orders``.
+
+    ``theta_n = 2*pi*n/period`` and ``u`` holds twice the offsets ``v`` of
+    a run's positions from its centre, integers ascending by 2: cosine rows
+    even in ``v`` and sine rows odd, interleaved as the basis interleaves
+    its columns, for the batch fold and ``dimselect``'s Fourier Gram form.
+    The phase at ``u[0] + 2(a*w + b)``, ``w = isqrt(len(u)) + 1``, is the
+    one at ``u[0] + 2a*w`` times the one at ``2b``, each from
+    :func:`_unit_phases` at twice the period. The products fill a grid of
+    ``ceil(len(u) / w) * w`` phases per order, one head phase at a time (a
+    broadcast product holds numpy's buffers), and ``out`` is copied from it.
+    """
+    w = math.isqrt(len(u)) + 1
+    head = _unit_phases(orders, 2 * period, u[::w])
+    tail = _unit_phases(orders, 2 * period, u[:w] - u[0])
+    grid = np.empty((len(head), len(tail), orders), dtype=np.complex128)
+    for row, phase in zip(grid, head):
+        np.multiply(phase, tail, out=row)
+    out[...] = grid.reshape(-1, orders)[: len(u)].view(np.float64).T
 
 
 def _chebyshev_rows(x: np.ndarray, out: np.ndarray) -> None:
@@ -1168,41 +1153,44 @@ def _moment_waves(period: int, lo: int, span: int, degree: int, r0: int, r1: int
 
 def _fold_moments(basis: FourierBasis, plan: _Run, arrays: list, picks: list, states: list,
                   offsets: list, lo: int, hi: int) -> None:
-    """:func:`_fold_into`'s sub-run ``lo:hi`` by Chebyshev moments, two products per column.
+    """:func:`_fold_into`'s sub-run ``lo:hi`` through its centred pairs, by trig rows or moments.
 
-    With ``x_t`` the run's positions mapped onto ``(-1, 1)`` and ``T_k``
-    the Chebyshev polynomials, ``exp(i*theta_r*t)`` is ``sum_k G[k, r] *
-    T_k(x_t)`` for ``k < degree``, ``G[:, r]`` being the Chebyshev
-    coefficients of order ``r``'s wave (:func:`_moment_waves`), a DCT of
-    it at ``degree`` nodes. So a column ``w`` folds as its moments ``mu =
-    P @ w``, ``P[k, m] = T_k(x_m)``, and then ``G.T @ mu``; the DCT moves
-    onto the moments, as its transpose (a DCT-III), so the second product
-    reads the waves themselves.
+    The run's rows pair up about its centre ``c = lo + (span - 1)/2``
+    (:func:`_centred_pairs`), at offsets ``v`` and ``-v``: a row of the
+    plan even in ``v`` meets a pair's sum and one odd in ``v`` its
+    difference, half the multiply-adds of the unpaired run, and fills the
+    even or odd entries of each column's ``degree`` sums. Over the trig
+    tables the rows are each order's cosine and sine at ``v``
+    (:func:`_centred_rows`): ``exp(i*theta_r*t) = exp(i*theta_r*c) * (cos +
+    i*sin)(theta_r*v)``, so a column's sums ``A + iB`` of order ``r`` turn
+    to absolute phase by one complex product and are added into the
+    state's rows in place. Over the moments, with ``x_t`` the positions
+    mapped onto ``(-1, 1)``, ``exp(i*theta_r*t)`` is ``sum_k G[k, r] *
+    T_k(x_t)`` for ``k < degree``, ``G[:, r]`` the Chebyshev coefficients
+    of order ``r``'s wave (:func:`_moment_waves`), a DCT of it at
+    ``degree`` nodes, and ``T_k(-x) = (-1)**k T_k(x)``. So a column ``w``
+    folds as its moments ``mu = P @ w``, ``P[k, m] = T_k(x_m)``, and then
+    ``G.T @ mu``; the DCT moves onto the moments as its transpose (a
+    DCT-III), so the second product reads the waves themselves.
 
-    The first product reads the run as pairs of rows about its centre
-    (:func:`_centred_pairs`): ``x`` of a pair's bottom row is minus its top
-    row's, and ``T_k(-x) = (-1)**k T_k(x)``, so the even rows of ``P``,
-    built at the top rows only, take the pairs' sums and the odd rows their
-    differences, filling the even and odd entries of each column's
-    ``degree`` moments: half the multiply-adds and half the rows of ``P``.
-    The moments are a row per column of whole states, or of windows of
-    their columns where a state's do not fit the budget, in the state's
-    column order, so the columns no block folds into (a layer's padding)
-    hold zero moments. Per group of
-    them, ``P`` is built a chunk of pairs at a time and each chunk projects
-    every block's columns, from a block's first pick to its last; then the
-    waves are built a chunk of orders at a time, and each chunk is
-    multiplied by every state's moments and added into those orders' rows
-    of the state in place (:func:`_add_product`). The sizes are
-    :func:`_moment_chunks`'.
+    The sums are a row per column of whole states, or of windows of their
+    columns where a state's do not fit the budget, in the state's column
+    order, so the columns no block folds into (a layer's padding) hold zero
+    sums. Per group of them, the rows are built a chunk of pairs at a time,
+    at the top rows only, and each chunk projects every block's columns,
+    from a block's first pick to its last (:func:`_fold_pairs`); then the
+    trig sums are turned and added, or the waves are built a chunk of
+    orders at a time, each multiplied by every state's moments and added
+    into those orders' rows of the state in place (:func:`_add_product`).
+    The sizes are :func:`_moment_chunks`'.
     """
-    span, degree = hi - lo, plan.degree
-    pairs, width, rows, fixed = _moment_chunks(basis.orders, span, degree)
+    span, degree, trig = hi - lo, plan.degree, plan.kind == "tables"
+    pairs, width, rows, fixed = _moment_chunks(basis.orders, span, degree, trig)
     targets = []  # the states the blocks fold into, each once
     for state in states:
         if all(state is not target for target in targets):
             targets.append(state)
-    # the state columns whose moments fit what the budget leaves, or all of
+    # the state columns whose sums fit what the budget leaves, or all of
     # them where not even one column's do
     group = (_FOLD_CHUNK_FLOATS - fixed) // degree
     if group < 1:
@@ -1222,22 +1210,25 @@ def _fold_moments(basis: FourierBasis, plan: _Run, arrays: list, picks: list, st
     step = min(width, max(1, _SMALL_PRODUCT // ((degree + 1) // 2 * pairs)))
     width = min(width, max(array.shape[1] for array in arrays))
     while pieces:
-        # the windows whose moments fit one group
+        # the windows whose sums fit one group
         batch, count = [], 0
         while pieces and count + pieces[0][2] - pieces[0][1] <= group:
             batch.append(pieces.pop(0))
             count += batch[-1][2] - batch[-1][1]
-        # a row of moments per column of the windows, one window after the
+        # a row of sums per column of the windows, one window after the
         # other: each window's rows are one C-ordered operand of the product
         moments = np.zeros((count, degree))
-        cheb = np.empty((degree, pairs))
+        pair_rows = np.empty((degree, pairs))
         buffer = np.empty(2 * pairs * width)
         for p0 in range(0, half, pairs):
             p1 = min(half, p0 + pairs)
-            part = cheb[:, : p1 - p0]
-            # the top rows' offsets from the centre over the half-width
-            _chebyshev_rows((2 * np.arange(span - half + p0, span - half + p1) - (span - 1))
-                            / span, part)
+            part = pair_rows[:, : p1 - p0]
+            # twice the top rows' offsets from the centre
+            u = 2 * np.arange(span - half + p0, span - half + p1) - (span - 1)
+            if trig:
+                _centred_rows(basis.orders, basis.period, u, part)
+            else:
+                _chebyshev_rows(u / span, part)
             at = 0
             for target, c0, c1 in batch:
                 # each block's picks that fold into the window, into their rows
@@ -1248,7 +1239,16 @@ def _fold_moments(basis: FourierBasis, plan: _Run, arrays: list, picks: list, st
                         _fold_pairs(part, array[lo:hi], pick[a:b], moments[row : row + b - a],
                                     p0, buffer, width, step)
                 at += c1 - c0
-        del cheb, part, buffer
+        del pair_rows, part, buffer
+        if trig:
+            # A + iB of each order, turned by exp(i*theta_r*c), with 2c = 2*lo + span - 1
+            turned = moments.view(np.complex128)
+            turned *= _unit_phase(np.arange(basis.orders) * (2 * plan.lo + span - 1), basis.period)
+            at = 0
+            for target, c0, c1 in batch:
+                target[:, c0:c1] += moments[at : at + c1 - c0].T
+                at += c1 - c0
+            continue
         moments = scipy.fft.dct(moments, type=3, axis=1, overwrite_x=True)
         moments /= degree
         for r0 in range(0, basis.orders, rows):
@@ -1261,21 +1261,22 @@ def _fold_moments(basis: FourierBasis, plan: _Run, arrays: list, picks: list, st
                 at += c1 - c0
 
 
-def _fold_pairs(cheb: np.ndarray, block: np.ndarray, pick: np.ndarray, out: np.ndarray,
+def _fold_pairs(rows: np.ndarray, block: np.ndarray, pick: np.ndarray, out: np.ndarray,
                 p0: int, buffer: np.ndarray, width: int, step: int) -> None:
-    """Add the moments of a block's pairs ``p0..`` into ``out``, for its picked columns.
+    """Add the sums of a block's pairs ``p0..`` against ``rows`` into ``out``, for its picked columns.
 
-    ``cheb`` holds ``T_k`` at the top rows of ``n`` pairs, ``(degree, n)``;
-    ``out`` is ``(pick.size, degree)``, a row per picked column. The block's
-    columns from its first pick to its last are cast as pairs, ``width`` at
-    a time, into the flat ``buffer`` (:func:`_centred_pairs`), and each span
-    of them within ``step`` columns is projected twice, by the even rows of
-    ``cheb`` from the pairs' sums and by the odd rows from their
-    differences; the picked columns' moments are added into the even and
-    odd entries of their rows of ``out``. As in :func:`_fold_spans`, no
-    column is gathered from a block.
+    ``rows`` holds the plan's rows at the top rows of ``n`` pairs, ``(degree,
+    n)``, the even ones even in the offset from the centre and the odd ones
+    odd; ``out`` is ``(pick.size, degree)``, a row per picked column. The
+    block's columns from its first pick to its last are cast as pairs,
+    ``width`` at a time, into the flat ``buffer`` (:func:`_centred_pairs`),
+    and each span of them within ``step`` columns is projected by the even
+    rows from the pairs' sums and by the odd rows from their differences,
+    into the even and odd entries of the picked columns' rows of ``out``.
+    No column is gathered: a column costs no transform here, so the
+    unpicked columns of a span cost less than a gather.
     """
-    n = cheb.shape[1]
+    n = rows.shape[1]
     first, stop = int(pick[0]), int(pick[-1]) + 1
     # casts of equal widths, at most width, and products of equal spans
     # within each, none a short remainder
@@ -1292,9 +1293,9 @@ def _fold_pairs(cheb: np.ndarray, block: np.ndarray, pick: np.ndarray, out: np.n
             if a == b:
                 continue
             for parity, pairs in enumerate(halves):
-                moments = pairs[:, q0 - c0 : q1 - c0].T @ cheb[parity::2].T
-                # picks that fill the span take its moments whole
-                out[a:b, parity::2] += moments if b - a == q1 - q0 else moments[pick[a:b] - q0]
+                sums = pairs[:, q0 - c0 : q1 - c0].T @ rows[parity::2].T
+                # picks that fill the span take its sums whole
+                out[a:b, parity::2] += sums if b - a == q1 - q0 else sums[pick[a:b] - q0]
 
 
 def _add_product(out: np.ndarray, waves: np.ndarray, moments: np.ndarray) -> None:

@@ -2,7 +2,8 @@
 
 :func:`forced` is the one way a test patches a constant of ``spectral``, the
 cost rule's ratios and the chirp-z's reach among them, and
-:data:`TRANSFORMS` names the patches that force each transform. The storage
+:data:`TRANSFORMS` names the patches that force each transform;
+:func:`paired_products` records the products of the paired fold. The storage
 adapter below it is the only test code that knows how a
 :class:`~fourier_kv.cache.LayerCache` lays out its tiers.
 """
@@ -51,6 +52,28 @@ def forced(transform=None, **constants):
             yield
     finally:
         spectral._run_plan.cache_clear()
+
+
+@contextlib.contextmanager
+def paired_products():
+    """Yields a list of the left operand of every product the paired fold takes
+    (``spectral._fold_pairs``), as it takes them: a span of a cast block's pair
+    sums or differences, ``(columns, pairs)``.
+
+    While the manager is open the fold's rows come as an array that records
+    each product's other operand and computes it as before.
+    """
+    products = []
+
+    class Rows(np.ndarray):
+        def __rmatmul__(self, other):
+            products.append(other)
+            return other @ np.asarray(self)
+
+    fold_pairs = spectral._fold_pairs
+    with mock.patch.object(spectral, "_fold_pairs",
+                           lambda rows, *args: fold_pairs(rows.view(Rows), *args)):
+        yield products
 
 
 # -- storage adapter: the one place that knows how a layer stores its tiers ---

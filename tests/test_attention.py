@@ -352,7 +352,10 @@ def desk_layer(rng, heads):
 
 def test_a_desk_step_over_32_heads_resolves_one_run_plan():
     rng = np.random.default_rng(21)
+    spectral._trig_tables.cache_clear()
     slices, basis, k_next, v_next = desk_layer(rng, 32)
+    # the prefill folds the middle as centred pairs, building no trig tables
+    assert spectral._trig_tables.cache_info().currsize == 0
     spectral._run_plan.cache_clear()
     for head, sl in enumerate(slices):
         append_token(sl, basis, k_next[head], v_next[head])
@@ -360,9 +363,12 @@ def test_a_desk_step_over_32_heads_resolves_one_run_plan():
         out = attend_compressed_fused(q, sl, basis).output
         ref = attend_compressed_materialized(q, sl, basis).output
         assert np.max(np.abs(out - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
+        # the first head's plan builds the middle's trig tables; no later head builds any
+        assert spectral._trig_tables.cache_info().misses == 1
     info = spectral._run_plan.cache_info()
     # every head reads the same middle: one plan built, 31 read from the cache
     assert (info.misses, info.hits) == (1, 31)
+    assert spectral._trig_tables.cache_info().currsize == 1
 
 
 class TestFusedTransient:
@@ -406,13 +412,16 @@ class TestDecodeCallCounts:
     """Python-level calls per decode call at desk geometry, as cProfile counts
     them (not time), with numpy 2.4: a guard against per-call work creeping back.
 
-    Each count is this code's, plus a margin of 3: 37 calls per attention
-    call and 24 per evicting append. Every desk block fits the fused call's
-    chunk budget, so each keeps its one product and the budget adds no
-    call. The code made 78 and 39 before each middle run's transform was
-    resolved once, 37 and 27 while it stored exact rows permuted into a
-    per-head dimension order, and 37 and 25 while it kept a second count per
-    head and converted an appended token twice.
+    Each bound is a count this code's parent made, plus a margin of 3: 37
+    calls per attention call and 24 per evicting append. The code makes 38
+    and 24: the trig tables' evaluate repeats its coefficients per head row
+    before the product, in place of a broadcast product whose buffer it
+    would hold. Every desk block fits the fused call's chunk budget, so each
+    keeps its one product and the budget adds no call. The code made 78 and
+    39 before each middle run's transform was resolved once, 37 and 27
+    while it stored exact rows permuted into a per-head dimension order, and
+    37 and 25 while it kept a second count per head and converted an
+    appended token twice.
     """
 
     MARGIN = 3

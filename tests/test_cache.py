@@ -40,6 +40,7 @@ from harness import (
     layer_arrays,
     layer_bytes,
     local_block,
+    paired_products,
     states,
 )
 
@@ -420,16 +421,18 @@ class TestPrefillFold:
             tracemalloc.stop()
         assert peak - before <= layer_bytes(layer) + 8 * spectral._FOLD_CHUNK_FLOATS + 16 * 1024
 
-    def test_desk_fold_projects_two_spans_per_block_without_gathers(self, table_products):
-        # the trig tables fold each head's K and V block in two products of up
-        # to 32 of its columns, cast into a float64 buffer; a fold that
-        # gathered picked columns would pass float32 copies of them instead
+    def test_desk_fold_projects_two_products_per_block_without_gathers(self):
+        # the trig tables fold each head's K and V block as centred pairs,
+        # cast once into a float64 buffer from its first pick to its last (up
+        # to 64 columns of 478 pairs), and take two products of the cast, its
+        # sums by the cosine rows and its differences by the sine rows; a fold
+        # that gathered picked columns would pass float32 copies of them instead
         layout, keys, values, basis = self.desk_layer()
-        with table_products() as weights:
+        with paired_products() as halves:
             layer = prefill(keys, values, layout, 0, basis)
-        assert 0 < len(weights) <= 2 * 2 * layout.kv_heads
-        for w in weights:
-            assert w.dtype == np.float64 and w.shape[1] <= 32
+        assert len(halves) == 2 * 2 * layout.kv_heads
+        for h in halves:
+            assert h.dtype == np.float64 and h.shape[0] <= 64 and h.shape[1] == 478
         for head, sl in enumerate(heads_of(layer)):
             hd = layout.dims[0][head]
             middle = slice(4, 1024 - 64)
@@ -482,24 +485,27 @@ def moment_chunks(draw):
 
 
 class TestMomentsFold:
-    """The Chebyshev moments fold, forced, against ``compress_batch`` per head."""
+    """The paired fold, forced onto the Chebyshev moments or the trig tables'
+    centred rows, against ``compress_batch`` per head."""
 
+    @pytest.mark.parametrize("transform", ["moments", "tables"])
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(case=moment_chunks())
-    def test_prefill_then_a_chunk_matches_compress_batch(self, case):
+    def test_prefill_then_a_chunk_matches_compress_batch(self, transform, case):
         layout, keys, values, prompt, budget = case
         part = layout.partition
         basis = build_basis(part.orders, part.period)
-        with forced("moments", _FOLD_CHUNK_FLOATS=budget), \
+        with forced(transform, _FOLD_CHUNK_FLOATS=budget), \
                 mock.patch.object(spectral, "_fold_moments",
-                                  side_effect=spectral._fold_moments) as moments:
+                                  side_effect=spectral._fold_moments) as paired:
             layer = prefill(keys[:, :prompt], values[:, :prompt], layout, 0, basis)
             ingest(layer, basis, keys[:, prompt:], values[:, prompt:])
         widths = [hd.k_compressed.size + hd.v_compressed.size for hd in layout.dims[0]]
-        # every fold of two or more positions and columns runs the moments
+        # every fold of two or more positions runs the paired fold, the
+        # moments at two or more columns and the tables at any
         folds = [span for span in (len(part.middle(prompt)), keys.shape[1] - prompt)
-                 if span > 1 and sum(widths) > 1]
-        assert moments.call_count >= len(folds)
+                 if span > 1 and sum(widths) > (transform == "moments")]
+        assert paired.call_count >= len(folds)
         TestPrefillFold.assert_states_match(layout, keys, values, layer, basis)
         for head, hd in enumerate(layout.dims[0]):
             # the padding columns of a head that compresses fewer dims than the widest

@@ -1,6 +1,7 @@
 """Dimension ranking, schema application, and selection diagnostics."""
 
 import contextlib
+import gc
 import json
 import tracemalloc
 from unittest import mock
@@ -382,6 +383,41 @@ class TestRankDimensions:
         oracle = apply_schema(MseRanking(k_mse=expected[0], v_mse=expected[1]), schema,
                               partition=part)
         np.testing.assert_array_equal(got.compressed, oracle.compressed)
+
+    @pytest.mark.parametrize("part, layers, heads, kv_heads, head_dim, length, form", [
+        (PartitionParams(init_len=4, local_len=64, period=4096, orders=16),
+         8, 4, 4, 64, 1024, "gram"),
+        (PartitionParams(init_len=4, local_len=1024, period=32768, orders=512),
+         1, 2, 2, 128, 2048, "moments"),
+        (PartitionParams(init_len=4, local_len=1024, period=32768, orders=512),
+         1, 2, 1, 128, 2048, "moments"),
+    ], ids=["decode_desk_wide", "prefill_stock", "decode_stock_gqa"])
+    def test_transient_is_one_budget_plus_one_layers_sums(self, part, layers, heads, kv_heads,
+                                                          head_dim, length, form):
+        # the benchmark's calibration geometries, on a tiny model's prompt: one
+        # chunk of rows and a block's halves within the fold's budget, plus
+        # every K and V block's sums of one layer, 2R a column for the Fourier
+        # Gram form (desk) and d moments for the moment Gram form (stock). The
+        # forms and one block's product with them fit the budget's share for
+        # the rows' build, which is over by then; a product of the forms with a
+        # whole layer's sums took stock 28 KB past this bound
+        config = TinyModelConfig(layers=layers, heads=heads, kv_heads=kv_heads,
+                                 head_dim=head_dim, seed=0)
+        trace = tiny_forward(config, np.random.default_rng(1).integers(0, config.vocab, length))
+        basis = build_basis(part.orders, part.period)
+        assert rank_branch(trace, part, basis) == form  # and numpy's first-call allocations
+        gc.collect()
+        tracemalloc.start()
+        try:
+            rank_dimensions(trace, part, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        middle = len(part.middle(length))
+        rows = (2 * part.orders if form == "gram"
+                else spectral._run_degree(part.orders, part.period, middle))
+        sums = 8 * 2 * kv_heads * rows * head_dim
+        assert peak <= 8 * spectral._FOLD_CHUNK_FLOATS + sums
 
     @pytest.mark.parametrize("basis", [FourierBasis(8, 64), FourierBasis(4, 128)],
                              ids=["orders", "period"])
