@@ -177,7 +177,10 @@ def rank_dimensions(trace: KVTrace, partition: PartitionParams, basis: FourierBa
     group of FFT columns, or one chunk of rows and a block's halves, within
     ``_FOLD_CHUNK_FLOATS`` (1 MB), plus one layer's sums or moments: the
     forms and one block's products with them fit the budget's share for the
-    rows' build.
+    rows' build. Rows that fit the budget whole are the run's table in
+    ``spectral``'s cache of fold tables, built by the first call over the
+    middle and read by every later one and by the batch fold over the same
+    run, held there rather than transient: 0.40 MB at stock, 0.12 MB at desk.
     """
     check_basis(basis, partition)
     middle = partition.middle(trace.seq_len)
@@ -219,35 +222,31 @@ def _split_sse(rows, forms: tuple, layers, length: int, out: np.ndarray) -> None
     """Squared reconstruction error of every column of every block, through its halves.
 
     ``layers`` holds lists of ``(length, dim)`` blocks of the middle, and
-    ``out[layer, block]`` receives one error per column. ``rows(u, out)``
-    fills ``out[:, j]`` with the rows at offset ``u[j] / 2`` from the
-    centre (``u`` ascending by 2), the even ones at even indices; ``forms``
-    holds ``F_e`` and ``F_o``. Rows ``i`` and ``length - 1 - i`` pair up as
-    the batch fold pairs them (``spectral._centred_pairs``, an odd middle's
-    centre with zero): with a pair's halves ``E = x(v) + x(-v)`` and ``O =
-    x(v) - x(-v)``, cast once to float64, ``a = rows_even @ E`` and ``b =
-    rows_odd @ O``, the error is ``|x|**2 + a.T F_e a + b.T F_o b``, and
-    ``|x|**2`` is ``(|E|**2 + |O|**2) / 2``. A chunk's rows, their build
-    and a block's halves fit ``_FOLD_CHUNK_FLOATS``; one chunk of every pair
-    serves all layers. The forms meet one block's sums at a time.
+    ``out[layer, block]`` receives one error per column. ``rows(step)``
+    yields the rows at the pairs' offsets from the centre ``step`` pairs at
+    a time, as ``spectral._pair_rows`` does, the even ones at even indices;
+    ``forms`` holds ``F_e`` and ``F_o``. Rows ``i`` and ``length - 1 - i``
+    pair up as the batch fold pairs them (``spectral._centred_pairs``, an
+    odd middle's centre with zero): with a pair's halves ``E = x(v) +
+    x(-v)`` and ``O = x(v) - x(-v)``, cast once to float64, ``a = rows_even
+    @ E`` and ``b = rows_odd @ O``, the error is ``|x|**2 + a.T F_e a + b.T
+    F_o b``, and ``|x|**2`` is ``(|E|**2 + |O|**2) / 2``. A chunk's rows and
+    a block's halves fit ``_FOLD_CHUNK_FLOATS``; every layer reads the rows
+    from the run's cached table, which the batch fold over the same run
+    reads too, or builds them per chunk where the table does not fit that
+    budget. The forms meet one block's sums at a time.
     """
     f_even, f_odd = forms
     half = (length + 1) // 2  # pairs, the centre of an odd middle among them
     dim = layers[0][0].shape[1]
     count = len(f_even) + len(f_odd)
     step = max(1, min(half, spectral._FOLD_CHUNK_FLOATS // (2 * count + 2 * dim)))
-    offsets = 2 * np.arange(length - half, length) - (length - 1)  # 2v, ascending from the centre
-    basis_rows = np.empty((count, step))
     halves = np.empty(2 * step * dim)  # a chunk's sums, then its differences
-    for layer, (layer_sse, blocks) in enumerate(zip(out, layers)):
+    for layer_sse, blocks in zip(out, layers):
         a = np.zeros((len(blocks), len(f_even), dim))
         b = np.zeros((len(blocks), len(f_odd), dim))
         layer_sse[:] = 0.0
-        for p0 in range(0, half, step):
-            p1 = min(half, p0 + step)
-            chunk = basis_rows[:, : p1 - p0]
-            if layer == 0 or step < half:
-                rows(offsets[p0:p1], chunk)
+        for p0, p1, chunk in rows(step):
             pairs = halves[: 2 * (p1 - p0) * dim].reshape(2, p1 - p0, dim)
             for block, a_sum, b_sum, total in zip(blocks, a, b, layer_sse):
                 even, odd = spectral._centred_pairs(block, p0, pairs)
@@ -276,7 +275,8 @@ def _fourier_split(basis: FourierBasis, length: int) -> tuple:
     weights = basis.synthesis_weights()[0::2]
     forms = tuple(g * weights[:, None] * weights - 2.0 * np.diag(weights)
                   for g in _fourier_grams(basis, length))
-    return functools.partial(spectral._centred_rows, basis.orders, basis.period), forms
+    return functools.partial(spectral._pair_rows, basis.orders, basis.period, length,
+                             basis.n_rows, True), forms
 
 
 def _fourier_grams(basis: FourierBasis, length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -307,10 +307,8 @@ def _moment_split(basis: FourierBasis, length: int, degree: int) -> tuple:
     a, h = _moment_grams(basis, length, degree)
     form = a @ (h @ a)
     form -= 2.0 * a
-
-    def rows(u: np.ndarray, out: np.ndarray) -> None:
-        spectral._chebyshev_rows(u / length, out)
-
+    rows = functools.partial(spectral._pair_rows, basis.orders, basis.period, length, degree,
+                             False)
     return rows, (form[0::2, 0::2].copy(), form[1::2, 1::2].copy())
 
 
@@ -328,7 +326,9 @@ def _moment_grams(basis: FourierBasis, length: int, degree: int) -> tuple[np.nda
     period`` (``(2R - 1) / period`` at 0). ``H`` is ``(sigma[j + k] +
     sigma[|j - k|]) / 2`` for ``sigma_n = sum_m T_n(x_m)``: 0 for odd ``n``,
     ``2 sum_m T_j(x_m)**2 - sigma[0]`` at ``n = 2j``, from ``P``'s rows over
-    the top half, in chunks within half of ``spectral._FOLD_CHUNK_FLOATS``.
+    the top half in chunks within half of ``spectral._FOLD_CHUNK_FLOATS``:
+    views of the run's cached Chebyshev rows, which :func:`_split_sse` and
+    the batch fold over the same run read too, where they fit that budget.
     """
     nodes = np.cos(np.pi * (np.arange(degree) + 0.5) / degree)
     phi = (np.pi * length / basis.period) * (nodes[:, None] - nodes)
@@ -348,14 +348,10 @@ def _moment_grams(basis: FourierBasis, length: int, degree: int) -> tuple[np.nda
     a = dct3.T @ (kernel @ dct3)
     del kernel, dct3
 
-    half = (length + 1) // 2
-    offsets = 2 * np.arange(length - half, length) - (length - 1)
-    step = max(1, min(half, spectral._FOLD_CHUNK_FLOATS // 2 // degree))
-    rows = np.empty((degree, step))
+    step = max(1, min((length + 1) // 2, spectral._FOLD_CHUNK_FLOATS // 2 // degree))
     squares = np.zeros(degree)
-    for p0 in range(0, half, step):
-        chunk = rows[:, : min(half - p0, step)]
-        spectral._chebyshev_rows(offsets[p0 : p0 + step] / length, chunk)
+    for _, _, chunk in spectral._pair_rows(basis.orders, basis.period, length, degree, False,
+                                           step):
         squares += np.einsum("ij,ij->i", chunk, chunk)
     # every row but an odd run's centre stands for two positions; T_j(0)**2 is 1 for even j
     squares *= 2.0

@@ -32,10 +32,17 @@ reads the run as pairs of rows about its centre, cast into one float64
 buffer and never gathered: their sums meet the rows even in the offset
 from the centre and their differences the odd ones, half the multiply-adds
 of the unpaired run. Those rows are the centred cosine and sine rows
-(:func:`_centred_rows`, which ``dimselect``'s Fourier Gram form reads too),
-whose sums one complex product turns to absolute phase, or the Chebyshev
-rows, whose moments a second product, one BLAS ``dgemm``, adds into each
-state's rows in place. Each FFT runs once per column. Every cosine and sine
+(:func:`_centred_rows`), whose sums one complex product turns to absolute
+phase, or the Chebyshev rows, whose moments a second product by the waves
+of every order, one BLAS ``dgemm``, adds into each state's rows in place.
+The rows, the waves and the turn depend on the run alone, so each is built
+once per run into a small cache of read-only tables (:func:`_run_table`)
+that every layer, head and prefill of the run reads in place, as does
+``dimselect``'s calibration over the same middle: at the stock middle
+(512 orders over 1,020 positions) 0.80 MB of waves and 0.40 MB of
+Chebyshev rows, at desk (16 orders over 956) 0.12 MB of centred rows,
+beside the chirp-z's 49 KB. A table past the fold's budget is built per
+chunk instead, uncached. Each FFT runs once per column. Every cosine and sine
 comes from one of two phase builders, each reducing its integer phase
 exactly before the float product: :func:`_unit_phases` reduces ``n*t`` mod
 ``period``, for basis columns, trig tables and, at twice the period, the
@@ -109,10 +116,12 @@ class FourierBasis:
       a*B`` times one of ``b``, each from a cached table of R rows, at most
       ``56 * R * sqrt(span)`` bytes (16 KB for 16 orders over 960
       positions). One column takes two small products against them,
-      O(R * span) time and O(R * sqrt(span) + span) memory. A fold builds
-      no tables: it reads the run's pairs of rows about its centre against
-      each order's cosine and sine at their offsets, ``R * span``
-      multiply-adds a column, and turns the sums by the centre's phase.
+      O(R * span) time and O(R * sqrt(span) + span) memory. A fold reads
+      no such tables: it reads the run's pairs of rows about its centre
+      against each order's cosine and sine at their offsets, ``R * span``
+      multiply-adds a column, and turns the sums by the centre's phase;
+      those ``2R`` rows over the ``span / 2`` pairs are the run's table
+      (122 KB for 16 orders over 956 positions).
     * Chebyshev moments, for ``c >= 2`` only: with ``x`` the run mapped onto
       ``(-1, 1)``, every order's wave is a sum of ``degree`` Chebyshev
       polynomials ``T_k(x)`` (Jacobi-Anger), ``degree`` growing with the
@@ -121,8 +130,11 @@ class FourierBasis:
       that phase is 50 radians). A column costs its ``degree`` moments,
       ``degree * span / 2`` multiply-adds over the run's pairs of rows
       about its centre, and one product of them by the waves, ``2R *
-      degree``; the tables of both are built for all ``c`` columns
-      together, in chunks within the fold's budget.
+      degree``; the tables of both, the ``degree`` rows over the pairs and
+      the waves of every order, are built once for all ``c`` columns and
+      every later fold of the run (0.40 and 0.80 MB for 512 orders over
+      1020 positions), or per chunk within the fold's budget where they
+      exceed it.
     * chirp-z (Bluestein): with ``n = _fast_len(span + R - 1)``, the least
       ``2**a * m >= span + R - 1`` with ``m`` odd, 5-smooth and at most
       ``2**a``, one complex FFT pair of length ``n`` per column: O(n log n)
@@ -151,7 +163,10 @@ class FourierBasis:
     columns on, 16 orders keep the tables. Tables hold phases reduced
     exactly in integers mod ``period``, are read-only, and the last few of
     each kind are cached per ``(orders, period, lo mod period)`` and their
-    sizes. A run's resolved one-column transform, its
+    sizes; a fold's tables, per ``(orders, period, lo mod period, span,
+    degree)`` and the chunks they are built in, four at a time, each
+    within the fold's budget, so at most 4 MB are held and at stock 1.2 MB
+    (:func:`_run_table`). A run's resolved one-column transform, its
     checks, pick, tables and the head rows it reads with their conjugates,
     is cached too, per ``(orders, period, start, span)`` and the cost
     rule's ratios, so every head of a decode step that reads one middle
@@ -266,7 +281,7 @@ class FourierBasis:
         one. Checks the run first. One column's trig tables and the chirp-z
         tables come from small caches unless ``cached`` is false, as for a
         fold's sub-runs, which no later call reads; a fold over the trig
-        tables or the moments builds its rows per chunk of centred pairs
+        tables or the moments reads its rows from the run's own tables
         (:func:`_fold_moments`). :meth:`_plan` caches one column's result.
         """
         self._check_run(run)
@@ -432,7 +447,10 @@ class FourierBasis:
         the first over the pairs and the second adding into the states in
         place; per column: its ``2R`` sums or ``degree`` moments, held
         between the passes (a layer's padding columns among them). The fold
-        reads its blocks in place, so their own values are not counted. For
+        reads its blocks in place, so their own values are not counted, and
+        reads its rows and waves from the run's cached tables where they fit
+        the budget; the count keeps a chunk of rows and of waves, which the
+        fold builds where they do not, so both fold in the same groups. For
         the FFTs, fixed: numpy's two buffers for a broadcast product, up to
         ``getbufsize()`` complex values each, and for the chirp-z transform
         its tables; per column: the weights gathered, with the complex FFT
@@ -854,8 +872,8 @@ def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
     float64 buffer (66 columns at desk), and each span of them within the
     multiply-adds of BLAS's small-matrix kernels is projected by the rows
     even and odd in the offset from the centre, the trig tables' cosine
-    and sine rows or the Chebyshev rows, built per chunk of pairs; the
-    picked columns' sums then go to the state, turned by the centre's
+    and sine rows or the Chebyshev rows, read from the run's cached table;
+    the picked columns' sums then go to the state, turned by the centre's
     phase or by a second product with the moments' waves, added into its
     rows in place (:func:`_fold_moments`). Nothing is gathered from a
     block, so the columns between a block's picks pass through the products
@@ -949,7 +967,7 @@ def _fold_into(basis: FourierBasis, arrays: list, picks: list, states: list, off
         plan = None
         plan = basis._transform(run, columns, cached=sub_run == length)
         if plan.degree:
-            _fold_moments(basis, plan, arrays, picks, states, offsets, lo, hi)
+            _fold_moments(basis, plan, arrays, picks, states, offsets, lo, hi, sub_run == length)
             continue
         fixed, per_column = basis._project_floats(hi - lo, columns)
         group = max(1, (_FOLD_CHUNK_FLOATS - fixed) // per_column)
@@ -1031,10 +1049,14 @@ def _moment_chunks(orders: int, span: int, degree: int,
     each chunk of waves is added into the states in place. The trig rows
     share their quarter with the grid they are copied from
     (:func:`_centred_rows`), their casts and products' outputs share half
-    the budget, and their second pass holds a few vectors of ``R`` values.
-    Neither pass counts numpy's buffers for a broadcast or strided operand,
-    up to the operation's size: the trig turn's and its transposed adds'
-    reach the group's sums (0.09 and 0.02 MB at desk).
+    the budget, and their second pass turns the sums through the casts'
+    buffer (:func:`_turn_into`), which holds no numpy buffers, with a few
+    vectors of ``R`` values. A run whose rows and waves fit the budget
+    reads them from its cached tables and builds neither, so its fold
+    holds less than ``fixed`` by a chunk of rows and its build or by a
+    chunk of waves; the count keeps them, so that a fold that reads its
+    tables and one that builds them (a sub-run's, or a run's past the
+    budget) take the same groups and sum bitwise alike.
     """
     rows = min(orders, _MOMENT_ORDERS)
     parity = (degree + 1) // 2  # the even rows; the odd ones are no more
@@ -1130,8 +1152,8 @@ def _chebyshev_rows(x: np.ndarray, out: np.ndarray) -> None:
             out[k:end] -= out[k - 2 * s : end - 2 * s]
 
 
-def _moment_waves(period: int, lo: int, span: int, degree: int, r0: int, r1: int) -> np.ndarray:
-    """Orders ``r0..r1-1``'s waves at ``degree`` Chebyshev nodes, complex ``(degree, r1 - r0)``.
+def _moment_waves(period: int, lo: int, span: int, r0: int, out: np.ndarray) -> None:
+    """Orders ``r0..r0+n-1``'s waves at ``degree`` Chebyshev nodes, into complex ``out``, ``(degree, n)``.
 
     A run of ``span`` positions from ``lo`` has centre ``c = lo + (span -
     1)/2`` and half-width ``h = span/2``, so ``exp(i*theta_r*t)`` is
@@ -1142,17 +1164,113 @@ def _moment_waves(period: int, lo: int, span: int, degree: int, r0: int, r1: int
     ``r0``, over at most :data:`_MOMENT_ORDERS` orders; the centre phase
     in its factors is reduced in integers mod ``2*period``.
     """
+    degree = out.shape[0]
     nodes = (np.pi * span / period) * np.cos(np.pi * (np.arange(degree) + 0.5) / degree)
     centre = 2 * lo + span - 1  # 2c
-    waves = np.empty((degree, r1 - r0), dtype=np.complex128)
-    waves[:, 0] = np.exp(1j * r0 * nodes) * _unit_phase(r0 * centre, period)
-    waves[:, 1:] = (np.exp(1j * nodes) * _unit_phase(centre, period))[:, None]
-    np.multiply.accumulate(waves, axis=1, out=waves)
-    return waves
+    out[:, 0] = np.exp(1j * r0 * nodes) * _unit_phase(r0 * centre, period)
+    out[:, 1:] = (np.exp(1j * nodes) * _unit_phase(centre, period))[:, None]
+    np.multiply.accumulate(out, axis=1, out=out)
+
+
+def _wave_table(orders: int, period: int, lo: int, span: int, degree: int,
+                rows: int) -> np.ndarray:
+    """Every order's waves (:func:`_moment_waves`) in chunks of ``rows`` orders,
+    one after another in one flat complex array: chunk ``r0..r1`` is
+    ``table[degree*r0 : degree*r1]`` read as ``(degree, r1 - r0)``, one
+    contiguous operand, as :func:`_fold_moments` builds it when uncached."""
+    table = np.empty(degree * orders, dtype=np.complex128)
+    for r0 in range(0, orders, rows):
+        r1 = min(orders, r0 + rows)
+        _moment_waves(period, lo, span, r0, table[degree * r0 : degree * r1].reshape(degree, r1 - r0))
+    return table
+
+
+def _turn_phases(orders: int, period: int, lo: int, span: int) -> np.ndarray:
+    """``exp(i*theta_r*c)`` for each order ``r``, with ``c = lo + (span - 1)/2``
+    the centre of a run of ``span`` positions from ``lo``: the turn of the
+    sums over its centred cosine and sine rows to absolute phase."""
+    return _unit_phase(np.arange(orders) * (2 * lo + span - 1), period)
+
+
+def _build_rows(orders: int, period: int, span: int, trig: bool, p0: int,
+                out: np.ndarray) -> None:
+    """A batch fold's rows at the top rows of pairs ``p0..p0+n-1`` of a run of
+    ``span`` positions, into ``out``, ``(degree, n)``: the centred cosine and
+    sine rows of ``orders`` orders with ``trig`` (:func:`_centred_rows`), else
+    the first ``degree`` Chebyshev rows (:func:`_chebyshev_rows`)."""
+    half = (span + 1) // 2
+    # twice the top rows' offsets from the centre
+    u = 2 * np.arange(span - half + p0, span - half + p0 + out.shape[1]) - (span - 1)
+    if trig:
+        _centred_rows(orders, period, u, out)
+    else:
+        _chebyshev_rows(u / span, out)
+
+
+def _pair_table(orders: int, period: int, span: int, degree: int, trig: bool,
+                pairs: int) -> np.ndarray:
+    """:func:`_build_rows` of every pair of a run, ``(degree, (span + 1) // 2)``,
+    built ``pairs`` pairs at a time: the centred rows' values depend on the
+    chunks they are built in (their grid is a chunk's), so a table is
+    bitwise the rows its chunks would be."""
+    half = (span + 1) // 2
+    table = np.empty((degree, half))
+    for p0 in range(0, half, pairs):
+        _build_rows(orders, period, span, trig, p0, table[:, p0 : p0 + pairs])
+    return table
+
+
+@functools.lru_cache(maxsize=4)
+def _run_table(build, *args) -> np.ndarray:
+    """``build(*args)``, one table of a batch fold's run, read-only and kept for later folds.
+
+    A run's tables depend on the run alone, its ``(orders, period, lo mod
+    period, span, degree)`` and the chunks they are built in, so every layer,
+    head, window group and prefill of that run, and ``dimselect``'s
+    calibration over it, read one table in place. Callers cache only tables
+    of at most ``_FOLD_CHUNK_FLOATS`` float64 values, and build a larger one
+    per chunk instead, so the cache holds at most four budgets (4 MB); at
+    stock a run's waves take 0.80 MB and its Chebyshev rows 0.40 MB, at
+    desk its centred rows 0.12 MB.
+    """
+    table = build(*args)
+    table.setflags(write=False)
+    return table
+
+
+def _pair_rows(orders: int, period: int, span: int, degree: int, trig: bool, pairs: int,
+               cached: bool = True):
+    """An iterator of ``(p0, p1, rows)``: :func:`_build_rows` of pairs ``p0..p1-1`` of a run, ``pairs`` at a time.
+
+    The rows are views of the run's table (:func:`_pair_table`, from
+    :func:`_run_table`) where it fits ``_FOLD_CHUNK_FLOATS`` and ``cached``
+    holds, looked up, and built if missing, by this call; otherwise they
+    are built per chunk into one buffer, which the next chunk overwrites.
+    The Chebyshev rows do not depend on the chunks they are built in, so
+    every caller over a run reads one table of them, built whole.
+    """
+    half = (span + 1) // 2
+    if cached and degree * half <= _FOLD_CHUNK_FLOATS:
+        table = _run_table(_pair_table, orders, period, span, degree, trig,
+                           pairs if trig else half)
+        return ((p0, min(half, p0 + pairs), table[:, p0 : p0 + pairs])
+                for p0 in range(0, half, pairs))
+    return _built_rows(orders, period, span, degree, trig, pairs)
+
+
+def _built_rows(orders: int, period: int, span: int, degree: int, trig: bool, pairs: int):
+    """:func:`_pair_rows` of a run whose rows are not cached, each chunk built as it is read."""
+    half = (span + 1) // 2
+    buffer = np.empty((degree, pairs))
+    for p0 in range(0, half, pairs):
+        p1 = min(half, p0 + pairs)
+        rows = buffer[:, : p1 - p0]
+        _build_rows(orders, period, span, trig, p0, rows)
+        yield p0, p1, rows
 
 
 def _fold_moments(basis: FourierBasis, plan: _Run, arrays: list, picks: list, states: list,
-                  offsets: list, lo: int, hi: int) -> None:
+                  offsets: list, lo: int, hi: int, cached: bool) -> None:
     """:func:`_fold_into`'s sub-run ``lo:hi`` through its centred pairs, by trig rows or moments.
 
     The run's rows pair up about its centre ``c = lo + (span - 1)/2``
@@ -1176,16 +1294,22 @@ def _fold_moments(basis: FourierBasis, plan: _Run, arrays: list, picks: list, st
     The sums are a row per column of whole states, or of windows of their
     columns where a state's do not fit the budget, in the state's column
     order, so the columns no block folds into (a layer's padding) hold zero
-    sums. Per group of them, the rows are built a chunk of pairs at a time,
-    at the top rows only, and each chunk projects every block's columns,
-    from a block's first pick to its last (:func:`_fold_pairs`); then the
-    trig sums are turned and added, or the waves are built a chunk of
-    orders at a time, each multiplied by every state's moments and added
-    into those orders' rows of the state in place (:func:`_add_product`).
-    The sizes are :func:`_moment_chunks`'.
+    sums. Per group of them, each chunk of pairs' rows, at the top rows
+    only, projects every block's columns, from a block's first pick to its
+    last (:func:`_fold_pairs`); then the trig sums are turned and added
+    (:func:`_turn_into`), or each chunk of orders' waves is multiplied by
+    every state's moments and added into those orders' rows of the state
+    in place (:func:`_add_product`). The rows, the waves and the turn are
+    read in place from the run's tables (:func:`_run_table`), built by the
+    first fold of the run, where each fits ``_FOLD_CHUNK_FLOATS`` and
+    ``cached`` holds; otherwise, and for a sub-run, which no later fold
+    reads, the rows are built per chunk of pairs in every group and the
+    waves per chunk of orders, as the tables are built, so the states are
+    bitwise the same either way. The sizes are :func:`_moment_chunks`'.
     """
     span, degree, trig = hi - lo, plan.degree, plan.kind == "tables"
-    pairs, width, rows, fixed = _moment_chunks(basis.orders, span, degree, trig)
+    orders, period = basis.orders, basis.period
+    pairs, width, rows, fixed = _moment_chunks(orders, span, degree, trig)
     targets = []  # the states the blocks fold into, each once
     for state in states:
         if all(state is not target for target in targets):
@@ -1206,29 +1330,30 @@ def _fold_moments(basis: FourierBasis, plan: _Run, arrays: list, picks: list, st
     half = (span + 1) // 2
     # chunks of equal widths, none a short remainder
     pairs = -(-half // -(-half // pairs))
-    rows = -(-basis.orders // -(-basis.orders // rows))
+    rows = -(-orders // -(-orders // rows))
     step = min(width, max(1, _SMALL_PRODUCT // ((degree + 1) // 2 * pairs)))
     width = min(width, max(array.shape[1] for array in arrays))
+    # the second pass's table, cached as the rows are: each order's turn, or the waves
+    phases = wave_table = None
+    if trig:
+        phases = (_run_table(_turn_phases, orders, period, plan.lo, span)
+                  if cached and 2 * orders <= _FOLD_CHUNK_FLOATS
+                  else _turn_phases(orders, period, plan.lo, span))
+    elif cached and 2 * orders * degree <= _FOLD_CHUNK_FLOATS:
+        wave_table = _run_table(_wave_table, orders, period, plan.lo, span, degree, rows)
     while pieces:
         # the windows whose sums fit one group
         batch, count = [], 0
         while pieces and count + pieces[0][2] - pieces[0][1] <= group:
             batch.append(pieces.pop(0))
             count += batch[-1][2] - batch[-1][1]
+        # the run's rows, a table built before the sums and casts are held
+        chunks = _pair_rows(orders, period, span, degree, trig, pairs, cached)
         # a row of sums per column of the windows, one window after the
         # other: each window's rows are one C-ordered operand of the product
         moments = np.zeros((count, degree))
-        pair_rows = np.empty((degree, pairs))
         buffer = np.empty(2 * pairs * width)
-        for p0 in range(0, half, pairs):
-            p1 = min(half, p0 + pairs)
-            part = pair_rows[:, : p1 - p0]
-            # twice the top rows' offsets from the centre
-            u = 2 * np.arange(span - half + p0, span - half + p1) - (span - 1)
-            if trig:
-                _centred_rows(basis.orders, basis.period, u, part)
-            else:
-                _chebyshev_rows(u / span, part)
+        for p0, p1, part in chunks:
             at = 0
             for target, c0, c1 in batch:
                 # each block's picks that fold into the window, into their rows
@@ -1239,26 +1364,64 @@ def _fold_moments(basis: FourierBasis, plan: _Run, arrays: list, picks: list, st
                         _fold_pairs(part, array[lo:hi], pick[a:b], moments[row : row + b - a],
                                     p0, buffer, width, step)
                 at += c1 - c0
-        del pair_rows, part, buffer
+        del chunks, part
         if trig:
-            # A + iB of each order, turned by exp(i*theta_r*c), with 2c = 2*lo + span - 1
-            turned = moments.view(np.complex128)
-            turned *= _unit_phase(np.arange(basis.orders) * (2 * plan.lo + span - 1), basis.period)
-            at = 0
-            for target, c0, c1 in batch:
-                target[:, c0:c1] += moments[at : at + c1 - c0].T
-                at += c1 - c0
+            _turn_into(batch, moments, phases, buffer)
             continue
+        del buffer
         moments = scipy.fft.dct(moments, type=3, axis=1, overwrite_x=True)
         moments /= degree
-        for r0 in range(0, basis.orders, rows):
-            r1 = min(basis.orders, r0 + rows)
+        for r0 in range(0, orders, rows):
+            r1 = min(orders, r0 + rows)
+            if wave_table is None:
+                waves = np.empty((degree, r1 - r0), dtype=np.complex128)
+                _moment_waves(period, plan.lo, span, r0, waves)
+            else:
+                waves = wave_table[degree * r0 : degree * r1].reshape(degree, r1 - r0)
             # cosine and sine rows of each order, interleaved
-            waves = _moment_waves(basis.period, plan.lo, span, degree, r0, r1).view(np.float64).T
+            waves = waves.view(np.float64).T
             at = 0
             for target, c0, c1 in batch:
                 _add_product(target[2 * r0 : 2 * r1, c0:c1], waves, moments[at : at + c1 - c0])
                 at += c1 - c0
+
+
+def _turn_into(batch: list, sums: np.ndarray, phases: np.ndarray, scratch) -> None:
+    """Turn a batch's trig sums to absolute phase and add them into its windows, in place.
+
+    ``sums`` holds a row per column of the ``(target, c0, c1)`` windows of
+    ``batch``, one window after the other, each row the ``A + iB`` of
+    every order over the centred rows, and ``phases`` each order's
+    ``exp(i*theta_r*c)``. A ufunc over a broadcast or strided 2-D operand
+    holds numpy's buffers, up to ``getbufsize()`` values each, and a copy
+    holds none, so the turn and the add go through ``scratch``, a flat
+    float64 buffer (a fresh row where it holds less than one), in slabs of
+    the rows it holds: the phases copied once per row, by which
+    each slab of the sums is multiplied in place, then for each slab of a
+    window's columns their state values copied into the sums' layout, the
+    turned sums added and the total copied back. Every ufunc reads operands
+    contiguous and of one shape, and the products are the elements of the
+    broadcast product, bitwise.
+    """
+    count, degree = sums.shape
+    if scratch.size < degree:
+        scratch = np.empty(degree)
+    slab = min(count, scratch.size // degree)
+    tile = scratch[: slab * degree].view(np.complex128).reshape(slab, -1)
+    tile[...] = phases
+    turned = sums.view(np.complex128)
+    for s0 in range(0, count, slab):
+        part = turned[s0 : s0 + slab]
+        np.multiply(part, tile[: len(part)], out=part)
+    at = 0
+    for target, c0, c1 in batch:
+        for s0 in range(c0, c1, slab):
+            s1 = min(c1, s0 + slab)
+            total = scratch[: (s1 - s0) * degree].reshape(s1 - s0, degree)
+            total[...] = target[:, s0:s1].T
+            total += sums[at + s0 - c0 : at + s1 - c0]
+            target[:, s0:s1] = total.T
+        at += c1 - c0
 
 
 def _fold_pairs(rows: np.ndarray, block: np.ndarray, pick: np.ndarray, out: np.ndarray,

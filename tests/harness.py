@@ -42,16 +42,20 @@ def forced(transform=None, **constants):
     """Patch ``spectral`` with ``TRANSFORMS[transform]`` and then ``constants``.
 
     ``spectral._run_plan`` keeps each run's plan as the cost rule picked it
-    on its first call, so it is cleared on entry and on exit: no plan picked
-    outside the block is read inside it, or one picked inside read after it.
+    on its first call, and ``spectral._run_table`` each run's fold tables as
+    the budget sized and chunked them, so both are cleared on entry and on
+    exit: no plan or table made outside the block is read inside it, or one
+    made inside read after it.
     """
     patches = {**(TRANSFORMS[transform] if transform else {}), **constants}
     spectral._run_plan.cache_clear()
+    spectral._run_table.cache_clear()
     try:
         with mock.patch.multiple(spectral, **patches) if patches else contextlib.nullcontext():
             yield
     finally:
         spectral._run_plan.cache_clear()
+        spectral._run_table.cache_clear()
 
 
 @contextlib.contextmanager

@@ -1,5 +1,6 @@
 """Cache partitioning, streaming eviction, and memory accounting."""
 
+import contextlib
 import gc
 import tracemalloc
 from unittest import mock
@@ -26,10 +27,11 @@ from fourier_kv.dimselect import (
     MseRanking,
     SelectionReport,
     apply_schema,
+    rank_dimensions,
     selection_histogram,
 )
 from fourier_kv.spectral import FourierBasis, build_basis, compress_batch
-from fourier_kv.traceio import KVTrace, gen_synthetic
+from fourier_kv.traceio import KVTrace, TinyModelConfig, gen_synthetic, tiny_forward
 from harness import (
     TRANSFORMS,
     assert_layer_unchanged,
@@ -926,3 +928,62 @@ class TestPrefillTrace:
         assert cache.slice(1, 1).total_len == 48
         cache.append(0, 0, np.ones(4, np.float32), np.ones(4, np.float32))
         assert cache.slice(0, 0).total_len == 49
+
+    def test_every_layer_of_a_desk_prefill_reads_one_build_of_its_rows(self):
+        # 8 layers of 4 heads of 64 dims over the benchmark's desk middle, 956
+        # positions: the first layer builds the run's 32 centred rows over its
+        # 478 pairs, one chunk, and the other 7 read them. With the cache
+        # cleared before every layer each builds them again, to the same states
+        rng = np.random.default_rng(31)
+        part = PartitionParams(init_len=4, local_len=64, period=4096, orders=16)
+        mask = np.zeros((8, 2, 4, 64), dtype=bool)
+        for heads in mask:
+            for head in range(4):
+                heads[0, head, rng.choice(64, 58, replace=False)] = True
+                heads[1, head, rng.choice(64, 32, replace=False)] = True
+        layout = CacheLayout(partition=part, compressed=mask)
+        shape = (8, 4, 1024, 64)
+        trace = KVTrace(keys=rng.standard_normal(shape).astype(np.float32),
+                        values=rng.standard_normal(shape).astype(np.float32))
+        basis = build_basis(16, 4096)
+
+        def cleared(*args):
+            spectral._run_table.cache_clear()
+            return prefill(*args)
+
+        caches = []
+        for patch, builds in ((contextlib.nullcontext(), 1),
+                              (mock.patch("fourier_kv.cache.prefill", cleared), 8)):
+            with forced(), patch, mock.patch.object(spectral, "_centred_rows",
+                                                    wraps=spectral._centred_rows) as rows:
+                caches.append(prefill_trace(trace, layout, basis))
+            assert rows.call_count == builds
+        for layer, rebuilt in zip(*(cache.layers for cache in caches)):
+            assert layer.states.tobytes() == rebuilt.states.tobytes()
+
+    def test_a_stock_prefill_reads_the_rows_calibration_built(self):
+        # calibration over the stock middle (1020 positions, 98 moments) builds
+        # its Chebyshev rows once, for the moment Gram matrices and the
+        # split form both; a prefill of a prompt of the same length reads them
+        # and builds the waves of the run, eight chunks of 64 orders, which
+        # the next prefill reads too
+        part = PartitionParams(init_len=4, local_len=1024, period=32768, orders=512)
+        basis = build_basis(512, 32768)
+        config = TinyModelConfig(layers=1, heads=2, kv_heads=2, head_dim=64, seed=0)
+        traces = [tiny_forward(config, np.random.default_rng(seed).integers(0, config.vocab, 2048))
+                  for seed in (1, 2)]
+        with forced(), \
+                mock.patch.object(spectral, "_chebyshev_rows",
+                                  wraps=spectral._chebyshev_rows) as rows, \
+                mock.patch.object(spectral, "_moment_waves",
+                                  wraps=spectral._moment_waves) as waves:
+            ranking = rank_dimensions(traces[0], part, basis)
+            assert (rows.call_count, waves.call_count) == (1, 0)
+            layout = apply_schema(ranking, CompressionSchema.inverted_pyramid(1), partition=part)
+            first = prefill_trace(traces[0], layout, basis)
+            assert (rows.call_count, waves.call_count) == (1, 8)
+            prefill_trace(traces[1], layout, basis)
+            assert (rows.call_count, waves.call_count) == (1, 8)
+        with forced():
+            rebuilt = prefill_trace(traces[0], layout, basis)
+        assert first.layers[0].states.tobytes() == rebuilt.layers[0].states.tobytes()

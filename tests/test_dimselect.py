@@ -121,17 +121,16 @@ def rank_branch(trace, part, basis) -> str:
 @contextlib.contextmanager
 def recorded_row_chunks():
     """Yields a list of the ``(rows, pairs)`` shape of every chunk of basis rows
-    the Gram forms build while the manager is open."""
+    built while the manager is open: the Gram forms' and the moment Gram
+    matrices', each chunk of a cached table once."""
     chunks = []
-    split_sse = dimselect._split_sse
+    build_rows = spectral._build_rows
 
-    def recording(rows, *args, **kwargs):
-        def recorded(u, out):
-            chunks.append(out.shape)
-            rows(u, out)
-        return split_sse(recorded, *args, **kwargs)
+    def recorded(*args):
+        chunks.append(args[-1].shape)
+        build_rows(*args)
 
-    with mock.patch.object(dimselect, "_split_sse", recording):
+    with mock.patch.object(spectral, "_build_rows", recorded):
         yield chunks
 
 
@@ -177,13 +176,17 @@ class TestRankDimensions:
         trace = KVTrace(keys=rng.standard_normal(shape).astype(np.float32),
                         values=(rng.standard_normal(shape) + 0.5).astype(np.float32))
         with forced(**FORMS[form], _FOLD_CHUNK_FLOATS=budget):
-            assert rank_branch(trace, part, basis) == form
             with recorded_row_chunks() as chunks:
                 ranking = rank_dimensions(trace, part, basis)
-        # one chunk of every pair is built once for both layers
+            assert rank_branch(trace, part, basis) == form
+        # every pair is built once, into the run's cached table, where the
+        # table fits the budget (the centred rows in chunks, the Chebyshev rows
+        # whole); otherwise once per layer, and the moments once more for
+        # their Gram matrices
         pairs, widths = (length + 1) // 2, [width for _, width in chunks]
-        assert sum(widths) == (pairs if len(chunks) == 1 else 2 * pairs)
-        assert not chunked or pairs == 1 or max(widths) < pairs
+        fits = (2 * orders if form == "gram" else degree) * pairs <= budget
+        assert sum(widths) == (pairs if fits else (2 if form == "gram" else 3) * pairs)
+        assert not chunked or pairs == 1 or form == "moments" or max(widths) < pairs
         expected, scale = rank_oracle(trace, part, basis)
         got = np.stack([ranking.k_mse, ranking.v_mse])
         assert np.all(np.abs(got - expected) <= 1e-9 * expected + 1e-12 * scale)
@@ -466,9 +469,7 @@ class TestGram:
         assert np.all(np.abs(gram[0::2, 1::2]) <= 1e-12 * length)
         # the split form's rows are the centred columns of the run's top half
         half = (length + 1) // 2
-        rows = np.empty((2 * orders, half))
-        dimselect._fourier_split(basis, length)[0](
-            2 * np.arange(length - half, length) - (length - 1), rows)
+        ((_, _, rows),) = dimselect._fourier_split(basis, length)[0](half)
         assert np.all(np.abs(rows - centred[:, length - half:]) <= 1e-12)
 
 
@@ -492,7 +493,8 @@ class TestMomentGrams:
         a, h = dimselect._moment_grams(basis, length, degree)
         assert a.shape == h.shape == (degree, degree)
 
-        waves = spectral._moment_waves(period, first % period, length, degree, 0, orders)
+        waves = np.empty((degree, orders), dtype=np.complex128)
+        spectral._moment_waves(period, first % period, length, 0, waves)
         dct3 = scipy.fft.dct(np.eye(degree), type=3, axis=0) / degree
         g = dct3.T @ waves.view(np.float64)
         rows = np.empty((degree, length))

@@ -5,6 +5,7 @@ and a least-squares projection onto explicitly built cosine/sine columns.
 """
 
 import functools
+import gc
 import math
 import tracemalloc
 import warnings
@@ -810,16 +811,19 @@ class TestBatchedProject:
         if kind in ("tables", "moments"):
             assert per_column == plan.degree == (2 * orders if kind == "tables" else 98)
             outs = [np.zeros((basis.n_rows, cols))]
-            fold = functools.partial(spectral._fold_moments, basis, plan, [weights],
-                                     [np.arange(cols)], outs, [0], 0, span)
-            fold()  # numpy's own first-call allocations
-            tracemalloc.start()
-            try:
-                fold()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 8 * (fixed + cols * per_column) + 1024
+            # the run's rows and waves read from their cached tables, or built
+            # per chunk as a sub-run's are
+            for cached in (True, False):
+                fold = functools.partial(spectral._fold_moments, basis, plan, [weights],
+                                         [np.arange(cols)], outs, [0], 0, span, cached)
+                fold()  # the run's tables, and numpy's own first-call allocations
+                tracemalloc.start()
+                try:
+                    fold()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 8 * (fixed + cols * per_column) + 1024
             return
         project = functools.partial(basis._project_columns, weights, plan)
         project()  # numpy's own first-call allocations
@@ -882,6 +886,7 @@ class TestOneColumn:
         weights = np.random.default_rng(span).standard_normal((span, 2))
         spectral._run_plan.cache_clear()
         spectral._trig_tables.cache_clear()
+        spectral._run_table.cache_clear()
         with mock.patch.object(spectral, "_centred_rows", wraps=spectral._centred_rows) as rows:
             one = basis.project(weights[:, 0], run)
             assert rows.call_count == 0 and spectral._trig_tables.cache_info().misses == 1
@@ -1011,7 +1016,9 @@ class TestFoldBlocks:
         (64, spectral._FOLD_CHUNK_FLOATS, spectral._SMALL_PRODUCT, 2500, 1, 10, 5),
         (64, spectral._FOLD_CHUNK_FLOATS, 2 * 64 * 125, 2500, 1, 10, 2),
         (8, 2**9, spectral._SMALL_PRODUCT, 90, 15, 90, 5),
-    ], ids=["pair chunks at the budget", "capped products", "sub-runs and small groups"])
+        (8, 2**10, spectral._SMALL_PRODUCT, 90, 1, 6, 5),
+    ], ids=["pair chunks at the budget", "capped products", "sub-runs and small groups",
+            "cached rows and small groups"])
     def test_sub_runs_and_groups_cover_a_long_run(self, orders, budget, small, length,
                                                   sub_runs, builds, span):
         # the trig tables read the run as centred pairs and project spans of a
@@ -1022,6 +1029,9 @@ class TestFoldBlocks:
         # (picks 1, 3 and 5), or 2 when a product may take only 2 columns of 64
         # rows over 125 pairs. 2**9 floats make sub-runs of 6 positions and
         # groups of 3 state columns, 6 a sub-run, each group building its rows.
+        # 2**10 floats hold the whole run's 16 x 45 rows: one sub-run reads
+        # them from the cache, built in 6 chunks of 8 pairs, in every one of
+        # its 5 groups of up to 5 state columns, where each group built them.
         # The run wraps past a multiple of the period. Picks come with gaps,
         # without, empty, as a stretch and as every second column. The trig tables
         # are forced: the cost rule runs the length-period FFT over the whole run
@@ -1048,7 +1058,8 @@ class TestFoldBlocks:
         (spectral._FOLD_CHUNK_FLOATS, 16 * 478 * 32, 1, 38, 32),
         (spectral._FOLD_CHUNK_FLOATS, 2**62, 1, 22, 64),
         (3 * 2**12, 2**62, 80, 380, 39),
-    ], ids=["small products", "whole blocks", "pair chunks and groups"])
+        (2**15, 2**62, 4, 136, 43),
+    ], ids=["small products", "whole blocks", "pair chunks and groups", "cached rows and groups"])
     def test_desk_blocks_fold_in_column_spans_like_compress_batch(
             self, budget, small, builds, products, widest):
         # the benchmark's desk middle: 16 orders over 956 positions, which the
@@ -1063,8 +1074,11 @@ class TestFoldBlocks:
         # of 8 groups of up to 70 state columns, and casts of equal widths up
         # to 48 columns, the widest the three of 39 over picks 5 to 120 (the
         # trig tables are forced: the cost rule would run the moments over
-        # chunks that short). Picks come scattered, as stretches, every second
-        # column, empty and whole
+        # chunks that short); those rows, 15,296 floats, are past the budget,
+        # so each group builds them. 2**15 floats hold them: the run's table,
+        # built once in 4 chunks of 120 pairs, serves the 3 groups of up to 215
+        # state columns, where each group built them (12 builds). Picks come
+        # scattered, as stretches, every second column, empty and whole
         basis = FourierBasis(orders=16, period=4096)
         rng = np.random.default_rng(16)
         blocks = [rng.standard_normal((956, width)).astype(np.float32)
@@ -1202,7 +1216,9 @@ class TestFoldBlocks:
     @pytest.mark.parametrize("period", [4096, 32768])
     def test_peak_stays_within_the_budget_at_any_orders(self, period):
         # the tables a sub-run builds, and the paired fold's rows with the grid
-        # they are built from, count against the budget at any orders
+        # they are built from, count against the budget at any orders. A
+        # run's tables that fit the budget stay held in the cache after the
+        # fold, as its states do; what the fold holds beyond them fits the budget
         for orders in (8, 16, 32, 64, 128, 256, 512, 1024):
             basis = FourierBasis(orders=orders, period=period)
             for length in (100, 705, *range(250, 5001, 250)):
@@ -1210,10 +1226,11 @@ class TestFoldBlocks:
                 tracemalloc.start()
                 try:
                     states = fold_blocks(basis, blocks, 4)
-                    peak = tracemalloc.get_traced_memory()[1]
+                    held, peak = tracemalloc.get_traced_memory()
                 finally:
                     tracemalloc.stop()
-                held = sum(s.coeffs.nbytes for s in states)
+                tables = held - sum(s.coeffs.nbytes for s in states)
+                assert tables <= 2 * 8 * spectral._FOLD_CHUNK_FLOATS + 1024, (orders, length)
                 assert peak <= held + 8 * spectral._FOLD_CHUNK_FLOATS + 16 * 1024, (orders, length)
 
     def test_fold_chunk_transient_stays_within_the_budget(self):
@@ -1390,3 +1407,178 @@ class TestRunPlans:
         assert peak <= 16 * product + 8 * span + 4096
         if (orders, span) == (512, 256):
             assert product == 8192 and 0.131e6 < peak < 0.14e6
+
+
+class TestRunTables:
+    """A batch fold's run tables: the rows, the waves and the trig turn,
+    built once per run into a cache that every later fold of the run reads."""
+
+    @staticmethod
+    def stock_blocks(span, columns=64):
+        rng = np.random.default_rng(span)
+        return [rng.standard_normal((span, columns)).astype(np.float32) for _ in range(2)]
+
+    def test_a_stock_run_builds_its_rows_and_waves_once(self):
+        # 512 orders over 1020 positions at period 32768: 98 Chebyshev rows
+        # over 510 pairs (0.40 MB) and 512 orders' waves at 98 nodes (0.80
+        # MB), both within the budget, read by every later fold of the run;
+        # a fold of the same span elsewhere builds only the waves of its start
+        basis = FourierBasis(orders=512, period=32768)
+        blocks = self.stock_blocks(1020)
+        with forced(), \
+                mock.patch.object(spectral, "_chebyshev_rows",
+                                  wraps=spectral._chebyshev_rows) as rows, \
+                mock.patch.object(spectral, "_moment_waves",
+                                  wraps=spectral._moment_waves) as waves:
+            first = fold_blocks(basis, blocks, 4)
+            assert (rows.call_count, waves.call_count) == (1, 8)
+            again = fold_blocks(basis, blocks, 4)
+            assert (rows.call_count, waves.call_count) == (1, 8)
+            moved = fold_blocks(basis, blocks, 4 + 32768)  # the same run mod the period
+            assert (rows.call_count, waves.call_count) == (1, 8)
+            other = fold_blocks(basis, blocks, 5)
+            assert (rows.call_count, waves.call_count) == (1, 16)
+            assert spectral._run_table.cache_info().currsize == 3
+        for state, block, shifted in zip(first, blocks, other):
+            assert_fold_matches_oracle(state, basis, block, 4)
+            assert_fold_matches_oracle(shifted, basis, block, 5)
+        for state, *copies in zip(first, again, moved):
+            for copy in copies:
+                assert copy.coeffs.tobytes() == state.coeffs.tobytes()
+
+    def test_cached_tables_are_read_only(self):
+        basis = FourierBasis(orders=512, period=32768)
+        with forced():
+            fold_blocks(basis, self.stock_blocks(1020), 4)
+            fold_blocks(FourierBasis(orders=16, period=4096), self.stock_blocks(956), 4)
+            tables = [spectral._run_table(spectral._pair_table, 512, 32768, 1020, 98, False, 510),
+                      spectral._run_table(spectral._wave_table, 512, 32768, 4, 1020, 98, 64),
+                      spectral._run_table(spectral._pair_table, 16, 4096, 956, 32, True, 478),
+                      spectral._run_table(spectral._turn_phases, 16, 4096, 4, 956)]
+            info = spectral._run_table.cache_info()
+        assert (info.hits, info.misses) >= (4, 4) and info.currsize == 4  # read, not rebuilt
+        assert [t.shape for t in tables] == [(98, 510), (98 * 512,), (32, 478), (16,)]
+        for table in tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
+
+    def test_tables_past_the_budget_are_built_per_chunk_and_not_cached(self):
+        # 512 orders over 4000 positions on the moments: 299 rows over 2000
+        # pairs and the waves at 299 nodes each exceed the budget, so every
+        # fold builds them per chunk, as a sub-run's are; 2**13 floats keep
+        # the desk middle's 32 x 478 centred rows out of the cache too, though
+        # not its turn
+        basis = FourierBasis(orders=512, period=32768)
+        blocks = self.stock_blocks(4000)
+        with forced("moments"), \
+                mock.patch.object(spectral, "_chebyshev_rows",
+                                  wraps=spectral._chebyshev_rows) as rows, \
+                mock.patch.object(spectral, "_moment_waves",
+                                  wraps=spectral._moment_waves) as waves:
+            assert spectral._run_degree(512, 32768, 4000) == 299
+            fold_blocks(basis, blocks, 4)
+            builds = rows.call_count, waves.call_count
+            assert builds[0] > 1 and builds[1] >= 8
+            states = fold_blocks(basis, blocks, 4)
+            assert (rows.call_count, waves.call_count) == (2 * builds[0], 2 * builds[1])
+            assert spectral._run_table.cache_info().currsize == 0
+        for state, block in zip(states, blocks):
+            assert_fold_matches_oracle(state, basis, block, 4)
+        desk = FourierBasis(orders=16, period=4096)
+        with forced("tables", _FOLD_CHUNK_FLOATS=2**13), \
+                mock.patch.object(spectral, "_centred_rows",
+                                  wraps=spectral._centred_rows) as centred:
+            fold_blocks(desk, self.stock_blocks(956), 4)
+            builds = centred.call_count
+            fold_blocks(desk, self.stock_blocks(956), 4)
+            assert builds >= 15 and centred.call_count == 2 * builds  # chunks of 32 pairs
+            assert spectral._run_table.cache_info().currsize == 1
+
+    def test_cached_bytes_stay_within_the_budget_per_entry(self):
+        # folds over runs whose tables fit the budget and a run whose tables do
+        # not: what stays allocated after them is the cache's tables, each at
+        # most one budget of float64 values, and the cache keeps four
+        basis = FourierBasis(orders=512, period=32768)
+        with forced("moments"):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                held = tracemalloc.get_traced_memory()[0]
+                for span, start in ((1020, 4), (4000, 4), (1020, 9), (700, 4), (1020, 4)):
+                    fold_blocks(basis, self.stock_blocks(span), start)
+                gc.collect()
+                held = tracemalloc.get_traced_memory()[0] - held
+            finally:
+                tracemalloc.stop()
+            entries = spectral._run_table.cache_info().currsize
+        assert entries == spectral._run_table.cache_info().maxsize == 4
+        assert held <= entries * 8 * spectral._FOLD_CHUNK_FLOATS
+        # the last run's rows and waves, and one other's, are still held
+        assert held > 2 * 8 * 98 * 510
+
+    def test_the_trig_turn_holds_no_numpy_buffers(self):
+        # the turn multiplies the sums by their orders' phases and adds them,
+        # transposed, into state windows: as a broadcast product and a
+        # transposed add, numpy held buffers the size of the sums (0.09 and
+        # 0.02 MB at desk). Through the scratch it holds none, and its sums
+        # are the broadcast product's, bitwise. Windows are whole states,
+        # split states and slabs of a window where the scratch holds fewer
+        # rows, or no row at all
+        rng = np.random.default_rng(3)
+        orders = 16
+        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, orders))
+        targets = [rng.standard_normal((2 * orders, cols)) for cols in (90, 90, 40, 40)]
+        batch = [(targets[0], 0, 90), (targets[1], 0, 45), (targets[1], 45, 90),
+                 (targets[2], 0, 40), (targets[3], 10, 40)]
+        count = sum(c1 - c0 for _, c0, c1 in batch)
+        sums = rng.standard_normal((count, 2 * orders))
+        expected = [target.copy() for target in targets]
+        turned = sums.copy()
+        turned.view(np.complex128)[...] *= phases
+        at = 0
+        for (target, c0, c1), out in zip(batch, [0, 1, 1, 2, 3]):
+            expected[out][:, c0:c1] += turned[at : at + c1 - c0].T
+            at += c1 - c0
+        for rows_held in (count, 64, 1, 0):
+            got = [target.copy() for target in targets]
+            copies = dict(zip(map(id, targets), got))
+            windows = [(copies[id(target)], c0, c1) for target, c0, c1 in batch]
+            scratch = np.empty(2 * orders * rows_held)
+            spectral._turn_into(windows, sums.copy(), phases, scratch)  # first-call allocations
+            got = [target.copy() for target in targets]
+            copies = dict(zip(map(id, targets), got))
+            windows = [(copies[id(target)], c0, c1) for target, c0, c1 in batch]
+            work = sums.copy()
+            tracemalloc.start()
+            try:
+                spectral._turn_into(windows, work, phases, scratch)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # views and loop state, not an array's worth; or one fresh row
+            assert peak < 2048 + (8 * 2 * orders if rows_held == 0 else 0)
+            assert work.tobytes() == turned.tobytes()
+            for out, target in zip(got, expected):
+                assert out.tobytes() == target.tobytes()
+
+    def test_a_desk_fold_peaks_within_its_counted_values(self):
+        # the benchmark's desk middle, 4 heads' K and V blocks: what the fold
+        # holds beyond its states is its groups' sums and _moment_chunks'
+        # fixed values, with the turn's numpy buffers gone
+        basis = FourierBasis(orders=16, period=4096)
+        rng = np.random.default_rng(16)
+        blocks = [rng.standard_normal((956, 64)).astype(np.float32) for _ in range(8)]
+        dims = [np.sort(rng.choice(64, 58 if i < 4 else 32, replace=False)) for i in range(8)]
+        assert basis._pick(956, 4 * (58 + 32))[0] == "tables"
+        fixed = spectral._moment_chunks(16, 956, 32, True)[-1]
+        fold_blocks(basis, blocks, 4, dims=dims)  # the run's tables, first-call allocations
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            states = fold_blocks(basis, blocks, 4, dims=dims)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        sums = 8 * 4 * (58 + 32) * 32
+        assert peak - sum(s.coeffs.nbytes for s in states) <= 8 * fixed + sums
