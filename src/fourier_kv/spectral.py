@@ -35,20 +35,23 @@ of the unpaired run. Those rows are the centred cosine and sine rows
 (:func:`_centred_rows`), whose sums one complex product turns to absolute
 phase, or the Chebyshev rows, whose moments a second product by the waves
 of every order, one BLAS ``dgemm``, adds into each state's rows in place.
-The rows, the waves and the turn depend on the run alone, so each is built
-once per run into a small cache of read-only tables (:func:`_run_table`)
-that every layer, head and prefill of the run reads in place, as does
-``dimselect``'s calibration over the same middle: at the stock middle
-(512 orders over 1,020 positions) 0.80 MB of waves and 0.40 MB of
-Chebyshev rows, at desk (16 orders over 956) 0.12 MB of centred rows,
-beside the chirp-z's 49 KB. A table past the fold's budget is built per
-chunk instead, uncached. Each FFT runs once per column. Every cosine and sine
-comes from one of two phase builders, each reducing its integer phase
-exactly before the float product: :func:`_unit_phases` reduces ``n*t`` mod
-``period``, for basis columns, trig tables and, at twice the period, the
-centred rows, and :func:`_unit_phase` reduces mod ``2*period``, for the
-chirp-z plans, the moments' waves, the centre's phase and the Dirichlet
-sums of ``dimselect``'s Fourier Gram halves. Its moment Gram matrices read
+The rows and the waves depend on the run alone, so each is built once
+per run into a small cache of read-only tables (:func:`_run_table`) that
+every layer, head and prefill of the run reads in place, as does
+``dimselect``'s calibration over the same middle. The cache holds them
+beside the chirp-z's 49 KB: at the stock middle (512 orders over 1,020
+positions) 0.80 MB of waves and 0.40 MB of Chebyshev rows, at desk (16
+orders over 956) 0.12 MB of centred rows. The first fold of a run builds
+them ahead of its own budgeted buffers, so it peaks that much above the
+1 MB of every later fold (:func:`_run_table_floats`). A table past the
+fold's budget is built per chunk instead, uncached. Each FFT runs once
+per column. Every cosine and sine comes from one of two phase builders,
+each reducing its integer phase exactly before the float product:
+:func:`_unit_phases` reduces ``n*t`` mod ``period``, for basis columns,
+trig tables and, at twice the period, the centred rows, and
+:func:`_unit_phase` reduces mod ``2*period``, for the chirp-z plans, the
+moments' waves, the centre's phase and the Dirichlet sums of
+``dimselect``'s Fourier Gram halves. Its moment Gram matrices read
 no phase of a position: their kernel depends only on differences of
 Chebyshev nodes.
 
@@ -165,10 +168,12 @@ class FourierBasis:
     each kind are cached per ``(orders, period, lo mod period)`` and their
     sizes; a fold's tables, per ``(orders, period, lo mod period, span,
     degree)`` and the chunks they are built in, four at a time, each
-    within the fold's budget, so at most 4 MB are held and at stock 1.2 MB
-    (:func:`_run_table`). A run's resolved one-column transform, its
-    checks, pick, tables and the head rows it reads with their conjugates,
-    is cached too, per ``(orders, period, start, span)`` and the cost
+    within the fold's budget, so at most 4 MB are held (:func:`_run_table`):
+    at stock 0.80 MB of waves and 0.40 MB of Chebyshev rows, at desk 0.12
+    MB of centred rows, beside the chirp-z's 49 KB. The first fold of a run
+    holds its tables beside its own budget. A run's resolved one-column
+    transform, its checks, pick, tables and the head rows it reads with
+    their conjugates, is cached too, per ``(orders, period, start, span)`` and the cost
     rule's ratios, so every head of a decode step that reads one middle
     region reads one plan. This class owns the cosine/sine row layout;
     callers only pass coefficient vectors of length ``2*orders``.
@@ -449,8 +454,9 @@ class FourierBasis:
         between the passes (a layer's padding columns among them). The fold
         reads its blocks in place, so their own values are not counted, and
         reads its rows and waves from the run's cached tables where they fit
-        the budget; the count keeps a chunk of rows and of waves, which the
-        fold builds where they do not, so both fold in the same groups. For
+        the budget, held beside this count (:func:`_run_table_floats`); the
+        count keeps a chunk of rows and of waves, which the fold builds
+        where they do not, so both fold in the same groups. For
         the FFTs, fixed: numpy's two buffers for a broadcast product, up to
         ``getbufsize()`` complex values each, and for the chirp-z transform
         its tables; per column: the weights gathered, with the complex FFT
@@ -886,7 +892,10 @@ def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
     runs; a run at which one column does not fit is halved into consecutive
     sub-runs until it fits every one, the shorter last one included, which
     the fold's linearity allows, so the transient memory is one budget
-    whatever the run length.
+    whatever the run length. The run's cached tables come on top of it, up
+    to one budget each and 1.2 MB at stock: the first fold of a run builds
+    them ahead of its own buffers and leaves them held for every later fold,
+    which reads them (:func:`_run_table_floats`).
     Returns one state per block, equal to :func:`compress_batch` of that
     block within ``1e-12 * max(1, sum|x|)`` per column: the transforms sum
     in their own order, so not bitwise.
@@ -1056,7 +1065,9 @@ def _moment_chunks(orders: int, span: int, degree: int,
     holds less than ``fixed`` by a chunk of rows and its build or by a
     chunk of waves; the count keeps them, so that a fold that reads its
     tables and one that builds them (a sub-run's, or a run's past the
-    budget) take the same groups and sum bitwise alike.
+    budget) take the same groups and sum bitwise alike. The cached tables
+    are not in ``fixed``: they are held beside it, built by the run's first
+    fold before its buffers (:func:`_run_table_floats`).
     """
     rows = min(orders, _MOMENT_ORDERS)
     parity = (degree + 1) // 2  # the even rows; the odd ones are no more
@@ -1220,6 +1231,21 @@ def _pair_table(orders: int, period: int, span: int, degree: int, trig: bool,
     return table
 
 
+def _run_table_floats(orders: int, span: int, degree: int, trig: bool) -> tuple[int, int]:
+    """Float64 values of the rows and of the waves that a run's fold reads from the cache.
+
+    The rows are ``degree`` over the run's ``(span + 1) // 2`` pairs
+    (:func:`_pair_table`) and the moments' waves ``2 * orders * degree``
+    (:func:`_wave_table`), none over the trig tables; a table past
+    ``_FOLD_CHUNK_FLOATS`` counts 0, as every fold builds it per chunk. The
+    first fold of a run builds the counted tables ahead of its own buffers
+    and leaves them in the cache (:func:`_run_table`), so it peaks this many
+    values above the one budget of every later fold.
+    """
+    tables = degree * ((span + 1) // 2), 0 if trig else 2 * orders * degree
+    return tuple(t if t <= _FOLD_CHUNK_FLOATS else 0 for t in tables)
+
+
 @functools.lru_cache(maxsize=4)
 def _run_table(build, *args) -> np.ndarray:
     """``build(*args)``, one table of a batch fold's run, read-only and kept for later folds.
@@ -1227,11 +1253,12 @@ def _run_table(build, *args) -> np.ndarray:
     A run's tables depend on the run alone, its ``(orders, period, lo mod
     period, span, degree)`` and the chunks they are built in, so every layer,
     head, window group and prefill of that run, and ``dimselect``'s
-    calibration over it, read one table in place. Callers cache only tables
-    of at most ``_FOLD_CHUNK_FLOATS`` float64 values, and build a larger one
-    per chunk instead, so the cache holds at most four budgets (4 MB); at
-    stock a run's waves take 0.80 MB and its Chebyshev rows 0.40 MB, at
-    desk its centred rows 0.12 MB.
+    calibration over it, read one table in place. Callers cache only the
+    tables :func:`_run_table_floats` counts, each of at most
+    ``_FOLD_CHUNK_FLOATS`` float64 values, and build a larger one per chunk
+    instead, so the cache holds at most four budgets (4 MB); at stock a
+    run's waves take 0.80 MB and its Chebyshev rows 0.40 MB, at desk its
+    centred rows 0.12 MB.
     """
     table = build(*args)
     table.setflags(write=False)
@@ -1250,7 +1277,7 @@ def _pair_rows(orders: int, period: int, span: int, degree: int, trig: bool, pai
     every caller over a run reads one table of them, built whole.
     """
     half = (span + 1) // 2
-    if cached and degree * half <= _FOLD_CHUNK_FLOATS:
+    if cached and _run_table_floats(orders, span, degree, trig)[0]:
         table = _run_table(_pair_table, orders, period, span, degree, trig,
                            pairs if trig else half)
         return ((p0, min(half, p0 + pairs), table[:, p0 : p0 + pairs])
@@ -1299,13 +1326,15 @@ def _fold_moments(basis: FourierBasis, plan: _Run, arrays: list, picks: list, st
     last (:func:`_fold_pairs`); then the trig sums are turned and added
     (:func:`_turn_into`), or each chunk of orders' waves is multiplied by
     every state's moments and added into those orders' rows of the state
-    in place (:func:`_add_product`). The rows, the waves and the turn are
-    read in place from the run's tables (:func:`_run_table`), built by the
-    first fold of the run, where each fits ``_FOLD_CHUNK_FLOATS`` and
-    ``cached`` holds; otherwise, and for a sub-run, which no later fold
-    reads, the rows are built per chunk of pairs in every group and the
-    waves per chunk of orders, as the tables are built, so the states are
-    bitwise the same either way. The sizes are :func:`_moment_chunks`'.
+    in place (:func:`_add_product`). The rows and the waves are read in
+    place from the run's tables (:func:`_run_table`) where each fits
+    ``_FOLD_CHUNK_FLOATS`` and ``cached`` holds, built by the first fold of
+    the run before any of its buffers (:func:`_run_table_floats`);
+    otherwise, and for a sub-run, which no later fold reads, the rows are
+    built per chunk of pairs in every group and the waves per chunk of
+    orders, as the tables are built, so the states are bitwise the same
+    either way. The turn's ``R`` phases are computed by every fold. The
+    sizes are :func:`_moment_chunks`'.
     """
     span, degree, trig = hi - lo, plan.degree, plan.kind == "tables"
     orders, period = basis.orders, basis.period
@@ -1333,13 +1362,10 @@ def _fold_moments(basis: FourierBasis, plan: _Run, arrays: list, picks: list, st
     rows = -(-orders // -(-orders // rows))
     step = min(width, max(1, _SMALL_PRODUCT // ((degree + 1) // 2 * pairs)))
     width = min(width, max(array.shape[1] for array in arrays))
-    # the second pass's table, cached as the rows are: each order's turn, or the waves
-    phases = wave_table = None
-    if trig:
-        phases = (_run_table(_turn_phases, orders, period, plan.lo, span)
-                  if cached and 2 * orders <= _FOLD_CHUNK_FLOATS
-                  else _turn_phases(orders, period, plan.lo, span))
-    elif cached and 2 * orders * degree <= _FOLD_CHUNK_FLOATS:
+    # the second pass's operands: each order's turn, or the waves, cached as the rows are
+    phases = _turn_phases(orders, period, plan.lo, span) if trig else None
+    wave_table = None
+    if cached and _run_table_floats(orders, span, degree, trig)[1]:
         wave_table = _run_table(_wave_table, orders, period, plan.lo, span, degree, rows)
     while pieces:
         # the windows whose sums fit one group
