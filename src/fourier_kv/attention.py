@@ -26,11 +26,12 @@ length-period FFT is cheapest. The FFTs hold O(L) transient values; the
 trig tables' evaluate holds ``rows * R`` complex values, ``rows = ceil(M /
 width)`` for a power of two ``width`` near ``sqrt(M)``, in one array of
 their own (``FourierBasis._evaluate``): 0.131 MB at 512 orders over a
-256-position middle, half the casts' budget below. Each float32 block the products read, exact or kept, K or V,
-is cast to float64 at most ``_ATTEND_CHUNK_FLOATS`` values (256 KB) at a
-time: a block within that budget is one product, a larger one runs in equal
-row chunks. So the call's transient is the budget plus the ``E + M`` scores
-and the transforms', whatever the window length. The stored blocks are not
+256-position middle, half the casts' budget below. Each float32 block the
+products read, exact or kept, K or V, is cast to float64 at most
+``_ATTEND_CHUNK_FLOATS`` values (256 KB) at a time: a block within that
+budget is one product, a larger one runs in equal row chunks. So the
+call's transient is the budget plus the ``E + M`` scores and the
+transforms', whatever the window length. The stored blocks are not
 scanned for NaN or Inf on every call (the cache rejects them as tokens
 enter); the scores and the output are checked instead.
 ``attend_compressed_materialized`` is its oracle: it rebuilds every middle

@@ -2,27 +2,21 @@
 
 Dimensions are ranked per (layer, head) by how well the spectral compressor
 reconstructs them on a calibration trace (mean squared error, ties broken by
-ascending index), then a per-layer ratio schema decides how many of the
-best-reconstructed dimensions each head folds. The ranking never reads a
-middle region back through basis columns: a convolution over the lag (many
-orders over a long middle) or a quadratic form of each dimension's centred
-Fourier sums (desk) or Chebyshev moments (stock), through the middle's even
-and odd halves, computes the errors, as the decode transforms' cost rule
-prices them. The stock schema compresses more of the V cache than the K
-cache and more of the lower layers than the upper ones (an inverted
-pyramid); ablation variants flatten, swap, or flip it. Diagnostics cover temporal standard deviations and the distribution of
-compressed indices grouped every ``HISTOGRAM_GROUP`` (16) dimensions.
+ascending index, from ``spectral.fold_errors``), then a per-layer ratio
+schema decides how many of the best-reconstructed dimensions each head
+folds. The stock schema compresses more of the V cache than the K cache and
+more of the lower layers than the upper ones (an inverted pyramid);
+ablation variants flatten, swap, or flip it. Diagnostics cover temporal
+standard deviations and the distribution of compressed indices grouped
+every ``HISTOGRAM_GROUP`` (16) dimensions.
 """
 
 from __future__ import annotations
 
-import functools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from fourier_kv import spectral
 from fourier_kv.cache import CacheLayout, PartitionParams, check_basis
@@ -145,42 +139,9 @@ def rank_dimensions(trace: KVTrace, partition: PartitionParams, basis: FourierBa
 
     Uses the normalized inverse transform; with a middle region exactly one
     period long the reconstruction is the orthogonal projection and the MSE
-    cleanly measures out-of-band energy. A middle column ``x`` of ``M``
-    positions reconstructs as ``P x = C.T W C x``, with ``C`` the basis
-    columns of the run and ``W`` the synthesis weights, never read back
-    through ``C``. ``C.T W C`` depends only on the lag between positions, so
-    the errors do not depend on where the middle starts. One of three forms
-    computes ``|x - P x|**2``: the convolution of ``x`` with ``k(lag) =
-    sum_n w_n cos(2*pi*n*lag/period)``, one real FFT pair per column in
-    float64, of length ``n = spectral._fast_len(2M - 1)``, as the chirp-z
-    transform pads; or
-    ``|x|**2`` plus a quadratic form of the column's sums against the
-    cosine and sine rows about the middle's centre, as the batch fold over
-    the trig tables reads them (Fourier Gram, :func:`_fourier_split`), or
-    of its ``d = spectral._run_degree``
-    Chebyshev moments (moment Gram, :func:`_moment_split`; 98 for 512 orders
-    over 1020 positions at period 32768), both through :func:`_split_sse`.
-
-    With ``R = orders``, one rule prices each Gram form per column at half
-    its unsplit work, as the split halves it: the Fourier form at ``R * (M +
-    2R) / 2``, the moments at ``_MOMENT_COST_RATIO * (d * (M + d) / 4 + 2 *
-    d**3 / columns)``, whose second term spreads their ``d x d`` build over
-    the trace's columns, while four ``d x d`` matrices fit
-    ``_FOLD_CHUNK_FLOATS`` (``d <= 181``). The cheaper runs where
-    ``_products_cheaper`` says it beats the convolution (FFT length ``L =
-    p/2 + 1``, with ``p`` the power of two at or above ``n`` that the ratios
-    were timed against); ties go to the Fourier form. Desk (16 orders over 956
-    positions) takes the Fourier form (7,904), stock the moments (69,488 at
-    256 columns, against 523,264 and the convolution's 180,400), and 512
-    orders over 256 positions at period 4096 (168 moments, 109,704) or over
-    4000 at period 32768 (299 moments) the convolution. The transient is one
-    group of FFT columns, or one chunk of rows and a block's halves, within
-    ``_FOLD_CHUNK_FLOATS`` (1 MB), plus one layer's sums or moments: the
-    forms and one block's products with them fit the budget's share for the
-    rows' build. Rows that fit the budget whole are the run's table in
-    ``spectral``'s cache of fold tables, built by the first call over the
-    middle and read by every later one and by the batch fold over the same
-    run, held there rather than transient: 0.40 MB at stock, 0.12 MB at desk.
+    cleanly measures out-of-band energy. The squared errors come from
+    :func:`~fourier_kv.spectral.fold_errors`, which reads the batch fold's
+    rows, so a prefill over the same middle reads what calibration built.
     """
     check_basis(basis, partition)
     middle = partition.middle(trace.seq_len)
@@ -189,209 +150,15 @@ def rank_dimensions(trace: KVTrace, partition: PartitionParams, basis: FourierBa
             f"trace too short for calibration: needs more than "
             f"{partition.init_len + partition.local_len} positions, got {trace.seq_len}"
         )
-    first, last, length = middle.start, middle.stop, len(middle)
-    n_fft = spectral._fast_len(2 * length - 1)  # linear convolution of M with M
-    degree = spectral._run_degree(basis.orders, basis.period, length)
+    first, last = middle.start, middle.stop
     # per layer, every head's K, then every head's V: (positions, head_dim) views of the trace
     layers = [
         [*trace.keys[layer, :, first:last], *trace.values[layer, :, first:last]]
         for layer in range(trace.layers)
     ]
-    sse = np.empty((trace.layers, 2 * trace.kv_heads, trace.head_dim))
-    fourier = basis.orders * (length + 2 * basis.orders) / 2
-    # the moments' d x d build, about 4 d**3 multiply-adds priced as their
-    # products are (half the ratio each), is shared by every column
-    columns = trace.layers * 2 * trace.kv_heads * trace.head_dim
-    moments = spectral._MOMENT_COST_RATIO * (degree * (length + degree) / 4
-                                             + 2 * degree**3 / columns)
-    if 4 * degree**2 > spectral._FOLD_CHUNK_FLOATS:
-        moments = math.inf  # its d x d matrices, four at a time, would outgrow the fold's budget
-    # the real FFT pair priced at the power of two at or above n_fft, as the ratios were timed
-    fft_len = (1 << (n_fft - 1).bit_length()) // 2 + 1
-    if not spectral._products_cheaper(min(fourier, moments), fft_len):
-        _convolution_sse(basis, layers, length, n_fft, out=sse)
-    elif moments < fourier:
-        _split_sse(*_moment_split(basis, length, degree), layers, length, out=sse)
-    else:
-        _split_sse(*_fourier_split(basis, length), layers, length, out=sse)
-    mse = (sse / length).reshape(trace.layers, 2, trace.kv_heads, trace.head_dim)
+    sse = spectral.fold_errors(basis, layers)
+    mse = (sse / len(middle)).reshape(trace.layers, 2, trace.kv_heads, trace.head_dim)
     return MseRanking(k_mse=mse[:, 0], v_mse=mse[:, 1])
-
-
-def _split_sse(rows, forms: tuple, layers, length: int, out: np.ndarray) -> None:
-    """Squared reconstruction error of every column of every block, through its halves.
-
-    ``layers`` holds lists of ``(length, dim)`` blocks of the middle, and
-    ``out[layer, block]`` receives one error per column. ``rows(step)``
-    yields the rows at the pairs' offsets from the centre ``step`` pairs at
-    a time, as ``spectral._pair_rows`` does, the even ones at even indices;
-    ``forms`` holds ``F_e`` and ``F_o``. Rows ``i`` and ``length - 1 - i``
-    pair up as the batch fold pairs them (``spectral._centred_pairs``, an
-    odd middle's centre with zero): with a pair's halves ``E = x(v) +
-    x(-v)`` and ``O = x(v) - x(-v)``, cast once to float64, ``a = rows_even
-    @ E`` and ``b = rows_odd @ O``, the error is ``|x|**2 + a.T F_e a + b.T
-    F_o b``, and ``|x|**2`` is ``(|E|**2 + |O|**2) / 2``. A chunk's rows and
-    a block's halves fit ``_FOLD_CHUNK_FLOATS``; every layer reads the rows
-    from the run's cached table, which the batch fold over the same run
-    reads too, or builds them per chunk where the table does not fit that
-    budget. The forms meet one block's sums at a time.
-    """
-    f_even, f_odd = forms
-    half = (length + 1) // 2  # pairs, the centre of an odd middle among them
-    dim = layers[0][0].shape[1]
-    count = len(f_even) + len(f_odd)
-    step = max(1, min(half, spectral._FOLD_CHUNK_FLOATS // (2 * count + 2 * dim)))
-    halves = np.empty(2 * step * dim)  # a chunk's sums, then its differences
-    for layer_sse, blocks in zip(out, layers):
-        a = np.zeros((len(blocks), len(f_even), dim))
-        b = np.zeros((len(blocks), len(f_odd), dim))
-        layer_sse[:] = 0.0
-        for p0, p1, chunk in rows(step):
-            pairs = halves[: 2 * (p1 - p0) * dim].reshape(2, p1 - p0, dim)
-            for block, a_sum, b_sum, total in zip(blocks, a, b, layer_sse):
-                even, odd = spectral._centred_pairs(block, p0, pairs)
-                total += np.einsum("kij,kij->j", pairs, pairs)
-                a_sum += chunk[0::2] @ even
-                b_sum += chunk[1::2] @ odd
-        layer_sse *= 0.5
-        # a block at a time: the forms' products are one block's sums, not a layer's
-        for total, a_sum, b_sum in zip(layer_sse, a, b):
-            total += np.einsum("ij,ij->j", a_sum, f_even @ a_sum)
-            total += np.einsum("ij,ij->j", b_sum, f_odd @ b_sum)
-    # the forms cancel on a column reconstructed almost exactly, which may dip below 0
-    np.maximum(out, 0.0, out=out)
-
-
-def _fourier_split(basis: FourierBasis, length: int) -> tuple:
-    """The rows and forms of :func:`_split_sse` for the Fourier Gram form of a run.
-
-    The rows are ``spectral._centred_rows``, the cosine and sine rows of
-    each order at the offsets ``v`` from the run's centre, interleaved as
-    the basis interleaves its columns, as the batch fold over the trig
-    tables reads them; a state of absolute positions reaches them by
-    rotating order ``n`` by the centre's phase. Both rows of an order share
-    a weight ``w_n``: the forms are ``W G W - 2W`` over :func:`_fourier_grams`.
-    """
-    weights = basis.synthesis_weights()[0::2]
-    forms = tuple(g * weights[:, None] * weights - 2.0 * np.diag(weights)
-                  for g in _fourier_grams(basis, length))
-    return functools.partial(spectral._pair_rows, basis.orders, basis.period, length,
-                             basis.n_rows, True), forms
-
-
-def _fourier_grams(basis: FourierBasis, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """The centred cosine and sine Gram halves of a run of ``length`` positions.
-
-    Entry ``[n, m]`` sums ``cos(theta_n v) cos(theta_m v)``, or the sines,
-    over the offsets ``v`` from the run's centre: half the sum, or the
-    difference, of ``c(|n - m|)`` and ``c(n + m)``, ``c(m) = sin(pi*m*M/period)
-    / sin(pi*m/period)`` the real Dirichlet sum (``M`` at ``m = 0``), angles
-    reduced in integers. Over symmetric offsets the cosine-sine entries vanish.
-    """
-    m = np.arange(1, 2 * basis.orders - 1, dtype=np.int64)
-    sums = np.full(2 * basis.orders - 1, float(length))
-    sums[1:] = (spectral._unit_phase(m * length, basis.period).imag
-                / spectral._unit_phase(m, basis.period).imag)
-    n = np.arange(basis.orders)
-    diff, total = sums[np.abs(n[:, None] - n)], sums[n[:, None] + n]
-    return (diff + total) / 2, (diff - total) / 2
-
-
-def _moment_split(basis: FourierBasis, length: int, degree: int) -> tuple:
-    """The rows and forms of :func:`_split_sse` for the moment Gram form of a run.
-
-    The rows are ``T_k(2v / length)``, ``k < degree``; the forms are the even
-    and odd blocks of ``A H A - 2A`` (:func:`_moment_grams`), whose
-    cross-parity entries vanish, as ``H`` and ``A``'s kernel are even.
-    """
-    a, h = _moment_grams(basis, length, degree)
-    form = a @ (h @ a)
-    form -= 2.0 * a
-    rows = functools.partial(spectral._pair_rows, basis.orders, basis.period, length, degree,
-                             False)
-    return rows, (form[0::2, 0::2].copy(), form[1::2, 1::2].copy())
-
-
-def _moment_grams(basis: FourierBasis, length: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """``A = G W G.T`` and ``H = P P.T`` of a run of ``length`` positions, each ``(degree, degree)``.
-
-    With ``x_m = (2m - (length - 1)) / length``, ``P[k, m] = T_k(x_m)`` and
-    ``G`` the Chebyshev coefficients of the basis rows as
-    :func:`spectral._fold_moments` reads them, ``C = G.T P`` within twice
-    ``spectral._MOMENT_TAIL`` at ``spectral._run_degree``; ``W`` holds the
-    synthesis weights. ``A`` is the transposed DCT-III (scaled by
-    ``1/degree``) times ``V W V.T`` at the Chebyshev nodes ``y_j`` times the
-    DCT, entry ``[j, k]`` of ``V W V.T`` the Dirichlet kernel ``sin((R -
-    1/2) phi) / sin(phi/2) / period`` at ``phi = pi * length * (y_j - y_k) /
-    period`` (``(2R - 1) / period`` at 0). ``H`` is ``(sigma[j + k] +
-    sigma[|j - k|]) / 2`` for ``sigma_n = sum_m T_n(x_m)``: 0 for odd ``n``,
-    ``2 sum_m T_j(x_m)**2 - sigma[0]`` at ``n = 2j``, from ``P``'s rows over
-    the top half in chunks within half of ``spectral._FOLD_CHUNK_FLOATS``:
-    views of the run's cached Chebyshev rows, which :func:`_split_sse` and
-    the batch fold over the same run read too, where they fit that budget.
-    """
-    nodes = np.cos(np.pi * (np.arange(degree) + 0.5) / degree)
-    phi = (np.pi * length / basis.period) * (nodes[:, None] - nodes)
-    # the kernel is 2*pi-periodic: reduced, it stays accurate near nonzero multiples
-    phi -= (2 * np.pi) * np.round(phi / (2 * np.pi))
-    zero = phi == 0.0  # the diagonal and exact multiples, where the kernel is 2R - 1
-    phi[zero] = 1.0
-    kernel = np.sin((basis.orders - 0.5) * phi)
-    phi *= 0.5
-    kernel /= np.sin(phi, out=phi)
-    del phi
-    kernel[zero] = 2 * basis.orders - 1
-    kernel /= basis.period
-    # DCT-III of the identity: column k holds eps_k * T_k at the nodes
-    dct3 = scipy.fft.dct(np.eye(degree), type=3, axis=0, overwrite_x=True)
-    dct3 /= degree
-    a = dct3.T @ (kernel @ dct3)
-    del kernel, dct3
-
-    step = max(1, min((length + 1) // 2, spectral._FOLD_CHUNK_FLOATS // 2 // degree))
-    squares = np.zeros(degree)
-    for _, _, chunk in spectral._pair_rows(basis.orders, basis.period, length, degree, False,
-                                           step):
-        squares += np.einsum("ij,ij->i", chunk, chunk)
-    # every row but an odd run's centre stands for two positions; T_j(0)**2 is 1 for even j
-    squares *= 2.0
-    squares[0::2] -= length % 2
-    sigma = np.zeros(2 * degree - 1)
-    sigma[0::2] = 2.0 * squares - squares[0]
-    n = np.arange(degree)
-    h = sigma[n[:, None] + n] + sigma[np.abs(n[:, None] - n)]
-    h *= 0.5
-    return a, h
-
-
-def _convolution_sse(basis: FourierBasis, layers, length: int, n_fft: int,
-                     out: np.ndarray) -> None:
-    """Squared reconstruction error of every column of every block, by FFT convolution.
-
-    Blocks and ``out`` as for :func:`_split_sse`; ``n_fft >= 2 * length - 1``.
-    """
-    weights = np.zeros(basis.n_rows)
-    weights[0::2] = basis.synthesis_weights()[0::2]
-    kernel = basis.evaluate(weights, range(length))
-    # the kernel is even in the lag, so it wraps into a circulant of length n_fft
-    # whose spectrum is real
-    wrapped = np.zeros(n_fft)
-    wrapped[:length] = kernel
-    wrapped[n_fft - length + 1 :] = kernel[:0:-1]
-    spectrum = scipy.fft.rfft(wrapped).real
-    # the padded columns, their spectrum and their convolution: 3n + 2 floats a column
-    group = max(1, spectral._FOLD_CHUNK_FLOATS // (3 * n_fft + 2))
-    for layer_sse, blocks in zip(out, layers):
-        for total, block in zip(layer_sse, blocks):
-            for lo in range(0, block.shape[1], group):
-                # float64 before the FFT: scipy.fft keeps float32 input in single precision
-                padded = np.zeros((min(group, block.shape[1] - lo), n_fft))
-                padded[:, :length] = block[:, lo : lo + group].T
-                freq = scipy.fft.rfft(padded)
-                freq *= spectrum
-                err = scipy.fft.irfft(freq, n_fft)[:, :length]
-                err -= padded[:, :length]
-                np.einsum("ij,ij->i", err, err, out=total[lo : lo + group])
 
 
 def apply_schema(

@@ -21,9 +21,9 @@ the fast batch fold, is the one projection of many columns, within a 1 MB
 transient budget. A cost rule picks one of four transforms per run (see
 :class:`FourierBasis`): trig tables, Chebyshev moments (for a fold of two or
 more columns only), a chirp-z transform or the length-period FFT. The
-chirp-z transform, like ``dimselect``'s convolution, pads to the least
-fast length that it needs (:func:`_fast_len`), not to a power of two, and
-runs while its FFT pair costs at most the length-period FFT's
+chirp-z transform, like :func:`fold_errors`' convolution, pads to the
+least fast length that it needs (:func:`_fast_len`), not to a power of
+two, and runs while its FFT pair costs at most the length-period FFT's
 (:func:`_chirp_reaches`), with no tuned ratio. A run's one-column pick
 is resolved once into a plan that every later call over the same run
 reads, and the run is read without scanning it, so a call's fixed cost is
@@ -35,25 +35,25 @@ of the unpaired run. Those rows are the centred cosine and sine rows
 (:func:`_centred_rows`), whose sums one complex product turns to absolute
 phase, or the Chebyshev rows, whose moments a second product by the waves
 of every order, one BLAS ``dgemm``, adds into each state's rows in place.
-The rows and the waves depend on the run alone, so each is built once
-per run into a small cache of read-only tables (:func:`_run_table`) that
-every layer, head and prefill of the run reads in place, as does
-``dimselect``'s calibration over the same middle. The cache holds them
+The rows and the waves depend on the run alone, so each is built once per
+run into a small cache of read-only tables (:func:`_run_table`) that every
+layer, head and prefill of the run reads in place. The cache holds them
 beside the chirp-z's 49 KB: at the stock middle (512 orders over 1,020
 positions) 0.80 MB of waves and 0.40 MB of Chebyshev rows, at desk (16
 orders over 956) 0.12 MB of centred rows. The first fold of a run builds
-them ahead of its own budgeted buffers, so it peaks that much above the
-1 MB of every later fold (:func:`_run_table_floats`). A table past the
-fold's budget is built per chunk instead, uncached. Each FFT runs once
-per column. Every cosine and sine comes from one of two phase builders,
-each reducing its integer phase exactly before the float product:
+them ahead of its own budgeted buffers, so it peaks that much above the 1
+MB of every later fold (:func:`_run_table_floats`). A table past the fold's
+budget is built per chunk instead, uncached. Each FFT runs once per column.
+:func:`fold_errors`, each column's squared error once folded and
+reconstructed, by which calibration ranks dimensions, reads the fold's rows
+in the fold's chunks. Every cosine and sine comes from one of two phase
+builders, each reducing its integer phase exactly before the float product:
 :func:`_unit_phases` reduces ``n*t`` mod ``period``, for basis columns,
 trig tables and, at twice the period, the centred rows, and
 :func:`_unit_phase` reduces mod ``2*period``, for the chirp-z plans, the
-moments' waves, the centre's phase and the Dirichlet sums of
-``dimselect``'s Fourier Gram halves. Its moment Gram matrices read
-no phase of a position: their kernel depends only on differences of
-Chebyshev nodes.
+moments' waves, the centre's phase and the Dirichlet sums of the Fourier
+Gram halves. The moment Gram matrices read no phase of a position: their
+kernel depends only on differences of Chebyshev nodes.
 
 Phases are indexed by *absolute* token position so that a state built during
 prefill and a state extended by streaming evictions agree without rephasing.
@@ -78,6 +78,7 @@ __all__ = [
     "build_basis",
     "compress_batch",
     "fold_blocks",
+    "fold_errors",
     "fold_token",
     "reconstruct",
     "reconstruction_mse",
@@ -160,23 +161,19 @@ class FourierBasis:
     thousand positions, where they measured slower. A fold of two or more
     columns whose run's ``2R * span`` basis values exceed its budget is
     charged ``_TABLE_BUILD_COLUMNS`` more columns of that work, the builds
-    of sub-runs the fold once made. Folds run the moments ahead of both while their work per column, their builds
-    shared among the columns, is at most the tables' and passes the same
-    test against the FFT: 512 orders over 1020 positions take them from 34
-    columns on, 16 orders keep the tables. Tables hold phases reduced
-    exactly in integers mod ``period``, are read-only, and the last few of
-    each kind are cached per ``(orders, period, lo mod period)`` and their
-    sizes; a fold's tables, per ``(orders, period, lo mod period, span,
-    degree)`` and the chunks they are built in, four at a time, each
-    within the fold's budget, so at most 4 MB are held (:func:`_run_table`):
-    at stock 0.80 MB of waves and 0.40 MB of Chebyshev rows, at desk 0.12
-    MB of centred rows, beside the chirp-z's 49 KB. The first fold of a run
-    holds its tables beside its own budget. A run's resolved one-column
-    transform, its checks, pick, tables and the head rows it reads with
-    their conjugates, is cached too, per ``(orders, period, start, span)`` and the cost
-    rule's ratios, so every head of a decode step that reads one middle
-    region reads one plan. This class owns the cosine/sine row layout;
-    callers only pass coefficient vectors of length ``2*orders``.
+    of its rows, which every fold repeats once they outgrow the cache. Folds
+    run the moments ahead of both while their work per column, their
+    builds shared among the columns, is at most the tables' and passes the
+    same test against the FFT: 512 orders over 1020 positions take them
+    from 34 columns on, 16 orders keep the tables. Tables hold phases
+    reduced exactly in integers mod ``period`` and are read-only; the last
+    few of each kind are cached per ``(orders, period, lo mod period)`` and
+    their sizes, and a fold's per run beside them (:func:`_run_table`). A
+    run's resolved one-column transform, its checks, pick, tables and the
+    head rows it reads with their conjugates, is cached too, per ``(orders,
+    period, start, span)``, so every head of a decode step that reads one
+    middle region reads one plan. This class owns the cosine/sine row
+    layout; callers only pass coefficient vectors of length ``2*orders``.
 
     Immutable; safe to share across threads.
     """
@@ -246,7 +243,7 @@ class FourierBasis:
         them, so they are priced only for two or more, and never run for
         one. Where the run's basis values would exceed
         ``_FOLD_CHUNK_FLOATS``, a fold of two or more columns charges the
-        tables the builds of the sub-runs it once made.
+        tables the builds of their paired rows.
         """
         orders = self.orders
         # linear convolution of ``span`` outputs with R = orders bins: n >= span + R - 1
@@ -261,8 +258,7 @@ class FourierBasis:
         rows = 1 << (-(-span // width) - 1).bit_length()
         tables = orders * span
         if columns > 1 and _table_floats(orders, span, width, rows) > _FOLD_CHUNK_FLOATS:
-            # a fold that once built the run's columns ran sub-runs that each
-            # built their own tables, counted as more columns
+            # the builds of the run's paired rows, counted as more columns
             tables = tables * (columns + _TABLE_BUILD_COLUMNS) / columns
         if columns > 1:
             degree = _run_degree(orders, self.period, span)
@@ -283,8 +279,8 @@ class FourierBasis:
 
         ``columns`` is the number of columns a fold projects together, or 0
         for the one column of :meth:`evaluate` and :meth:`project`, priced as
-        one. Checks the run first. One column's trig tables and the chirp-z
-        tables come from small caches unless ``cached`` is false, as for a
+        one. Checks the run first. One column's trig tables come from a small
+        cache, as do the chirp-z tables unless ``cached`` is false, as for a
         fold's sub-runs, which no later call reads; a fold over the trig
         tables or the moments reads its rows from the run's own tables
         (:func:`_fold_moments`). :meth:`_plan` caches one column's result.
@@ -295,8 +291,7 @@ class FourierBasis:
             return _Run("fft", 0, lo, None, None, None, None)
         kind, size, rows = self._pick(span, max(1, columns))
         if kind == "tables" and not columns:
-            build = _trig_tables if cached else _trig_tables.__wrapped__
-            tables = build(self.orders, self.period, lo, size, rows)
+            tables = _trig_tables(self.orders, self.period, lo, size, rows)
             head = tables.head[: -(-span // size)]
             head_conj = np.conjugate(head)
             head_conj.setflags(write=False)
@@ -509,10 +504,17 @@ class FourierBasis:
 # the Chebyshev moments are priced first (below)
 _TABLE_COST_RATIO = 16
 
-# a fold whose run's basis values exceed _FOLD_CHUNK_FLOATS once ran the
-# tables in sub-runs that each built their own, so there the tables' work is
-# counted with this many more columns shared by all; the fold now reads the
-# run as centred pairs, but the three ratios below were fitted with it
+# where a run's basis values (_table_floats) exceed _FOLD_CHUNK_FLOATS, the
+# tables' work is counted with this many more columns shared by all, for the
+# builds of its paired rows, half as many values, which every fold of the run
+# makes again once they outgrow the cache; _MOMENT_BUILD_COLUMNS counts the
+# moments' rows and waves likewise. Over 336 folds (orders 16-512, spans
+# 128-8000, 2-128 columns, periods 4096 and 32768; numpy 2.4 and
+# scipy-openblas 0.3.31 on a 2-core x86_64, one thread), dropping both
+# charges changed 173 picks and took their summed time 152 -> 362 ms warm;
+# 107 ran over 10% slower cold, the worst 29x (256 orders over 1,020
+# positions at period 4096, 2 columns: 0.09 ms on the length-period FFT, 2.6
+# on the tables)
 _TABLE_BUILD_COLUMNS = 256
 
 # a fold of two or more columns runs the Chebyshev moments while their work
@@ -541,8 +543,9 @@ _MOMENT_BUILD_COLUMNS = 32
 
 
 def _table_floats(orders: int, span: int, width: int, rows: int) -> int:
-    """Float64 values a one-column fold held over trig tables of ``rows`` by
-    ``width`` while it built the run's columns, which :meth:`FourierBasis._pick` charges."""
+    """The run's basis values, as trig tables of ``rows`` by ``width`` read
+    them, and their temporaries: past ``_FOLD_CHUNK_FLOATS``,
+    :meth:`FourierBasis._pick` charges a fold's tables the builds of its rows."""
     used = -(-span // width)  # head rows the run reads
     run_columns = used * width * orders  # complex values
     tables = 2 * orders * (rows + width)
@@ -555,28 +558,28 @@ def _products_cheaper(work: int, fft_len: int) -> bool:
 
     ``work <= _TABLE_COST_RATIO * L * log2(L)`` with ``L = fft_len``, read at
     call time so a test can force either side. The trig tables and the
-    moments fold use it, and so does ``dimselect.rank_dimensions`` to choose
-    between its convolution and the cheaper of its two Gram forms, with
-    ``L`` the real FFT of the power of two at or above ``2M - 1``, for a
-    calibration middle of ``M`` positions.
-    Both Gram forms fold a column's even and odd halves about the middle's
-    centre, half the multiply-adds of their unsplit products, and are priced at
-    half their unsplit work: the Fourier Gram form at ``R * (M + 2R) / 2``, the
-    moment Gram form at ``_MOMENT_COST_RATIO * (d * (M + d) / 4 + 2 * d**3 /
-    columns)`` for ``d`` moments (the second term their ``d x d`` build), while
-    four ``d x d`` matrices fit ``_FOLD_CHUNK_FLOATS``. Over orders 8-512,
-    middles 256-4000 and periods 4096 and 32768, and 512 orders over 8192
-    positions at period 32768 (256 columns; two sweeps timing this rule and the
-    unsplit one in one process, alternating; numpy 2.4 and scipy 1.17 on a
-    2-core x86_64, one BLAS thread), it picked a form within 1.1x of the
-    fastest in 35 and 33 of 37 rankings and took a median 0.78-0.80x the
-    unsplit rule's time. It moved two rankings off the convolution: 256 orders
-    over 4000 positions at period 4096 to the Fourier Gram form, at 0.73-0.76x
-    the time, and 512 orders over 256 positions at period 4096 to the moments,
-    at 1.96-2.03x, as their ``d x d`` builds (168 moments) went unpriced;
-    priced, over 256 columns, that ranking runs the convolution again. The cap
-    keeps 512 orders over 4000 positions at period 32768 (299 moments) on the
-    convolution, at 1.6x the moments' time.
+    moments fold use it, and so does :func:`fold_errors` to choose between
+    its convolution and the cheaper of its two Gram forms, with ``L`` the
+    real FFT of the power of two at or above ``2M - 1``, for a run of ``M``
+    positions. Both Gram forms fold a column's even and odd halves about the
+    run's centre, half the multiply-adds of their unsplit products, and are
+    priced at half their unsplit work: the Fourier Gram form at ``R * (M +
+    2R) / 2``, the moment Gram form at ``_MOMENT_COST_RATIO * (d * (M + d) /
+    4 + 2 * d**3 / columns)`` for ``d`` moments (the second term their ``d x
+    d`` build), while four ``d x d`` matrices fit ``_FOLD_CHUNK_FLOATS``.
+    Over orders 8-512, middles 256-4000 and periods 4096 and 32768, and 512
+    orders over 8192 positions at period 32768 (256 columns; two sweeps
+    timing this rule and the unsplit one in one process, alternating; numpy
+    2.4 and scipy 1.17 on a 2-core x86_64, one BLAS thread), it picked a
+    form within 1.1x of the fastest in 35 and 33 of 37 rankings and took a
+    median 0.78-0.80x the unsplit rule's time. It moved two rankings off the
+    convolution: 256 orders over 4000 positions at period 4096 to the
+    Fourier Gram form, at 0.73-0.76x the time, and 512 orders over 256
+    positions at period 4096 to the moments, at 1.96-2.03x, as their ``d x
+    d`` builds (168 moments) went unpriced; priced, over 256 columns, that
+    ranking runs the convolution again. The cap keeps 512 orders over 4000
+    positions at period 32768 (299 moments) on the convolution, at 1.6x the
+    moments' time.
     """
     return work <= _TABLE_COST_RATIO * fft_len * fft_len.bit_length()
 
@@ -597,7 +600,7 @@ def _chirp_reaches(n: int, period: int) -> bool:
 
 @functools.lru_cache(maxsize=64)
 def _fast_len(target: int) -> int:
-    """The least FFT length ``n >= target`` the chirp-z and ``dimselect`` pad to.
+    """The least FFT length ``n >= target`` the chirp-z and :func:`fold_errors` pad to.
 
     ``n = 2**a * m`` with ``m`` odd, 5-smooth and at most ``2**a``: at least
     half of ``log2(n)`` runs in scipy's radix-2 passes, its fastest. The
@@ -1048,7 +1051,8 @@ def _moment_chunks(orders: int, span: int, degree: int,
     a time (their sums and differences, ``2 * pairs * width``) and orders
     per chunk of waves (:data:`_MOMENT_ORDERS`, ``2 * degree * rows``
     floats), each within a quarter of the budget, or within one chunk of
-    waves where that is more (past 256 terms at the default budget); and
+    waves where that is more (past 256 terms at the default budget), the
+    chunks of pairs and of orders evened out, none a short remainder; and
     ``fixed``, the larger of the two passes' float64 values. The first also
     holds the rows' position vectors, numpy's buffers for their broadcast
     products (``2 * s * pairs``, see :func:`_chebyshev_rows`) and each
@@ -1086,6 +1090,9 @@ def _moment_chunks(orders: int, span: int, degree: int,
         second = 2 * rows * degree + 8 * degree
     step = min(width, max(1, _SMALL_PRODUCT // (parity * pairs)))
     first = degree * pairs + build + 2 * pairs * width + 2 * parity * step
+    # chunks of equal widths, none a short remainder
+    half = (span + 1) // 2
+    pairs, rows = -(-half // -(-half // pairs)), -(-orders // -(-orders // rows))
     return pairs, width, rows, max(first, second)
 
 
@@ -1121,8 +1128,8 @@ def _centred_rows(orders: int, period: int, u: np.ndarray, out: np.ndarray) -> N
     ``theta_n = 2*pi*n/period`` and ``u`` holds twice the offsets ``v`` of
     a run's positions from its centre, integers ascending by 2: cosine rows
     even in ``v`` and sine rows odd, interleaved as the basis interleaves
-    its columns, for the batch fold and ``dimselect``'s Fourier Gram form.
-    The phase at ``u[0] + 2(a*w + b)``, ``w = isqrt(len(u)) + 1``, is the
+    its columns, for the batch fold and :func:`fold_errors`' Fourier Gram
+    form. The phase at ``u[0] + 2(a*w + b)``, ``w = isqrt(len(u)) + 1``, is the
     one at ``u[0] + 2a*w`` times the one at ``2b``, each from
     :func:`_unit_phases` at twice the period. The products fill a grid of
     ``ceil(len(u) / w) * w`` phases per order, one head phase at a time (a
@@ -1252,34 +1259,34 @@ def _run_table(build, *args) -> np.ndarray:
 
     A run's tables depend on the run alone, its ``(orders, period, lo mod
     period, span, degree)`` and the chunks they are built in, so every layer,
-    head, window group and prefill of that run, and ``dimselect``'s
-    calibration over it, read one table in place. Callers cache only the
-    tables :func:`_run_table_floats` counts, each of at most
-    ``_FOLD_CHUNK_FLOATS`` float64 values, and build a larger one per chunk
-    instead, so the cache holds at most four budgets (4 MB); at stock a
-    run's waves take 0.80 MB and its Chebyshev rows 0.40 MB, at desk its
-    centred rows 0.12 MB.
+    head, window group and prefill of that run, and :func:`fold_errors` over
+    it, read one table in place. Callers cache only the tables
+    :func:`_run_table_floats` counts and the moment Gram forms
+    (:func:`_moment_split`), each of at most ``_FOLD_CHUNK_FLOATS`` float64
+    values, and build a larger one per chunk instead, so the cache holds at
+    most four budgets (4 MB); at stock a run's waves take 0.80 MB, its
+    Chebyshev rows 0.40 MB and its forms 38 KB, at desk its centred rows
+    0.12 MB.
     """
     table = build(*args)
     table.setflags(write=False)
     return table
 
 
-def _pair_rows(orders: int, period: int, span: int, degree: int, trig: bool, pairs: int,
+def _pair_rows(orders: int, period: int, span: int, degree: int, trig: bool,
                cached: bool = True):
-    """An iterator of ``(p0, p1, rows)``: :func:`_build_rows` of pairs ``p0..p1-1`` of a run, ``pairs`` at a time.
+    """An iterator of ``(p0, p1, rows)``: :func:`_build_rows` of pairs ``p0..p1-1`` of a run.
 
-    The rows are views of the run's table (:func:`_pair_table`, from
-    :func:`_run_table`) where it fits ``_FOLD_CHUNK_FLOATS`` and ``cached``
-    holds, looked up, and built if missing, by this call; otherwise they
-    are built per chunk into one buffer, which the next chunk overwrites.
-    The Chebyshev rows do not depend on the chunks they are built in, so
-    every caller over a run reads one table of them, built whole.
+    The chunks of pairs are :func:`_moment_chunks`', the fold's, so the
+    fold and :func:`fold_errors` over a run read one table. The rows are
+    views of it (:func:`_pair_table`, from :func:`_run_table`) where it
+    fits ``_FOLD_CHUNK_FLOATS`` and ``cached`` holds, looked up, and built
+    if missing, by this call; otherwise they are built per chunk into one
+    buffer, which the next chunk overwrites.
     """
-    half = (span + 1) // 2
+    pairs, half = _moment_chunks(orders, span, degree, trig)[0], (span + 1) // 2
     if cached and _run_table_floats(orders, span, degree, trig)[0]:
-        table = _run_table(_pair_table, orders, period, span, degree, trig,
-                           pairs if trig else half)
+        table = _run_table(_pair_table, orders, period, span, degree, trig, pairs)
         return ((p0, min(half, p0 + pairs), table[:, p0 : p0 + pairs])
                 for p0 in range(0, half, pairs))
     return _built_rows(orders, period, span, degree, trig, pairs)
@@ -1356,10 +1363,6 @@ def _fold_moments(basis: FourierBasis, plan: _Run, arrays: list, picks: list, st
         if cols:
             size = -(-cols // -(-cols // group))
             pieces += [(target, c0, min(c0 + size, cols)) for c0 in range(0, cols, size)]
-    half = (span + 1) // 2
-    # chunks of equal widths, none a short remainder
-    pairs = -(-half // -(-half // pairs))
-    rows = -(-orders // -(-orders // rows))
     step = min(width, max(1, _SMALL_PRODUCT // ((degree + 1) // 2 * pairs)))
     width = min(width, max(array.shape[1] for array in arrays))
     # the second pass's operands: each order's turn, or the waves, cached as the rows are
@@ -1374,7 +1377,7 @@ def _fold_moments(basis: FourierBasis, plan: _Run, arrays: list, picks: list, st
             batch.append(pieces.pop(0))
             count += batch[-1][2] - batch[-1][1]
         # the run's rows, a table built before the sums and casts are held
-        chunks = _pair_rows(orders, period, span, degree, trig, pairs, cached)
+        chunks = _pair_rows(orders, period, span, degree, trig, cached)
         # a row of sums per column of the windows, one window after the
         # other: each window's rows are one C-ordered operand of the product
         moments = np.zeros((count, degree))
@@ -1564,3 +1567,225 @@ def reconstruction_mse(original, reconstructed) -> np.ndarray:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return np.mean((a - b) ** 2, axis=0)
+
+
+def fold_errors(basis: FourierBasis, layers) -> np.ndarray:
+    """Each column's squared error ``|x - C.T W C x|**2`` once folded and reconstructed.
+
+    ``layers`` holds lists of ``(M, dim)`` blocks over one run of ``M >= 1``
+    positions, all of one shape; entry ``[layer, block, j]`` of the result
+    is the error of column ``j`` of that block. ``C`` holds the run's basis
+    columns and ``W`` the synthesis weights (:func:`reconstruct`); ``C.T W
+    C`` depends only on the lag, so the errors do not depend on where the
+    run starts, and ``C`` is never built. One of three forms computes them:
+    the convolution of ``x`` with ``k(lag) = sum_n w_n cos(2*pi*n*lag/T)``,
+    one real FFT pair per column of length ``_fast_len(2M - 1)``
+    (:func:`_convolution_sse`), or ``|x|**2`` plus a quadratic form of the
+    column's sums against the fold's paired rows (:func:`_split_sse`): the
+    centred rows (Fourier Gram, :func:`_fourier_split`) or the
+    ``_run_degree`` Chebyshev rows (moment Gram, :func:`_moment_split`).
+
+    :func:`_products_cheaper` prices the Gram forms per column, the moments'
+    ``d x d`` build spread over every column, and runs the cheaper where it
+    beats the convolution, the Fourier form on a tie: desk (16 orders over
+    956 positions) takes the Fourier form (7,904), stock the moments (98
+    of them, 69,488 at 256 columns, against 523,264 and the convolution's
+    180,400), and 512 orders over 256 positions at period 4096 (168
+    moments, 109,704) the convolution. The transient is one group of FFT
+    columns, or a chunk of rows and a cast, within ``_FOLD_CHUNK_FLOATS``
+    (1 MB), plus one layer's sums. The rows, where they fit the budget, and
+    the moment forms are the run's entries of :func:`_run_table`, built by
+    the first call or fold over the run: 0.40 MB of rows and 38 KB of forms
+    at stock, 0.12 MB of rows at desk.
+    """
+    length, dim = layers[0][0].shape
+    if length < 1:
+        raise ValueError("fold_errors needs a run of at least one position")
+    out = np.empty((len(layers), len(layers[0]), dim))
+    n_fft = _fast_len(2 * length - 1)  # linear convolution of M with M
+    degree = _run_degree(basis.orders, basis.period, length)
+    fourier = basis.orders * (length + 2 * basis.orders) / 2
+    # the moments' d x d build, about 4 d**3 multiply-adds priced as their
+    # products are (half the ratio each), is shared by every column
+    moments = _MOMENT_COST_RATIO * (degree * (length + degree) / 4
+                                    + 2 * degree**3 / out.size)
+    if 4 * degree**2 > _FOLD_CHUNK_FLOATS:
+        moments = math.inf  # its d x d matrices, four at a time, would outgrow the fold's budget
+    # the real FFT pair priced at the power of two at or above n_fft, as the ratios were timed
+    fft_len = (1 << (n_fft - 1).bit_length()) // 2 + 1
+    if not _products_cheaper(min(fourier, moments), fft_len):
+        _convolution_sse(basis, layers, length, n_fft, out=out)
+    elif moments < fourier:
+        _split_sse(basis, _moment_split(basis, length, degree), False, layers, out)
+    else:
+        _split_sse(basis, _fourier_split(basis, length), True, layers, out)
+    return out
+
+
+def _split_sse(basis: FourierBasis, forms: tuple, trig: bool, layers, out: np.ndarray) -> None:
+    """:func:`fold_errors` through the halves of every column of every block.
+
+    ``out[layer, block]`` receives one error per column. The rows are the
+    fold's at the top rows of the run's pairs, the centred cosine and sine
+    rows with ``trig`` or else the Chebyshev rows, read through
+    :func:`_pair_rows` in the fold's chunks, the even ones at even indices;
+    ``forms`` holds ``F_e`` and ``F_o``. Rows ``i`` and ``M - 1 - i`` pair
+    up as the fold pairs them (:func:`_centred_pairs`, an odd run's centre
+    with zero), cast once to float64 as the fold casts them, at most its
+    ``width`` columns at a time (:func:`_moment_chunks`): with a pair's
+    halves ``E = x(v) + x(-v)`` and ``O = x(v) - x(-v)``, ``a = rows_even @
+    E`` and ``b = rows_odd @ O``, the error is ``|x|**2 + a.T F_e a + b.T
+    F_o b``, and ``|x|**2`` is ``(|E|**2 + |O|**2) / 2``. The forms meet
+    one block's sums at a time.
+    """
+    f_even, f_odd = forms
+    length, dim = layers[0][0].shape
+    degree = len(f_even) + len(f_odd)
+    pairs, width = _moment_chunks(basis.orders, length, degree, trig)[:2]
+    width = -(-dim // -(-dim // width))  # casts of equal widths, none a short remainder
+    halves = np.empty(2 * pairs * width)  # a cast's sums, then its differences
+    for layer_sse, blocks in zip(out, layers):
+        a = np.zeros((len(blocks), len(f_even), dim))
+        b = np.zeros((len(blocks), len(f_odd), dim))
+        layer_sse[:] = 0.0
+        for p0, p1, chunk in _pair_rows(basis.orders, basis.period, length, degree, trig):
+            for block, a_sum, b_sum, total in zip(blocks, a, b, layer_sse):
+                for c0 in range(0, dim, width):
+                    c1 = min(dim, c0 + width)
+                    cast = halves[: 2 * (p1 - p0) * (c1 - c0)].reshape(2, p1 - p0, c1 - c0)
+                    even, odd = _centred_pairs(block[:, c0:c1], p0, cast)
+                    total[c0:c1] += np.einsum("kij,kij->j", cast, cast)
+                    a_sum[:, c0:c1] += chunk[0::2] @ even
+                    b_sum[:, c0:c1] += chunk[1::2] @ odd
+        layer_sse *= 0.5
+        # a block at a time: the forms' products are one block's sums, not a layer's
+        for total, a_sum, b_sum in zip(layer_sse, a, b):
+            total += np.einsum("ij,ij->j", a_sum, f_even @ a_sum)
+            total += np.einsum("ij,ij->j", b_sum, f_odd @ b_sum)
+    # the forms cancel on a column reconstructed almost exactly, which may dip below 0
+    np.maximum(out, 0.0, out=out)
+
+
+def _fourier_split(basis: FourierBasis, length: int) -> tuple:
+    """:func:`_split_sse`'s forms for the Fourier Gram form of a run.
+
+    Its rows are :func:`_centred_rows`, both rows of an order weighted by
+    ``w_n``: the forms are ``W G W - 2W`` over :func:`_fourier_grams`.
+    """
+    weights = basis.synthesis_weights()[0::2]
+    return tuple(g * weights[:, None] * weights - 2.0 * np.diag(weights)
+                 for g in _fourier_grams(basis, length))
+
+
+def _fourier_grams(basis: FourierBasis, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The centred cosine and sine Gram halves of a run of ``length`` positions.
+
+    Entry ``[n, m]`` sums ``cos(theta_n v) cos(theta_m v)``, or the sines,
+    over the offsets ``v`` from the run's centre: half the sum, or the
+    difference, of ``c(|n - m|)`` and ``c(n + m)``, ``c(m) = sin(pi*m*M/period)
+    / sin(pi*m/period)`` the real Dirichlet sum (``M`` at ``m = 0``), angles
+    reduced in integers. Over symmetric offsets the cosine-sine entries vanish.
+    """
+    m = np.arange(1, 2 * basis.orders - 1, dtype=np.int64)
+    sums = np.full(2 * basis.orders - 1, float(length))
+    sums[1:] = (_unit_phase(m * length, basis.period).imag
+                / _unit_phase(m, basis.period).imag)
+    n = np.arange(basis.orders)
+    diff, total = sums[np.abs(n[:, None] - n)], sums[n[:, None] + n]
+    return (diff + total) / 2, (diff - total) / 2
+
+
+def _moment_split(basis: FourierBasis, length: int, degree: int) -> tuple:
+    """:func:`_split_sse`'s forms for the moment Gram form of a run, from its table.
+
+    Its rows are ``T_k(2v / length)``, ``k < degree``; the forms are the
+    even and odd blocks of ``A H A - 2A`` (:func:`_moment_grams`), whose
+    cross-parity entries vanish, as ``H`` and ``A``'s kernel are even, built
+    once per run into :func:`_run_table` (:func:`_moment_forms`).
+    """
+    forms = _run_table(_moment_forms, basis.orders, basis.period, length, degree)
+    even, odd = (degree + 1) // 2, degree // 2
+    return forms[: even * even].reshape(even, even), forms[even * even :].reshape(odd, odd)
+
+
+def _moment_forms(orders: int, period: int, length: int, degree: int) -> np.ndarray:
+    """The even and odd blocks of ``A H A - 2A``, one after the other in one flat array."""
+    a, h = _moment_grams(FourierBasis(orders, period), length, degree)
+    form = a @ (h @ a)
+    form -= 2.0 * a
+    return np.concatenate([form[0::2, 0::2].ravel(), form[1::2, 1::2].ravel()])
+
+
+def _moment_grams(basis: FourierBasis, length: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """``A = G W G.T`` and ``H = P P.T`` of a run of ``length`` positions, each ``(degree, degree)``.
+
+    With ``x_m = (2m - (length - 1)) / length``, ``P[k, m] = T_k(x_m)`` and
+    ``G`` the Chebyshev coefficients of the basis rows as
+    :func:`_fold_moments` reads them, ``C = G.T P`` within twice
+    ``_MOMENT_TAIL`` at :func:`_run_degree`; ``W`` holds the synthesis
+    weights. ``A`` is the transposed DCT-III (scaled by ``1/degree``) times
+    ``V W V.T`` at the Chebyshev nodes ``y_j`` times the DCT, entry ``[j,
+    k]`` of ``V W V.T`` the Dirichlet kernel ``sin((R - 1/2) phi) /
+    sin(phi/2) / period`` at ``phi = pi * length * (y_j - y_k) / period``
+    (``(2R - 1) / period`` at 0). ``H`` is ``(sigma[j + k] + sigma[|j -
+    k|]) / 2`` for ``sigma_n = sum_m T_n(x_m)``: 0 for odd ``n``, ``2
+    sum_m T_j(x_m)**2 - sigma[0]`` at ``n = 2j``, from ``P``'s rows over
+    the top half as :func:`_pair_rows` reads them for the fold.
+    """
+    nodes = np.cos(np.pi * (np.arange(degree) + 0.5) / degree)
+    phi = (np.pi * length / basis.period) * (nodes[:, None] - nodes)
+    # the kernel is 2*pi-periodic: reduced, it stays accurate near nonzero multiples
+    phi -= (2 * np.pi) * np.round(phi / (2 * np.pi))
+    zero = phi == 0.0  # the diagonal and exact multiples, where the kernel is 2R - 1
+    phi[zero] = 1.0
+    kernel = np.sin((basis.orders - 0.5) * phi)
+    phi *= 0.5
+    kernel /= np.sin(phi, out=phi)
+    del phi
+    kernel[zero] = 2 * basis.orders - 1
+    kernel /= basis.period
+    # DCT-III of the identity: column k holds eps_k * T_k at the nodes
+    dct3 = scipy.fft.dct(np.eye(degree), type=3, axis=0, overwrite_x=True)
+    dct3 /= degree
+    a = dct3.T @ (kernel @ dct3)
+    del kernel, dct3
+
+    squares = np.zeros(degree)
+    for _, _, chunk in _pair_rows(basis.orders, basis.period, length, degree, False):
+        squares += np.einsum("ij,ij->i", chunk, chunk)
+    # every row but an odd run's centre stands for two positions; T_j(0)**2 is 1 for even j
+    squares *= 2.0
+    squares[0::2] -= length % 2
+    sigma = np.zeros(2 * degree - 1)
+    sigma[0::2] = 2.0 * squares - squares[0]
+    n = np.arange(degree)
+    h = sigma[n[:, None] + n] + sigma[np.abs(n[:, None] - n)]
+    h *= 0.5
+    return a, h
+
+
+def _convolution_sse(basis: FourierBasis, layers, length: int, n_fft: int,
+                     out: np.ndarray) -> None:
+    """:func:`fold_errors` by FFT convolution, ``n_fft >= 2 * length - 1``."""
+    weights = np.zeros(basis.n_rows)
+    weights[0::2] = basis.synthesis_weights()[0::2]
+    kernel = basis.evaluate(weights, range(length))
+    # the kernel is even in the lag, so it wraps into a circulant of length n_fft
+    # whose spectrum is real
+    wrapped = np.zeros(n_fft)
+    wrapped[:length] = kernel
+    wrapped[n_fft - length + 1 :] = kernel[:0:-1]
+    spectrum = scipy.fft.rfft(wrapped).real
+    # the padded columns, their spectrum and their convolution: 3n + 2 floats a column
+    group = max(1, _FOLD_CHUNK_FLOATS // (3 * n_fft + 2))
+    for layer_sse, blocks in zip(out, layers):
+        for total, block in zip(layer_sse, blocks):
+            for lo in range(0, block.shape[1], group):
+                # float64 before the FFT: scipy.fft keeps float32 input in single precision
+                padded = np.zeros((min(group, block.shape[1] - lo), n_fft))
+                padded[:, :length] = block[:, lo : lo + group].T
+                freq = scipy.fft.rfft(padded)
+                freq *= spectrum
+                err = scipy.fft.irfft(freq, n_fft)[:, :length]
+                err -= padded[:, :length]
+                np.einsum("ij,ij->i", err, err, out=total[lo : lo + group])

@@ -963,10 +963,11 @@ class TestPrefillTrace:
 
     def test_a_stock_prefill_reads_the_rows_calibration_built(self):
         # calibration over the stock middle (1020 positions, 98 moments) builds
-        # its Chebyshev rows once, for the moment Gram matrices and the
-        # split form both; a prefill of a prompt of the same length reads them
-        # and builds the waves of the run, eight chunks of 64 orders, which
-        # the next prefill reads too
+        # its Chebyshev rows once, in the fold's two chunks of 255 pairs, for
+        # the moment Gram matrices and the split form both, and its forms,
+        # which a second calibration reads; a prefill of a prompt of the same
+        # length reads the rows and builds the waves of the run, eight
+        # chunks of 64 orders, which the next prefill reads too
         part = PartitionParams(init_len=4, local_len=1024, period=32768, orders=512)
         basis = build_basis(512, 32768)
         config = TinyModelConfig(layers=1, heads=2, kv_heads=2, head_dim=64, seed=0)
@@ -976,14 +977,47 @@ class TestPrefillTrace:
                 mock.patch.object(spectral, "_chebyshev_rows",
                                   wraps=spectral._chebyshev_rows) as rows, \
                 mock.patch.object(spectral, "_moment_waves",
-                                  wraps=spectral._moment_waves) as waves:
+                                  wraps=spectral._moment_waves) as waves, \
+                mock.patch.object(spectral, "_moment_grams",
+                                  wraps=spectral._moment_grams) as grams:
             ranking = rank_dimensions(traces[0], part, basis)
-            assert (rows.call_count, waves.call_count) == (1, 0)
+            again = rank_dimensions(traces[0], part, basis)
+            assert (rows.call_count, waves.call_count, grams.call_count) == (2, 0, 1)
+            assert again.k_mse.tobytes() == ranking.k_mse.tobytes()
+            assert again.v_mse.tobytes() == ranking.v_mse.tobytes()
             layout = apply_schema(ranking, CompressionSchema.inverted_pyramid(1), partition=part)
             first = prefill_trace(traces[0], layout, basis)
-            assert (rows.call_count, waves.call_count) == (1, 8)
+            assert (rows.call_count, waves.call_count) == (2, 8)
             prefill_trace(traces[1], layout, basis)
-            assert (rows.call_count, waves.call_count) == (1, 8)
+            assert (rows.call_count, waves.call_count) == (2, 8)
         with forced():
             rebuilt = prefill_trace(traces[0], layout, basis)
+        assert first.layers[0].states.tobytes() == rebuilt.layers[0].states.tobytes()
+
+    @pytest.mark.parametrize("orders, head_dim, chunks", [(32, 64, 2), (16, 256, 1)],
+                             ids=["32-orders", "head-dim-256"])
+    def test_calibration_and_prefill_build_each_row_chunk_once(self, orders, head_dim, chunks):
+        # the desk middle, 956 positions at period 4096: calibration (the
+        # Fourier Gram form) reads the centred rows in the fold's chunks of
+        # pairs, two of 239 pairs at 32 orders and one of 478 at 16, and
+        # builds each once; the prefill's paired fold over the trig tables
+        # reads them and builds none
+        part = PartitionParams(init_len=4, local_len=64, period=4096, orders=orders)
+        basis = build_basis(orders, 4096)
+        rng = np.random.default_rng(orders + head_dim)
+        shape = (1, 2, 1024, head_dim)
+        trace = KVTrace(keys=rng.standard_normal(shape).astype(np.float32),
+                        values=rng.standard_normal(shape).astype(np.float32))
+        half = len(part.middle(1024)) // 2
+        assert -(-half // spectral._moment_chunks(orders, 956, 2 * orders, True)[0]) == chunks
+        with forced(), mock.patch.object(spectral, "_build_rows",
+                                         wraps=spectral._build_rows) as rows:
+            ranking = rank_dimensions(trace, part, basis)
+            assert rows.call_count == chunks
+            layout = apply_schema(ranking, CompressionSchema.inverted_pyramid(1), partition=part)
+            assert basis._pick(956, int(layout.compressed.sum()) // 2)[0] == "tables"
+            first = prefill_trace(trace, layout, basis)
+            assert rows.call_count == chunks
+        with forced():
+            rebuilt = prefill_trace(trace, layout, basis)
         assert first.layers[0].states.tobytes() == rebuilt.layers[0].states.tobytes()

@@ -106,12 +106,12 @@ def rank_branch(trace, part, basis) -> str:
     """Which form ``rank_dimensions`` computes the MSEs with: "gram" (the
     Fourier Gram form), "moments" (the moment Gram form) or "convolution"."""
     forms = ("gram", "moments", "convolution")
-    with mock.patch.object(dimselect, "_fourier_split",
-                           wraps=dimselect._fourier_split) as gram, \
-            mock.patch.object(dimselect, "_moment_split",
-                              wraps=dimselect._moment_split) as moments, \
-            mock.patch.object(dimselect, "_convolution_sse",
-                              wraps=dimselect._convolution_sse) as convolution:
+    with mock.patch.object(spectral, "_fourier_split",
+                           wraps=spectral._fourier_split) as gram, \
+            mock.patch.object(spectral, "_moment_split",
+                              wraps=spectral._moment_split) as moments, \
+            mock.patch.object(spectral, "_convolution_sse",
+                              wraps=spectral._convolution_sse) as convolution:
         rank_dimensions(trace, part, basis)
     calls = [gram.call_count, moments.call_count, convolution.call_count]
     assert sorted(calls) == [0, 0, 1]
@@ -234,7 +234,7 @@ class TestRankDimensions:
         trace = KVTrace(keys=rng.standard_normal((1, 1, 1024, 2)).astype(np.float32),
                         values=rng.standard_normal((1, 1, 1024, 2)).astype(np.float32))
         with forced(**FORMS["convolution"]), mock.patch.object(
-                dimselect, "_convolution_sse", wraps=dimselect._convolution_sse) as convolution:
+                spectral, "_convolution_sse", wraps=spectral._convolution_sse) as convolution:
             rank_dimensions(trace, part, build_basis(part.orders, part.period))
         assert convolution.call_args.args[3] == 1920
 
@@ -288,9 +288,9 @@ class TestRankDimensions:
                     np.testing.assert_allclose(got[layer, head], expected, rtol=1e-9)
 
     def test_matches_oracle_across_fold_chunks(self):
-        # a budget of 150 floats holds six pairs: their 8 rows and the rows'
-        # build, 16 floats a pair, and a block's sums and differences, 6: the
-        # 100-position middle goes in 9 chunks of its 50 pairs, 8 of six and one of two
+        # the fold's chunks at a budget of 384 floats: six pairs of 8 rows fit
+        # its quarter, so the 100-position middle goes in 9 chunks of its 50
+        # pairs, 8 of six and one of two, whose 400 rows are not cached
         rng = np.random.default_rng(5)
         part = PartitionParams(init_len=2, local_len=3, period=64, orders=4)
         basis = build_basis(4, 64)
@@ -298,7 +298,7 @@ class TestRankDimensions:
         values = (rng.standard_normal((1, 2, 105, 3)) * np.arange(1, 4)).astype(np.float32)
         trace = KVTrace(keys=keys, values=values)
         assert rank_branch(trace, part, basis) == "gram"
-        with forced(_FOLD_CHUNK_FLOATS=150), recorded_row_chunks() as chunks:
+        with forced(_FOLD_CHUNK_FLOATS=384), recorded_row_chunks() as chunks:
             ranking = rank_dimensions(trace, part, basis)
         assert chunks == [(8, 6)] * 8 + [(8, 2)]
         positions = np.arange(2, 102)
@@ -394,19 +394,24 @@ class TestRankDimensions:
          1, 2, 2, 128, 2048, "moments"),
         (PartitionParams(init_len=4, local_len=1024, period=32768, orders=512),
          1, 2, 1, 128, 2048, "moments"),
-    ], ids=["decode_desk_wide", "prefill_stock", "decode_stock_gqa"])
+        (PartitionParams(init_len=4, local_len=64, period=4096, orders=16),
+         2, 2, 2, 256, 1024, "gram"),
+    ], ids=["decode_desk_wide", "prefill_stock", "decode_stock_gqa", "desk_head_dim_256"])
     def test_transient_is_one_budget_plus_one_layers_sums(self, part, layers, heads, kv_heads,
                                                           head_dim, length, form):
-        # the benchmark's calibration geometries, on a tiny model's prompt: one
-        # chunk of rows and a block's halves within the fold's budget, plus
-        # every K and V block's sums of one layer, 2R a column for the Fourier
-        # Gram form (desk) and d moments for the moment Gram form (stock). The
-        # forms and one block's product with them fit the budget's share for
-        # the rows' build, which is over by then; a product of the forms with a
-        # whole layer's sums took stock 28 KB past this bound. The first call
-        # over the middle also builds the run's rows into the fold tables'
-        # cache and leaves them held (0.40 MB at stock, 0.12 MB at desk), on
-        # top of the bound; a later call reads them
+        # the benchmark's calibration geometries, and desk at head_dim 256, on
+        # a tiny model's prompt: one chunk of rows and a cast of a block's
+        # halves, at most the fold's width of columns, within the fold's
+        # budget, plus every K and V block's sums of one layer, 2R a column
+        # for the Fourier Gram form (desk) and d moments for the moment Gram
+        # form (stock). The forms and one block's product with them fit the
+        # budget's share for the rows' build, which is over by then; a product
+        # of the forms with a whole layer's sums took stock 28 KB past this
+        # bound, and the halves of a whole block at head_dim 256 are 1.9 MB
+        # alone. The first call over the middle also builds the run's rows (and
+        # at stock its 38 KB of forms) into the fold tables' cache and leaves
+        # them held (0.40 MB at stock, 0.12 MB at desk), on top of the bound; a
+        # later call reads them
         config = TinyModelConfig(layers=layers, heads=heads, kv_heads=kv_heads,
                                  head_dim=head_dim, seed=0)
         trace = tiny_forward(config, np.random.default_rng(1).integers(0, config.vocab, length))
@@ -468,7 +473,7 @@ class TestGram:
         centred = np.empty_like(cols)
         centred[0::2] = cos * turn.real[:, None] + sin * turn.imag[:, None]
         centred[1::2] = sin * turn.real[:, None] - cos * turn.imag[:, None]
-        g_even, g_odd = dimselect._fourier_grams(basis, length)
+        g_even, g_odd = spectral._fourier_grams(basis, length)
         assert g_even.shape == g_odd.shape == (orders, orders)
         gram = centred @ centred.T
         # every entry is a sum of ``length`` products of unit-bounded values
@@ -477,7 +482,8 @@ class TestGram:
         assert np.all(np.abs(gram[0::2, 1::2]) <= 1e-12 * length)
         # the split form's rows are the centred columns of the run's top half
         half = (length + 1) // 2
-        ((_, _, rows),) = dimselect._fourier_split(basis, length)[0](half)
+        rows = np.concatenate([chunk for _, _, chunk in spectral._pair_rows(
+            orders, period, length, 2 * orders, True)], axis=1)
         assert np.all(np.abs(rows - centred[:, length - half:]) <= 1e-12)
 
 
@@ -498,7 +504,7 @@ class TestMomentGrams:
         degree = spectral._run_degree(orders, period, length)
         degree += data.draw(st.integers(0, 3))
         basis = build_basis(orders, period)
-        a, h = dimselect._moment_grams(basis, length, degree)
+        a, h = spectral._moment_grams(basis, length, degree)
         assert a.shape == h.shape == (degree, degree)
 
         waves = np.empty((degree, orders), dtype=np.complex128)

@@ -1419,9 +1419,10 @@ class TestRunTables:
 
     def test_a_stock_run_builds_its_rows_and_waves_once(self):
         # 512 orders over 1020 positions at period 32768: 98 Chebyshev rows
-        # over 510 pairs (0.40 MB) and 512 orders' waves at 98 nodes (0.80
-        # MB), both within the budget, read by every later fold of the run;
-        # a fold of the same span elsewhere builds only the waves of its start
+        # over 510 pairs (0.40 MB, two chunks of 255) and 512 orders' waves
+        # at 98 nodes (0.80 MB), both within the budget, read by every later
+        # fold of the run; a fold of the same span elsewhere builds only the
+        # waves of its start
         basis = FourierBasis(orders=512, period=32768)
         blocks = self.stock_blocks(1020)
         with forced(), \
@@ -1430,13 +1431,13 @@ class TestRunTables:
                 mock.patch.object(spectral, "_moment_waves",
                                   wraps=spectral._moment_waves) as waves:
             first = fold_blocks(basis, blocks, 4)
-            assert (rows.call_count, waves.call_count) == (1, 8)
+            assert (rows.call_count, waves.call_count) == (2, 8)
             again = fold_blocks(basis, blocks, 4)
-            assert (rows.call_count, waves.call_count) == (1, 8)
+            assert (rows.call_count, waves.call_count) == (2, 8)
             moved = fold_blocks(basis, blocks, 4 + 32768)  # the same run mod the period
-            assert (rows.call_count, waves.call_count) == (1, 8)
+            assert (rows.call_count, waves.call_count) == (2, 8)
             other = fold_blocks(basis, blocks, 5)
-            assert (rows.call_count, waves.call_count) == (1, 16)
+            assert (rows.call_count, waves.call_count) == (2, 16)
             assert spectral._run_table.cache_info().currsize == 3
         for state, block, shifted in zip(first, blocks, other):
             assert_fold_matches_oracle(state, basis, block, 4)
@@ -1476,7 +1477,7 @@ class TestRunTables:
         with forced():
             fold_blocks(basis, self.stock_blocks(1020), 4)
             fold_blocks(FourierBasis(orders=16, period=4096), self.stock_blocks(956), 4)
-            tables = [spectral._run_table(spectral._pair_table, 512, 32768, 1020, 98, False, 510),
+            tables = [spectral._run_table(spectral._pair_table, 512, 32768, 1020, 98, False, 255),
                       spectral._run_table(spectral._wave_table, 512, 32768, 4, 1020, 98, 64),
                       spectral._run_table(spectral._pair_table, 16, 4096, 956, 32, True, 478)]
             info = spectral._run_table.cache_info()
@@ -1605,3 +1606,8 @@ class TestRunTables:
             tracemalloc.stop()
         sums = 8 * 4 * (58 + 32) * 32
         assert peak - sum(s.coeffs.nbytes for s in states) <= 8 * fixed + sums
+
+
+def test_fold_errors_rejects_an_empty_run():
+    with pytest.raises(ValueError, match="at least one position"):
+        spectral.fold_errors(FourierBasis(orders=4, period=64), [[np.zeros((0, 3))]])
