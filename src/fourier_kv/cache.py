@@ -57,7 +57,8 @@ class PartitionParams:
     cache will ever represent, since spectral phases wrap past it. ``orders``
     and ``period`` must make a :class:`FourierBasis`: ``orders`` is at most
     ``(period + 1) // 2``, so every order is a spectral bin of its own (``R =
-    orders``).
+    orders``). Every field is an integer, a numpy integer too but not a
+    bool; anything else raises ``ValueError``.
     :meth:`middle` is the one place a sequence is split into tiers.
     """
 
@@ -67,6 +68,9 @@ class PartitionParams:
     orders: int
 
     def __post_init__(self):
+        for name, value in (("init_len", self.init_len), ("local_len", self.local_len)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.init_len < 0:
             raise ValueError(f"init_len must be >= 0, got {self.init_len}")
         if self.local_len < 1:

@@ -46,14 +46,13 @@ MB of every later fold (:func:`_run_table_floats`). A table past the fold's
 budget is built per chunk instead, uncached. Each FFT runs once per column.
 :func:`fold_errors`, each column's squared error once folded and
 reconstructed, by which calibration ranks dimensions, reads the fold's rows
-in the fold's chunks. Every cosine and sine comes from one of two phase
-builders, each reducing its integer phase exactly before the float product:
-:func:`_unit_phases` reduces ``n*t`` mod ``period``, for basis columns,
-trig tables and, at twice the period, the centred rows, and
+in the fold's chunks, and its Gram forms, built from them, are cached beside
+them (:func:`_split_forms`). Every cosine and sine comes from one of two
+phase builders, each reducing its integer phase exactly before the float
+product: :func:`_unit_phases` reduces ``n*t`` mod ``period``, for basis
+columns, trig tables and, at twice the period, the centred rows, and
 :func:`_unit_phase` reduces mod ``2*period``, for the chirp-z plans, the
-moments' waves, the centre's phase and the Dirichlet sums of the Fourier
-Gram halves. The moment Gram matrices read no phase of a position: their
-kernel depends only on differences of Chebyshev nodes.
+moments' waves and the centre's phase.
 
 Phases are indexed by *absolute* token position so that a state built during
 prefill and a state extended by streaming evictions agree without rephasing.
@@ -105,6 +104,7 @@ class FourierBasis:
     order ``n`` is the same wave as ``n mod period`` and ``period - n``, so
     past that bound two orders would share a frequency. Within it every order
     is its own spectral bin, and the transforms below read ``R = orders``.
+    Both are integers (numpy's too, not a bool), or ``ValueError`` is raised.
 
     :meth:`columns` builds columns explicitly, O(orders) trig calls each;
     :meth:`column` builds one, read-only, and the last one built is cached.
@@ -182,6 +182,9 @@ class FourierBasis:
     period: int
 
     def __post_init__(self):
+        for name, value in (("orders", self.orders), ("period", self.period)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.orders < 1:
             raise ValueError(f"orders must be >= 1, got {self.orders}")
         if self.period < 1:
@@ -1238,18 +1241,21 @@ def _pair_table(orders: int, period: int, span: int, degree: int, trig: bool,
     return table
 
 
-def _run_table_floats(orders: int, span: int, degree: int, trig: bool) -> tuple[int, int]:
-    """Float64 values of the rows and of the waves that a run's fold reads from the cache.
+def _run_table_floats(orders: int, span: int, degree: int, trig: bool) -> tuple[int, int, int]:
+    """Float64 values of a run's rows, waves and Gram forms read from the cache.
 
     The rows are ``degree`` over the run's ``(span + 1) // 2`` pairs
-    (:func:`_pair_table`) and the moments' waves ``2 * orders * degree``
-    (:func:`_wave_table`), none over the trig tables; a table past
-    ``_FOLD_CHUNK_FLOATS`` counts 0, as every fold builds it per chunk. The
-    first fold of a run builds the counted tables ahead of its own buffers
-    and leaves them in the cache (:func:`_run_table`), so it peaks this many
-    values above the one budget of every later fold.
+    (:func:`_pair_table`), the moments' waves ``2 * orders * degree``
+    (:func:`_wave_table`), none over the trig tables, and the forms, which
+    only :func:`fold_errors` reads, the blocks of ``degree`` rows'
+    parities (:func:`_split_forms`); a table past ``_FOLD_CHUNK_FLOATS``
+    counts 0, as every call builds it anew. The first fold of a run builds
+    its counted rows and waves ahead of its own buffers and leaves them in
+    the cache (:func:`_run_table`), so it peaks this many values above the
+    one budget of every later fold.
     """
-    tables = degree * ((span + 1) // 2), 0 if trig else 2 * orders * degree
+    tables = (degree * ((span + 1) // 2), 0 if trig else 2 * orders * degree,
+              (degree * degree + 1) // 2)  # the forms' even and odd blocks
     return tuple(t if t <= _FOLD_CHUNK_FLOATS else 0 for t in tables)
 
 
@@ -1260,13 +1266,11 @@ def _run_table(build, *args) -> np.ndarray:
     A run's tables depend on the run alone, its ``(orders, period, lo mod
     period, span, degree)`` and the chunks they are built in, so every layer,
     head, window group and prefill of that run, and :func:`fold_errors` over
-    it, read one table in place. Callers cache only the tables
-    :func:`_run_table_floats` counts and the moment Gram forms
-    (:func:`_moment_split`), each of at most ``_FOLD_CHUNK_FLOATS`` float64
-    values, and build a larger one per chunk instead, so the cache holds at
-    most four budgets (4 MB); at stock a run's waves take 0.80 MB, its
-    Chebyshev rows 0.40 MB and its forms 38 KB, at desk its centred rows
-    0.12 MB.
+    it, read one table in place. Callers cache only the rows, waves and Gram
+    forms (:func:`_split_forms`) that :func:`_run_table_floats` counts, each
+    within ``_FOLD_CHUNK_FLOATS``, so the cache holds at most four budgets (4
+    MB): at stock 0.80 MB of waves, 0.40 MB of Chebyshev rows and 38 KB of
+    forms, at desk 0.12 MB of centred rows and 4 KB of forms.
     """
     table = build(*args)
     table.setflags(write=False)
@@ -1572,18 +1576,19 @@ def reconstruction_mse(original, reconstructed) -> np.ndarray:
 def fold_errors(basis: FourierBasis, layers) -> np.ndarray:
     """Each column's squared error ``|x - C.T W C x|**2`` once folded and reconstructed.
 
-    ``layers`` holds lists of ``(M, dim)`` blocks over one run of ``M >= 1``
-    positions, all of one shape; entry ``[layer, block, j]`` of the result
-    is the error of column ``j`` of that block. ``C`` holds the run's basis
-    columns and ``W`` the synthesis weights (:func:`reconstruct`); ``C.T W
-    C`` depends only on the lag, so the errors do not depend on where the
-    run starts, and ``C`` is never built. One of three forms computes them:
-    the convolution of ``x`` with ``k(lag) = sum_n w_n cos(2*pi*n*lag/T)``,
-    one real FFT pair per column of length ``_fast_len(2M - 1)``
+    ``layers`` holds one or more lists of as many ``(M, dim)`` blocks over
+    one run of ``M >= 1`` positions, all of one shape, or raises
+    ``ValueError``; entry ``[layer, block, j]`` of the result is the error
+    of column ``j`` of that block. ``C`` holds the run's basis columns and
+    ``W`` the synthesis weights (:func:`reconstruct`); ``C.T W C`` depends
+    only on the lag, so the errors do not depend on where the run starts,
+    and ``C`` is never built. One of three forms computes them: the
+    convolution of ``x`` with ``k(lag) = sum_n w_n cos(2*pi*n*lag/T)``, one
+    real FFT pair per column of length ``_fast_len(2M - 1)``
     (:func:`_convolution_sse`), or ``|x|**2`` plus a quadratic form of the
-    column's sums against the fold's paired rows (:func:`_split_sse`): the
-    centred rows (Fourier Gram, :func:`_fourier_split`) or the
-    ``_run_degree`` Chebyshev rows (moment Gram, :func:`_moment_split`).
+    column's sums against the fold's paired rows (:func:`_split_sse`), the
+    centred rows (Fourier Gram) or the ``_run_degree`` Chebyshev rows
+    (moment Gram), whose forms one builder makes (:func:`_split_forms`).
 
     :func:`_products_cheaper` prices the Gram forms per column, the moments'
     ``d x d`` build spread over every column, and runs the cheaper where it
@@ -1593,14 +1598,17 @@ def fold_errors(basis: FourierBasis, layers) -> np.ndarray:
     180,400), and 512 orders over 256 positions at period 4096 (168
     moments, 109,704) the convolution. The transient is one group of FFT
     columns, or a chunk of rows and a cast, within ``_FOLD_CHUNK_FLOATS``
-    (1 MB), plus one layer's sums. The rows, where they fit the budget, and
-    the moment forms are the run's entries of :func:`_run_table`, built by
-    the first call or fold over the run: 0.40 MB of rows and 38 KB of forms
-    at stock, 0.12 MB of rows at desk.
+    (1 MB), plus one layer's sums. The rows and the forms, where each fits
+    the budget, are the run's entries of :func:`_run_table`, built by the
+    first call or fold over the run and read by every later one.
     """
-    length, dim = layers[0][0].shape
-    if length < 1:
-        raise ValueError("fold_errors needs a run of at least one position")
+    if len(layers) == 0 or len({len(blocks) for blocks in layers}) != 1:
+        raise ValueError("fold_errors needs one or more layers, each of as many blocks")
+    shapes = sorted({np.shape(block) for blocks in layers for block in blocks})
+    if len(shapes) != 1 or len(shapes[0]) != 2 or shapes[0][0] < 1:
+        raise ValueError(f"fold_errors needs 2-D blocks of one shape over a run of at least "
+                         f"one position, got {shapes}")
+    length, dim = shapes[0]
     out = np.empty((len(layers), len(layers[0]), dim))
     n_fft = _fast_len(2 * length - 1)  # linear convolution of M with M
     degree = _run_degree(basis.orders, basis.period, length)
@@ -1615,48 +1623,52 @@ def fold_errors(basis: FourierBasis, layers) -> np.ndarray:
     fft_len = (1 << (n_fft - 1).bit_length()) // 2 + 1
     if not _products_cheaper(min(fourier, moments), fft_len):
         _convolution_sse(basis, layers, length, n_fft, out=out)
-    elif moments < fourier:
-        _split_sse(basis, _moment_split(basis, length, degree), False, layers, out)
-    else:
-        _split_sse(basis, _fourier_split(basis, length), True, layers, out)
+        return out
+    trig = moments >= fourier
+    rows = basis.n_rows if trig else degree
+    args = basis.orders, basis.period, length, rows, trig
+    cached = _run_table_floats(basis.orders, length, rows, trig)[2]
+    forms = _run_table(_split_forms, *args) if cached else _split_forms(*args)
+    _split_sse(basis, forms, rows, trig, layers, out)
     return out
 
 
-def _split_sse(basis: FourierBasis, forms: tuple, trig: bool, layers, out: np.ndarray) -> None:
+def _split_sse(basis: FourierBasis, forms: np.ndarray, degree: int, trig: bool, layers,
+               out: np.ndarray) -> None:
     """:func:`fold_errors` through the halves of every column of every block.
 
-    ``out[layer, block]`` receives one error per column. The rows are the
-    fold's at the top rows of the run's pairs, the centred cosine and sine
-    rows with ``trig`` or else the Chebyshev rows, read through
-    :func:`_pair_rows` in the fold's chunks, the even ones at even indices;
-    ``forms`` holds ``F_e`` and ``F_o``. Rows ``i`` and ``M - 1 - i`` pair
-    up as the fold pairs them (:func:`_centred_pairs`, an odd run's centre
-    with zero), cast once to float64 as the fold casts them, at most its
-    ``width`` columns at a time (:func:`_moment_chunks`): with a pair's
-    halves ``E = x(v) + x(-v)`` and ``O = x(v) - x(-v)``, ``a = rows_even @
-    E`` and ``b = rows_odd @ O``, the error is ``|x|**2 + a.T F_e a + b.T
-    F_o b``, and ``|x|**2`` is ``(|E|**2 + |O|**2) / 2``. The forms meet
-    one block's sums at a time.
+    ``out[layer, block]`` receives one error per column; ``forms`` holds
+    ``F_e`` and ``F_o`` over the fold's ``degree`` rows, the centred rows
+    with ``trig`` or else the Chebyshev rows (:func:`_split_forms`), read
+    through :func:`_pair_rows` in the fold's chunks. Rows ``i`` and ``M - 1
+    - i`` pair up as the fold pairs them (:func:`_centred_pairs`), cast
+    once to float64 as the fold casts them, at most its ``width`` columns
+    at a time (:func:`_moment_chunks`): with a pair's halves ``E = x(v) +
+    x(-v)`` and ``O = x(v) - x(-v)``, ``a = rows_even @ E`` and ``b =
+    rows_odd @ O``, the error is ``|x|**2 + a.T F_e a + b.T F_o b``, and
+    ``|x|**2`` is ``(|E|**2 + |O|**2) / 2``. The forms meet one block's sums
+    at a time.
     """
-    f_even, f_odd = forms
+    even, odd = (degree + 1) // 2, degree // 2
+    f_even = forms[: even * even].reshape(even, even)
+    f_odd = forms[even * even :].reshape(odd, odd)
     length, dim = layers[0][0].shape
-    degree = len(f_even) + len(f_odd)
     pairs, width = _moment_chunks(basis.orders, length, degree, trig)[:2]
     width = -(-dim // -(-dim // width))  # casts of equal widths, none a short remainder
     halves = np.empty(2 * pairs * width)  # a cast's sums, then its differences
     for layer_sse, blocks in zip(out, layers):
-        a = np.zeros((len(blocks), len(f_even), dim))
-        b = np.zeros((len(blocks), len(f_odd), dim))
+        a = np.zeros((len(blocks), even, dim))
+        b = np.zeros((len(blocks), odd, dim))
         layer_sse[:] = 0.0
         for p0, p1, chunk in _pair_rows(basis.orders, basis.period, length, degree, trig):
             for block, a_sum, b_sum, total in zip(blocks, a, b, layer_sse):
                 for c0 in range(0, dim, width):
                     c1 = min(dim, c0 + width)
                     cast = halves[: 2 * (p1 - p0) * (c1 - c0)].reshape(2, p1 - p0, c1 - c0)
-                    even, odd = _centred_pairs(block[:, c0:c1], p0, cast)
+                    even_sums, odd_sums = _centred_pairs(block[:, c0:c1], p0, cast)
                     total[c0:c1] += np.einsum("kij,kij->j", cast, cast)
-                    a_sum[:, c0:c1] += chunk[0::2] @ even
-                    b_sum[:, c0:c1] += chunk[1::2] @ odd
+                    a_sum[:, c0:c1] += chunk[0::2] @ even_sums
+                    b_sum[:, c0:c1] += chunk[1::2] @ odd_sums
         layer_sse *= 0.5
         # a block at a time: the forms' products are one block's sums, not a layer's
         for total, a_sum, b_sum in zip(layer_sse, a, b):
@@ -1666,102 +1678,59 @@ def _split_sse(basis: FourierBasis, forms: tuple, trig: bool, layers, out: np.nd
     np.maximum(out, 0.0, out=out)
 
 
-def _fourier_split(basis: FourierBasis, length: int) -> tuple:
-    """:func:`_split_sse`'s forms for the Fourier Gram form of a run.
+def _split_forms(orders: int, period: int, length: int, degree: int, trig: bool) -> np.ndarray:
+    """:func:`_split_sse`'s forms over a run of ``length`` positions: ``F_e``, ``F_o``, flat.
 
-    Its rows are :func:`_centred_rows`, both rows of an order weighted by
-    ``w_n``: the forms are ``W G W - 2W`` over :func:`_fourier_grams`.
+    With ``P`` the fold's ``degree`` rows over the run, the ``2R`` centred
+    cosine and sine rows with ``trig``, else the Chebyshev rows, and ``C =
+    B.T P`` its basis columns, a column's error is ``|x|**2 + s.T (A H A -
+    2A) s`` for its sums ``s = P x``, ``A = B W B.T`` and ``H = P P.T``. A
+    row of parity ``p``, even or odd in the offset from the centre, meets
+    only sums of that parity, so ``F_p = A_p H_p A_p - 2 A_p``, with
+    ``H_p`` twice the Gram of the top-half rows of parity ``p``, read in
+    the fold's chunks (:func:`_pair_rows`), less an odd run's centre once.
+    Over the trig rows ``B`` turns each order by the centre's phase, which
+    commutes with ``W``, so ``A = W``. Over the Chebyshev rows ``B`` holds
+    their coefficients (:func:`_fold_moments`, within twice
+    ``_MOMENT_TAIL``) and ``A = dct3.T (V W V.T) dct3``: ``dct3`` is the
+    DCT-III of the identity over ``degree``, and ``V`` the waves at the
+    nodes (:func:`_moment_waves`) from position 0, a chunk of
+    ``_MOMENT_ORDERS`` orders at a time, as the centre's phase cancels.
     """
-    weights = basis.synthesis_weights()[0::2]
-    return tuple(g * weights[:, None] * weights - 2.0 * np.diag(weights)
-                 for g in _fourier_grams(basis, length))
-
-
-def _fourier_grams(basis: FourierBasis, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """The centred cosine and sine Gram halves of a run of ``length`` positions.
-
-    Entry ``[n, m]`` sums ``cos(theta_n v) cos(theta_m v)``, or the sines,
-    over the offsets ``v`` from the run's centre: half the sum, or the
-    difference, of ``c(|n - m|)`` and ``c(n + m)``, ``c(m) = sin(pi*m*M/period)
-    / sin(pi*m/period)`` the real Dirichlet sum (``M`` at ``m = 0``), angles
-    reduced in integers. Over symmetric offsets the cosine-sine entries vanish.
-    """
-    m = np.arange(1, 2 * basis.orders - 1, dtype=np.int64)
-    sums = np.full(2 * basis.orders - 1, float(length))
-    sums[1:] = (_unit_phase(m * length, basis.period).imag
-                / _unit_phase(m, basis.period).imag)
-    n = np.arange(basis.orders)
-    diff, total = sums[np.abs(n[:, None] - n)], sums[n[:, None] + n]
-    return (diff + total) / 2, (diff - total) / 2
-
-
-def _moment_split(basis: FourierBasis, length: int, degree: int) -> tuple:
-    """:func:`_split_sse`'s forms for the moment Gram form of a run, from its table.
-
-    Its rows are ``T_k(2v / length)``, ``k < degree``; the forms are the
-    even and odd blocks of ``A H A - 2A`` (:func:`_moment_grams`), whose
-    cross-parity entries vanish, as ``H`` and ``A``'s kernel are even, built
-    once per run into :func:`_run_table` (:func:`_moment_forms`).
-    """
-    forms = _run_table(_moment_forms, basis.orders, basis.period, length, degree)
     even, odd = (degree + 1) // 2, degree // 2
-    return forms[: even * even].reshape(even, even), forms[even * even :].reshape(odd, odd)
-
-
-def _moment_forms(orders: int, period: int, length: int, degree: int) -> np.ndarray:
-    """The even and odd blocks of ``A H A - 2A``, one after the other in one flat array."""
-    a, h = _moment_grams(FourierBasis(orders, period), length, degree)
-    form = a @ (h @ a)
-    form -= 2.0 * a
-    return np.concatenate([form[0::2, 0::2].ravel(), form[1::2, 1::2].ravel()])
-
-
-def _moment_grams(basis: FourierBasis, length: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """``A = G W G.T`` and ``H = P P.T`` of a run of ``length`` positions, each ``(degree, degree)``.
-
-    With ``x_m = (2m - (length - 1)) / length``, ``P[k, m] = T_k(x_m)`` and
-    ``G`` the Chebyshev coefficients of the basis rows as
-    :func:`_fold_moments` reads them, ``C = G.T P`` within twice
-    ``_MOMENT_TAIL`` at :func:`_run_degree`; ``W`` holds the synthesis
-    weights. ``A`` is the transposed DCT-III (scaled by ``1/degree``) times
-    ``V W V.T`` at the Chebyshev nodes ``y_j`` times the DCT, entry ``[j,
-    k]`` of ``V W V.T`` the Dirichlet kernel ``sin((R - 1/2) phi) /
-    sin(phi/2) / period`` at ``phi = pi * length * (y_j - y_k) / period``
-    (``(2R - 1) / period`` at 0). ``H`` is ``(sigma[j + k] + sigma[|j -
-    k|]) / 2`` for ``sigma_n = sum_m T_n(x_m)``: 0 for odd ``n``, ``2
-    sum_m T_j(x_m)**2 - sigma[0]`` at ``n = 2j``, from ``P``'s rows over
-    the top half as :func:`_pair_rows` reads them for the fold.
-    """
-    nodes = np.cos(np.pi * (np.arange(degree) + 0.5) / degree)
-    phi = (np.pi * length / basis.period) * (nodes[:, None] - nodes)
-    # the kernel is 2*pi-periodic: reduced, it stays accurate near nonzero multiples
-    phi -= (2 * np.pi) * np.round(phi / (2 * np.pi))
-    zero = phi == 0.0  # the diagonal and exact multiples, where the kernel is 2R - 1
-    phi[zero] = 1.0
-    kernel = np.sin((basis.orders - 0.5) * phi)
-    phi *= 0.5
-    kernel /= np.sin(phi, out=phi)
-    del phi
-    kernel[zero] = 2 * basis.orders - 1
-    kernel /= basis.period
-    # DCT-III of the identity: column k holds eps_k * T_k at the nodes
-    dct3 = scipy.fft.dct(np.eye(degree), type=3, axis=0, overwrite_x=True)
-    dct3 /= degree
-    a = dct3.T @ (kernel @ dct3)
-    del kernel, dct3
-
-    squares = np.zeros(degree)
-    for _, _, chunk in _pair_rows(basis.orders, basis.period, length, degree, False):
-        squares += np.einsum("ij,ij->i", chunk, chunk)
-    # every row but an odd run's centre stands for two positions; T_j(0)**2 is 1 for even j
-    squares *= 2.0
-    squares[0::2] -= length % 2
-    sigma = np.zeros(2 * degree - 1)
-    sigma[0::2] = 2.0 * squares - squares[0]
-    n = np.arange(degree)
-    h = sigma[n[:, None] + n] + sigma[np.abs(n[:, None] - n)]
-    h *= 0.5
-    return a, h
+    forms = np.zeros(even * even + odd * odd)
+    grams = forms[: even * even].reshape(even, even), forms[even * even :].reshape(odd, odd)
+    for p0, _, chunk in _pair_rows(orders, period, length, degree, trig):
+        for parity, gram in enumerate(grams[:degree]):  # one row has no odd block
+            rows = chunk[parity::2]
+            _add_product(gram, rows, rows)
+            if p0 == 0 and length % 2:  # an odd run's centre stands for one position
+                gram -= 0.5 * np.outer(rows[:, 0], rows[:, 0])
+    forms *= 2.0
+    weights = FourierBasis(orders, period).synthesis_weights()
+    if not trig:
+        kernel = np.zeros((degree, degree))
+        root = np.sqrt(weights)  # V W V.T is U U.T, U = V sqrt(W): one symmetric product
+        for r0 in range(0, orders, _MOMENT_ORDERS):
+            r1 = min(orders, r0 + _MOMENT_ORDERS)
+            waves = np.empty((degree, r1 - r0), dtype=np.complex128)
+            _moment_waves(period, 0, length, r0, waves)
+            waves = waves.view(np.float64)  # each order's cosine and sine, interleaved
+            waves *= root[2 * r0 : 2 * r1]
+            kernel += waves @ waves.T
+        dct3 = scipy.fft.dct(np.eye(degree), type=3, axis=0, overwrite_x=True)
+        dct3 /= degree
+        synthesis = dct3.T @ (kernel @ dct3)
+    for parity, gram in enumerate(grams):
+        if trig:  # A is the weights' diagonal: A H A scales H's rows and columns
+            a = weights[parity::2]
+            gram *= a[:, None] * a
+            a = np.diag(a)
+        else:
+            a = synthesis[parity::2, parity::2]
+            gram[...] = a @ (gram @ a)
+        gram -= 2.0 * a
+    return forms
 
 
 def _convolution_sse(basis: FourierBasis, layers, length: int, n_fft: int,

@@ -147,6 +147,21 @@ def loop_selection_histogram(layout):
 PART = PartitionParams(init_len=2, local_len=3, period=16, orders=4)
 
 
+class TestPartitionParams:
+    @pytest.mark.parametrize("field, value", [
+        ("orders", 4.5), ("orders", True), ("orders", 4.0), ("period", 16.0),
+        ("init_len", 2.5), ("init_len", False), ("local_len", 3.5), ("local_len", "3"),
+    ])
+    def test_a_field_that_is_not_an_integer_is_rejected(self, field, value):
+        fields = {"init_len": 2, "local_len": 3, "period": 16, "orders": 4, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            PartitionParams(**fields)
+
+    def test_numpy_integers_are_accepted(self):
+        part = PartitionParams(*(np.int64(v) for v in (2, 3, 16)), np.int32(4))
+        assert part == PART and part.middle(np.int64(10)) == range(2, 7)
+
+
 class TestCacheLayout:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(random_masks())
@@ -964,10 +979,11 @@ class TestPrefillTrace:
     def test_a_stock_prefill_reads_the_rows_calibration_built(self):
         # calibration over the stock middle (1020 positions, 98 moments) builds
         # its Chebyshev rows once, in the fold's two chunks of 255 pairs, for
-        # the moment Gram matrices and the split form both, and its forms,
-        # which a second calibration reads; a prefill of a prompt of the same
-        # length reads the rows and builds the waves of the run, eight
-        # chunks of 64 orders, which the next prefill reads too
+        # the moment Gram forms and the split form both, and its forms, from
+        # eight chunks of 64 orders' waves, which a second calibration reads;
+        # a prefill of a prompt of the same length reads the rows and builds
+        # the waves of the run, eight chunks more, which the next prefill
+        # reads too
         part = PartitionParams(init_len=4, local_len=1024, period=32768, orders=512)
         basis = build_basis(512, 32768)
         config = TinyModelConfig(layers=1, heads=2, kv_heads=2, head_dim=64, seed=0)
@@ -978,18 +994,18 @@ class TestPrefillTrace:
                                   wraps=spectral._chebyshev_rows) as rows, \
                 mock.patch.object(spectral, "_moment_waves",
                                   wraps=spectral._moment_waves) as waves, \
-                mock.patch.object(spectral, "_moment_grams",
-                                  wraps=spectral._moment_grams) as grams:
+                mock.patch.object(spectral, "_split_forms",
+                                  wraps=spectral._split_forms) as forms:
             ranking = rank_dimensions(traces[0], part, basis)
             again = rank_dimensions(traces[0], part, basis)
-            assert (rows.call_count, waves.call_count, grams.call_count) == (2, 0, 1)
+            assert (rows.call_count, waves.call_count, forms.call_count) == (2, 8, 1)
             assert again.k_mse.tobytes() == ranking.k_mse.tobytes()
             assert again.v_mse.tobytes() == ranking.v_mse.tobytes()
             layout = apply_schema(ranking, CompressionSchema.inverted_pyramid(1), partition=part)
             first = prefill_trace(traces[0], layout, basis)
-            assert (rows.call_count, waves.call_count) == (2, 8)
+            assert (rows.call_count, waves.call_count) == (2, 16)
             prefill_trace(traces[1], layout, basis)
-            assert (rows.call_count, waves.call_count) == (2, 8)
+            assert (rows.call_count, waves.call_count) == (2, 16)
         with forced():
             rebuilt = prefill_trace(traces[0], layout, basis)
         assert first.layers[0].states.tobytes() == rebuilt.layers[0].states.tobytes()

@@ -425,9 +425,18 @@ class TestEval:
         lambda doc: doc["dims"][0][0]["k_compressed"].append("1"),
         lambda doc: doc["dims"][0][0]["k_compressed"].append(1e20),
         lambda doc: doc["dims"][0][0]["k_compressed"].append(10**20),
+        # a partition field that is not an int, which np.full and
+        # int.bit_length met past the manifest check
+        lambda doc: doc["partition"].update(orders=4.5),
+        lambda doc: doc["partition"].update(orders=True),
+        lambda doc: doc["partition"].update(orders=4.0),
+        lambda doc: doc["partition"].update(period=256.0),
+        lambda doc: doc["partition"].update(init_len=2.5),
+        lambda doc: doc["partition"].update(local_len=16.5),
     ], ids=["no-geometry", "dims-not-a-list", "string-orders", "no-ratios",
             "orders-past-the-bound", "half-index", "true-index", "string-index",
-            "float-1e20-index", "int-10**20-index"])
+            "float-1e20-index", "int-10**20-index", "half-orders", "true-orders",
+            "float-orders", "float-period", "half-init-len", "half-local-len"])
     def test_malformed_manifest_is_data_error(self, tmp_path, trace_file, manifest_file,
                                               capsys, damage):
         doc = json.loads(manifest_file.read_text())

@@ -104,18 +104,19 @@ def rank_oracle(trace, part, basis):
 
 def rank_branch(trace, part, basis) -> str:
     """Which form ``rank_dimensions`` computes the MSEs with: "gram" (the
-    Fourier Gram form), "moments" (the moment Gram form) or "convolution"."""
-    forms = ("gram", "moments", "convolution")
-    with mock.patch.object(spectral, "_fourier_split",
-                           wraps=spectral._fourier_split) as gram, \
-            mock.patch.object(spectral, "_moment_split",
-                              wraps=spectral._moment_split) as moments, \
+    Fourier Gram form), "moments" (the moment Gram form) or "convolution".
+
+    The Gram forms' builder is read by its ``trig`` argument. Patched, it is
+    another key of the fold tables' cache, so it builds the forms even where
+    the run's own are cached."""
+    with mock.patch.object(spectral, "_split_forms", wraps=spectral._split_forms) as forms, \
             mock.patch.object(spectral, "_convolution_sse",
                               wraps=spectral._convolution_sse) as convolution:
         rank_dimensions(trace, part, basis)
-    calls = [gram.call_count, moments.call_count, convolution.call_count]
-    assert sorted(calls) == [0, 0, 1]
-    return forms[calls.index(1)]
+    calls = ([("gram" if call.args[4] else "moments") for call in forms.call_args_list]
+             + ["convolution"] * convolution.call_count)
+    assert len(calls) == 1
+    return calls[0]
 
 
 @contextlib.contextmanager
@@ -181,11 +182,10 @@ class TestRankDimensions:
             assert rank_branch(trace, part, basis) == form
         # every pair is built once, into the run's cached table, where the
         # table fits the budget (the centred rows in chunks, the Chebyshev rows
-        # whole); otherwise once per layer, and the moments once more for
-        # their Gram matrices
+        # whole); otherwise once for the Gram forms and once per layer
         pairs, widths = (length + 1) // 2, [width for _, width in chunks]
         fits = (2 * orders if form == "gram" else degree) * pairs <= budget
-        assert sum(widths) == (pairs if fits else (2 if form == "gram" else 3) * pairs)
+        assert sum(widths) == (pairs if fits else 3 * pairs)
         assert not chunked or pairs == 1 or (form == "moments" and fits) or max(widths) < pairs
         expected, scale = rank_oracle(trace, part, basis)
         got = np.stack([ranking.k_mse, ranking.v_mse])
@@ -226,6 +226,44 @@ class TestRankDimensions:
         trace = KVTrace(keys=rng.standard_normal(shape).astype(np.float32),
                         values=rng.standard_normal(shape).astype(np.float32))
         assert rank_branch(trace, part, build_basis(part.orders, part.period)) == branch
+
+    def test_calibration_caches_only_the_forms_that_fit_the_budget(self):
+        # the desk middle, 956 positions at 16 orders, whose centred rows and
+        # Fourier Gram forms (2 x 16**2 floats) fit the budget: the first
+        # calibration builds the forms and a second reads them. 300 orders
+        # over 4,000 positions at period 32768 with 8 columns take the
+        # Fourier Gram form too, whose halves, 2 x 300**2 = 180,000 floats,
+        # and 600 rows over 2,000 pairs do not fit: every calibration builds
+        # them anew, and the cache holds no table past the budget
+        run_table, sizes = spectral._run_table, []
+
+        def recorded(build, *args):
+            table = run_table(build, *args)
+            sizes.append(table.size)
+            return table
+
+        rng = np.random.default_rng(13)
+        for part, shape, cached in (
+                (PartitionParams(init_len=4, local_len=64, period=4096, orders=16),
+                 (2, 2, 1024, 8), 2),
+                (PartitionParams(init_len=4, local_len=8, period=32768, orders=300),
+                 (1, 1, 4012, 4), 0)):
+            trace = KVTrace(keys=rng.standard_normal(shape).astype(np.float32),
+                            values=rng.standard_normal(shape).astype(np.float32))
+            basis = build_basis(part.orders, part.period)
+            assert rank_branch(trace, part, basis) == "gram"
+            with forced(), mock.patch.object(spectral, "_run_table", recorded), \
+                    mock.patch.object(spectral, "_split_forms",
+                                      wraps=spectral._split_forms) as forms:
+                first = rank_dimensions(trace, part, basis)
+                again = rank_dimensions(trace, part, basis)
+                assert run_table.cache_info().currsize == cached
+            middle = len(part.middle(shape[2]))
+            builds = [(part.orders, part.period, middle, 2 * part.orders, True)]
+            assert [call.args for call in forms.call_args_list] == builds * (1 if cached else 2)
+            assert again.k_mse.tobytes() == first.k_mse.tobytes()
+            assert again.v_mse.tobytes() == first.v_mse.tobytes()
+        assert sizes and max(sizes) <= spectral._FOLD_CHUNK_FLOATS
 
     def test_the_convolution_pads_to_the_fast_length(self):
         # 2 * 956 - 1 positions of linear convolution: 1920 = 2**7 * 15, not 2048
@@ -290,7 +328,8 @@ class TestRankDimensions:
     def test_matches_oracle_across_fold_chunks(self):
         # the fold's chunks at a budget of 384 floats: six pairs of 8 rows fit
         # its quarter, so the 100-position middle goes in 9 chunks of its 50
-        # pairs, 8 of six and one of two, whose 400 rows are not cached
+        # pairs, 8 of six and one of two, whose 400 rows are not cached: the
+        # Gram forms read them, then the one layer
         rng = np.random.default_rng(5)
         part = PartitionParams(init_len=2, local_len=3, period=64, orders=4)
         basis = build_basis(4, 64)
@@ -300,7 +339,7 @@ class TestRankDimensions:
         assert rank_branch(trace, part, basis) == "gram"
         with forced(_FOLD_CHUNK_FLOATS=384), recorded_row_chunks() as chunks:
             ranking = rank_dimensions(trace, part, basis)
-        assert chunks == [(8, 6)] * 8 + [(8, 2)]
+        assert chunks == ([(8, 6)] * 8 + [(8, 2)]) * 2
         positions = np.arange(2, 102)
         for head in range(2):
             for got, data in ((ranking.k_mse, keys), (ranking.v_mse, values)):
@@ -450,9 +489,17 @@ class TestRankDimensions:
             rank_dimensions(trace, part, build_basis(4, 32))
 
 
+def split_forms(orders, period, length, degree, trig):
+    """``spectral._split_forms``' flat forms as its ``(F_e, F_o)`` blocks."""
+    forms = spectral._split_forms(orders, period, length, degree, trig)
+    even, odd = (degree + 1) // 2, degree // 2
+    assert forms.shape == (even * even + odd * odd,)
+    return forms[: even * even].reshape(even, even), forms[even * even :].reshape(odd, odd)
+
+
 class TestGram:
-    """The centred cosine and sine Gram halves of a run, from its real Dirichlet
-    sums, against explicit columns rotated to the run's centre."""
+    """The Fourier Gram form's ``W G W - 2W`` over the centred cosine and sine
+    Gram halves of a run, against explicit columns rotated to the run's centre."""
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(period=st.integers(1, 40), data=st.data())
@@ -473,12 +520,16 @@ class TestGram:
         centred = np.empty_like(cols)
         centred[0::2] = cos * turn.real[:, None] + sin * turn.imag[:, None]
         centred[1::2] = sin * turn.real[:, None] - cos * turn.imag[:, None]
-        g_even, g_odd = spectral._fourier_grams(basis, length)
-        assert g_even.shape == g_odd.shape == (orders, orders)
+        f_even, f_odd = split_forms(orders, period, length, 2 * orders, True)
+        assert f_even.shape == f_odd.shape == (orders, orders)
         gram = centred @ centred.T
-        # every entry is a sum of ``length`` products of unit-bounded values
-        assert np.all(np.abs(g_even - gram[0::2, 0::2]) <= 1e-12 * length)
-        assert np.all(np.abs(g_odd - gram[1::2, 1::2]) <= 1e-12 * length)
+        weights = basis.synthesis_weights()[0::2]  # both rows of order n weigh w_n
+        scale = weights[:, None] * weights
+        # every Gram entry is a sum of ``length`` products of unit-bounded
+        # values, within 1e-12 * length, which the form scales by w_n * w_m
+        for form, half in ((f_even, gram[0::2, 0::2]), (f_odd, gram[1::2, 1::2])):
+            expected = half * scale - 2.0 * np.diag(weights)
+            assert np.all(np.abs(form - expected) <= 1e-12 * length * scale)
         assert np.all(np.abs(gram[0::2, 1::2]) <= 1e-12 * length)
         # the split form's rows are the centred columns of the run's top half
         half = (length + 1) // 2
@@ -488,8 +539,8 @@ class TestGram:
 
 
 class TestMomentGrams:
-    """The moment Gram form's ``A = G W G.T`` and ``H = P P.T``, from the
-    Dirichlet kernel and the Chebyshev sums, against explicit products."""
+    """The moment Gram form's ``A H A - 2A``, over ``A = G W G.T`` and ``H =
+    P P.T``, against explicit products."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(period=st.integers(1, 400), data=st.data())
@@ -504,8 +555,7 @@ class TestMomentGrams:
         degree = spectral._run_degree(orders, period, length)
         degree += data.draw(st.integers(0, 3))
         basis = build_basis(orders, period)
-        a, h = spectral._moment_grams(basis, length, degree)
-        assert a.shape == h.shape == (degree, degree)
+        f_even, f_odd = split_forms(orders, period, length, degree, False)
 
         waves = np.empty((degree, orders), dtype=np.complex128)
         spectral._moment_waves(period, first % period, length, 0, waves)
@@ -516,13 +566,21 @@ class TestMomentGrams:
         # the coefficients reproduce the run's columns: C = G.T P
         cols = basis.columns(range(first, first + length))
         assert np.all(np.abs(g.T @ rows - cols) <= 1e-12)
-        explicit = (g * basis.synthesis_weights()) @ g.T
-        # |G| is at most 2 entrywise and the weights sum to 4R / period
-        assert np.all(np.abs(a - explicit) <= 1e-12 * 16 * orders / period)
-        assert np.all(np.abs(h - rows @ rows.T) <= 1e-12 * length)
+        a = (g * basis.synthesis_weights()) @ g.T
+        h = rows @ rows.T
+        # |G| is at most 2 entrywise and the weights sum to 4R / period: A
+        # within e_a and H, a sum of ``length`` unit-bounded products, within
+        # e_h, carried through A H A - 2A to first order
+        e_a, e_h = 1e-12 * 16 * orders / period, 1e-12 * length
+        spread = (np.abs(h) @ np.abs(a)).sum(axis=0)
+        width = np.abs(a).sum(axis=0)
+        bound = e_a * (spread[:, None] + spread + 2) + e_h * width[:, None] * width
+        aha = a @ h @ a
+        for parity, form in enumerate((f_even, f_odd)):
+            expected = (aha - 2.0 * a)[parity::2, parity::2]
+            assert np.all(np.abs(form - expected) <= bound[parity::2, parity::2])
         # the form's entries between an even and an odd moment vanish, to
         # rounding in its two terms (the form itself vanishes over two periods)
-        aha = a @ h @ a
         scale = max(np.abs(aha).max(), 2 * np.abs(a).max())
         assert np.all(np.abs((aha - 2.0 * a)[0::2, 1::2]) <= 1e-13 * scale)
 

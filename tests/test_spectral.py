@@ -1455,7 +1455,7 @@ class TestRunTables:
         basis = FourierBasis(orders=512, period=32768)
         blocks = self.stock_blocks(1020, 128)
         assert basis._pick(1020, 256)[:2] == ("moments", 98)
-        tables = 8 * sum(spectral._run_table_floats(512, 1020, 98, False))
+        tables = 8 * sum(spectral._run_table_floats(512, 1020, 98, False)[:2])
         assert tables == 8 * (98 * 510 + 2 * 512 * 98) == 1_202_656
         with forced():
             fold_blocks(basis, blocks, 4)  # numpy's first-call allocations
@@ -1611,3 +1611,19 @@ class TestRunTables:
 def test_fold_errors_rejects_an_empty_run():
     with pytest.raises(ValueError, match="at least one position"):
         spectral.fold_errors(FourierBasis(orders=4, period=64), [[np.zeros((0, 3))]])
+
+
+@pytest.mark.parametrize("layers, message", [
+    ([], "one or more layers"),
+    ([[np.ones((10, 3))], [np.ones((10, 3))] * 2], "each of as many blocks"),
+    ([[]], "blocks of one shape"),
+    ([[np.ones((10, 3)), np.ones((9, 3))]], "blocks of one shape"),
+    ([[np.ones((10, 3))], [np.ones((10, 2))]], "blocks of one shape"),
+    ([[np.ones(10)]], "2-D blocks"),
+    ([[np.ones((10, 3, 1))]], "2-D blocks"),
+], ids=["no-layer", "uneven-layers", "no-block", "unequal-lengths", "unequal-widths",
+        "1-d", "3-d"])
+def test_fold_errors_rejects_blocks_it_cannot_read(layers, message):
+    # a 9-row block beside a 10-row one was read as 10 rows past its end
+    with pytest.raises(ValueError, match=message):
+        spectral.fold_errors(FourierBasis(orders=4, period=64), layers)
