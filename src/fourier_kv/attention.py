@@ -305,10 +305,14 @@ def perturb_dims(
 
     ``sigma=0`` or an empty dimension list returns a bit-identical copy.
     Noise is drawn deterministically from ``seed``; values are copied as they are.
+    ``dims`` are integers, numpy's too, not floats or bools.
     """
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    dims = np.asarray(sorted(set(int(d) for d in dims)), dtype=np.int64)
+    picked = np.asarray(dims)
+    if picked.ndim != 1 or (picked.size and picked.dtype.kind not in "iu"):
+        raise ValueError(f"dims must be a 1-D sequence of integers, got {dims!r}")
+    dims = np.unique(picked.astype(np.int64))
     if dims.size and (dims.min() < 0 or dims.max() >= trace.head_dim):
         raise ValueError(f"dims must lie in [0, {trace.head_dim})")
     keys = trace.keys.copy()

@@ -5,11 +5,9 @@ recording the resolved arguments, a config hash, and wall time, so a run can
 be reproduced from its output directory alone. Reports are RFC-4180 CSV with
 a header row.
 
-``select`` and ``eval`` warn on stderr when the trace's middle region holds
-at most ``4 * orders`` positions, where a compressed dimension's float64
-state outweighs the float32 rows it replaces, and when the middle is too
-short for its period, so that the window can use fewer than half of a
-state's ``2 * orders`` coefficients.
+``select`` and ``eval`` warn on stderr when the trace's middle region is
+too short to compress, too short for its period, or longer than the period,
+which ``eval``'s cache refuses (``_warn_if_middle_too_short``).
 
 Exit codes: 0 success, 2 usage, 3 I/O failure, 4 data mismatch. A flag value
 that no input could make valid, such as ``--k 0``, is a usage error, and so is
@@ -174,9 +172,14 @@ def _warn_if_middle_too_short(partition: PartitionParams, seq_len: int) -> None:
     Chebyshev terms, ``spectral._run_degree`` of them, so every state the
     middle folds lies in a space of that many dimensions. Below ``orders``
     the window uses fewer than half of the ``2*orders`` coefficients: the
-    period is too long for it.
+    period is too long for it. Past ``period`` positions the fold aliases,
+    two positions sharing a residue, and a cache refuses the middle, so
+    ``select`` calibrates a selection that ``eval`` cannot prefill.
     """
     middle = len(partition.middle(seq_len))
+    if middle > partition.period:
+        print(f"warning: the middle region holds {middle} positions, more than the period "
+              f"{partition.period}: its fold aliases, and a cache refuses it", file=sys.stderr)
     if middle <= 4 * partition.orders:
         print(f"warning: the middle region holds {middle} positions, at most "
               f"4 * orders = {4 * partition.orders}: each compressed dimension's float64 "

@@ -45,14 +45,15 @@ them ahead of its own budgeted buffers, so it peaks that much above the 1
 MB of every later fold (:func:`_run_table_floats`). A table past the fold's
 budget is built per chunk instead, uncached. Each FFT runs once per column.
 :func:`fold_errors`, each column's squared error once folded and
-reconstructed, by which calibration ranks dimensions, reads the fold's rows
-in the fold's chunks, and its Gram forms, built from them, are cached beside
-them (:func:`_split_forms`). Every cosine and sine comes from one of two
-phase builders, each reducing its integer phase exactly before the float
-product: :func:`_unit_phases` reduces ``n*t`` mod ``period``, for basis
-columns, trig tables and, at twice the period, the centred rows, and
-:func:`_unit_phase` reduces mod ``2*period``, for the chirp-z plans, the
-moments' waves and the centre's phase.
+reconstructed, by which calibration ranks dimensions, takes its paired
+sums from the fold's own product and its Gram forms, built from the
+fold's rows, only from the cache (:func:`_split_forms`). Every cosine and
+sine comes from one of two phase builders, each reducing its integer
+phase exactly before the float product: :func:`_unit_phases` reduces
+``n*t`` mod ``period``, for basis columns, trig tables and, at twice the
+period, the centred rows, and :func:`_unit_phase` reduces mod
+``2*period``, for the chirp-z plans, the moments' waves and the centre's
+phase.
 
 Phases are indexed by *absolute* token position so that a state built during
 prefill and a state extended by streaming evictions agree without rephasing.
@@ -182,13 +183,8 @@ class FourierBasis:
     period: int
 
     def __post_init__(self):
-        for name, value in (("orders", self.orders), ("period", self.period)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.orders < 1:
-            raise ValueError(f"orders must be >= 1, got {self.orders}")
-        if self.period < 1:
-            raise ValueError(f"period must be >= 1, got {self.period}")
+        _check_integer(self.orders, "orders", 1)
+        _check_integer(self.period, "period", 1)
         if 2 * self.orders - 1 > self.period:
             raise ValueError(
                 f"orders must be <= (period + 1) // 2 = {(self.period + 1) // 2}, "
@@ -205,10 +201,10 @@ class FourierBasis:
         The array is read-only (writing to it raises ``ValueError``) and is
         shared: the last column built is cached for every basis of the same
         geometry, so the K and V folds of every head that evicts the same
-        position compute it once.
+        position compute it once. ``pos`` is an integer ``>= 0``, numpy's
+        too but not a bool, or ``ValueError`` is raised.
         """
-        if pos < 0:
-            raise ValueError(f"position must be >= 0, got {pos}")
+        _check_integer(pos, "position")
         return _column(self.orders, self.period, int(pos))
 
     @staticmethod
@@ -221,16 +217,17 @@ class FourierBasis:
     def columns(self, positions) -> np.ndarray:
         """Basis columns for many positions, shape ``(2*orders, len(positions))``.
 
-        ``positions`` may be any 1-D sequence of integers ``>= 0``.
+        ``positions`` may be any 1-D sequence of integers ``>= 0``, numpy's
+        too but not floats or bools, or ``ValueError`` is raised.
         """
         if isinstance(positions, range):
             # np.asarray walks a range one Python int at a time
             positions = np.arange(positions.start, positions.stop, positions.step)
-        pos = np.asarray(positions, dtype=np.int64)
-        if pos.ndim != 1:
-            raise ValueError("positions must be one-dimensional")
-        if pos.size and pos.min() < 0:
-            raise ValueError("positions must be >= 0")
+        pos = np.asarray(positions)
+        # an empty sequence, which numpy reads as float64, holds no float
+        if pos.ndim != 1 or (pos.size and (pos.dtype.kind not in "iu" or pos.min() < 0)):
+            raise ValueError(f"positions must be a 1-D sequence of integers >= 0, got {pos!r}")
+        pos = pos.astype(np.int64, copy=False)
         return _unit_phases(self.orders, self.period, pos).view(np.float64).T
 
     def _pick(self, span: int, columns: int = 1) -> tuple[str, int, int]:
@@ -569,7 +566,8 @@ def _products_cheaper(work: int, fft_len: int) -> bool:
     priced at half their unsplit work: the Fourier Gram form at ``R * (M +
     2R) / 2``, the moment Gram form at ``_MOMENT_COST_RATIO * (d * (M + d) /
     4 + 2 * d**3 / columns)`` for ``d`` moments (the second term their ``d x
-    d`` build), while four ``d x d`` matrices fit ``_FOLD_CHUNK_FLOATS``.
+    d`` build), while four ``d x d`` matrices fit ``_FOLD_CHUNK_FLOATS``,
+    and the Fourier form while its forms do (:func:`_run_table_floats`).
     Over orders 8-512, middles 256-4000 and periods 4096 and 32768, and 512
     orders over 8192 positions at period 32768 (256 columns; two sweeps
     timing this rule and the unsplit one in one process, alternating; numpy
@@ -626,6 +624,12 @@ def _fast_len(target: int) -> int:
             m *= 5
         threes *= 3
     return best
+
+
+def _check_integer(value, name: str, least: int = 0) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer ``>= least``, numpy's too but not a bool."""
+    if not isinstance(value, (int, np.integer)) or type(value) is bool or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @functools.lru_cache(maxsize=1)
@@ -804,8 +808,7 @@ def compress_batch(basis: FourierBasis, values, start_pos: int) -> SpectralState
     :func:`fold_blocks` is tested against; it evaluates one basis column per
     row in a Python loop, so the cache folds prefill with :func:`fold_blocks`.
     """
-    if start_pos < 0:
-        raise ValueError(f"start_pos must be >= 0, got {start_pos}")
+    _check_integer(start_pos, "start_pos")
     vals = np.asarray(values, dtype=np.float64)
     if vals.ndim != 2:
         raise ValueError(f"values must be 2-D (length x dim), got shape {vals.shape}")
@@ -880,18 +883,13 @@ def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
     picked columns go to it in groups, selected from the block only then.
     Over the trig tables and the moments a column costs no transform: a
     block's columns from its first pick to its last are cast as pairs of
-    rows about the run's centre, their sums and differences, into one
-    float64 buffer (66 columns at desk), and each span of them within the
-    multiply-adds of BLAS's small-matrix kernels is projected by the rows
-    even and odd in the offset from the centre, the trig tables' cosine
-    and sine rows or the Chebyshev rows, read from the run's cached table;
-    the picked columns' sums then go to the state, turned by the centre's
-    phase or by a second product with the moments' waves, added into its
-    rows in place (:func:`_fold_moments`). Nothing is gathered from a
-    block, so the columns between a block's picks pass through the products
-    too: the fold ignores floating-point errors, and a NaN or Inf in a
-    column that is not picked leaves the picked columns' states as they
-    are. No block is copied whole. A group's or chunk's values, the transform's buffers and its
+    rows about the run's centre and projected by the run's cached rows,
+    and the picked columns' sums go to the state (:func:`_fold_moments`).
+    Nothing is gathered from a block, so the columns between a block's
+    picks pass through the products too: the fold ignores floating-point
+    errors, and a NaN or Inf in a column that is not picked leaves the
+    picked columns' states as they are. No block is copied whole. A
+    group's or chunk's values, the transform's buffers and its
     output, with the tables a sub-run builds, fit ``_FOLD_CHUNK_FLOATS``
     float64 values (1 MB) where one column allows, as
     ``FourierBasis._project_floats`` counts them for the plan each sub-run
@@ -906,8 +904,7 @@ def fold_blocks(basis: FourierBasis, blocks, start_pos: int, dims=None) -> list:
     block within ``1e-12 * max(1, sum|x|)`` per column: the transforms sum
     in their own order, so not bitwise.
     """
-    if start_pos < 0:
-        raise ValueError(f"start_pos must be >= 0, got {start_pos}")
+    _check_integer(start_pos, "start_pos")
     arrays = [np.asarray(block) for block in blocks]
     if dims is not None and len(dims) != len(arrays):
         raise ValueError(f"dims has {len(dims)} entries for {len(arrays)} blocks")
@@ -1044,19 +1041,21 @@ def _run_degree(orders: int, period: int, span: int) -> int:
 
 
 def _moment_chunks(orders: int, span: int, degree: int,
-                   trig: bool = False) -> tuple[int, int, int, int]:
+                   trig: bool = False) -> tuple[int, int, int, int, int]:
     """How :func:`_fold_moments` splits its work to fit ``_FOLD_CHUNK_FLOATS``.
 
     The run's pairs each meet ``degree`` rows: Chebyshev terms, or with
-    ``trig`` the ``2R`` centred cosine and sine rows. ``(pairs, width, rows,
-    fixed)``: pairs of positions per chunk of rows (``degree * pairs``
-    floats, over the run's top half), block columns whose pairs are cast at
-    a time (their sums and differences, ``2 * pairs * width``) and orders
-    per chunk of waves (:data:`_MOMENT_ORDERS`, ``2 * degree * rows``
+    ``trig`` the ``2R`` centred cosine and sine rows. ``(pairs, width,
+    step, rows, fixed)``: pairs of positions per chunk of rows (``degree *
+    pairs`` floats, over the run's top half), block columns whose pairs are
+    cast at a time (their sums and differences, ``2 * pairs * width``) and
+    orders per chunk of waves (:data:`_MOMENT_ORDERS`, ``2 * degree * rows``
     floats), each within a quarter of the budget, or within one chunk of
     waves where that is more (past 256 terms at the default budget), the
-    chunks of pairs and of orders evened out, none a short remainder; and
-    ``fixed``, the larger of the two passes' float64 values. The first also
+    chunks of pairs and of orders evened out, none a short remainder;
+    ``step``, the cast columns each product of a chunk's even or odd rows
+    reads, within ``width`` and ``_SMALL_PRODUCT``; and ``fixed``, the
+    larger of the two passes' float64 values. The first also
     holds the rows' position vectors, numpy's buffers for their broadcast
     products (``2 * s * pairs``, see :func:`_chebyshev_rows`) and each
     product of the even or odd rows with a span of the pairs, with the
@@ -1067,14 +1066,11 @@ def _moment_chunks(orders: int, span: int, degree: int,
     (:func:`_centred_rows`), their casts and products' outputs share half
     the budget, and their second pass turns the sums through the casts'
     buffer (:func:`_turn_into`), which holds no numpy buffers, with a few
-    vectors of ``R`` values. A run whose rows and waves fit the budget
-    reads them from its cached tables and builds neither, so its fold
-    holds less than ``fixed`` by a chunk of rows and its build or by a
-    chunk of waves; the count keeps them, so that a fold that reads its
-    tables and one that builds them (a sub-run's, or a run's past the
-    budget) take the same groups and sum bitwise alike. The cached tables
-    are not in ``fixed``: they are held beside it, built by the run's first
-    fold before its buffers (:func:`_run_table_floats`).
+    vectors of ``R`` values. The count keeps a chunk of rows and its build
+    and a chunk of waves even where the fold reads them from the run's
+    cached tables, so that every fold of a run takes the same groups and
+    sums bitwise alike; the tables are held beside ``fixed``
+    (:func:`_run_table_floats`).
     """
     rows = min(orders, _MOMENT_ORDERS)
     parity = (degree + 1) // 2  # the even rows; the odd ones are no more
@@ -1091,12 +1087,12 @@ def _moment_chunks(orders: int, span: int, degree: int,
         width = max(1, quarter // (2 * pairs))
         build = (3 + 2 * max(2, math.isqrt(degree))) * pairs
         second = 2 * rows * degree + 8 * degree
-    step = min(width, max(1, _SMALL_PRODUCT // (parity * pairs)))
-    first = degree * pairs + build + 2 * pairs * width + 2 * parity * step
     # chunks of equal widths, none a short remainder
     half = (span + 1) // 2
-    pairs, rows = -(-half // -(-half // pairs)), -(-orders // -(-orders // rows))
-    return pairs, width, rows, max(first, second)
+    even_pairs, rows = -(-half // -(-half // pairs)), -(-orders // -(-orders // rows))
+    step = min(width, max(1, _SMALL_PRODUCT // (parity * even_pairs)))
+    first = degree * pairs + build + 2 * pairs * width + 2 * parity * step
+    return even_pairs, width, step, rows, max(first, second)
 
 
 def _centred_pairs(block: np.ndarray, p0: int, out: np.ndarray) -> np.ndarray:
@@ -1249,7 +1245,8 @@ def _run_table_floats(orders: int, span: int, degree: int, trig: bool) -> tuple[
     (:func:`_wave_table`), none over the trig tables, and the forms, which
     only :func:`fold_errors` reads, the blocks of ``degree`` rows'
     parities (:func:`_split_forms`); a table past ``_FOLD_CHUNK_FLOATS``
-    counts 0, as every call builds it anew. The first fold of a run builds
+    counts 0: rows and waves are then built per chunk, and forms never, as
+    :func:`fold_errors` runs another form. The first fold of a run builds
     its counted rows and waves ahead of its own buffers and leaves them in
     the cache (:func:`_run_table`), so it peaks this many values above the
     one budget of every later fold.
@@ -1337,19 +1334,16 @@ def _fold_moments(basis: FourierBasis, plan: _Run, arrays: list, picks: list, st
     last (:func:`_fold_pairs`); then the trig sums are turned and added
     (:func:`_turn_into`), or each chunk of orders' waves is multiplied by
     every state's moments and added into those orders' rows of the state
-    in place (:func:`_add_product`). The rows and the waves are read in
-    place from the run's tables (:func:`_run_table`) where each fits
-    ``_FOLD_CHUNK_FLOATS`` and ``cached`` holds, built by the first fold of
-    the run before any of its buffers (:func:`_run_table_floats`);
-    otherwise, and for a sub-run, which no later fold reads, the rows are
-    built per chunk of pairs in every group and the waves per chunk of
-    orders, as the tables are built, so the states are bitwise the same
-    either way. The turn's ``R`` phases are computed by every fold. The
-    sizes are :func:`_moment_chunks`'.
+    in place (:func:`_add_product`). The rows (:func:`_pair_rows`) and the
+    waves are read from the run's tables where each fits the budget and
+    ``cached`` holds, and otherwise, as for a sub-run, which no later fold
+    reads, built per chunk as the tables are, so the states are bitwise
+    the same either way. The turn's ``R`` phases are computed by every
+    fold. The sizes are :func:`_moment_chunks`'.
     """
     span, degree, trig = hi - lo, plan.degree, plan.kind == "tables"
     orders, period = basis.orders, basis.period
-    pairs, width, rows, fixed = _moment_chunks(orders, span, degree, trig)
+    pairs, width, step, rows, fixed = _moment_chunks(orders, span, degree, trig)
     targets = []  # the states the blocks fold into, each once
     for state in states:
         if all(state is not target for target in targets):
@@ -1367,7 +1361,6 @@ def _fold_moments(basis: FourierBasis, plan: _Run, arrays: list, picks: list, st
         if cols:
             size = -(-cols // -(-cols // group))
             pieces += [(target, c0, min(c0 + size, cols)) for c0 in range(0, cols, size)]
-    step = min(width, max(1, _SMALL_PRODUCT // ((degree + 1) // 2 * pairs)))
     width = min(width, max(array.shape[1] for array in arrays))
     # the second pass's operands: each order's turn, or the waves, cached as the rows are
     phases = _turn_phases(orders, period, plan.lo, span) if trig else None
@@ -1458,7 +1451,7 @@ def _turn_into(batch: list, sums: np.ndarray, phases: np.ndarray, scratch) -> No
 
 
 def _fold_pairs(rows: np.ndarray, block: np.ndarray, pick: np.ndarray, out: np.ndarray,
-                p0: int, buffer: np.ndarray, width: int, step: int) -> None:
+                p0: int, buffer: np.ndarray, width: int, step: int, norms=None) -> None:
     """Add the sums of a block's pairs ``p0..`` against ``rows`` into ``out``, for its picked columns.
 
     ``rows`` holds the plan's rows at the top rows of ``n`` pairs, ``(degree,
@@ -1470,7 +1463,9 @@ def _fold_pairs(rows: np.ndarray, block: np.ndarray, pick: np.ndarray, out: np.n
     rows from the pairs' sums and by the odd rows from their differences,
     into the even and odd entries of the picked columns' rows of ``out``.
     No column is gathered: a column costs no transform here, so the
-    unpicked columns of a span cost less than a gather.
+    unpicked columns of a span cost less than a gather. ``norms``, if
+    given, a value per block column, receives each cast column's ``|E|**2
+    + |O|**2`` over the pairs, twice its ``|x|**2`` there.
     """
     n = rows.shape[1]
     first, stop = int(pick[0]), int(pick[-1]) + 1
@@ -1482,6 +1477,8 @@ def _fold_pairs(rows: np.ndarray, block: np.ndarray, pick: np.ndarray, out: np.n
         # contiguous, as numpy buffers a ufunc over strided operands
         halves = _centred_pairs(block[:, c0:c1], p0,
                                 buffer[: 2 * n * (c1 - c0)].reshape(2, n, c1 - c0))
+        if norms is not None:
+            norms[c0:c1] += np.einsum("kij,kij->j", halves, halves)
         span = -(-(c1 - c0) // -(-(c1 - c0) // step))
         for q0 in range(c0, c1, span):
             q1 = min(q0 + span, c1)
@@ -1521,8 +1518,7 @@ def fold_token(state: SpectralState, basis: FourierBasis, value, pos: int) -> Sp
     the first fold may use any ``pos >= 0``; afterwards only
     ``last_pos + 1`` is accepted.
     """
-    if pos < 0:
-        raise ValueError(f"position must be >= 0, got {pos}")
+    column = basis.column(pos)  # checks that pos is an integer >= 0
     vec = np.asarray(value, dtype=np.float64)
     if vec.shape != state.coeffs.shape[1:]:
         raise ValueError(f"value must have shape ({state.dim},), got {vec.shape}")
@@ -1532,7 +1528,7 @@ def fold_token(state: SpectralState, basis: FourierBasis, value, pos: int) -> Sp
         raise FoldOrderError(
             f"non-contiguous fold: expected position {state.last_pos + 1}, got {pos}"
         )
-    _add_outer(state.coeffs, basis.column(pos), vec)
+    _add_outer(state.coeffs, column, vec)
     state.token_count += 1
     state.last_pos = pos
     return state
@@ -1548,9 +1544,10 @@ def reconstruct(
     Applies the synthesis-weighted inverse transform
     ``columns(t).T @ (w * coeffs)``. Every position must lie inside
     ``[first_pos, last_pos]`` of the folded run; extrapolation is undefined.
+    Positions are integers, as :meth:`FourierBasis.columns` reads them.
     Returns ``(len(positions), D)``.
     """
-    pos = np.asarray(positions, dtype=np.int64)
+    pos = np.asarray(positions)
     if pos.size == 0:
         return np.zeros((0, state.dim), dtype=np.float64)
     if state.token_count == 0:
@@ -1586,21 +1583,23 @@ def fold_errors(basis: FourierBasis, layers) -> np.ndarray:
     convolution of ``x`` with ``k(lag) = sum_n w_n cos(2*pi*n*lag/T)``, one
     real FFT pair per column of length ``_fast_len(2M - 1)``
     (:func:`_convolution_sse`), or ``|x|**2`` plus a quadratic form of the
-    column's sums against the fold's paired rows (:func:`_split_sse`), the
-    centred rows (Fourier Gram) or the ``_run_degree`` Chebyshev rows
-    (moment Gram), whose forms one builder makes (:func:`_split_forms`).
+    column's sums against the fold's paired rows, which the fold's own
+    product makes (:func:`_split_sse`), the centred rows (Fourier Gram) or
+    the ``_run_degree`` Chebyshev rows (moment Gram), whose forms one
+    builder makes (:func:`_split_forms`).
 
     :func:`_products_cheaper` prices the Gram forms per column, the moments'
     ``d x d`` build spread over every column, and runs the cheaper where it
     beats the convolution, the Fourier form on a tie: desk (16 orders over
     956 positions) takes the Fourier form (7,904), stock the moments (98
-    of them, 69,488 at 256 columns, against 523,264 and the convolution's
-    180,400), and 512 orders over 256 positions at period 4096 (168
-    moments, 109,704) the convolution. The transient is one group of FFT
-    columns, or a chunk of rows and a cast, within ``_FOLD_CHUNK_FLOATS``
-    (1 MB), plus one layer's sums. The rows and the forms, where each fits
-    the budget, are the run's entries of :func:`_run_table`, built by the
-    first call or fold over the run and read by every later one.
+    of them, 69,488 at 256 columns, against the convolution's 180,400),
+    and 512 orders over 256 positions at period 4096 (168 moments,
+    109,704) the convolution. A Gram form whose forms do not fit
+    ``_FOLD_CHUNK_FLOATS`` (1 MB), the Fourier form past 256 orders, is
+    priced at infinity, so the forms are only ever the run's entry of
+    :func:`_run_table`, built by the first call over the run and read by
+    every later one. The transient is one group of FFT columns, or a chunk
+    of rows and a cast, within the budget, plus one layer's sums.
     """
     if len(layers) == 0 or len({len(blocks) for blocks in layers}) != 1:
         raise ValueError("fold_errors needs one or more layers, each of as many blocks")
@@ -1613,6 +1612,8 @@ def fold_errors(basis: FourierBasis, layers) -> np.ndarray:
     n_fft = _fast_len(2 * length - 1)  # linear convolution of M with M
     degree = _run_degree(basis.orders, basis.period, length)
     fourier = basis.orders * (length + 2 * basis.orders) / 2
+    if not _run_table_floats(basis.orders, length, basis.n_rows, True)[2]:
+        fourier = math.inf  # its forms would outgrow the cache
     # the moments' d x d build, about 4 d**3 multiply-adds priced as their
     # products are (half the ratio each), is shared by every column
     moments = _MOMENT_COST_RATIO * (degree * (length + degree) / 4
@@ -1626,9 +1627,7 @@ def fold_errors(basis: FourierBasis, layers) -> np.ndarray:
         return out
     trig = moments >= fourier
     rows = basis.n_rows if trig else degree
-    args = basis.orders, basis.period, length, rows, trig
-    cached = _run_table_floats(basis.orders, length, rows, trig)[2]
-    forms = _run_table(_split_forms, *args) if cached else _split_forms(*args)
+    forms = _run_table(_split_forms, basis.orders, basis.period, length, rows, trig)
     _split_sse(basis, forms, rows, trig, layers, out)
     return out
 
@@ -1639,41 +1638,32 @@ def _split_sse(basis: FourierBasis, forms: np.ndarray, degree: int, trig: bool, 
 
     ``out[layer, block]`` receives one error per column; ``forms`` holds
     ``F_e`` and ``F_o`` over the fold's ``degree`` rows, the centred rows
-    with ``trig`` or else the Chebyshev rows (:func:`_split_forms`), read
-    through :func:`_pair_rows` in the fold's chunks. Rows ``i`` and ``M - 1
-    - i`` pair up as the fold pairs them (:func:`_centred_pairs`), cast
-    once to float64 as the fold casts them, at most its ``width`` columns
-    at a time (:func:`_moment_chunks`): with a pair's halves ``E = x(v) +
-    x(-v)`` and ``O = x(v) - x(-v)``, ``a = rows_even @ E`` and ``b =
-    rows_odd @ O``, the error is ``|x|**2 + a.T F_e a + b.T F_o b``, and
-    ``|x|**2`` is ``(|E|**2 + |O|**2) / 2``. The forms meet one block's sums
-    at a time.
+    with ``trig`` or else the Chebyshev rows (:func:`_split_forms`). Each
+    block's paired sums come from the fold's own product, :func:`_fold_pairs`
+    over :func:`_pair_rows`' chunks, in the fold's casts and spans
+    (:func:`_moment_chunks`): with a pair's halves ``E = x(v) + x(-v)`` and
+    ``O = x(v) - x(-v)``, ``a = rows_even @ E`` and ``b = rows_odd @ O``,
+    the error is ``|x|**2 + a.T F_e a + b.T F_o b``, and ``|x|**2`` is
+    ``(|E|**2 + |O|**2) / 2``. The forms meet one block's sums at a time.
     """
-    even, odd = (degree + 1) // 2, degree // 2
+    even = (degree + 1) // 2
     f_even = forms[: even * even].reshape(even, even)
-    f_odd = forms[even * even :].reshape(odd, odd)
+    f_odd = forms[even * even :].reshape(degree // 2, degree // 2)
     length, dim = layers[0][0].shape
-    pairs, width = _moment_chunks(basis.orders, length, degree, trig)[:2]
-    width = -(-dim // -(-dim // width))  # casts of equal widths, none a short remainder
-    halves = np.empty(2 * pairs * width)  # a cast's sums, then its differences
+    pairs, width, step = _moment_chunks(basis.orders, length, degree, trig)[:3]
+    pick = np.arange(dim)
+    buffer = np.empty(2 * pairs * min(width, dim))  # a cast's sums, then its differences
     for layer_sse, blocks in zip(out, layers):
-        a = np.zeros((len(blocks), even, dim))
-        b = np.zeros((len(blocks), odd, dim))
+        sums = np.zeros((len(blocks), dim, degree))  # a row per column, as the fold's
         layer_sse[:] = 0.0
-        for p0, p1, chunk in _pair_rows(basis.orders, basis.period, length, degree, trig):
-            for block, a_sum, b_sum, total in zip(blocks, a, b, layer_sse):
-                for c0 in range(0, dim, width):
-                    c1 = min(dim, c0 + width)
-                    cast = halves[: 2 * (p1 - p0) * (c1 - c0)].reshape(2, p1 - p0, c1 - c0)
-                    even_sums, odd_sums = _centred_pairs(block[:, c0:c1], p0, cast)
-                    total[c0:c1] += np.einsum("kij,kij->j", cast, cast)
-                    a_sum[:, c0:c1] += chunk[0::2] @ even_sums
-                    b_sum[:, c0:c1] += chunk[1::2] @ odd_sums
+        for p0, _, rows in _pair_rows(basis.orders, basis.period, length, degree, trig):
+            for block, block_sums, total in zip(blocks, sums, layer_sse):
+                _fold_pairs(rows, block, pick, block_sums, p0, buffer, width, step, total)
         layer_sse *= 0.5
-        # a block at a time: the forms' products are one block's sums, not a layer's
-        for total, a_sum, b_sum in zip(layer_sse, a, b):
-            total += np.einsum("ij,ij->j", a_sum, f_even @ a_sum)
-            total += np.einsum("ij,ij->j", b_sum, f_odd @ b_sum)
+        for total, block_sums in zip(layer_sse, sums):
+            for parity, form in enumerate((f_even, f_odd)):
+                part = block_sums[:, parity::2]
+                total += np.einsum("ij,ij->i", part, part @ form)
     # the forms cancel on a column reconstructed almost exactly, which may dip below 0
     np.maximum(out, 0.0, out=out)
 

@@ -284,10 +284,12 @@ def tiny_forward(config: TinyModelConfig, token_ids) -> KVTrace:
 
     Keys are cached after rotary rotation, values straight after projection,
     mirroring where a decoder's cache sits. Deterministic per seed.
+    ``token_ids`` are integers, numpy's too, not floats or bools.
     """
-    tokens = np.asarray(token_ids, dtype=np.int64)
-    if tokens.ndim != 1 or tokens.size == 0:
-        raise ValueError("token_ids must be a non-empty 1-D sequence")
+    tokens = np.asarray(token_ids)
+    if tokens.ndim != 1 or tokens.size == 0 or tokens.dtype.kind not in "iu":
+        raise ValueError(f"token_ids must be a non-empty 1-D sequence of integers, got {tokens!r}")
+    tokens = tokens.astype(np.int64, copy=False)
     if tokens.min() < 0 or tokens.max() >= config.vocab:
         raise ValueError(f"token id out of vocab range [0, {config.vocab})")
 

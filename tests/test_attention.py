@@ -515,6 +515,19 @@ class TestPerturbDims:
         assert noise.size >= 10**4
         assert abs(noise.mean()) < 3.0 / np.sqrt(noise.size)
 
+    @pytest.mark.parametrize("dims", [[1.5], [1.0], [True], [[0, 1]]],
+                             ids=["half", "whole-float", "bool", "nested"])
+    def test_dims_that_are_not_integers_raise(self, dims):
+        # [1.5] used to perturb dim 1
+        trace = gen_synthetic("noise", layers=1, kv_heads=1, head_dim=4, seq_len=16, seed=4)
+        with pytest.raises(ValueError, match="integers"):
+            perturb_dims(trace, dims=dims, sigma=1.0, seed=5)
+
+    def test_numpy_integer_dims_are_read_once_each(self):
+        trace = gen_synthetic("noise", layers=1, kv_heads=1, head_dim=4, seq_len=16, seed=4)
+        out = perturb_dims(trace, dims=np.array([2, 1, 2], dtype=np.int32), sigma=1.0, seed=5)
+        np.testing.assert_array_equal(out.keys, perturb_dims(trace, [1, 2], 1.0, seed=5).keys)
+
     def test_untouched_dims_and_values_stay(self):
         trace = gen_synthetic("noise", layers=1, kv_heads=1, head_dim=4, seq_len=16, seed=4)
         out = perturb_dims(trace, dims=[1], sigma=1.0, seed=5)

@@ -497,6 +497,26 @@ class TestPeriodWarning:
             assert warning in err
 
 
+class TestLongMiddleWarning:
+    """``select`` warns when the middle is longer than the period: it calibrates,
+    as ``rank_dimensions`` over a longer middle does, but ``eval`` refuses it."""
+
+    def test_warns_when_the_middle_outgrows_the_period(self, tmp_path, capsys):
+        trace, manifest = tmp_path / "t.kvt", tmp_path / "sel.json"
+        assert run("gen-trace", "--kind", "noise", "--layers", 1, "--heads", 1, "--dim", 4,
+                   "--len", 200, "--out", trace) == 0
+        capsys.readouterr()
+        assert run("select", "--trace", trace, "--k", 4, "--T", 64, "--local", 8,
+                   "--out-manifest", manifest) == 0
+        warning = "holds 188 positions, more than the period 64"
+        assert warning in capsys.readouterr().err
+        assert run("eval", "--trace", trace, "--manifest", manifest,
+                   "--report", tmp_path / "r.csv") == 4
+        err = capsys.readouterr().err
+        assert warning in err
+        assert "would exceed the spectral period 64" in err
+
+
 class TestCompareBases:
     def test_tone_trace_wins_everywhere(self, tmp_path):
         trace = tmp_path / "tone.kvt"

@@ -159,8 +159,9 @@ class TestRankDimensions:
     # middles of one position (the centre alone), two (one pair) and three (a
     # pair and the centre), odd and even middles with every sine row zero
     # (one order) or not, each whole and at a budget that splits the pairs into
-    # chunks: 40 floats, or for the moments the least budget that holds their
-    # d x d matrices, with a head wide enough to split them
+    # chunks: 40 floats or the least that holds the Fourier Gram forms, or for
+    # the moments the least budget that holds their d x d matrices, with a
+    # head wide enough to split them
     @pytest.mark.parametrize("chunked", [False, True], ids=["whole", "chunked"])
     @pytest.mark.parametrize("length, orders", [(1, 3), (2, 3), (3, 3), (10, 1), (11, 1),
                                                 (40, 5), (41, 5)])
@@ -171,7 +172,8 @@ class TestRankDimensions:
         degree = spectral._run_degree(orders, 64, length)
         budget, head_dim = spectral._FOLD_CHUNK_FLOATS, 3
         if chunked:
-            budget, head_dim = (40, 5) if form == "gram" else (4 * degree**2, 120)
+            budget, head_dim = ((max(40, (4 * orders**2 + 1) // 2), 5) if form == "gram"
+                                else (4 * degree**2, 120))
         rng = np.random.default_rng(length * 10 + orders)
         shape = (2, 2, 3 + length + 2, head_dim)
         trace = KVTrace(keys=rng.standard_normal(shape).astype(np.float32),
@@ -231,10 +233,10 @@ class TestRankDimensions:
         # the desk middle, 956 positions at 16 orders, whose centred rows and
         # Fourier Gram forms (2 x 16**2 floats) fit the budget: the first
         # calibration builds the forms and a second reads them. 300 orders
-        # over 4,000 positions at period 32768 with 8 columns take the
-        # Fourier Gram form too, whose halves, 2 x 300**2 = 180,000 floats,
-        # and 600 rows over 2,000 pairs do not fit: every calibration builds
-        # them anew, and the cache holds no table past the budget
+        # over 4,000 positions at period 32768 with 8 columns would take the
+        # Fourier Gram form, whose halves, 2 x 300**2 = 180,000 floats, do
+        # not fit: they are priced past every form, so the convolution runs,
+        # no forms are built and the cache holds no table
         run_table, sizes = spectral._run_table, []
 
         def recorded(build, *args):
@@ -243,15 +245,15 @@ class TestRankDimensions:
             return table
 
         rng = np.random.default_rng(13)
-        for part, shape, cached in (
+        for part, shape, branch, cached in (
                 (PartitionParams(init_len=4, local_len=64, period=4096, orders=16),
-                 (2, 2, 1024, 8), 2),
+                 (2, 2, 1024, 8), "gram", 2),
                 (PartitionParams(init_len=4, local_len=8, period=32768, orders=300),
-                 (1, 1, 4012, 4), 0)):
+                 (1, 1, 4012, 4), "convolution", 0)):
             trace = KVTrace(keys=rng.standard_normal(shape).astype(np.float32),
                             values=rng.standard_normal(shape).astype(np.float32))
             basis = build_basis(part.orders, part.period)
-            assert rank_branch(trace, part, basis) == "gram"
+            assert rank_branch(trace, part, basis) == branch
             with forced(), mock.patch.object(spectral, "_run_table", recorded), \
                     mock.patch.object(spectral, "_split_forms",
                                       wraps=spectral._split_forms) as forms:
@@ -260,7 +262,7 @@ class TestRankDimensions:
                 assert run_table.cache_info().currsize == cached
             middle = len(part.middle(shape[2]))
             builds = [(part.orders, part.period, middle, 2 * part.orders, True)]
-            assert [call.args for call in forms.call_args_list] == builds * (1 if cached else 2)
+            assert [call.args for call in forms.call_args_list] == (builds if cached else [])
             assert again.k_mse.tobytes() == first.k_mse.tobytes()
             assert again.v_mse.tobytes() == first.v_mse.tobytes()
         assert sizes and max(sizes) <= spectral._FOLD_CHUNK_FLOATS

@@ -6,6 +6,8 @@ recurrence and polynomial evaluation) to the trailing-window samples.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import legendre as npleg
 
 from fourier_kv.legt import (
@@ -15,6 +17,7 @@ from fourier_kv.legt import (
     legt_reconstruct,
     token_offsets,
 )
+from fourier_kv.spectral import build_basis, compress_batch, reconstruct, reconstruction_mse
 from fourier_kv.traceio import KVTrace, TinyModelConfig, gen_synthetic, tiny_forward
 
 
@@ -147,7 +150,57 @@ class TestReconstruct:
             assert np.sqrt(np.mean((recon - fit) ** 2)) / scale < 0.05
 
 
+@st.composite
+def comparison_cases(draw):
+    """A trace one period long whose columns are in-band tones, constants or
+    noise, and a state budget that reaches ``(length + 1) // 2`` orders, where
+    every column is in band: the Fourier errors of tones and constants sit at
+    rounding level, so ties are drawn."""
+    length = draw(st.integers(2, 80))
+    k_states = draw(st.one_of(st.integers(1, (length + 1) // 2), st.just((length + 1) // 2)))
+    layers, kv_heads, head_dim = (draw(st.integers(1, 2)), draw(st.integers(1, 2)),
+                                  draw(st.integers(1, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = np.arange(length)
+    data = np.empty((2, layers, kv_heads, length, head_dim))
+    for column in np.ndindex(2, layers, kv_heads, head_dim):
+        kind = draw(st.sampled_from(["tone", "constant", "noise"]))
+        if kind == "tone":
+            order = draw(st.integers(0, k_states - 1))
+            phase = 2 * np.pi * order * t / length + rng.uniform(0, 2 * np.pi)
+            signal = rng.uniform(0.5, 3) * np.cos(phase)
+        elif kind == "constant":
+            signal = np.full(length, rng.uniform(-3, 3))
+        else:
+            signal = rng.standard_normal(length)
+        data[column[:3] + (slice(None), column[3])] = signal
+    data = data.astype(np.float32)
+    return KVTrace(keys=data[0], values=data[1]), k_states
+
+
 class TestCompareBases:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=comparison_cases(), tensor=st.sampled_from(["keys", "values"]))
+    def test_fourier_errors_match_folding_and_reconstructing(self, case, tensor):
+        trace, k_states = case
+        report = compare_bases(trace, k_states, tensor=tensor)
+        basis = build_basis(k_states, trace.seq_len)
+        data = trace.keys if tensor == "keys" else trace.values
+        rows, wins = iter(report.rows), iter(report.wins)
+        for layer in range(trace.layers):
+            for head in range(trace.kv_heads):
+                block = data[layer, head].astype(np.float64)
+                state = compress_batch(basis, block, 0)
+                expected = reconstruction_mse(
+                    block, reconstruct(state, basis, np.arange(trace.seq_len)))
+                scale = np.mean(block**2, axis=0)
+                tie_floor = 1e-12 * np.maximum(scale, np.finfo(np.float64).tiny)
+                for dim in range(trace.head_dim):
+                    at, head_at, dim_at, mse, legt = next(rows)
+                    assert (at, head_at, dim_at) == (layer, head, dim)
+                    assert abs(mse - expected[dim]) <= 1e-9 * expected[dim] + 1e-12 * scale[dim]
+                    assert next(wins) == (expected[dim] <= max(legt, tie_floor[dim]))
+
     def test_constant_trace_both_tiny_fourier_wins_ties(self):
         trace = gen_synthetic("constant", layers=1, kv_heads=1, head_dim=4, seq_len=64)
         report = compare_bases(trace, k_states=4)

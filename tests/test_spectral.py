@@ -82,6 +82,39 @@ class TestFourierBasis:
         basis = build_basis(orders=1, period=4)
         np.testing.assert_array_equal(basis.columns(range(4)), [[1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
 
+    @pytest.mark.parametrize("call", [
+        lambda basis: basis.column(2.5),
+        lambda basis: basis.column(2.0),
+        lambda basis: basis.column(True),
+        lambda basis: basis.column(np.float64(3)),
+        lambda basis: basis.columns([1.5]),
+        lambda basis: basis.columns([True, False]),
+        lambda basis: reconstruct(compress_batch(basis, np.ones((4, 1)), 0), basis, [2.9]),
+        lambda basis: compress_batch(basis, np.ones((3, 1)), 1.5),
+        lambda basis: compress_batch(basis, np.ones((3, 1)), True),
+        lambda basis: fold_blocks(basis, [np.ones((3, 1))], 1.5),
+        lambda basis: fold_token(SpectralState.zeros(4, 1), basis, [1.0], 2.5),
+    ], ids=["half-column", "float-column", "bool-column", "numpy-float-column",
+            "half-columns", "bool-columns", "half-reconstruct", "half-start", "bool-start",
+            "half-block-start", "half-fold-token"])
+    def test_positions_that_are_not_integers_raise(self, call):
+        # each used to read int(pos), a truncated position, or, for a bool, 0 or 1
+        with pytest.raises(ValueError, match="integer"):
+            call(FourierBasis(4, 16))
+
+    def test_numpy_integer_and_empty_positions_pass(self):
+        basis = FourierBasis(4, 16)
+        np.testing.assert_array_equal(basis.column(np.int32(2)), basis.column(2))
+        np.testing.assert_array_equal(basis.columns(np.array([1, 2], np.uint8)),
+                                      basis.columns([1, 2]))
+        assert basis.columns([]).shape == (8, 0)
+        state = compress_batch(basis, np.ones((4, 1)), np.int64(1))
+        assert (state.first_pos, state.last_pos) == (1, 4)
+        assert reconstruct(state, basis, []).shape == (0, 1)
+        assert reconstruct(state, basis, np.array([2])).shape == (1, 1)
+        fold_token(state, basis, [1.0], np.int64(5))
+        assert state.last_pos == 5
+
     def test_periodicity(self):
         basis = build_basis(orders=5, period=12)
         for t in [0, 3, 11, 25, 12 * 1000 + 7]:
@@ -1627,3 +1660,22 @@ def test_fold_errors_rejects_blocks_it_cannot_read(layers, message):
     # a 9-row block beside a 10-row one was read as 10 rows past its end
     with pytest.raises(ValueError, match=message):
         spectral.fold_errors(FourierBasis(orders=4, period=64), layers)
+
+
+def test_fold_errors_builds_no_forms_past_the_cache():
+    # 300 orders over 4,000 positions at period 32768, 8 columns: the Fourier
+    # Gram forms, 2 x 300**2 floats, do not fit the budget, so they are priced
+    # past every form and the convolution runs instead of building them
+    basis = FourierBasis(orders=300, period=32768)
+    rng = np.random.default_rng(21)
+    layers = [[rng.standard_normal((4000, 4)).astype(np.float32) for _ in range(2)]]
+    assert not spectral._run_table_floats(300, 4000, 600, True)[2]
+    with forced(), mock.patch.object(spectral, "_split_forms",
+                                     wraps=spectral._split_forms) as forms:
+        errors = spectral.fold_errors(basis, layers)
+    assert forms.call_count == 0
+    for block, got in zip(layers[0], errors[0]):
+        state = compress_batch(basis, block, 0)
+        expected = np.sum((block - reconstruct(state, basis, np.arange(4000))) ** 2, axis=0)
+        scale = np.sum(block.astype(np.float64) ** 2, axis=0)
+        assert np.all(np.abs(got - expected) <= 1e-9 * expected + 1e-12 * scale)

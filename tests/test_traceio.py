@@ -227,6 +227,18 @@ class TestTinyModel:
         with pytest.raises(ValueError):
             tiny_forward(cfg, [0, 1, 16])
 
+    @pytest.mark.parametrize("tokens", [[1.7, 2.2, 3.9], [1.0, 2.0], [True, False]],
+                             ids=["fractions", "whole-floats", "bools"])
+    def test_rejects_tokens_that_are_not_integers(self, tokens):
+        # a float id used to be truncated and a bool read as 0 or 1
+        with pytest.raises(ValueError, match="integers"):
+            tiny_forward(TinyModelConfig(vocab=16), tokens)
+
+    def test_accepts_numpy_integer_tokens(self):
+        cfg = TinyModelConfig(layers=1, heads=2, kv_heads=1, head_dim=4, vocab=16, seed=2)
+        a = tiny_forward(cfg, np.array([1, 2, 3], dtype=np.uint8))
+        np.testing.assert_array_equal(a.keys, tiny_forward(cfg, [1, 2, 3]).keys)
+
     def test_file_size_arithmetic(self, tmp_path):
         cfg = TinyModelConfig(layers=4, heads=4, kv_heads=4, head_dim=64, vocab=64, seed=0)
         tokens = np.arange(512) % 64
