@@ -6,10 +6,26 @@ and values. Traces round-trip losslessly through a small little-endian
 binary format and can be produced synthetically (test signals) or by a tiny
 seeded transformer forward pass that yields realistically structured caches
 at desk scale.
+
+The format is a 28-byte header (magic ``KVTR``, version, layers, kv_heads,
+head_dim, seq_len, dtype code; little-endian uint32 after the magic), then
+the payload of little-endian float32. Version 2, which ``write_trace``
+writes, stores every key as one C-ordered ``(layers, kv_heads, seq_len,
+head_dim)`` block and then every value the same way, so each is one span of
+the file. Version 1 interleaved them per layer, ``[layer][K then
+V][head][pos][dim]``; ``read_trace`` still reads it.
+
+``read_trace`` maps a regular file copy-on-write instead of copying it, so
+a trace read from a file shares the file's pages until it writes to them.
+Changing such a file in place from another program while a trace read from
+it is alive is undefined: the trace may see the new bytes, and if the file
+is truncated, on Linux the next read of a lost page kills the process with
+SIGBUS. ``write_trace`` never writes in place: it replaces the file whole.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import stat
 import struct
@@ -31,7 +47,7 @@ __all__ = [
 ]
 
 MAGIC = b"KVTR"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 DTYPE_F32 = 1
 _HEADER = struct.Struct("<4sIIIIII")  # magic, version, layers, kv_heads, head_dim, seq_len, dtype
 
@@ -58,6 +74,7 @@ class KVTrace:
 
     ``keys`` and ``values`` have shape ``(layers, kv_heads, seq_len, head_dim)``,
     every size at least 1, and dtype float32. All entries must be finite.
+    Arrays that are already C-ordered float32 are kept, not copied.
     """
 
     keys: np.ndarray
@@ -73,8 +90,10 @@ class KVTrace:
             )
         if not self.keys.size:
             raise ValueError(f"every trace dimension must be >= 1, got {self.keys.shape}")
-        if not (np.isfinite(self.keys).all() and np.isfinite(self.values).all()):
-            raise ValueError("trace contains non-finite values")
+        for block in (self.keys, self.values):
+            # NaN and +-inf carry through max and min, so no trace-sized mask is built
+            if not (np.isfinite(block.max()) and np.isfinite(block.min())):
+                raise ValueError("trace contains non-finite values")
 
     @property
     def layers(self) -> int:
@@ -94,7 +113,16 @@ class KVTrace:
 
 
 def write_trace(path, trace: KVTrace) -> None:
-    """Serialize a trace: 28-byte header, then [layer][K then V][head][pos][dim]."""
+    """Serialize a trace in format version 2.
+
+    The 28-byte header is followed by every key as one C-ordered
+    ``(layers, kv_heads, seq_len, head_dim)`` little-endian float32 block,
+    then every value the same way. The bytes go to a new temporary file
+    beside the destination, or beside a symlink's target, which
+    ``os.replace`` then moves onto it. So the old file is never truncated: a
+    trace mapped from it by ``read_trace`` keeps its values, and a write that
+    fails part-way leaves the old file as it was and removes the temporary.
+    """
     header = _HEADER.pack(
         MAGIC,
         FORMAT_VERSION,
@@ -104,19 +132,33 @@ def write_trace(path, trace: KVTrace) -> None:
         trace.seq_len,
         DTYPE_F32,
     )
-    payload = np.stack([trace.keys, trace.values], axis=1)  # (layers, 2, heads, seq, dim)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(payload, dtype="<f4").tobytes())
+    target = os.path.realpath(path)
+    temporary = f"{target}.{os.urandom(6).hex()}.tmp"
+    fh = open(temporary, "xb")
+    try:
+        with fh:
+            fh.write(header)
+            for block in (trace.keys, trace.values):
+                fh.write(np.ascontiguousarray(block, dtype="<f4"))
+        os.replace(temporary, target)
+    except BaseException:
+        os.unlink(temporary)
+        raise
 
 
 def read_trace(path) -> KVTrace:
     """Read a trace file, validating magic, version, dtype, and payload size.
 
-    The payload is read layer by layer, K then V, straight into the
-    C-ordered, writeable ``keys`` and ``values`` arrays of the result: no
-    intermediate copy of the file exists. A payload shorter or longer than
-    the header implies raises :class:`TruncatedPayloadError`.
+    A regular file is mapped copy-on-write, not copied: ``keys`` and
+    ``values`` are C-ordered, writeable, disjoint views of the mapping, and
+    writes to them never reach the file. A pipe, or a file on a file system
+    that cannot be mapped, is read into one new buffer. Version-1 files, K
+    and V interleaved per layer, are split per layer, and ``KVTrace`` copies
+    the halves of a multi-layer file to C order. Every header and size check
+    runs before anything is mapped or allocated; a payload shorter or longer
+    than the header implies raises :class:`TruncatedPayloadError`.
+    Truncating the file in place while the result is alive is undefined
+    (SIGBUS on Linux); ``write_trace`` never does so.
     """
     with open(path, "rb") as fh:
         raw_header = fh.read(_HEADER.size)
@@ -125,31 +167,46 @@ def read_trace(path) -> KVTrace:
         magic, version, layers, kv_heads, head_dim, seq_len, dtype = _HEADER.unpack(raw_header)
         if magic != MAGIC:
             raise BadMagicError(f"{path}: bad magic {magic!r}")
-        if version != FORMAT_VERSION:
+        if version not in (1, FORMAT_VERSION):
             raise TraceFormatError(f"{path}: unsupported version {version}")
         if dtype != DTYPE_F32:
             raise UnknownDtypeError(f"{path}: unknown dtype code {dtype}")
-        expected = layers * 2 * kv_heads * seq_len * head_dim * 4
+        count = layers * 2 * kv_heads * seq_len * head_dim
+        expected = count * 4
         status = os.fstat(fh.fileno())
-        if stat.S_ISREG(status.st_mode) and status.st_size - _HEADER.size != expected:
-            # checked before allocating, so a corrupt header cannot ask for huge arrays
+        regular = stat.S_ISREG(status.st_mode)
+        if regular and status.st_size - _HEADER.size != expected:
+            # checked before mapping or allocating, so a corrupt header cannot ask for huge arrays
             raise TruncatedPayloadError(
                 f"{path}: payload holds {status.st_size - _HEADER.size} bytes, "
                 f"header implies {expected}"
             )
-        keys = np.empty((layers, kv_heads, seq_len, head_dim), dtype="<f4")
-        values = np.empty_like(keys)
-        for layer in range(layers):
-            for block in (keys[layer], values[layer]):
-                if fh.readinto(block) != block.nbytes:
-                    raise TruncatedPayloadError(
-                        f"{path}: payload is shorter than the {expected} bytes the header implies"
-                    )
-        if fh.read(1):
-            raise TruncatedPayloadError(
-                f"{path}: payload is longer than the {expected} bytes the header implies"
-            )
+        payload = _map_payload(fh, count) if regular else None
+        if payload is None:
+            payload = np.empty(count, dtype="<f4")
+            if fh.readinto(payload) != expected:
+                raise TruncatedPayloadError(
+                    f"{path}: payload is shorter than the {expected} bytes the header implies"
+                )
+            if fh.read(1):
+                raise TruncatedPayloadError(
+                    f"{path}: payload is longer than the {expected} bytes the header implies"
+                )
+    if version == 1:
+        pairs = payload.reshape(layers, 2, kv_heads, seq_len, head_dim)
+        keys, values = pairs[:, 0], pairs[:, 1]
+    else:
+        keys, values = payload.reshape(2, layers, kv_heads, seq_len, head_dim)
     return KVTrace(keys=keys, values=values, provenance=str(path))
+
+
+def _map_payload(fh, count: int):
+    """The payload of an open trace file mapped copy-on-write, or None if it cannot be mapped."""
+    try:
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+    except OSError:
+        return None
+    return np.frombuffer(mapped, dtype="<f4", count=count, offset=_HEADER.size)
 
 
 _SYNTHETIC_KINDS = ("constant", "tone", "bandlimited", "noise", "mix")

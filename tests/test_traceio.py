@@ -1,12 +1,16 @@
 """Trace format round trips, corruption handling, and generators."""
 
+import errno
+import io
 import os
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fourier_kv import traceio
 from fourier_kv.spectral import build_basis, compress_batch, reconstruct, reconstruction_mse
 from fourier_kv.traceio import (
     BadMagicError,
@@ -30,6 +34,25 @@ def random_trace(rng, layers=2, kv_heads=2, seq_len=6, head_dim=4):
     )
 
 
+def version_1_bytes(trace):
+    """A trace hand-packed in format version 1: per layer, its keys then its values."""
+    header = struct.pack("<4sIIIIII", b"KVTR", 1, trace.layers, trace.kv_heads,
+                         trace.head_dim, trace.seq_len, 1)
+    return header + b"".join(
+        trace.keys[layer].astype("<f4").tobytes() + trace.values[layer].astype("<f4").tobytes()
+        for layer in range(trace.layers)
+    )
+
+
+def assert_same_c_ordered(back, trace):
+    """``back`` holds ``trace``'s bits in C-ordered, writeable, disjoint float32 arrays."""
+    for got, sent in ((back.keys, trace.keys), (back.values, trace.values)):
+        assert got.dtype == np.float32 and got.shape == sent.shape
+        assert got.flags.c_contiguous and got.flags.writeable
+        np.testing.assert_array_equal(got.view(np.uint32), sent.view(np.uint32))
+    assert not np.shares_memory(back.keys, back.values)
+
+
 class TestFormat:
     def test_round_trip_bit_identical(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -41,16 +64,77 @@ class TestFormat:
         np.testing.assert_array_equal(back.values, trace.values)
 
     def test_multi_layer_round_trip_gives_owned_c_ordered_arrays(self, tmp_path):
+        # a few MB, so that the fixed objects of a call are small against the payload
         rng = np.random.default_rng(6)
-        trace = random_trace(rng, layers=3, kv_heads=2, seq_len=9, head_dim=5)
+        trace = random_trace(rng, layers=3, kv_heads=2, seq_len=1024, head_dim=64)
+        path = tmp_path / "t.kvt"
+        write_trace(path, trace)
+        stored = path.read_bytes()
+        tracemalloc.start()
+        try:
+            back = read_trace(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the file is mapped, not copied: nothing that grows with the payload is allocated
+        assert peak < 0.01 * (trace.keys.nbytes + trace.values.nbytes)
+        assert_same_c_ordered(back, trace)
+        back.keys[1, 0, 5] = -7.0  # copy-on-write: the file never sees it
+        back.values[2] = 0.0
+        assert path.read_bytes() == stored
+        np.testing.assert_array_equal(read_trace(path).keys, trace.keys)
+
+    @pytest.mark.parametrize("layers", [1, 3], ids=["1-layer", "3-layers"])
+    def test_reads_version_1_files(self, tmp_path, layers):
+        rng = np.random.default_rng(10)
+        trace = random_trace(rng, layers=layers, kv_heads=2, seq_len=7, head_dim=3)
+        path = tmp_path / "t.kvt"
+        path.write_bytes(version_1_bytes(trace))
+        assert_same_c_ordered(read_trace(path), trace)
+
+    def test_a_trace_read_from_a_file_keeps_its_values_when_the_file_is_rewritten(self, tmp_path):
+        rng = np.random.default_rng(11)
+        trace = random_trace(rng, layers=2, kv_heads=2, seq_len=2048, head_dim=8)
+        other = random_trace(rng, layers=1, kv_heads=1, seq_len=5, head_dim=2)
         path = tmp_path / "t.kvt"
         write_trace(path, trace)
         back = read_trace(path)
-        for got, sent in ((back.keys, trace.keys), (back.values, trace.values)):
-            assert got.dtype == np.float32 and got.shape == sent.shape
-            assert got.flags.c_contiguous and got.flags.writeable
-            np.testing.assert_array_equal(got.view(np.uint32), sent.view(np.uint32))
-        assert not np.shares_memory(back.keys, back.values)
+        write_trace(path, other)  # shorter: a write in place would cut the mapped pages off
+        np.testing.assert_array_equal(back.keys, trace.keys)
+        np.testing.assert_array_equal(back.values, trace.values)
+        np.testing.assert_array_equal(read_trace(path).keys, other.keys)
+
+    def test_a_write_that_fails_part_way_leaves_the_old_file(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(12)
+        path = tmp_path / "t.kvt"
+        write_trace(path, random_trace(rng))
+        stored = path.read_bytes()
+
+        class FullDisk(io.FileIO):
+            def write(self, data):
+                if isinstance(data, np.ndarray):  # the header goes through, the payload not
+                    raise OSError(errno.ENOSPC, "no space left on device")
+                return super().write(data)
+
+        monkeypatch.setattr(traceio, "open", FullDisk, raising=False)
+        with pytest.raises(OSError, match="no space"):
+            write_trace(path, random_trace(rng, seq_len=9))
+        assert path.read_bytes() == stored
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_writing_through_a_symlink_replaces_its_target(self, tmp_path):
+        rng = np.random.default_rng(13)
+        trace = random_trace(rng)
+        other = random_trace(rng, seq_len=4)
+        (tmp_path / "store").mkdir()
+        target = tmp_path / "store" / "t.kvt"
+        link = tmp_path / "link.kvt"
+        write_trace(target, trace)
+        link.symlink_to(target)
+        write_trace(link, other)
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        np.testing.assert_array_equal(read_trace(target).keys, other.keys)
+        assert list((tmp_path / "store").iterdir()) == [target]
 
     def test_trailing_bytes(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -92,14 +176,18 @@ class TestFormat:
         with pytest.raises(TruncatedPayloadError):
             read_trace(path)
 
-    @pytest.mark.parametrize("change", ["none", "short", "trailing"])
-    def test_payload_read_from_a_pipe(self, tmp_path, change):
+    @pytest.mark.parametrize(
+        "change, version",
+        [pytest.param(change, version, id=change if version == 2 else f"{change}-v1")
+         for version in (2, 1) for change in ("none", "short", "trailing")],
+    )
+    def test_payload_read_from_a_pipe(self, tmp_path, change, version):
         # a pipe has no size to check up front: the reads themselves must see it
         rng = np.random.default_rng(9)
-        trace = random_trace(rng)
+        trace = random_trace(rng, layers=3)
         path = tmp_path / "t.kvt"
         write_trace(path, trace)
-        data = path.read_bytes()
+        data = path.read_bytes() if version == 2 else version_1_bytes(trace)
         data = {"none": data, "short": data[:-5], "trailing": data + b"\0" * 4}[change]
         fifo = tmp_path / "fifo"
         os.mkfifo(fifo)
@@ -112,9 +200,7 @@ class TestFormat:
         writer.start()
         try:
             if change == "none":
-                back = read_trace(fifo)
-                np.testing.assert_array_equal(back.keys, trace.keys)
-                np.testing.assert_array_equal(back.values, trace.values)
+                assert_same_c_ordered(read_trace(fifo), trace)
             else:
                 with pytest.raises(TruncatedPayloadError):
                     read_trace(fifo)
@@ -146,7 +232,7 @@ class TestFormat:
         path = tmp_path / "t.kvt"
         write_trace(path, random_trace(rng))
         data = bytearray(path.read_bytes())
-        data[4:8] = (2).to_bytes(4, "little")
+        data[4:8] = (3).to_bytes(4, "little")  # versions 1 and 2 are read
         path.write_bytes(bytes(data))
         with pytest.raises(TraceFormatError):
             read_trace(path)
@@ -156,6 +242,11 @@ class TestFormat:
         bad[0, 0, 0, 0] = np.nan
         with pytest.raises(ValueError):
             KVTrace(keys=bad, values=np.zeros_like(bad))
+        for value in (np.inf, -np.inf, np.nan):
+            bad = np.zeros((2, 1, 3, 2), dtype=np.float32)
+            bad[1, 0, 2, 1] = value
+            with pytest.raises(ValueError, match="non-finite"):
+                KVTrace(keys=np.zeros_like(bad), values=bad)
 
     @pytest.mark.parametrize("axis", range(4), ids=["layers", "kv-heads", "seq-len", "head-dim"])
     def test_rejects_a_zero_size_dimension(self, tmp_path, axis):
